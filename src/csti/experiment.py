@@ -336,20 +336,26 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
     )
 
 
+def _read_spec(path: Path):
+    """Parse a spec file; a blank file is an empty document."""
+    if not path.is_file():
+        raise SpecValidationError([f"spec file not found: {path}"])
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise SpecValidationError([f"spec is not UTF-8 text: {err}"]) from err
+    if not text.strip():
+        return {}
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise SpecValidationError([f"spec is not valid JSON: {err}"]) from err
+
+
 def validate_spec(path) -> ExperimentSpec:
     """Load and validate a JSON spec file."""
     path = Path(path)
-    if not path.is_file():
-        raise SpecValidationError([f"spec file not found: {path}"])
-    text = path.read_text(encoding="utf-8")
-    if not text.strip():
-        raw = {}
-    else:
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise SpecValidationError([f"spec is not valid JSON: {err}"]) from err
-    return validate_spec_dict(raw, base_dir=path.parent)
+    return validate_spec_dict(_read_spec(path), base_dir=path.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +569,9 @@ def main(argv=None) -> int:
 
     try:
         spec_path = Path(args.spec)
-        if not spec_path.is_file():
-            raise SpecValidationError([f"spec file not found: {spec_path}"])
-        try:
-            raw = json.loads(spec_path.read_text(encoding="utf-8") or "{}")
-        except json.JSONDecodeError as err:
-            raise SpecValidationError([f"spec is not valid JSON: {err}"]) from err
-        raw = _apply_overrides(raw if isinstance(raw, dict) else {}, args)
+        raw = _read_spec(spec_path)
+        if isinstance(raw, dict):
+            raw = _apply_overrides(raw, args)
         spec = validate_spec_dict(raw, base_dir=spec_path.parent)
         run_experiment(spec)
     except SpecValidationError as err:

@@ -1,4 +1,4 @@
-"""Forecasting model zoo behind one parameter-vector interface.
+"""Forecasting model zoo: stateless kernels over one flat parameter vector.
 
 Every model first collapses the (L, d) window to a scalar series via a
 learned input mix, then applies its own mapping to an H-step forecast:
@@ -17,11 +17,21 @@ The inverse transform keeps the real part only: learned kernels are not
 conjugate-symmetric, so their filtered spectra are projected back onto
 real signals. Backward passes are hand-derived and are checked against
 central finite differences in the test suite.
+
+Parameters live in one flat float64 array theta. Each kind declares an
+ordered (segment name, shape, initializer) table; the segment layout and
+the seeded initial draw both follow it, and ``unpack`` turns theta, or a
+gradient of the same length, into named reshaped views. ``_forward`` reads the views of theta
+and ``_backward`` writes into the views of one flat gradient, so
+``loss_and_gradient(theta, ...)`` needs neither a model rebuild nor a
+``ParamVector``. It checks nothing: the trainer owns theta, checks batch
+shapes once per call and theta's finiteness once per step.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -61,7 +71,14 @@ def _check_batch(inputs, targets, lookback, horizon, n_features):
 
 
 class ForecastModel:
-    """Shared plumbing: parameter storage, loss, import/export."""
+    """A kind's forward/backward kernel plus one immutable parameter vector.
+
+    The instance's own theta is a read-only, finite copy checked at
+    construction; it serves prediction, export and checkpoints.
+    ``loss_and_gradient`` takes theta as an argument instead, so a
+    trainer can run the kernel over its own buffer without rebuilding
+    the model.
+    """
 
     kind = "abstract"
 
@@ -71,9 +88,16 @@ class ForecastModel:
         self.horizon = int(horizon)
         self.n_features = int(n_features)
         self.hyper = dict(hyper)
-        layout = self.layout(lookback, horizon, n_features, self.hyper)
+        shapes = self.segments(self.lookback, self.horizon, self.n_features, self.hyper)
+        self._layout = layout_from_lengths(
+            (name, math.prod(shape)) for name, shape, _ in shapes
+        )
+        self._views = tuple(
+            (seg.name, slice(seg.offset, seg.offset + seg.length), shape)
+            for seg, (_, shape, _) in zip(self._layout, shapes)
+        )
         values = np.asarray(values, dtype=np.float64).reshape(-1)
-        total = sum(seg.length for seg in layout)
+        total = sum(seg.length for seg in self._layout)
         if values.size != total:
             raise MergeIncompatibilityError(
                 f"{self.kind}: expected {total} parameters, got {values.size}"
@@ -83,15 +107,12 @@ class ForecastModel:
         values = values.copy()
         values.flags.writeable = False
         self._values = values
-        self._layout = layout
-        self._views = {
-            seg.name: values[seg.offset : seg.offset + seg.length] for seg in layout
-        }
-        self._bind_views()
+        self._theta_views = self.unpack(values)
 
     # -- subclass hooks ----------------------------------------------------
     @classmethod
-    def layout(cls, lookback, horizon, n_features, hyper):
+    def segments(cls, lookback, horizon, n_features, hyper):
+        """Ordered (name, shape, initializer) rows; the layout follows them."""
         raise NotImplementedError
 
     @classmethod
@@ -99,22 +120,26 @@ class ForecastModel:
         return {}
 
     @classmethod
-    def init_values(cls, lookback, horizon, n_features, hyper, rng):
+    def check_hyper(cls, hyper):
+        """Validate resolved hyperparameters and coerce their types."""
+        return hyper
+
+    def _forward(self, p, inputs):
+        """(pred, cache) with parameters read from the views ``p``."""
         raise NotImplementedError
 
-    def _bind_views(self):
-        """Cache reshaped views of the flat parameter vector."""
-
-    def predict_batch(self, inputs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _backward(self, inputs, dpred, cache) -> ParamVector:
+    def _backward(self, p, inputs, dpred, cache, g):
+        """Write d(loss)/d(theta) into the gradient views ``g``."""
         raise NotImplementedError
 
     # -- shared behaviour --------------------------------------------------
     @property
     def n_params(self) -> int:
         return self._values.size
+
+    def unpack(self, flat: np.ndarray) -> dict:
+        """Named views of a flat vector in this model's layout, one per segment."""
+        return {name: flat[span].reshape(shape) for name, span, shape in self._views}
 
     def predict(self, window) -> np.ndarray:
         window = np.asarray(window, dtype=np.float64)
@@ -145,24 +170,26 @@ class ForecastModel:
             self.lookback, self.horizon, self.n_features, self.hyper, pvec.values
         )
 
-    def loss_and_gradient(self, inputs, targets) -> tuple[float, ParamVector]:
-        """Batch MSE and its gradient from a single forward pass."""
+    def loss_and_gradient(self, theta, inputs, targets) -> tuple[float, np.ndarray]:
+        """Batch MSE at ``theta`` and its flat gradient, from one forward pass.
+
+        A kernel: it trusts theta's length and the batch shapes, which
+        the caller has checked.
+        """
+        p = self.unpack(theta)
+        pred, cache = self._forward(p, inputs)
+        loss_val = float(np.mean((pred - targets) ** 2))
+        dpred = (2.0 / pred.size) * (pred - targets)
+        grad = np.empty(theta.size)
+        self._backward(p, inputs, dpred, cache, self.unpack(grad))
+        return loss_val, grad
+
+    def loss_gradient(self, inputs, targets) -> ParamVector:
         inputs, targets = _check_batch(
             inputs, targets, self.lookback, self.horizon, self.n_features
         )
-        pred, cache = self._forward(inputs)
-        loss_val = float(np.mean((pred - targets) ** 2))
-        dpred = (2.0 / pred.size) * (pred - targets)
-        return loss_val, self._backward(inputs, dpred, cache)
-
-    def loss_gradient(self, inputs, targets) -> ParamVector:
-        return self.loss_and_gradient(inputs, targets)[1]
-
-    def _grad_vector(self, parts: dict[str, np.ndarray]) -> ParamVector:
-        flat = np.empty(self.n_params)
-        for seg in self._layout:
-            flat[seg.offset : seg.offset + seg.length] = parts[seg.name].reshape(-1)
-        return ParamVector(flat, self._layout)
+        grad = self.loss_and_gradient(self._values, inputs, targets)[1]
+        return ParamVector(grad, self._layout)
 
 
 def _mix_forward(inputs, mix):
@@ -184,8 +211,39 @@ def _head_backward(series, dpred, w):
     return dw, db, dseries
 
 
+def _filter_spectrum(s_re, s_im, k_re, k_im):
+    """Real part of the inverse transform of the spectrum times a kernel."""
+    return numerics.real_idft_batch(s_re * k_re - s_im * k_im, s_re * k_im + s_im * k_re)
+
+
+def _filter_spectrum_adjoint(dfiltered, s_re, s_im, k_re, k_im):
+    """Per-sample gradients of ``_filter_spectrum``: (ds_re, ds_im, dk_re, dk_im)."""
+    df_re, df_im = numerics.real_idft_batch_adjoint(dfiltered)
+    ds_re = df_re * k_re + df_im * k_im
+    ds_im = -df_re * k_im + df_im * k_re
+    dk_re = df_re * s_re + df_im * s_im
+    dk_im = -df_re * s_im + df_im * s_re
+    return ds_re, ds_im, dk_re, dk_im
+
+
 def _affine_bound(fan_in: int) -> float:
     return 1.0 / np.sqrt(fan_in)
+
+
+def _uniform(bound):
+    """Initializer drawing uniformly from [-bound, bound]."""
+    return lambda rng, n: rng.uniform(-bound, bound, size=n)
+
+
+def _normal(scale, mean=0.0):
+    """Initializer drawing mean + scale * N(0, 1)."""
+    return lambda rng, n: mean + scale * rng.standard_normal(n)
+
+
+def _check_hidden(kind, hyper):
+    if hyper["hidden"] < 1:
+        raise ContractViolation(f"{kind}: hidden width must be >= 1")
+    return {"hidden": int(hyper["hidden"])}
 
 
 # ---------------------------------------------------------------------------
@@ -204,38 +262,12 @@ class DLinearModel(ForecastModel):
 
     kind = "dlinear"
 
-    @classmethod
-    def default_hyper(cls, lookback, horizon, n_features):
-        return {"harmonics": 3, "period": float(lookback), "use_anchor": True}
-
-    @classmethod
-    def layout(cls, lookback, horizon, n_features, hyper):
-        k = hyper["harmonics"]
-        return layout_from_lengths([
-            ("trend", 2),
-            ("seasonal_cos", k),
-            ("seasonal_sin", k),
-            ("input_mix", n_features),
-        ])
-
-    @classmethod
-    def init_values(cls, lookback, horizon, n_features, hyper, rng):
-        k = hyper["harmonics"]
-        fan = 2 + 2 * k + n_features
-        bound = _affine_bound(fan)
-        return rng.uniform(-bound, bound, size=2 + 2 * k + n_features)
-
-    def _bind_views(self):
-        k = self.hyper["harmonics"]
-        period = self.hyper["period"]
-        self.trend = self._views["trend"]
-        self.seasonal_cos = self._views["seasonal_cos"]
-        self.seasonal_sin = self._views["seasonal_sin"]
-        self.input_mix = self._views["input_mix"]
+    def __init__(self, lookback, horizon, n_features, hyper, values):
+        super().__init__(lookback, horizon, n_features, hyper, values)
         # forecast step h (0-based) sits at window-relative time t = L + h
         t = self.lookback + np.arange(self.horizon, dtype=np.float64)
-        harm = np.arange(1, k + 1, dtype=np.float64)
-        angles = 2.0 * np.pi * np.outer(t, harm) / period  # (H, k)
+        harm = np.arange(1, self.hyper["harmonics"] + 1, dtype=np.float64)
+        angles = 2.0 * np.pi * np.outer(t, harm) / self.hyper["period"]  # (H, k)
         self._basis = np.concatenate(
             [
                 np.column_stack([t / self.lookback, np.ones_like(t)]),
@@ -245,33 +277,56 @@ class DLinearModel(ForecastModel):
             axis=1,
         )  # (H, 2 + 2k)
 
-    def _forward(self, inputs):
-        coef = np.concatenate([self.trend, self.seasonal_cos, self.seasonal_sin])
+    @classmethod
+    def default_hyper(cls, lookback, horizon, n_features):
+        return {"harmonics": 3, "period": float(lookback), "use_anchor": True}
+
+    @classmethod
+    def check_hyper(cls, hyper):
+        if hyper["harmonics"] < 1:
+            raise ContractViolation("dlinear: harmonics must be >= 1")
+        if not hyper["period"] > 0:
+            raise ContractViolation("dlinear: period must be > 0")
+        return {
+            "harmonics": int(hyper["harmonics"]),
+            "period": float(hyper["period"]),
+            "use_anchor": bool(hyper["use_anchor"]),
+        }
+
+    @classmethod
+    def segments(cls, lookback, horizon, n_features, hyper):
+        k = hyper["harmonics"]
+        init = _uniform(_affine_bound(2 + 2 * k + n_features))
+        return (
+            ("trend", (2,), init),
+            ("seasonal_cos", (k,), init),
+            ("seasonal_sin", (k,), init),
+            ("input_mix", (n_features,), init),
+        )
+
+    def _forward(self, p, inputs):
+        coef = np.concatenate([p["trend"], p["seasonal_cos"], p["seasonal_sin"]])
         curve = self._basis @ coef  # (H,)
         if self.hyper["use_anchor"]:
-            z_last = inputs[:, -1, :] @ self.input_mix  # (N,)
+            z_last = inputs[:, -1, :] @ p["input_mix"]  # (N,)
             pred = curve[None, :] + z_last[:, None]
         else:
             pred = np.broadcast_to(curve, (inputs.shape[0], self.horizon)).copy()
         return pred, None
 
     def predict_batch(self, inputs):
-        return self._forward(np.asarray(inputs, dtype=np.float64))[0]
+        return self._forward(self._theta_views, np.asarray(inputs, dtype=np.float64))[0]
 
-    def _backward(self, inputs, dpred, cache):
-        dcoef = self._basis.T @ dpred.sum(axis=0)
+    def _backward(self, p, inputs, dpred, cache, g):
         k = self.hyper["harmonics"]
+        dcoef = self._basis.T @ dpred.sum(axis=0)
+        g["trend"][...] = dcoef[:2]
+        g["seasonal_cos"][...] = dcoef[2 : 2 + k]
+        g["seasonal_sin"][...] = dcoef[2 + k :]
         if self.hyper["use_anchor"]:
-            dz_last = dpred.sum(axis=1)  # (N,)
-            dmix = inputs[:, -1, :].T @ dz_last
+            g["input_mix"][...] = inputs[:, -1, :].T @ dpred.sum(axis=1)
         else:
-            dmix = np.zeros(self.n_features)
-        return self._grad_vector({
-            "trend": dcoef[:2],
-            "seasonal_cos": dcoef[2 : 2 + k],
-            "seasonal_sin": dcoef[2 + k :],
-            "input_mix": dmix,
-        })
+            g["input_mix"][...] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -284,69 +339,43 @@ class PaiFilterModel(ForecastModel):
     kind = "paifilter"
 
     @classmethod
-    def layout(cls, lookback, horizon, n_features, hyper):
-        return layout_from_lengths([
-            ("kernel_re", lookback),
-            ("kernel_im", lookback),
-            ("head_weight", horizon * lookback),
-            ("head_bias", horizon),
-            ("input_mix", n_features),
-        ])
-
-    @classmethod
-    def init_values(cls, lookback, horizon, n_features, hyper, rng):
-        kernel_re = 1.0 + 0.01 * rng.standard_normal(lookback)
-        kernel_im = 0.01 * rng.standard_normal(lookback)
-        hb = _affine_bound(lookback)
-        head_w = rng.uniform(-hb, hb, size=horizon * lookback)
-        head_b = rng.uniform(-hb, hb, size=horizon)
-        mb = _affine_bound(n_features)
-        mix = rng.uniform(-mb, mb, size=n_features)
-        return np.concatenate([kernel_re, kernel_im, head_w, head_b, mix])
-
-    def _bind_views(self):
-        L, H = self.lookback, self.horizon
-        self.kernel_re = self._views["kernel_re"]
-        self.kernel_im = self._views["kernel_im"]
-        self.head_w = self._views["head_weight"].reshape(H, L)
-        self.head_b = self._views["head_bias"]
-        self.input_mix = self._views["input_mix"]
+    def segments(cls, lookback, horizon, n_features, hyper):
+        head = _uniform(_affine_bound(lookback))
+        return (
+            ("kernel_re", (lookback,), _normal(0.01, mean=1.0)),
+            ("kernel_im", (lookback,), _normal(0.01)),
+            ("head_weight", (horizon, lookback), head),
+            ("head_bias", (horizon,), head),
+            ("input_mix", (n_features,), _uniform(_affine_bound(n_features))),
+        )
 
     def filter_series(self, z: np.ndarray) -> np.ndarray:
         """Apply the kernel to (N, L) scalar series; the pre-head signal."""
-        s_re, s_im = numerics.dft_batch(z)
-        f_re = s_re * self.kernel_re - s_im * self.kernel_im
-        f_im = s_re * self.kernel_im + s_im * self.kernel_re
-        return numerics.real_idft_batch(f_re, f_im)
+        p = self._theta_views
+        return _filter_spectrum(*numerics.dft_batch(z), p["kernel_re"], p["kernel_im"])
 
-    def _forward(self, inputs):
-        z = _mix_forward(inputs, self.input_mix)
+    def _forward(self, p, inputs):
+        z = _mix_forward(inputs, p["input_mix"])
         s_re, s_im = numerics.dft_batch(z)
-        f_re = s_re * self.kernel_re - s_im * self.kernel_im
-        f_im = s_re * self.kernel_im + s_im * self.kernel_re
-        filtered = numerics.real_idft_batch(f_re, f_im)
-        pred = _head_forward(filtered, self.head_w, self.head_b)
-        return pred, (z, s_re, s_im, filtered)
+        filtered = _filter_spectrum(s_re, s_im, p["kernel_re"], p["kernel_im"])
+        pred = _head_forward(filtered, p["head_weight"], p["head_bias"])
+        return pred, (s_re, s_im, filtered)
 
     def predict_batch(self, inputs):
-        return self._forward(np.asarray(inputs, dtype=np.float64))[0]
+        return self._forward(self._theta_views, np.asarray(inputs, dtype=np.float64))[0]
 
-    def _backward(self, inputs, dpred, cache):
-        _, s_re, s_im, filtered = cache
-        dhead_w, dhead_b, dfiltered = _head_backward(filtered, dpred, self.head_w)
-        df_re, df_im = numerics.real_idft_batch_adjoint(dfiltered)
-        dk_re = (df_re * s_re + df_im * s_im).sum(axis=0)
-        dk_im = (-df_re * s_im + df_im * s_re).sum(axis=0)
-        ds_re = df_re * self.kernel_re + df_im * self.kernel_im
-        ds_im = -df_re * self.kernel_im + df_im * self.kernel_re
+    def _backward(self, p, inputs, dpred, cache, g):
+        s_re, s_im, filtered = cache
+        g["head_weight"][...], g["head_bias"][...], dfiltered = _head_backward(
+            filtered, dpred, p["head_weight"]
+        )
+        ds_re, ds_im, dk_re, dk_im = _filter_spectrum_adjoint(
+            dfiltered, s_re, s_im, p["kernel_re"], p["kernel_im"]
+        )
+        g["kernel_re"][...] = dk_re.sum(axis=0)
+        g["kernel_im"][...] = dk_im.sum(axis=0)
         dz = numerics.dft_batch_adjoint(ds_re, ds_im)
-        return self._grad_vector({
-            "kernel_re": dk_re,
-            "kernel_im": dk_im,
-            "head_weight": dhead_w,
-            "head_bias": dhead_b,
-            "input_mix": _mix_backward(inputs, dz),
-        })
+        g["input_mix"][...] = _mix_backward(inputs, dz)
 
 
 # ---------------------------------------------------------------------------
@@ -368,137 +397,91 @@ class TexFilterModel(ForecastModel):
         return {"hidden": lookback}
 
     @classmethod
-    def layout(cls, lookback, horizon, n_features, hyper):
-        m = hyper["hidden"]
-        L = lookback
-        return layout_from_lengths([
-            ("filter_w1_re", m * L),
-            ("filter_w1_im", m * L),
-            ("filter_b1_re", m),
-            ("filter_b1_im", m),
-            ("filter_gate_bias", m),
-            ("filter_w2_re", L * m),
-            ("filter_w2_im", L * m),
-            ("filter_b2_re", L),
-            ("filter_b2_im", L),
-            ("head_weight", horizon * L),
-            ("head_bias", horizon),
-            ("input_mix", n_features),
-        ])
+    def check_hyper(cls, hyper):
+        return _check_hidden(cls.kind, hyper)
 
     @classmethod
-    def init_values(cls, lookback, horizon, n_features, hyper, rng):
-        m, L, H = hyper["hidden"], lookback, horizon
-        b1 = _affine_bound(L)
-        w1_re = rng.uniform(-b1, b1, size=m * L)
-        w1_im = rng.uniform(-b1, b1, size=m * L)
-        b1_re = rng.uniform(-b1, b1, size=m)
-        b1_im = rng.uniform(-b1, b1, size=m)
-        gate = 0.01 * rng.standard_normal(m)
-        w2_re = 0.01 * rng.standard_normal(L * m)
-        w2_im = 0.01 * rng.standard_normal(L * m)
-        b2_re = 1.0 + 0.01 * rng.standard_normal(L)
-        b2_im = 0.01 * rng.standard_normal(L)
-        hb = _affine_bound(L)
-        head_w = rng.uniform(-hb, hb, size=H * L)
-        head_b = rng.uniform(-hb, hb, size=H)
-        mb = _affine_bound(n_features)
-        mix = rng.uniform(-mb, mb, size=n_features)
-        return np.concatenate([
-            w1_re, w1_im, b1_re, b1_im, gate,
-            w2_re, w2_im, b2_re, b2_im, head_w, head_b, mix,
-        ])
+    def segments(cls, lookback, horizon, n_features, hyper):
+        m, L = hyper["hidden"], lookback
+        hidden, small = _uniform(_affine_bound(L)), _normal(0.01)
+        return (
+            ("filter_w1_re", (m, L), hidden),
+            ("filter_w1_im", (m, L), hidden),
+            ("filter_b1_re", (m,), hidden),
+            ("filter_b1_im", (m,), hidden),
+            ("filter_gate_bias", (m,), small),
+            ("filter_w2_re", (L, m), small),
+            ("filter_w2_im", (L, m), small),
+            ("filter_b2_re", (L,), _normal(0.01, mean=1.0)),
+            ("filter_b2_im", (L,), small),
+            ("head_weight", (horizon, L), hidden),
+            ("head_bias", (horizon,), hidden),
+            ("input_mix", (n_features,), _uniform(_affine_bound(n_features))),
+        )
 
-    def _bind_views(self):
-        m, L, H = self.hyper["hidden"], self.lookback, self.horizon
-        v = self._views
-        self.w1_re = v["filter_w1_re"].reshape(m, L)
-        self.w1_im = v["filter_w1_im"].reshape(m, L)
-        self.b1_re = v["filter_b1_re"]
-        self.b1_im = v["filter_b1_im"]
-        self.gate_bias = v["filter_gate_bias"]
-        self.w2_re = v["filter_w2_re"].reshape(L, m)
-        self.w2_im = v["filter_w2_im"].reshape(L, m)
-        self.b2_re = v["filter_b2_re"]
-        self.b2_im = v["filter_b2_im"]
-        self.head_w = v["head_weight"].reshape(H, L)
-        self.head_b = v["head_bias"]
-        self.input_mix = v["input_mix"]
-
-    def _forward(self, inputs):
-        z = _mix_forward(inputs, self.input_mix)
+    def _forward(self, p, inputs):
+        w1_re, w1_im = p["filter_w1_re"], p["filter_w1_im"]
+        w2_re, w2_im = p["filter_w2_re"], p["filter_w2_im"]
+        gate_bias = p["filter_gate_bias"]
+        z = _mix_forward(inputs, p["input_mix"])
         s_re, s_im = numerics.dft_batch(z)
-        u_re = s_re @ self.w1_re.T - s_im @ self.w1_im.T + self.b1_re
-        u_im = s_re @ self.w1_im.T + s_im @ self.w1_re.T + self.b1_im
+        u_re = s_re @ w1_re.T - s_im @ w1_im.T + p["filter_b1_re"]
+        u_im = s_re @ w1_im.T + s_im @ w1_re.T + p["filter_b1_im"]
         r = np.sqrt(u_re * u_re + u_im * u_im)
         r_safe = np.maximum(r, _GATE_EPS)
-        active = (r + self.gate_bias) > 0.0
-        scale = np.where(active, (r + self.gate_bias) / r_safe, 0.0)
+        active = (r + gate_bias) > 0.0
+        scale = np.where(active, (r + gate_bias) / r_safe, 0.0)
         a_re = scale * u_re
         a_im = scale * u_im
-        g_re = a_re @ self.w2_re.T - a_im @ self.w2_im.T + self.b2_re
-        g_im = a_re @ self.w2_im.T + a_im @ self.w2_re.T + self.b2_im
-        f_re = s_re * g_re - s_im * g_im
-        f_im = s_re * g_im + s_im * g_re
-        filtered = numerics.real_idft_batch(f_re, f_im)
-        pred = _head_forward(filtered, self.head_w, self.head_b)
+        k_re = a_re @ w2_re.T - a_im @ w2_im.T + p["filter_b2_re"]
+        k_im = a_re @ w2_im.T + a_im @ w2_re.T + p["filter_b2_im"]
+        filtered = _filter_spectrum(s_re, s_im, k_re, k_im)
+        pred = _head_forward(filtered, p["head_weight"], p["head_bias"])
         cache = (s_re, s_im, u_re, u_im, r_safe, active, scale,
-                 a_re, a_im, g_re, g_im, filtered)
+                 a_re, a_im, k_re, k_im, filtered)
         return pred, cache
 
     def predict_batch(self, inputs):
-        return self._forward(np.asarray(inputs, dtype=np.float64))[0]
+        return self._forward(self._theta_views, np.asarray(inputs, dtype=np.float64))[0]
 
-    def _backward(self, inputs, dpred, cache):
+    def _backward(self, p, inputs, dpred, cache, g):
         (s_re, s_im, u_re, u_im, r_safe, active, scale,
-         a_re, a_im, g_re, g_im, filtered) = cache
+         a_re, a_im, k_re, k_im, filtered) = cache
+        w1_re, w1_im = p["filter_w1_re"], p["filter_w1_im"]
+        w2_re, w2_im = p["filter_w2_re"], p["filter_w2_im"]
+        gate_bias = p["filter_gate_bias"]
 
-        dhead_w, dhead_b, dfiltered = _head_backward(filtered, dpred, self.head_w)
-        df_re, df_im = numerics.real_idft_batch_adjoint(dfiltered)
+        g["head_weight"][...], g["head_bias"][...], dfiltered = _head_backward(
+            filtered, dpred, p["head_weight"]
+        )
+        ds_re, ds_im, dk_re, dk_im = _filter_spectrum_adjoint(
+            dfiltered, s_re, s_im, k_re, k_im
+        )
 
-        ds_re = df_re * g_re + df_im * g_im
-        ds_im = -df_re * g_im + df_im * g_re
-        dg_re = df_re * s_re + df_im * s_im
-        dg_im = -df_re * s_im + df_im * s_re
-
-        dw2_re = dg_re.T @ a_re + dg_im.T @ a_im
-        dw2_im = -dg_re.T @ a_im + dg_im.T @ a_re
-        db2_re = dg_re.sum(axis=0)
-        db2_im = dg_im.sum(axis=0)
-        da_re = dg_re @ self.w2_re + dg_im @ self.w2_im
-        da_im = -dg_re @ self.w2_im + dg_im @ self.w2_re
+        g["filter_w2_re"][...] = dk_re.T @ a_re + dk_im.T @ a_im
+        g["filter_w2_im"][...] = -dk_re.T @ a_im + dk_im.T @ a_re
+        g["filter_b2_re"][...] = dk_re.sum(axis=0)
+        g["filter_b2_im"][...] = dk_im.sum(axis=0)
+        da_re = dk_re @ w2_re + dk_im @ w2_im
+        da_im = -dk_re @ w2_im + dk_im @ w2_re
 
         # modReLU: a = scale(r) * u with scale = (r + c)/r, d scale/dr = -c/r^2
         inner = da_re * u_re + da_im * u_im
-        dscale_dr = np.where(active, -self.gate_bias / (r_safe * r_safe), 0.0)
+        dscale_dr = np.where(active, -gate_bias / (r_safe * r_safe), 0.0)
         radial = dscale_dr * inner / r_safe
-        p = np.where(active, scale, 0.0)
-        du_re = p * da_re + radial * u_re
-        du_im = p * da_im + radial * u_im
-        dgate = np.where(active, inner / r_safe, 0.0).sum(axis=0)
+        du_re = scale * da_re + radial * u_re  # scale is already 0 where inactive
+        du_im = scale * da_im + radial * u_im
+        g["filter_gate_bias"][...] = np.where(active, inner / r_safe, 0.0).sum(axis=0)
 
-        dw1_re = du_re.T @ s_re + du_im.T @ s_im
-        dw1_im = -du_re.T @ s_im + du_im.T @ s_re
-        db1_re = du_re.sum(axis=0)
-        db1_im = du_im.sum(axis=0)
-        ds_re += du_re @ self.w1_re + du_im @ self.w1_im
-        ds_im += -du_re @ self.w1_im + du_im @ self.w1_re
+        g["filter_w1_re"][...] = du_re.T @ s_re + du_im.T @ s_im
+        g["filter_w1_im"][...] = -du_re.T @ s_im + du_im.T @ s_re
+        g["filter_b1_re"][...] = du_re.sum(axis=0)
+        g["filter_b1_im"][...] = du_im.sum(axis=0)
+        ds_re += du_re @ w1_re + du_im @ w1_im
+        ds_im += -du_re @ w1_im + du_im @ w1_re
 
         dz = numerics.dft_batch_adjoint(ds_re, ds_im)
-        return self._grad_vector({
-            "filter_w1_re": dw1_re,
-            "filter_w1_im": dw1_im,
-            "filter_b1_re": db1_re,
-            "filter_b1_im": db1_im,
-            "filter_gate_bias": dgate,
-            "filter_w2_re": dw2_re,
-            "filter_w2_im": dw2_im,
-            "filter_b2_re": db2_re,
-            "filter_b2_im": db2_im,
-            "head_weight": dhead_w,
-            "head_bias": dhead_b,
-            "input_mix": _mix_backward(inputs, dz),
-        })
+        g["input_mix"][...] = _mix_backward(inputs, dz)
 
 
 # ---------------------------------------------------------------------------
@@ -515,98 +498,64 @@ class FretsModel(ForecastModel):
         return {"hidden": lookback}
 
     @classmethod
-    def layout(cls, lookback, horizon, n_features, hyper):
-        m, L = hyper["hidden"], lookback
-        return layout_from_lengths([
-            ("re_w1", m * L),
-            ("re_b1", m),
-            ("re_w2", L * m),
-            ("re_b2", L),
-            ("im_w1", m * L),
-            ("im_b1", m),
-            ("im_w2", L * m),
-            ("im_b2", L),
-            ("head_weight", horizon * L),
-            ("head_bias", horizon),
-            ("input_mix", n_features),
-        ])
+    def check_hyper(cls, hyper):
+        return _check_hidden(cls.kind, hyper)
 
     @classmethod
-    def init_values(cls, lookback, horizon, n_features, hyper, rng):
-        m, L, H = hyper["hidden"], lookback, horizon
-        parts = []
-        for _ in range(2):  # re net then im net
-            b1 = _affine_bound(L)
-            parts.append(rng.uniform(-b1, b1, size=m * L))
-            parts.append(rng.uniform(-b1, b1, size=m))
-            b2 = _affine_bound(m)
-            parts.append(rng.uniform(-b2, b2, size=L * m))
-            parts.append(rng.uniform(-b2, b2, size=L))
-        hb = _affine_bound(L)
-        parts.append(rng.uniform(-hb, hb, size=H * L))
-        parts.append(rng.uniform(-hb, hb, size=H))
-        mb = _affine_bound(n_features)
-        parts.append(rng.uniform(-mb, mb, size=n_features))
-        return np.concatenate(parts)
+    def segments(cls, lookback, horizon, n_features, hyper):
+        m, L = hyper["hidden"], lookback
+        first, second = _uniform(_affine_bound(L)), _uniform(_affine_bound(m))
+        return (
+            ("re_w1", (m, L), first),
+            ("re_b1", (m,), first),
+            ("re_w2", (L, m), second),
+            ("re_b2", (L,), second),
+            ("im_w1", (m, L), first),
+            ("im_b1", (m,), first),
+            ("im_w2", (L, m), second),
+            ("im_b2", (L,), second),
+            ("head_weight", (horizon, L), first),
+            ("head_bias", (horizon,), first),
+            ("input_mix", (n_features,), _uniform(_affine_bound(n_features))),
+        )
 
-    def _bind_views(self):
-        m, L, H = self.hyper["hidden"], self.lookback, self.horizon
-        v = self._views
-        self.re_w1 = v["re_w1"].reshape(m, L)
-        self.re_b1 = v["re_b1"]
-        self.re_w2 = v["re_w2"].reshape(L, m)
-        self.re_b2 = v["re_b2"]
-        self.im_w1 = v["im_w1"].reshape(m, L)
-        self.im_b1 = v["im_b1"]
-        self.im_w2 = v["im_w2"].reshape(L, m)
-        self.im_b2 = v["im_b2"]
-        self.head_w = v["head_weight"].reshape(H, L)
-        self.head_b = v["head_bias"]
-        self.input_mix = v["input_mix"]
-
-    def _forward(self, inputs):
-        z = _mix_forward(inputs, self.input_mix)
+    def _forward(self, p, inputs):
+        z = _mix_forward(inputs, p["input_mix"])
         s_re, s_im = numerics.dft_batch(z)
-        h_re = np.tanh(s_re @ self.re_w1.T + self.re_b1)
-        x_re = h_re @ self.re_w2.T + self.re_b2
-        h_im = np.tanh(s_im @ self.im_w1.T + self.im_b1)
-        x_im = h_im @ self.im_w2.T + self.im_b2
+        h_re = np.tanh(s_re @ p["re_w1"].T + p["re_b1"])
+        x_re = h_re @ p["re_w2"].T + p["re_b2"]
+        h_im = np.tanh(s_im @ p["im_w1"].T + p["im_b1"])
+        x_im = h_im @ p["im_w2"].T + p["im_b2"]
         recon = numerics.real_idft_batch(x_re, x_im)
-        pred = _head_forward(recon, self.head_w, self.head_b)
+        pred = _head_forward(recon, p["head_weight"], p["head_bias"])
         return pred, (s_re, s_im, h_re, h_im, recon)
 
     def predict_batch(self, inputs):
-        return self._forward(np.asarray(inputs, dtype=np.float64))[0]
+        return self._forward(self._theta_views, np.asarray(inputs, dtype=np.float64))[0]
 
-    def _backward(self, inputs, dpred, cache):
+    def _backward(self, p, inputs, dpred, cache, g):
         s_re, s_im, h_re, h_im, recon = cache
-        dhead_w, dhead_b, drecon = _head_backward(recon, dpred, self.head_w)
+        g["head_weight"][...], g["head_bias"][...], drecon = _head_backward(
+            recon, dpred, p["head_weight"]
+        )
         dx_re, dx_im = numerics.real_idft_batch_adjoint(drecon)
 
-        dre_w2 = dx_re.T @ h_re
-        dre_b2 = dx_re.sum(axis=0)
-        dh_re = dx_re @ self.re_w2
-        du_re = dh_re * (1.0 - h_re * h_re)
-        dre_w1 = du_re.T @ s_re
-        dre_b1 = du_re.sum(axis=0)
-        ds_re = du_re @ self.re_w1
+        g["re_w2"][...] = dx_re.T @ h_re
+        g["re_b2"][...] = dx_re.sum(axis=0)
+        du_re = (dx_re @ p["re_w2"]) * (1.0 - h_re * h_re)
+        g["re_w1"][...] = du_re.T @ s_re
+        g["re_b1"][...] = du_re.sum(axis=0)
+        ds_re = du_re @ p["re_w1"]
 
-        dim_w2 = dx_im.T @ h_im
-        dim_b2 = dx_im.sum(axis=0)
-        dh_im = dx_im @ self.im_w2
-        du_im = dh_im * (1.0 - h_im * h_im)
-        dim_w1 = du_im.T @ s_im
-        dim_b1 = du_im.sum(axis=0)
-        ds_im = du_im @ self.im_w1
+        g["im_w2"][...] = dx_im.T @ h_im
+        g["im_b2"][...] = dx_im.sum(axis=0)
+        du_im = (dx_im @ p["im_w2"]) * (1.0 - h_im * h_im)
+        g["im_w1"][...] = du_im.T @ s_im
+        g["im_b1"][...] = du_im.sum(axis=0)
+        ds_im = du_im @ p["im_w1"]
 
         dz = numerics.dft_batch_adjoint(ds_re, ds_im)
-        return self._grad_vector({
-            "re_w1": dre_w1, "re_b1": dre_b1, "re_w2": dre_w2, "re_b2": dre_b2,
-            "im_w1": dim_w1, "im_b1": dim_b1, "im_w2": dim_w2, "im_b2": dim_b2,
-            "head_weight": dhead_w,
-            "head_bias": dhead_b,
-            "input_mix": _mix_backward(inputs, dz),
-        })
+        g["input_mix"][...] = _mix_backward(inputs, dz)
 
 
 # ---------------------------------------------------------------------------
@@ -617,27 +566,6 @@ _CLASSES = {
     cls.kind: cls
     for cls in (DLinearModel, PaiFilterModel, TexFilterModel, FretsModel)
 }
-
-
-def _resolve_hyper(cls, lookback, horizon, n_features, hyper):
-    resolved = cls.default_hyper(lookback, horizon, n_features)
-    for key, value in (hyper or {}).items():
-        if key not in resolved:
-            raise ContractViolation(f"{cls.kind}: unknown hyperparameter {key!r}")
-        resolved[key] = value
-    if cls is DLinearModel:
-        if resolved["harmonics"] < 1:
-            raise ContractViolation("dlinear: harmonics must be >= 1")
-        if not resolved["period"] > 0:
-            raise ContractViolation("dlinear: period must be > 0")
-        resolved["harmonics"] = int(resolved["harmonics"])
-        resolved["period"] = float(resolved["period"])
-        resolved["use_anchor"] = bool(resolved["use_anchor"])
-    elif "hidden" in resolved:
-        if resolved["hidden"] < 1:
-            raise ContractViolation(f"{cls.kind}: hidden width must be >= 1")
-        resolved["hidden"] = int(resolved["hidden"])
-    return resolved
 
 
 def build_model(kind: str, lookback: int, horizon: int, n_features: int,
@@ -654,22 +582,18 @@ def build_model(kind: str, lookback: int, horizon: int, n_features: int,
     if n_features not in (2, 3):
         raise ContractViolation("feature count must be 2 or 3")
     cls = _CLASSES[kind]
-    resolved = _resolve_hyper(cls, lookback, horizon, n_features, hyper)
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), _kind_tag(kind))))
-    values = cls.init_values(lookback, horizon, n_features, resolved, rng)
+    resolved = cls.default_hyper(lookback, horizon, n_features)
+    for key, value in (hyper or {}).items():
+        if key not in resolved:
+            raise ContractViolation(f"{kind}: unknown hyperparameter {key!r}")
+        resolved[key] = value
+    resolved = cls.check_hyper(resolved)
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), MODEL_KINDS.index(kind))))
+    values = np.concatenate([
+        init(rng, math.prod(shape))
+        for _, shape, init in cls.segments(lookback, horizon, n_features, resolved)
+    ])
     return cls(lookback, horizon, n_features, resolved, values)
-
-
-def _kind_tag(kind: str) -> int:
-    return MODEL_KINDS.index(kind)
-
-
-def predict(model: ForecastModel, window) -> np.ndarray:
-    return model.predict(window)
-
-
-def loss(model: ForecastModel, inputs, targets) -> float:
-    return model.loss(inputs, targets)
 
 
 def export_params(model: ForecastModel) -> ParamVector:

@@ -182,8 +182,8 @@ def dft(signal) -> Spectrum:
         raise ContractViolation("signal must have length >= 1")
     if not np.all(np.isfinite(x)):
         raise NumericInputError("signal contains non-finite values")
-    c, e = dft_matrices(x.size)
-    return Spectrum(re=c @ x, im=-(e @ x))
+    re, im = dft_batch(x[None])
+    return Spectrum(re=re[0], im=im[0])
 
 
 def idft(spectrum: Spectrum) -> np.ndarray:
@@ -192,17 +192,17 @@ def idft(spectrum: Spectrum) -> np.ndarray:
     x(t) = (1/n) * sum_f (re + i*im) * e^{+i 2 pi f t / n}. The imaginary
     residue must stay below IDFT_IMAG_TOLERANCE (conjugate-symmetric input).
     """
-    n = len(spectrum)
-    c, e = dft_matrices(n)
-    real = (c.T @ spectrum.re - e.T @ spectrum.im) / n
-    imag = (e.T @ spectrum.re + c.T @ spectrum.im) / n
+    re, im = spectrum.re[None], spectrum.im[None]
+    # the cos/sin matrices are symmetric, so the imaginary part is the
+    # real part of the inverse transform of i * spectrum = (-im, re)
+    imag = real_idft_batch(im, -re)[0]
     worst = float(np.max(np.abs(imag)))
     if worst >= IDFT_IMAG_TOLERANCE:
         raise SymmetryViolationError(
             f"imaginary residue {worst:.3e} >= {IDFT_IMAG_TOLERANCE:.0e}; "
             "spectrum is not conjugate-symmetric"
         )
-    return real
+    return real_idft_batch(re, im)[0]
 
 
 def complex_hadamard(a: Spectrum, b: Spectrum) -> Spectrum:
@@ -309,10 +309,14 @@ class OptimizerState:
     momentum: float
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ContractViolation("learning rate must be > 0")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ContractViolation("momentum must lie in [0, 1)")
+        check_step_settings(self.learning_rate, self.momentum)
+
+
+def check_step_settings(learning_rate: float, momentum: float) -> None:
+    if learning_rate <= 0:
+        raise ContractViolation("learning rate must be > 0")
+    if not (0.0 <= momentum < 1.0):
+        raise ContractViolation("momentum must lie in [0, 1)")
 
 
 def fresh_optimizer_state(params: ParamVector, learning_rate: float, momentum: float) -> OptimizerState:
@@ -323,12 +327,21 @@ def fresh_optimizer_state(params: ParamVector, learning_rate: float, momentum: f
     )
 
 
+def momentum_step(theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
+                  learning_rate: float, momentum: float) -> None:
+    """In place: v <- mu*v + g; theta <- theta - eta*v (classical momentum)."""
+    velocity *= momentum
+    velocity += grad
+    theta -= learning_rate * velocity
+
+
 def sgd_step(params: ParamVector, grad: ParamVector, state: OptimizerState) -> tuple[ParamVector, OptimizerState]:
-    """v <- mu*v + g; theta <- theta - eta*v (classical momentum)."""
+    """One ``momentum_step`` on immutable vectors; returns new ones."""
     if not (params.same_layout(grad) and params.same_layout(state.velocity)):
         raise ShapeMismatchError("params/grad/velocity layouts differ")
-    v = state.momentum * state.velocity.values + grad.values
-    theta = params.values - state.learning_rate * v
+    theta = params.values.copy()
+    v = state.velocity.values.copy()
+    momentum_step(theta, v, grad.values, state.learning_rate, state.momentum)
     new_state = OptimizerState(
         velocity=params.replace(v),
         learning_rate=state.learning_rate,

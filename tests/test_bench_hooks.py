@@ -1,0 +1,38 @@
+"""The benchmark's traced run wraps csti names; each must still resolve.
+
+``bench/tracer.py`` looks a class attribute up in the class's own
+``__dict__`` and a module attribute up with ``getattr``. A name that
+moves (a method hoisted into a base class, an import dropped) breaks the
+traced run with a KeyError or AttributeError, so this test loads
+``bench/layers.py`` unchanged and resolves every entry the same way.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from csti.models import MODEL_KINDS, ForecastModel
+
+LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patch_point_resolves_as_the_tracer_looks_it_up():
+    layers = _load_layers()
+    entries = [(owner, attr) for owner, attr, *_ in layers.patch_points()]
+    entries += [(owner, attr) for owner, attr, _ in layers.COUNTED]
+    for owner, attr in entries:
+        if isinstance(owner, type):
+            assert callable(owner.__dict__.get(attr)), f"{owner.__name__}.{attr} not defined on the class"
+        else:
+            assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} missing"
+
+
+def test_every_model_kind_is_a_direct_subclass():
+    # the traced run wraps predict_batch on each direct subclass only
+    assert {cls.kind for cls in ForecastModel.__subclasses__()} == set(MODEL_KINDS)

@@ -213,3 +213,17 @@ def test_cli_divergence_exit_code(tmp_path):
     proc = _run_cli(["spec.json"], cwd=tmp_path)
     assert proc.returncode == 2
     assert "diverged" in proc.stderr
+
+
+def test_cli_non_utf8_spec_exit_code(tmp_path):
+    (tmp_path / "spec.json").write_bytes(b'{"out_dir": "\xff\xfe"}')
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "UTF-8" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_blank_spec_reports_missing_fields(tmp_path):
+    (tmp_path / "spec.json").write_text("  \n", encoding="utf-8")
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "out_dir" in proc.stderr and "not valid JSON" not in proc.stderr

@@ -6,6 +6,7 @@ from csti.errors import (
     ContractViolation,
     DivergenceError,
     MergeIncompatibilityError,
+    ShapeMismatchError,
 )
 from csti.models import build_model
 from csti.training import (
@@ -70,6 +71,35 @@ def test_divergence_guard_carries_stock_id(small_market):
     with pytest.raises(DivergenceError) as err:
         train_local(model, train[1], 50, 50.0, 0.9, 64, seed=2)
     assert err.value.stock_id == train[1].stock_id
+
+
+def test_non_finite_parameters_raise_divergence_with_stock_id(small_market):
+    train, _, _ = small_market
+    ds = train[0]
+    # one batch of targets near 500 keeps the loss under the guard, while
+    # the step size overflows theta on the first update
+    far = WindowedDataset(ds.stock_id, ds.split, ds.lookback, ds.horizon,
+                          ds.inputs[:10], ds.targets[:10] + 500.0, ds.absolute_indices[:10])
+    model = build_model("dlinear", 16, 1, 3, seed=6)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        train_local(model, far, 1, 1e308, 0.9, 64, seed=1)
+    assert err.value.stock_id == ds.stock_id
+
+
+def test_step_settings_validated(small_market):
+    train, _, _ = small_market
+    model = build_model("dlinear", 16, 1, 3, seed=8)
+    with pytest.raises(ContractViolation):
+        train_local(model, train[0], 1, 0.0, 0.9, 64)
+    with pytest.raises(ContractViolation):
+        train_local(model, train[0], 1, 0.01, 1.0, 64)
+
+
+def test_dataset_shape_checked_against_model():
+    train, _, _ = windowed_market(1, 200, 0.5, seed=12, drop_sentiment=True)
+    model = build_model("dlinear", 16, 1, 3, seed=7)  # built for d=3, data has d=2
+    with pytest.raises(ShapeMismatchError):
+        train_local(model, train[0], 1, 0.01, 0.9, 64, seed=1)
 
 
 # ---------------------------------------------------------------------------
