@@ -1,11 +1,11 @@
 """Cross-stock trend integration for lightweight price forecasters.
 
-Train one model per stock in parallel, iteratively average the parameter
-vectors into a global model, then fine-tune per stock with a proximal
-pull toward the global parameters. Ships a small model zoo (dlinear,
-paifilter, texfilter, frets), a hand-checked gradient engine, and an
-experiment harness comparing the merge protocol against sequential
-single-stock training.
+Train one model per stock (in lockstep, as one stack of parameter rows),
+iteratively average the parameter vectors into a global model, then
+fine-tune per stock with a proximal pull toward the global parameters.
+Ships a small model zoo (dlinear, paifilter, texfilter, frets), a
+hand-checked gradient engine, and an experiment harness comparing the
+merge protocol against sequential single-stock training.
 """
 
 __version__ = "0.1.0"

@@ -80,7 +80,7 @@ class ExperimentSpec:
     merge_weights: tuple | None = None
     shared_init: bool = True
     epochs_total: int | None = None  # normal budget; defaults to the csti budget
-    # execution
+    # execution: the most stocks trained together in one stacked step
     jobs: int = 1
     normal_eval: str = "final"
     denormalized_metrics: bool = False
@@ -278,8 +278,10 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
     merge_weights = training.get("merge_weights")
     if merge_weights is not None:
         if not (isinstance(merge_weights, list)
-                and all(isinstance(w, (int, float)) and np.isfinite(w) for w in merge_weights)):
-            errors.append("training.merge_weights: list of finite numbers (or null) required")
+                and all(isinstance(w, (int, float)) and np.isfinite(w) and w >= 0
+                        for w in merge_weights) and sum(merge_weights) > 0):
+            errors.append("training.merge_weights: list of finite numbers >= 0 with a "
+                          "positive sum (or null) required")
             merge_weights = None
         else:
             merge_weights = tuple(float(w) for w in merge_weights)
@@ -564,7 +566,7 @@ def main(argv=None) -> int:
     parser.add_argument("--stocks", type=int, default=None,
                         help="override stock group size")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="max concurrent local trainers")
+                        help="max stocks trained together in one stacked step")
     args = parser.parse_args(argv)
 
     try:

@@ -18,14 +18,14 @@ conjugate-symmetric, so their filtered spectra are projected back onto
 real signals. Backward passes are hand-derived and are checked against
 central finite differences in the test suite.
 
-Parameters live in one flat float64 array theta. Each kind declares an
-ordered (segment name, shape, initializer) table; the segment layout and
-the seeded initial draw both follow it, and ``unpack`` turns theta, or a
-gradient of the same length, into named reshaped views. ``_forward`` reads the views of theta
-and ``_backward`` writes into the views of one flat gradient, so
-``loss_and_gradient(theta, ...)`` needs neither a model rebuild nor a
-``ParamVector``. It checks nothing: the trainer owns theta, checks batch
-shapes once per call and theta's finiteness once per step.
+Parameters live in flat float64 rows. Each kind declares an ordered
+(segment name, shape, initializer) table; the segment layout and the
+seeded initial draw both follow it. Kernels run over a (K, P) stack of
+rows: ``unpack`` turns it into named (K, ...) views, ``_forward`` reads
+them for a (K, N, L, d) batch stack and ``_backward`` writes into the
+views of the gradient stack. Every product and reduction runs per row,
+so each row of a stacked call is bit-identical to the K=1 call. The
+kernels check nothing: the trainer owns theta and checks shapes.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class ForecastModel:
         values = values.copy()
         values.flags.writeable = False
         self._values = values
-        self._theta_views = self.unpack(values)
+        self._theta_views = self.unpack(values[None])
 
     # -- subclass hooks ----------------------------------------------------
     @classmethod
@@ -125,11 +125,11 @@ class ForecastModel:
         return hyper
 
     def _forward(self, p, inputs):
-        """(pred, cache) with parameters read from the views ``p``."""
+        """(pred (K, N, H), cache) with parameters read from the (K, ...) views ``p``."""
         raise NotImplementedError
 
     def _backward(self, p, inputs, dpred, cache, g):
-        """Write d(loss)/d(theta) into the gradient views ``g``."""
+        """Write d(loss_k)/d(theta_k) into the (K, ...) gradient views ``g``."""
         raise NotImplementedError
 
     # -- shared behaviour --------------------------------------------------
@@ -137,9 +137,13 @@ class ForecastModel:
     def n_params(self) -> int:
         return self._values.size
 
-    def unpack(self, flat: np.ndarray) -> dict:
-        """Named views of a flat vector in this model's layout, one per segment."""
-        return {name: flat[span].reshape(shape) for name, span, shape in self._views}
+    def unpack(self, stack: np.ndarray) -> dict:
+        """Named (K, ...) views of a (K, P) stack in this model's layout."""
+        return {name: stack[:, span].reshape(-1, *shape) for name, span, shape in self._views}
+
+    def _predict(self, inputs):
+        """``predict_batch``: the K=1 forward pass at this model's own theta."""
+        return self._forward(self._theta_views, np.asarray(inputs, dtype=np.float64)[None])[0][0]
 
     def predict(self, window) -> np.ndarray:
         window = np.asarray(window, dtype=np.float64)
@@ -170,43 +174,56 @@ class ForecastModel:
             self.lookback, self.horizon, self.n_features, self.hyper, pvec.values
         )
 
-    def loss_and_gradient(self, theta, inputs, targets) -> tuple[float, np.ndarray]:
-        """Batch MSE at ``theta`` and its flat gradient, from one forward pass.
+    def loss_and_gradient(self, theta, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row batch MSE and gradient of a stack, from one forward pass.
 
-        A kernel: it trusts theta's length and the batch shapes, which
+        theta (K, P), inputs (K, N, L, d), targets (K, N, H) ->
+        (losses (K,), grad (K, P)). A kernel: it trusts the shapes, which
         the caller has checked.
         """
         p = self.unpack(theta)
         pred, cache = self._forward(p, inputs)
-        loss_val = float(np.mean((pred - targets) ** 2))
-        dpred = (2.0 / pred.size) * (pred - targets)
-        grad = np.empty(theta.size)
+        k, n, h = pred.shape
+        diff = pred - targets
+        losses = (diff**2).reshape(k, n * h).sum(axis=1) / (n * h)  # np.mean, bit for bit
+        dpred = (2.0 / (n * h)) * diff
+        grad = np.empty(theta.shape)
         self._backward(p, inputs, dpred, cache, self.unpack(grad))
-        return loss_val, grad
+        return losses, grad
 
     def loss_gradient(self, inputs, targets) -> ParamVector:
         inputs, targets = _check_batch(
             inputs, targets, self.lookback, self.horizon, self.n_features
         )
-        grad = self.loss_and_gradient(self._values, inputs, targets)[1]
-        return ParamVector(grad, self._layout)
+        grad = self.loss_and_gradient(self._values[None], inputs[None], targets[None])[1]
+        return ParamVector(grad[0], self._layout)
+
+
+def _t(a):
+    """Transpose the trailing matrix of every row of a stack."""
+    return a.swapaxes(-1, -2)
+
+
+def _matvec(a, v):
+    """Row-wise a_k @ v_k for a stack of matrices and a stack of vectors."""
+    return (a @ v[..., None])[..., 0]
 
 
 def _mix_forward(inputs, mix):
-    return inputs @ mix  # (N, L)
+    return _matvec(inputs, mix[:, None])  # (K, N, L)
 
 
 def _mix_backward(inputs, dz):
-    return np.einsum("nld,nl->d", inputs, dz)
+    return np.einsum("knld,knl->kd", inputs, dz)
 
 
 def _head_forward(series, w, b):
-    return series @ w.T + b
+    return series @ _t(w) + b[:, None]
 
 
 def _head_backward(series, dpred, w):
-    dw = dpred.T @ series
-    db = dpred.sum(axis=0)
+    dw = _t(dpred) @ series
+    db = dpred.sum(axis=1)
     dseries = dpred @ w
     return dw, db, dseries
 
@@ -305,26 +322,26 @@ class DLinearModel(ForecastModel):
         )
 
     def _forward(self, p, inputs):
-        coef = np.concatenate([p["trend"], p["seasonal_cos"], p["seasonal_sin"]])
-        curve = self._basis @ coef  # (H,)
+        coef = np.concatenate([p["trend"], p["seasonal_cos"], p["seasonal_sin"]], axis=1)
+        curve = _matvec(self._basis, coef)  # (K, H)
         if self.hyper["use_anchor"]:
-            z_last = inputs[:, -1, :] @ p["input_mix"]  # (N,)
-            pred = curve[None, :] + z_last[:, None]
+            z_last = _matvec(inputs[:, :, -1, :], p["input_mix"])  # (K, N)
+            pred = curve[:, None, :] + z_last[:, :, None]
         else:
-            pred = np.broadcast_to(curve, (inputs.shape[0], self.horizon)).copy()
+            pred = np.broadcast_to(curve[:, None, :], (*inputs.shape[:2], self.horizon)).copy()
         return pred, None
 
     def predict_batch(self, inputs):
-        return self._forward(self._theta_views, np.asarray(inputs, dtype=np.float64))[0]
+        return self._predict(inputs)
 
     def _backward(self, p, inputs, dpred, cache, g):
         k = self.hyper["harmonics"]
-        dcoef = self._basis.T @ dpred.sum(axis=0)
-        g["trend"][...] = dcoef[:2]
-        g["seasonal_cos"][...] = dcoef[2 : 2 + k]
-        g["seasonal_sin"][...] = dcoef[2 + k :]
+        dcoef = _matvec(self._basis.T, dpred.sum(axis=1))
+        g["trend"][...] = dcoef[:, :2]
+        g["seasonal_cos"][...] = dcoef[:, 2 : 2 + k]
+        g["seasonal_sin"][...] = dcoef[:, 2 + k :]
         if self.hyper["use_anchor"]:
-            g["input_mix"][...] = inputs[:, -1, :].T @ dpred.sum(axis=1)
+            g["input_mix"][...] = _matvec(_t(inputs[:, :, -1, :]), dpred.sum(axis=2))
         else:
             g["input_mix"][...] = 0.0
 
@@ -352,17 +369,17 @@ class PaiFilterModel(ForecastModel):
     def filter_series(self, z: np.ndarray) -> np.ndarray:
         """Apply the kernel to (N, L) scalar series; the pre-head signal."""
         p = self._theta_views
-        return _filter_spectrum(*numerics.dft_batch(z), p["kernel_re"], p["kernel_im"])
+        return _filter_spectrum(*numerics.dft_batch(z), p["kernel_re"][0], p["kernel_im"][0])
 
     def _forward(self, p, inputs):
         z = _mix_forward(inputs, p["input_mix"])
         s_re, s_im = numerics.dft_batch(z)
-        filtered = _filter_spectrum(s_re, s_im, p["kernel_re"], p["kernel_im"])
+        filtered = _filter_spectrum(s_re, s_im, p["kernel_re"][:, None], p["kernel_im"][:, None])
         pred = _head_forward(filtered, p["head_weight"], p["head_bias"])
         return pred, (s_re, s_im, filtered)
 
     def predict_batch(self, inputs):
-        return self._forward(self._theta_views, np.asarray(inputs, dtype=np.float64))[0]
+        return self._predict(inputs)
 
     def _backward(self, p, inputs, dpred, cache, g):
         s_re, s_im, filtered = cache
@@ -370,10 +387,10 @@ class PaiFilterModel(ForecastModel):
             filtered, dpred, p["head_weight"]
         )
         ds_re, ds_im, dk_re, dk_im = _filter_spectrum_adjoint(
-            dfiltered, s_re, s_im, p["kernel_re"], p["kernel_im"]
+            dfiltered, s_re, s_im, p["kernel_re"][:, None], p["kernel_im"][:, None]
         )
-        g["kernel_re"][...] = dk_re.sum(axis=0)
-        g["kernel_im"][...] = dk_im.sum(axis=0)
+        g["kernel_re"][...] = dk_re.sum(axis=1)
+        g["kernel_im"][...] = dk_im.sum(axis=1)
         dz = numerics.dft_batch_adjoint(ds_re, ds_im)
         g["input_mix"][...] = _mix_backward(inputs, dz)
 
@@ -422,19 +439,19 @@ class TexFilterModel(ForecastModel):
     def _forward(self, p, inputs):
         w1_re, w1_im = p["filter_w1_re"], p["filter_w1_im"]
         w2_re, w2_im = p["filter_w2_re"], p["filter_w2_im"]
-        gate_bias = p["filter_gate_bias"]
+        gate_bias = p["filter_gate_bias"][:, None]
         z = _mix_forward(inputs, p["input_mix"])
         s_re, s_im = numerics.dft_batch(z)
-        u_re = s_re @ w1_re.T - s_im @ w1_im.T + p["filter_b1_re"]
-        u_im = s_re @ w1_im.T + s_im @ w1_re.T + p["filter_b1_im"]
+        u_re = s_re @ _t(w1_re) - s_im @ _t(w1_im) + p["filter_b1_re"][:, None]
+        u_im = s_re @ _t(w1_im) + s_im @ _t(w1_re) + p["filter_b1_im"][:, None]
         r = np.sqrt(u_re * u_re + u_im * u_im)
         r_safe = np.maximum(r, _GATE_EPS)
         active = (r + gate_bias) > 0.0
         scale = np.where(active, (r + gate_bias) / r_safe, 0.0)
         a_re = scale * u_re
         a_im = scale * u_im
-        k_re = a_re @ w2_re.T - a_im @ w2_im.T + p["filter_b2_re"]
-        k_im = a_re @ w2_im.T + a_im @ w2_re.T + p["filter_b2_im"]
+        k_re = a_re @ _t(w2_re) - a_im @ _t(w2_im) + p["filter_b2_re"][:, None]
+        k_im = a_re @ _t(w2_im) + a_im @ _t(w2_re) + p["filter_b2_im"][:, None]
         filtered = _filter_spectrum(s_re, s_im, k_re, k_im)
         pred = _head_forward(filtered, p["head_weight"], p["head_bias"])
         cache = (s_re, s_im, u_re, u_im, r_safe, active, scale,
@@ -442,14 +459,14 @@ class TexFilterModel(ForecastModel):
         return pred, cache
 
     def predict_batch(self, inputs):
-        return self._forward(self._theta_views, np.asarray(inputs, dtype=np.float64))[0]
+        return self._predict(inputs)
 
     def _backward(self, p, inputs, dpred, cache, g):
         (s_re, s_im, u_re, u_im, r_safe, active, scale,
          a_re, a_im, k_re, k_im, filtered) = cache
         w1_re, w1_im = p["filter_w1_re"], p["filter_w1_im"]
         w2_re, w2_im = p["filter_w2_re"], p["filter_w2_im"]
-        gate_bias = p["filter_gate_bias"]
+        gate_bias = p["filter_gate_bias"][:, None]
 
         g["head_weight"][...], g["head_bias"][...], dfiltered = _head_backward(
             filtered, dpred, p["head_weight"]
@@ -458,10 +475,10 @@ class TexFilterModel(ForecastModel):
             dfiltered, s_re, s_im, k_re, k_im
         )
 
-        g["filter_w2_re"][...] = dk_re.T @ a_re + dk_im.T @ a_im
-        g["filter_w2_im"][...] = -dk_re.T @ a_im + dk_im.T @ a_re
-        g["filter_b2_re"][...] = dk_re.sum(axis=0)
-        g["filter_b2_im"][...] = dk_im.sum(axis=0)
+        g["filter_w2_re"][...] = _t(dk_re) @ a_re + _t(dk_im) @ a_im
+        g["filter_w2_im"][...] = -_t(dk_re) @ a_im + _t(dk_im) @ a_re
+        g["filter_b2_re"][...] = dk_re.sum(axis=1)
+        g["filter_b2_im"][...] = dk_im.sum(axis=1)
         da_re = dk_re @ w2_re + dk_im @ w2_im
         da_im = -dk_re @ w2_im + dk_im @ w2_re
 
@@ -471,12 +488,12 @@ class TexFilterModel(ForecastModel):
         radial = dscale_dr * inner / r_safe
         du_re = scale * da_re + radial * u_re  # scale is already 0 where inactive
         du_im = scale * da_im + radial * u_im
-        g["filter_gate_bias"][...] = np.where(active, inner / r_safe, 0.0).sum(axis=0)
+        g["filter_gate_bias"][...] = np.where(active, inner / r_safe, 0.0).sum(axis=1)
 
-        g["filter_w1_re"][...] = du_re.T @ s_re + du_im.T @ s_im
-        g["filter_w1_im"][...] = -du_re.T @ s_im + du_im.T @ s_re
-        g["filter_b1_re"][...] = du_re.sum(axis=0)
-        g["filter_b1_im"][...] = du_im.sum(axis=0)
+        g["filter_w1_re"][...] = _t(du_re) @ s_re + _t(du_im) @ s_im
+        g["filter_w1_im"][...] = -_t(du_re) @ s_im + _t(du_im) @ s_re
+        g["filter_b1_re"][...] = du_re.sum(axis=1)
+        g["filter_b1_im"][...] = du_im.sum(axis=1)
         ds_re += du_re @ w1_re + du_im @ w1_im
         ds_im += -du_re @ w1_im + du_im @ w1_re
 
@@ -522,16 +539,16 @@ class FretsModel(ForecastModel):
     def _forward(self, p, inputs):
         z = _mix_forward(inputs, p["input_mix"])
         s_re, s_im = numerics.dft_batch(z)
-        h_re = np.tanh(s_re @ p["re_w1"].T + p["re_b1"])
-        x_re = h_re @ p["re_w2"].T + p["re_b2"]
-        h_im = np.tanh(s_im @ p["im_w1"].T + p["im_b1"])
-        x_im = h_im @ p["im_w2"].T + p["im_b2"]
+        h_re = np.tanh(s_re @ _t(p["re_w1"]) + p["re_b1"][:, None])
+        x_re = h_re @ _t(p["re_w2"]) + p["re_b2"][:, None]
+        h_im = np.tanh(s_im @ _t(p["im_w1"]) + p["im_b1"][:, None])
+        x_im = h_im @ _t(p["im_w2"]) + p["im_b2"][:, None]
         recon = numerics.real_idft_batch(x_re, x_im)
         pred = _head_forward(recon, p["head_weight"], p["head_bias"])
         return pred, (s_re, s_im, h_re, h_im, recon)
 
     def predict_batch(self, inputs):
-        return self._forward(self._theta_views, np.asarray(inputs, dtype=np.float64))[0]
+        return self._predict(inputs)
 
     def _backward(self, p, inputs, dpred, cache, g):
         s_re, s_im, h_re, h_im, recon = cache
@@ -540,18 +557,18 @@ class FretsModel(ForecastModel):
         )
         dx_re, dx_im = numerics.real_idft_batch_adjoint(drecon)
 
-        g["re_w2"][...] = dx_re.T @ h_re
-        g["re_b2"][...] = dx_re.sum(axis=0)
+        g["re_w2"][...] = _t(dx_re) @ h_re
+        g["re_b2"][...] = dx_re.sum(axis=1)
         du_re = (dx_re @ p["re_w2"]) * (1.0 - h_re * h_re)
-        g["re_w1"][...] = du_re.T @ s_re
-        g["re_b1"][...] = du_re.sum(axis=0)
+        g["re_w1"][...] = _t(du_re) @ s_re
+        g["re_b1"][...] = du_re.sum(axis=1)
         ds_re = du_re @ p["re_w1"]
 
-        g["im_w2"][...] = dx_im.T @ h_im
-        g["im_b2"][...] = dx_im.sum(axis=0)
+        g["im_w2"][...] = _t(dx_im) @ h_im
+        g["im_b2"][...] = dx_im.sum(axis=1)
         du_im = (dx_im @ p["im_w2"]) * (1.0 - h_im * h_im)
-        g["im_w1"][...] = du_im.T @ s_im
-        g["im_b1"][...] = du_im.sum(axis=0)
+        g["im_w1"][...] = _t(du_im) @ s_im
+        g["im_b1"][...] = du_im.sum(axis=1)
         ds_im = du_im @ p["im_w1"]
 
         dz = numerics.dft_batch_adjoint(ds_re, ds_im)

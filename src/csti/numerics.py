@@ -108,11 +108,47 @@ def _first_layout_difference(a: ParamVector, b: ParamVector) -> str:
     return "<none>"
 
 
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e == a + b exactly (Knuth)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def fsum_columns(rows: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every column of a (K, n) array, bit for bit.
+
+    Cascaded TwoSum leaves s and errors e_k with s + sum(e_k) exact. r =
+    fl(s + c), c the float sum of the e_k, is correctly rounded when the
+    remainder (s + c - r) + (sum(e_k) - c), with |sum(e_k) - c| <= K * eps
+    * sum|e_k|, lies strictly inside half the gap to r's neighbour on each
+    side (the gaps differ at powers of two). Other columns, zero sums
+    (fsum decides the sign) and non-finite ones go to ``math.fsum``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = rows[0]
+        c = np.zeros_like(s)
+        magnitude = np.zeros_like(s)
+        for row in rows[1:]:
+            s, e = _two_sum(s, row)
+            c += e
+            magnitude += np.abs(e)
+        r, rest = _two_sum(s, c)
+        bound = magnitude * (rows.shape[0] * np.finfo(np.float64).eps)
+        up = np.nextafter(r, np.inf) - r
+        down = r - np.nextafter(r, -np.inf)
+        exact = (rest + bound < 0.5 * up) & (rest - bound > -0.5 * down) & (r != 0.0)
+    for i in np.flatnonzero(~exact):
+        r[i] = math.fsum(rows[:, i])
+    return r
+
+
 def axpy_merge(vectors: Sequence[ParamVector], weights: Sequence[float]) -> ParamVector:
     """Merge K parameter vectors into (1/K) * sum_k w_k * theta_k.
 
-    Coordinates are summed with exact (correctly rounded) accumulation,
-    so the result is bit-identical under any permutation of the inputs.
+    Coordinate i is math.fsum(w_k * theta_k[i] for k) / K, correctly
+    rounded and so independent of the order of the inputs; K equal
+    weighted vectors merge to that vector itself.
     """
     if len(vectors) == 0 or len(vectors) != len(weights):
         raise ContractViolation("need K >= 1 vectors and exactly K weights")
@@ -131,13 +167,7 @@ def axpy_merge(vectors: Sequence[ParamVector], weights: Sequence[float]) -> Para
     if np.all(products == products[0]):
         # consensus: the mean of K identical vectors is that vector, exactly
         return base.replace(products[0])
-    k = len(vectors)
-    acc = np.fromiter(
-        (math.fsum(products[:, i]) / k for i in range(products.shape[1])),
-        dtype=np.float64,
-        count=products.shape[1],
-    )
-    return base.replace(acc)
+    return base.replace(fsum_columns(products) / len(vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -215,30 +245,30 @@ def complex_hadamard(a: Spectrum, b: Spectrum) -> Spectrum:
     )
 
 
-# Batch helpers used by the model zoo. Signals sit in rows; the adjoints
-# are the exact transposes of the forward maps, which keeps the analytic
-# gradients finite-difference-checkable.
+# Batch helpers used by the model zoo. Signals sit in the last axis; the
+# adjoints are the exact transposes of the forward maps, which keeps the
+# analytic gradients finite-difference-checkable.
 
 def dft_batch(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N, n) real signals -> (S_re, S_im), each (N, n)."""
-    c, e = dft_matrices(z.shape[1])
+    """(..., n) real signals -> (S_re, S_im), each (..., n)."""
+    c, e = dft_matrices(z.shape[-1])
     return z @ c.T, -(z @ e.T)
 
 
 def dft_batch_adjoint(d_re: np.ndarray, d_im: np.ndarray) -> np.ndarray:
-    c, e = dft_matrices(d_re.shape[1])
+    c, e = dft_matrices(d_re.shape[-1])
     return d_re @ c - d_im @ e
 
 
 def real_idft_batch(f_re: np.ndarray, f_im: np.ndarray) -> np.ndarray:
-    """Real part of the inverse transform of (N, n) spectra."""
-    n = f_re.shape[1]
+    """Real part of the inverse transform of (..., n) spectra."""
+    n = f_re.shape[-1]
     c, e = dft_matrices(n)
     return (f_re @ c - f_im @ e) / n
 
 
 def real_idft_batch_adjoint(ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = ds.shape[1]
+    n = ds.shape[-1]
     c, e = dft_matrices(n)
     return (ds @ c.T) / n, -(ds @ e.T) / n
 

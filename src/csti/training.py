@@ -1,22 +1,24 @@
 """Three-phase merge protocol and the sequential baseline.
 
-Phase 1 trains one model per stock in parallel, phase 2 averages their
-parameter vectors into a global model and repeats, phase 3 fine-tunes
-the global model per stock with a proximal pull toward it. The baseline
-("normal") strategy trains a single model across stocks sequentially.
+Phase 1 trains one model per stock, in lockstep as one (K, P) stack of
+parameter rows, phase 2 averages their parameter vectors into a global
+model and repeats, phase 3 fine-tunes the global model per stock with a
+proximal pull toward it. The baseline ("normal") strategy trains a
+single model across stocks sequentially.
 
-Determinism contract: every local trainer draws its shuffling seed from
-(config seed, phase, round, stock identity), so results are bit-identical
-regardless of execution order, thread count, or the position of a stock
-in the group list.
+Determinism contract: every stock draws its shuffling seed from (config
+seed, phase, round, stock identity), each row of a stacked kernel call
+equals the one-row call and the merge is correctly rounded, so results
+are bit-identical regardless of stack width (``jobs``) or the position
+of a stock in the group list.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -88,8 +90,8 @@ class CstiConfig:
             w = tuple(float(x) for x in self.merge_weights)
             if len(w) != self.stocks:
                 raise ContractViolation("merge_weights must have one entry per stock")
-            if not all(np.isfinite(w)):
-                raise ContractViolation("merge_weights must be finite")
+            if not (all(np.isfinite(w)) and min(w) >= 0 and sum(w) > 0):
+                raise ContractViolation("merge_weights must be finite, >= 0, with a positive sum")
             object.__setattr__(self, "merge_weights", w)
 
     @property
@@ -108,7 +110,7 @@ class TraceRow:
     stock_id: str  # stock id or "global"
     data_loss: float
     prox_penalty: float
-    wall_ms: float
+    wall_ms: float  # wall time of the epoch (of the whole stack, in run_csti)
 
 
 @dataclass
@@ -148,23 +150,104 @@ class LocalTrainResult(NamedTuple):
     epoch_wall_ms: list
 
 
+class _RowLog(NamedTuple):
+    """A LocalTrainResult without the model, for one row of a stack."""
+
+    epoch_losses: list
+    prox_penalties: list
+    update_steps: int
+    epoch_wall_ms: list  # of the whole stack
+
+
+class _StockStack:
+    """The windows of a group of stocks, shape-checked and concatenated once."""
+
+    def __init__(self, model: ForecastModel, datasets: Sequence[WindowedDataset]):
+        checked = [_check_batch(ds.inputs, ds.targets, model.lookback, model.horizon,
+                                model.n_features) for ds in datasets]
+        self.stock_ids = [ds.stock_id for ds in datasets]
+        self.sizes = [x.shape[0] for x, _ in checked]
+        self.offsets = np.cumsum([0] + self.sizes[:-1])
+        self.inputs = np.concatenate([x for x, _ in checked])
+        self.targets = np.concatenate([y for _, y in checked])
+
+    def _diverged(self, k, message):
+        return DivergenceError(f"{self.stock_ids[k]}: {message}", stock_id=self.stock_ids[k])
+
+    def train(self, model: ForecastModel, theta: np.ndarray, seeds: Sequence[int],
+              epochs: int, learning_rate: float, momentum: float, batch_size: int,
+              anchor: np.ndarray | None = None, prox_weight: float = 0.0) -> list:
+        """Lockstep minibatch SGD-momentum on theta (K, P), in place; one _RowLog per row.
+
+        Row k draws one permutation per epoch from ``default_rng(seeds[k])``.
+        A stock with fewer windows skips the batch indices it lacks; rows
+        whose batches have the same size share one kernel call. A batch loss
+        over the guard or a non-finite theta raises DivergenceError naming
+        the stock. With prox_weight > 0 the gradient gains the proximal term
+        2 * prox_weight * (theta - anchor).
+        """
+        check_step_settings(learning_rate, momentum)
+        use_prox = anchor is not None and prox_weight > 0.0
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        velocity = np.zeros_like(theta)
+        k_rows, longest = len(self.sizes), max(self.sizes)
+        batches = [-(-n // batch_size) for n in self.sizes]
+        epoch_losses, prox_penalties, epoch_wall = [[] for _ in seeds], [[] for _ in seeds], []
+        schedule = []  # per batch index: its start and (batch size, rows, row index) groups
+        for start in range(0, longest, batch_size):
+            groups = {}
+            for k, n in enumerate(self.sizes):
+                if start < n:
+                    groups.setdefault(min(batch_size, n - start), []).append(k)
+            schedule.append((start, [(size, rows, slice(None) if len(rows) == k_rows else rows)
+                                     for size, rows in groups.items()]))
+        order = np.zeros((k_rows, longest), dtype=np.intp)
+        for epoch in range(epochs):
+            tick = time.perf_counter()
+            for k, (rng, n) in enumerate(zip(rngs, self.sizes)):
+                order[k, :n] = self.offsets[k] + rng.permutation(n)
+            batch_losses = [[] for _ in seeds]
+            for batch, (start, groups) in enumerate(schedule):
+                for size, rows, at in groups:
+                    th, vel = theta[at], velocity[at]  # views when ``at`` is a slice
+                    idx = order[at, start : start + size]
+                    losses, grad = model.loss_and_gradient(
+                        th, self.inputs.take(idx, axis=0), self.targets.take(idx, axis=0))
+                    for k, loss_val in zip(rows, losses.tolist()):
+                        if not math.isfinite(loss_val) or loss_val > DIVERGENCE_GUARD:
+                            raise self._diverged(k, f"batch loss {loss_val:.3e} exceeded guard")
+                        batch_losses[k].append(loss_val)
+                    if use_prox:
+                        grad += 2.0 * prox_weight * (th - anchor)
+                    momentum_step(th, vel, grad, learning_rate, momentum)
+                    if not np.isfinite(th).all():
+                        k = rows[np.flatnonzero(~np.isfinite(th).all(axis=1))[0]]
+                        raise self._diverged(k, "parameters became non-finite at step "
+                                                f"{epoch * batches[k] + batch + 1}")
+                    if isinstance(at, list):
+                        theta[at], velocity[at] = th, vel
+            for k in range(k_rows):
+                epoch_losses[k].append(float(np.mean(batch_losses[k])))
+                if use_prox:
+                    delta = theta[k] - anchor
+                    prox_penalties[k].append(float(prox_weight * np.dot(delta, delta)))
+                else:
+                    prox_penalties[k].append(0.0)
+            epoch_wall.append((time.perf_counter() - tick) * 1000.0)
+        return [_RowLog(epoch_losses[k], prox_penalties[k], epochs * batches[k], epoch_wall)
+                for k in range(k_rows)]
+
+
 def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
                 learning_rate: float, momentum: float, batch_size: int = 64,
                 anchor: ParamVector | None = None, prox_weight: float = 0.0,
                 seed: int = 0) -> LocalTrainResult:
     """Minibatch SGD-momentum over seeded shuffles of one stock's windows.
 
-    Theta and the momentum velocity are two flat float64 buffers owned by
-    this call and updated in place; ``model`` supplies the starting theta
-    and serves only as the kernel ``loss_and_gradient(theta, ...)``. The
-    dataset's shapes are checked against the model once, up front; after
-    every update theta must be finite, and the divergence guard bounds
-    every batch loss. Either failure raises DivergenceError naming the
-    stock. One model is built from the final theta.
-
-    With an anchor, the gradient gains the proximal term
-    2 * prox_weight * (theta - anchor); the term is skipped entirely at
-    prox_weight == 0 so anchored and unanchored runs are bit-identical.
+    The one-row call of the lockstep trainer ``_StockStack.train``:
+    ``model`` supplies the starting theta and serves only as the kernel,
+    the dataset's shapes are checked against the model once, up front,
+    and one model is built from the final theta.
     """
     if epochs < 1:
         raise ContractViolation("epochs must be >= 1")
@@ -172,54 +255,12 @@ def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
     params = model.export_params()
     if anchor is not None and anchor.layout != params.layout:
         raise MergeIncompatibilityError("anchor layout does not match model")
-    use_prox = anchor is not None and prox_weight > 0.0
-    inputs, targets = _check_batch(dataset.inputs, dataset.targets,
-                                   model.lookback, model.horizon, model.n_features)
-
-    rng = np.random.default_rng(seed)
-    theta = params.values.copy()
-    velocity = np.zeros_like(theta)
-    n = dataset.n_windows
-
-    epoch_losses, prox_penalties, epoch_wall = [], [], []
-    steps = 0
-    for _ in range(epochs):
-        tick = time.perf_counter()
-        order = rng.permutation(n)
-        batch_losses = []
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            loss_val, grad = model.loss_and_gradient(theta, inputs[idx], targets[idx])
-            if not np.isfinite(loss_val) or loss_val > DIVERGENCE_GUARD:
-                raise DivergenceError(
-                    f"{dataset.stock_id}: batch loss {loss_val:.3e} exceeded guard",
-                    stock_id=dataset.stock_id,
-                )
-            if use_prox:
-                grad += 2.0 * prox_weight * (theta - anchor.values)
-            momentum_step(theta, velocity, grad, learning_rate, momentum)
-            if not np.isfinite(theta).all():
-                raise DivergenceError(
-                    f"{dataset.stock_id}: parameters became non-finite at step {steps + 1}",
-                    stock_id=dataset.stock_id,
-                )
-            steps += 1
-            batch_losses.append(loss_val)
-        epoch_losses.append(float(np.mean(batch_losses)))
-        if use_prox:
-            delta = theta - anchor.values
-            prox_penalties.append(float(prox_weight * np.dot(delta, delta)))
-        else:
-            prox_penalties.append(0.0)
-        epoch_wall.append((time.perf_counter() - tick) * 1000.0)
-
-    return LocalTrainResult(
-        model=model.import_params(params.replace(theta)),
-        epoch_losses=epoch_losses,
-        prox_penalties=prox_penalties,
-        update_steps=steps,
-        epoch_wall_ms=epoch_wall,
+    theta = params.values[None].copy()
+    (log,) = _StockStack(model, [dataset]).train(
+        model, theta, [seed], epochs, learning_rate, momentum, batch_size,
+        anchor=None if anchor is None else anchor.values, prox_weight=prox_weight,
     )
+    return LocalTrainResult(model.import_params(params.replace(theta[0])), *log)
 
 
 def _check_stock_group(stocks: Sequence[WindowedDataset]):
@@ -239,15 +280,6 @@ def _check_stock_group(stocks: Sequence[WindowedDataset]):
     return first.lookback, first.horizon, first.d
 
 
-def _run_parallel(workers, jobs: int):
-    """Run zero-arg callables, preserving order; jobs caps concurrency."""
-    if jobs <= 1 or len(workers) == 1:
-        return [w() for w in workers]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(w) for w in workers]
-        return [f.result() for f in futures]
-
-
 class CstiResult(NamedTuple):
     global_params: ParamVector
     finetuned: list  # ForecastModel per stock
@@ -256,7 +288,12 @@ class CstiResult(NamedTuple):
 
 def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
              hyper: dict | None = None, jobs: int = 1) -> CstiResult:
-    """Full protocol: iterative merge rounds, then proximal fine-tuning."""
+    """Full protocol: iterative merge rounds, then proximal fine-tuning.
+
+    The stocks train in consecutive groups of at most ``jobs``, each group
+    as one lockstep stack (``_StockStack.train``). A trace row's
+    ``wall_ms`` is the wall time of the stack epoch the row belongs to.
+    """
     lookback, horizon, d = _check_stock_group(stocks)
     k_stocks = len(stocks)
     if k_stocks != cfg.stocks:
@@ -268,13 +305,29 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         kind, lookback, horizon, d, hyper,
         seed=derive_seed(cfg.seed, _TAG_INIT, 0),
     )
-    if cfg.shared_init:
-        start_params = [template.export_params()] * k_stocks
-    else:
-        start_params = [
-            build_model(kind, lookback, horizon, d, hyper,
-                        seed=derive_seed(cfg.seed, _TAG_INIT, 1, stocks[k].stock_id)).export_params()
-            for k in range(k_stocks)
+    init = template.export_params()
+    start = np.stack([
+        init.values if cfg.shared_init else build_model(
+            kind, lookback, horizon, d, hyper,
+            seed=derive_seed(cfg.seed, _TAG_INIT, 1, ds.stock_id)).export_params().values
+        for ds in stocks
+    ])
+    width = max(1, jobs)
+    groups = [(slice(i, i + width), _StockStack(template, stocks[i : i + width]))
+              for i in range(0, k_stocks, width)]
+    theta = np.empty((k_stocks, len(init)))
+
+    def train_groups(epochs, learning_rate, tag, round_index, anchor=None):
+        """Train every group from the current theta; one _RowLog per stock."""
+        return [
+            log
+            for rows, stack in groups
+            for log in stack.train(
+                template, theta[rows],
+                [derive_seed(cfg.seed, tag, round_index, sid) for sid in stack.stock_ids],
+                epochs, learning_rate, cfg.momentum, cfg.batch_size,
+                anchor=anchor, prox_weight=cfg.prox_weight,
+            )
         ]
 
     lineage_steps = [0] * k_stocks
@@ -282,76 +335,47 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
 
     tick = time.perf_counter()
     for round_index in range(1, cfg.merge_rounds + 1):
-        def make_worker(k):
-            def work():
-                model = template.import_params(
-                    global_params if global_params is not None else start_params[k]
-                )
-                try:
-                    return train_local(
-                        model, stocks[k], cfg.local_epochs_per_round,
-                        cfg.learning_rate, cfg.momentum, cfg.batch_size,
-                        seed=derive_seed(cfg.seed, _TAG_MERGE, round_index, stocks[k].stock_id),
-                    )
-                except DivergenceError as err:
-                    raise DivergenceError(
-                        f"round {round_index}: {err}",
-                        stock_id=stocks[k].stock_id, round_index=round_index,
-                    ) from err
-            return work
-
-        results = _run_parallel([make_worker(k) for k in range(k_stocks)], jobs)
-        global_params = axpy_merge([r.model.export_params() for r in results], weights)
+        theta[:] = global_params.values if global_params is not None else start
+        try:
+            logs = train_groups(cfg.local_epochs_per_round, cfg.learning_rate,
+                                _TAG_MERGE, round_index)
+        except DivergenceError as err:
+            raise DivergenceError(
+                f"round {round_index}: {err}",
+                stock_id=err.stock_id, round_index=round_index,
+            ) from err
+        global_params = axpy_merge([init.replace(row) for row in theta], weights)
         trace.round_globals.append(global_params)
 
         round_losses = []
-        for k, res in enumerate(results):
-            lineage_steps[k] += res.update_steps
-            for e, loss_val in enumerate(res.epoch_losses):
+        for k, log in enumerate(logs):
+            lineage_steps[k] += log.update_steps
+            for e, loss_val in enumerate(log.epoch_losses):
                 trace.add("merge", round_index, stocks[k].stock_id,
-                          loss_val, 0.0, res.epoch_wall_ms[e])
-            round_losses.append(float(np.mean(res.epoch_losses)))
+                          loss_val, 0.0, log.epoch_wall_ms[e])
+            round_losses.append(float(np.mean(log.epoch_losses)))
         mean_loss = float(np.mean(round_losses))
         trace.global_loss_per_round.append(mean_loss)
         trace.add("merge", round_index, "global", mean_loss, 0.0, 0.0)
     trace.phase_wall_ms["merge"] = (time.perf_counter() - tick) * 1000.0
 
     if global_params is None:  # merge_rounds == 0: fall back to the shared init
-        global_params = start_params[0]
+        global_params = init.replace(start[0])
 
     tick = time.perf_counter()
-    finetune_rate = cfg.alpha * cfg.learning_rate
-
-    def make_ft_worker(k):
-        def work():
-            model = template.import_params(global_params)
-            try:
-                return train_local(
-                    model, stocks[k], cfg.finetune_epochs,
-                    finetune_rate, cfg.momentum, cfg.batch_size,
-                    anchor=global_params, prox_weight=cfg.prox_weight,
-                    seed=derive_seed(cfg.seed, _TAG_FINETUNE, 0, stocks[k].stock_id),
-                )
-            except DivergenceError as err:
-                raise DivergenceError(
-                    f"fine-tune: {err}", stock_id=stocks[k].stock_id,
-                ) from err
-        return work
-
-    if cfg.finetune_epochs > 0:
-        ft_results = _run_parallel([make_ft_worker(k) for k in range(k_stocks)], jobs)
-    else:
-        ft_results = [
-            LocalTrainResult(template.import_params(global_params), [], [], 0, [])
-            for _ in range(k_stocks)
-        ]
+    theta[:] = global_params.values
+    try:
+        logs = train_groups(cfg.finetune_epochs, cfg.alpha * cfg.learning_rate,
+                            _TAG_FINETUNE, 0, anchor=global_params.values)
+    except DivergenceError as err:
+        raise DivergenceError(f"fine-tune: {err}", stock_id=err.stock_id) from err
     finetuned = []
-    for k, res in enumerate(ft_results):
-        lineage_steps[k] += res.update_steps
-        finetuned.append(res.model)
-        for e, loss_val in enumerate(res.epoch_losses):
+    for k, log in enumerate(logs):
+        lineage_steps[k] += log.update_steps
+        finetuned.append(template.import_params(global_params.replace(theta[k])))
+        for e, loss_val in enumerate(log.epoch_losses):
             trace.add("finetune", e + 1, stocks[k].stock_id,
-                      loss_val, res.prox_penalties[e], res.epoch_wall_ms[e])
+                      loss_val, log.prox_penalties[e], log.epoch_wall_ms[e])
     trace.phase_wall_ms["finetune"] = (time.perf_counter() - tick) * 1000.0
 
     trace.lineage_update_steps = lineage_steps

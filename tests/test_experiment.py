@@ -93,6 +93,15 @@ def test_validation_collects_multiple_errors_at_once(tmp_path):
     assert len(err.value.errors) >= 4
 
 
+@pytest.mark.parametrize("weights", [[1, -1, 1], [0, 0, 0]])
+def test_bad_merge_weights_name_the_field(tmp_path, weights):
+    doc = spec_doc(tmp_path / "out")
+    doc["training"]["merge_weights"] = weights
+    with pytest.raises(SpecValidationError) as err:
+        validate_spec(write_spec(tmp_path, doc))
+    assert any(e.startswith("training.merge_weights") for e in err.value.errors)
+
+
 # ---------------------------------------------------------------------------
 # running
 # ---------------------------------------------------------------------------
@@ -184,6 +193,16 @@ def test_cli_validation_exit_code(tmp_path):
     proc = _run_cli(["spec.json"], cwd=tmp_path)
     assert proc.returncode == 1
     assert "out of scope" in proc.stderr
+
+
+def test_cli_negative_merge_weight_exit_code(tmp_path):
+    doc = spec_doc("out")
+    doc["training"]["merge_weights"] = [1, -1, 1]
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "training.merge_weights" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_spec_exit_code(tmp_path):

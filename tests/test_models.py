@@ -206,6 +206,27 @@ def test_checkpoint_roundtrip(tmp_path, rng):
 
 
 # ---------------------------------------------------------------------------
+# stacked kernels: each row of a (K, P) call equals the one-row call
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("horizon", [1, 2])
+@pytest.mark.parametrize("k_rows", [1, 2, 5])
+def test_stacked_rows_equal_one_row_calls(kind, horizon, k_rows, rng):
+    model = build_model(kind, 8, horizon, 3, seed=21)
+    n = 13  # not a multiple of 8
+    theta = rng.uniform(-0.5, 0.5, size=(k_rows, model.n_params))
+    inputs = rng.uniform(0.0, 1.0, size=(k_rows, n, 8, 3))
+    targets = rng.uniform(0.0, 1.0, size=(k_rows, n, horizon))
+    losses, grad = model.loss_and_gradient(theta, inputs, targets)
+    assert losses.shape == (k_rows,) and grad.shape == theta.shape
+    for k in range(k_rows):
+        loss_k, grad_k = model.loss_and_gradient(theta[k:k + 1], inputs[k:k + 1], targets[k:k + 1])
+        assert np.array_equal(losses[k:k + 1], loss_k)
+        assert np.array_equal(grad[k:k + 1], grad_k)
+
+
+# ---------------------------------------------------------------------------
 # training sanity: each kind fits its matched sinusoid
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,10 @@
+import math
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csti import models, numerics
 from csti.errors import (
@@ -18,6 +23,7 @@ from csti.numerics import (
     complex_hadamard,
     dft,
     fresh_optimizer_state,
+    fsum_columns,
     idft,
     layout_from_lengths,
     param_vector_from_bytes,
@@ -174,6 +180,78 @@ def test_axpy_merge_permutation_equivariance_equal_weights():
     a = axpy_merge(vecs, [1.0] * 4)
     b = axpy_merge(vecs[::-1], [1.0] * 4)
     assert np.allclose(a.values, b.values, atol=1e-15)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def merge_columns(draw):
+    """(K, n) float64 rows: wide exponents, near-cancelling, repeated or near-equal."""
+    k = draw(st.integers(2, 40))
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["wide", "cancel", "repeat", "near"]))
+    if kind == "repeat":
+        pool = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 2.0**-52, 1e16, -1e16, 0.1])
+        return draw(hnp.arrays(np.float64, (k, n), elements=pool))
+    finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    if kind == "wide":
+        return draw(hnp.arrays(np.float64, (k, n), elements=finite))
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    rows = draw(hnp.arrays(np.float64, (k, n), elements=unit))
+    if kind == "cancel":
+        # the last row cancels the others up to a remainder near 1e-12
+        tiny = draw(hnp.arrays(np.float64, n, elements=unit))
+        rows[-1] = [-math.fsum(col) for col in rows[:-1].T] + 1e-12 * tiny
+    else:
+        base = draw(hnp.arrays(np.float64, n, elements=unit))
+        rows = base + 1e-15 * rows
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_columns())
+def test_fsum_columns_equals_fsum_bit_for_bit(rows):
+    expected = [math.fsum(col) for col in rows.T]
+    assert np.array_equal(_bits(fsum_columns(rows)), _bits(expected))
+
+
+def test_fsum_columns_edge_columns():
+    columns = [
+        # s + c rounds (tie to even) up to 1.0, but the exact sum lies just
+        # below 1 - 2**-54, half the gap under the power of two
+        [1.0, -(2.0**-54), -(2.0**-110)],
+        [-0.0, -0.0, -0.0],
+        [1.0, -1.0, 0.0],
+        [3.0, 1e-300, -3.0],
+    ]
+    rows = np.array(columns).T
+    assert np.array_equal(_bits(fsum_columns(rows)), _bits([math.fsum(c) for c in columns]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(merge_columns(), st.randoms(use_true_random=False))
+def test_axpy_merge_is_fsum_mean_and_order_free(rows, shuffler):
+    k = rows.shape[0]
+    vecs = [pv(row) for row in rows]
+    merged = axpy_merge(vecs, [1.0] * k).values
+    if np.all(rows == rows[0]):  # consensus: the shared vector itself
+        expected = rows[0]
+    else:
+        expected = [math.fsum(col) / k for col in rows.T]
+    assert np.array_equal(_bits(merged), _bits(expected))
+    shuffler.shuffle(vecs)
+    assert np.array_equal(_bits(axpy_merge(vecs, [1.0] * k).values), _bits(merged))
+
+
+def test_axpy_merge_weighted_is_fsum_of_products():
+    rng = np.random.default_rng(53)
+    rows = rng.standard_normal((7, 40))
+    weights = rng.uniform(0.0, 3.0, size=7)
+    merged = axpy_merge([pv(row) for row in rows], weights).values
+    expected = [math.fsum(w * x for w, x in zip(weights, col)) / 7 for col in rows.T]
+    assert np.array_equal(_bits(merged), _bits(expected))
 
 
 def test_axpy_merge_layout_mismatch_names_segment():

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from csti.data import WindowedDataset
+from csti import training
+from csti.data import (
+    StockSeries,
+    WindowedDataset,
+    fit_normalizer,
+    generate_synthetic_market,
+    make_windows,
+    normalize,
+)
 from csti.errors import (
     ContractViolation,
     DivergenceError,
@@ -155,6 +163,83 @@ def test_serial_and_parallel_runs_bit_identical(small_market):
         assert np.array_equal(_params(a).values, _params(b).values)
 
 
+def _unequal_market(lengths=(150, 200, 260), seed=29):
+    """Training windows of stocks cut to unequal row counts."""
+    market = generate_synthetic_market(len(lengths), max(lengths), 0.7, seed)
+    train = []
+    for series, rows in zip(market, lengths):
+        cut = StockSeries(series.stock_id, series.timestamps[:rows], series.features[:rows])
+        normed = normalize(cut, fit_normalizer(cut, 0.7))
+        train.append(make_windows(normed, 16, 1, "train", (0.7, 0.1, 0.2)))
+    return train
+
+
+def _run_fingerprint(result):
+    return (
+        [g.values.tobytes() for g in result.trace.round_globals],
+        [_params(m).values.tobytes() for m in result.finetuned],
+        result.trace.global_loss_per_round,
+        [(r.phase, r.round_index, r.stock_id, r.data_loss, r.prox_penalty)
+         for r in result.trace.rows],
+        result.trace.lineage_update_steps,
+    )
+
+
+@pytest.mark.parametrize("kind", ["dlinear", "texfilter"])
+def test_lockstep_unequal_stocks_bit_identical_across_stack_widths(kind):
+    train = _unequal_market()
+    # 89, 124 and 166 windows: batch counts 2, 2, 3 and last batches 25, 60, 38
+    assert [ds.n_windows for ds in train] == [89, 124, 166]
+    cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, seed=37)
+    runs = {jobs: _run_fingerprint(run_csti(train, kind, cfg, jobs=jobs))
+            for jobs in (1, 2, 3, 8)}
+    for jobs in (2, 3, 8):
+        assert runs[jobs] == runs[1], f"jobs={jobs} differs from jobs=1"
+    reversed_run = run_csti(train[::-1], kind, cfg, jobs=3)
+    assert [g.values.tobytes() for g in reversed_run.trace.round_globals] == runs[1][0]
+
+
+def test_lockstep_rows_match_train_local():
+    train = _unequal_market()
+    cfg = CstiConfig(stocks=3, merge_rounds=1, finetune_epochs=0, seed=41)
+    result = run_csti(train, "paifilter", cfg, jobs=3)
+    init = build_model("paifilter", 16, 1, 3, seed=derive_seed(cfg.seed, _TAG_INIT, 0))
+    for ds, row in zip(train, [r for r in result.trace.rows if r.stock_id != "global"]):
+        alone = train_local(init, ds, 1, cfg.learning_rate, cfg.momentum, cfg.batch_size,
+                            seed=derive_seed(cfg.seed, _TAG_MERGE, 1, ds.stock_id))
+        assert row.stock_id == ds.stock_id and [row.data_loss] == alone.epoch_losses
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_one_diverging_stock_is_named_with_its_round(small_market, jobs):
+    train, _, _ = small_market
+    bad = train[1]
+    # targets far off the data scale push the first batch loss over the guard
+    far = WindowedDataset(bad.stock_id, bad.split, bad.lookback, bad.horizon,
+                          bad.inputs, bad.targets + 2000.0, bad.absolute_indices)
+    cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=1, seed=43)
+    with pytest.raises(DivergenceError) as err:
+        run_csti([train[0], far, train[2]], "dlinear", cfg, jobs=jobs)
+    assert err.value.stock_id == bad.stock_id
+    assert err.value.round_index == 1
+
+
+def test_run_csti_merges_through_the_traced_hook(small_market, monkeypatch):
+    # the benchmark's traced run derives every round metric from this name
+    train, _, _ = small_market
+    calls = []
+
+    def counting(vectors, weights):
+        calls.append(len(vectors))
+        return merge(vectors, weights)
+
+    merge = training.axpy_merge
+    monkeypatch.setattr(training, "axpy_merge", counting)
+    cfg = CstiConfig(stocks=3, merge_rounds=4, finetune_epochs=1, seed=47)
+    run_csti(train, "dlinear", cfg, jobs=2)
+    assert calls == [3] * cfg.merge_rounds
+
+
 def test_stock_permutation_leaves_global_identical(small_market):
     train, _, _ = small_market
     cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, seed=13)
@@ -230,6 +315,15 @@ def test_config_validation():
     cfg = CstiConfig(stocks=2, merge_rounds=10, finetune_epochs=5,
                      local_epochs_per_round=2)
     assert cfg.epochs_budget == 25
+
+
+@pytest.mark.parametrize("weights", [(1.0, -1.0), (0.0, 0.0), (-1.0, 3.0)])
+def test_merge_weights_must_be_non_negative_with_positive_sum(weights):
+    # (1, -1) used to merge theta and theta + 1 into a vector of -0.5s
+    with pytest.raises(ContractViolation, match="merge_weights"):
+        CstiConfig(stocks=2, merge_weights=weights)
+    # a zero weight is allowed while the sum stays positive
+    assert CstiConfig(stocks=2, merge_weights=(0.0, 2.0)).weights() == (0.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
