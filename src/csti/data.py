@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -152,17 +153,22 @@ def load_csv_detailed(path, with_sentiment: bool = False, min_rows: int = 2,
     """
     path = str(path)
     wanted = ["date", "open", "close"] + (["sentiment"] if with_sentiment else [])
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header row required") from None
-        cols = {name.strip().lower(): i for i, name in enumerate(header)}
-        for name in wanted:
-            if name not in cols:
-                raise SchemaError(f"{path}: missing required column {name!r}")
-        rows = list(reader)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path}: not UTF-8 text at byte offset {err.start}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, header row required") from None
+    cols = {name.strip().lower(): i for i, name in enumerate(header)}
+    for name in wanted:
+        if name not in cols:
+            raise SchemaError(f"{path}: missing required column {name!r}")
+    rows = list(reader)
 
     rejections: list[str] = []
     parsed: list[tuple[datetime.date, list[float]]] = []

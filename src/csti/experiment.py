@@ -378,7 +378,7 @@ def save_round_checkpoint(round_index: int, pvec: ParamVector, path) -> None:
 def load_round_checkpoint(path) -> tuple[int, ParamVector]:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _ROUND_MAGIC:
+    if blob[:4] != _ROUND_MAGIC or len(blob) < 8:
         raise SpecValidationError([f"{path}: not a round checkpoint"])
     (round_index,) = struct.unpack_from("<I", blob, 4)
     return round_index, param_vector_from_bytes(blob[8:])

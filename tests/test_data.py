@@ -80,6 +80,13 @@ def test_missing_column_names_it(tmp_path):
         load_csv(path2, with_sentiment=True)
 
 
+def test_non_utf8_csv_names_path_and_byte_offset(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"date,open,close\n2020-01-02,10,11\n2020-01-03,caf\xe9,12\n")
+    with pytest.raises(SchemaError, match=r"latin1\.csv.*byte offset 47"):
+        load_csv_detailed(path)
+
+
 def test_bad_rows_are_dropped_and_reported(tmp_path):
     text = (
         "date,open,close\n"

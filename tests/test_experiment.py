@@ -5,15 +5,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csti.data import generate_synthetic_market, save_series_csv
-from csti.errors import DivergenceError, SpecValidationError
+from csti.errors import ContractViolation, CstiError, DivergenceError, SpecValidationError
 from csti.experiment import (
     load_round_checkpoint,
     main,
     run_experiment,
+    save_round_checkpoint,
     validate_spec,
 )
+from csti.models import build_model, load_checkpoint, save_checkpoint
+from csti.numerics import param_vector_from_bytes, param_vector_to_bytes
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -168,6 +173,53 @@ def test_csv_source_end_to_end(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# binary readers: every malformed blob fails with a named error
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def binary_blobs(tmp_path_factory):
+    """One valid blob per binary format, plus a directory to write prefixes to."""
+    directory = tmp_path_factory.mktemp("blobs")
+    model = build_model("texfilter", 8, 2, 3, {"hidden": 3}, seed=5)
+    save_checkpoint(model, directory / "model.ckpt")
+    save_round_checkpoint(7, model.export_params(), directory / "round.bin")
+    blobs = {
+        "PVEC": param_vector_to_bytes(model.export_params()),
+        "FMCK": (directory / "model.ckpt").read_bytes(),
+        "RNDG": (directory / "round.bin").read_bytes(),
+    }
+    return blobs, directory
+
+
+def _read_blob(fmt, blob, directory):
+    if fmt == "PVEC":
+        return param_vector_from_bytes(blob)
+    path = directory / f"prefix-{fmt}.bin"
+    path.write_bytes(blob)
+    return (load_checkpoint if fmt == "FMCK" else load_round_checkpoint)(path)
+
+
+@pytest.mark.parametrize("fmt", ["PVEC", "FMCK", "RNDG"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_every_proper_prefix_of_a_binary_blob_raises_a_csti_error(fmt, binary_blobs, data):
+    blobs, directory = binary_blobs
+    blob = blobs[fmt]
+    assert _read_blob(fmt, blob, directory) is not None
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    # CstiError itself: ContractViolation is also a ValueError
+    with pytest.raises(CstiError):
+        _read_blob(fmt, blob[:cut], directory)
+
+
+def test_checkpoint_with_unknown_kind_names_it(binary_blobs):
+    blobs, directory = binary_blobs
+    blob = blobs["FMCK"].replace(b'"kind": "texfilter"', b'"kind": "texfilteX"')
+    with pytest.raises(ContractViolation, match="texfilteX"):
+        _read_blob("FMCK", blob, directory)
+
+
+# ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
 
@@ -239,6 +291,21 @@ def test_cli_non_utf8_spec_exit_code(tmp_path):
     proc = _run_cli(["spec.json"], cwd=tmp_path)
     assert proc.returncode == 1
     assert "UTF-8" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_non_utf8_csv_exit_code(tmp_path):
+    market = generate_synthetic_market(2, 240, 0.6, seed=8)
+    for series in market:
+        save_series_csv(series, tmp_path / f"{series.stock_id}.csv")
+    bad = tmp_path / f"{market[1].stock_id}.csv"
+    bad.write_bytes(bad.read_bytes().replace(b"\n", b"\xff\n", 1))
+    doc = spec_doc("out", features=["with_sentiment"])
+    doc["data"] = {"source": "csv", "paths": [f"{s.stock_id}.csv" for s in market]}
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert bad.name in proc.stderr and "byte offset" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_blank_spec_reports_missing_fields(tmp_path):

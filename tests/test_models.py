@@ -6,8 +6,10 @@ from csti.errors import (
     MergeIncompatibilityError,
     ShapeMismatchError,
 )
+from csti import numerics
 from csti.models import (
     MODEL_KINDS,
+    _filter_spectrum,
     build_model,
     export_params,
     import_params,
@@ -115,6 +117,16 @@ def test_paifilter_identity_filter_passes_series_through(rng):
     model = _set_segment(model, "kernel_re", np.ones(L))
     z = rng.standard_normal((5, L))
     assert np.max(np.abs(model.filter_series(z) - z)) < 1e-9
+
+
+@pytest.mark.parametrize("lookback", [4, 5, 8, 16])
+def test_filter_operator_equals_the_dft_chain(lookback, rng):
+    z = rng.standard_normal((9, lookback))
+    k_re, k_im = rng.standard_normal((2, lookback))
+    operator = np.concatenate([k_re, k_im]) @ numerics.filter_operator_basis(lookback)
+    reference = _filter_spectrum(*numerics.dft_batch(z), k_re, k_im)
+    error = np.max(np.abs(z @ operator.reshape(lookback, lookback) - reference))
+    assert error <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_dlinear_anchor_only_returns_last_mixed_value(rng):

@@ -236,13 +236,22 @@ def test_axpy_merge_is_fsum_mean_and_order_free(rows, shuffler):
     k = rows.shape[0]
     vecs = [pv(row) for row in rows]
     merged = axpy_merge(vecs, [1.0] * k).values
-    if np.all(rows == rows[0]):  # consensus: the shared vector itself
+    if np.all(_bits(rows) == _bits(rows[0])):  # consensus: the shared vector itself
         expected = rows[0]
     else:
         expected = [math.fsum(col) / k for col in rows.T]
     assert np.array_equal(_bits(merged), _bits(expected))
     shuffler.shuffle(vecs)
     assert np.array_equal(_bits(axpy_merge(vecs, [1.0] * k).values), _bits(merged))
+
+
+def test_axpy_merge_signed_zeros_are_order_free():
+    # +0.0 and -0.0 compare equal but are not a consensus; fsum/K is +0.0
+    for rows in ([0.0], [-0.0]), ([-0.0], [0.0]):
+        merged = axpy_merge([pv(row) for row in rows], [1.0, 1.0]).values
+        assert np.array_equal(_bits(merged), _bits([0.0]))
+    both_negative = axpy_merge([pv([-0.0]), pv([-0.0])], [1.0, 1.0]).values
+    assert np.array_equal(_bits(both_negative), _bits([-0.0]))
 
 
 def test_axpy_merge_weighted_is_fsum_of_products():
@@ -403,3 +412,14 @@ def test_gradient_matches_finite_differences(kind, rng):
         inputs, targets = random_batch(draw_rng, 6, 8, 2, 1)
         err = numerics.gradient_check_max_error(candidate, inputs, targets)
         assert err < 1e-4, f"{kind} draw {draw}: relative error {err:.3e}"
+
+
+@pytest.mark.parametrize("lookback,horizon", [(5, 3), (16, 2)])
+def test_paifilter_gradient_matches_finite_differences_at_other_shapes(lookback, horizon):
+    model = models.build_model("paifilter", lookback, horizon, 2, seed=17)
+    draw_rng = np.random.default_rng(2000 + lookback)
+    theta = draw_rng.uniform(-0.5, 0.5, size=model.n_params)
+    candidate = model.import_params(model.export_params().replace(theta))
+    inputs, targets = random_batch(draw_rng, 6, lookback, 2, horizon)
+    err = numerics.gradient_check_max_error(candidate, inputs, targets)
+    assert err < 1e-4, f"L={lookback} H={horizon}: relative error {err:.3e}"

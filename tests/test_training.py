@@ -185,7 +185,7 @@ def _run_fingerprint(result):
     )
 
 
-@pytest.mark.parametrize("kind", ["dlinear", "texfilter"])
+@pytest.mark.parametrize("kind", ["dlinear", "paifilter", "texfilter", "frets"])
 def test_lockstep_unequal_stocks_bit_identical_across_stack_widths(kind):
     train = _unequal_market()
     # 89, 124 and 166 windows: batch counts 2, 2, 3 and last batches 25, 60, 38
