@@ -161,14 +161,16 @@ def load_csv_detailed(path, with_sentiment: bool = False, min_rows: int = 2,
         raise SchemaError(f"{path}: not UTF-8 text at byte offset {err.start}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{path}: empty file, header row required") from None
+        header = next(reader, None)
+        rows = list(reader)
+    except csv.Error as err:  # e.g. a cell over csv.field_size_limit()
+        raise SchemaError(f"{path}: line {reader.line_num}: {err}") from None
+    if header is None:
+        raise SchemaError(f"{path}: empty file, header row required")
     cols = {name.strip().lower(): i for i, name in enumerate(header)}
     for name in wanted:
         if name not in cols:
             raise SchemaError(f"{path}: missing required column {name!r}")
-    rows = list(reader)
 
     rejections: list[str] = []
     parsed: list[tuple[datetime.date, list[float]]] = []
@@ -256,6 +258,14 @@ def fit_normalizer(series: StockSeries, train_fraction: float) -> NormalizationP
             raise DegenerateColumnError(
                 f"{series.stock_id}: column {col} constant on train segment"
             )
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite span gives inf/inf
+        scaled = (series.features - lo) / (hi - lo)
+    finite = np.isfinite(scaled)
+    if not finite.all():
+        raise DegenerateColumnError(
+            f"{series.stock_id}: column {int(np.argmin(finite.all(axis=0)))} train span "
+            "too small or too large to scale the series"
+        )
     return NormalizationParams(series.stock_id, lo, hi)
 
 

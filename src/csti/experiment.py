@@ -36,6 +36,8 @@ from .models import MODEL_KINDS, OUT_OF_SCOPE_KINDS, save_checkpoint
 from .numerics import ParamVector, param_vector_from_bytes, param_vector_to_bytes
 from .training import (
     CstiConfig,
+    CstiResult,
+    NormalResult,
     evaluate,
     run_csti,
     run_normal,
@@ -504,13 +506,12 @@ def _write_cell(spec, cell, cell_dir, report, trace, result, test_sets):
         )
     ckpt_dir = cell_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
-    if hasattr(result, "trace") and trace.round_globals:
+    if isinstance(result, CstiResult):
         for r, pvec in enumerate(trace.round_globals, start=1):
             save_round_checkpoint(r, pvec, ckpt_dir / f"round-{r:04d}.pvec")
-    if hasattr(result, "finetuned"):
         for ds, model in zip(test_sets, result.finetuned):
             save_checkpoint(model, ckpt_dir / f"finetuned-{ds.stock_id}.ckpt")
-    if hasattr(result, "snapshots"):
+    if isinstance(result, NormalResult):
         for k, model in enumerate(result.snapshots):
             save_checkpoint(model, ckpt_dir / f"snapshot-{k:02d}.ckpt")
 

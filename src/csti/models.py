@@ -10,7 +10,7 @@ learned input mix, then applies its own mapping to an H-step forecast:
                spectrum, inverse-transformed, affine head; a linear map of
                the series, so it runs as one precomposed real operator.
 * texfilter  -- spectrum-conditioned kernel produced by a one-hidden-
-               layer complex network (modReLU hidden activation).
+               layer complex network (modReLU) on complex128 spectra.
 * frets      -- separate real networks for the real and imaginary parts
                of the spectrum, recombined before the inverse transform.
 
@@ -212,11 +212,12 @@ def _matvec(a, v):
 
 
 def _mix_forward(inputs, mix):
-    return _matvec(inputs, mix[:, None])  # (K, N, L)
+    k, n, L, d = inputs.shape
+    return (inputs.reshape(k, n * L, d) @ mix[:, :, None]).reshape(k, n, L)
 
 
 def _mix_backward(inputs, dz):
-    return np.einsum("knld,knl->kd", inputs, dz)
+    return (dz.reshape(len(dz), 1, -1) @ inputs.reshape(len(dz), -1, inputs.shape[-1]))[:, 0]
 
 
 def _head_forward(series, w, b):
@@ -235,16 +236,6 @@ def _filter_spectrum(s_re, s_im, k_re, k_im):
     return numerics.real_idft_batch(s_re * k_re - s_im * k_im, s_re * k_im + s_im * k_re)
 
 
-def _filter_spectrum_adjoint(dfiltered, s_re, s_im, k_re, k_im):
-    """Per-sample gradients of ``_filter_spectrum``: (ds_re, ds_im, dk_re, dk_im)."""
-    df_re, df_im = numerics.real_idft_batch_adjoint(dfiltered)
-    ds_re = df_re * k_re + df_im * k_im
-    ds_im = -df_re * k_im + df_im * k_re
-    dk_re = df_re * s_re + df_im * s_im
-    dk_im = -df_re * s_im + df_im * s_re
-    return ds_re, ds_im, dk_re, dk_im
-
-
 def _affine_bound(fan_in: int) -> float:
     return 1.0 / np.sqrt(fan_in)
 
@@ -259,10 +250,15 @@ def _normal(scale, mean=0.0):
     return lambda rng, n: mean + scale * rng.standard_normal(n)
 
 
+def _check_int(name, value, low):
+    """``value`` as an int >= low; bools and non-integral numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ContractViolation(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _check_hidden(kind, hyper):
-    if hyper["hidden"] < 1:
-        raise ContractViolation(f"{kind}: hidden width must be >= 1")
-    return {"hidden": int(hyper["hidden"])}
+    return {"hidden": _check_int(f"{kind}: hidden width", hyper["hidden"], 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +298,15 @@ class DLinearModel(ForecastModel):
 
     @classmethod
     def check_hyper(cls, hyper):
-        if hyper["harmonics"] < 1:
-            raise ContractViolation("dlinear: harmonics must be >= 1")
-        if not hyper["period"] > 0:
-            raise ContractViolation("dlinear: period must be > 0")
+        period = hyper["period"]
+        if isinstance(period, bool) or not isinstance(period, (int, float)) or not period > 0:
+            raise ContractViolation(f"dlinear: period must be a number > 0, got {period!r}")
+        if not isinstance(hyper["use_anchor"], bool):
+            raise ContractViolation("dlinear: use_anchor must be a boolean")
         return {
-            "harmonics": int(hyper["harmonics"]),
-            "period": float(hyper["period"]),
-            "use_anchor": bool(hyper["use_anchor"]),
+            "harmonics": _check_int("dlinear: harmonics", hyper["harmonics"], 1),
+            "period": float(period),
+            "use_anchor": hyper["use_anchor"],
         }
 
     @classmethod
@@ -416,6 +413,10 @@ class TexFilterModel(ForecastModel):
     The kernel-producing output layer starts at the identity filter
     (bias re=1) with 0.01-scale weights so the untrained filter is
     near-pass-through; the hidden affine uses the standard fan-in rule.
+    It runs on complex128 arrays, built from the re/im segments once per row
+    and step: a complex product is one call, not four real matmuls and two
+    adds. The backward pass carries dl/dRe + i dl/dIm of the real loss, which
+    y = x w sends back as dy * conj(w).
     """
 
     kind = "texfilter"
@@ -448,68 +449,59 @@ class TexFilterModel(ForecastModel):
         )
 
     def _forward(self, p, inputs):
-        w1_re, w1_im = p["filter_w1_re"], p["filter_w1_im"]
-        w2_re, w2_im = p["filter_w2_re"], p["filter_w2_im"]
-        gate_bias = p["filter_gate_bias"][:, None]
+        d_op, r_op = numerics.interleaved_dft_operators(self.lookback)
+        w1, w2 = _get_complex(p, "filter_w1"), _get_complex(p, "filter_w2")
+        b1, b2 = _get_complex(p, "filter_b1")[:, None], _get_complex(p, "filter_b2")[:, None]
         z = _mix_forward(inputs, p["input_mix"])
-        s_re, s_im = numerics.dft_batch(z)
-        u_re = s_re @ _t(w1_re) - s_im @ _t(w1_im) + p["filter_b1_re"][:, None]
-        u_im = s_re @ _t(w1_im) + s_im @ _t(w1_re) + p["filter_b1_im"][:, None]
-        r = np.sqrt(u_re * u_re + u_im * u_im)
-        r_safe = np.maximum(r, _GATE_EPS)
-        active = (r + gate_bias) > 0.0
-        scale = np.where(active, (r + gate_bias) / r_safe, 0.0)
-        a_re = scale * u_re
-        a_im = scale * u_im
-        k_re = a_re @ _t(w2_re) - a_im @ _t(w2_im) + p["filter_b2_re"][:, None]
-        k_im = a_re @ _t(w2_im) + a_im @ _t(w2_re) + p["filter_b2_im"][:, None]
-        filtered = _filter_spectrum(s_re, s_im, k_re, k_im)
+        s = (z @ d_op).view(np.complex128)
+        u = s @ _t(w1) + b1
+        r = np.abs(u)
+        shifted = r + p["filter_gate_bias"][:, None]
+        inv = (shifted > 0.0) / np.maximum(r, _GATE_EPS)  # 1/r where active, else 0
+        scale = shifted * inv
+        a = scale * u
+        k = a @ _t(w2) + b2
+        filtered = (k * s).view(np.float64) @ r_op
         pred = _head_forward(filtered, p["head_weight"], p["head_bias"])
-        cache = (s_re, s_im, u_re, u_im, r_safe, active, scale,
-                 a_re, a_im, k_re, k_im, filtered)
-        return pred, cache
+        return pred, (s, u, inv, scale, a, k, filtered, w1, w2)
 
     def predict_batch(self, inputs):
         return self._predict(inputs)
 
     def _backward(self, p, inputs, dpred, cache, g):
-        (s_re, s_im, u_re, u_im, r_safe, active, scale,
-         a_re, a_im, k_re, k_im, filtered) = cache
-        w1_re, w1_im = p["filter_w1_re"], p["filter_w1_im"]
-        w2_re, w2_im = p["filter_w2_re"], p["filter_w2_im"]
-        gate_bias = p["filter_gate_bias"][:, None]
-
+        s, u, inv, scale, a, k, filtered, w1, w2 = cache
+        d_op, r_op = numerics.interleaved_dft_operators(self.lookback)
         g["head_weight"][...], g["head_bias"][...], dfiltered = _head_backward(
             filtered, dpred, p["head_weight"]
         )
-        ds_re, ds_im, dk_re, dk_im = _filter_spectrum_adjoint(
-            dfiltered, s_re, s_im, k_re, k_im
-        )
-
-        g["filter_w2_re"][...] = _t(dk_re) @ a_re + _t(dk_im) @ a_im
-        g["filter_w2_im"][...] = -_t(dk_re) @ a_im + _t(dk_im) @ a_re
-        g["filter_b2_re"][...] = dk_re.sum(axis=1)
-        g["filter_b2_im"][...] = dk_im.sum(axis=1)
-        da_re = dk_re @ w2_re + dk_im @ w2_im
-        da_im = -dk_re @ w2_im + dk_im @ w2_re
+        # temporaries go left: numpy may reuse a big right one, swapping FMA operands
+        dy = (dfiltered @ r_op.T).view(np.complex128)
+        s_conj = s.conj()
+        dk = dy * s_conj
+        ds = k.conj() * dy
+        _set_complex(g, filter_w2=_t(dk) @ a.conj(), filter_b2=dk.sum(axis=1))
+        da = dk @ w2.conj()
 
         # modReLU: a = scale(r) * u with scale = (r + c)/r, d scale/dr = -c/r^2
-        inner = da_re * u_re + da_im * u_im
-        dscale_dr = np.where(active, -gate_bias / (r_safe * r_safe), 0.0)
-        radial = dscale_dr * inner / r_safe
-        du_re = scale * da_re + radial * u_re  # scale is already 0 where inactive
-        du_im = scale * da_im + radial * u_im
-        g["filter_gate_bias"][...] = np.where(active, inner / r_safe, 0.0).sum(axis=1)
+        dgate = (u.conj() * da).real * inv  # dl/dc; inv is 0 where inactive
+        g["filter_gate_bias"][...] = dgate.sum(axis=1)
+        du = scale * da - (p["filter_gate_bias"][:, None] * inv * inv * dgate) * u
+        _set_complex(g, filter_w1=_t(du) @ s_conj, filter_b1=du.sum(axis=1))
+        ds += du @ w1.conj()
 
-        g["filter_w1_re"][...] = _t(du_re) @ s_re + _t(du_im) @ s_im
-        g["filter_w1_im"][...] = -_t(du_re) @ s_im + _t(du_im) @ s_re
-        g["filter_b1_re"][...] = du_re.sum(axis=1)
-        g["filter_b1_im"][...] = du_im.sum(axis=1)
-        ds_re += du_re @ w1_re + du_im @ w1_im
-        ds_im += -du_re @ w1_im + du_im @ w1_re
+        g["input_mix"][...] = _mix_backward(inputs, ds.view(np.float64) @ d_op.T)
 
-        dz = numerics.dft_batch_adjoint(ds_re, ds_im)
-        g["input_mix"][...] = _mix_backward(inputs, dz)
+
+def _get_complex(p, name):
+    out = p[name + "_re"].astype(np.complex128)
+    out.imag = p[name + "_im"]
+    return out
+
+
+def _set_complex(g, **grads):
+    """Write complex gradients into their ``<name>_re``/``<name>_im`` views."""
+    for name, value in grads.items():
+        g[name + "_re"][...], g[name + "_im"][...] = value.real, value.imag
 
 
 # ---------------------------------------------------------------------------
@@ -596,32 +588,43 @@ _CLASSES = {
 }
 
 
-def build_model(kind: str, lookback: int, horizon: int, n_features: int,
-                hyper: dict | None = None, seed: int = 0) -> ForecastModel:
-    """Construct a seeded model; layout depends only on the arguments."""
+def _resolve(kind, lookback, horizon, n_features, hyper, complete=False):
+    """(class, shapes, checked hyper) for a model; the checks ``build_model`` makes.
+
+    ``hyper`` overrides the kind's defaults. With ``complete`` (a checkpoint
+    header) it must name exactly the kind's keys.
+    """
     if kind not in _CLASSES:
         raise ContractViolation(
             f"unknown model kind {kind!r}; supported: {', '.join(MODEL_KINDS)}"
         )
-    if lookback < 4:
-        raise ContractViolation("lookback must be >= 4")
-    if horizon < 1:
-        raise ContractViolation("horizon must be >= 1")
-    if n_features not in (2, 3):
+    shapes = (_check_int("lookback", lookback, 4), _check_int("horizon", horizon, 1),
+              _check_int("feature count", n_features, 2))
+    if shapes[2] > 3:
         raise ContractViolation("feature count must be 2 or 3")
     cls = _CLASSES[kind]
-    resolved = cls.default_hyper(lookback, horizon, n_features)
-    for key, value in (hyper or {}).items():
-        if key not in resolved:
-            raise ContractViolation(f"{kind}: unknown hyperparameter {key!r}")
-        resolved[key] = value
-    resolved = cls.check_hyper(resolved)
+    resolved = cls.default_hyper(*shapes)
+    if not isinstance(hyper, dict):
+        raise ContractViolation(f"{kind}: hyperparameters must be a mapping")
+    unknown = [key for key in hyper if key not in resolved]
+    if unknown:
+        raise ContractViolation(f"{kind}: unknown hyperparameter {unknown[0]!r}")
+    missing = [key for key in resolved if key not in hyper]
+    if complete and missing:
+        raise ContractViolation(f"{kind}: missing hyperparameter {missing[0]!r}")
+    resolved.update(hyper)
+    return cls, shapes, cls.check_hyper(resolved)
+
+
+def build_model(kind: str, lookback: int, horizon: int, n_features: int,
+                hyper: dict | None = None, seed: int = 0) -> ForecastModel:
+    """Construct a seeded model; layout depends only on the arguments."""
+    cls, shapes, resolved = _resolve(kind, lookback, horizon, n_features, hyper or {})
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), MODEL_KINDS.index(kind))))
     values = np.concatenate([
-        init(rng, math.prod(shape))
-        for _, shape, init in cls.segments(lookback, horizon, n_features, resolved)
+        init(rng, math.prod(shape)) for _, shape, init in cls.segments(*shapes, resolved)
     ])
-    return cls(lookback, horizon, n_features, resolved, values)
+    return cls(*shapes, resolved, values)
 
 
 def export_params(model: ForecastModel) -> ParamVector:
@@ -667,13 +670,17 @@ def load_checkpoint(path) -> ForecastModel:
         header = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
         if header["format_version"] != _CKPT_VERSION:
             raise ContractViolation(f"unsupported checkpoint version {header['format_version']}")
-        if header["kind"] not in MODEL_KINDS:
-            raise ContractViolation(f"{path}: unknown model kind {header['kind']!r}")
-        pvec = numerics.param_vector_from_bytes(blob[8 + hlen :])
-        return _CLASSES[header["kind"]](
-            header["lookback"], header["horizon"], header["n_features"],
-            header["hyper"], pvec.values,
+        cls, shapes, hyper = _resolve(
+            header["kind"], header["lookback"], header["horizon"], header["n_features"],
+            header["hyper"], complete=True,
         )
+        pvec = numerics.param_vector_from_bytes(blob[8 + hlen :])
+        model = cls(*shapes, hyper, pvec.values)
+        if pvec.layout != model._layout:
+            raise ContractViolation("parameter layout does not match the header")
+        return model
+    except ContractViolation as err:
+        raise ContractViolation(f"{path}: {err}") from None
     except CstiError:
         raise
     except (ValueError, KeyError, TypeError) as err:  # UTF-8 and JSON errors are ValueErrors

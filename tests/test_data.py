@@ -17,6 +17,7 @@ from csti.data import (
 )
 from csti.errors import (
     ContractViolation,
+    CstiError,
     DegenerateColumnError,
     InsufficientDataError,
     SchemaError,
@@ -85,6 +86,36 @@ def test_non_utf8_csv_names_path_and_byte_offset(tmp_path):
     path.write_bytes(b"date,open,close\n2020-01-02,10,11\n2020-01-03,caf\xe9,12\n")
     with pytest.raises(SchemaError, match=r"latin1\.csv.*byte offset 47"):
         load_csv_detailed(path)
+
+
+def test_csv_cell_over_the_field_limit_names_path_and_line(tmp_path):
+    path = write_csv(tmp_path / "huge.csv", BASIC_CSV + "2020-01-08,1" + "0" * 131_072 + ",15\n")
+    with pytest.raises(SchemaError, match=r"huge\.csv: line 6"):
+        load_csv_detailed(path)
+
+
+_HEADER = b"date,open,close\n"
+_ROW = st.tuples(st.dates(), st.floats(), st.floats()).map(
+    lambda r: f"{r[0].isoformat()},{r[1]!r},{r[2]!r}"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.one_of(
+    st.binary(max_size=400),
+    st.binary(max_size=400).map(lambda b: _HEADER + b),
+    st.lists(st.one_of(_ROW, _ROW, st.text(max_size=30)), max_size=12).map(
+        lambda rows: _HEADER + "\n".join(rows).encode()
+    ),
+))
+def test_arbitrary_csv_bytes_load_or_raise_a_csti_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(blob)
+    try:
+        series, rejections = load_csv_detailed(path)
+    except CstiError:
+        return
+    assert series.T >= 2 and all(isinstance(r, str) for r in rejections)
 
 
 def test_bad_rows_are_dropped_and_reported(tmp_path):
@@ -159,6 +190,22 @@ def test_fit_normalizer_rejects_constant_train_segment():
     series = _series([5, 5, 5, 1, 9])
     with pytest.raises(DegenerateColumnError):
         fit_normalizer(series, 0.6)
+
+
+@pytest.mark.parametrize("close", [
+    [0.0, 2.225073858507203e-309, 0.0, 1.0],  # subnormal span, later row overflows
+    [0.0, 1e-303, 0.0, 1e6],
+])
+def test_fit_normalizer_rejects_span_too_small_to_scale_the_series(close):
+    series = _series(np.asarray(close), opens=np.linspace(0, 1, len(close)))
+    with pytest.raises(DegenerateColumnError, match="column 1"):
+        fit_normalizer(series, 0.7)
+
+
+def test_fit_normalizer_rejects_infinite_span():
+    series = _series(np.array([-1e308, 1e308, 0.0, 1.0]), opens=np.linspace(0, 1, 4))
+    with pytest.raises(DegenerateColumnError, match="column 1"):
+        fit_normalizer(series, 0.7)
 
 
 def test_normalize_values_and_out_of_range():

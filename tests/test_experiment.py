@@ -1,9 +1,11 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from csti.experiment import (
     save_round_checkpoint,
     validate_spec,
 )
-from csti.models import build_model, load_checkpoint, save_checkpoint
+from csti.models import MODEL_KINDS, build_model, load_checkpoint, save_checkpoint
 from csti.numerics import param_vector_from_bytes, param_vector_to_bytes
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -219,6 +221,55 @@ def test_checkpoint_with_unknown_kind_names_it(binary_blobs):
         _read_blob("FMCK", blob, directory)
 
 
+def _edited_header(blob, edit):
+    """``blob`` (an FMCK checkpoint) with its JSON header passed through ``edit``."""
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8 : 8 + hlen])
+    edit(header)
+    text = json.dumps(header).encode()
+    return blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + hlen :]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: h.update(lookback=0), "lookback"),
+    (lambda h: h.update(lookback=8.5), "lookback"),
+    (lambda h: h.update(horizon=True), "horizon"),
+    (lambda h: h.update(n_features=4), "feature count"),
+    (lambda h: h["hyper"].update(period=-1.0), "period"),
+    (lambda h: h["hyper"].update(harmonics=2.0), "harmonics"),
+    (lambda h: h["hyper"].update(use_anchor=1), "use_anchor"),
+    (lambda h: h["hyper"].pop("use_anchor"), "missing hyperparameter 'use_anchor'"),
+    (lambda h: h["hyper"].update(extra=1), "unknown hyperparameter 'extra'"),
+    (lambda h: h.update(hyper=[]), "mapping"),
+], ids=["lookback-0", "lookback-8.5", "horizon-bool", "features-4", "period-negative",
+        "harmonics-float", "use_anchor-int", "use_anchor-missing", "unknown-key", "hyper-list"])
+def test_checkpoint_header_goes_through_build_model_checks(tmp_path, edit, message):
+    model = build_model("dlinear", 8, 1, 2, seed=3)
+    save_checkpoint(model, tmp_path / "ok.ckpt")
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_edited_header((tmp_path / "ok.ckpt").read_bytes(), edit))
+    with pytest.raises(ContractViolation, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_flipped_checkpoint_byte_gives_a_model_or_a_csti_error(kind, tmp_path_factory, data):
+    directory = tmp_path_factory.getbasetemp()
+    save_checkpoint(build_model(kind, 8, 2, 3, seed=5), directory / f"flip-{kind}.ckpt")
+    blob = bytearray((directory / f"flip-{kind}.ckpt").read_bytes())
+    at = data.draw(st.integers(0, len(blob) - 1), label="at")
+    blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+    path = directory / f"flipped-{kind}.ckpt"
+    path.write_bytes(bytes(blob))
+    try:
+        model = load_checkpoint(path)
+    except CstiError:
+        return
+    assert model.kind == kind and np.all(np.isfinite(model.export_params().values))
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -305,6 +356,21 @@ def test_cli_non_utf8_csv_exit_code(tmp_path):
     proc = _run_cli(["spec.json"], cwd=tmp_path)
     assert proc.returncode == 1
     assert bad.name in proc.stderr and "byte offset" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_csv_cell_over_the_field_limit_exit_code(tmp_path):
+    market = generate_synthetic_market(2, 240, 0.6, seed=8)
+    for series in market:
+        save_series_csv(series, tmp_path / f"{series.stock_id}.csv")
+    bad = tmp_path / f"{market[0].stock_id}.csv"
+    bad.write_bytes(bad.read_bytes() + b"2030-01-01,1," + b"9" * 131_073 + b"\n")
+    doc = spec_doc("out")
+    doc["data"] = {"source": "csv", "paths": [f"{s.stock_id}.csv" for s in market]}
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert bad.name in proc.stderr and "line 242" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

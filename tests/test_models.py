@@ -238,6 +238,21 @@ def test_stacked_rows_equal_one_row_calls(kind, horizon, k_rows, rng):
         assert np.array_equal(grad[k:k + 1], grad_k)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_stacked_rows_equal_one_row_calls_past_numpy_temporary_elision(kind, rng):
+    # numpy reuses a temporary operand as the output once it passes 256 KiB;
+    # a (24, 64, 16) complex128 array is 384 KiB, a one-row call's 16 KiB
+    model = build_model(kind, 16, 1, 3, seed=21)
+    theta = model.export_params().values + rng.uniform(-0.05, 0.05, size=(24, model.n_params))
+    inputs = rng.uniform(0.0, 1.0, size=(24, 64, 16, 3))
+    targets = rng.uniform(0.0, 1.0, size=(24, 64, 1))
+    losses, grad = model.loss_and_gradient(theta, inputs, targets)
+    for k in range(24):
+        loss_k, grad_k = model.loss_and_gradient(theta[k:k + 1], inputs[k:k + 1], targets[k:k + 1])
+        assert np.array_equal(losses[k:k + 1], loss_k)
+        assert np.array_equal(grad[k:k + 1], grad_k), f"row {k}"
+
+
 # ---------------------------------------------------------------------------
 # training sanity: each kind fits its matched sinusoid
 # ---------------------------------------------------------------------------

@@ -423,3 +423,29 @@ def test_paifilter_gradient_matches_finite_differences_at_other_shapes(lookback,
     inputs, targets = random_batch(draw_rng, 6, lookback, 2, horizon)
     err = numerics.gradient_check_max_error(candidate, inputs, targets)
     assert err < 1e-4, f"L={lookback} H={horizon}: relative error {err:.3e}"
+
+
+@pytest.mark.parametrize("lookback,horizon,hidden", [(5, 3, 3), (16, 2, 7)])
+def test_texfilter_gradient_matches_finite_differences_at_other_shapes(lookback, horizon, hidden):
+    model = models.build_model("texfilter", lookback, horizon, 2, {"hidden": hidden}, seed=17)
+    draw_rng = np.random.default_rng(3000 + lookback)
+    theta = draw_rng.uniform(-0.5, 0.5, size=model.n_params)
+    candidate = model.import_params(model.export_params().replace(theta))
+    inputs, targets = random_batch(draw_rng, 6, lookback, 2, horizon)
+    err = numerics.gradient_check_max_error(candidate, inputs, targets)
+    assert err < 1e-4, f"L={lookback} H={horizon} hidden={hidden}: relative error {err:.3e}"
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 16])
+def test_interleaved_dft_operators_match_numpy_fft(n, rng):
+    d_op, r_op = numerics.interleaved_dft_operators(n)
+    assert d_op.shape == (n, 2 * n) and r_op.shape == (2 * n, n)
+    assert not d_op.flags.writeable and not r_op.flags.writeable
+    z = rng.standard_normal((7, n))
+    spectrum = (z @ d_op).view(np.complex128)
+    expected = np.fft.fft(z)
+    assert np.max(np.abs(spectrum - expected)) <= 1e-12 * np.max(np.abs(expected))
+    y = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
+    inverse = y.view(np.float64) @ r_op
+    expected = np.fft.ifft(y).real
+    assert np.max(np.abs(inverse - expected)) <= 1e-12 * np.max(np.abs(expected))
