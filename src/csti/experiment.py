@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -260,7 +261,8 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
     training = raw.get("training", {}) or {}
     def num(key, default, check, message):
         value = training.get(key, default)
-        if not (isinstance(value, (int, float)) and check(value)):
+        finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        if not (finite and check(value)):
             errors.append(f"training.{key}: {message}")
             return default
         return value
@@ -268,10 +270,10 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
     merge_rounds = num("merge_rounds", 50, lambda v: v >= 0 and int(v) == v, "integer >= 0 required")
     finetune_epochs = num("finetune_epochs", 50, lambda v: v >= 0 and int(v) == v, "integer >= 0 required")
     local_epochs = num("local_epochs_per_round", 1, lambda v: v >= 1 and int(v) == v, "integer >= 1 required")
-    learning_rate = num("learning_rate", 0.01, lambda v: v > 0, "must be > 0")
+    learning_rate = num("learning_rate", 0.01, lambda v: v > 0, "must be finite and > 0")
     momentum = num("momentum", 0.9, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
-    alpha = num("alpha", 1.0, lambda v: v > 0, "must be > 0")
-    prox_weight = num("lambda", 0.01, lambda v: v >= 0, "must be >= 0")
+    alpha = num("alpha", 1.0, lambda v: v > 0, "must be finite and > 0")
+    prox_weight = num("lambda", 0.01, lambda v: v >= 0, "must be finite and >= 0")
     batch_size = num("batch_size", 64, lambda v: v >= 1 and int(v) == v, "integer >= 1 required")
     epochs_total = training.get("epochs_total")
     if epochs_total is not None and not (isinstance(epochs_total, int) and epochs_total >= 1):

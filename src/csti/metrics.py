@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,15 +91,15 @@ class ExperimentReport:
 
 
 def macro_average(sets) -> dict:
-    """Unweighted mean of each metric across stocks."""
+    """Unweighted mean of each metric across stocks, from a correctly rounded sum.
+
+    ``math.fsum`` makes the result independent of the order of ``sets``.
+    """
     sets = list(sets)
     if not sets:
         raise ContractViolation("no metric sets to average")
-    return {
-        "mae": float(np.mean([s.mae for s in sets])),
-        "mse": float(np.mean([s.mse for s in sets])),
-        "r2": float(np.mean([s.r2 for s in sets])),
-    }
+    return {name: math.fsum(getattr(s, name) for s in sets) / len(sets)
+            for name in ("mae", "mse", "r2")}
 
 
 def export_regression_series(stock_id: str, pred, actual, path, t=None) -> None:

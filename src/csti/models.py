@@ -23,8 +23,10 @@ Parameters live in flat float64 rows. Each kind declares an ordered
 (segment name, shape, initializer) table; the segment layout and the
 seeded initial draw both follow it. Kernels run over a (K, P) stack of
 rows: ``unpack`` turns it into named (K, ...) views, ``_forward`` reads
-them for a (K, N, L, d) batch stack and ``_backward`` writes into the
-views of the gradient stack. Every product and reduction runs per row,
+them for a (K, N, L, d) batch stack and ``_backward`` writes every
+coordinate of the views of the gradient stack. A caller binds both sets
+of views once and reuses them for every step, since writes to the stack
+show through them. Every product and reduction runs per row,
 so each row of a stacked call is bit-identical to the K=1 call. The
 kernels check nothing: the trainer owns theta and checks shapes.
 """
@@ -77,9 +79,9 @@ class ForecastModel:
 
     The instance's own theta is a read-only, finite copy checked at
     construction; it serves prediction, export and checkpoints.
-    ``loss_and_gradient`` takes theta as an argument instead, so a
-    trainer can run the kernel over its own buffer without rebuilding
-    the model.
+    ``loss_and_gradient`` takes the ``unpack`` views of a theta stack and
+    of a gradient stack instead, so a trainer binds them once over its
+    own buffers and runs the kernel without rebuilding the model.
     """
 
     kind = "abstract"
@@ -176,28 +178,27 @@ class ForecastModel:
             self.lookback, self.horizon, self.n_features, self.hyper, pvec.values
         )
 
-    def loss_and_gradient(self, theta, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row batch MSE and gradient of a stack, from one forward pass.
+    def loss_and_gradient(self, p, inputs, targets, g) -> np.ndarray:
+        """Per-row batch MSE of a stack; its gradient goes into ``g``.
 
-        theta (K, P), inputs (K, N, L, d), targets (K, N, H) ->
-        (losses (K,), grad (K, P)). A kernel: it trusts the shapes, which
-        the caller has checked.
+        ``p`` and ``g`` are the ``unpack`` views of a (K, P) theta stack
+        and of a (K, P) gradient stack; inputs (K, N, L, d), targets
+        (K, N, H) -> losses (K,). Every coordinate of ``g`` is written. A
+        kernel: it trusts the shapes, which the caller has checked.
         """
-        p = self.unpack(theta)
         pred, cache = self._forward(p, inputs)
         k, n, h = pred.shape
         diff = pred - targets
         losses = (diff**2).reshape(k, n * h).sum(axis=1) / (n * h)  # np.mean, bit for bit
-        dpred = (2.0 / (n * h)) * diff
-        grad = np.empty(theta.shape)
-        self._backward(p, inputs, dpred, cache, self.unpack(grad))
-        return losses, grad
+        self._backward(p, inputs, (2.0 / (n * h)) * diff, cache, g)
+        return losses
 
     def loss_gradient(self, inputs, targets) -> ParamVector:
         inputs, targets = _check_batch(
             inputs, targets, self.lookback, self.horizon, self.n_features
         )
-        grad = self.loss_and_gradient(self._values[None], inputs[None], targets[None])[1]
+        grad = np.empty((1, self.n_params))
+        self.loss_and_gradient(self._theta_views, inputs[None], targets[None], self.unpack(grad))
         return ParamVector(grad[0], self._layout)
 
 

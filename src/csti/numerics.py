@@ -372,8 +372,8 @@ class OptimizerState:
 
 
 def check_step_settings(learning_rate: float, momentum: float) -> None:
-    if learning_rate <= 0:
-        raise ContractViolation("learning rate must be > 0")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ContractViolation("learning rate must be finite and > 0")
     if not (0.0 <= momentum < 1.0):
         raise ContractViolation("momentum must lie in [0, 1)")
 

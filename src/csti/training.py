@@ -76,14 +76,14 @@ class CstiConfig:
             raise ContractViolation("round/epoch counts must be >= 0")
         if self.local_epochs_per_round < 1:
             raise ContractViolation("local_epochs_per_round must be >= 1")
-        if self.learning_rate <= 0:
-            raise ContractViolation("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ContractViolation("learning_rate must be finite and > 0")
         if not (0.0 <= self.momentum < 1.0):
             raise ContractViolation("momentum must lie in [0, 1)")
-        if self.alpha <= 0:
-            raise ContractViolation("alpha must be > 0")
-        if self.prox_weight < 0:
-            raise ContractViolation("prox_weight must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ContractViolation("alpha must be finite and > 0")
+        if not (math.isfinite(self.prox_weight) and self.prox_weight >= 0):
+            raise ContractViolation("prox_weight must be finite and >= 0")
         if self.batch_size < 1:
             raise ContractViolation("batch_size must be >= 1")
         if self.merge_weights is not None:
@@ -160,9 +160,14 @@ class _RowLog(NamedTuple):
 
 
 class _StockStack:
-    """The windows of a group of stocks, shape-checked and concatenated once."""
+    """The windows of a group of stocks, shape-checked and concatenated once.
 
-    def __init__(self, model: ForecastModel, datasets: Sequence[WindowedDataset]):
+    The batch schedule depends only on the stock sizes, so it is built
+    here too: per batch index, its (batch span, rows, row index) groups.
+    """
+
+    def __init__(self, model: ForecastModel, datasets: Sequence[WindowedDataset],
+                 batch_size: int):
         checked = [_check_batch(ds.inputs, ds.targets, model.lookback, model.horizon,
                                 model.n_features) for ds in datasets]
         self.stock_ids = [ds.stock_id for ds in datasets]
@@ -170,60 +175,69 @@ class _StockStack:
         self.offsets = np.cumsum([0] + self.sizes[:-1])
         self.inputs = np.concatenate([x for x, _ in checked])
         self.targets = np.concatenate([y for _, y in checked])
+        self.batches = [-(-n // batch_size) for n in self.sizes]
+        self.schedule = []
+        for start in range(0, max(self.sizes), batch_size):
+            groups = {}
+            for k, n in enumerate(self.sizes):
+                if start < n:
+                    groups.setdefault(min(batch_size, n - start), []).append(k)
+            self.schedule.append([
+                (slice(start, start + size), rows,
+                 slice(None) if len(rows) == len(self.sizes) else rows)
+                for size, rows in groups.items()])
 
     def _diverged(self, k, message):
         return DivergenceError(f"{self.stock_ids[k]}: {message}", stock_id=self.stock_ids[k])
 
     def train(self, model: ForecastModel, theta: np.ndarray, seeds: Sequence[int],
-              epochs: int, learning_rate: float, momentum: float, batch_size: int,
+              epochs: int, learning_rate: float, momentum: float,
               anchor: np.ndarray | None = None, prox_weight: float = 0.0) -> list:
         """Lockstep minibatch SGD-momentum on theta (K, P), in place; one _RowLog per row.
 
-        Row k draws one permutation per epoch from ``default_rng(seeds[k])``.
-        A stock with fewer windows skips the batch indices it lacks; rows
-        whose batches have the same size share one kernel call. A batch loss
-        over the guard or a non-finite theta raises DivergenceError naming
-        the stock. With prox_weight > 0 the gradient gains the proximal term
-        2 * prox_weight * (theta - anchor).
+        Row k draws one permutation per epoch from ``default_rng(seeds[k])``,
+        and each epoch's windows are gathered in that order with one take
+        per array. A stock with fewer windows skips the batch indices it
+        lacks; rows whose batches have the same size share one kernel call.
+        A full-stack call runs on views bound once per call, a call on some
+        rows on copies. A batch loss over the guard or a non-finite theta
+        raises DivergenceError naming the stock. With prox_weight > 0 the
+        gradient gains the proximal term 2 * prox_weight * (theta - anchor).
         """
         check_step_settings(learning_rate, momentum)
         use_prox = anchor is not None and prox_weight > 0.0
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        velocity = np.zeros_like(theta)
-        k_rows, longest = len(self.sizes), max(self.sizes)
-        batches = [-(-n // batch_size) for n in self.sizes]
+        velocity, grad = np.zeros_like(theta), np.empty_like(theta)
+        bound = theta, velocity, grad, model.unpack(theta), model.unpack(grad)
+        k_rows = len(self.sizes)
         epoch_losses, prox_penalties, epoch_wall = [[] for _ in seeds], [[] for _ in seeds], []
-        schedule = []  # per batch index: its start and (batch size, rows, row index) groups
-        for start in range(0, longest, batch_size):
-            groups = {}
-            for k, n in enumerate(self.sizes):
-                if start < n:
-                    groups.setdefault(min(batch_size, n - start), []).append(k)
-            schedule.append((start, [(size, rows, slice(None) if len(rows) == k_rows else rows)
-                                     for size, rows in groups.items()]))
-        order = np.zeros((k_rows, longest), dtype=np.intp)
+        order = np.zeros((k_rows, max(self.sizes)), dtype=np.intp)
         for epoch in range(epochs):
             tick = time.perf_counter()
             for k, (rng, n) in enumerate(zip(rngs, self.sizes)):
                 order[k, :n] = self.offsets[k] + rng.permutation(n)
+            xs, ys = self.inputs.take(order, axis=0), self.targets.take(order, axis=0)
             batch_losses = [[] for _ in seeds]
-            for batch, (start, groups) in enumerate(schedule):
-                for size, rows, at in groups:
-                    th, vel = theta[at], velocity[at]  # views when ``at`` is a slice
-                    idx = order[at, start : start + size]
-                    losses, grad = model.loss_and_gradient(
-                        th, self.inputs.take(idx, axis=0), self.targets.take(idx, axis=0))
+            for batch, groups in enumerate(self.schedule):
+                for span, rows, at in groups:
+                    if isinstance(at, slice):
+                        th, vel, gr, p, g = bound
+                    else:
+                        th, vel = theta[at], velocity[at]
+                        gr = np.empty_like(th)
+                        p, g = model.unpack(th), model.unpack(gr)
+                    losses = model.loss_and_gradient(p, xs[at, span], ys[at, span], g)
                     for k, loss_val in zip(rows, losses.tolist()):
                         if not math.isfinite(loss_val) or loss_val > DIVERGENCE_GUARD:
                             raise self._diverged(k, f"batch loss {loss_val:.3e} exceeded guard")
                         batch_losses[k].append(loss_val)
                     if use_prox:
-                        grad += 2.0 * prox_weight * (th - anchor)
-                    momentum_step(th, vel, grad, learning_rate, momentum)
+                        gr += 2.0 * prox_weight * (th - anchor)
+                    momentum_step(th, vel, gr, learning_rate, momentum)
                     if not np.isfinite(th).all():
                         k = rows[np.flatnonzero(~np.isfinite(th).all(axis=1))[0]]
                         raise self._diverged(k, "parameters became non-finite at step "
-                                                f"{epoch * batches[k] + batch + 1}")
+                                                f"{epoch * self.batches[k] + batch + 1}")
                     if isinstance(at, list):
                         theta[at], velocity[at] = th, vel
             for k in range(k_rows):
@@ -234,7 +248,7 @@ class _StockStack:
                 else:
                     prox_penalties[k].append(0.0)
             epoch_wall.append((time.perf_counter() - tick) * 1000.0)
-        return [_RowLog(epoch_losses[k], prox_penalties[k], epochs * batches[k], epoch_wall)
+        return [_RowLog(epoch_losses[k], prox_penalties[k], epochs * self.batches[k], epoch_wall)
                 for k in range(k_rows)]
 
 
@@ -256,8 +270,8 @@ def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
     if anchor is not None and anchor.layout != params.layout:
         raise MergeIncompatibilityError("anchor layout does not match model")
     theta = params.values[None].copy()
-    (log,) = _StockStack(model, [dataset]).train(
-        model, theta, [seed], epochs, learning_rate, momentum, batch_size,
+    (log,) = _StockStack(model, [dataset], batch_size).train(
+        model, theta, [seed], epochs, learning_rate, momentum,
         anchor=None if anchor is None else anchor.values, prox_weight=prox_weight,
     )
     return LocalTrainResult(model.import_params(params.replace(theta[0])), *log)
@@ -313,7 +327,7 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         for ds in stocks
     ])
     width = max(1, jobs)
-    groups = [(slice(i, i + width), _StockStack(template, stocks[i : i + width]))
+    groups = [(slice(i, i + width), _StockStack(template, stocks[i : i + width], cfg.batch_size))
               for i in range(0, k_stocks, width)]
     theta = np.empty((k_stocks, len(init)))
 
@@ -325,7 +339,7 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
             for log in stack.train(
                 template, theta[rows],
                 [derive_seed(cfg.seed, tag, round_index, sid) for sid in stack.stock_ids],
-                epochs, learning_rate, cfg.momentum, cfg.batch_size,
+                epochs, learning_rate, cfg.momentum,
                 anchor=anchor, prox_weight=cfg.prox_weight,
             )
         ]
@@ -354,7 +368,7 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
                 trace.add("merge", round_index, stocks[k].stock_id,
                           loss_val, 0.0, log.epoch_wall_ms[e])
             round_losses.append(float(np.mean(log.epoch_losses)))
-        mean_loss = float(np.mean(round_losses))
+        mean_loss = math.fsum(round_losses) / k_stocks  # correctly rounded: order-free
         trace.global_loss_per_round.append(mean_loss)
         trace.add("merge", round_index, "global", mean_loss, 0.0, 0.0)
     trace.phase_wall_ms["merge"] = (time.perf_counter() - tick) * 1000.0
@@ -395,7 +409,9 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, epochs_total: int,
 
     floor(epochs_total / K) epochs per stock; the momentum buffer resets
     at each stock boundary, matching the per-round resets of the merge
-    protocol. Snapshot k is the model state after stock k's segment.
+    protocol. Snapshot k is the model state after stock k's segment. The
+    stocks train in the order given, so unlike ``run_csti`` the result
+    depends on that order: it is part of the input.
     """
     lookback, horizon, d = _check_stock_group(stocks)
     k_stocks = len(stocks)
@@ -440,22 +456,22 @@ def evaluate(models: Sequence[ForecastModel], test_sets: Sequence[WindowedDatase
 
     Models and test sets are aligned positionally (one per stock). When
     normalizers are supplied, metrics on the original price scale are
-    reported alongside the normalized ones.
+    reported alongside the normalized ones. The macro average is
+    correctly rounded and the pooled series run in stock-id order, so the
+    report does not depend on the order of the stocks.
     """
     if len(models) != len(test_sets):
         raise ContractViolation("need one model per test set")
     if normalizers is not None and len(normalizers) != len(test_sets):
         raise ContractViolation("need one normalizer per test set")
 
-    per_stock, series, per_stock_denorm = {}, {}, {}
-    pooled_pred, pooled_actual = [], []
+    per_stock, series, per_stock_denorm, pooled = {}, {}, {}, []
     for i, (model, ds) in enumerate(zip(models, test_sets)):
         if ds.n_windows == 0:
             raise ContractViolation(f"{ds.stock_id}: empty test set")
         pred = model.predict_batch(ds.inputs)
         per_stock[ds.stock_id] = metrics_mod.metric_set(pred, ds.targets)
-        pooled_pred.append(pred.reshape(-1))
-        pooled_actual.append(ds.targets.reshape(-1))
+        pooled.append((ds.stock_id, pred.reshape(-1), ds.targets.reshape(-1)))
         series[ds.stock_id] = {
             "t": [int(x) for x in ds.absolute_indices],
             "actual": [float(x) for x in ds.targets[:, 0]],
@@ -466,11 +482,12 @@ def evaluate(models: Sequence[ForecastModel], test_sets: Sequence[WindowedDatase
             raw_actual = denormalize_close(ds.targets, normalizers[i])
             per_stock_denorm[ds.stock_id] = metrics_mod.metric_set(raw_pred, raw_actual)
 
+    pooled.sort(key=lambda entry: entry[0])
     report = metrics_mod.ExperimentReport(
         per_stock=per_stock,
         macro=metrics_mod.macro_average(per_stock.values()),
         pooled=metrics_mod.metric_set(
-            np.concatenate(pooled_pred), np.concatenate(pooled_actual)
+            np.concatenate([p for _, p, _ in pooled]), np.concatenate([a for _, _, a in pooled])
         ),
         series=series,
         per_stock_denormalized=per_stock_denorm,

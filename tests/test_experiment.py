@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csti.data import generate_synthetic_market, save_series_csv
+from csti.data import StockSeries, generate_synthetic_market, save_series_csv
 from csti.errors import ContractViolation, CstiError, DivergenceError, SpecValidationError
 from csti.experiment import (
     load_round_checkpoint,
@@ -100,6 +100,16 @@ def test_validation_collects_multiple_errors_at_once(tmp_path):
     assert len(err.value.errors) >= 4
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "alpha", "lambda", "merge_rounds"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_training_numbers_name_the_field(tmp_path, field, value):
+    doc = spec_doc(tmp_path / "out")
+    doc["training"][field] = value  # json writes Infinity / NaN, and json reads them back
+    with pytest.raises(SpecValidationError) as err:
+        validate_spec(write_spec(tmp_path, doc))
+    assert any(e.startswith(f"training.{field}:") for e in err.value.errors)
+
+
 @pytest.mark.parametrize("weights", [[1, -1, 1], [0, 0, 0]])
 def test_bad_merge_weights_name_the_field(tmp_path, weights):
     doc = spec_doc(tmp_path / "out")
@@ -172,6 +182,38 @@ def test_csv_source_end_to_end(tmp_path):
     assert spec.stocks == 2
     summary = run_experiment(spec)
     assert len(summary) == 2
+
+
+def test_permuted_csv_paths_give_the_same_csti_reports(tmp_path):
+    market = generate_synthetic_market(7, 320, 0.6, seed=8)
+    csv_dir = tmp_path / "csvs"
+    csv_dir.mkdir()
+    for series, rows in zip(market, (320, 300, 280, 260, 240, 220, 200)):
+        cut = StockSeries(series.stock_id, series.timestamps[:rows], series.features[:rows])
+        save_series_csv(cut, csv_dir / f"{series.stock_id}.csv")
+    paths = [f"csvs/{s.stock_id}.csv" for s in market]
+    orders = {"given": paths, "reversed": paths[::-1], "rotated": paths[3:] + paths[:3]}
+    for name, order in orders.items():
+        doc = spec_doc(tmp_path / name, features=["with_sentiment"], strategies=["csti"],
+                       models=list(MODEL_KINDS), jobs=3)
+        doc["data"] = {"source": "csv", "paths": order}
+        doc["training"] = {"merge_rounds": 4, "finetune_epochs": 2}
+        run_experiment(validate_spec(write_spec(tmp_path, doc, f"{name}.json")))
+    for kind in MODEL_KINDS:
+        reports = {}
+        for name, order in orders.items():
+            doc = json.loads((tmp_path / name / kind / "csti/with_sentiment/report.json")
+                             .read_text(encoding="utf-8"))
+            # the echoed paths and the per-lineage step counts follow the input order
+            assert doc["config"].pop("out_dir") == str(tmp_path / name)
+            assert [Path(p).name for p in doc["config"]["data"].pop("paths")] == \
+                [Path(p).name for p in order]
+            steps = doc["training"].pop("lineage_update_steps")
+            assert len(set(steps)) > 1
+            reports[name] = (json.dumps(doc, sort_keys=True, indent=2),
+                             dict(zip(order, steps)))
+        assert reports["reversed"] == reports["given"], kind
+        assert reports["rotated"] == reports["given"], kind
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +347,17 @@ def test_cli_negative_merge_weight_exit_code(tmp_path):
     proc = _run_cli(["spec.json"], cwd=tmp_path)
     assert proc.returncode == 1
     assert "training.merge_weights" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["lambda", "learning_rate"])
+def test_cli_infinite_training_number_exit_code(tmp_path, field):
+    doc = spec_doc("out")
+    doc["training"][field] = float("inf")
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert f"training.{field}" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -221,6 +221,13 @@ def test_checkpoint_roundtrip(tmp_path, rng):
 # stacked kernels: each row of a (K, P) call equals the one-row call
 # ---------------------------------------------------------------------------
 
+def _loss_and_gradient(model, theta, inputs, targets, fill=0.0):
+    """The kernel over a theta stack, into a gradient stack pre-filled with ``fill``."""
+    grad = np.full(theta.shape, fill)
+    losses = model.loss_and_gradient(model.unpack(theta), inputs, targets, model.unpack(grad))
+    return losses, grad
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("horizon", [1, 2])
 @pytest.mark.parametrize("k_rows", [1, 2, 5])
@@ -230,10 +237,10 @@ def test_stacked_rows_equal_one_row_calls(kind, horizon, k_rows, rng):
     theta = rng.uniform(-0.5, 0.5, size=(k_rows, model.n_params))
     inputs = rng.uniform(0.0, 1.0, size=(k_rows, n, 8, 3))
     targets = rng.uniform(0.0, 1.0, size=(k_rows, n, horizon))
-    losses, grad = model.loss_and_gradient(theta, inputs, targets)
+    losses, grad = _loss_and_gradient(model, theta, inputs, targets)
     assert losses.shape == (k_rows,) and grad.shape == theta.shape
     for k in range(k_rows):
-        loss_k, grad_k = model.loss_and_gradient(theta[k:k + 1], inputs[k:k + 1], targets[k:k + 1])
+        loss_k, grad_k = _loss_and_gradient(model, theta[k:k + 1], inputs[k:k + 1], targets[k:k + 1])
         assert np.array_equal(losses[k:k + 1], loss_k)
         assert np.array_equal(grad[k:k + 1], grad_k)
 
@@ -246,11 +253,26 @@ def test_stacked_rows_equal_one_row_calls_past_numpy_temporary_elision(kind, rng
     theta = model.export_params().values + rng.uniform(-0.05, 0.05, size=(24, model.n_params))
     inputs = rng.uniform(0.0, 1.0, size=(24, 64, 16, 3))
     targets = rng.uniform(0.0, 1.0, size=(24, 64, 1))
-    losses, grad = model.loss_and_gradient(theta, inputs, targets)
+    losses, grad = _loss_and_gradient(model, theta, inputs, targets)
     for k in range(24):
-        loss_k, grad_k = model.loss_and_gradient(theta[k:k + 1], inputs[k:k + 1], targets[k:k + 1])
+        loss_k, grad_k = _loss_and_gradient(model, theta[k:k + 1], inputs[k:k + 1], targets[k:k + 1])
         assert np.array_equal(losses[k:k + 1], loss_k)
         assert np.array_equal(grad[k:k + 1], grad_k), f"row {k}"
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("k_rows", [1, 3])
+def test_kernel_writes_every_gradient_coordinate(kind, k_rows, rng):
+    # the trainer reuses one gradient stack across steps, so a coordinate
+    # the kernel skipped would carry the previous step's value
+    model = build_model(kind, 8, 2, 3, seed=21)
+    theta = rng.uniform(-0.5, 0.5, size=(k_rows, model.n_params))
+    inputs = rng.uniform(0.0, 1.0, size=(k_rows, 11, 8, 3))
+    targets = rng.uniform(0.0, 1.0, size=(k_rows, 11, 2))
+    zero_losses, zero_grad = _loss_and_gradient(model, theta, inputs, targets, fill=0.0)
+    nan_losses, nan_grad = _loss_and_gradient(model, theta, inputs, targets, fill=np.nan)
+    assert np.array_equal(zero_losses, nan_losses)
+    assert zero_grad.tobytes() == nan_grad.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from csti.errors import (
     MergeIncompatibilityError,
     ShapeMismatchError,
 )
-from csti.models import build_model
+from csti.models import MODEL_KINDS, ForecastModel, build_model
+from csti.numerics import momentum_step
 from csti.training import (
     _TAG_FINETUNE,
     _TAG_INIT,
@@ -101,6 +104,41 @@ def test_step_settings_validated(small_market):
         train_local(model, train[0], 1, 0.0, 0.9, 64)
     with pytest.raises(ContractViolation):
         train_local(model, train[0], 1, 0.01, 1.0, 64)
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan])
+def test_non_finite_learning_rate_rejected(small_market, rate):
+    model = build_model("dlinear", 16, 1, 3, seed=8)
+    with pytest.raises(ContractViolation, match="learning rate"):
+        train_local(model, small_market[0][0], 1, rate, 0.9, 64)
+
+
+def _reference_sgd(model, ds, epochs, learning_rate, momentum, anchor, prox_weight, seed):
+    """Plain per-step SGD-momentum: one permutation per epoch, batches of 64."""
+    params = model.export_params()
+    theta, velocity = params.values.copy(), np.zeros(len(params))
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(ds.n_windows)
+        for start in range(0, ds.n_windows, 64):
+            idx = order[start : start + 64]
+            current = model.import_params(params.replace(theta))
+            grad = current.loss_gradient(ds.inputs[idx], ds.targets[idx]).values
+            grad = grad + 2.0 * prox_weight * (theta - anchor)
+            momentum_step(theta, velocity, grad, learning_rate, momentum)
+    return theta
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_train_local_equals_a_plain_per_step_loop(kind, small_market):
+    ds = small_market[0][0]
+    assert ds.n_windows % 64 != 0  # the last batch is short
+    model = build_model(kind, 16, 1, 3, seed=6)
+    anchor = model.export_params()
+    anchor = anchor.replace(anchor.values + 0.01)
+    result = train_local(model, ds, 3, 0.01, 0.9, 64, anchor=anchor, prox_weight=0.05, seed=17)
+    expected = _reference_sgd(model, ds, 3, 0.01, 0.9, anchor.values, 0.05, seed=17)
+    assert _params(result.model).values.tobytes() == expected.tobytes()
 
 
 def test_dataset_shape_checked_against_model():
@@ -240,6 +278,33 @@ def test_run_csti_merges_through_the_traced_hook(small_market, monkeypatch):
     assert calls == [3] * cfg.merge_rounds
 
 
+def test_run_csti_runs_every_step_through_the_traced_kernel(small_market, monkeypatch):
+    # the benchmark's traced run counts one loss_and_gradient span per kernel call
+    train, _, _ = small_market
+    calls = []
+    kernel = ForecastModel.loss_and_gradient
+
+    def counting(self, *args):
+        calls.append(len(args[1]))
+        return kernel(self, *args)
+
+    monkeypatch.setattr(ForecastModel, "loss_and_gradient", counting)
+    cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, seed=47)
+    result = run_csti(train, "dlinear", cfg, jobs=1)
+    assert set(calls) == {1}
+    assert len(calls) == sum(result.trace.lineage_update_steps) > 0
+
+
+def test_stock_order_leaves_round_losses_identical():
+    train, _, _ = windowed_market(12, 160, 0.6, seed=29)
+    cfg = CstiConfig(stocks=12, merge_rounds=10, finetune_epochs=0, seed=31)
+    losses = run_csti(train, "dlinear", cfg, jobs=12).trace.global_loss_per_round
+    shuffle = np.random.default_rng(5)
+    for perm in [shuffle.permutation(12) for _ in range(6)]:
+        permuted = run_csti([train[i] for i in perm], "dlinear", cfg, jobs=12)
+        assert permuted.trace.global_loss_per_round == losses
+
+
 def test_stock_permutation_leaves_global_identical(small_market):
     train, _, _ = small_market
     cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, seed=13)
@@ -317,6 +382,14 @@ def test_config_validation():
     assert cfg.epochs_budget == 25
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "alpha", "prox_weight"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_non_finite_training_numbers(field, value):
+    # a NaN prox_weight used to drop the proximal term without a word
+    with pytest.raises(ContractViolation, match=field):
+        CstiConfig(stocks=2, **{field: value})
+
+
 @pytest.mark.parametrize("weights", [(1.0, -1.0), (0.0, 0.0), (-1.0, 3.0)])
 def test_merge_weights_must_be_non_negative_with_positive_sum(weights):
     # (1, -1) used to merge theta and theta + 1 into a vector of -0.5s
@@ -388,6 +461,16 @@ def test_evaluate_macro_average(small_market):
     report = evaluate(models, test)
     expected = np.mean([report.per_stock[ds.stock_id].mse for ds in test])
     assert report.macro["mse"] == pytest.approx(expected)
+
+
+def test_evaluate_is_independent_of_stock_order():
+    _, test, _ = windowed_market(24, 200, 0.6, seed=19)
+    noise = np.random.default_rng(3)
+    models = [_OracleModel(ds.targets + noise.normal(0.0, 0.05, ds.targets.shape)) for ds in test]
+    report = evaluate(models, test).as_dict()
+    shuffle = np.random.default_rng(4)
+    for perm in [shuffle.permutation(24) for _ in range(20)]:
+        assert evaluate([models[i] for i in perm], [test[i] for i in perm]).as_dict() == report
 
 
 def test_evaluate_with_denormalizers(small_market):
