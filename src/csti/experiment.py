@@ -83,7 +83,8 @@ class ExperimentSpec:
     merge_weights: tuple | None = None
     shared_init: bool = True
     epochs_total: int | None = None  # normal budget; defaults to the csti budget
-    # execution: the most stocks trained together in one stacked step
+    # execution: the most stocks in one kernel call; the optimizer step
+    # always spans every stock, and results do not depend on this value
     jobs: int = 1
     normal_eval: str = "final"
     denormalized_metrics: bool = False
@@ -181,9 +182,9 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
             stocks = data.get("stocks", 5)
             length = data.get("length", 600)
             shared = data.get("shared_strength", 0.7)
-            _expect(errors, isinstance(stocks, int) and stocks >= 1,
+            _expect(errors, type(stocks) is int and stocks >= 1,
                     "data.stocks: integer >= 1 required")
-            _expect(errors, isinstance(length, int) and length >= 64,
+            _expect(errors, type(length) is int and length >= 64,
                     "data.length: integer >= 64 required")
             _expect(errors, isinstance(shared, (int, float)) and 0.0 <= shared <= 1.0,
                     "data.shared_strength: number in [0, 1] required")
@@ -248,9 +249,9 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
     lookback = window.get("lookback", 16)
     horizon = window.get("horizon", 1)
     fractions = window.get("fractions", [0.7, 0.1, 0.2])
-    _expect(errors, isinstance(lookback, int) and lookback >= 4,
+    _expect(errors, type(lookback) is int and lookback >= 4,
             "window.lookback: integer >= 4 required")
-    _expect(errors, isinstance(horizon, int) and horizon >= 1,
+    _expect(errors, type(horizon) is int and horizon >= 1,
             "window.horizon: integer >= 1 required")
     if not (isinstance(fractions, list) and len(fractions) == 3
             and all(isinstance(x, (int, float)) and x > 0 for x in fractions)
@@ -261,7 +262,7 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
     training = raw.get("training", {}) or {}
     def num(key, default, check, message):
         value = training.get(key, default)
-        finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        finite = type(value) is int or (type(value) is float and math.isfinite(value))
         if not (finite and check(value)):
             errors.append(f"training.{key}: {message}")
             return default
@@ -276,7 +277,7 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
     prox_weight = num("lambda", 0.01, lambda v: v >= 0, "must be finite and >= 0")
     batch_size = num("batch_size", 64, lambda v: v >= 1 and int(v) == v, "integer >= 1 required")
     epochs_total = training.get("epochs_total")
-    if epochs_total is not None and not (isinstance(epochs_total, int) and epochs_total >= 1):
+    if epochs_total is not None and not (type(epochs_total) is int and epochs_total >= 1):
         errors.append("training.epochs_total: integer >= 1 (or omitted) required")
         epochs_total = None
     merge_weights = training.get("merge_weights")
@@ -295,9 +296,9 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
         shared_init = True
 
     seed = raw.get("seed", 0)
-    _expect(errors, isinstance(seed, int), "seed: integer required")
+    _expect(errors, type(seed) is int, "seed: integer required")
     jobs = raw.get("jobs", 1)
-    _expect(errors, isinstance(jobs, int) and jobs >= 1, "jobs: integer >= 1 required")
+    _expect(errors, type(jobs) is int and jobs >= 1, "jobs: integer >= 1 required")
     normal_eval = raw.get("normal_eval", "final")
     _expect(errors, normal_eval in NORMAL_EVAL_MODES,
             "normal_eval: 'final' or 'snapshot' required")
@@ -569,7 +570,7 @@ def main(argv=None) -> int:
     parser.add_argument("--stocks", type=int, default=None,
                         help="override stock group size")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="max stocks trained together in one stacked step")
+                        help="max stocks in one kernel call (results do not depend on it)")
     args = parser.parse_args(argv)
 
     try:

@@ -8,9 +8,11 @@ single model across stocks sequentially.
 
 Determinism contract: every stock draws its shuffling seed from (config
 seed, phase, round, stock identity), each row of a stacked kernel call
-equals the one-row call and the merge is correctly rounded, so results
-are bit-identical regardless of stack width (``jobs``) or the position
-of a stock in the group list.
+equals the one-row call, the optimizer step is elementwise and the merge
+is correctly rounded, so results are bit-identical regardless of kernel
+width or the position of a stock in the list. ``jobs`` is that width:
+the most stocks in one kernel call. The optimizer work (loss guard,
+proximal term, momentum step, finiteness check) always spans all K.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     DivergenceError,
     MergeIncompatibilityError,
 )
-from .models import ForecastModel, _check_batch, build_model
+from .models import ForecastModel, _check_batch, _check_int, build_model
 from .numerics import ParamVector, axpy_merge, check_step_settings, momentum_step
 # not called here: the benchmark's traced run wraps training.sgd_step by name
 from .numerics import sgd_step  # noqa: F401
@@ -70,12 +72,9 @@ class CstiConfig:
     shared_init: bool = True
 
     def __post_init__(self):
-        if self.stocks < 1:
-            raise ContractViolation("stocks must be >= 1")
-        if self.merge_rounds < 0 or self.finetune_epochs < 0:
-            raise ContractViolation("round/epoch counts must be >= 0")
-        if self.local_epochs_per_round < 1:
-            raise ContractViolation("local_epochs_per_round must be >= 1")
+        for name, low in (("stocks", 1), ("merge_rounds", 0), ("finetune_epochs", 0),
+                          ("local_epochs_per_round", 1), ("batch_size", 1)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ContractViolation("learning_rate must be finite and > 0")
         if not (0.0 <= self.momentum < 1.0):
@@ -84,8 +83,6 @@ class CstiConfig:
             raise ContractViolation("alpha must be finite and > 0")
         if not (math.isfinite(self.prox_weight) and self.prox_weight >= 0):
             raise ContractViolation("prox_weight must be finite and >= 0")
-        if self.batch_size < 1:
-            raise ContractViolation("batch_size must be >= 1")
         if self.merge_weights is not None:
             w = tuple(float(x) for x in self.merge_weights)
             if len(w) != self.stocks:
@@ -110,7 +107,7 @@ class TraceRow:
     stock_id: str  # stock id or "global"
     data_loss: float
     prox_penalty: float
-    wall_ms: float  # wall time of the epoch (of the whole stack, in run_csti)
+    wall_ms: float  # wall time of the epoch (of the whole K-stock stack, in run_csti)
 
 
 @dataclass
@@ -159,33 +156,47 @@ class _RowLog(NamedTuple):
     epoch_wall_ms: list  # of the whole stack
 
 
-class _StockStack:
-    """The windows of a group of stocks, shape-checked and concatenated once.
+def _rows(rows):
+    """Sorted row indices as a slice when contiguous (views), else as the list."""
+    return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
 
-    The batch schedule depends only on the stock sizes, so it is built
-    here too: per batch index, its (batch span, rows, row index) groups.
+
+class _StockStack:
+    """The windows of K stocks, shape-checked once and concatenated per block.
+
+    A block is a run of at most ``width`` consecutive stocks; no kernel call
+    spans two blocks. Each block keeps its own arrays, not one array over
+    all K stocks: glibc serves an array that large by mmap, and freeing it
+    raises glibc's mmap and trim thresholds, so later frees are no longer
+    returned to the OS and peak RSS grows. The batch schedule depends only
+    on the stock sizes, so it is built here too: per batch index, the rows
+    with a batch there and the (block arrays, span, rows) of each kernel call.
     """
 
     def __init__(self, model: ForecastModel, datasets: Sequence[WindowedDataset],
-                 batch_size: int):
+                 batch_size: int, width: int):
         checked = [_check_batch(ds.inputs, ds.targets, model.lookback, model.horizon,
                                 model.n_features) for ds in datasets]
         self.stock_ids = [ds.stock_id for ds in datasets]
         self.sizes = [x.shape[0] for x, _ in checked]
-        self.offsets = np.cumsum([0] + self.sizes[:-1])
-        self.inputs = np.concatenate([x for x, _ in checked])
-        self.targets = np.concatenate([y for _, y in checked])
         self.batches = [-(-n // batch_size) for n in self.sizes]
+        blocks = [range(lo, min(lo + width, len(self.sizes)))
+                  for lo in range(0, len(self.sizes), width)]
+        self.offsets = [sum(self.sizes[k - k % width : k]) for k in range(len(self.sizes))]
+        data = [(np.concatenate([checked[k][0] for k in block]),
+                 np.concatenate([checked[k][1] for k in block])) for block in blocks]
         self.schedule = []
         for start in range(0, max(self.sizes), batch_size):
-            groups = {}
-            for k, n in enumerate(self.sizes):
-                if start < n:
-                    groups.setdefault(min(batch_size, n - start), []).append(k)
-            self.schedule.append([
-                (slice(start, start + size), rows,
-                 slice(None) if len(rows) == len(self.sizes) else rows)
-                for size, rows in groups.items()])
+            calls = []
+            for arrays, block in zip(data, blocks):
+                groups = {}
+                for k in block:
+                    if start < self.sizes[k]:
+                        groups.setdefault(min(batch_size, self.sizes[k] - start), []).append(k)
+                calls += [(arrays, slice(start, start + size), _rows(rows))
+                          for size, rows in groups.items()]
+            active = [k for k, n in enumerate(self.sizes) if start < n]
+            self.schedule.append((active, _rows(active), calls))
 
     def _diverged(self, k, message):
         return DivergenceError(f"{self.stock_ids[k]}: {message}", stock_id=self.stock_ids[k])
@@ -195,53 +206,61 @@ class _StockStack:
               anchor: np.ndarray | None = None, prox_weight: float = 0.0) -> list:
         """Lockstep minibatch SGD-momentum on theta (K, P), in place; one _RowLog per row.
 
-        Row k draws one permutation per epoch from ``default_rng(seeds[k])``,
-        and each epoch's windows are gathered in that order with one take
-        per array. A stock with fewer windows skips the batch indices it
-        lacks; rows whose batches have the same size share one kernel call.
-        A full-stack call runs on views bound once per call, a call on some
-        rows on copies. A batch loss over the guard or a non-finite theta
-        raises DivergenceError naming the stock. With prox_weight > 0 the
-        gradient gains the proximal term 2 * prox_weight * (theta - anchor).
+        Row k draws one permutation per epoch from ``default_rng(seeds[k])``
+        and takes its batches in that order, one take per array and call. A
+        stock with fewer windows skips the batch indices it lacks. At each
+        batch index, the rows of a block whose batches have the same size
+        share one kernel call; contiguous rows run on views bound once per
+        train call, others on copies. Then the loss guard, the proximal term
+        2 * prox_weight * (theta - anchor), the momentum step and the
+        finiteness check run once over every row with a batch there. A
+        failed check raises DivergenceError naming the stock that fails
+        first in (epoch, batch index, stock) order, at any width.
         """
         check_step_settings(learning_rate, momentum)
         use_prox = anchor is not None and prox_weight > 0.0
         rngs = [np.random.default_rng(seed) for seed in seeds]
         velocity, grad = np.zeros_like(theta), np.empty_like(theta)
-        bound = theta, velocity, grad, model.unpack(theta), model.unpack(grad)
+        bound = {}  # (start, stop) -> unpack views of those rows of theta and grad
         k_rows = len(self.sizes)
         epoch_losses, prox_penalties, epoch_wall = [[] for _ in seeds], [[] for _ in seeds], []
         order = np.zeros((k_rows, max(self.sizes)), dtype=np.intp)
+        losses = np.empty((k_rows, len(self.schedule)))
         for epoch in range(epochs):
             tick = time.perf_counter()
             for k, (rng, n) in enumerate(zip(rngs, self.sizes)):
                 order[k, :n] = self.offsets[k] + rng.permutation(n)
-            xs, ys = self.inputs.take(order, axis=0), self.targets.take(order, axis=0)
-            batch_losses = [[] for _ in seeds]
-            for batch, groups in enumerate(self.schedule):
-                for span, rows, at in groups:
-                    if isinstance(at, slice):
-                        th, vel, gr, p, g = bound
+            for batch, (active, at, calls) in enumerate(self.schedule):
+                for (inputs, targets), span, rows in calls:
+                    if isinstance(rows, slice):
+                        key = rows.start, rows.stop
+                        if key not in bound:
+                            bound[key] = model.unpack(theta[rows]), model.unpack(grad[rows])
+                        (p, g), copy = bound[key], None
                     else:
-                        th, vel = theta[at], velocity[at]
-                        gr = np.empty_like(th)
-                        p, g = model.unpack(th), model.unpack(gr)
-                    losses = model.loss_and_gradient(p, xs[at, span], ys[at, span], g)
-                    for k, loss_val in zip(rows, losses.tolist()):
-                        if not math.isfinite(loss_val) or loss_val > DIVERGENCE_GUARD:
-                            raise self._diverged(k, f"batch loss {loss_val:.3e} exceeded guard")
-                        batch_losses[k].append(loss_val)
-                    if use_prox:
-                        gr += 2.0 * prox_weight * (th - anchor)
-                    momentum_step(th, vel, gr, learning_rate, momentum)
-                    if not np.isfinite(th).all():
-                        k = rows[np.flatnonzero(~np.isfinite(th).all(axis=1))[0]]
-                        raise self._diverged(k, "parameters became non-finite at step "
-                                                f"{epoch * self.batches[k] + batch + 1}")
-                    if isinstance(at, list):
-                        theta[at], velocity[at] = th, vel
+                        copy = np.empty((len(rows), theta.shape[1]))
+                        p, g = model.unpack(theta[rows]), model.unpack(copy)
+                    idx = order[rows, span]
+                    losses[rows, batch] = model.loss_and_gradient(
+                        p, inputs.take(idx, axis=0), targets.take(idx, axis=0), g)
+                    if copy is not None:
+                        grad[rows] = copy
+                failed = ~(losses[at, batch] <= DIVERGENCE_GUARD)  # NaN fails too
+                if failed.any():
+                    k = active[np.flatnonzero(failed)[0]]
+                    raise self._diverged(k, f"batch loss {losses[k, batch]:.3e} exceeded guard")
+                th, vel, gr = theta[at], velocity[at], grad[at]
+                if use_prox:
+                    gr += 2.0 * prox_weight * (th - anchor)
+                momentum_step(th, vel, gr, learning_rate, momentum)
+                if not np.isfinite(th).all():
+                    k = active[np.flatnonzero(~np.isfinite(th).all(axis=1))[0]]
+                    raise self._diverged(k, "parameters became non-finite at step "
+                                            f"{epoch * self.batches[k] + batch + 1}")
+                if isinstance(at, list):
+                    theta[at], velocity[at] = th, vel
             for k in range(k_rows):
-                epoch_losses[k].append(float(np.mean(batch_losses[k])))
+                epoch_losses[k].append(float(losses[k, : self.batches[k]].mean()))
                 if use_prox:
                     delta = theta[k] - anchor
                     prox_penalties[k].append(float(prox_weight * np.dot(delta, delta)))
@@ -263,14 +282,13 @@ def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
     the dataset's shapes are checked against the model once, up front,
     and one model is built from the final theta.
     """
-    if epochs < 1:
-        raise ContractViolation("epochs must be >= 1")
+    epochs = _check_int("epochs", epochs, 1)
     check_step_settings(learning_rate, momentum)
     params = model.export_params()
     if anchor is not None and anchor.layout != params.layout:
         raise MergeIncompatibilityError("anchor layout does not match model")
     theta = params.values[None].copy()
-    (log,) = _StockStack(model, [dataset], batch_size).train(
+    (log,) = _StockStack(model, [dataset], _check_int("batch_size", batch_size, 1), 1).train(
         model, theta, [seed], epochs, learning_rate, momentum,
         anchor=None if anchor is None else anchor.values, prox_weight=prox_weight,
     )
@@ -304,14 +322,17 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
              hyper: dict | None = None, jobs: int = 1) -> CstiResult:
     """Full protocol: iterative merge rounds, then proximal fine-tuning.
 
-    The stocks train in consecutive groups of at most ``jobs``, each group
-    as one lockstep stack (``_StockStack.train``). A trace row's
-    ``wall_ms`` is the wall time of the stack epoch the row belongs to.
+    All K stocks train as one lockstep stack (``_StockStack.train``), once
+    per merge round and once for fine-tuning; ``jobs`` only caps the stocks
+    in one kernel call (``jobs <= 1`` means one), while the optimizer work
+    spans every stock. A trace row's ``wall_ms`` is the wall time of the
+    whole-stack epoch the row belongs to.
     """
     lookback, horizon, d = _check_stock_group(stocks)
     k_stocks = len(stocks)
     if k_stocks != cfg.stocks:
         raise ContractViolation(f"config says {cfg.stocks} stocks, got {k_stocks}")
+    width = max(1, _check_int("jobs", jobs, -math.inf))
     weights = cfg.weights()
     trace = TrainingTrace()
 
@@ -320,39 +341,26 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         seed=derive_seed(cfg.seed, _TAG_INIT, 0),
     )
     init = template.export_params()
-    start = np.stack([
-        init.values if cfg.shared_init else build_model(
-            kind, lookback, horizon, d, hyper,
-            seed=derive_seed(cfg.seed, _TAG_INIT, 1, ds.stock_id)).export_params().values
+    theta = np.tile(init.values, (k_stocks, 1)) if cfg.shared_init else np.stack([
+        build_model(kind, lookback, horizon, d, hyper,
+                    seed=derive_seed(cfg.seed, _TAG_INIT, 1, ds.stock_id)).export_params().values
         for ds in stocks
     ])
-    width = max(1, jobs)
-    groups = [(slice(i, i + width), _StockStack(template, stocks[i : i + width], cfg.batch_size))
-              for i in range(0, k_stocks, width)]
-    theta = np.empty((k_stocks, len(init)))
+    stack = _StockStack(template, stocks, cfg.batch_size, width)
 
-    def train_groups(epochs, learning_rate, tag, round_index, anchor=None):
-        """Train every group from the current theta; one _RowLog per stock."""
-        return [
-            log
-            for rows, stack in groups
-            for log in stack.train(
-                template, theta[rows],
-                [derive_seed(cfg.seed, tag, round_index, sid) for sid in stack.stock_ids],
-                epochs, learning_rate, cfg.momentum,
-                anchor=anchor, prox_weight=cfg.prox_weight,
-            )
-        ]
+    def seeds(tag, round_index):
+        return [derive_seed(cfg.seed, tag, round_index, sid) for sid in stack.stock_ids]
 
     lineage_steps = [0] * k_stocks
     global_params = None
 
     tick = time.perf_counter()
     for round_index in range(1, cfg.merge_rounds + 1):
-        theta[:] = global_params.values if global_params is not None else start
+        if global_params is not None:
+            theta[:] = global_params.values
         try:
-            logs = train_groups(cfg.local_epochs_per_round, cfg.learning_rate,
-                                _TAG_MERGE, round_index)
+            logs = stack.train(template, theta, seeds(_TAG_MERGE, round_index),
+                               cfg.local_epochs_per_round, cfg.learning_rate, cfg.momentum)
         except DivergenceError as err:
             raise DivergenceError(
                 f"round {round_index}: {err}",
@@ -373,14 +381,15 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         trace.add("merge", round_index, "global", mean_loss, 0.0, 0.0)
     trace.phase_wall_ms["merge"] = (time.perf_counter() - tick) * 1000.0
 
-    if global_params is None:  # merge_rounds == 0: fall back to the shared init
-        global_params = init.replace(start[0])
+    if global_params is None:  # merge_rounds == 0: fall back to stock 0's init
+        global_params = init.replace(theta[0])
 
     tick = time.perf_counter()
     theta[:] = global_params.values
     try:
-        logs = train_groups(cfg.finetune_epochs, cfg.alpha * cfg.learning_rate,
-                            _TAG_FINETUNE, 0, anchor=global_params.values)
+        logs = stack.train(template, theta, seeds(_TAG_FINETUNE, 0), cfg.finetune_epochs,
+                           cfg.alpha * cfg.learning_rate, cfg.momentum,
+                           anchor=global_params.values, prox_weight=cfg.prox_weight)
     except DivergenceError as err:
         raise DivergenceError(f"fine-tune: {err}", stock_id=err.stock_id) from err
     finetuned = []
@@ -415,9 +424,7 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, epochs_total: int,
     """
     lookback, horizon, d = _check_stock_group(stocks)
     k_stocks = len(stocks)
-    if epochs_total < k_stocks:
-        raise ContractViolation("epochs_total must be >= number of stocks")
-    epochs_per = epochs_total // k_stocks
+    epochs_per = _check_int("epochs_total", epochs_total, k_stocks) // k_stocks
 
     model = build_model(
         kind, lookback, horizon, d, hyper,

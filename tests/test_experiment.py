@@ -110,6 +110,23 @@ def test_non_finite_training_numbers_name_the_field(tmp_path, field, value):
     assert any(e.startswith(f"training.{field}:") for e in err.value.errors)
 
 
+@pytest.mark.parametrize("path", [
+    ("data", "stocks"), ("data", "length"), ("window", "lookback"), ("window", "horizon"),
+    ("training", "merge_rounds"), ("training", "batch_size"), ("training", "learning_rate"),
+    ("training", "epochs_total"), ("seed",), ("jobs",),
+], ids=".".join)
+def test_boolean_numbers_name_the_field(tmp_path, path):
+    # JSON true is a Python int: "jobs": true used to validate, then fail or
+    # run as 1 once training had started
+    doc = spec_doc(tmp_path / "out")
+    doc.setdefault("window", {})
+    section = doc if len(path) == 1 else doc[path[0]]
+    section[path[-1]] = True
+    with pytest.raises(SpecValidationError) as err:
+        validate_spec(write_spec(tmp_path, doc))
+    assert any(e.startswith(".".join(path) + ":") for e in err.value.errors)
+
+
 @pytest.mark.parametrize("weights", [[1, -1, 1], [0, 0, 0]])
 def test_bad_merge_weights_name_the_field(tmp_path, weights):
     doc = spec_doc(tmp_path / "out")

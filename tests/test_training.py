@@ -97,6 +97,20 @@ def test_non_finite_parameters_raise_divergence_with_stock_id(small_market):
     assert err.value.stock_id == ds.stock_id
 
 
+def test_nan_batch_loss_trips_the_guard(small_market):
+    # finite inputs of alternating sign near 1e300 overflow texfilter's
+    # spectra into inf - inf; the guard compares with <=, which NaN fails
+    ds = small_market[0][0]
+    inputs = np.full_like(ds.inputs, 1e300)
+    inputs[:, ::2] *= -1.0
+    bad = WindowedDataset(ds.stock_id, ds.split, ds.lookback, ds.horizon,
+                          inputs, ds.targets, ds.absolute_indices)
+    model = build_model("texfilter", 16, 1, 3, seed=6)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="loss nan") as err:
+        train_local(model, bad, 1, 0.01, 0.9, 64, seed=1)
+    assert err.value.stock_id == ds.stock_id
+
+
 def test_step_settings_validated(small_market):
     train, _, _ = small_market
     model = build_model("dlinear", 16, 1, 3, seed=8)
@@ -111,6 +125,14 @@ def test_non_finite_learning_rate_rejected(small_market, rate):
     model = build_model("dlinear", 16, 1, 3, seed=8)
     with pytest.raises(ContractViolation, match="learning rate"):
         train_local(model, small_market[0][0], 1, rate, 0.9, 64)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1, 2.5, 64.0, True, "64"])
+def test_train_local_rejects_a_non_integer_batch_size(small_market, batch_size):
+    # 0 used to raise ZeroDivisionError and 2.5 a TypeError
+    model = build_model("dlinear", 16, 1, 3, seed=8)
+    with pytest.raises(ContractViolation, match="batch_size"):
+        train_local(model, small_market[0][0], 1, 0.01, 0.9, batch_size)
 
 
 def _reference_sgd(model, ds, epochs, learning_rate, momentum, anchor, prox_weight, seed):
@@ -237,6 +259,18 @@ def test_lockstep_unequal_stocks_bit_identical_across_stack_widths(kind):
     assert [g.values.tobytes() for g in reversed_run.trace.round_globals] == runs[1][0]
 
 
+@pytest.mark.parametrize("kind", ["dlinear", "texfilter"])
+def test_lockstep_non_contiguous_rows_bit_identical_across_stack_widths(kind):
+    # 166, 89, 166 and 124 windows: at batch index 1 rows 0 and 2 share a
+    # kernel call, and at index 2 only rows 0 and 2 have a batch, so the
+    # stack runs on copies with write-back instead of views
+    train = _unequal_market(lengths=(260, 150, 260, 200), seed=31)
+    assert [ds.n_windows for ds in train] == [166, 89, 166, 124]
+    cfg = CstiConfig(stocks=4, merge_rounds=2, finetune_epochs=2, seed=59)
+    runs = {jobs: _run_fingerprint(run_csti(train, kind, cfg, jobs=jobs)) for jobs in (1, 3, 4)}
+    assert runs[3] == runs[1] and runs[4] == runs[1]
+
+
 def test_lockstep_rows_match_train_local():
     train = _unequal_market()
     cfg = CstiConfig(stocks=3, merge_rounds=1, finetune_epochs=0, seed=41)
@@ -260,6 +294,77 @@ def test_one_diverging_stock_is_named_with_its_round(small_market, jobs):
         run_csti([train[0], far, train[2]], "dlinear", cfg, jobs=jobs)
     assert err.value.stock_id == bad.stock_id
     assert err.value.round_index == 1
+
+
+def test_divergence_naming_does_not_depend_on_width(small_market):
+    # stock 0 diverges on the last batch of round 1 and stock 2 on its first,
+    # so stock 2 fails first in (epoch, batch index) order at every width;
+    # stacks trained one group after another used to name stock 0 at jobs 1, 2
+    train, _, _ = small_market
+    cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=1, seed=43)
+    first, third = train[0], train[2]
+    order = np.random.default_rng(
+        derive_seed(cfg.seed, _TAG_MERGE, 1, first.stock_id)).permutation(first.n_windows)
+    assert first.n_windows > cfg.batch_size
+    targets = first.targets.copy()
+    targets[order[-1]] = 1e9
+    huge = WindowedDataset(first.stock_id, first.split, first.lookback, first.horizon,
+                           first.inputs, targets, first.absolute_indices)
+    shifted = WindowedDataset(third.stock_id, third.split, third.lookback, third.horizon,
+                              third.inputs, third.targets + 2000.0, third.absolute_indices)
+    seen = []
+    for jobs in (1, 2, 3):
+        with pytest.raises(DivergenceError) as err:
+            run_csti([huge, train[1], shifted], "dlinear", cfg, jobs=jobs)
+        seen.append((err.value.stock_id, err.value.round_index, str(err.value)))
+    assert seen[0][:2] == (third.stock_id, 1)
+    assert seen == [seen[0]] * 3
+
+
+def _kernel_calls_per_epoch(sizes, width, batch_size):
+    """Calls of the parent's per-group stacks: per block of ``width`` stocks
+    and batch index, one call per distinct batch size among its rows."""
+    return sum(
+        len({min(batch_size, n - start) for n in sizes[lo : lo + width] if start < n})
+        for lo in range(0, len(sizes), width)
+        for start in range(0, max(sizes), batch_size)
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_jobs_caps_the_rows_of_every_kernel_call(jobs, monkeypatch):
+    train = _unequal_market()
+    rows = []
+    kernel = ForecastModel.loss_and_gradient
+
+    def counting(self, p, inputs, targets, g):
+        rows.append(len(inputs))
+        return kernel(self, p, inputs, targets, g)
+
+    monkeypatch.setattr(ForecastModel, "loss_and_gradient", counting)
+    cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=2, seed=53)
+    run_csti(train, "dlinear", cfg, jobs=jobs)
+    sizes = [ds.n_windows for ds in train]
+    per_epoch = _kernel_calls_per_epoch(sizes, jobs, cfg.batch_size)
+    # 89, 124 and 166 windows in batches of 64
+    assert per_epoch == {1: 7, 2: 6, 3: 5}[jobs]
+    assert max(rows) <= jobs
+    assert len(rows) == per_epoch * cfg.epochs_budget
+
+
+@pytest.mark.parametrize("jobs", [2.5, "2", None, True])
+def test_run_csti_rejects_a_non_integer_jobs(small_market, jobs):
+    train, _, _ = small_market
+    cfg = CstiConfig(stocks=3, merge_rounds=1, finetune_epochs=1)
+    with pytest.raises(ContractViolation, match="jobs"):
+        run_csti(train, "dlinear", cfg, jobs=jobs)
+
+
+def test_jobs_below_one_means_one_row_per_kernel_call(small_market):
+    train, _, _ = small_market
+    cfg = CstiConfig(stocks=3, merge_rounds=1, finetune_epochs=1, seed=5)
+    runs = [_run_fingerprint(run_csti(train, "dlinear", cfg, jobs=jobs)) for jobs in (1, 0, -4)]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_run_csti_merges_through_the_traced_hook(small_market, monkeypatch):
@@ -382,6 +487,24 @@ def test_config_validation():
     assert cfg.epochs_budget == 25
 
 
+@pytest.mark.parametrize("field,value", [
+    ("stocks", 2.5), ("stocks", True), ("merge_rounds", 1.5), ("merge_rounds", -1),
+    ("finetune_epochs", 2.0), ("local_epochs_per_round", 0),
+    ("local_epochs_per_round", 1.5), ("batch_size", 2.5), ("batch_size", 0),
+    ("batch_size", "64"),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    # 2.5 used to pass the range check and fail later with a raw TypeError
+    settings = {"stocks": 2, field: value}
+    with pytest.raises(ContractViolation, match=field):
+        CstiConfig(**settings)
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = CstiConfig(stocks=np.int64(2), batch_size=np.int32(16))
+    assert (cfg.stocks, cfg.batch_size) == (2, 16) and type(cfg.batch_size) is int
+
+
 @pytest.mark.parametrize("field", ["learning_rate", "alpha", "prox_weight"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_config_rejects_non_finite_training_numbers(field, value):
@@ -426,6 +549,13 @@ def test_normal_requires_enough_epochs(small_market):
     train, _, _ = small_market
     with pytest.raises(ContractViolation):
         run_normal(train, "dlinear", epochs_total=2, seed=5)
+
+
+@pytest.mark.parametrize("epochs_total", [7.5, True])
+def test_normal_rejects_a_non_integer_epoch_budget(small_market, epochs_total):
+    # 7.5 used to reach train_local as 2.0 epochs and fail there under another name
+    with pytest.raises(ContractViolation, match="epochs_total"):
+        run_normal(small_market[0], "dlinear", epochs_total=epochs_total, seed=5)
 
 
 # ---------------------------------------------------------------------------
