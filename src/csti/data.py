@@ -205,7 +205,7 @@ def load_csv_detailed(path, with_sentiment: bool = False, min_rows: int = 2,
         raise InsufficientDataError(
             f"{path}: {len(deduped)} usable rows, need at least {min_rows}"
         )
-    sid = stock_id if stock_id is not None else _stem(path)
+    sid = stock_id if stock_id is not None else stock_id_from_path(path)
     series = StockSeries(
         stock_id=sid,
         timestamps=tuple(day for day, _ in deduped),
@@ -220,7 +220,8 @@ def load_csv(path, with_sentiment: bool = False, min_rows: int = 2,
     return series
 
 
-def _stem(path: str) -> str:
+def stock_id_from_path(path: str) -> str:
+    """The stock id of a CSV loaded without an explicit one: the file name's stem."""
     name = path.replace("\\", "/").rsplit("/", 1)[-1]
     return name.rsplit(".", 1)[0]
 
@@ -333,12 +334,12 @@ def make_windows(series: StockSeries, lookback: int, horizon: int, split: str,
             f"{series.stock_id}/{split}: segment has {seg_len} rows, "
             f"needs at least L+H={needed}"
         )
-    n = seg_len - needed + 1
     seg = series.features[start:end]
-    # windows of the segment: (n, L, d) inputs, (n, H) close targets
-    inputs = np.stack([seg[s : s + lookback] for s in range(n)])
-    targets = np.stack([seg[s + lookback : s + needed, CLOSE_COL] for s in range(n)])
-    abs_idx = start + lookback + np.arange(n)
+    # (n, L+H, d) views of the segment, copied once into (n, L, d) inputs, (n, H) close targets
+    windows = np.lib.stride_tricks.sliding_window_view(seg, (needed, seg.shape[1]))[:, 0]
+    inputs = np.ascontiguousarray(windows[:, :lookback])
+    targets = np.ascontiguousarray(windows[:, lookback:, CLOSE_COL])
+    abs_idx = start + lookback + np.arange(len(windows))
     return WindowedDataset(
         stock_id=series.stock_id,
         split=split,

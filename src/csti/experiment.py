@@ -26,6 +26,7 @@ from .data import (
     load_csv,
     make_windows,
     normalize,
+    stock_id_from_path,
 )
 from .errors import (
     CstiError,
@@ -193,14 +194,22 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
             if not (isinstance(paths, list) and paths):
                 errors.append("data.paths: non-empty list of CSV files required")
             else:
-                resolved = []
+                resolved, owners = [], {}
                 for p in paths:
+                    if not isinstance(p, str):
+                        errors.append(f"data.paths: file path string required, got {p!r}")
+                        continue
                     candidate = Path(p)
                     if base_dir is not None and not candidate.is_absolute():
                         candidate = base_dir / candidate
                     if not candidate.is_file():
                         errors.append(f"data.paths: file not found: {p}")
                     resolved.append(str(candidate))
+                    sid = stock_id_from_path(p)
+                    if sid in owners:
+                        errors.append(f"data.paths: {owners[sid]} and {p} both load as "
+                                      f"stock id {sid!r}")
+                    owners.setdefault(sid, p)
                 csv_paths = tuple(resolved)
                 stocks = len(csv_paths)
 

@@ -21,11 +21,16 @@ central finite differences in the test suite.
 
 Parameters live in flat float64 rows. Each kind declares an ordered
 (segment name, shape, initializer) table; the segment layout and the
-seeded initial draw both follow it. Kernels run over a (K, P) stack of
-rows: ``unpack`` turns it into named (K, ...) views, ``_forward`` reads
-them for a (K, N, L, d) batch stack and ``_backward`` writes every
-coordinate of the views of the gradient stack. A caller binds both sets
-of views once and reuses them for every step, since writes to the stack
+seeded initial draw both follow it. A kind may also name ``groups``:
+runs of adjacent segments that it reads and writes as one (K, n) view,
+so no kernel concatenates or splits segments. Kernels run over a (K, P)
+stack of rows: ``unpack`` turns it into named (K, ...) views, and
+``_forward`` reads them for a (K, N, L, d) batch stack. It returns a
+fresh prediction that its cache does not hold; the shared loss turns it
+into d(loss)/d(pred) in place. ``_backward`` then writes every
+coordinate of the views of the gradient stack, with ``out=`` wherever a
+product or reduction lands in one view. A caller binds both sets of
+views once and reuses them for every step, since writes to the stack
 show through them. Every product and reduction runs per row,
 so each row of a stacked call is bit-identical to the K=1 call. The
 kernels check nothing: the trainer owns theta and checks shapes.
@@ -85,6 +90,7 @@ class ForecastModel:
     """
 
     kind = "abstract"
+    groups = {}  # view name -> (first, last) segment of a run of adjacent segments
 
     def __init__(self, lookback: int, horizon: int, n_features: int,
                  hyper: dict, values: np.ndarray):
@@ -96,9 +102,11 @@ class ForecastModel:
         self._layout = layout_from_lengths(
             (name, math.prod(shape)) for name, shape, _ in shapes
         )
-        self._views = tuple(
-            (seg.name, slice(seg.offset, seg.offset + seg.length), shape)
-            for seg, (_, shape, _) in zip(self._layout, shapes)
+        spans = {seg.name: slice(seg.offset, seg.offset + seg.length) for seg in self._layout}
+        self._views = tuple((name, spans[name], shape) for name, shape, _ in shapes) + tuple(
+            (name, slice(spans[first].start, spans[last].stop),
+             (spans[last].stop - spans[first].start,))
+            for name, (first, last) in self.groups.items()
         )
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         total = sum(seg.length for seg in self._layout)
@@ -129,7 +137,7 @@ class ForecastModel:
         return hyper
 
     def _forward(self, p, inputs):
-        """(pred (K, N, H), cache) with parameters read from the (K, ...) views ``p``."""
+        """(pred (K, N, H), cache) from the (K, ...) views ``p``; pred is fresh, not cached."""
         raise NotImplementedError
 
     def _backward(self, p, inputs, dpred, cache, g):
@@ -142,7 +150,7 @@ class ForecastModel:
         return self._values.size
 
     def unpack(self, stack: np.ndarray) -> dict:
-        """Named (K, ...) views of a (K, P) stack in this model's layout."""
+        """Named (K, ...) views of a (K, P) stack: one per segment and one per group."""
         return {name: stack[:, span].reshape(-1, *shape) for name, span, shape in self._views}
 
     def _predict(self, inputs):
@@ -183,14 +191,18 @@ class ForecastModel:
 
         ``p`` and ``g`` are the ``unpack`` views of a (K, P) theta stack
         and of a (K, P) gradient stack; inputs (K, N, L, d), targets
-        (K, N, H) -> losses (K,). Every coordinate of ``g`` is written. A
-        kernel: it trusts the shapes, which the caller has checked.
+        (K, N, H) -> losses (K,). Every coordinate of ``g`` is written,
+        through ``out=`` where one product or reduction fills a view. The
+        only other write is to the fresh prediction of ``_forward``, which
+        becomes the residual and then d(loss)/d(pred) in place. A kernel:
+        it trusts the shapes, which the caller has checked.
         """
         pred, cache = self._forward(p, inputs)
         k, n, h = pred.shape
-        diff = pred - targets
-        losses = (diff**2).reshape(k, n * h).sum(axis=1) / (n * h)  # np.mean, bit for bit
-        self._backward(p, inputs, (2.0 / (n * h)) * diff, cache, g)
+        pred -= targets
+        losses = np.add.reduce(np.square(pred).reshape(k, n * h), axis=1) / (n * h)  # np.mean
+        pred *= 2.0 / (n * h)
+        self._backward(p, inputs, pred, cache, g)
         return losses
 
     def loss_gradient(self, inputs, targets) -> ParamVector:
@@ -207,29 +219,25 @@ def _t(a):
     return a.swapaxes(-1, -2)
 
 
-def _matvec(a, v):
-    """Row-wise a_k @ v_k for a stack of matrices and a stack of vectors."""
-    return (a @ v[..., None])[..., 0]
-
-
 def _mix_forward(inputs, mix):
     k, n, L, d = inputs.shape
     return (inputs.reshape(k, n * L, d) @ mix[:, :, None]).reshape(k, n, L)
 
 
-def _mix_backward(inputs, dz):
-    return (dz.reshape(len(dz), 1, -1) @ inputs.reshape(len(dz), -1, inputs.shape[-1]))[:, 0]
+def _mix_backward(inputs, dz, g):
+    np.matmul(dz.reshape(len(dz), 1, -1), inputs.reshape(len(dz), -1, inputs.shape[-1]),
+              out=g["input_mix"][:, None])
 
 
 def _head_forward(series, w, b):
     return series @ _t(w) + b[:, None]
 
 
-def _head_backward(series, dpred, w):
-    dw = _t(dpred) @ series
-    db = dpred.sum(axis=1)
-    dseries = dpred @ w
-    return dw, db, dseries
+def _head_backward(series, dpred, p, g):
+    """Write the head's gradients into ``g``; returns d(loss)/d(series)."""
+    np.matmul(_t(dpred), series, out=g["head_weight"])
+    np.add.reduce(dpred, axis=1, out=g["head_bias"])
+    return dpred @ p["head_weight"]
 
 
 def _filter_spectrum(s_re, s_im, k_re, k_im):
@@ -277,6 +285,7 @@ class DLinearModel(ForecastModel):
     """
 
     kind = "dlinear"
+    groups = {"coef": ("trend", "seasonal_sin")}
 
     def __init__(self, lookback, horizon, n_features, hyper, values):
         super().__init__(lookback, horizon, n_features, hyper, values)
@@ -322,10 +331,9 @@ class DLinearModel(ForecastModel):
         )
 
     def _forward(self, p, inputs):
-        coef = np.concatenate([p["trend"], p["seasonal_cos"], p["seasonal_sin"]], axis=1)
-        curve = _matvec(self._basis, coef)  # (K, H)
+        curve = (self._basis @ p["coef"][..., None])[..., 0]  # (K, H)
         if self.hyper["use_anchor"]:
-            z_last = _matvec(inputs[:, :, -1, :], p["input_mix"])  # (K, N)
+            z_last = (inputs[:, :, -1, :] @ p["input_mix"][..., None])[..., 0]  # (K, N)
             pred = curve[:, None, :] + z_last[:, :, None]
         else:
             pred = np.broadcast_to(curve[:, None, :], (*inputs.shape[:2], self.horizon)).copy()
@@ -335,13 +343,10 @@ class DLinearModel(ForecastModel):
         return self._predict(inputs)
 
     def _backward(self, p, inputs, dpred, cache, g):
-        k = self.hyper["harmonics"]
-        dcoef = _matvec(self._basis.T, dpred.sum(axis=1))
-        g["trend"][...] = dcoef[:, :2]
-        g["seasonal_cos"][...] = dcoef[:, 2 : 2 + k]
-        g["seasonal_sin"][...] = dcoef[:, 2 + k :]
+        np.matmul(self._basis.T, np.add.reduce(dpred, axis=1)[..., None], out=g["coef"][..., None])
         if self.hyper["use_anchor"]:
-            g["input_mix"][...] = _matvec(_t(inputs[:, :, -1, :]), dpred.sum(axis=2))
+            np.matmul(_t(inputs[:, :, -1, :]), np.add.reduce(dpred, axis=2)[..., None],
+                      out=g["input_mix"][..., None])
         else:
             g["input_mix"][...] = 0.0
 
@@ -361,6 +366,7 @@ class PaiFilterModel(ForecastModel):
     """
 
     kind = "paifilter"
+    groups = {"kernel": ("kernel_re", "kernel_im")}
 
     @classmethod
     def segments(cls, lookback, horizon, n_features, hyper):
@@ -374,8 +380,7 @@ class PaiFilterModel(ForecastModel):
         )
 
     def _operator(self, p):  # (K, 1, 2L) products keep each row's G bit-identical to K=1
-        kernel = np.concatenate([p["kernel_re"], p["kernel_im"]], axis=1)[:, None]
-        g_op = kernel @ numerics.filter_operator_basis(self.lookback)
+        g_op = p["kernel"][:, None] @ numerics.filter_operator_basis(self.lookback)
         return g_op.reshape(-1, self.lookback, self.lookback)
 
     def filter_series(self, z: np.ndarray) -> np.ndarray:
@@ -395,13 +400,11 @@ class PaiFilterModel(ForecastModel):
         z, g_op, v = cache
         L = self.lookback
         dv = _t(z) @ dpred
-        g["head_weight"][...] = _t(dv) @ g_op
-        g["head_bias"][...] = dpred.sum(axis=1)
+        np.matmul(_t(dv), g_op, out=g["head_weight"])
+        np.add.reduce(dpred, axis=1, out=g["head_bias"])
         dg_op = (dv @ p["head_weight"]).reshape(-1, 1, L * L)
-        dk = (dg_op @ numerics.filter_operator_basis(L).T)[:, 0]
-        g["kernel_re"][...] = dk[:, :L]
-        g["kernel_im"][...] = dk[:, L:]
-        g["input_mix"][...] = _mix_backward(inputs, dpred @ _t(v))
+        np.matmul(dg_op, numerics.filter_operator_basis(L).T, out=g["kernel"][:, None])
+        _mix_backward(inputs, dpred @ _t(v), g)
 
 
 # ---------------------------------------------------------------------------
@@ -472,25 +475,23 @@ class TexFilterModel(ForecastModel):
     def _backward(self, p, inputs, dpred, cache, g):
         s, u, inv, scale, a, k, filtered, w1, w2 = cache
         d_op, r_op = numerics.interleaved_dft_operators(self.lookback)
-        g["head_weight"][...], g["head_bias"][...], dfiltered = _head_backward(
-            filtered, dpred, p["head_weight"]
-        )
+        dfiltered = _head_backward(filtered, dpred, p, g)
         # temporaries go left: numpy may reuse a big right one, swapping FMA operands
         dy = (dfiltered @ r_op.T).view(np.complex128)
         s_conj = s.conj()
         dk = dy * s_conj
         ds = k.conj() * dy
-        _set_complex(g, filter_w2=_t(dk) @ a.conj(), filter_b2=dk.sum(axis=1))
+        _set_complex(g, filter_w2=_t(dk) @ a.conj(), filter_b2=np.add.reduce(dk, axis=1))
         da = dk @ w2.conj()
 
         # modReLU: a = scale(r) * u with scale = (r + c)/r, d scale/dr = -c/r^2
         dgate = (u.conj() * da).real * inv  # dl/dc; inv is 0 where inactive
-        g["filter_gate_bias"][...] = dgate.sum(axis=1)
+        np.add.reduce(dgate, axis=1, out=g["filter_gate_bias"])
         du = scale * da - (p["filter_gate_bias"][:, None] * inv * inv * dgate) * u
-        _set_complex(g, filter_w1=_t(du) @ s_conj, filter_b1=du.sum(axis=1))
+        _set_complex(g, filter_w1=_t(du) @ s_conj, filter_b1=np.add.reduce(du, axis=1))
         ds += du @ w1.conj()
 
-        g["input_mix"][...] = _mix_backward(inputs, ds.view(np.float64) @ d_op.T)
+        _mix_backward(inputs, ds.view(np.float64) @ d_op.T, g)
 
 
 def _get_complex(p, name):
@@ -556,27 +557,24 @@ class FretsModel(ForecastModel):
 
     def _backward(self, p, inputs, dpred, cache, g):
         s_re, s_im, h_re, h_im, recon = cache
-        g["head_weight"][...], g["head_bias"][...], drecon = _head_backward(
-            recon, dpred, p["head_weight"]
-        )
+        drecon = _head_backward(recon, dpred, p, g)
         dx_re, dx_im = numerics.real_idft_batch_adjoint(drecon)
 
-        g["re_w2"][...] = _t(dx_re) @ h_re
-        g["re_b2"][...] = dx_re.sum(axis=1)
+        np.matmul(_t(dx_re), h_re, out=g["re_w2"])
+        np.add.reduce(dx_re, axis=1, out=g["re_b2"])
         du_re = (dx_re @ p["re_w2"]) * (1.0 - h_re * h_re)
-        g["re_w1"][...] = _t(du_re) @ s_re
-        g["re_b1"][...] = du_re.sum(axis=1)
+        np.matmul(_t(du_re), s_re, out=g["re_w1"])
+        np.add.reduce(du_re, axis=1, out=g["re_b1"])
         ds_re = du_re @ p["re_w1"]
 
-        g["im_w2"][...] = _t(dx_im) @ h_im
-        g["im_b2"][...] = dx_im.sum(axis=1)
+        np.matmul(_t(dx_im), h_im, out=g["im_w2"])
+        np.add.reduce(dx_im, axis=1, out=g["im_b2"])
         du_im = (dx_im @ p["im_w2"]) * (1.0 - h_im * h_im)
-        g["im_w1"][...] = _t(du_im) @ s_im
-        g["im_b1"][...] = du_im.sum(axis=1)
+        np.matmul(_t(du_im), s_im, out=g["im_w1"])
+        np.add.reduce(du_im, axis=1, out=g["im_b1"])
         ds_im = du_im @ p["im_w1"]
 
-        dz = numerics.dft_batch_adjoint(ds_re, ds_im)
-        g["input_mix"][...] = _mix_backward(inputs, dz)
+        _mix_backward(inputs, numerics.dft_batch_adjoint(ds_re, ds_im), g)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ class TrainingTrace:
     phase_wall_ms: dict = field(default_factory=dict)
 
     def add(self, phase, round_index, stock_id, data_loss, prox_penalty, wall_ms):
-        if not (np.isfinite(data_loss) and data_loss >= 0):
+        if not (math.isfinite(data_loss) and data_loss >= 0):
             raise ContractViolation("trace losses must be finite and >= 0")
         self.rows.append(
             TraceRow(phase, round_index, stock_id, data_loss, prox_penalty, wall_ms)
@@ -461,11 +461,12 @@ def evaluate(models: Sequence[ForecastModel], test_sets: Sequence[WindowedDatase
              normalizers=None) -> metrics_mod.ExperimentReport:
     """Per-stock and aggregate metrics, plus series for regression plots.
 
-    Models and test sets are aligned positionally (one per stock). When
-    normalizers are supplied, metrics on the original price scale are
-    reported alongside the normalized ones. The macro average is
-    correctly rounded and the pooled series run in stock-id order, so the
-    report does not depend on the order of the stocks.
+    Models and test sets are aligned positionally (one per stock, with
+    distinct stock ids). When normalizers are supplied, metrics on the
+    original price scale are reported alongside the normalized ones. The
+    macro average is correctly rounded and the pooled series run in
+    stock-id order, so the report does not depend on the order of the
+    stocks.
     """
     if len(models) != len(test_sets):
         raise ContractViolation("need one model per test set")
@@ -474,6 +475,8 @@ def evaluate(models: Sequence[ForecastModel], test_sets: Sequence[WindowedDatase
 
     per_stock, series, per_stock_denorm, pooled = {}, {}, {}, []
     for i, (model, ds) in enumerate(zip(models, test_sets)):
+        if ds.stock_id in per_stock:
+            raise ContractViolation(f"duplicate stock id {ds.stock_id!r} in test sets")
         if ds.n_windows == 0:
             raise ContractViolation(f"{ds.stock_id}: empty test set")
         pred = model.predict_batch(ds.inputs)

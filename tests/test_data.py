@@ -1,9 +1,13 @@
+import datetime
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csti.data import (
+    CLOSE_COL,
+    SPLIT_NAMES,
     StockSeries,
     denormalize,
     fit_normalizer,
@@ -281,6 +285,32 @@ def test_window_coverage_and_no_split_crossing():
             first_target = ds.absolute_indices[i]
             covered.update(range(first_target - 5, first_target + 2))
         assert covered == set(range(start, end))
+
+
+@settings(max_examples=60, deadline=None)
+@given(total=st.integers(12, 120), lookback=st.integers(1, 8), horizon=st.integers(1, 4),
+       d=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_windows_equal_the_per_window_loop(total, lookback, horizon, d, seed):
+    stamps = tuple(datetime.date(2020, 1, 1) + datetime.timedelta(days=i) for i in range(total))
+    features = np.random.default_rng(seed).normal(size=(total, d))
+    series = StockSeries("TST", stamps, features)
+    for split in SPLIT_NAMES:
+        start, end = split_bounds(total, (0.7, 0.1, 0.2))[split]
+        n = end - start - lookback - horizon + 1
+        if n < 1:
+            with pytest.raises(InsufficientDataError):
+                make_windows(series, lookback, horizon, split)
+            continue
+        ds = make_windows(series, lookback, horizon, split)
+        seg = features[start:end]
+        loop_inputs = np.stack([seg[s : s + lookback] for s in range(n)])
+        loop_targets = np.stack([seg[s + lookback : s + lookback + horizon, CLOSE_COL]
+                                 for s in range(n)])
+        assert ds.inputs.tobytes() == loop_inputs.tobytes()
+        assert ds.targets.tobytes() == loop_targets.tobytes()
+        assert ds.inputs.shape == loop_inputs.shape and ds.targets.shape == loop_targets.shape
+        assert ds.inputs.flags.c_contiguous and ds.targets.flags.c_contiguous
+        assert np.array_equal(ds.absolute_indices, start + lookback + np.arange(n))
 
 
 def test_split_chronology():

@@ -91,6 +91,32 @@ def test_missing_csv_fails_validation_before_training(tmp_path):
     assert any("not found" in e for e in err.value.errors)
 
 
+def _same_stem_csvs(tmp_path):
+    # two directories, one file name: both load as the same stock id
+    market = generate_synthetic_market(2, 240, 0.6, seed=8)
+    for sub, series in zip(("a", "b"), market):
+        (tmp_path / sub).mkdir()
+        save_series_csv(series, tmp_path / sub / "ACME.csv")
+    return ["a/ACME.csv", "b/ACME.csv"]
+
+
+def test_csv_paths_with_the_same_stem_fail_validation(tmp_path):
+    doc = spec_doc(tmp_path / "out")
+    doc["data"] = {"source": "csv", "paths": _same_stem_csvs(tmp_path)}
+    with pytest.raises(SpecValidationError) as err:
+        validate_spec(write_spec(tmp_path, doc))
+    assert err.value.errors == [
+        "data.paths: a/ACME.csv and b/ACME.csv both load as stock id 'ACME'"]
+
+
+def test_csv_path_that_is_not_a_string_names_the_field(tmp_path):
+    doc = spec_doc(tmp_path / "out")
+    doc["data"] = {"source": "csv", "paths": [7]}
+    with pytest.raises(SpecValidationError) as err:
+        validate_spec(write_spec(tmp_path, doc))
+    assert err.value.errors == ["data.paths: file path string required, got 7"]
+
+
 def test_validation_collects_multiple_errors_at_once(tmp_path):
     doc = spec_doc(tmp_path / "out", models=["timesnet"], strategies=["foo"])
     doc["training"]["lambda"] = -2
@@ -442,6 +468,17 @@ def test_cli_csv_cell_over_the_field_limit_exit_code(tmp_path):
     assert proc.returncode == 1
     assert bad.name in proc.stderr and "line 242" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_csv_paths_with_the_same_stem_exit_code(tmp_path):
+    doc = spec_doc("out")
+    doc["data"] = {"source": "csv", "paths": _same_stem_csvs(tmp_path)}
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "spec error: data.paths: a/ACME.csv and b/ACME.csv" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_blank_spec_reports_missing_fields(tmp_path):

@@ -275,6 +275,51 @@ def test_kernel_writes_every_gradient_coordinate(kind, k_rows, rng):
     assert zero_grad.tobytes() == nan_grad.tobytes()
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("k_rows", [1, 3])
+def test_kernel_writes_only_the_gradient_stack(kind, k_rows, rng):
+    model = build_model(kind, 8, 2, 3, seed=21)
+    theta = rng.uniform(-0.5, 0.5, size=(k_rows, model.n_params))
+    inputs = rng.uniform(0.0, 1.0, size=(k_rows, 11, 8, 3))
+    targets = rng.uniform(0.0, 1.0, size=(k_rows, 11, 2))
+    before = [a.tobytes() for a in (theta, inputs, targets)]
+    _loss_and_gradient(model, theta, inputs, targets)
+    assert [a.tobytes() for a in (theta, inputs, targets)] == before
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("k_rows", [1, 3])
+def test_forward_returns_a_fresh_prediction(kind, k_rows, rng):
+    # the shared loss turns the prediction into d(loss)/d(pred) in place
+    model = build_model(kind, 8, 2, 3, seed=21)
+    theta = rng.uniform(-0.5, 0.5, size=(k_rows, model.n_params))
+    inputs = rng.uniform(0.0, 1.0, size=(k_rows, 11, 8, 3))
+    pred, cache = model._forward(model.unpack(theta), inputs)
+    assert pred.shape == (k_rows, 11, 2) and pred.flags.writeable
+    for held in (theta, inputs, *(cache or ())):
+        assert not np.shares_memory(pred, held)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("k_rows", [1, 3])
+def test_group_views_are_their_segments_viewed_as_one(kind, k_rows, rng):
+    model = build_model(kind, 8, 2, 3, seed=21)
+    assert set(model.groups) == {"dlinear": {"coef"}, "paifilter": {"kernel"}}.get(kind, set())
+    stack = rng.uniform(-0.5, 0.5, size=(k_rows, model.n_params))
+    views = model.unpack(stack)
+    names = [seg.name for seg in model.export_params().layout]
+    for group, (first, last) in model.groups.items():
+        members = names[names.index(first) : names.index(last) + 1]
+        assert len(members) >= 2
+        assert all(np.shares_memory(views[group], views[m]) for m in members)
+        joined = np.concatenate([views[m].reshape(k_rows, -1) for m in members], axis=1)
+        assert views[group].shape == joined.shape
+        assert np.array_equal(views[group], joined)
+        views[group][...] = 7.0  # writes show through every member and the stack
+        assert all((views[m] == 7.0).all() for m in members)
+        assert (stack == 7.0).sum() == joined.size
+
+
 # ---------------------------------------------------------------------------
 # training sanity: each kind fits its matched sinusoid
 # ---------------------------------------------------------------------------

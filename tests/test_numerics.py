@@ -414,6 +414,21 @@ def test_gradient_matches_finite_differences(kind, rng):
         assert err < 1e-4, f"{kind} draw {draw}: relative error {err:.3e}"
 
 
+@pytest.mark.parametrize("lookback,horizon,n_features,hyper", [
+    (5, 3, 2, {"use_anchor": False}),
+    (16, 2, 3, {"harmonics": 2}),
+])
+def test_dlinear_gradient_matches_finite_differences_at_other_shapes(
+        lookback, horizon, n_features, hyper):
+    model = models.build_model("dlinear", lookback, horizon, n_features, hyper, seed=17)
+    draw_rng = np.random.default_rng(4000 + lookback)
+    theta = draw_rng.uniform(-0.5, 0.5, size=model.n_params)
+    candidate = model.import_params(model.export_params().replace(theta))
+    inputs, targets = random_batch(draw_rng, 6, lookback, n_features, horizon)
+    err = numerics.gradient_check_max_error(candidate, inputs, targets)
+    assert err < 1e-4, f"L={lookback} H={horizon} {hyper}: relative error {err:.3e}"
+
+
 @pytest.mark.parametrize("lookback,horizon", [(5, 3), (16, 2)])
 def test_paifilter_gradient_matches_finite_differences_at_other_shapes(lookback, horizon):
     model = models.build_model("paifilter", lookback, horizon, 2, seed=17)

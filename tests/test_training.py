@@ -603,6 +603,15 @@ def test_evaluate_is_independent_of_stock_order():
         assert evaluate([models[i] for i in perm], [test[i] for i in perm]).as_dict() == report
 
 
+def test_evaluate_rejects_duplicate_stock_ids(small_market):
+    _, test, _ = small_market
+    twin = WindowedDataset(test[0].stock_id, "test", test[1].lookback, test[1].horizon,
+                           test[1].inputs, test[1].targets, test[1].absolute_indices)
+    models = [_OracleModel(ds.targets + 0.1) for ds in (test[0], twin)]
+    with pytest.raises(ContractViolation, match=repr(test[0].stock_id)):
+        evaluate(models, [test[0], twin])
+
+
 def test_evaluate_with_denormalizers(small_market):
     _, test, normalizers = small_market
     models = [_OracleModel(ds.targets + 0.05) for ds in test]
