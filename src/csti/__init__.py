@@ -59,8 +59,6 @@ from .models import (
     MODEL_KINDS,
     ForecastModel,
     build_model,
-    export_params,
-    import_params,
     load_checkpoint,
     save_checkpoint,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import struct
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,13 +28,14 @@ from .data import (
     stock_id_from_path,
 )
 from .errors import (
+    ContractViolation,
     CstiError,
     DivergenceError,
     SpecValidationError,
 )
 from .metrics import export_regression_series, write_report_json
 from .models import MODEL_KINDS, OUT_OF_SCOPE_KINDS, save_checkpoint
-from .numerics import ParamVector, param_vector_from_bytes, param_vector_to_bytes
+from .numerics import ParamVector, load_container, save_container
 from .training import (
     CstiConfig,
     CstiResult,
@@ -378,24 +378,25 @@ def validate_spec(path) -> ExperimentSpec:
 # running
 # ---------------------------------------------------------------------------
 
-_ROUND_MAGIC = b"RNDG"
-
-
 def save_round_checkpoint(round_index: int, pvec: ParamVector, path) -> None:
-    """Global parameters after one merge round, tagged with the round."""
-    with open(path, "wb") as fh:
-        fh.write(_ROUND_MAGIC)
-        fh.write(struct.pack("<I", round_index))
-        fh.write(param_vector_to_bytes(pvec))
+    """Global parameters after one merge round, as a ``round`` container.
+
+    The header adds the round index (container layout in ``numerics``).
+    """
+    save_container(path, "round", pvec, round=round_index)
 
 
 def load_round_checkpoint(path) -> tuple[int, ParamVector]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _ROUND_MAGIC or len(blob) < 8:
-        raise SpecValidationError([f"{path}: not a round checkpoint"])
-    (round_index,) = struct.unpack_from("<I", blob, 4)
-    return round_index, param_vector_from_bytes(blob[8:])
+    """(round index, global parameters) of a ``save_round_checkpoint`` file.
+
+    Any bad file, a round index other than an integer >= 0 included, raises
+    ``ContractViolation`` naming ``path``.
+    """
+    header, pvec = load_container(path, "round", ("round",))
+    round_index = header["round"]
+    if type(round_index) is not int or round_index < 0:
+        raise ContractViolation(f"{path}: round index {round_index!r} is not an integer >= 0")
+    return round_index, pvec
 
 
 def _load_market(spec: ExperimentSpec) -> list[StockSeries]:
@@ -553,12 +554,16 @@ def _apply_overrides(raw: dict, args) -> dict:
         raw["strategies"] = args.strategy.split(",")
     if args.model:
         raw["models"] = args.model.split(",")
-    if args.stocks is not None:
-        data = raw.setdefault("data", {})
-        if data.get("source") == "csv":
-            data["paths"] = data.get("paths", [])[: args.stocks]
-        else:
+    if args.stocks is not None and isinstance(raw.setdefault("data", {}), dict):
+        data = raw["data"]
+        paths = data.get("paths")
+        if data.get("source") != "csv":
             data["stocks"] = args.stocks
+        elif isinstance(paths, list):
+            if not 1 <= args.stocks <= len(paths):
+                raise SpecValidationError(
+                    [f"--stocks: {args.stocks} is not in 1..{len(paths)}, the number of data.paths"])
+            data["paths"] = paths[: args.stocks]
     if args.jobs is not None:
         raw["jobs"] = args.jobs
     return raw

@@ -38,9 +38,7 @@ kernels check nothing: the trainer owns theta and checks shapes.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 
 import numpy as np
 
@@ -626,61 +624,34 @@ def build_model(kind: str, lookback: int, horizon: int, n_features: int,
     return cls(*shapes, resolved, values)
 
 
-def export_params(model: ForecastModel) -> ParamVector:
-    return model.export_params()
-
-
-def import_params(model: ForecastModel, pvec: ParamVector) -> ForecastModel:
-    return model.import_params(pvec)
-
-
-_CKPT_MAGIC = b"FMCK"
-_CKPT_VERSION = 1
-
-
 def save_checkpoint(model: ForecastModel, path) -> None:
-    """Checkpoint = JSON header (kind, shapes, hyper) + parameter blob."""
-    header = json.dumps(
-        {
-            "format_version": _CKPT_VERSION,
-            "kind": model.kind,
-            "lookback": model.lookback,
-            "horizon": model.horizon,
-            "n_features": model.n_features,
-            "hyper": model.hyper,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    blob = numerics.param_vector_to_bytes(model.export_params())
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(blob)
+    """Write ``model`` as a ``checkpoint`` container (layout in ``numerics``).
+
+    The header adds kind, lookback, horizon, n_features and hyper.
+    """
+    numerics.save_container(
+        path, "checkpoint", model.export_params(), kind=model.kind, lookback=model.lookback,
+        horizon=model.horizon, n_features=model.n_features, hyper=model.hyper,
+    )
 
 
 def load_checkpoint(path) -> ForecastModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CKPT_MAGIC or len(blob) < 8:
-        raise ContractViolation(f"{path}: not a model checkpoint")
-    (hlen,) = struct.unpack_from("<I", blob, 4)
+    """The model of a ``save_checkpoint`` file.
+
+    After the container checks, the header goes through ``build_model``'s
+    checks, must name every hyperparameter of its kind and must have that
+    kind's layout. Any failure raises ``ContractViolation`` naming ``path``.
+    """
+    header, pvec = numerics.load_container(
+        path, "checkpoint", ("kind", "lookback", "horizon", "n_features", "hyper"))
     try:
-        header = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
-        if header["format_version"] != _CKPT_VERSION:
-            raise ContractViolation(f"unsupported checkpoint version {header['format_version']}")
         cls, shapes, hyper = _resolve(
             header["kind"], header["lookback"], header["horizon"], header["n_features"],
             header["hyper"], complete=True,
         )
-        pvec = numerics.param_vector_from_bytes(blob[8 + hlen :])
         model = cls(*shapes, hyper, pvec.values)
         if pvec.layout != model._layout:
             raise ContractViolation("parameter layout does not match the header")
         return model
-    except ContractViolation as err:
+    except (CstiError, TypeError) as err:  # TypeError: an unhashable kind
         raise ContractViolation(f"{path}: {err}") from None
-    except CstiError:
-        raise
-    except (ValueError, KeyError, TypeError) as err:  # UTF-8 and JSON errors are ValueErrors
-        raise ContractViolation(f"{path}: malformed checkpoint: {err!r}") from None

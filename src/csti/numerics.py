@@ -1,4 +1,4 @@
-"""Mathematical substrate: parameter vectors, DFT pair, gradients, SGD.
+"""Mathematical substrate: parameter vectors and their file container, DFT pair, gradients, SGD.
 
 The discrete Fourier transform is an explicit linear operator (cos/sin
 matrices), so the frequency models backpropagate through it with plain
@@ -7,12 +7,24 @@ Cached forms: ``filter_operator_basis`` (2n, n^2) folds a static filter into
 one real n x n operator (16 n^3 bytes: 64 KiB at n=16, 4 MiB at n=64), and
 ``interleaved_dft_operators`` D (n, 2n), R (2n, n) move complex128 spectra
 as (re, im) pairs through one real gemm each way (32 n^2 bytes, 8 KiB at n=16).
+
+Parameter files (bare vectors, model checkpoints, merge rounds) are one
+container: magic b"CSTI", u32 version 2, u32 header length, a sorted-key
+UTF-8 JSON header, u64 value count, little-endian float64 values, and a
+CRC-32 (``zlib.crc32``) of every byte before it; integers are little-endian.
+The header holds ``type`` (params, checkpoint or round), ``layout`` as
+[[name, length], ...] and that type's fields. The reader checks magic,
+version, every length (the file ends right after the CRC) and the CRC
+before it parses or allocates, then the type and its exact key set. Any
+failure, version-1 files included, raises ``ContractViolation`` naming the file.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -21,6 +33,7 @@ import numpy as np
 
 from .errors import (
     ContractViolation,
+    CstiError,
     MergeIncompatibilityError,
     NumericInputError,
     NumericOverflowError,
@@ -410,62 +423,71 @@ def sgd_step(params: ParamVector, grad: ParamVector, state: OptimizerState) -> t
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# the binary container
 # ---------------------------------------------------------------------------
 
-_PVEC_MAGIC = b"PVEC"
-_PVEC_VERSION = 1
+_MAGIC, _VERSION = b"CSTI", 2
+_PREFIX = struct.Struct("<4sII")  # magic, version, header bytes
+_COUNT = struct.Struct("<Q")  # payload values
+_CRC = struct.Struct("<I")
 
 
-def param_vector_to_bytes(pvec: ParamVector) -> bytes:
-    """Binary layout header + little-endian float64 values."""
-    out = [_PVEC_MAGIC, struct.pack("<II", _PVEC_VERSION, len(pvec.layout))]
-    for seg in pvec.layout:
-        name = seg.name.encode("utf-8")
-        out.append(struct.pack("<I", len(name)))
-        out.append(name)
-        out.append(struct.pack("<QQ", seg.offset, seg.length))
-    out.append(pvec.values.astype("<f8").tobytes())
-    return b"".join(out)
+def save_container(path, blob_type: str, pvec: ParamVector, **fields) -> None:
+    """Write ``pvec`` as a ``blob_type`` container with the JSON ``fields`` in its header."""
+    header = dict(fields, type=blob_type, layout=[[s.name, s.length] for s in pvec.layout])
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = b"".join([_PREFIX.pack(_MAGIC, _VERSION, len(text)), text,
+                     _COUNT.pack(len(pvec)), pvec.values.astype("<f8").tobytes()])
+    with open(path, "wb") as fh:
+        fh.write(body + _CRC.pack(zlib.crc32(body)))
 
 
-def param_vector_from_bytes(blob: bytes) -> ParamVector:
-    """Parse a ``param_vector_to_bytes`` blob; every length is checked first."""
-    if blob[:4] != _PVEC_MAGIC or len(blob) < 12:
-        raise ContractViolation("not a parameter-vector blob")
-    version, nseg = struct.unpack_from("<II", blob, 4)
-    if version != _PVEC_VERSION:
-        raise ContractViolation(f"unsupported format version {version}")
-    pos = 12
-    segs = []
-    for _ in range(nseg):
-        if len(blob) < pos + 4:
-            raise ContractViolation("parameter-vector blob truncated in its layout")
-        (nlen,) = struct.unpack_from("<I", blob, pos)
-        pos += 4 + nlen
-        if len(blob) < pos + 16:
-            raise ContractViolation("parameter-vector blob truncated in its layout")
-        try:
-            name = blob[pos - nlen : pos].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ContractViolation("segment name is not UTF-8") from None
-        offset, length = struct.unpack_from("<QQ", blob, pos)
-        pos += 16
-        segs.append(Segment(name, offset, length))
-    total = sum(s.length for s in segs)
-    if len(blob) - pos < 8 * total:
-        raise ContractViolation(
-            f"parameter-vector blob holds {len(blob) - pos} value bytes, layout needs {8 * total}"
-        )
-    values = np.frombuffer(blob, dtype="<f8", count=total, offset=pos)
-    return ParamVector(values, segs)
+def load_container(path, blob_type: str, fields: Sequence[str] = ()) -> tuple[dict, ParamVector]:
+    """(header, vector) of a ``blob_type`` container.
+
+    The header must hold exactly type, layout and ``fields``. Any bad file
+    raises ``ContractViolation`` naming ``path``.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+
+    def check(ok, problem):
+        if not ok:
+            raise ContractViolation(f"{path}: {problem}")
+
+    check(len(blob) >= _PREFIX.size + _COUNT.size + _CRC.size, f"{len(blob)} bytes is too short")
+    magic, version, header_bytes = _PREFIX.unpack_from(blob)
+    check(magic == _MAGIC, "not a csti container (format version 1 files are not read)")
+    check(version == _VERSION, f"unsupported container version {version}")
+    count_at = _PREFIX.size + header_bytes
+    check(len(blob) >= count_at + _COUNT.size + _CRC.size, "container truncated in its header")
+    (count,) = _COUNT.unpack_from(blob, count_at)
+    end = count_at + _COUNT.size + 8 * count
+    check(len(blob) == end + _CRC.size, f"{len(blob)} bytes, its lengths give {end + _CRC.size}")
+    check(zlib.crc32(memoryview(blob)[:end]) == _CRC.unpack_from(blob, end)[0], "checksum mismatch")
+    try:
+        header = json.loads(blob[_PREFIX.size : count_at].decode("utf-8"))
+    except ValueError as err:  # UTF-8 and JSON errors
+        raise ContractViolation(f"{path}: container header is not UTF-8 JSON: {err}") from None
+    check(isinstance(header, dict), "container header is not a JSON object")
+    check(header.get("type") == blob_type, f"a {header.get('type')!r} blob, not {blob_type!r}")
+    check(set(header) == {"type", "layout", *fields}, f"header keys are not the {blob_type} keys")
+    layout = header["layout"]
+    check(isinstance(layout, list) and all(
+        isinstance(seg, list) and len(seg) == 2 and isinstance(seg[0], str)
+        and type(seg[1]) is int and seg[1] >= 0 for seg in layout), "malformed layout")
+    values = np.frombuffer(blob, dtype="<f8", count=count, offset=count_at + _COUNT.size)
+    try:
+        return header, ParamVector(values, layout_from_lengths(layout))
+    except CstiError as err:
+        raise ContractViolation(f"{path}: {err}") from None
 
 
 def save_param_vector(pvec: ParamVector, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(param_vector_to_bytes(pvec))
+    """Write ``pvec`` as a ``params`` container (see the module docstring)."""
+    save_container(path, "params", pvec)
 
 
 def load_param_vector(path) -> ParamVector:
-    with open(path, "rb") as fh:
-        return param_vector_from_bytes(fh.read())
+    """Read a ``save_param_vector`` file; any bad file raises ``ContractViolation`` naming it."""
+    return load_container(path, "params")[1]

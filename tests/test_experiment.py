@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from csti.experiment import (
     validate_spec,
 )
 from csti.models import MODEL_KINDS, build_model, load_checkpoint, save_checkpoint
-from csti.numerics import param_vector_from_bytes, param_vector_to_bytes
+from csti.numerics import load_param_vector, save_container, save_param_vector
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -265,54 +266,94 @@ def test_permuted_csv_paths_give_the_same_csti_reports(tmp_path):
 
 @pytest.fixture(scope="module")
 def binary_blobs(tmp_path_factory):
-    """One valid blob per binary format, plus a directory to write prefixes to."""
+    """One valid file of each container type, plus a directory to write variants to.
+
+    Keys are the ids these tests have always had: PVEC a bare parameter
+    vector, FMCK a model checkpoint, RNDG a merge round's global model.
+    """
     directory = tmp_path_factory.mktemp("blobs")
     model = build_model("texfilter", 8, 2, 3, {"hidden": 3}, seed=5)
+    save_param_vector(model.export_params(), directory / "theta.pvec")
     save_checkpoint(model, directory / "model.ckpt")
-    save_round_checkpoint(7, model.export_params(), directory / "round.bin")
-    blobs = {
-        "PVEC": param_vector_to_bytes(model.export_params()),
-        "FMCK": (directory / "model.ckpt").read_bytes(),
-        "RNDG": (directory / "round.bin").read_bytes(),
-    }
-    return blobs, directory
+    save_round_checkpoint(7, model.export_params(), directory / "round-0007.pvec")
+    names = {"PVEC": "theta.pvec", "FMCK": "model.ckpt", "RNDG": "round-0007.pvec"}
+    return {fmt: (directory / name).read_bytes() for fmt, name in names.items()}, directory
+
+
+_LOADERS = {"PVEC": load_param_vector, "FMCK": load_checkpoint, "RNDG": load_round_checkpoint}
 
 
 def _read_blob(fmt, blob, directory):
-    if fmt == "PVEC":
-        return param_vector_from_bytes(blob)
-    path = directory / f"prefix-{fmt}.bin"
+    path = directory / f"variant-{fmt}.bin"
     path.write_bytes(blob)
-    return (load_checkpoint if fmt == "FMCK" else load_round_checkpoint)(path)
+    return _LOADERS[fmt](path)
 
 
-@pytest.mark.parametrize("fmt", ["PVEC", "FMCK", "RNDG"])
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_every_proper_prefix_of_a_binary_blob_raises_a_csti_error(fmt, binary_blobs, data):
+@pytest.mark.parametrize("fmt", list(_LOADERS))
+def test_every_proper_prefix_of_a_binary_blob_raises_a_csti_error(fmt, binary_blobs):
     blobs, directory = binary_blobs
     blob = blobs[fmt]
     assert _read_blob(fmt, blob, directory) is not None
-    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
-    # CstiError itself: ContractViolation is also a ValueError
-    with pytest.raises(CstiError):
-        _read_blob(fmt, blob[:cut], directory)
+    for cut in range(len(blob)):
+        # CstiError itself: ContractViolation is also a ValueError
+        with pytest.raises(CstiError):
+            _read_blob(fmt, blob[:cut], directory)
+
+
+@pytest.mark.parametrize("fmt", list(_LOADERS))
+def test_every_single_byte_flip_of_a_binary_blob_raises_a_csti_error(fmt, binary_blobs):
+    blobs, directory = binary_blobs
+    for at in range(len(blobs[fmt])):
+        for mask in (0x01, 0x80, 0xFF):
+            blob = bytearray(blobs[fmt])
+            blob[at] ^= mask
+            with pytest.raises(CstiError):
+                _read_blob(fmt, bytes(blob), directory)
+
+
+@pytest.mark.parametrize("fmt", list(_LOADERS))
+def test_an_appended_byte_or_a_blob_of_another_type_raises_a_csti_error(fmt, binary_blobs):
+    blobs, directory = binary_blobs
+    with pytest.raises(CstiError, match="lengths give"):
+        _read_blob(fmt, blobs[fmt] + b"\0", directory)
+    for other in set(blobs) - {fmt}:
+        with pytest.raises(CstiError, match="blob, not"):
+            _read_blob(fmt, blobs[other], directory)
+
+
+def test_a_version_1_round_file_raises_a_contract_violation_naming_it(tmp_path):
+    path = tmp_path / "round-0003.pvec"
+    path.write_bytes(b"RNDG" + struct.pack("<I", 3) + b"PVEC" + bytes(40))
+    with pytest.raises(ContractViolation, match="round-0003.pvec: not a csti container"):
+        load_round_checkpoint(path)
+
+
+def test_a_round_file_with_a_bad_round_index_names_it(tmp_path):
+    pvec = build_model("dlinear", 8, 1, 2).export_params()
+    save_container(tmp_path / "round.pvec", "round", pvec, round=-1)
+    with pytest.raises(ContractViolation, match="round.pvec: round index -1"):
+        load_round_checkpoint(tmp_path / "round.pvec")
+
+
+def _resealed(blob):
+    """``blob`` with its trailing CRC-32 recomputed, so an edit reaches the header checks."""
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
 
 
 def test_checkpoint_with_unknown_kind_names_it(binary_blobs):
     blobs, directory = binary_blobs
-    blob = blobs["FMCK"].replace(b'"kind": "texfilter"', b'"kind": "texfilteX"')
+    blob = _resealed(blobs["FMCK"].replace(b'"kind": "texfilter"', b'"kind": "texfilteX"'))
     with pytest.raises(ContractViolation, match="texfilteX"):
         _read_blob("FMCK", blob, directory)
 
 
 def _edited_header(blob, edit):
-    """``blob`` (an FMCK checkpoint) with its JSON header passed through ``edit``."""
-    (hlen,) = struct.unpack_from("<I", blob, 4)
-    header = json.loads(blob[8 : 8 + hlen])
+    """``blob`` (a checkpoint) with its JSON header passed through ``edit``, resealed."""
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + hlen])
     edit(header)
     text = json.dumps(header).encode()
-    return blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + hlen :]
+    return _resealed(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen :])
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -340,7 +381,7 @@ def test_checkpoint_header_goes_through_build_model_checks(tmp_path, edit, messa
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_one_flipped_checkpoint_byte_gives_a_model_or_a_csti_error(kind, tmp_path_factory, data):
+def test_one_flipped_checkpoint_byte_raises_a_csti_error(kind, tmp_path_factory, data):
     directory = tmp_path_factory.getbasetemp()
     save_checkpoint(build_model(kind, 8, 2, 3, seed=5), directory / f"flip-{kind}.ckpt")
     blob = bytearray((directory / f"flip-{kind}.ckpt").read_bytes())
@@ -348,11 +389,8 @@ def test_one_flipped_checkpoint_byte_gives_a_model_or_a_csti_error(kind, tmp_pat
     blob[at] ^= data.draw(st.integers(1, 255), label="mask")
     path = directory / f"flipped-{kind}.ckpt"
     path.write_bytes(bytes(blob))
-    try:
-        model = load_checkpoint(path)
-    except CstiError:
-        return
-    assert model.kind == kind and np.all(np.isfinite(model.export_params().values))
+    with pytest.raises(CstiError):
+        load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +459,30 @@ def test_cli_overrides(tmp_path):
     assert report["config"]["seed"] == 9
     assert report["config"]["data"]["stocks"] == 2
     assert not (tmp_path / "alt/dlinear/csti").exists()
+
+
+@pytest.mark.parametrize("stocks", ["-1", "0", "3"])
+def test_cli_stocks_outside_the_csv_paths_exit_code(tmp_path, stocks):
+    market = generate_synthetic_market(2, 240, 0.6, seed=8)
+    for series in market:
+        save_series_csv(series, tmp_path / f"{series.stock_id}.csv")
+    doc = spec_doc("out")
+    doc["data"] = {"source": "csv", "paths": [f"{s.stock_id}.csv" for s in market]}
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json", "--stocks", stocks], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert f"spec error: --stocks: {stocks} is not in 1..2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_stocks_on_a_spec_whose_data_is_not_an_object_exit_code(tmp_path):
+    doc = spec_doc("out")
+    doc["data"] = 5
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json", "--stocks", "2"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "spec error: data" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_divergence_exit_code(tmp_path):

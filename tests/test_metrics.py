@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -65,10 +65,19 @@ def test_length_mismatch_and_empty():
 
 @settings(max_examples=200, deadline=None)
 @given(vec_pair())
+@example((np.array([1e6, 1e6]), np.array([999999.9375, 999999.9375])))
 def test_mae_homogeneity_and_jensen(pair):
     pred, actual = pair
+    base = mae(pred, actual)
+    # a power of two scales every step exactly, unless the mean is subnormal
+    if base > np.finfo(np.float64).tiny:
+        assert mae(4.0 * pred, 4.0 * actual) == 4.0 * base
+    # 3.7 rounds the scaled inputs by up to eps/2 of each (or half the
+    # subnormal spacing), so nearly cancelling inputs move mae by up to that
     c = 3.7
-    assert mae(c * pred, c * actual) == pytest.approx(abs(c) * mae(pred, actual), rel=1e-9)
+    rounding = c * np.finfo(np.float64).eps * np.max(np.abs([pred, actual]))
+    assert mae(c * pred, c * actual) == pytest.approx(
+        c * base, rel=1e-9, abs=rounding + 8 * np.finfo(np.float64).smallest_subnormal)
     assert mae(pred, actual) ** 2 <= mse(pred, actual) * (1 + 1e-9) + 1e-9
 
 

@@ -11,8 +11,6 @@ from csti.models import (
     MODEL_KINDS,
     _filter_spectrum,
     build_model,
-    export_params,
-    import_params,
     load_checkpoint,
     save_checkpoint,
 )
@@ -187,15 +185,15 @@ def test_loss_empty_batch_rejected():
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_import_export_roundtrip(kind, rng):
     model = build_model(kind, 8, 1, 2, seed=10)
-    clone = import_params(model, export_params(model))
+    clone = model.import_params(model.export_params())
     window = rng.uniform(0, 1, size=(8, 2))
     assert np.array_equal(clone.predict(window), model.predict(window))
 
 
 def test_consensus_merge_leaves_predictions_unchanged(rng):
     model = build_model("texfilter", 8, 1, 2, seed=11)
-    merged = axpy_merge([export_params(model)] * 3, [1.0] * 3)
-    clone = import_params(model, merged)
+    merged = axpy_merge([model.export_params()] * 3, [1.0] * 3)
+    clone = model.import_params(merged)
     window = rng.uniform(0, 1, size=(8, 2))
     assert np.allclose(clone.predict(window), model.predict(window), atol=1e-12)
 
@@ -204,7 +202,7 @@ def test_import_wrong_length_rejected():
     a = build_model("paifilter", 8, 1, 2)
     b = build_model("paifilter", 16, 1, 2)
     with pytest.raises(MergeIncompatibilityError):
-        import_params(a, export_params(b))
+        a.import_params(b.export_params())
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):

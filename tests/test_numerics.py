@@ -26,8 +26,8 @@ from csti.numerics import (
     fsum_columns,
     idft,
     layout_from_lengths,
-    param_vector_from_bytes,
-    param_vector_to_bytes,
+    load_param_vector,
+    save_param_vector,
     sgd_step,
 )
 
@@ -270,10 +270,11 @@ def test_axpy_merge_layout_mismatch_names_segment():
         axpy_merge([a, b], [1.0, 1.0])
 
 
-def test_param_vector_serialization_roundtrip():
+def test_param_vector_serialization_roundtrip(tmp_path):
     vec = pv(np.random.default_rng(47).standard_normal(7),
              [("kernel", 4), ("bias", 3)])
-    back = param_vector_from_bytes(param_vector_to_bytes(vec))
+    save_param_vector(vec, tmp_path / "theta.pvec")
+    back = load_param_vector(tmp_path / "theta.pvec")
     assert back.layout == vec.layout
     assert np.array_equal(back.values, vec.values)
 
