@@ -305,7 +305,7 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
         shared_init = True
 
     seed = raw.get("seed", 0)
-    _expect(errors, type(seed) is int, "seed: integer required")
+    _expect(errors, type(seed) is int and seed >= 0, "seed: integer >= 0 required")
     jobs = raw.get("jobs", 1)
     _expect(errors, type(jobs) is int and jobs >= 1, "jobs: integer >= 1 required")
     normal_eval = raw.get("normal_eval", "final")
@@ -501,12 +501,18 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
 def _write_cell(spec, cell, cell_dir, report, trace, result, test_sets):
     cell_dir.mkdir(parents=True, exist_ok=True)
+    # keyed by lineage, so the file does not depend on the order of the stocks
+    if isinstance(result, CstiResult):
+        steps = dict(zip((ds.stock_id for ds in test_sets), trace.lineage_update_steps))
+    else:
+        (total,) = trace.lineage_update_steps
+        steps = {"global": total}
     document = {
         "cell": cell,
         "config": spec.echo(),
         "evaluation": report.as_dict(),
         "training": {
-            "lineage_update_steps": list(trace.lineage_update_steps),
+            "lineage_update_steps": steps,
             "global_loss_per_round": [float(x) for x in trace.global_loss_per_round],
         },
     }

@@ -34,6 +34,15 @@ views once and reuses them for every step, since writes to the stack
 show through them. Every product and reduction runs per row,
 so each row of a stacked call is bit-identical to the K=1 call. The
 kernels check nothing: the trainer owns theta and checks shapes.
+
+A kind may keep its (K, N, .) temporaries in a workspace: ``workspace(K,
+N)`` returns buffers that ``_forward`` and ``_backward`` fill with
+``out=``, or None for a kind that keeps none (all but texfilter). The
+trainer binds one per distinct (rows, batch size) next to its views and
+passes it to every such call; a call without one allocates a fresh
+workspace, with the same bits. Reuse matters because temporaries freed
+at the end of every step leave the top of the glibc heap free: glibc
+trims it, and the next step faults the same pages back in.
 """
 
 from __future__ import annotations
@@ -134,11 +143,18 @@ class ForecastModel:
         """Validate resolved hyperparameters and coerce their types."""
         return hyper
 
-    def _forward(self, p, inputs):
+    def workspace(self, rows: int, n: int):
+        """Buffers for the temporaries of one (rows, n)-window kernel call, or None.
+
+        A kind that keeps none returns None, and its kernel allocates.
+        """
+        return None
+
+    def _forward(self, p, inputs, ws=None):
         """(pred (K, N, H), cache) from the (K, ...) views ``p``; pred is fresh, not cached."""
         raise NotImplementedError
 
-    def _backward(self, p, inputs, dpred, cache, g):
+    def _backward(self, p, inputs, dpred, cache, g, ws=None):
         """Write d(loss_k)/d(theta_k) into the (K, ...) gradient views ``g``."""
         raise NotImplementedError
 
@@ -184,23 +200,27 @@ class ForecastModel:
             self.lookback, self.horizon, self.n_features, self.hyper, pvec.values
         )
 
-    def loss_and_gradient(self, p, inputs, targets, g) -> np.ndarray:
+    def loss_and_gradient(self, p, inputs, targets, g, workspace=None) -> np.ndarray:
         """Per-row batch MSE of a stack; its gradient goes into ``g``.
 
         ``p`` and ``g`` are the ``unpack`` views of a (K, P) theta stack
         and of a (K, P) gradient stack; inputs (K, N, L, d), targets
         (K, N, H) -> losses (K,). Every coordinate of ``g`` is written,
         through ``out=`` where one product or reduction fills a view. The
-        only other write is to the fresh prediction of ``_forward``, which
-        becomes the residual and then d(loss)/d(pred) in place. A kernel:
-        it trusts the shapes, which the caller has checked.
+        only other writes are to the fresh prediction of ``_forward``,
+        which becomes the residual and then d(loss)/d(pred) in place, and
+        to ``workspace``: a ``self.workspace(K, N)`` result that holds the
+        call's temporaries and is overwritten by the next call that gets
+        it. Without one the kernel allocates its temporaries; the results
+        are the same bits. A kernel: it trusts the shapes, which the
+        caller has checked.
         """
-        pred, cache = self._forward(p, inputs)
+        pred, cache = self._forward(p, inputs, workspace)
         k, n, h = pred.shape
         pred -= targets
         losses = np.add.reduce(np.square(pred).reshape(k, n * h), axis=1) / (n * h)  # np.mean
         pred *= 2.0 / (n * h)
-        self._backward(p, inputs, pred, cache, g)
+        self._backward(p, inputs, pred, cache, g, workspace)
         return losses
 
     def loss_gradient(self, inputs, targets) -> ParamVector:
@@ -217,9 +237,11 @@ def _t(a):
     return a.swapaxes(-1, -2)
 
 
-def _mix_forward(inputs, mix):
+def _mix_forward(inputs, mix, out=None):
+    """The (K, N, L) mixed series, into ``out`` when given."""
     k, n, L, d = inputs.shape
-    return (inputs.reshape(k, n * L, d) @ mix[:, :, None]).reshape(k, n, L)
+    into = None if out is None else out.reshape(k, n * L, 1)
+    return np.matmul(inputs.reshape(k, n * L, d), mix[:, :, None], out=into).reshape(k, n, L)
 
 
 def _mix_backward(inputs, dz, g):
@@ -231,11 +253,11 @@ def _head_forward(series, w, b):
     return series @ _t(w) + b[:, None]
 
 
-def _head_backward(series, dpred, p, g):
-    """Write the head's gradients into ``g``; returns d(loss)/d(series)."""
+def _head_backward(series, dpred, p, g, out=None):
+    """Write the head's gradients into ``g``; returns d(loss)/d(series), into ``out`` if given."""
     np.matmul(_t(dpred), series, out=g["head_weight"])
     np.add.reduce(dpred, axis=1, out=g["head_bias"])
-    return dpred @ p["head_weight"]
+    return np.matmul(dpred, p["head_weight"], out=out)
 
 
 def _filter_spectrum(s_re, s_im, k_re, k_im):
@@ -328,7 +350,7 @@ class DLinearModel(ForecastModel):
             ("input_mix", (n_features,), init),
         )
 
-    def _forward(self, p, inputs):
+    def _forward(self, p, inputs, ws=None):
         curve = (self._basis @ p["coef"][..., None])[..., 0]  # (K, H)
         if self.hyper["use_anchor"]:
             z_last = (inputs[:, :, -1, :] @ p["input_mix"][..., None])[..., 0]  # (K, N)
@@ -340,7 +362,7 @@ class DLinearModel(ForecastModel):
     def predict_batch(self, inputs):
         return self._predict(inputs)
 
-    def _backward(self, p, inputs, dpred, cache, g):
+    def _backward(self, p, inputs, dpred, cache, g, ws=None):
         np.matmul(self._basis.T, np.add.reduce(dpred, axis=1)[..., None], out=g["coef"][..., None])
         if self.hyper["use_anchor"]:
             np.matmul(_t(inputs[:, :, -1, :]), np.add.reduce(dpred, axis=2)[..., None],
@@ -385,7 +407,7 @@ class PaiFilterModel(ForecastModel):
         """Apply the kernel to (N, L) scalar series; the pre-head signal."""
         return z @ self._operator(self._theta_views)[0]
 
-    def _forward(self, p, inputs):
+    def _forward(self, p, inputs, ws=None):
         z = _mix_forward(inputs, p["input_mix"])
         g_op = self._operator(p)
         v = g_op @ _t(p["head_weight"])  # (K, L, H)
@@ -394,7 +416,7 @@ class PaiFilterModel(ForecastModel):
     def predict_batch(self, inputs):
         return self._predict(inputs)
 
-    def _backward(self, p, inputs, dpred, cache, g):
+    def _backward(self, p, inputs, dpred, cache, g, ws=None):
         z, g_op, v = cache
         L = self.lookback
         dv = _t(z) @ dpred
@@ -450,51 +472,93 @@ class TexFilterModel(ForecastModel):
             ("input_mix", (n_features,), _uniform(_affine_bound(n_features))),
         )
 
-    def _forward(self, p, inputs):
+    def workspace(self, rows, n):
+        """Every (rows, n, .) temporary of a kernel call, plus the complex weights.
+
+        Forward and backward write into these with ``out=``, in the order
+        and with the operands of the allocating expressions they replace,
+        so the results are the same bits. The backward pass reuses
+        buffers whose values are dead by then: d(filtered) goes into
+        ``z``, dy into ``ks``, d(gate) into ``r``, the modReLU pull into
+        ``shifted``, du @ conj(w1) into ``s_conj`` and dz into ``filtered``.
+        """
+        L, m = self.lookback, self.hyper["hidden"]
+        real, cplx = np.float64, np.complex128
+        shapes = {
+            "z": (L, real), "s": (L, cplx), "u": (m, cplx), "r": (m, real),
+            "shifted": (m, real), "active": (m, bool), "inv": (m, real), "scale": (m, real),
+            "a": (m, cplx), "k": (L, cplx), "ks": (L, cplx), "filtered": (L, real),
+            "s_conj": (L, cplx), "dk": (L, cplx), "ds": (L, cplx), "conj": (m, cplx),
+            "da": (m, cplx), "du": (m, cplx),
+        }
+        ws = {name: np.empty((rows, n, width), dtype) for name, (width, dtype) in shapes.items()}
+        for name, shape in (("w1", (m, L)), ("w2", (L, m)), ("b1", (m,)), ("b2", (L,)),
+                            ("w1_conj", (m, L)), ("w2_conj", (L, m)), ("dw1", (m, L)),
+                            ("dw2", (L, m)), ("db1", (m,)), ("db2", (L,))):
+            ws[name] = np.empty((rows, *shape), cplx)
+        return ws
+
+    def _forward(self, p, inputs, ws=None):
+        if ws is None:
+            ws = self.workspace(*inputs.shape[:2])
         d_op, r_op = numerics.interleaved_dft_operators(self.lookback)
-        w1, w2 = _get_complex(p, "filter_w1"), _get_complex(p, "filter_w2")
-        b1, b2 = _get_complex(p, "filter_b1")[:, None], _get_complex(p, "filter_b2")[:, None]
-        z = _mix_forward(inputs, p["input_mix"])
-        s = (z @ d_op).view(np.complex128)
-        u = s @ _t(w1) + b1
-        r = np.abs(u)
-        shifted = r + p["filter_gate_bias"][:, None]
-        inv = (shifted > 0.0) / np.maximum(r, _GATE_EPS)  # 1/r where active, else 0
-        scale = shifted * inv
-        a = scale * u
-        k = a @ _t(w2) + b2
-        filtered = (k * s).view(np.float64) @ r_op
+        w1, w2 = _get_complex(p, "filter_w1", ws["w1"]), _get_complex(p, "filter_w2", ws["w2"])
+        b1 = _get_complex(p, "filter_b1", ws["b1"])[:, None]
+        b2 = _get_complex(p, "filter_b2", ws["b2"])[:, None]
+        z = _mix_forward(inputs, p["input_mix"], ws["z"])
+        s = ws["s"]
+        np.matmul(z, d_op, out=s.view(np.float64))
+        u = np.matmul(s, _t(w1), out=ws["u"])
+        u += b1
+        r = np.abs(u, out=ws["r"])
+        shifted = np.add(r, p["filter_gate_bias"][:, None], out=ws["shifted"])
+        inv = np.maximum(r, _GATE_EPS, out=ws["inv"])
+        np.divide(np.greater(shifted, 0.0, out=ws["active"]), inv, out=inv)  # 1/r where active, else 0
+        scale = np.multiply(shifted, inv, out=ws["scale"])
+        a = np.multiply(scale, u, out=ws["a"])
+        k = np.matmul(a, _t(w2), out=ws["k"])
+        k += b2
+        filtered = np.matmul(np.multiply(k, s, out=ws["ks"]).view(np.float64), r_op,
+                             out=ws["filtered"])
         pred = _head_forward(filtered, p["head_weight"], p["head_bias"])
-        return pred, (s, u, inv, scale, a, k, filtered, w1, w2)
+        return pred, (ws, s, u, inv, scale, a, k, filtered, w1, w2)
 
     def predict_batch(self, inputs):
         return self._predict(inputs)
 
-    def _backward(self, p, inputs, dpred, cache, g):
-        s, u, inv, scale, a, k, filtered, w1, w2 = cache
+    def _backward(self, p, inputs, dpred, cache, g, ws=None):
+        ws, s, u, inv, scale, a, k, filtered, w1, w2 = cache
         d_op, r_op = numerics.interleaved_dft_operators(self.lookback)
-        dfiltered = _head_backward(filtered, dpred, p, g)
-        # temporaries go left: numpy may reuse a big right one, swapping FMA operands
-        dy = (dfiltered @ r_op.T).view(np.complex128)
-        s_conj = s.conj()
-        dk = dy * s_conj
-        ds = k.conj() * dy
-        _set_complex(g, filter_w2=_t(dk) @ a.conj(), filter_b2=np.add.reduce(dk, axis=1))
-        da = dk @ w2.conj()
+        dfiltered = _head_backward(filtered, dpred, p, g, out=ws["z"])
+        # operand order as in y = x w: complex products are not symmetric under FMA
+        dy = ws["ks"]
+        np.matmul(dfiltered, r_op.T, out=dy.view(np.float64))
+        s_conj = np.conjugate(s, out=ws["s_conj"])
+        dk = np.multiply(dy, s_conj, out=ws["dk"])
+        ds = np.multiply(np.conjugate(k, out=ws["ds"]), dy, out=ws["ds"])
+        _set_complex(g, filter_w2=np.matmul(_t(dk), np.conjugate(a, out=ws["conj"]), out=ws["dw2"]),
+                     filter_b2=np.add.reduce(dk, axis=1, out=ws["db2"]))
+        da = np.matmul(dk, np.conjugate(w2, out=ws["w2_conj"]), out=ws["da"])
 
         # modReLU: a = scale(r) * u with scale = (r + c)/r, d scale/dr = -c/r^2
-        dgate = (u.conj() * da).real * inv  # dl/dc; inv is 0 where inactive
+        u_da = np.multiply(np.conjugate(u, out=ws["conj"]), da, out=ws["conj"])
+        dgate = np.multiply(u_da.real, inv, out=ws["r"])  # dl/dc; inv is 0 where inactive
         np.add.reduce(dgate, axis=1, out=g["filter_gate_bias"])
-        du = scale * da - (p["filter_gate_bias"][:, None] * inv * inv * dgate) * u
-        _set_complex(g, filter_w1=_t(du) @ s_conj, filter_b1=np.add.reduce(du, axis=1))
-        ds += du @ w1.conj()
+        du = np.multiply(scale, da, out=ws["du"])
+        pull = np.multiply(p["filter_gate_bias"][:, None], inv, out=ws["shifted"])
+        pull *= inv
+        pull *= dgate
+        du -= np.multiply(pull, u, out=ws["conj"])
+        _set_complex(g, filter_w1=np.matmul(_t(du), s_conj, out=ws["dw1"]),
+                     filter_b1=np.add.reduce(du, axis=1, out=ws["db1"]))
+        ds += np.matmul(du, np.conjugate(w1, out=ws["w1_conj"]), out=ws["s_conj"])
 
-        _mix_backward(inputs, ds.view(np.float64) @ d_op.T, g)
+        _mix_backward(inputs, np.matmul(ds.view(np.float64), d_op.T, out=ws["filtered"]), g)
 
 
-def _get_complex(p, name):
-    out = p[name + "_re"].astype(np.complex128)
-    out.imag = p[name + "_im"]
+def _get_complex(p, name, out):
+    """``<name>_re`` + i ``<name>_im``, written into ``out``."""
+    out.real, out.imag = p[name + "_re"], p[name + "_im"]
     return out
 
 
@@ -539,7 +603,7 @@ class FretsModel(ForecastModel):
             ("input_mix", (n_features,), _uniform(_affine_bound(n_features))),
         )
 
-    def _forward(self, p, inputs):
+    def _forward(self, p, inputs, ws=None):
         z = _mix_forward(inputs, p["input_mix"])
         s_re, s_im = numerics.dft_batch(z)
         h_re = np.tanh(s_re @ _t(p["re_w1"]) + p["re_b1"][:, None])
@@ -553,7 +617,7 @@ class FretsModel(ForecastModel):
     def predict_batch(self, inputs):
         return self._predict(inputs)
 
-    def _backward(self, p, inputs, dpred, cache, g):
+    def _backward(self, p, inputs, dpred, cache, g, ws=None):
         s_re, s_im, h_re, h_im, recon = cache
         drecon = _head_backward(recon, dpred, p, g)
         dx_re, dx_im = numerics.real_idft_batch_adjoint(drecon)

@@ -34,7 +34,6 @@ import numpy as np
 from .errors import (
     ContractViolation,
     CstiError,
-    MergeIncompatibilityError,
     NumericInputError,
     NumericOverflowError,
     ShapeMismatchError,
@@ -58,7 +57,7 @@ class Segment:
 class ParamVector:
     """Flat float64 parameter vector with a named segment layout.
 
-    Two vectors are merge-compatible iff their layouts are identical.
+    Two vectors fit the same model iff their layouts are identical.
     Instances are immutable; algebra returns new vectors.
     """
 
@@ -114,16 +113,6 @@ def layout_from_lengths(pairs: Sequence[tuple[str, int]]) -> tuple[Segment, ...]
     return tuple(segs)
 
 
-def _first_layout_difference(a: ParamVector, b: ParamVector) -> str:
-    for sa, sb in zip(a.layout, b.layout):
-        if sa != sb:
-            return sa.name
-    if len(a.layout) != len(b.layout):
-        longer = a.layout if len(a.layout) > len(b.layout) else b.layout
-        return longer[min(len(a.layout), len(b.layout))].name
-    return "<none>"
-
-
 def _two_sum(a, b):
     """(s, e) with s = fl(a + b) and s + e == a + b exactly (Knuth)."""
     s = a + b
@@ -159,32 +148,31 @@ def fsum_columns(rows: np.ndarray) -> np.ndarray:
     return r
 
 
-def axpy_merge(vectors: Sequence[ParamVector], weights: Sequence[float]) -> ParamVector:
-    """Merge K parameter vectors into (1/K) * sum_k w_k * theta_k.
+def axpy_merge(rows: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+    """Merge the (K, P) row stack into (1/K) * sum_k w_k * rows[k], a fresh (P,) array.
 
-    Coordinate i is math.fsum(w_k * theta_k[i] for k) / K, correctly
-    rounded and so independent of the order of the inputs; K equal
-    weighted vectors merge to that vector itself.
+    Coordinate i is math.fsum(w_k * rows[k, i] for k) / K, correctly
+    rounded and so independent of the order of the rows; K equal weighted
+    rows merge to that row itself (the consensus case). The stack is read,
+    never written: a trainer merges its own theta stack in place of K
+    parameter vectors, and weights of 1.0 skip the product stack.
     """
-    if len(vectors) == 0 or len(vectors) != len(weights):
-        raise ContractViolation("need K >= 1 vectors and exactly K weights")
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[0] != len(weights):
+        raise ContractViolation("need a (K, P) row stack with K >= 1 and exactly K weights")
     w = np.asarray(weights, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise NumericInputError("merge weights must be finite")
-    base = vectors[0]
-    for v in vectors[1:]:
-        if not base.same_layout(v):
-            raise MergeIncompatibilityError(
-                f"layouts differ at segment {_first_layout_difference(base, v)!r}"
-            )
-    if len(vectors) == 1:
-        return base.replace(w[0] * base.values)
-    products = np.stack([wk * vk.values for wk, vk in zip(w, vectors)])
+    if not np.all(np.isfinite(rows)):
+        raise NumericInputError("merge rows must be finite")
+    if rows.shape[0] == 1:
+        return w[0] * rows[0]
+    products = rows if np.all(w == 1.0) else w[:, None] * rows  # 1.0 * x is x, bit for bit
     bits = products.view(np.uint64)  # bitwise, so +0.0 and -0.0 differ
     if np.all(bits == bits[0]):
         # consensus: the mean of K identical vectors is that vector, exactly
-        return base.replace(products[0])
-    return base.replace(fsum_columns(products) / len(vectors))
+        return products[0].copy()
+    return fsum_columns(products) / rows.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +388,15 @@ def fresh_optimizer_state(params: ParamVector, learning_rate: float, momentum: f
 
 
 def momentum_step(theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
-                  learning_rate: float, momentum: float) -> None:
-    """In place: v <- mu*v + g; theta <- theta - eta*v (classical momentum)."""
+                  learning_rate: float, momentum: float, scratch: np.ndarray | None = None) -> None:
+    """In place: v <- mu*v + g; theta <- theta - eta*v (classical momentum).
+
+    ``scratch``, shaped like theta, holds eta*v; without it that product
+    is a fresh array.
+    """
     velocity *= momentum
     velocity += grad
-    theta -= learning_rate * velocity
+    theta -= np.multiply(velocity, learning_rate, out=scratch)
 
 
 def sgd_step(params: ParamVector, grad: ParamVector, state: OptimizerState) -> tuple[ParamVector, OptimizerState]:

@@ -13,6 +13,13 @@ is correctly rounded, so results are bit-identical regardless of kernel
 width or the position of a stock in the list. ``jobs`` is that width:
 the most stocks in one kernel call. The optimizer work (loss guard,
 proximal term, momentum step, finiteness check) always spans all K.
+
+A run binds its trainer once (``_StockStack``): the theta, gradient and
+velocity stacks, the shuffled windows, the kernel views and the kernel
+workspaces live as long as the run, and every step writes into them.
+Allocating them per step would leave the top of the glibc heap free at
+each step's end, glibc would trim it, and the next step would fault the
+same pages back in. Each round merges the theta stack itself.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ class CstiConfig:
 
     def __post_init__(self):
         for name, low in (("stocks", 1), ("merge_rounds", 0), ("finetune_epochs", 0),
-                          ("local_epochs_per_round", 1), ("batch_size", 1)):
+                          ("local_epochs_per_round", 1), ("batch_size", 1), ("seed", 0)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ContractViolation("learning_rate must be finite and > 0")
@@ -147,13 +154,12 @@ class LocalTrainResult(NamedTuple):
     epoch_wall_ms: list
 
 
-class _RowLog(NamedTuple):
-    """A LocalTrainResult without the model, for one row of a stack."""
+class _StackLog(NamedTuple):
+    """What one ``_StockStack.train`` call records, row k for stock k."""
 
-    epoch_losses: list
-    prox_penalties: list
-    update_steps: int
-    epoch_wall_ms: list  # of the whole stack
+    losses: np.ndarray  # (K, epochs) mean data-term loss per epoch
+    penalties: np.ndarray  # (K, epochs) lambda * ||theta_k - anchor||^2 at each epoch end
+    epoch_wall_ms: list  # of the whole stack, per epoch
 
 
 def _rows(rows):
@@ -161,114 +167,171 @@ def _rows(rows):
     return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
 
 
-class _StockStack:
-    """The windows of K stocks, shape-checked once and concatenated per block.
+def _runs(rows):
+    """Sorted row indices as the slices of their contiguous runs."""
+    starts = [i for i, k in enumerate(rows) if i == 0 or rows[i - 1] != k - 1]
+    return [slice(rows[i], rows[j - 1] + 1) for i, j in zip(starts, starts[1:] + [len(rows)])]
 
-    A block is a run of at most ``width`` consecutive stocks; no kernel call
-    spans two blocks. Each block keeps its own arrays, not one array over
-    all K stocks: glibc serves an array that large by mmap, and freeing it
-    raises glibc's mmap and trim thresholds, so later frees are no longer
-    returned to the OS and peak RSS grows. The batch schedule depends only
-    on the stock sizes, so it is built here too: per batch index, the rows
-    with a batch there and the (block arrays, span, rows) of each kernel call.
+
+class _StockStack:
+    """The windows of K stocks and every buffer their lockstep training needs.
+
+    Everything is bound once per run, at construction: the (K, P) theta
+    stack, the gradient stack, the velocity, a step scratch, the batch
+    losses, the shuffled windows, the ``unpack`` views of each kernel
+    call's theta and gradient rows, and the model's kernel workspaces
+    (one per distinct (rows, batch size), shared by the blocks that
+    match). A step then writes only into these buffers: the trainer
+    allocates nothing (K, P)-sized per step, and the kernel's temporaries
+    stay put. Freed and re-allocated each step, they would leave the top
+    of the glibc heap free; glibc trims it, and the next step faults the
+    pages back in, at a cost that swings with the allocator's state.
+
+    A block is a run of at most ``width`` consecutive stocks; no kernel
+    call spans two blocks. Each epoch writes every stock's windows, in
+    its shuffled order, into its row of its block's (rows, most windows,
+    ...) buffers, so a kernel call reads its batch as one view. Each block
+    keeps its own buffers, not one array over all K stocks: glibc serves
+    an array that large by mmap, and freeing it raises glibc's mmap and
+    trim thresholds, so later frees are no longer returned to the OS and
+    peak RSS grows. The batch schedule depends only on the stock sizes,
+    so it is built here too: per batch index, the rows with a batch
+    there, the step views of their contiguous runs, and each kernel
+    call's windows, targets, rows, bound views and workspace.
     """
 
     def __init__(self, model: ForecastModel, datasets: Sequence[WindowedDataset],
                  batch_size: int, width: int):
         checked = [_check_batch(ds.inputs, ds.targets, model.lookback, model.horizon,
                                 model.n_features) for ds in datasets]
+        self.model = model
         self.stock_ids = [ds.stock_id for ds in datasets]
         self.sizes = [x.shape[0] for x, _ in checked]
         self.batches = [-(-n // batch_size) for n in self.sizes]
-        blocks = [range(lo, min(lo + width, len(self.sizes)))
-                  for lo in range(0, len(self.sizes), width)]
-        self.offsets = [sum(self.sizes[k - k % width : k]) for k in range(len(self.sizes))]
-        data = [(np.concatenate([checked[k][0] for k in block]),
-                 np.concatenate([checked[k][1] for k in block])) for block in blocks]
+        k_rows = len(self.sizes)
+        self.theta = np.zeros((k_rows, model.n_params))
+        self._grad, self._velocity, self._scratch = (np.zeros_like(self.theta) for _ in range(3))
+        self._finite = np.zeros(self.theta.shape, dtype=bool)
+        self._losses = np.zeros((k_rows, max(self.batches)))
+        self._shuffle = []  # per stock: windows, targets, and its rows of the block buffers
+        blocks = []  # (first stock, stocks, shuffled windows, shuffled targets)
+        for lo in range(0, k_rows, width):
+            block = range(lo, min(lo + width, k_rows))
+            most = max(self.sizes[k] for k in block)
+            buffers = (np.zeros((len(block), most, model.lookback, model.n_features)),
+                       np.zeros((len(block), most, model.horizon)))
+            self._shuffle += [(*checked[k], *(buf[k - lo, : self.sizes[k]] for buf in buffers))
+                              for k in block]
+            blocks.append((lo, block, *buffers))
+        bound, workspaces = {}, {}
         self.schedule = []
         for start in range(0, max(self.sizes), batch_size):
             calls = []
-            for arrays, block in zip(data, blocks):
+            for lo, block, windows, targets in blocks:
                 groups = {}
                 for k in block:
                     if start < self.sizes[k]:
                         groups.setdefault(min(batch_size, self.sizes[k] - start), []).append(k)
-                calls += [(arrays, slice(start, start + size), _rows(rows))
-                          for size, rows in groups.items()]
+                for size, members in groups.items():
+                    rows, key, batch = _rows(members), tuple(members), slice(start, start + size)
+                    if key not in bound:
+                        bound[key] = self._bind(rows, lo)
+                    if (len(key), size) not in workspaces:
+                        workspaces[len(key), size] = model.workspace(len(key), size)
+                    ws = workspaces[len(key), size]
+                    local = (slice(rows.start - lo, rows.stop - lo) if isinstance(rows, slice)
+                             else slice(None))
+                    calls.append((windows[local, batch], targets[local, batch], rows,
+                                  *bound[key], () if ws is None else (ws,)))
             active = [k for k, n in enumerate(self.sizes) if start < n]
-            self.schedule.append((active, _rows(active), calls))
+            steps = [(run, *(buf[run] for buf in (self.theta, self._velocity, self._grad,
+                                                  self._scratch, self._finite)))
+                     for run in _runs(active)]
+            self.schedule.append((active, _rows(active), steps, calls))
+        same = {}
+        for k, b in enumerate(self.batches):
+            same.setdefault(b, []).append(k)
+        self._same_batches = [(b, _rows(rows)) for b, rows in same.items()]
+
+    def _bind(self, rows, lo):
+        """(theta views, gradient views, gather) for the rows of one kernel call.
+
+        Contiguous rows get views of the stacks themselves and gather None.
+        Other rows get views of their own theta and gradient copies, and
+        gather is (theta copy, gradient copy, rows within the block): each
+        call fills the theta copy, takes those rows of the batch and writes
+        the gradient copy back.
+        """
+        if isinstance(rows, slice):
+            return self.model.unpack(self.theta[rows]), self.model.unpack(self._grad[rows]), None
+        theta_copy, grad_copy = np.zeros((2, len(rows), self.theta.shape[1]))
+        return (self.model.unpack(theta_copy), self.model.unpack(grad_copy),
+                (theta_copy, grad_copy, [k - lo for k in rows]))
 
     def _diverged(self, k, message):
         return DivergenceError(f"{self.stock_ids[k]}: {message}", stock_id=self.stock_ids[k])
 
-    def train(self, model: ForecastModel, theta: np.ndarray, seeds: Sequence[int],
-              epochs: int, learning_rate: float, momentum: float,
-              anchor: np.ndarray | None = None, prox_weight: float = 0.0) -> list:
-        """Lockstep minibatch SGD-momentum on theta (K, P), in place; one _RowLog per row.
+    def train(self, seeds: Sequence[int], epochs: int, learning_rate: float, momentum: float,
+              anchor: np.ndarray | None = None, prox_weight: float = 0.0) -> _StackLog:
+        """Lockstep minibatch SGD-momentum on ``self.theta`` (K, P), in place.
 
-        Row k draws one permutation per epoch from ``default_rng(seeds[k])``
-        and takes its batches in that order, one take per array and call. A
+        The velocity starts at zero on every call, and every other buffer
+        is written before it is read, so a call depends only on theta and
+        its arguments. Row k draws one permutation per epoch from
+        ``default_rng(seeds[k])`` and takes its batches in that order. A
         stock with fewer windows skips the batch indices it lacks. At each
         batch index, the rows of a block whose batches have the same size
-        share one kernel call; contiguous rows run on views bound once per
-        train call, others on copies. Then the loss guard, the proximal term
+        share one kernel call. Then the loss guard, the proximal term
         2 * prox_weight * (theta - anchor), the momentum step and the
-        finiteness check run once over every row with a batch there. A
-        failed check raises DivergenceError naming the stock that fails
-        first in (epoch, batch index, stock) order, at any width.
+        finiteness check run over every row with a batch there, one
+        contiguous run of rows at a time, in place. A failed check raises
+        DivergenceError naming the stock that fails first in (epoch, batch
+        index, stock) order, at any width.
         """
         check_step_settings(learning_rate, momentum)
         use_prox = anchor is not None and prox_weight > 0.0
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        velocity, grad = np.zeros_like(theta), np.empty_like(theta)
-        bound = {}  # (start, stop) -> unpack views of those rows of theta and grad
+        theta, grad, losses = self.theta, self._grad, self._losses
+        self._velocity[...] = 0.0
         k_rows = len(self.sizes)
-        epoch_losses, prox_penalties, epoch_wall = [[] for _ in seeds], [[] for _ in seeds], []
-        order = np.zeros((k_rows, max(self.sizes)), dtype=np.intp)
-        losses = np.empty((k_rows, len(self.schedule)))
+        epoch_losses, penalties = np.zeros((k_rows, epochs)), np.zeros((k_rows, epochs))
+        epoch_wall = []
         for epoch in range(epochs):
             tick = time.perf_counter()
-            for k, (rng, n) in enumerate(zip(rngs, self.sizes)):
-                order[k, :n] = self.offsets[k] + rng.permutation(n)
-            for batch, (active, at, calls) in enumerate(self.schedule):
-                for (inputs, targets), span, rows in calls:
-                    if isinstance(rows, slice):
-                        key = rows.start, rows.stop
-                        if key not in bound:
-                            bound[key] = model.unpack(theta[rows]), model.unpack(grad[rows])
-                        (p, g), copy = bound[key], None
-                    else:
-                        copy = np.empty((len(rows), theta.shape[1]))
-                        p, g = model.unpack(theta[rows]), model.unpack(copy)
-                    idx = order[rows, span]
-                    losses[rows, batch] = model.loss_and_gradient(
-                        p, inputs.take(idx, axis=0), targets.take(idx, axis=0), g)
-                    if copy is not None:
-                        grad[rows] = copy
+            for rng, (x, y, x_shuffled, y_shuffled) in zip(rngs, self._shuffle):
+                order = rng.permutation(len(x))
+                x.take(order, axis=0, out=x_shuffled, mode="clip")  # "raise" would buffer
+                y.take(order, axis=0, out=y_shuffled, mode="clip")
+            for batch, (active, at, steps, calls) in enumerate(self.schedule):
+                for windows, targets, rows, p, g, gather, ws in calls:
+                    if gather is not None:
+                        theta.take(rows, axis=0, out=gather[0], mode="clip")
+                        windows, targets = windows[gather[2]], targets[gather[2]]
+                    losses[rows, batch] = self.model.loss_and_gradient(p, windows, targets, g, *ws)
+                    if gather is not None:
+                        grad[rows] = gather[1]
                 failed = ~(losses[at, batch] <= DIVERGENCE_GUARD)  # NaN fails too
                 if failed.any():
                     k = active[np.flatnonzero(failed)[0]]
                     raise self._diverged(k, f"batch loss {losses[k, batch]:.3e} exceeded guard")
-                th, vel, gr = theta[at], velocity[at], grad[at]
-                if use_prox:
-                    gr += 2.0 * prox_weight * (th - anchor)
-                momentum_step(th, vel, gr, learning_rate, momentum)
-                if not np.isfinite(th).all():
-                    k = active[np.flatnonzero(~np.isfinite(th).all(axis=1))[0]]
-                    raise self._diverged(k, "parameters became non-finite at step "
-                                            f"{epoch * self.batches[k] + batch + 1}")
-                if isinstance(at, list):
-                    theta[at], velocity[at] = th, vel
-            for k in range(k_rows):
-                epoch_losses[k].append(float(losses[k, : self.batches[k]].mean()))
-                if use_prox:
-                    delta = theta[k] - anchor
-                    prox_penalties[k].append(float(prox_weight * np.dot(delta, delta)))
-                else:
-                    prox_penalties[k].append(0.0)
+                for run, th, vel, gr, scratch, finite in steps:
+                    if use_prox:
+                        np.subtract(th, anchor, out=scratch)
+                        scratch *= 2.0 * prox_weight
+                        gr += scratch
+                    momentum_step(th, vel, gr, learning_rate, momentum, scratch)
+                    if not np.isfinite(th, out=finite).all():
+                        k = run.start + np.flatnonzero(~finite.all(axis=1))[0]
+                        raise self._diverged(k, "parameters became non-finite at step "
+                                                f"{epoch * self.batches[k] + batch + 1}")
+            for b, rows in self._same_batches:
+                epoch_losses[rows, epoch] = np.add.reduce(losses[rows, :b], axis=1) / b  # np.mean
+            if use_prox:
+                np.subtract(theta, anchor, out=self._scratch)
+                for k, delta in enumerate(self._scratch):
+                    penalties[k, epoch] = prox_weight * np.dot(delta, delta)
             epoch_wall.append((time.perf_counter() - tick) * 1000.0)
-        return [_RowLog(epoch_losses[k], prox_penalties[k], epochs * self.batches[k], epoch_wall)
-                for k in range(k_rows)]
+        return _StackLog(epoch_losses, penalties, epoch_wall)
 
 
 def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
@@ -287,12 +350,13 @@ def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
     params = model.export_params()
     if anchor is not None and anchor.layout != params.layout:
         raise MergeIncompatibilityError("anchor layout does not match model")
-    theta = params.values[None].copy()
-    (log,) = _StockStack(model, [dataset], _check_int("batch_size", batch_size, 1), 1).train(
-        model, theta, [seed], epochs, learning_rate, momentum,
-        anchor=None if anchor is None else anchor.values, prox_weight=prox_weight,
-    )
-    return LocalTrainResult(model.import_params(params.replace(theta[0])), *log)
+    stack = _StockStack(model, [dataset], _check_int("batch_size", batch_size, 1), 1)
+    stack.theta[0] = params.values
+    log = stack.train([seed], epochs, learning_rate, momentum,
+                      anchor=None if anchor is None else anchor.values, prox_weight=prox_weight)
+    return LocalTrainResult(model.import_params(params.replace(stack.theta[0])),
+                            log.losses[0].tolist(), log.penalties[0].tolist(),
+                            epochs * stack.batches[0], log.epoch_wall_ms)
 
 
 def _check_stock_group(stocks: Sequence[WindowedDataset]):
@@ -322,10 +386,14 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
              hyper: dict | None = None, jobs: int = 1) -> CstiResult:
     """Full protocol: iterative merge rounds, then proximal fine-tuning.
 
-    All K stocks train as one lockstep stack (``_StockStack.train``), once
-    per merge round and once for fine-tuning; ``jobs`` only caps the stocks
-    in one kernel call (``jobs <= 1`` means one), while the optimizer work
-    spans every stock. A trace row's ``wall_ms`` is the wall time of the
+    All K stocks train as one lockstep stack, bound once per run
+    (``_StockStack``): one ``train`` call per merge round and one for
+    fine-tuning, each starting from zero velocity. ``jobs`` only caps the
+    stocks in one kernel call (``jobs <= 1`` means one), while the
+    optimizer work spans every stock. Each round merges the theta stack
+    itself, with one ``axpy_merge`` call.
+    Round means and trace rows come from the (K, epochs) loss and penalty
+    arrays of ``train``; a trace row's ``wall_ms`` is the wall time of the
     whole-stack epoch the row belongs to.
     """
     lookback, horizon, d = _check_stock_group(stocks)
@@ -341,17 +409,17 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         seed=derive_seed(cfg.seed, _TAG_INIT, 0),
     )
     init = template.export_params()
-    theta = np.tile(init.values, (k_stocks, 1)) if cfg.shared_init else np.stack([
+    stack = _StockStack(template, stocks, cfg.batch_size, width)
+    theta = stack.theta
+    theta[:] = init.values if cfg.shared_init else np.stack([
         build_model(kind, lookback, horizon, d, hyper,
                     seed=derive_seed(cfg.seed, _TAG_INIT, 1, ds.stock_id)).export_params().values
         for ds in stocks
     ])
-    stack = _StockStack(template, stocks, cfg.batch_size, width)
 
     def seeds(tag, round_index):
         return [derive_seed(cfg.seed, tag, round_index, sid) for sid in stack.stock_ids]
 
-    lineage_steps = [0] * k_stocks
     global_params = None
 
     tick = time.perf_counter()
@@ -359,24 +427,21 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         if global_params is not None:
             theta[:] = global_params.values
         try:
-            logs = stack.train(template, theta, seeds(_TAG_MERGE, round_index),
-                               cfg.local_epochs_per_round, cfg.learning_rate, cfg.momentum)
+            log = stack.train(seeds(_TAG_MERGE, round_index), cfg.local_epochs_per_round,
+                              cfg.learning_rate, cfg.momentum)
         except DivergenceError as err:
             raise DivergenceError(
                 f"round {round_index}: {err}",
                 stock_id=err.stock_id, round_index=round_index,
             ) from err
-        global_params = axpy_merge([init.replace(row) for row in theta], weights)
+        global_params = init.replace(axpy_merge(theta, weights))
         trace.round_globals.append(global_params)
 
-        round_losses = []
-        for k, log in enumerate(logs):
-            lineage_steps[k] += log.update_steps
-            for e, loss_val in enumerate(log.epoch_losses):
-                trace.add("merge", round_index, stocks[k].stock_id,
-                          loss_val, 0.0, log.epoch_wall_ms[e])
-            round_losses.append(float(np.mean(log.epoch_losses)))
-        mean_loss = math.fsum(round_losses) / k_stocks  # correctly rounded: order-free
+        for sid, losses in zip(stack.stock_ids, log.losses.tolist()):
+            for loss_val, wall in zip(losses, log.epoch_wall_ms):
+                trace.add("merge", round_index, sid, loss_val, 0.0, wall)
+        round_losses = np.add.reduce(log.losses, axis=1) / log.losses.shape[1]  # np.mean
+        mean_loss = math.fsum(round_losses.tolist()) / k_stocks  # correctly rounded: order-free
         trace.global_loss_per_round.append(mean_loss)
         trace.add("merge", round_index, "global", mean_loss, 0.0, 0.0)
     trace.phase_wall_ms["merge"] = (time.perf_counter() - tick) * 1000.0
@@ -387,21 +452,19 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     tick = time.perf_counter()
     theta[:] = global_params.values
     try:
-        logs = stack.train(template, theta, seeds(_TAG_FINETUNE, 0), cfg.finetune_epochs,
-                           cfg.alpha * cfg.learning_rate, cfg.momentum,
-                           anchor=global_params.values, prox_weight=cfg.prox_weight)
+        log = stack.train(seeds(_TAG_FINETUNE, 0), cfg.finetune_epochs,
+                          cfg.alpha * cfg.learning_rate, cfg.momentum,
+                          anchor=global_params.values, prox_weight=cfg.prox_weight)
     except DivergenceError as err:
         raise DivergenceError(f"fine-tune: {err}", stock_id=err.stock_id) from err
-    finetuned = []
-    for k, log in enumerate(logs):
-        lineage_steps[k] += log.update_steps
-        finetuned.append(template.import_params(global_params.replace(theta[k])))
-        for e, loss_val in enumerate(log.epoch_losses):
-            trace.add("finetune", e + 1, stocks[k].stock_id,
-                      loss_val, log.prox_penalties[e], log.epoch_wall_ms[e])
+    finetuned = [template.import_params(global_params.replace(row)) for row in theta]
+    for sid, losses, penalties in zip(stack.stock_ids, log.losses.tolist(),
+                                      log.penalties.tolist()):
+        for e, (loss_val, penalty, wall) in enumerate(zip(losses, penalties, log.epoch_wall_ms)):
+            trace.add("finetune", e + 1, sid, loss_val, penalty, wall)
     trace.phase_wall_ms["finetune"] = (time.perf_counter() - tick) * 1000.0
 
-    trace.lineage_update_steps = lineage_steps
+    trace.lineage_update_steps = [cfg.epochs_budget * b for b in stack.batches]
     return CstiResult(global_params, finetuned, trace)
 
 
@@ -425,6 +488,7 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, epochs_total: int,
     lookback, horizon, d = _check_stock_group(stocks)
     k_stocks = len(stocks)
     epochs_per = _check_int("epochs_total", epochs_total, k_stocks) // k_stocks
+    seed = _check_int("seed", seed, 0)
 
     model = build_model(
         kind, lookback, horizon, d, hyper,

@@ -154,6 +154,15 @@ def test_boolean_numbers_name_the_field(tmp_path, path):
     assert any(e.startswith(".".join(path) + ":") for e in err.value.errors)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+def test_a_seed_that_is_not_an_integer_of_at_least_zero_names_the_field(tmp_path, seed):
+    # -1 used to validate, then fail in numpy's SeedSequence with a raw ValueError
+    doc = spec_doc(tmp_path / "out", seed=seed)
+    with pytest.raises(SpecValidationError) as err:
+        validate_spec(write_spec(tmp_path, doc))
+    assert "seed: integer >= 0 required" in err.value.errors
+
+
 @pytest.mark.parametrize("weights", [[1, -1, 1], [0, 0, 0]])
 def test_bad_merge_weights_name_the_field(tmp_path, weights):
     doc = spec_doc(tmp_path / "out")
@@ -248,14 +257,13 @@ def test_permuted_csv_paths_give_the_same_csti_reports(tmp_path):
         for name, order in orders.items():
             doc = json.loads((tmp_path / name / kind / "csti/with_sentiment/report.json")
                              .read_text(encoding="utf-8"))
-            # the echoed paths and the per-lineage step counts follow the input order
+            # the echoed paths follow the input order; the step counts are keyed by stock
             assert doc["config"].pop("out_dir") == str(tmp_path / name)
             assert [Path(p).name for p in doc["config"]["data"].pop("paths")] == \
                 [Path(p).name for p in order]
-            steps = doc["training"].pop("lineage_update_steps")
-            assert len(set(steps)) > 1
-            reports[name] = (json.dumps(doc, sort_keys=True, indent=2),
-                             dict(zip(order, steps)))
+            steps = doc["training"]["lineage_update_steps"]
+            assert set(steps) == {s.stock_id for s in market} and len(set(steps.values())) > 1
+            reports[name] = json.dumps(doc, sort_keys=True, indent=2)
         assert reports["reversed"] == reports["given"], kind
         assert reports["rotated"] == reports["given"], kind
 
@@ -459,6 +467,16 @@ def test_cli_overrides(tmp_path):
     assert report["config"]["seed"] == 9
     assert report["config"]["data"]["stocks"] == 2
     assert not (tmp_path / "alt/dlinear/csti").exists()
+
+
+@pytest.mark.parametrize("where", ["spec", "flag"])
+def test_cli_negative_seed_exit_code(tmp_path, where):
+    write_spec(tmp_path, spec_doc("out", seed=-1 if where == "spec" else 5))
+    proc = _run_cli(["spec.json", *(["--seed", "-1"] if where == "flag" else [])], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "spec error: seed: integer >= 0 required" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("stocks", ["-1", "0", "3"])

@@ -192,8 +192,9 @@ def test_import_export_roundtrip(kind, rng):
 
 def test_consensus_merge_leaves_predictions_unchanged(rng):
     model = build_model("texfilter", 8, 1, 2, seed=11)
-    merged = axpy_merge([model.export_params()] * 3, [1.0] * 3)
-    clone = model.import_params(merged)
+    params = model.export_params()
+    merged = axpy_merge(np.tile(params.values, (3, 1)), [1.0] * 3)
+    clone = model.import_params(params.replace(merged))
     window = rng.uniform(0, 1, size=(8, 2))
     assert np.allclose(clone.predict(window), model.predict(window), atol=1e-12)
 
@@ -256,6 +257,26 @@ def test_stacked_rows_equal_one_row_calls_past_numpy_temporary_elision(kind, rng
         loss_k, grad_k = _loss_and_gradient(model, theta[k:k + 1], inputs[k:k + 1], targets[k:k + 1])
         assert np.array_equal(losses[k:k + 1], loss_k)
         assert np.array_equal(grad[k:k + 1], grad_k), f"row {k}"
+
+
+@pytest.mark.parametrize("k_rows", [1, 2, 3])
+def test_texfilter_workspace_gives_the_same_bits_as_a_call_without_one(k_rows, rng):
+    # a trainer reuses one workspace per (rows, batch size) for every call;
+    # 64 is the full batch and 37 a short last one
+    model = build_model("texfilter", 16, 1, 3, seed=21)
+    for n in (64, 37):
+        workspace = model.workspace(k_rows, n)
+        for _ in range(2):  # the second call overwrites the first one's temporaries
+            theta = model.export_params().values + rng.uniform(-0.1, 0.1, (k_rows, model.n_params))
+            inputs = rng.uniform(0.0, 1.0, size=(k_rows, n, 16, 3))
+            targets = rng.uniform(0.0, 1.0, size=(k_rows, n, 1))
+            grad, grad_ws = np.full(theta.shape, np.nan), np.full(theta.shape, np.nan)
+            losses = model.loss_and_gradient(model.unpack(theta), inputs, targets,
+                                             model.unpack(grad))
+            losses_ws = model.loss_and_gradient(model.unpack(theta), inputs, targets,
+                                                model.unpack(grad_ws), workspace)
+            assert losses.tobytes() == losses_ws.tobytes()
+            assert grad.tobytes() == grad_ws.tobytes()
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

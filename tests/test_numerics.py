@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from csti import models, numerics
 from csti.errors import (
     ContractViolation,
-    MergeIncompatibilityError,
     NumericInputError,
     ShapeMismatchError,
     SymmetryViolationError,
@@ -163,23 +162,23 @@ def test_param_vector_layout_validation():
 
 
 def test_axpy_merge_examples():
-    single = axpy_merge([pv([1.0, 2.0])], [1.0])
-    assert np.allclose(single.values, [1.0, 2.0])
+    single = axpy_merge(np.array([[1.0, 2.0]]), [1.0])
+    assert np.allclose(single, [1.0, 2.0])
 
-    merged = axpy_merge([pv([1, 2, 3]), pv([3, 4, 5])], [1.0, 1.0])
-    assert np.array_equal(merged.values, [2.0, 3.0, 4.0])
+    merged = axpy_merge(np.array([[1.0, 2, 3], [3, 4, 5]]), [1.0, 1.0])
+    assert np.array_equal(merged, [2.0, 3.0, 4.0])
 
-    theta = pv([0.5, -1.5, 2.0])
-    consensus = axpy_merge([theta] * 4, [1.0] * 4)
-    assert np.array_equal(consensus.values, theta.values)
+    theta = np.array([0.5, -1.5, 2.0])
+    consensus = axpy_merge(np.tile(theta, (4, 1)), [1.0] * 4)
+    assert np.array_equal(consensus, theta)
 
 
 def test_axpy_merge_permutation_equivariance_equal_weights():
     rng = np.random.default_rng(43)
-    vecs = [pv(rng.standard_normal(5)) for _ in range(4)]
-    a = axpy_merge(vecs, [1.0] * 4)
-    b = axpy_merge(vecs[::-1], [1.0] * 4)
-    assert np.allclose(a.values, b.values, atol=1e-15)
+    rows = rng.standard_normal((4, 5))
+    a = axpy_merge(rows, [1.0] * 4)
+    b = axpy_merge(rows[::-1], [1.0] * 4)
+    assert np.allclose(a, b, atol=1e-15)
 
 
 def _bits(values):
@@ -234,23 +233,23 @@ def test_fsum_columns_edge_columns():
 @given(merge_columns(), st.randoms(use_true_random=False))
 def test_axpy_merge_is_fsum_mean_and_order_free(rows, shuffler):
     k = rows.shape[0]
-    vecs = [pv(row) for row in rows]
-    merged = axpy_merge(vecs, [1.0] * k).values
+    merged = axpy_merge(rows, [1.0] * k)
     if np.all(_bits(rows) == _bits(rows[0])):  # consensus: the shared vector itself
         expected = rows[0]
     else:
         expected = [math.fsum(col) / k for col in rows.T]
     assert np.array_equal(_bits(merged), _bits(expected))
-    shuffler.shuffle(vecs)
-    assert np.array_equal(_bits(axpy_merge(vecs, [1.0] * k).values), _bits(merged))
+    order = list(range(k))
+    shuffler.shuffle(order)
+    assert np.array_equal(_bits(axpy_merge(rows[order], [1.0] * k)), _bits(merged))
 
 
 def test_axpy_merge_signed_zeros_are_order_free():
     # +0.0 and -0.0 compare equal but are not a consensus; fsum/K is +0.0
     for rows in ([0.0], [-0.0]), ([-0.0], [0.0]):
-        merged = axpy_merge([pv(row) for row in rows], [1.0, 1.0]).values
+        merged = axpy_merge(np.array(rows), [1.0, 1.0])
         assert np.array_equal(_bits(merged), _bits([0.0]))
-    both_negative = axpy_merge([pv([-0.0]), pv([-0.0])], [1.0, 1.0]).values
+    both_negative = axpy_merge(np.array([[-0.0], [-0.0]]), [1.0, 1.0])
     assert np.array_equal(_bits(both_negative), _bits([-0.0]))
 
 
@@ -258,16 +257,40 @@ def test_axpy_merge_weighted_is_fsum_of_products():
     rng = np.random.default_rng(53)
     rows = rng.standard_normal((7, 40))
     weights = rng.uniform(0.0, 3.0, size=7)
-    merged = axpy_merge([pv(row) for row in rows], weights).values
+    merged = axpy_merge(rows, weights)
     expected = [math.fsum(w * x for w, x in zip(weights, col)) / 7 for col in rows.T]
     assert np.array_equal(_bits(merged), _bits(expected))
 
 
-def test_axpy_merge_layout_mismatch_names_segment():
-    a = pv(np.zeros(4), [("head", 3), ("mix", 1)])
-    b = pv(np.zeros(4), [("head", 2), ("mix", 2)])
-    with pytest.raises(MergeIncompatibilityError, match="head"):
-        axpy_merge([a, b], [1.0, 1.0])
+@pytest.mark.parametrize("rows", [np.ones((1, 3)), np.ones((3, 4)), np.arange(12.0).reshape(3, 4)])
+def test_axpy_merge_reads_the_stack_and_returns_a_fresh_row(rows):
+    # the trainer merges its live theta stack, so the merge must not write
+    # it or hand back a view of it (single row, consensus and fsum paths)
+    before = rows.tobytes()
+    merged = axpy_merge(rows, [1.0] * len(rows))
+    assert rows.tobytes() == before
+    assert merged.shape == (rows.shape[1],) and not np.shares_memory(merged, rows)
+
+
+@pytest.mark.parametrize("rows,weights", [
+    (np.ones(3), [1.0]),  # not a (K, P) stack
+    (np.ones((0, 3)), []),  # no rows
+    (np.ones((2, 3)), [1.0]),  # one weight short
+    (np.ones((2, 3)), [1.0, 1.0, 1.0]),  # one weight over
+])
+def test_axpy_merge_rejects_a_stack_that_is_not_k_rows_by_k_weights(rows, weights):
+    with pytest.raises(ContractViolation, match="K weights"):
+        axpy_merge(rows, weights)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_axpy_merge_rejects_non_finite_rows_and_weights(bad):
+    rows = np.ones((3, 2))
+    with pytest.raises(NumericInputError, match="weights"):
+        axpy_merge(rows, [1.0, bad, 1.0])
+    rows[1, 1] = bad
+    with pytest.raises(NumericInputError, match="rows"):
+        axpy_merge(rows, [1.0] * 3)
 
 
 def test_param_vector_serialization_roundtrip(tmp_path):
