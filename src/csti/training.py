@@ -325,7 +325,7 @@ class _StockStack:
                         raise self._diverged(k, "parameters became non-finite at step "
                                                 f"{epoch * self.batches[k] + batch + 1}")
             for b, rows in self._same_batches:
-                epoch_losses[rows, epoch] = np.add.reduce(losses[rows, :b], axis=1) / b  # np.mean
+                epoch_losses[rows, epoch] = losses[rows, :b].mean(axis=1)
             if use_prox:
                 np.subtract(theta, anchor, out=self._scratch)
                 for k, delta in enumerate(self._scratch):
@@ -440,8 +440,7 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         for sid, losses in zip(stack.stock_ids, log.losses.tolist()):
             for loss_val, wall in zip(losses, log.epoch_wall_ms):
                 trace.add("merge", round_index, sid, loss_val, 0.0, wall)
-        round_losses = np.add.reduce(log.losses, axis=1) / log.losses.shape[1]  # np.mean
-        mean_loss = math.fsum(round_losses.tolist()) / k_stocks  # correctly rounded: order-free
+        mean_loss = math.fsum(log.losses.mean(axis=1).tolist()) / k_stocks  # correctly rounded: order-free
         trace.global_loss_per_round.append(mean_loss)
         trace.add("merge", round_index, "global", mean_loss, 0.0, 0.0)
     trace.phase_wall_ms["merge"] = (time.perf_counter() - tick) * 1000.0
