@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -188,7 +189,7 @@ def load_csv_detailed(path, with_sentiment: bool = False, min_rows: int = 2,
         except ValueError:
             rejections.append(f"line {lineno}: non-numeric cell")
             continue
-        if not all(np.isfinite(values)):
+        if not all(map(math.isfinite, values)):
             rejections.append(f"line {lineno}: non-finite value")
             continue
         parsed.append((day, values))

@@ -161,6 +161,29 @@ def _expect(errors, condition, message):
     return condition
 
 
+def _number(value) -> bool:
+    """A JSON number, not a boolean, that converts to a finite float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+_JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
+               list: "an array"}
+
+
+def _section(errors, raw, name, message):
+    """The object under ``name``; an omitted or null section is empty."""
+    value = raw.get(name)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        errors.append(f"{name}: {message}, got {_JSON_TYPES.get(type(value), 'a value')}")
+        return {}
+    return value
+
+
 def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpec:
     """Resolve a parsed config document; report all field errors at once."""
     errors: list[str] = []
@@ -187,7 +210,7 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
                     "data.stocks: integer >= 1 required")
             _expect(errors, type(length) is int and length >= 64,
                     "data.length: integer >= 64 required")
-            _expect(errors, isinstance(shared, (int, float)) and 0.0 <= shared <= 1.0,
+            _expect(errors, _number(shared) and 0.0 <= shared <= 1.0,
                     "data.shared_strength: number in [0, 1] required")
         else:
             paths = data.get("paths")
@@ -254,7 +277,7 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
                 )
         feature_sets = tuple(features)
 
-    window = raw.get("window", {}) or {}
+    window = _section(errors, raw, "window", "object (or null) required")
     lookback = window.get("lookback", 16)
     horizon = window.get("horizon", 1)
     fractions = window.get("fractions", [0.7, 0.1, 0.2])
@@ -263,16 +286,15 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
     _expect(errors, type(horizon) is int and horizon >= 1,
             "window.horizon: integer >= 1 required")
     if not (isinstance(fractions, list) and len(fractions) == 3
-            and all(isinstance(x, (int, float)) and x > 0 for x in fractions)
+            and all(_number(x) and x > 0 for x in fractions)
             and abs(sum(fractions) - 1.0) <= 1e-9):
         errors.append("window.fractions: three positive numbers summing to 1 required")
         fractions = [0.7, 0.1, 0.2]
 
-    training = raw.get("training", {}) or {}
+    training = _section(errors, raw, "training", "object (or null) required")
     def num(key, default, check, message):
         value = training.get(key, default)
-        finite = type(value) is int or (type(value) is float and math.isfinite(value))
-        if not (finite and check(value)):
+        if not (_number(value) and check(value)):
             errors.append(f"training.{key}: {message}")
             return default
         return value
@@ -292,7 +314,7 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
     merge_weights = training.get("merge_weights")
     if merge_weights is not None:
         if not (isinstance(merge_weights, list)
-                and all(isinstance(w, (int, float)) and np.isfinite(w) and w >= 0
+                and all(_number(w) and w >= 0
                         for w in merge_weights) and sum(merge_weights) > 0):
             errors.append("training.merge_weights: list of finite numbers >= 0 with a "
                           "positive sum (or null) required")
@@ -313,10 +335,8 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
             "normal_eval: 'final' or 'snapshot' required")
     denorm = raw.get("denormalized_metrics", False)
     _expect(errors, isinstance(denorm, bool), "denormalized_metrics: boolean required")
-    model_hyper = raw.get("model_hyper", {})
-    if not isinstance(model_hyper, dict):
-        errors.append("model_hyper: object mapping kind -> hyperparameters required")
-        model_hyper = {}
+    model_hyper = _section(errors, raw, "model_hyper",
+                           "object mapping kind -> hyperparameters (or null) required")
 
     if errors:
         raise SpecValidationError(errors)

@@ -6,13 +6,16 @@ model and repeats, phase 3 fine-tunes the global model per stock with a
 proximal pull toward it. The baseline ("normal") strategy trains a
 single model across stocks sequentially.
 
-Determinism contract: every stock draws its shuffling seed from (config
-seed, phase, round, stock identity), each row of a stacked kernel call
-equals the one-row call, the optimizer step is elementwise and the merge
-is correctly rounded, so results are bit-identical regardless of kernel
-width or the position of a stock in the list. ``jobs`` is that width:
-the most stocks in one kernel call. The optimizer work (loss guard,
-proximal term, momentum step, finiteness check) always spans all K.
+Determinism contract: every stock shuffles from its own stream, keyed by
+(config seed, phase, stock identity) and seeded once per run; merge round
+r continues the stream where round r - 1 left it, and every stock draws
+exactly one permutation per epoch at every width. Each row of a stacked
+kernel call equals the one-row call, the optimizer step is elementwise
+and the merge is correctly rounded, so results are bit-identical
+regardless of kernel width or the position of a stock in the list.
+``jobs`` is that width: the most stocks in one kernel call. The
+optimizer work (loss guard, proximal term, momentum step, finiteness
+check) always spans all K.
 
 A run binds its trainer once (``_StockStack``): the theta, gradient and
 velocity stacks, the shuffled windows, the kernel views and the kernel
@@ -55,7 +58,14 @@ _TAG_NORMAL = 3
 
 
 def derive_seed(base_seed: int, tag: int, round_index: int, stock_id: str = "") -> int:
-    """Stable per-trainer seed keyed by stock identity, not list position."""
+    """Stable seed keyed by stock identity, not list position.
+
+    A run derives one seed per stock and phase, which keys that stock's
+    shuffle stream for the whole phase: csti's merge phase uses round
+    index 1 and its later rounds continue the stream, fine-tuning uses 0,
+    and the normal strategy's segment k uses k. Model init uses the tag
+    ``_TAG_INIT``.
+    """
     key = zlib.crc32(stock_id.encode("utf-8"))
     seq = np.random.SeedSequence((int(base_seed), tag, round_index, key))
     return int(seq.generate_state(1, np.uint64)[0])
@@ -271,7 +281,8 @@ class _StockStack:
     def _diverged(self, k, message):
         return DivergenceError(f"{self.stock_ids[k]}: {message}", stock_id=self.stock_ids[k])
 
-    def train(self, seeds: Sequence[int], epochs: int, learning_rate: float, momentum: float,
+    def train(self, seeds: Sequence[int | np.random.Generator], epochs: int,
+              learning_rate: float, momentum: float,
               anchor: np.ndarray | None = None, prox_weight: float = 0.0) -> _StackLog:
         """Lockstep minibatch SGD-momentum on ``self.theta`` (K, P), in place.
 
@@ -279,14 +290,17 @@ class _StockStack:
         is written before it is read, so a call depends only on theta and
         its arguments. Row k draws one permutation per epoch from
         ``default_rng(seeds[k])`` and takes its batches in that order. A
-        stock with fewer windows skips the batch indices it lacks. At each
-        batch index, the rows of a block whose batches have the same size
-        share one kernel call. Then the loss guard, the proximal term
-        2 * prox_weight * (theta - anchor), the momentum step and the
-        finiteness check run over every row with a batch there, one
-        contiguous run of rows at a time, in place. A failed check raises
-        DivergenceError naming the stock that fails first in (epoch, batch
-        index, stock) order, at any width.
+        seed may be a ``Generator``, which ``default_rng`` returns as is:
+        its state carries over from earlier calls and on to later ones, so
+        a caller that passes the same generators to every call draws one
+        stream per stock across calls. A stock with fewer windows skips
+        the batch indices it lacks. At each batch index, the rows of a
+        block whose batches have the same size share one kernel call.
+        Then the loss guard, the proximal term 2 * prox_weight * (theta -
+        anchor), the momentum step and the finiteness check run over every
+        row with a batch there, one contiguous run of rows at a time, in
+        place. A failed check raises DivergenceError naming the stock that
+        fails first in (epoch, batch index, stock) order, at any width.
         """
         check_step_settings(learning_rate, momentum)
         use_prox = anchor is not None and prox_weight > 0.0
@@ -337,13 +351,14 @@ class _StockStack:
 def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
                 learning_rate: float, momentum: float, batch_size: int = 64,
                 anchor: ParamVector | None = None, prox_weight: float = 0.0,
-                seed: int = 0) -> LocalTrainResult:
+                seed: int | np.random.Generator = 0) -> LocalTrainResult:
     """Minibatch SGD-momentum over seeded shuffles of one stock's windows.
 
     The one-row call of the lockstep trainer ``_StockStack.train``:
     ``model`` supplies the starting theta and serves only as the kernel,
     the dataset's shapes are checked against the model once, up front,
-    and one model is built from the final theta.
+    and one model is built from the final theta. ``seed`` may be a
+    ``Generator``, whose state carries over between calls.
     """
     epochs = _check_int("epochs", epochs, 1)
     check_step_settings(learning_rate, momentum)
@@ -391,7 +406,11 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     fine-tuning, each starting from zero velocity. ``jobs`` only caps the
     stocks in one kernel call (``jobs <= 1`` means one), while the
     optimizer work spans every stock. Each round merges the theta stack
-    itself, with one ``axpy_merge`` call.
+    itself, with one ``axpy_merge`` call. Each stock's merge-phase
+    generator is seeded once, before round 1, from (config seed, merge,
+    stock id), and every round continues it; fine-tuning seeds one more
+    per stock. So a run derives 2K seeds for training, one for the
+    template model and, without a shared init, K for the stocks' inits.
     Round means and trace rows come from the (K, epochs) loss and penalty
     arrays of ``train``; a trace row's ``wall_ms`` is the wall time of the
     whole-stack epoch the row belongs to.
@@ -421,13 +440,14 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         return [derive_seed(cfg.seed, tag, round_index, sid) for sid in stack.stock_ids]
 
     global_params = None
+    merge_rngs = [np.random.default_rng(seed) for seed in seeds(_TAG_MERGE, 1)]
 
     tick = time.perf_counter()
     for round_index in range(1, cfg.merge_rounds + 1):
         if global_params is not None:
             theta[:] = global_params.values
         try:
-            log = stack.train(seeds(_TAG_MERGE, round_index), cfg.local_epochs_per_round,
+            log = stack.train(merge_rngs, cfg.local_epochs_per_round,
                               cfg.learning_rate, cfg.momentum)
         except DivergenceError as err:
             raise DivergenceError(

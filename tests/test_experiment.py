@@ -19,6 +19,7 @@ from csti.experiment import (
     run_experiment,
     save_round_checkpoint,
     validate_spec,
+    validate_spec_dict,
 )
 from csti.models import MODEL_KINDS, build_model, load_checkpoint, save_checkpoint
 from csti.numerics import load_param_vector, save_container, save_param_vector
@@ -170,6 +171,47 @@ def test_bad_merge_weights_name_the_field(tmp_path, weights):
     with pytest.raises(SpecValidationError) as err:
         validate_spec(write_spec(tmp_path, doc))
     assert any(e.startswith("training.merge_weights") for e in err.value.errors)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=3),
+    max_leaves=8,
+)
+_SECTION_KEYS = {
+    "data": ("source", "stocks", "length", "shared_strength", "paths"),
+    "window": ("lookback", "horizon", "fractions"),
+    "training": ("merge_rounds", "finetune_epochs", "local_epochs_per_round", "learning_rate",
+                 "momentum", "alpha", "lambda", "batch_size", "epochs_total", "merge_weights",
+                 "shared_init"),
+    "model_hyper": MODEL_KINDS,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(section=st.sampled_from(sorted(_SECTION_KEYS)), data=st.data())
+def test_any_json_value_in_a_section_gives_a_spec_or_a_spec_validation_error(section, data):
+    # "window": 5 and "training": [1] used to escape as a raw AttributeError,
+    # and integers past the float range as a raw OverflowError or TypeError
+    fields = st.dictionaries(st.sampled_from(_SECTION_KEYS[section]),
+                             _JSON_VALUES | st.sampled_from(["synthetic", "csv"]), max_size=4)
+    value = data.draw(_JSON_VALUES | fields, label=section)
+    try:
+        validate_spec_dict(spec_doc("out", **{section: value}))
+    except SpecValidationError as err:
+        errors = err.errors
+    else:
+        errors = []
+    if not isinstance(value, dict) and (value is not None or section == "data"):
+        assert any(e.startswith(f"{section}:") for e in errors), errors
+
+
+@pytest.mark.parametrize("section", ["window", "training", "model_hyper"])
+def test_an_omitted_or_null_section_means_its_defaults(section):
+    omitted = spec_doc("out")
+    omitted.pop(section, None)
+    assert validate_spec_dict(spec_doc("out", **{section: None})) == validate_spec_dict(omitted)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +532,16 @@ def test_cli_stocks_outside_the_csv_paths_exit_code(tmp_path, stocks):
     proc = _run_cli(["spec.json", "--stocks", stocks], cwd=tmp_path)
     assert proc.returncode == 1
     assert f"spec error: --stocks: {stocks} is not in 1..2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,value", [("window", 5), ("training", [1])])
+def test_cli_section_that_is_not_an_object_exit_code(tmp_path, section, value):
+    write_spec(tmp_path, spec_doc("out", **{section: value}))
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert f"spec error: {section}: object (or null) required" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 

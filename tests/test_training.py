@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csti import training
 from csti.data import (
@@ -182,13 +185,15 @@ def test_single_stock_csti_degenerates_to_plain_training(small_market):
     result = run_csti([ds], "dlinear", cfg)
 
     # replay: merge of one vector is the identity, so the protocol is a
-    # sequence of train_local calls with the protocol's own seed schedule
+    # sequence of train_local calls with the protocol's own seed schedule:
+    # one merge-phase stream, seeded once and continued by every round
     model = build_model("dlinear", 16, 1, 3,
                         seed=derive_seed(cfg.seed, _TAG_INIT, 0))
-    for round_index in (1, 2, 3):
+    merge_rng = np.random.default_rng(derive_seed(cfg.seed, _TAG_MERGE, 1, ds.stock_id))
+    for _ in (1, 2, 3):
         model = train_local(
             model, ds, 1, cfg.learning_rate, cfg.momentum, cfg.batch_size,
-            seed=derive_seed(cfg.seed, _TAG_MERGE, round_index, ds.stock_id),
+            seed=merge_rng,
         ).model
     assert np.array_equal(result.global_params.values, _params(model).values)
     model = train_local(
@@ -280,6 +285,59 @@ def test_lockstep_rows_match_train_local():
         alone = train_local(init, ds, 1, cfg.learning_rate, cfg.momentum, cfg.batch_size,
                             seed=derive_seed(cfg.seed, _TAG_MERGE, 1, ds.stock_id))
         assert row.stock_id == ds.stock_id and [row.data_loss] == alone.epoch_losses
+
+
+@functools.lru_cache(maxsize=1)
+def _five_unequal_stocks():
+    # 47, 68, 89, 113 and 138 windows: 2 to 5 batches of 32, unequal last batches
+    return _unequal_market(lengths=(90, 120, 150, 185, 220), seed=53)
+
+
+def _keyed_fingerprint(result, train):
+    """A run's outputs keyed by stock id, so runs over permuted stocks compare."""
+    return (
+        [g.values.tobytes() for g in result.trace.round_globals],
+        {ds.stock_id: _params(m).values.tobytes() for ds, m in zip(train, result.finetuned)},
+        {(r.phase, r.round_index, r.stock_id): (r.data_loss, r.prox_penalty)
+         for r in result.trace.rows},
+        result.trace.global_loss_per_round,
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(MODEL_KINDS), data=st.data())
+def test_run_csti_is_bit_identical_at_every_width_and_stock_order(kind, data):
+    # the determinism contract: each stock's shuffle stream is keyed by its
+    # id and continued across merge rounds, so neither the kernel width nor
+    # the position of a stock moves a bit
+    picked = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True),
+                       label="stocks, in run order")
+    width = data.draw(st.integers(1, len(picked)), label="width")
+    cfg = CstiConfig(stocks=len(picked), merge_rounds=data.draw(st.integers(3, 4)),
+                     finetune_epochs=1, batch_size=32, seed=61,
+                     local_epochs_per_round=data.draw(st.integers(1, 2)))
+    stocks = _five_unequal_stocks()
+    reference = [stocks[i] for i in sorted(picked)]
+    permuted = [stocks[i] for i in picked]
+    expected = _keyed_fingerprint(run_csti(reference, kind, cfg, jobs=1), reference)
+    assert _keyed_fingerprint(run_csti(permuted, kind, cfg, jobs=width), permuted) == expected
+
+
+@pytest.mark.parametrize("shared_init,expected", [(True, 2 * 3 + 1), (False, 3 * 3 + 1)])
+def test_run_csti_derives_one_seed_per_stock_and_phase(small_market, monkeypatch,
+                                                        shared_init, expected):
+    # every merge round continues the stock's stream, so the count does not
+    # grow with the rounds: one merge and one fine-tune seed per stock, plus init
+    train, _, _ = small_market
+    calls = []
+    derive = training.derive_seed
+    monkeypatch.setattr(training, "derive_seed",
+                        lambda *args: calls.append(args) or derive(*args))
+    cfg = CstiConfig(stocks=3, merge_rounds=4, finetune_epochs=1, seed=47,
+                     shared_init=shared_init)
+    run_csti(train, "dlinear", cfg)
+    assert len(calls) == expected
+    assert sum(args[1] == _TAG_MERGE for args in calls) == 3
 
 
 # ---------------------------------------------------------------------------
