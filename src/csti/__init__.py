@@ -3,8 +3,8 @@
 Train one model per stock (in lockstep, as one stack of parameter rows),
 iteratively average the parameter vectors into a global model, then
 fine-tune per stock with a proximal pull toward the global parameters.
-Ships a small model zoo (dlinear, paifilter, texfilter, frets), a
-hand-checked gradient engine, and an experiment harness comparing the
+Ships a small model zoo (dlinear, paifilter, texfilter, frets) with
+hand-derived gradients, and an experiment harness comparing the
 merge protocol against sequential single-stock training.
 """
 
@@ -69,8 +69,6 @@ from .numerics import (
     axpy_merge,
     complex_hadamard,
     dft,
-    finite_diff_gradient,
-    gradient,
     idft,
     load_param_vector,
     save_param_vector,

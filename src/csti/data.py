@@ -148,9 +148,10 @@ def load_csv_detailed(path, with_sentiment: bool = False, min_rows: int = 2,
                       stock_id: str | None = None) -> tuple[StockSeries, list[str]]:
     """Parse a stock CSV, returning the series and a row rejection report.
 
-    Required header columns: date, open, close (sentiment when flagged);
-    extra columns are ignored. Rows with missing, non-numeric or
-    unparseable cells and duplicate dates are dropped and reported.
+    Required header columns: date (ASCII YYYY-MM-DD), open, close
+    (sentiment when flagged); extra columns are ignored. Rows with
+    missing, non-numeric or unparseable cells and duplicate dates are
+    dropped and reported.
     """
     path = str(path)
     wanted = ["date", "open", "close"] + (["sentiment"] if with_sentiment else [])
@@ -179,8 +180,11 @@ def load_csv_detailed(path, with_sentiment: bool = False, min_rows: int = 2,
         if len(row) < len(header) or any(row[cols[c]].strip() == "" for c in wanted):
             rejections.append(f"line {lineno}: missing cell")
             continue
-        try:
-            day = datetime.date.fromisoformat(row[cols["date"]].strip())
+        stamp = row[cols["date"]].strip()
+        try:  # YYYY-MM-DD only: fromisoformat takes more forms on Python 3.11+
+            if not (len(stamp) == 10 and stamp.isascii() and stamp[4] == stamp[7] == "-"):
+                raise ValueError(stamp)
+            day = datetime.date.fromisoformat(stamp)
         except ValueError:
             rejections.append(f"line {lineno}: unparseable date {row[cols['date']]!r}")
             continue

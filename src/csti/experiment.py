@@ -34,7 +34,7 @@ from .errors import (
     SpecValidationError,
 )
 from .metrics import export_regression_series, write_report_json
-from .models import MODEL_KINDS, OUT_OF_SCOPE_KINDS, save_checkpoint
+from .models import MODEL_KINDS, OUT_OF_SCOPE_KINDS, _resolve, save_checkpoint
 from .numerics import ParamVector, load_container, save_container
 from .training import (
     CstiConfig,
@@ -337,6 +337,13 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
     _expect(errors, isinstance(denorm, bool), "denormalized_metrics: boolean required")
     model_hyper = _section(errors, raw, "model_hyper",
                            "object mapping kind -> hyperparameters (or null) required")
+    window_ok = type(lookback) is int and lookback >= 4 and type(horizon) is int and horizon >= 1
+    for kind in (k for k in MODEL_KINDS if window_ok and k in model_kinds):
+        try:  # the checks build_model makes, before any cell trains
+            for n_features in {3 if f == "with_sentiment" else 2 for f in feature_sets}:
+                _resolve(kind, lookback, horizon, n_features, model_hyper.get(kind) or {})
+        except CstiError as err:
+            errors.append(f"model_hyper.{kind}: {err}")
 
     if errors:
         raise SpecValidationError(errors)

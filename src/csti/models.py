@@ -24,25 +24,25 @@ Parameters live in flat float64 rows. Each kind declares an ordered
 seeded initial draw both follow it. A kind may also name ``groups``:
 runs of adjacent segments that it reads and writes as one (K, n) view,
 so no kernel concatenates or splits segments. Kernels run over a (K, P)
-stack of rows: ``unpack`` turns it into named (K, ...) views, and
-``_forward`` reads them for a (K, N, L, d) batch stack. It returns a
-fresh prediction that its cache does not hold; the shared loss turns it
-into d(loss)/d(pred) in place. ``_backward`` then writes every
-coordinate of the views of the gradient stack, with ``out=`` wherever a
-product or reduction lands in one view. A caller binds both sets of
-views once and reuses them for every step, since writes to the stack
-show through them. Every product and reduction runs per row,
-so each row of a stacked call is bit-identical to the K=1 call. The
-kernels check nothing: the trainer owns theta and checks shapes.
+stack of rows, and ``unpack`` turns it into named (K, ...) views.
 
-A kind may keep its (K, N, .) temporaries in a workspace: ``workspace(K,
-N)`` returns buffers that ``_forward`` and ``_backward`` fill with
-``out=``, or None for a kind that keeps none (all but texfilter). The
-trainer binds one per distinct (rows, batch size) next to its views and
-passes it to every such call; a call without one allocates a fresh
-workspace, with the same bits. Reuse matters because temporaries freed
-at the end of every step leave the top of the glibc heap free: glibc
-trims it, and the next step faults the same pages back in.
+Every kind runs one kernel implementation, in bound form. ``bind`` takes
+the views of a theta stack, a (K, N, L, d) batch, its targets and the
+views of a gradient stack, and returns a call of no arguments. Each
+kind's ``_bind`` builds, once, every view its forward and backward pass
+read and write, over a workspace: ``workspace(K, N)`` holds the call's
+prediction, its loss buffers and every intermediate, and the passes
+fill them with ``out=``. Running the call is then only ufuncs and
+matmuls. A call without ``g`` only predicts, and its workspace holds
+the forward buffers alone. Prediction, ``loss_gradient`` and a one-off
+``loss_and_gradient`` bind a fresh call and run it. A trainer binds
+each of its calls once per run and shares one workspace per distinct
+(rows, batch size). Every product and reduction runs per row, so each
+row of a stacked call is bit-identical to the K=1 call. The kernels
+check nothing: the trainer owns theta and checks shapes. Reuse matters
+because temporaries freed at the end of every step leave the top of the
+glibc heap free: glibc trims it, and the next step faults the same pages
+back in.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ MODEL_KINDS = ("dlinear", "paifilter", "texfilter", "frets")
 OUT_OF_SCOPE_KINDS = ("transformer", "timesnet", "patchtst")
 
 _GATE_EPS = 1e-12
+_F, _C = np.float64, np.complex128
 
 
 def _check_batch(inputs, targets, lookback, horizon, n_features):
@@ -87,13 +88,13 @@ def _check_batch(inputs, targets, lookback, horizon, n_features):
 
 
 class ForecastModel:
-    """A kind's forward/backward kernel plus one immutable parameter vector.
+    """A kind's kernel plus one immutable parameter vector.
 
     The instance's own theta is a read-only, finite copy checked at
-    construction; it serves prediction, export and checkpoints.
-    ``loss_and_gradient`` takes the ``unpack`` views of a theta stack and
-    of a gradient stack instead, so a trainer binds them once over its
-    own buffers and runs the kernel without rebuilding the model.
+    construction; it serves prediction, export and checkpoints. ``bind``
+    takes the ``unpack`` views of a theta stack and of a gradient stack
+    instead, so a trainer binds each kernel call once over its own buffers
+    and runs it without rebuilding the model.
     """
 
     kind = "abstract"
@@ -143,19 +144,18 @@ class ForecastModel:
         """Validate resolved hyperparameters and coerce their types."""
         return hyper
 
-    def workspace(self, rows: int, n: int):
-        """Buffers for the temporaries of one (rows, n)-window kernel call, or None.
-
-        A kind that keeps none returns None, and its kernel allocates.
-        """
-        return None
-
-    def _forward(self, p, inputs, ws=None):
-        """(pred (K, N, H), cache) from the (K, ...) views ``p``; pred is fresh, not cached."""
+    def _buffers(self, n):
+        """One row's buffers of an n-window call, (forward, backward): name -> (dtype, *shape)."""
         raise NotImplementedError
 
-    def _backward(self, p, inputs, dpred, cache, g, ws=None):
-        """Write d(loss_k)/d(theta_k) into the (K, ...) gradient views ``g``."""
+    def _bind(self, p, inputs, ws, g=None):
+        """(forward, backward), functions of no arguments over these views.
+
+        ``forward`` writes the prediction into ``ws["pred"]``; ``backward``
+        reads d(loss)/d(pred) from there and writes every coordinate of the
+        gradient views ``g``. Without ``g`` backward is None, and forward
+        uses only the forward buffers.
+        """
         raise NotImplementedError
 
     # -- shared behaviour --------------------------------------------------
@@ -167,9 +167,61 @@ class ForecastModel:
         """Named (K, ...) views of a (K, P) stack: one per segment and one per group."""
         return {name: stack[:, span].reshape(-1, *shape) for name, span, shape in self._views}
 
+    def workspace(self, rows: int, n: int, backward: bool = True) -> dict:
+        """The buffers of one (rows, n)-window call: the forward ones, plus the backward ones."""
+        forward, back = self._buffers(n)
+        specs = {"pred": (_F, n, self.horizon), **forward}
+        if backward:
+            specs.update(square=(_F, n, self.horizon), losses=(_F,), **back)
+        return {name: np.empty((rows, *shape), dtype) for name, (dtype, *shape) in specs.items()}
+
+    def bind(self, p, inputs, targets=None, g=None, ws=None):
+        """One kernel call over fixed views, as a function of no arguments.
+
+        ``p`` and ``g`` are the ``unpack`` views of a (K, P) theta stack and
+        of a (K, P) gradient stack, inputs (K, N, L, d), targets (K, N, H).
+        The call reads them when it runs, so writes to the stacks and to the
+        windows show through. With ``g`` it returns the (K,) per-row batch
+        MSE and writes every coordinate of its gradient into ``g``, through
+        ``out=`` wherever one product or reduction fills a view. Without
+        ``g`` it returns the (K, N, H) prediction. Every temporary, the
+        prediction and the losses included, lives in ``ws``: a
+        ``workspace(K, N)`` result, forward-only without ``g``, and a fresh
+        one by default. Calls of one shape may share it, since a call
+        overwrites what the last one left there; a trainer binds each call
+        once and a step runs only the ufuncs and matmuls. The operations,
+        their operands and their order are those of the allocating
+        expressions, so every row's results are the bits of the K=1 call.
+        A kernel: it trusts the shapes, which the caller has checked.
+        """
+        k, n = inputs.shape[:2]
+        if ws is None:
+            ws = self.workspace(k, n, backward=g is not None)
+        forward, backward = self._bind(p, inputs, ws, g)
+        pred = ws["pred"]
+        if g is None:
+            def predict():
+                forward()
+                return pred
+            return predict
+        square, squares, losses = ws["square"], ws["square"].reshape(k, -1), ws["losses"]
+        # 0-d arrays, so that no call converts a Python number
+        size, scale = np.array(float(n * self.horizon)), np.array(2.0 / (n * self.horizon))
+
+        def call():
+            forward()
+            np.subtract(pred, targets, out=pred)  # the residual, then d(loss)/d(pred)
+            np.square(pred, out=square)
+            np.add.reduce(squares, axis=1, out=losses)  # np.mean
+            np.divide(losses, size, out=losses)
+            np.multiply(pred, scale, out=pred)
+            backward()
+            return losses
+        return call
+
     def _predict(self, inputs):
-        """``predict_batch``: the K=1 forward pass at this model's own theta."""
-        return self._forward(self._theta_views, np.asarray(inputs, dtype=np.float64)[None])[0][0]
+        """``predict_batch``: a forward-only K=1 call at this model's own theta."""
+        return self.bind(self._theta_views, np.asarray(inputs, dtype=np.float64)[None])()[0]
 
     def predict(self, window) -> np.ndarray:
         window = np.asarray(window, dtype=np.float64)
@@ -200,28 +252,14 @@ class ForecastModel:
             self.lookback, self.horizon, self.n_features, self.hyper, pvec.values
         )
 
-    def loss_and_gradient(self, p, inputs, targets, g, workspace=None) -> np.ndarray:
-        """Per-row batch MSE of a stack; its gradient goes into ``g``.
+    def loss_and_gradient(self, p, inputs, targets, g, call=None) -> np.ndarray:
+        """Per-row batch MSE of a stack; its gradient goes into ``g`` (see ``bind``).
 
-        ``p`` and ``g`` are the ``unpack`` views of a (K, P) theta stack
-        and of a (K, P) gradient stack; inputs (K, N, L, d), targets
-        (K, N, H) -> losses (K,). Every coordinate of ``g`` is written,
-        through ``out=`` where one product or reduction fills a view. The
-        only other writes are to the fresh prediction of ``_forward``,
-        which becomes the residual and then d(loss)/d(pred) in place, and
-        to ``workspace``: a ``self.workspace(K, N)`` result that holds the
-        call's temporaries and is overwritten by the next call that gets
-        it. Without one the kernel allocates its temporaries; the results
-        are the same bits. A kernel: it trusts the shapes, which the
-        caller has checked.
+        ``call``, a ``bind`` of these same views, runs as it is; without one
+        a fresh call is bound and run, with the same bits. A trainer runs
+        every kernel call through here, one call each.
         """
-        pred, cache = self._forward(p, inputs, workspace)
-        k, n, h = pred.shape
-        pred -= targets
-        losses = np.add.reduce(np.square(pred).reshape(k, n * h), axis=1) / (n * h)  # np.mean
-        pred *= 2.0 / (n * h)
-        self._backward(p, inputs, pred, cache, g, workspace)
-        return losses
+        return (call or self.bind(p, inputs, targets, g))()
 
     def loss_gradient(self, inputs, targets) -> ParamVector:
         inputs, targets = _check_batch(
@@ -237,27 +275,11 @@ def _t(a):
     return a.swapaxes(-1, -2)
 
 
-def _mix_forward(inputs, mix, out=None):
-    """The (K, N, L) mixed series, into ``out`` when given."""
-    k, n, L, d = inputs.shape
-    into = None if out is None else out.reshape(k, n * L, 1)
-    return np.matmul(inputs.reshape(k, n * L, d), mix[:, :, None], out=into).reshape(k, n, L)
-
-
-def _mix_backward(inputs, dz, g):
-    np.matmul(dz.reshape(len(dz), 1, -1), inputs.reshape(len(dz), -1, inputs.shape[-1]),
-              out=g["input_mix"][:, None])
-
-
-def _head_forward(series, w, b):
-    return series @ _t(w) + b[:, None]
-
-
-def _head_backward(series, dpred, p, g, out=None):
-    """Write the head's gradients into ``g``; returns d(loss)/d(series), into ``out`` if given."""
-    np.matmul(_t(dpred), series, out=g["head_weight"])
-    np.add.reduce(dpred, axis=1, out=g["head_bias"])
-    return np.matmul(dpred, p["head_weight"], out=out)
+def _mix(inputs, p, z):
+    """Views for z = inputs @ input_mix into ``z`` (K, N, L): flat inputs, mix, flat z."""
+    k, n, lookback, d = inputs.shape
+    return (inputs.reshape(k, n * lookback, d), p["input_mix"][:, :, None],
+            z.reshape(k, n * lookback, 1))
 
 
 def _filter_spectrum(s_re, s_im, k_re, k_im):
@@ -350,25 +372,40 @@ class DLinearModel(ForecastModel):
             ("input_mix", (n_features,), init),
         )
 
-    def _forward(self, p, inputs, ws=None):
-        curve = (self._basis @ p["coef"][..., None])[..., 0]  # (K, H)
-        if self.hyper["use_anchor"]:
-            z_last = (inputs[:, :, -1, :] @ p["input_mix"][..., None])[..., 0]  # (K, N)
-            pred = curve[:, None, :] + z_last[:, :, None]
-        else:
-            pred = np.broadcast_to(curve[:, None, :], (*inputs.shape[:2], self.horizon)).copy()
-        return pred, None
+    def _buffers(self, n):
+        return ({"curve": (_F, self.horizon, 1), "z_last": (_F, n, 1)},
+                {"dcurve": (_F, self.horizon), "dz_last": (_F, n)})
+
+    def _bind(self, p, inputs, ws, g=None):
+        basis, coef, curve, pred = self._basis, p["coef"][..., None], ws["curve"], ws["pred"]
+        last, mix, z_last = inputs[:, :, -1, :], p["input_mix"][..., None], ws["z_last"]
+        curves, anchor = curve[:, None, :, 0], self.hyper["use_anchor"]
+
+        def forward():
+            np.matmul(basis, coef, out=curve)
+            if anchor:
+                np.matmul(last, mix, out=z_last)
+                np.add(curves, z_last, out=pred)
+            else:
+                np.copyto(pred, curves)
+        if g is None:
+            return forward, None
+        basis_t, last_t, dcurve, dz_last = basis.T, _t(last), ws["dcurve"], ws["dz_last"]
+        dcurves, dz_lasts = dcurve[..., None], dz_last[..., None]
+        g_coef, g_mix = g["coef"][..., None], g["input_mix"][..., None]
+
+        def backward():
+            np.add.reduce(pred, axis=1, out=dcurve)
+            np.matmul(basis_t, dcurves, out=g_coef)
+            if anchor:
+                np.add.reduce(pred, axis=2, out=dz_last)
+                np.matmul(last_t, dz_lasts, out=g_mix)
+            else:
+                g_mix[...] = 0.0
+        return forward, backward
 
     def predict_batch(self, inputs):
         return self._predict(inputs)
-
-    def _backward(self, p, inputs, dpred, cache, g, ws=None):
-        np.matmul(self._basis.T, np.add.reduce(dpred, axis=1)[..., None], out=g["coef"][..., None])
-        if self.hyper["use_anchor"]:
-            np.matmul(_t(inputs[:, :, -1, :]), np.add.reduce(dpred, axis=2)[..., None],
-                      out=g["input_mix"][..., None])
-        else:
-            g["input_mix"][...] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -399,32 +436,51 @@ class PaiFilterModel(ForecastModel):
             ("input_mix", (n_features,), _uniform(_affine_bound(n_features))),
         )
 
-    def _operator(self, p):  # (K, 1, 2L) products keep each row's G bit-identical to K=1
-        g_op = p["kernel"][:, None] @ numerics.filter_operator_basis(self.lookback)
-        return g_op.reshape(-1, self.lookback, self.lookback)
-
     def filter_series(self, z: np.ndarray) -> np.ndarray:
         """Apply the kernel to (N, L) scalar series; the pre-head signal."""
-        return z @ self._operator(self._theta_views)[0]
+        g_op = self._theta_views["kernel"][:, None] @ numerics.filter_operator_basis(self.lookback)
+        return z @ g_op.reshape(self.lookback, self.lookback)
 
-    def _forward(self, p, inputs, ws=None):
-        z = _mix_forward(inputs, p["input_mix"])
-        g_op = self._operator(p)
-        v = g_op @ _t(p["head_weight"])  # (K, L, H)
-        return z @ v + p["head_bias"][:, None], (z, g_op, v)
+    def _buffers(self, n):
+        L, h = self.lookback, self.horizon
+        return ({"z": (_F, n, L), "g_op": (_F, L, L), "v": (_F, L, h)},
+                {"dv": (_F, L, h), "dg_op": (_F, L, L), "dz": (_F, n, L)})
+
+    def _bind(self, p, inputs, ws, g=None):
+        k, L = len(inputs), self.lookback
+        basis = numerics.filter_operator_basis(L)
+        flat, mix, z_flat = _mix(inputs, p, ws["z"])
+        z, g_op, v, pred = ws["z"], ws["g_op"], ws["v"], ws["pred"]
+        # (K, 1, 2L) products keep each row's G bit-identical to K=1
+        kernel, g_ops = p["kernel"][:, None], g_op.reshape(k, 1, L * L)
+        weight_t, bias = _t(p["head_weight"]), p["head_bias"][:, None]
+
+        def forward():
+            np.matmul(flat, mix, out=z_flat)
+            np.matmul(kernel, basis, out=g_ops)
+            np.matmul(g_op, weight_t, out=v)  # (K, L, H)
+            np.matmul(z, v, out=pred)
+            np.add(pred, bias, out=pred)
+        if g is None:
+            return forward, None
+        dv, dg_op, dz = ws["dv"], ws["dg_op"], ws["dz"]
+        z_t, dv_t, v_t, basis_t, weight = _t(z), _t(dv), _t(v), basis.T, p["head_weight"]
+        dg_ops, dz_row = dg_op.reshape(k, 1, L * L), dz.reshape(k, 1, -1)
+        g_weight, g_bias = g["head_weight"], g["head_bias"]
+        g_kernel, g_mix = g["kernel"][:, None], g["input_mix"][:, None]
+
+        def backward():
+            np.matmul(z_t, pred, out=dv)
+            np.matmul(dv_t, g_op, out=g_weight)
+            np.add.reduce(pred, axis=1, out=g_bias)
+            np.matmul(dv, weight, out=dg_op)
+            np.matmul(dg_ops, basis_t, out=g_kernel)
+            np.matmul(pred, v_t, out=dz)
+            np.matmul(dz_row, flat, out=g_mix)
+        return forward, backward
 
     def predict_batch(self, inputs):
         return self._predict(inputs)
-
-    def _backward(self, p, inputs, dpred, cache, g, ws=None):
-        z, g_op, v = cache
-        L = self.lookback
-        dv = _t(z) @ dpred
-        np.matmul(_t(dv), g_op, out=g["head_weight"])
-        np.add.reduce(dpred, axis=1, out=g["head_bias"])
-        dg_op = (dv @ p["head_weight"]).reshape(-1, 1, L * L)
-        np.matmul(dg_op, numerics.filter_operator_basis(L).T, out=g["kernel"][:, None])
-        _mix_backward(inputs, dpred @ _t(v), g)
 
 
 # ---------------------------------------------------------------------------
@@ -472,100 +528,101 @@ class TexFilterModel(ForecastModel):
             ("input_mix", (n_features,), _uniform(_affine_bound(n_features))),
         )
 
-    def workspace(self, rows, n):
-        """Every (rows, n, .) temporary of a kernel call, plus the complex weights.
+    def _buffers(self, n):
+        """The (n, .) temporaries and the complex weights, then their backward ones.
 
-        Forward and backward write into these with ``out=``, in the order
-        and with the operands of the allocating expressions they replace,
-        so the results are the same bits. The backward pass reuses
-        buffers whose values are dead by then: d(filtered) goes into
-        ``z``, dy into ``ks``, d(gate) into ``r``, the modReLU pull into
-        ``shifted``, du @ conj(w1) into ``s_conj`` and dz into ``filtered``.
+        The backward pass also reuses forward buffers whose values are dead
+        by then: d(filtered) goes into ``z``, dy into ``ks``, d(gate) into
+        ``r``, the modReLU pull into ``shifted`` and dz into ``filtered``.
         """
         L, m = self.lookback, self.hyper["hidden"]
-        real, cplx = np.float64, np.complex128
-        shapes = {
-            "z": (L, real), "s": (L, cplx), "u": (m, cplx), "r": (m, real),
-            "shifted": (m, real), "active": (m, bool), "inv": (m, real), "scale": (m, real),
-            "a": (m, cplx), "k": (L, cplx), "ks": (L, cplx), "filtered": (L, real),
-            "s_conj": (L, cplx), "dk": (L, cplx), "ds": (L, cplx), "conj": (m, cplx),
-            "da": (m, cplx), "du": (m, cplx),
-        }
-        ws = {name: np.empty((rows, n, width), dtype) for name, (width, dtype) in shapes.items()}
-        for name, shape in (("w1", (m, L)), ("w2", (L, m)), ("b1", (m,)), ("b2", (L,)),
-                            ("w1_conj", (m, L)), ("w2_conj", (L, m)), ("dw1", (m, L)),
-                            ("dw2", (L, m)), ("db1", (m,)), ("db2", (L,))):
-            ws[name] = np.empty((rows, *shape), cplx)
-        return ws
+        forward = {"z": (_F, n, L), "s": (_C, n, L), "u": (_C, n, m), "r": (_F, n, m),
+                   "shifted": (_F, n, m), "active": (bool, n, m), "inv": (_F, n, m),
+                   "scale": (_F, n, m), "a": (_C, n, m), "k": (_C, n, L), "ks": (_C, n, L),
+                   "filtered": (_F, n, L),
+                   "w1": (_C, m, L), "w2": (_C, L, m), "b1": (_C, m), "b2": (_C, L)}
+        backward = {"s_conj": (_C, n, L), "dk": (_C, n, L), "ds": (_C, n, L), "conj": (_C, n, m),
+                    "da": (_C, n, m), "du": (_C, n, m), "w1_conj": (_C, m, L),
+                    "w2_conj": (_C, L, m), "dw1": (_C, m, L), "dw2": (_C, L, m),
+                    "db1": (_C, m), "db2": (_C, L)}
+        return forward, backward
 
-    def _forward(self, p, inputs, ws=None):
-        if ws is None:
-            ws = self.workspace(*inputs.shape[:2])
+    def _bind(self, p, inputs, ws, g=None):
         d_op, r_op = numerics.interleaved_dft_operators(self.lookback)
-        w1, w2 = _get_complex(p, "filter_w1", ws["w1"]), _get_complex(p, "filter_w2", ws["w2"])
-        b1 = _get_complex(p, "filter_b1", ws["b1"])[:, None]
-        b2 = _get_complex(p, "filter_b2", ws["b2"])[:, None]
-        z = _mix_forward(inputs, p["input_mix"], ws["z"])
-        s = ws["s"]
-        np.matmul(z, d_op, out=s.view(np.float64))
-        u = np.matmul(s, _t(w1), out=ws["u"])
-        u += b1
-        r = np.abs(u, out=ws["r"])
-        shifted = np.add(r, p["filter_gate_bias"][:, None], out=ws["shifted"])
-        inv = np.maximum(r, _GATE_EPS, out=ws["inv"])
-        np.divide(np.greater(shifted, 0.0, out=ws["active"]), inv, out=inv)  # 1/r where active, else 0
-        scale = np.multiply(shifted, inv, out=ws["scale"])
-        a = np.multiply(scale, u, out=ws["a"])
-        k = np.matmul(a, _t(w2), out=ws["k"])
-        k += b2
-        filtered = np.matmul(np.multiply(k, s, out=ws["ks"]).view(np.float64), r_op,
-                             out=ws["filtered"])
-        pred = _head_forward(filtered, p["head_weight"], p["head_bias"])
-        return pred, (ws, s, u, inv, scale, a, k, filtered, w1, w2)
+        flat, mix, z_flat = _mix(inputs, p, ws["z"])
+        z, s, u, r, shifted, active, inv, scale, a, k, ks, filtered, w1, w2, pred = (
+            ws[name] for name in ("z", "s", "u", "r", "shifted", "active", "inv", "scale", "a",
+                                  "k", "ks", "filtered", "w1", "w2", "pred"))
+        # the complex weights, written from their re/im segments at every call
+        parts = [(part(ws[name]), p[f"filter_{name}_{suffix}"]) for name in ("w1", "w2", "b1", "b2")
+                 for part, suffix in ((np.real, "re"), (np.imag, "im"))]
+        w1_t, w2_t, b1, b2 = _t(w1), _t(w2), ws["b1"][:, None], ws["b2"][:, None]
+        s_real, ks_real, gate_bias = s.view(_F), ks.view(_F), p["filter_gate_bias"][:, None]
+        weight_t, bias = _t(p["head_weight"]), p["head_bias"][:, None]
+
+        def forward():
+            for part, value in parts:
+                np.copyto(part, value)
+            np.matmul(flat, mix, out=z_flat)
+            np.matmul(z, d_op, out=s_real)
+            np.add(np.matmul(s, w1_t, out=u), b1, out=u)
+            np.abs(u, out=r)
+            np.add(r, gate_bias, out=shifted)
+            np.maximum(r, _GATE_EPS, out=inv)
+            np.divide(np.greater(shifted, 0.0, out=active), inv, out=inv)  # 1/r where active, else 0
+            np.multiply(shifted, inv, out=scale)
+            np.multiply(scale, u, out=a)
+            np.add(np.matmul(a, w2_t, out=k), b2, out=k)
+            np.multiply(k, s, out=ks)
+            np.matmul(ks_real, r_op, out=filtered)
+            np.add(np.matmul(filtered, weight_t, out=pred), bias, out=pred)
+        if g is None:
+            return forward, None
+        s_conj, dk, ds, conj, da, du, w1_conj, w2_conj, dw1, dw2, db1, db2 = (
+            ws[name] for name in ("s_conj", "dk", "ds", "conj", "da", "du", "w1_conj",
+                                  "w2_conj", "dw1", "dw2", "db1", "db2"))
+        grads = [(g[f"filter_{name}_{suffix}"], part(ws["d" + name]))
+                 for name in ("w1", "w2", "b1", "b2")
+                 for part, suffix in ((np.real, "re"), (np.imag, "im"))]
+        pred_t, weight, r_op_t, d_op_t = _t(pred), p["head_weight"], r_op.T, d_op.T
+        dk_t, du_t, conj_real, ds_real = _t(dk), _t(du), conj.real, ds.view(_F)
+        g_weight, g_bias, g_gate = g["head_weight"], g["head_bias"], g["filter_gate_bias"]
+        dz_row, g_mix = filtered.reshape(len(z), 1, -1), g["input_mix"][:, None]
+
+        def backward():
+            np.matmul(pred_t, filtered, out=g_weight)
+            np.add.reduce(pred, axis=1, out=g_bias)
+            np.matmul(pred, weight, out=z)
+            # operand order as in y = x w: complex products are not symmetric under FMA
+            np.matmul(z, r_op_t, out=ks_real)
+            np.conjugate(s, out=s_conj)
+            np.multiply(ks, s_conj, out=dk)
+            np.multiply(np.conjugate(k, out=ds), ks, out=ds)
+            np.matmul(dk_t, np.conjugate(a, out=conj), out=dw2)
+            np.add.reduce(dk, axis=1, out=db2)
+            np.matmul(dk, np.conjugate(w2, out=w2_conj), out=da)
+
+            # modReLU: a = scale(r) * u with scale = (r + c)/r, d scale/dr = -c/r^2
+            np.multiply(np.conjugate(u, out=conj), da, out=conj)
+            np.multiply(conj_real, inv, out=r)  # dl/dc; inv is 0 where inactive
+            np.add.reduce(r, axis=1, out=g_gate)
+            np.multiply(scale, da, out=du)
+            np.multiply(gate_bias, inv, out=shifted)  # the pull
+            np.multiply(shifted, inv, out=shifted)
+            np.multiply(shifted, r, out=shifted)
+            np.subtract(du, np.multiply(shifted, u, out=conj), out=du)
+            np.matmul(du_t, s_conj, out=dw1)
+            np.add.reduce(du, axis=1, out=db1)
+            np.add(ds, np.matmul(du, np.conjugate(w1, out=w1_conj), out=s_conj), out=ds)
+            for g_part, value in grads:
+                np.copyto(g_part, value)
+
+            np.matmul(ds_real, d_op_t, out=filtered)
+            np.matmul(dz_row, flat, out=g_mix)
+        return forward, backward
 
     def predict_batch(self, inputs):
         return self._predict(inputs)
-
-    def _backward(self, p, inputs, dpred, cache, g, ws=None):
-        ws, s, u, inv, scale, a, k, filtered, w1, w2 = cache
-        d_op, r_op = numerics.interleaved_dft_operators(self.lookback)
-        dfiltered = _head_backward(filtered, dpred, p, g, out=ws["z"])
-        # operand order as in y = x w: complex products are not symmetric under FMA
-        dy = ws["ks"]
-        np.matmul(dfiltered, r_op.T, out=dy.view(np.float64))
-        s_conj = np.conjugate(s, out=ws["s_conj"])
-        dk = np.multiply(dy, s_conj, out=ws["dk"])
-        ds = np.multiply(np.conjugate(k, out=ws["ds"]), dy, out=ws["ds"])
-        _set_complex(g, filter_w2=np.matmul(_t(dk), np.conjugate(a, out=ws["conj"]), out=ws["dw2"]),
-                     filter_b2=np.add.reduce(dk, axis=1, out=ws["db2"]))
-        da = np.matmul(dk, np.conjugate(w2, out=ws["w2_conj"]), out=ws["da"])
-
-        # modReLU: a = scale(r) * u with scale = (r + c)/r, d scale/dr = -c/r^2
-        u_da = np.multiply(np.conjugate(u, out=ws["conj"]), da, out=ws["conj"])
-        dgate = np.multiply(u_da.real, inv, out=ws["r"])  # dl/dc; inv is 0 where inactive
-        np.add.reduce(dgate, axis=1, out=g["filter_gate_bias"])
-        du = np.multiply(scale, da, out=ws["du"])
-        pull = np.multiply(p["filter_gate_bias"][:, None], inv, out=ws["shifted"])
-        pull *= inv
-        pull *= dgate
-        du -= np.multiply(pull, u, out=ws["conj"])
-        _set_complex(g, filter_w1=np.matmul(_t(du), s_conj, out=ws["dw1"]),
-                     filter_b1=np.add.reduce(du, axis=1, out=ws["db1"]))
-        ds += np.matmul(du, np.conjugate(w1, out=ws["w1_conj"]), out=ws["s_conj"])
-
-        _mix_backward(inputs, np.matmul(ds.view(np.float64), d_op.T, out=ws["filtered"]), g)
-
-
-def _get_complex(p, name, out):
-    """``<name>_re`` + i ``<name>_im``, written into ``out``."""
-    out.real, out.imag = p[name + "_re"], p[name + "_im"]
-    return out
-
-
-def _set_complex(g, **grads):
-    """Write complex gradients into their ``<name>_re``/``<name>_im`` views."""
-    for name, value in grads.items():
-        g[name + "_re"][...], g[name + "_im"][...] = value.real, value.imag
 
 
 # ---------------------------------------------------------------------------
@@ -603,40 +660,72 @@ class FretsModel(ForecastModel):
             ("input_mix", (n_features,), _uniform(_affine_bound(n_features))),
         )
 
-    def _forward(self, p, inputs, ws=None):
-        z = _mix_forward(inputs, p["input_mix"])
-        s_re, s_im = numerics.dft_batch(z)
-        h_re = np.tanh(s_re @ _t(p["re_w1"]) + p["re_b1"][:, None])
-        x_re = h_re @ _t(p["re_w2"]) + p["re_b2"][:, None]
-        h_im = np.tanh(s_im @ _t(p["im_w1"]) + p["im_b1"][:, None])
-        x_im = h_im @ _t(p["im_w2"]) + p["im_b2"][:, None]
-        recon = numerics.real_idft_batch(x_re, x_im)
-        pred = _head_forward(recon, p["head_weight"], p["head_bias"])
-        return pred, (s_re, s_im, h_re, h_im, recon)
+    def _buffers(self, n):
+        L, m = self.lookback, self.hyper["hidden"]
+        forward = {name: (_F, n, L) for name in ("z", "s_re", "s_im", "x_re", "x_im", "recon")}
+        forward.update({name: (_F, n, m) for name in ("pre", "h_re", "h_im")})
+        backward = {name: (_F, n, L) for name in ("drecon", "dx_re", "dx_im", "ds_re", "ds_im")}
+        backward.update(du=(_F, n, m), dtanh=(_F, n, m))
+        return forward, backward
+
+    def _bind(self, p, inputs, ws, g=None):
+        # numerics.dft_batch and numerics.real_idft_batch, into buffers
+        L = self.lookback
+        c, e = numerics.dft_matrices(L)
+        c_t, e_t = c.T, e.T
+        flat, mix, z_flat = _mix(inputs, p, ws["z"])
+        z, s_re, s_im, pre, x_re, x_im, recon, pred = (
+            ws[name] for name in ("z", "s_re", "s_im", "pre", "x_re", "x_im", "recon", "pred"))
+        halves = [(ws["s_" + part], _t(p[part + "_w1"]), p[part + "_b1"][:, None], ws["h_" + part],
+                   _t(p[part + "_w2"]), p[part + "_b2"][:, None], ws["x_" + part])
+                  for part in ("re", "im")]
+        weight_t, bias = _t(p["head_weight"]), p["head_bias"][:, None]
+
+        def forward():
+            np.matmul(flat, mix, out=z_flat)
+            np.matmul(z, c_t, out=s_re)
+            np.negative(np.matmul(z, e_t, out=s_im), out=s_im)
+            for s, w1_t, b1, h, w2_t, b2, x in halves:
+                np.tanh(np.add(np.matmul(s, w1_t, out=pre), b1, out=pre), out=h)
+                np.add(np.matmul(h, w2_t, out=x), b2, out=x)
+            np.matmul(x_re, c, out=recon)
+            np.subtract(recon, np.matmul(x_im, e, out=x_re), out=recon)  # x_re is dead by then
+            np.divide(recon, L, out=recon)
+            np.add(np.matmul(recon, weight_t, out=pred), bias, out=pred)
+        if g is None:
+            return forward, None
+        drecon, dx_re, dx_im, du, dtanh, ds_re, ds_im = (
+            ws[name] for name in ("drecon", "dx_re", "dx_im", "du", "dtanh", "ds_re", "ds_im"))
+        paths = [(ws["dx_" + part], _t(ws["dx_" + part]), ws["h_" + part], p[part + "_w2"],
+                  g[part + "_w2"], g[part + "_b2"], ws["s_" + part], p[part + "_w1"],
+                  g[part + "_w1"], g[part + "_b1"], ws["ds_" + part]) for part in ("re", "im")]
+        pred_t, weight, du_t = _t(pred), p["head_weight"], _t(du)
+        g_weight, g_bias = g["head_weight"], g["head_bias"]
+        dz_row, g_mix = drecon.reshape(len(z), 1, -1), g["input_mix"][:, None]
+
+        def backward():
+            np.matmul(pred_t, recon, out=g_weight)
+            np.add.reduce(pred, axis=1, out=g_bias)
+            np.matmul(pred, weight, out=drecon)
+            np.divide(np.matmul(drecon, c_t, out=dx_re), L, out=dx_re)
+            np.negative(np.matmul(drecon, e_t, out=dx_im), out=dx_im)
+            np.divide(dx_im, L, out=dx_im)
+            for dx, dx_t, h, w2, g_w2, g_b2, s, w1, g_w1, g_b1, ds in paths:
+                np.matmul(dx_t, h, out=g_w2)
+                np.add.reduce(dx, axis=1, out=g_b2)
+                np.matmul(dx, w2, out=du)
+                np.subtract(1.0, np.multiply(h, h, out=dtanh), out=dtanh)
+                np.multiply(du, dtanh, out=du)
+                np.matmul(du_t, s, out=g_w1)
+                np.add.reduce(du, axis=1, out=g_b1)
+                np.matmul(du, w1, out=ds)
+            np.matmul(ds_re, c, out=drecon)  # dz; drecon is dead by then
+            np.subtract(drecon, np.matmul(ds_im, e, out=ds_re), out=drecon)
+            np.matmul(dz_row, flat, out=g_mix)
+        return forward, backward
 
     def predict_batch(self, inputs):
         return self._predict(inputs)
-
-    def _backward(self, p, inputs, dpred, cache, g, ws=None):
-        s_re, s_im, h_re, h_im, recon = cache
-        drecon = _head_backward(recon, dpred, p, g)
-        dx_re, dx_im = numerics.real_idft_batch_adjoint(drecon)
-
-        np.matmul(_t(dx_re), h_re, out=g["re_w2"])
-        np.add.reduce(dx_re, axis=1, out=g["re_b2"])
-        du_re = (dx_re @ p["re_w2"]) * (1.0 - h_re * h_re)
-        np.matmul(_t(du_re), s_re, out=g["re_w1"])
-        np.add.reduce(du_re, axis=1, out=g["re_b1"])
-        ds_re = du_re @ p["re_w1"]
-
-        np.matmul(_t(dx_im), h_im, out=g["im_w2"])
-        np.add.reduce(dx_im, axis=1, out=g["im_b2"])
-        du_im = (dx_im @ p["im_w2"]) * (1.0 - h_im * h_im)
-        np.matmul(_t(du_im), s_im, out=g["im_w1"])
-        np.add.reduce(du_im, axis=1, out=g["im_b1"])
-        ds_im = du_im @ p["im_w1"]
-
-        _mix_backward(inputs, numerics.dft_batch_adjoint(ds_re, ds_im), g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Mathematical substrate: parameter vectors and their file container, DFT pair, gradients, SGD.
+"""Mathematical substrate: parameter vectors and their file container, DFT pair, SGD.
 
 The discrete Fourier transform is an explicit linear operator (cos/sin
 matrices), so the frequency models backpropagate through it with plain
@@ -35,7 +35,6 @@ from .errors import (
     ContractViolation,
     CstiError,
     NumericInputError,
-    NumericOverflowError,
     ShapeMismatchError,
     SymmetryViolationError,
 )
@@ -301,59 +300,6 @@ def real_idft_batch_adjoint(ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = ds.shape[-1]
     c, e = dft_matrices(n)
     return (ds @ c.T) / n, -(ds @ e.T) / n
-
-
-# ---------------------------------------------------------------------------
-# gradients
-# ---------------------------------------------------------------------------
-
-def gradient(model, inputs: np.ndarray, targets: np.ndarray) -> ParamVector:
-    """Analytic gradient of the batch MSE w.r.t. the model parameters.
-
-    Delegates to the model's hand-derived reverse pass and verifies the
-    result is finite, naming the first offending segment otherwise.
-    """
-    if inputs.shape[0] == 0:
-        raise ContractViolation("batch must be non-empty")
-    grad = model.loss_gradient(inputs, targets)
-    if not np.all(np.isfinite(grad.values)):
-        for seg in grad.layout:
-            chunk = grad.values[seg.offset : seg.offset + seg.length]
-            if not np.all(np.isfinite(chunk)):
-                raise NumericOverflowError(
-                    f"non-finite gradient in segment {seg.name!r}"
-                )
-    return grad
-
-
-def finite_diff_gradient(model, inputs, targets, epsilon: float = 1e-5) -> ParamVector:
-    """Central-difference gradient oracle over every coordinate."""
-    if not (1e-8 <= epsilon <= 1e-3):
-        raise ContractViolation("epsilon must lie in [1e-8, 1e-3]")
-    base = model.export_params()
-    theta = base.values.copy()
-    grad = np.zeros_like(theta)
-    for i in range(theta.size):
-        saved = theta[i]
-        theta[i] = saved + epsilon
-        hi = model.import_params(base.replace(theta)).loss(inputs, targets)
-        theta[i] = saved - epsilon
-        lo = model.import_params(base.replace(theta)).loss(inputs, targets)
-        theta[i] = saved
-        grad[i] = (hi - lo) / (2.0 * epsilon)
-    return base.replace(grad)
-
-
-def gradient_check_max_error(model, inputs, targets, epsilon: float = 1e-5) -> float:
-    """Max-coordinate guarded relative error between analytic and FD gradients.
-
-    Denominator floors at 1e-3 so near-zero coordinates are compared
-    absolutely at 1e-7 scale rather than amplifying FD noise.
-    """
-    ga = gradient(model, inputs, targets).values
-    gf = finite_diff_gradient(model, inputs, targets, epsilon).values
-    denom = np.maximum(np.maximum(np.abs(ga), np.abs(gf)), 1e-3)
-    return float(np.max(np.abs(ga - gf) / denom)) if ga.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ optimizer work (loss guard, proximal term, momentum step, finiteness
 check) always spans all K.
 
 A run binds its trainer once (``_StockStack``): the theta, gradient and
-velocity stacks, the shuffled windows, the kernel views and the kernel
-workspaces live as long as the run, and every step writes into them.
+velocity stacks, the shuffled windows and every bound kernel call, with
+its views and workspace, live as long as the run, and every step writes
+into them.
 Allocating them per step would leave the top of the glibc heap free at
 each step's end, glibc would trim it, and the next step would fault the
 same pages back in. Each round merges the theta stack itself.
@@ -32,6 +33,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -172,114 +174,97 @@ class _StackLog(NamedTuple):
     epoch_wall_ms: list  # of the whole stack, per epoch
 
 
-def _rows(rows):
-    """Sorted row indices as a slice when contiguous (views), else as the list."""
-    return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
-
-
-def _runs(rows):
-    """Sorted row indices as the slices of their contiguous runs."""
-    starts = [i for i, k in enumerate(rows) if i == 0 or rows[i - 1] != k - 1]
-    return [slice(rows[i], rows[j - 1] + 1) for i, j in zip(starts, starts[1:] + [len(rows)])]
-
-
 class _StockStack:
     """The windows of K stocks and every buffer their lockstep training needs.
 
+    Row r of every stack holds stock ``order[r]``: rows run by (window
+    count, stock id), so that the rows sharing a kernel call are always one
+    contiguous run. ``row_of[i]`` is the row of the i-th stock given.
     Everything is bound once per run, at construction: the (K, P) theta
     stack, the gradient stack, the velocity, a step scratch, the batch
-    losses, the shuffled windows, the ``unpack`` views of each kernel
-    call's theta and gradient rows, and the model's kernel workspaces
-    (one per distinct (rows, batch size), shared by the blocks that
-    match). A step then writes only into these buffers: the trainer
-    allocates nothing (K, P)-sized per step, and the kernel's temporaries
-    stay put. Freed and re-allocated each step, they would leave the top
-    of the glibc heap free; glibc trims it, and the next step faults the
-    pages back in, at a cost that swings with the allocator's state.
+    losses, the shuffled windows and every kernel call. A call is bound
+    over the ``unpack`` views of its theta and gradient rows, the views of
+    its shuffled windows and targets, and a workspace shared by the calls
+    of its (rows, batch size) (``ForecastModel.bind``). A step then writes
+    only into these buffers: the trainer allocates nothing (K, P)-sized per
+    step, and the kernel's temporaries stay put. Freed and re-allocated
+    each step, they would leave the top of the glibc heap free; glibc trims
+    it, and the next step faults the pages back in, at a cost that swings
+    with the allocator's state.
 
-    A block is a run of at most ``width`` consecutive stocks; no kernel
-    call spans two blocks. Each epoch writes every stock's windows, in
-    its shuffled order, into its row of its block's (rows, most windows,
-    ...) buffers, so a kernel call reads its batch as one view. Each block
-    keeps its own buffers, not one array over all K stocks: glibc serves
-    an array that large by mmap, and freeing it raises glibc's mmap and
-    trim thresholds, so later frees are no longer returned to the OS and
-    peak RSS grows. The batch schedule depends only on the stock sizes,
-    so it is built here too: per batch index, the rows with a batch
-    there, the step views of their contiguous runs, and each kernel
-    call's windows, targets, rows, bound views and workspace.
+    A block is a run of at most ``width`` consecutive rows; no kernel call
+    spans two blocks. Each epoch writes every stock's windows, in its
+    shuffled order, into its row of its block's (rows, most windows, ...)
+    buffers, so a kernel call reads its batch as one view. Each block keeps
+    its own buffers, not one array over all K stocks: glibc serves an array
+    that large by mmap, and freeing it raises glibc's mmap and trim
+    thresholds, so later frees are no longer returned to the OS and peak
+    RSS grows. The batch schedule depends only on the stock sizes, so it
+    is built here too: per batch index, the rows with a batch there (a
+    contiguous run, since rows ascend in size), their step views, and the
+    bound calls of the blocks.
     """
 
     def __init__(self, model: ForecastModel, datasets: Sequence[WindowedDataset],
                  batch_size: int, width: int):
         checked = [_check_batch(ds.inputs, ds.targets, model.lookback, model.horizon,
                                 model.n_features) for ds in datasets]
+        self.order = sorted(range(len(datasets)),
+                            key=lambda i: (len(checked[i][0]), datasets[i].stock_id))
+        self.row_of = sorted(range(len(datasets)), key=self.order.__getitem__)
         self.model = model
-        self.stock_ids = [ds.stock_id for ds in datasets]
-        self.sizes = [x.shape[0] for x, _ in checked]
+        self.stock_ids = [datasets[i].stock_id for i in self.order]
+        self.sizes = [len(checked[i][0]) for i in self.order]
         self.batches = [-(-n // batch_size) for n in self.sizes]
         k_rows = len(self.sizes)
         self.theta = np.zeros((k_rows, model.n_params))
         self._grad, self._velocity, self._scratch = (np.zeros_like(self.theta) for _ in range(3))
         self._finite = np.zeros(self.theta.shape, dtype=bool)
         self._losses = np.zeros((k_rows, max(self.batches)))
-        self._shuffle = []  # per stock: windows, targets, and its rows of the block buffers
-        blocks = []  # (first stock, stocks, shuffled windows, shuffled targets)
+        self._shuffle = []  # per row: windows, targets, and its rows of the block buffers
+        blocks = []  # (first row, end row, shuffled windows, shuffled targets)
         for lo in range(0, k_rows, width):
-            block = range(lo, min(lo + width, k_rows))
-            most = max(self.sizes[k] for k in block)
-            buffers = (np.zeros((len(block), most, model.lookback, model.n_features)),
-                       np.zeros((len(block), most, model.horizon)))
-            self._shuffle += [(*checked[k], *(buf[k - lo, : self.sizes[k]] for buf in buffers))
-                              for k in block]
-            blocks.append((lo, block, *buffers))
-        bound, workspaces = {}, {}
+            hi = min(lo + width, k_rows)
+            buffers = (np.zeros((hi - lo, self.sizes[hi - 1], model.lookback, model.n_features)),
+                       np.zeros((hi - lo, self.sizes[hi - 1], model.horizon)))
+            for r in range(lo, hi):
+                self._shuffle.append((*checked[self.order[r]],
+                                      *(buf[r - lo, : self.sizes[r]] for buf in buffers)))
+            blocks.append((lo, hi, *buffers))
+        views, workspaces = {}, {}
         self.schedule = []
-        for start in range(0, max(self.sizes), batch_size):
+        for batch, start in enumerate(range(0, self.sizes[-1], batch_size)):
             calls = []
-            for lo, block, windows, targets in blocks:
-                groups = {}
-                for k in block:
-                    if start < self.sizes[k]:
-                        groups.setdefault(min(batch_size, self.sizes[k] - start), []).append(k)
-                for size, members in groups.items():
-                    rows, key, batch = _rows(members), tuple(members), slice(start, start + size)
-                    if key not in bound:
-                        bound[key] = self._bind(rows, lo)
-                    if (len(key), size) not in workspaces:
-                        workspaces[len(key), size] = model.workspace(len(key), size)
-                    ws = workspaces[len(key), size]
-                    local = (slice(rows.start - lo, rows.stop - lo) if isinstance(rows, slice)
-                             else slice(None))
-                    calls.append((windows[local, batch], targets[local, batch], rows,
-                                  *bound[key], () if ws is None else (ws,)))
-            active = [k for k, n in enumerate(self.sizes) if start < n]
-            steps = [(run, *(buf[run] for buf in (self.theta, self._velocity, self._grad,
-                                                  self._scratch, self._finite)))
-                     for run in _runs(active)]
-            self.schedule.append((active, _rows(active), steps, calls))
-        same = {}
-        for k, b in enumerate(self.batches):
-            same.setdefault(b, []).append(k)
-        self._same_batches = [(b, _rows(rows)) for b, rows in same.items()]
+            for lo, hi, windows, targets in blocks:
+                live = [r for r in range(lo, hi) if start < self.sizes[r]]
+                for size, run in groupby(live, lambda r: min(batch_size, self.sizes[r] - start)):
+                    run = list(run)
+                    rows = slice(run[0], run[-1] + 1)
+                    if (rows.start, rows.stop) not in views:
+                        views[rows.start, rows.stop] = (model.unpack(self.theta[rows]),
+                                                        model.unpack(self._grad[rows]))
+                    if (len(run), size) not in workspaces:
+                        workspaces[len(run), size] = model.workspace(len(run), size)
+                    p, g = views[rows.start, rows.stop]
+                    at = (slice(rows.start - lo, rows.stop - lo), slice(start, start + size))
+                    x, y = windows[at], targets[at]
+                    # the call reduces its losses straight into the trainer's column
+                    ws = dict(workspaces[len(run), size], losses=self._losses[rows, batch])
+                    calls.append((p, x, y, g, model.bind(p, x, y, g, ws)))
+            active = slice(next(r for r, n in enumerate(self.sizes) if start < n), k_rows)
+            self.schedule.append((active, self._losses[active, batch], calls,
+                                  *(buf[active] for buf in (self.theta, self._velocity,
+                                                            self._grad, self._scratch,
+                                                            self._finite))))
+        self._same_batches = []
+        for b, run in groupby(range(k_rows), self.batches.__getitem__):
+            run = list(run)
+            self._same_batches.append((b, slice(run[0], run[-1] + 1)))
 
-    def _bind(self, rows, lo):
-        """(theta views, gradient views, gather) for the rows of one kernel call.
-
-        Contiguous rows get views of the stacks themselves and gather None.
-        Other rows get views of their own theta and gradient copies, and
-        gather is (theta copy, gradient copy, rows within the block): each
-        call fills the theta copy, takes those rows of the batch and writes
-        the gradient copy back.
-        """
-        if isinstance(rows, slice):
-            return self.model.unpack(self.theta[rows]), self.model.unpack(self._grad[rows]), None
-        theta_copy, grad_copy = np.zeros((2, len(rows), self.theta.shape[1]))
-        return (self.model.unpack(theta_copy), self.model.unpack(grad_copy),
-                (theta_copy, grad_copy, [k - lo for k in rows]))
-
-    def _diverged(self, k, message):
-        return DivergenceError(f"{self.stock_ids[k]}: {message}", stock_id=self.stock_ids[k])
+    def _diverged(self, rows, message):
+        """DivergenceError for the first given stock among the failing ``rows``."""
+        k = min(rows, key=self.order.__getitem__)
+        return DivergenceError(f"{self.stock_ids[k]}: {message(k)}", stock_id=self.stock_ids[k])
 
     def train(self, seeds: Sequence[int | np.random.Generator], epochs: int,
               learning_rate: float, momentum: float,
@@ -295,17 +280,19 @@ class _StockStack:
         a caller that passes the same generators to every call draws one
         stream per stock across calls. A stock with fewer windows skips
         the batch indices it lacks. At each batch index, the rows of a
-        block whose batches have the same size share one kernel call.
-        Then the loss guard, the proximal term 2 * prox_weight * (theta -
-        anchor), the momentum step and the finiteness check run over every
-        row with a batch there, one contiguous run of rows at a time, in
-        place. A failed check raises DivergenceError naming the stock that
-        fails first in (epoch, batch index, stock) order, at any width.
+        block whose batches have the same size share one kernel call, run
+        through ``ForecastModel.loss_and_gradient``. Then the loss guard,
+        the proximal term 2 * prox_weight * (theta - anchor), the momentum
+        step and the finiteness check run over every row with a batch
+        there, in place. A failed check raises DivergenceError naming the
+        stock that fails first in (epoch, batch index, given stock) order,
+        at any width.
         """
         check_step_settings(learning_rate, momentum)
         use_prox = anchor is not None and prox_weight > 0.0
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        theta, grad, losses = self.theta, self._grad, self._losses
+        model = self.model
+        kernel = type(model).loss_and_gradient
         self._velocity[...] = 0.0
         k_rows = len(self.sizes)
         epoch_losses, penalties = np.zeros((k_rows, epochs)), np.zeros((k_rows, epochs))
@@ -316,32 +303,28 @@ class _StockStack:
                 order = rng.permutation(len(x))
                 x.take(order, axis=0, out=x_shuffled, mode="clip")  # "raise" would buffer
                 y.take(order, axis=0, out=y_shuffled, mode="clip")
-            for batch, (active, at, steps, calls) in enumerate(self.schedule):
-                for windows, targets, rows, p, g, gather, ws in calls:
-                    if gather is not None:
-                        theta.take(rows, axis=0, out=gather[0], mode="clip")
-                        windows, targets = windows[gather[2]], targets[gather[2]]
-                    losses[rows, batch] = self.model.loss_and_gradient(p, windows, targets, g, *ws)
-                    if gather is not None:
-                        grad[rows] = gather[1]
-                failed = ~(losses[at, batch] <= DIVERGENCE_GUARD)  # NaN fails too
-                if failed.any():
-                    k = active[np.flatnonzero(failed)[0]]
-                    raise self._diverged(k, f"batch loss {losses[k, batch]:.3e} exceeded guard")
-                for run, th, vel, gr, scratch, finite in steps:
-                    if use_prox:
-                        np.subtract(th, anchor, out=scratch)
-                        scratch *= 2.0 * prox_weight
-                        gr += scratch
-                    momentum_step(th, vel, gr, learning_rate, momentum, scratch)
-                    if not np.isfinite(th, out=finite).all():
-                        k = run.start + np.flatnonzero(~finite.all(axis=1))[0]
-                        raise self._diverged(k, "parameters became non-finite at step "
-                                                f"{epoch * self.batches[k] + batch + 1}")
+            for batch, (active, losses, calls, th, vel, gr, scratch, finite) in enumerate(
+                    self.schedule):
+                for args in calls:
+                    kernel(model, *args)
+                if not losses.max() <= DIVERGENCE_GUARD:  # NaN fails too
+                    raise self._diverged(
+                        active.start + np.flatnonzero(~(losses <= DIVERGENCE_GUARD)),
+                        lambda k: f"batch loss {self._losses[k, batch]:.3e} exceeded guard")
+                if use_prox:
+                    np.subtract(th, anchor, out=scratch)
+                    scratch *= 2.0 * prox_weight
+                    gr += scratch
+                momentum_step(th, vel, gr, learning_rate, momentum, scratch)
+                if not np.isfinite(th, out=finite).all():
+                    raise self._diverged(
+                        active.start + np.flatnonzero(~finite.all(axis=1)),
+                        lambda k: "parameters became non-finite at step "
+                                  f"{epoch * self.batches[k] + batch + 1}")
             for b, rows in self._same_batches:
-                epoch_losses[rows, epoch] = losses[rows, :b].mean(axis=1)
+                epoch_losses[rows, epoch] = self._losses[rows, :b].mean(axis=1)
             if use_prox:
-                np.subtract(theta, anchor, out=self._scratch)
+                np.subtract(self.theta, anchor, out=self._scratch)
                 for k, delta in enumerate(self._scratch):
                     penalties[k, epoch] = prox_weight * np.dot(delta, delta)
             epoch_wall.append((time.perf_counter() - tick) * 1000.0)
@@ -413,14 +396,15 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     template model and, without a shared init, K for the stocks' inits.
     Round means and trace rows come from the (K, epochs) loss and penalty
     arrays of ``train``; a trace row's ``wall_ms`` is the wall time of the
-    whole-stack epoch the row belongs to.
+    whole-stack epoch the row belongs to. The stack keeps its rows in its
+    own order, so merge weights, trace rows, fine-tuned models and update
+    steps are mapped back to the order of ``stocks``.
     """
     lookback, horizon, d = _check_stock_group(stocks)
     k_stocks = len(stocks)
     if k_stocks != cfg.stocks:
         raise ContractViolation(f"config says {cfg.stocks} stocks, got {k_stocks}")
     width = max(1, _check_int("jobs", jobs, -math.inf))
-    weights = cfg.weights()
     trace = TrainingTrace()
 
     template = build_model(
@@ -429,11 +413,12 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     )
     init = template.export_params()
     stack = _StockStack(template, stocks, cfg.batch_size, width)
-    theta = stack.theta
+    theta, given = stack.theta, stack.row_of  # row_of[i]: the row of stocks[i]
+    weights = [cfg.weights()[i] for i in stack.order]
     theta[:] = init.values if cfg.shared_init else np.stack([
         build_model(kind, lookback, horizon, d, hyper,
-                    seed=derive_seed(cfg.seed, _TAG_INIT, 1, ds.stock_id)).export_params().values
-        for ds in stocks
+                    seed=derive_seed(cfg.seed, _TAG_INIT, 1, sid)).export_params().values
+        for sid in stack.stock_ids
     ])
 
     def seeds(tag, round_index):
@@ -457,16 +442,16 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         global_params = init.replace(axpy_merge(theta, weights))
         trace.round_globals.append(global_params)
 
-        for sid, losses in zip(stack.stock_ids, log.losses.tolist()):
+        for ds, losses in zip(stocks, log.losses[given].tolist()):
             for loss_val, wall in zip(losses, log.epoch_wall_ms):
-                trace.add("merge", round_index, sid, loss_val, 0.0, wall)
+                trace.add("merge", round_index, ds.stock_id, loss_val, 0.0, wall)
         mean_loss = math.fsum(log.losses.mean(axis=1).tolist()) / k_stocks  # correctly rounded: order-free
         trace.global_loss_per_round.append(mean_loss)
         trace.add("merge", round_index, "global", mean_loss, 0.0, 0.0)
     trace.phase_wall_ms["merge"] = (time.perf_counter() - tick) * 1000.0
 
     if global_params is None:  # merge_rounds == 0: fall back to stock 0's init
-        global_params = init.replace(theta[0])
+        global_params = init.replace(theta[given[0]])
 
     tick = time.perf_counter()
     theta[:] = global_params.values
@@ -476,14 +461,14 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
                           anchor=global_params.values, prox_weight=cfg.prox_weight)
     except DivergenceError as err:
         raise DivergenceError(f"fine-tune: {err}", stock_id=err.stock_id) from err
-    finetuned = [template.import_params(global_params.replace(row)) for row in theta]
-    for sid, losses, penalties in zip(stack.stock_ids, log.losses.tolist(),
-                                      log.penalties.tolist()):
+    finetuned = [template.import_params(global_params.replace(row)) for row in theta[given]]
+    for ds, losses, penalties in zip(stocks, log.losses[given].tolist(),
+                                     log.penalties[given].tolist()):
         for e, (loss_val, penalty, wall) in enumerate(zip(losses, penalties, log.epoch_wall_ms)):
-            trace.add("finetune", e + 1, sid, loss_val, penalty, wall)
+            trace.add("finetune", e + 1, ds.stock_id, loss_val, penalty, wall)
     trace.phase_wall_ms["finetune"] = (time.perf_counter() - tick) * 1000.0
 
-    trace.lineage_update_steps = [cfg.epochs_budget * b for b in stack.batches]
+    trace.lineage_update_steps = [cfg.epochs_budget * stack.batches[r] for r in given]
     return CstiResult(global_params, finetuned, trace)
 
 

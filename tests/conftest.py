@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from csti.data import fit_normalizer, generate_synthetic_market, make_windows, normalize
+from csti.errors import ContractViolation, NumericOverflowError
 
 
 def windowed_market(stocks, length, shared_strength, seed, lookback=16, horizon=1,
@@ -59,6 +60,47 @@ def random_batch(rng, n, lookback, d, horizon):
     inputs = rng.uniform(0.0, 1.0, size=(n, lookback, d))
     targets = rng.uniform(0.0, 1.0, size=(n, horizon))
     return inputs, targets
+
+
+def gradient(model, inputs, targets):
+    """The model's analytic batch-MSE gradient, checked finite segment by segment."""
+    if inputs.shape[0] == 0:
+        raise ContractViolation("batch must be non-empty")
+    grad = model.loss_gradient(inputs, targets)
+    for seg in grad.layout:
+        if not np.all(np.isfinite(grad.values[seg.offset : seg.offset + seg.length])):
+            raise NumericOverflowError(f"non-finite gradient in segment {seg.name!r}")
+    return grad
+
+
+def finite_diff_gradient(model, inputs, targets, epsilon=1e-5):
+    """Central-difference gradient oracle over every coordinate."""
+    if not (1e-8 <= epsilon <= 1e-3):
+        raise ContractViolation("epsilon must lie in [1e-8, 1e-3]")
+    base = model.export_params()
+    theta = base.values.copy()
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        saved = theta[i]
+        theta[i] = saved + epsilon
+        hi = model.import_params(base.replace(theta)).loss(inputs, targets)
+        theta[i] = saved - epsilon
+        lo = model.import_params(base.replace(theta)).loss(inputs, targets)
+        theta[i] = saved
+        grad[i] = (hi - lo) / (2.0 * epsilon)
+    return base.replace(grad)
+
+
+def gradient_check_max_error(model, inputs, targets, epsilon=1e-5):
+    """Max-coordinate guarded relative error between analytic and FD gradients.
+
+    The denominator floors at 1e-3, so near-zero coordinates are compared
+    absolutely at 1e-7 scale rather than amplifying FD noise.
+    """
+    ga = gradient(model, inputs, targets).values
+    gf = finite_diff_gradient(model, inputs, targets, epsilon).values
+    denom = np.maximum(np.maximum(np.abs(ga), np.abs(gf)), 1e-3)
+    return float(np.max(np.abs(ga - gf) / denom)) if ga.size else 0.0
 
 
 @pytest.fixture

@@ -139,6 +139,16 @@ def test_bad_rows_are_dropped_and_reported(tmp_path):
     assert any("duplicate date" in r for r in rejections)
 
 
+@pytest.mark.parametrize("stamp", ["20240105", "2024-W01-5", "2024-01-05T00:00",
+                                   "\uff12\uff10\uff12\uff14-01-05"])
+def test_only_ascii_yyyy_mm_dd_dates_load(tmp_path, stamp):
+    # date.fromisoformat takes the first three on Python 3.11 but not on 3.10
+    text = f"date,open,close\n2024-01-02,10,11\n{stamp},11,12\n2024-01-08,14,15\n"
+    series, rejections = load_csv_detailed(write_csv(tmp_path / "a.csv", text))
+    assert series.T == 2
+    assert rejections == [f"line 3: unparseable date {stamp!r}"]
+
+
 def test_too_few_usable_rows(tmp_path):
     path = write_csv(tmp_path / "a.csv", BASIC_CSV)
     with pytest.raises(InsufficientDataError, match="18"):

@@ -492,6 +492,25 @@ def test_cli_infinite_training_number_exit_code(tmp_path, field):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_bad_model_hyper_exit_code_before_any_cell(tmp_path):
+    # frets is listed after dlinear, so its entry used to fail only after
+    # every dlinear cell had trained and been written
+    doc = spec_doc("out", models=["dlinear", "frets"], model_hyper={"frets": 5})
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "model_hyper.frets" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("hyper", [{"frets": {"hidden": 0}}, {"dlinear": {"depth": 2}},
+                                   {"dlinear": {"period": -1.0}}])
+def test_a_bad_model_hyper_entry_names_its_kind(tmp_path, hyper):
+    doc = spec_doc(tmp_path / "out", models=["dlinear", "frets"], model_hyper=hyper)
+    with pytest.raises(SpecValidationError, match=f"model_hyper.{next(iter(hyper))}"):
+        validate_spec_dict(doc)
+
+
 def test_cli_missing_spec_exit_code(tmp_path):
     proc = _run_cli(["nope.json"], cwd=tmp_path)
     assert proc.returncode == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,24 +261,47 @@ def test_stacked_rows_equal_one_row_calls_past_numpy_temporary_elision(kind, rng
         assert np.array_equal(grad[k:k + 1], grad_k), f"row {k}"
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("k_rows", [1, 2, 3])
-def test_texfilter_workspace_gives_the_same_bits_as_a_call_without_one(k_rows, rng):
-    # a trainer reuses one workspace per (rows, batch size) for every call;
-    # 64 is the full batch and 37 a short last one
-    model = build_model("texfilter", 16, 1, 3, seed=21)
+def test_bound_call_gives_the_same_bits_as_a_one_off_call(kind, k_rows, rng):
+    # a trainer binds each call once over views of its own buffers, shares one
+    # workspace per (rows, batch size), and rewrites theta and the windows
+    # between runs; 64 is the full batch and 37 a short last one
+    model = build_model(kind, 16, 1, 3, seed=21)
+    start = model.export_params().values
     for n in (64, 37):
-        workspace = model.workspace(k_rows, n)
-        for _ in range(2):  # the second call overwrites the first one's temporaries
-            theta = model.export_params().values + rng.uniform(-0.1, 0.1, (k_rows, model.n_params))
-            inputs = rng.uniform(0.0, 1.0, size=(k_rows, n, 16, 3))
-            targets = rng.uniform(0.0, 1.0, size=(k_rows, n, 1))
-            grad, grad_ws = np.full(theta.shape, np.nan), np.full(theta.shape, np.nan)
-            losses = model.loss_and_gradient(model.unpack(theta), inputs, targets,
-                                             model.unpack(grad))
-            losses_ws = model.loss_and_gradient(model.unpack(theta), inputs, targets,
-                                                model.unpack(grad_ws), workspace)
-            assert losses.tobytes() == losses_ws.tobytes()
-            assert grad.tobytes() == grad_ws.tobytes()
+        theta, grad = np.empty((k_rows, model.n_params)), np.empty((k_rows, model.n_params))
+        windows, targets = np.empty((k_rows, 80, 16, 3)), np.empty((k_rows, 80, 1))
+        inputs, batch_targets = windows[:, :n], targets[:, :n]  # slices, as the trainer's are
+        call = model.bind(model.unpack(theta), inputs, batch_targets, model.unpack(grad),
+                          model.workspace(k_rows, n))
+        for _ in range(2):  # the second run overwrites the first one's temporaries
+            theta[...] = start + rng.uniform(-0.1, 0.1, theta.shape)
+            windows[...] = rng.uniform(0.0, 1.0, size=windows.shape)
+            targets[...] = rng.uniform(0.0, 1.0, size=targets.shape)
+            grad[...] = np.nan
+            losses = model.loss_and_gradient(model.unpack(theta), inputs, batch_targets,
+                                             model.unpack(grad), call).copy()
+            one_off = np.full(theta.shape, np.nan)
+            expected = model.loss_and_gradient(model.unpack(theta.copy()), inputs.copy(),
+                                               batch_targets.copy(), model.unpack(one_off))
+            assert losses.tobytes() == expected.tobytes()
+            assert grad.tobytes() == one_off.tobytes()
+
+
+def test_texfilter_prediction_allocates_no_backward_buffer(rng):
+    model = build_model("texfilter", 16, 1, 3, seed=21)
+    inputs = rng.uniform(0.0, 1.0, size=(64, 16, 3))
+    full, forward = (sum(buf.nbytes for buf in model.workspace(1, 64, backward).values())
+                     for backward in (True, False))
+    assert not {"dk", "du", "dw1"} & set(model.workspace(1, 64, backward=False))
+    tracemalloc.start()
+    try:
+        model.predict_batch(inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward <= peak < full
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -309,13 +334,17 @@ def test_kernel_writes_only_the_gradient_stack(kind, k_rows, rng):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("k_rows", [1, 3])
 def test_forward_returns_a_fresh_prediction(kind, k_rows, rng):
-    # the shared loss turns the prediction into d(loss)/d(pred) in place
+    # the shared loss turns the prediction into d(loss)/d(pred) in place, so
+    # it must have a buffer of its own
     model = build_model(kind, 8, 2, 3, seed=21)
     theta = rng.uniform(-0.5, 0.5, size=(k_rows, model.n_params))
     inputs = rng.uniform(0.0, 1.0, size=(k_rows, 11, 8, 3))
-    pred, cache = model._forward(model.unpack(theta), inputs)
+    workspace = model.workspace(k_rows, 11)
+    pred = model.bind(model.unpack(theta), inputs, ws=workspace)()
     assert pred.shape == (k_rows, 11, 2) and pred.flags.writeable
-    for held in (theta, inputs, *(cache or ())):
+    assert pred is workspace["pred"]
+    others = [buf for name, buf in workspace.items() if name != "pred"]
+    for held in (theta, inputs, *others):
         assert not np.shares_memory(pred, held)
 
 

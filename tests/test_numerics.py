@@ -30,7 +30,7 @@ from csti.numerics import (
     sgd_step,
 )
 
-from conftest import random_batch
+from conftest import finite_diff_gradient, gradient, gradient_check_max_error, random_batch
 
 
 def pv(values, names=None):
@@ -376,15 +376,15 @@ def test_zero_parameter_model_has_empty_gradient():
     stub = _ZeroParamModel()
     inputs = np.zeros((2, 4, 2))
     targets = np.zeros((2, 1))
-    assert len(numerics.gradient(stub, inputs, targets)) == 0
-    assert len(numerics.finite_diff_gradient(stub, inputs, targets)) == 0
+    assert len(gradient(stub, inputs, targets)) == 0
+    assert len(finite_diff_gradient(stub, inputs, targets)) == 0
 
 
 def test_perfect_fit_batch_has_zero_gradient(rng):
     model = models.build_model("dlinear", 8, 1, 2, seed=5)
     inputs, _ = random_batch(rng, 6, 8, 2, 1)
     targets = model.predict_batch(inputs)
-    grad = numerics.gradient(model, inputs, targets)
+    grad = gradient(model, inputs, targets)
     assert np.max(np.abs(grad.values)) < 1e-12
 
 
@@ -402,7 +402,7 @@ def test_finite_diff_on_scalar_quadratic():
         def loss(self, inputs, targets):
             return self.theta**2
 
-    grad = numerics.finite_diff_gradient(Quad(3.0), None, None, epsilon=1e-5)
+    grad = finite_diff_gradient(Quad(3.0), None, None, epsilon=1e-5)
     assert abs(grad.values[0] - 6.0) < 1e-8
 
 
@@ -417,13 +417,13 @@ def test_finite_diff_constant_loss_is_zero():
         def loss(self, inputs, targets):
             return 1.25
 
-    grad = numerics.finite_diff_gradient(Const(), None, None)
+    grad = finite_diff_gradient(Const(), None, None)
     assert np.array_equal(grad.values, [0.0, 0.0])
 
 
 def test_finite_diff_epsilon_range():
     with pytest.raises(ContractViolation):
-        numerics.finite_diff_gradient(_ZeroParamModel(), None, None, epsilon=1e-2)
+        finite_diff_gradient(_ZeroParamModel(), None, None, epsilon=1e-2)
 
 
 @pytest.mark.parametrize("kind", models.MODEL_KINDS)
@@ -434,7 +434,7 @@ def test_gradient_matches_finite_differences(kind, rng):
         theta = draw_rng.uniform(-0.5, 0.5, size=model.n_params)
         candidate = model.import_params(model.export_params().replace(theta))
         inputs, targets = random_batch(draw_rng, 6, 8, 2, 1)
-        err = numerics.gradient_check_max_error(candidate, inputs, targets)
+        err = gradient_check_max_error(candidate, inputs, targets)
         assert err < 1e-4, f"{kind} draw {draw}: relative error {err:.3e}"
 
 
@@ -449,7 +449,7 @@ def test_dlinear_gradient_matches_finite_differences_at_other_shapes(
     theta = draw_rng.uniform(-0.5, 0.5, size=model.n_params)
     candidate = model.import_params(model.export_params().replace(theta))
     inputs, targets = random_batch(draw_rng, 6, lookback, n_features, horizon)
-    err = numerics.gradient_check_max_error(candidate, inputs, targets)
+    err = gradient_check_max_error(candidate, inputs, targets)
     assert err < 1e-4, f"L={lookback} H={horizon} {hyper}: relative error {err:.3e}"
 
 
@@ -460,7 +460,7 @@ def test_paifilter_gradient_matches_finite_differences_at_other_shapes(lookback,
     theta = draw_rng.uniform(-0.5, 0.5, size=model.n_params)
     candidate = model.import_params(model.export_params().replace(theta))
     inputs, targets = random_batch(draw_rng, 6, lookback, 2, horizon)
-    err = numerics.gradient_check_max_error(candidate, inputs, targets)
+    err = gradient_check_max_error(candidate, inputs, targets)
     assert err < 1e-4, f"L={lookback} H={horizon}: relative error {err:.3e}"
 
 
@@ -471,7 +471,7 @@ def test_texfilter_gradient_matches_finite_differences_at_other_shapes(lookback,
     theta = draw_rng.uniform(-0.5, 0.5, size=model.n_params)
     candidate = model.import_params(model.export_params().replace(theta))
     inputs, targets = random_batch(draw_rng, 6, lookback, 2, horizon)
-    err = numerics.gradient_check_max_error(candidate, inputs, targets)
+    err = gradient_check_max_error(candidate, inputs, targets)
     assert err < 1e-4, f"L={lookback} H={horizon} hidden={hidden}: relative error {err:.3e}"
 
 

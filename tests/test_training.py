@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,6 +396,41 @@ def test_interleaved_stacks_equal_stacks_trained_alone():
         assert stack.theta.tobytes() == stacks[i].theta.tobytes()
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("width", [1, 3])
+def test_a_second_train_call_allocates_no_temporary_per_step(kind, width, monkeypatch):
+    # every kernel call is bound once per run, over buffers shared by shape;
+    # a temporary allocated and freed at each step would cost the heap
+    # churn and page faults those bound calls exist to avoid
+    train, _, _ = windowed_market(3, 300, 0.7, seed=11, horizon=16)
+    model = build_model(kind, 16, 16, 3, seed=2)
+    stack = training._StockStack(model, train, 64, width)
+    stack.theta[:] = model.export_params().values
+    stack.train([1, 2, 3], 1, 0.01, 0.9)
+    grown, start, step = [], [0], training.momentum_step
+
+    def measured(*args):  # once per batch index: the peak since the last one
+        grown.append(tracemalloc.get_traced_memory()[1] - start[0])
+        tracemalloc.reset_peak()
+        start[0] = tracemalloc.get_traced_memory()[0]
+        return step(*args)
+
+    monkeypatch.setattr(training, "momentum_step", measured)
+    # a broadcasting or casting ufunc allocates iteration buffers of up to
+    # this many elements per operand; kept small, they stay out of the count
+    bufsize = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        stack.train([1, 2, 3], 1, 0.01, 0.9)
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert len(grown) == max(stack.batches) == 3
+    # grown[0] holds the epoch's permutations; one (1, 64, 16) float64
+    # temporary would be 8 KiB, and Python's own objects take about 1.5 KiB
+    assert max(grown[1:]) < 4096, grown
+
+
 def test_two_runs_in_one_process_are_bit_identical():
     train = _unequal_market(lengths=(260, 150, 260, 200), seed=31)
     cfg = CstiConfig(stocks=4, merge_rounds=3, finetune_epochs=2, seed=61, prox_weight=0.05)
@@ -458,9 +494,9 @@ def test_jobs_caps_the_rows_of_every_kernel_call(jobs, monkeypatch):
     rows = []
     kernel = ForecastModel.loss_and_gradient
 
-    def counting(self, p, inputs, targets, g):
+    def counting(self, p, inputs, targets, g, call=None):
         rows.append(len(inputs))
-        return kernel(self, p, inputs, targets, g)
+        return kernel(self, p, inputs, targets, g, call)
 
     monkeypatch.setattr(ForecastModel, "loss_and_gradient", counting)
     cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=2, seed=53)
