@@ -26,23 +26,21 @@ runs of adjacent segments that it reads and writes as one (K, n) view,
 so no kernel concatenates or splits segments. Kernels run over a (K, P)
 stack of rows, and ``unpack`` turns it into named (K, ...) views.
 
-Every kind runs one kernel implementation, in bound form. ``bind`` takes
-the views of a theta stack, a (K, N, L, d) batch, its targets and the
-views of a gradient stack, and returns a call of no arguments. Each
-kind's ``_bind`` builds, once, every view its forward and backward pass
-read and write, over a workspace: ``workspace(K, N)`` holds the call's
-prediction, its loss buffers and every intermediate, and the passes
-fill them with ``out=``. Running the call is then only ufuncs and
-matmuls. A call without ``g`` only predicts, and its workspace holds
-the forward buffers alone. Prediction, ``loss_gradient`` and a one-off
-``loss_and_gradient`` bind a fresh call and run it. A trainer binds
-each of its calls once per run and shares one workspace per distinct
-(rows, batch size). Every product and reduction runs per row, so each
-row of a stacked call is bit-identical to the K=1 call. The kernels
-check nothing: the trainer owns theta and checks shapes. Reuse matters
-because temporaries freed at the end of every step leave the top of the
-glibc heap free: glibc trims it, and the next step faults the same pages
-back in.
+Every kind's kernel is bound once over views and buffers, as functions
+of no arguments that run only ufuncs and matmuls writing with ``out=``,
+in two parts. ``bind_batch`` binds the data work, every operation that
+reads a (K, N, L, d) batch, over a ``workspace(K, N)``. ``bind_rows``
+binds the theta-only work over every row of a stack and a
+``workspace(K)``: a prologue builds what depends on theta alone, and an
+epilogue turns the data work's per-row reductions into gradient
+coordinates. A trainer runs the prologue once per step over its active
+rows, its width-capped data calls, the epilogue, then one loss divide;
+``bind`` composes the same for a one-off call. Every product and
+reduction runs per row, so each row is bit-identical to the K=1 call.
+The kernels check nothing: the trainer owns theta and checks shapes.
+Reuse matters because temporaries freed at the end of every step leave
+the top of the glibc heap free: glibc trims it, and the next step
+faults the same pages back in.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from .errors import (
     NumericInputError,
     ShapeMismatchError,
 )
-from .numerics import ParamVector, layout_from_lengths
+from .numerics import ParamVector, _check_int, _check_real, layout_from_lengths
 
 MODEL_KINDS = ("dlinear", "paifilter", "texfilter", "frets")
 
@@ -91,9 +89,9 @@ class ForecastModel:
     """A kind's kernel plus one immutable parameter vector.
 
     The instance's own theta is a read-only, finite copy checked at
-    construction; it serves prediction, export and checkpoints. ``bind``
-    takes the ``unpack`` views of a theta stack and of a gradient stack
-    instead, so a trainer binds each kernel call once over its own buffers
+    construction; it serves prediction, export and checkpoints. The binds
+    take the ``unpack`` views of a theta stack and of a gradient stack
+    instead, so a trainer binds its kernel work once over its own buffers
     and runs it without rebuilding the model.
     """
 
@@ -145,18 +143,21 @@ class ForecastModel:
         return hyper
 
     def _buffers(self, n):
-        """One row's buffers of an n-window call, (forward, backward): name -> (dtype, *shape)."""
+        """One row's theta-only, then its n-window call's, (forward, backward) buffer specs."""
         raise NotImplementedError
 
     def _bind(self, p, inputs, ws, g=None):
-        """(forward, backward), functions of no arguments over these views.
+        """(forward, backward): the data work, functions of no arguments over these views.
 
-        ``forward`` writes the prediction into ``ws["pred"]``; ``backward``
-        reads d(loss)/d(pred) from there and writes every coordinate of the
-        gradient views ``g``. Without ``g`` backward is None, and forward
-        uses only the forward buffers.
+        ``forward`` writes ``ws["pred"]``; ``backward`` reads d(loss)/d(pred)
+        there and writes what the data feeds of ``g`` and of the epilogue's
+        inputs; None without ``g``.
         """
         raise NotImplementedError
+
+    def bind_rows(self, p, ws, g=None):
+        """(prologue, epilogue) over every row of ``p`` and a ``workspace(K)``; here none."""
+        return (lambda: None), (lambda: None)
 
     # -- shared behaviour --------------------------------------------------
     @property
@@ -167,57 +168,66 @@ class ForecastModel:
         """Named (K, ...) views of a (K, P) stack: one per segment and one per group."""
         return {name: stack[:, span].reshape(-1, *shape) for name, span, shape in self._views}
 
-    def workspace(self, rows: int, n: int, backward: bool = True) -> dict:
-        """The buffers of one (rows, n)-window call: the forward ones, plus the backward ones."""
-        forward, back = self._buffers(n)
-        specs = {"pred": (_F, n, self.horizon), **forward}
-        if backward:
-            specs.update(square=(_F, n, self.horizon), losses=(_F,), **back)
+    def workspace(self, rows: int, n: int | None = None, backward: bool = True) -> dict:
+        """Forward, plus backward, buffers of a (rows, n)-window call; without n, theta-only ones."""
+        forward, back, call_forward, call_back = self._buffers(n)
+        if n is not None:
+            forward = {"pred": (_F, n, self.horizon), **call_forward}
+            back = dict(square=(_F, n, self.horizon), losses=(_F,), **call_back)
+        specs = dict(forward, **back) if backward else forward
         return {name: np.empty((rows, *shape), dtype) for name, (dtype, *shape) in specs.items()}
 
-    def bind(self, p, inputs, targets=None, g=None, ws=None):
-        """One kernel call over fixed views, as a function of no arguments.
+    def bind_batch(self, p, inputs, targets, g, ws):
+        """The data work of one kernel call over fixed views, as a function of no arguments.
 
-        ``p`` and ``g`` are the ``unpack`` views of a (K, P) theta stack and
-        of a (K, P) gradient stack, inputs (K, N, L, d), targets (K, N, H).
-        The call reads them when it runs, so writes to the stacks and to the
-        windows show through. With ``g`` it returns the (K,) per-row batch
-        MSE and writes every coordinate of its gradient into ``g``, through
-        ``out=`` wherever one product or reduction fills a view. Without
-        ``g`` it returns the (K, N, H) prediction. Every temporary, the
-        prediction and the losses included, lives in ``ws``: a
-        ``workspace(K, N)`` result, forward-only without ``g``, and a fresh
-        one by default. Calls of one shape may share it, since a call
-        overwrites what the last one left there; a trainer binds each call
-        once and a step runs only the ufuncs and matmuls. The operations,
-        their operands and their order are those of the allocating
-        expressions, so every row's results are the bits of the K=1 call.
-        A kernel: it trusts the shapes, which the caller has checked.
+        ``p`` and ``g`` are ``unpack`` views of (K, P) theta and gradient
+        rows, inputs (K, N, L, d), targets (K, N, H); ``ws`` holds a
+        ``workspace(K, N)``, which calls of one shape may share, and these
+        rows of a ``workspace(K)``. With ``g`` the call returns the (K,)
+        per-row squared-error sums, ``ws["losses"]``, which the caller
+        divides by N * H after the epilogue; without, the prediction.
         """
-        k, n = inputs.shape[:2]
-        if ws is None:
-            ws = self.workspace(k, n, backward=g is not None)
-        forward, backward = self._bind(p, inputs, ws, g)
-        pred = ws["pred"]
+        (forward, backward), pred = self._bind(p, inputs, ws, g), ws["pred"]
         if g is None:
             def predict():
                 forward()
                 return pred
             return predict
+        k, n = inputs.shape[:2]
         square, squares, losses = ws["square"], ws["square"].reshape(k, -1), ws["losses"]
-        # 0-d arrays, so that no call converts a Python number
-        size, scale = np.array(float(n * self.horizon)), np.array(2.0 / (n * self.horizon))
+        scale = np.array(2.0 / (n * self.horizon))  # 0-d, so that no call converts a number
 
         def call():
             forward()
             np.subtract(pred, targets, out=pred)  # the residual, then d(loss)/d(pred)
             np.square(pred, out=square)
-            np.add.reduce(squares, axis=1, out=losses)  # np.mean
-            np.divide(losses, size, out=losses)
+            np.add.reduce(squares, axis=1, out=losses)
             np.multiply(pred, scale, out=pred)
             backward()
             return losses
         return call
+
+    def bind(self, p, inputs, targets=None, g=None, ws=None):
+        """One whole call: prologue, ``bind_batch`` call, epilogue and loss divide.
+
+        ``ws`` is a ``workspace(K, N)``, fresh by default. With ``g`` the
+        call returns the (K,) batch MSEs and writes every gradient
+        coordinate; without, the prediction. Every row's bits are those of
+        the K=1 call and of a trainer's step. It trusts the shapes.
+        """
+        k, n, backward = *inputs.shape[:2], g is not None
+        ws = dict(ws or self.workspace(k, n, backward), **self.workspace(k, None, backward))
+        prologue, epilogue = self.bind_rows(p, ws, g)
+        call = self.bind_batch(p, inputs, targets, g, ws)
+
+        def one_off():
+            prologue()
+            if g is None:
+                return call()
+            losses = call()
+            epilogue()
+            return np.divide(losses, n * self.horizon, out=losses)
+        return one_off
 
     def _predict(self, inputs):
         """``predict_batch``: a forward-only K=1 call at this model's own theta."""
@@ -255,9 +265,9 @@ class ForecastModel:
     def loss_and_gradient(self, p, inputs, targets, g, call=None) -> np.ndarray:
         """Per-row batch MSE of a stack; its gradient goes into ``g`` (see ``bind``).
 
-        ``call``, a ``bind`` of these same views, runs as it is; without one
-        a fresh call is bound and run, with the same bits. A trainer runs
-        every kernel call through here, one call each.
+        ``call`` runs as it is; without one a fresh ``bind`` call runs. A
+        trainer runs each width-capped ``bind_batch`` call through here and
+        leaves the prologue, epilogue and divide of its sums to its step.
         """
         return (call or self.bind(p, inputs, targets, g))()
 
@@ -282,11 +292,6 @@ def _mix(inputs, p, z):
             z.reshape(k, n * lookback, 1))
 
 
-def _filter_spectrum(s_re, s_im, k_re, k_im):
-    """Real part of the inverse transform of the spectrum times a kernel."""
-    return numerics.real_idft_batch(s_re * k_re - s_im * k_im, s_re * k_im + s_im * k_re)
-
-
 def _affine_bound(fan_in: int) -> float:
     return 1.0 / np.sqrt(fan_in)
 
@@ -299,13 +304,6 @@ def _uniform(bound):
 def _normal(scale, mean=0.0):
     """Initializer drawing mean + scale * N(0, 1)."""
     return lambda rng, n: mean + scale * rng.standard_normal(n)
-
-
-def _check_int(name, value, low):
-    """``value`` as an int >= low; bools and non-integral numbers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ContractViolation(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 def _check_hidden(kind, hyper):
@@ -350,14 +348,11 @@ class DLinearModel(ForecastModel):
 
     @classmethod
     def check_hyper(cls, hyper):
-        period = hyper["period"]
-        if isinstance(period, bool) or not isinstance(period, (int, float)) or not period > 0:
-            raise ContractViolation(f"dlinear: period must be a number > 0, got {period!r}")
         if not isinstance(hyper["use_anchor"], bool):
             raise ContractViolation("dlinear: use_anchor must be a boolean")
         return {
             "harmonics": _check_int("dlinear: harmonics", hyper["harmonics"], 1),
-            "period": float(period),
+            "period": _check_real("dlinear: period", hyper["period"], closed=False),
             "use_anchor": hyper["use_anchor"],
         }
 
@@ -373,16 +368,27 @@ class DLinearModel(ForecastModel):
         )
 
     def _buffers(self, n):
-        return ({"curve": (_F, self.horizon, 1), "z_last": (_F, n, 1)},
-                {"dcurve": (_F, self.horizon), "dz_last": (_F, n)})
+        return ({"curve": (_F, self.horizon, 1)}, {"dcurve": (_F, self.horizon)},
+                {"z_last": (_F, n, 1)}, {"dz_last": (_F, n)})
+
+    def bind_rows(self, p, ws, g=None):
+        basis, coef, curve = self._basis, p["coef"][..., None], ws["curve"]
+
+        def prologue():
+            np.matmul(basis, coef, out=curve)
+        if g is None:
+            return prologue, None
+        basis_t, dcurves, g_coef = basis.T, ws["dcurve"][..., None], g["coef"][..., None]
+
+        def epilogue():
+            np.matmul(basis_t, dcurves, out=g_coef)
+        return prologue, epilogue
 
     def _bind(self, p, inputs, ws, g=None):
-        basis, coef, curve, pred = self._basis, p["coef"][..., None], ws["curve"], ws["pred"]
         last, mix, z_last = inputs[:, :, -1, :], p["input_mix"][..., None], ws["z_last"]
-        curves, anchor = curve[:, None, :, 0], self.hyper["use_anchor"]
+        curves, pred, anchor = ws["curve"][:, None, :, 0], ws["pred"], self.hyper["use_anchor"]
 
         def forward():
-            np.matmul(basis, coef, out=curve)
             if anchor:
                 np.matmul(last, mix, out=z_last)
                 np.add(curves, z_last, out=pred)
@@ -390,13 +396,11 @@ class DLinearModel(ForecastModel):
                 np.copyto(pred, curves)
         if g is None:
             return forward, None
-        basis_t, last_t, dcurve, dz_last = basis.T, _t(last), ws["dcurve"], ws["dz_last"]
-        dcurves, dz_lasts = dcurve[..., None], dz_last[..., None]
-        g_coef, g_mix = g["coef"][..., None], g["input_mix"][..., None]
+        last_t, dcurve, dz_last = _t(last), ws["dcurve"], ws["dz_last"]
+        dz_lasts, g_mix = dz_last[..., None], g["input_mix"][..., None]
 
         def backward():
             np.add.reduce(pred, axis=1, out=dcurve)
-            np.matmul(basis_t, dcurves, out=g_coef)
             if anchor:
                 np.add.reduce(pred, axis=2, out=dz_last)
                 np.matmul(last_t, dz_lasts, out=g_mix)
@@ -417,9 +421,9 @@ class PaiFilterModel(ForecastModel):
 
     Re IDFT(k * DFT(z)) is real-linear in z and in k, so it equals z @ G
     with G = ([k_re | k_im] @ T).reshape(L, L), T the cached
-    ``numerics.filter_operator_basis``. G and v = G @ W^T are built once
-    per row and step, and a sample costs only z @ v; results differ from
-    the DFT chain by rounding alone.
+    ``numerics.filter_operator_basis``. The prologue builds G and
+    v = G @ W^T once per row and step, and a sample costs only z @ v;
+    results differ from the DFT chain by rounding alone.
     """
 
     kind = "paifilter"
@@ -436,45 +440,48 @@ class PaiFilterModel(ForecastModel):
             ("input_mix", (n_features,), _uniform(_affine_bound(n_features))),
         )
 
-    def filter_series(self, z: np.ndarray) -> np.ndarray:
-        """Apply the kernel to (N, L) scalar series; the pre-head signal."""
-        g_op = self._theta_views["kernel"][:, None] @ numerics.filter_operator_basis(self.lookback)
-        return z @ g_op.reshape(self.lookback, self.lookback)
-
     def _buffers(self, n):
         L, h = self.lookback, self.horizon
-        return ({"z": (_F, n, L), "g_op": (_F, L, L), "v": (_F, L, h)},
-                {"dv": (_F, L, h), "dg_op": (_F, L, L), "dz": (_F, n, L)})
+        return ({"g_op": (_F, L, L), "v": (_F, L, h)}, {"dv": (_F, L, h), "dg_op": (_F, L, L)},
+                {"z": (_F, n, L)}, {"dz": (_F, n, L)})
 
-    def _bind(self, p, inputs, ws, g=None):
-        k, L = len(inputs), self.lookback
-        basis = numerics.filter_operator_basis(L)
-        flat, mix, z_flat = _mix(inputs, p, ws["z"])
-        z, g_op, v, pred = ws["z"], ws["g_op"], ws["v"], ws["pred"]
+    def bind_rows(self, p, ws, g=None):
+        k, L, basis = len(p["kernel"]), self.lookback, numerics.filter_operator_basis(self.lookback)
+        g_op, v, weight_t = ws["g_op"], ws["v"], _t(p["head_weight"])
         # (K, 1, 2L) products keep each row's G bit-identical to K=1
         kernel, g_ops = p["kernel"][:, None], g_op.reshape(k, 1, L * L)
-        weight_t, bias = _t(p["head_weight"]), p["head_bias"][:, None]
+
+        def prologue():
+            np.matmul(kernel, basis, out=g_ops)
+            np.matmul(g_op, weight_t, out=v)  # (K, L, H)
+        if g is None:
+            return prologue, None
+        dv, dg_op, weight, basis_t = ws["dv"], ws["dg_op"], p["head_weight"], basis.T
+        dv_t, dg_ops = _t(dv), dg_op.reshape(k, 1, L * L)
+        g_weight, g_kernel = g["head_weight"], g["kernel"][:, None]
+
+        def epilogue():
+            np.matmul(dv_t, g_op, out=g_weight)
+            np.matmul(dv, weight, out=dg_op)
+            np.matmul(dg_ops, basis_t, out=g_kernel)
+        return prologue, epilogue
+
+    def _bind(self, p, inputs, ws, g=None):
+        flat, mix, z_flat = _mix(inputs, p, ws["z"])
+        z, v, pred, bias = ws["z"], ws["v"], ws["pred"], p["head_bias"][:, None]
 
         def forward():
             np.matmul(flat, mix, out=z_flat)
-            np.matmul(kernel, basis, out=g_ops)
-            np.matmul(g_op, weight_t, out=v)  # (K, L, H)
             np.matmul(z, v, out=pred)
             np.add(pred, bias, out=pred)
         if g is None:
             return forward, None
-        dv, dg_op, dz = ws["dv"], ws["dg_op"], ws["dz"]
-        z_t, dv_t, v_t, basis_t, weight = _t(z), _t(dv), _t(v), basis.T, p["head_weight"]
-        dg_ops, dz_row = dg_op.reshape(k, 1, L * L), dz.reshape(k, 1, -1)
-        g_weight, g_bias = g["head_weight"], g["head_bias"]
-        g_kernel, g_mix = g["kernel"][:, None], g["input_mix"][:, None]
+        dv, dz, z_t, v_t = ws["dv"], ws["dz"], _t(z), _t(v)
+        dz_row, g_bias, g_mix = dz.reshape(len(z), 1, -1), g["head_bias"], g["input_mix"][:, None]
 
         def backward():
             np.matmul(z_t, pred, out=dv)
-            np.matmul(dv_t, g_op, out=g_weight)
             np.add.reduce(pred, axis=1, out=g_bias)
-            np.matmul(dv, weight, out=dg_op)
-            np.matmul(dg_ops, basis_t, out=g_kernel)
             np.matmul(pred, v_t, out=dz)
             np.matmul(dz_row, flat, out=g_mix)
         return forward, backward
@@ -493,10 +500,10 @@ class TexFilterModel(ForecastModel):
     The kernel-producing output layer starts at the identity filter
     (bias re=1) with 0.01-scale weights so the untrained filter is
     near-pass-through; the hidden affine uses the standard fan-in rule.
-    It runs on complex128 arrays, built from the re/im segments once per row
-    and step: a complex product is one call, not four real matmuls and two
-    adds. The backward pass carries dl/dRe + i dl/dIm of the real loss, which
-    y = x w sends back as dy * conj(w).
+    It runs on complex128 arrays, which the prologue builds from the re/im
+    segments once per row and step: a complex product is one call, not four
+    real matmuls and two adds. The backward pass carries dl/dRe + i dl/dIm
+    of the real loss, which y = x w sends back as dy * conj(w).
     """
 
     kind = "texfilter"
@@ -529,7 +536,7 @@ class TexFilterModel(ForecastModel):
         )
 
     def _buffers(self, n):
-        """The (n, .) temporaries and the complex weights, then their backward ones.
+        """The complex weights, their conjugates and gradients, then the (n, .) temporaries.
 
         The backward pass also reuses forward buffers whose values are dead
         by then: d(filtered) goes into ``z``, dy into ``ks``, d(gate) into
@@ -539,30 +546,43 @@ class TexFilterModel(ForecastModel):
         forward = {"z": (_F, n, L), "s": (_C, n, L), "u": (_C, n, m), "r": (_F, n, m),
                    "shifted": (_F, n, m), "active": (bool, n, m), "inv": (_F, n, m),
                    "scale": (_F, n, m), "a": (_C, n, m), "k": (_C, n, L), "ks": (_C, n, L),
-                   "filtered": (_F, n, L),
-                   "w1": (_C, m, L), "w2": (_C, L, m), "b1": (_C, m), "b2": (_C, L)}
+                   "filtered": (_F, n, L)}
         backward = {"s_conj": (_C, n, L), "dk": (_C, n, L), "ds": (_C, n, L), "conj": (_C, n, m),
-                    "da": (_C, n, m), "du": (_C, n, m), "w1_conj": (_C, m, L),
-                    "w2_conj": (_C, L, m), "dw1": (_C, m, L), "dw2": (_C, L, m),
-                    "db1": (_C, m), "db2": (_C, L)}
-        return forward, backward
+                    "da": (_C, n, m), "du": (_C, n, m)}
+        weights = {"w1": (_C, m, L), "w2": (_C, L, m), "b1": (_C, m), "b2": (_C, L)}
+        grads = {"d" + name: spec for name, spec in weights.items()}
+        return weights, dict(grads, w1_conj=weights["w1"], w2_conj=weights["w2"]), forward, backward
+
+    def bind_rows(self, p, ws, g=None):
+        # the complex weights, from their re/im segments, and the gradient segments back
+        pairs = [(part, f"filter_{name}_{suffix}", name) for name in ("w1", "w2", "b1", "b2")
+                 for part, suffix in ((np.real, "re"), (np.imag, "im"))]
+        parts = [(part(ws[name]), p[segment]) for part, segment, name in pairs]
+        conjugates = [] if g is None else [(ws[name], ws[name + "_conj"]) for name in ("w1", "w2")]
+        grads = [] if g is None else [(g[seg], part(ws["d" + name])) for part, seg, name in pairs]
+
+        def prologue():
+            for part, value in parts:
+                np.copyto(part, value)
+            for w, w_conj in conjugates:
+                np.conjugate(w, out=w_conj)
+
+        def epilogue():
+            for g_part, value in grads:
+                np.copyto(g_part, value)
+        return prologue, epilogue if grads else None
 
     def _bind(self, p, inputs, ws, g=None):
         d_op, r_op = numerics.interleaved_dft_operators(self.lookback)
         flat, mix, z_flat = _mix(inputs, p, ws["z"])
-        z, s, u, r, shifted, active, inv, scale, a, k, ks, filtered, w1, w2, pred = (
+        z, s, u, r, shifted, active, inv, scale, a, k, ks, filtered, pred = (
             ws[name] for name in ("z", "s", "u", "r", "shifted", "active", "inv", "scale", "a",
-                                  "k", "ks", "filtered", "w1", "w2", "pred"))
-        # the complex weights, written from their re/im segments at every call
-        parts = [(part(ws[name]), p[f"filter_{name}_{suffix}"]) for name in ("w1", "w2", "b1", "b2")
-                 for part, suffix in ((np.real, "re"), (np.imag, "im"))]
-        w1_t, w2_t, b1, b2 = _t(w1), _t(w2), ws["b1"][:, None], ws["b2"][:, None]
+                                  "k", "ks", "filtered", "pred"))
+        w1_t, w2_t, b1, b2 = _t(ws["w1"]), _t(ws["w2"]), ws["b1"][:, None], ws["b2"][:, None]
         s_real, ks_real, gate_bias = s.view(_F), ks.view(_F), p["filter_gate_bias"][:, None]
         weight_t, bias = _t(p["head_weight"]), p["head_bias"][:, None]
 
         def forward():
-            for part, value in parts:
-                np.copyto(part, value)
             np.matmul(flat, mix, out=z_flat)
             np.matmul(z, d_op, out=s_real)
             np.add(np.matmul(s, w1_t, out=u), b1, out=u)
@@ -581,9 +601,6 @@ class TexFilterModel(ForecastModel):
         s_conj, dk, ds, conj, da, du, w1_conj, w2_conj, dw1, dw2, db1, db2 = (
             ws[name] for name in ("s_conj", "dk", "ds", "conj", "da", "du", "w1_conj",
                                   "w2_conj", "dw1", "dw2", "db1", "db2"))
-        grads = [(g[f"filter_{name}_{suffix}"], part(ws["d" + name]))
-                 for name in ("w1", "w2", "b1", "b2")
-                 for part, suffix in ((np.real, "re"), (np.imag, "im"))]
         pred_t, weight, r_op_t, d_op_t = _t(pred), p["head_weight"], r_op.T, d_op.T
         dk_t, du_t, conj_real, ds_real = _t(dk), _t(du), conj.real, ds.view(_F)
         g_weight, g_bias, g_gate = g["head_weight"], g["head_bias"], g["filter_gate_bias"]
@@ -600,7 +617,7 @@ class TexFilterModel(ForecastModel):
             np.multiply(np.conjugate(k, out=ds), ks, out=ds)
             np.matmul(dk_t, np.conjugate(a, out=conj), out=dw2)
             np.add.reduce(dk, axis=1, out=db2)
-            np.matmul(dk, np.conjugate(w2, out=w2_conj), out=da)
+            np.matmul(dk, w2_conj, out=da)
 
             # modReLU: a = scale(r) * u with scale = (r + c)/r, d scale/dr = -c/r^2
             np.multiply(np.conjugate(u, out=conj), da, out=conj)
@@ -613,10 +630,7 @@ class TexFilterModel(ForecastModel):
             np.subtract(du, np.multiply(shifted, u, out=conj), out=du)
             np.matmul(du_t, s_conj, out=dw1)
             np.add.reduce(du, axis=1, out=db1)
-            np.add(ds, np.matmul(du, np.conjugate(w1, out=w1_conj), out=s_conj), out=ds)
-            for g_part, value in grads:
-                np.copyto(g_part, value)
-
+            np.add(ds, np.matmul(du, w1_conj, out=s_conj), out=ds)
             np.matmul(ds_real, d_op_t, out=filtered)
             np.matmul(dz_row, flat, out=g_mix)
         return forward, backward
@@ -666,7 +680,7 @@ class FretsModel(ForecastModel):
         forward.update({name: (_F, n, m) for name in ("pre", "h_re", "h_im")})
         backward = {name: (_F, n, L) for name in ("drecon", "dx_re", "dx_im", "ds_re", "ds_im")}
         backward.update(du=(_F, n, m), dtanh=(_F, n, m))
-        return forward, backward
+        return {}, {}, forward, backward
 
     def _bind(self, p, inputs, ws, g=None):
         # numerics.dft_batch and numerics.real_idft_batch, into buffers

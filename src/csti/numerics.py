@@ -318,11 +318,25 @@ class OptimizerState:
         check_step_settings(self.learning_rate, self.momentum)
 
 
+def _check_int(name, value, low):
+    """``value`` as an int >= low; bools and non-integral numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ContractViolation(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _check_real(name, value, high=math.inf, closed=True):
+    """``value`` as a float in [0, high), or (0, high); bools, strings and NaN fail."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (0.0 <= value if closed else 0.0 < value) or not value < high):
+        interval = f"{'[' if closed else '('}0, {high})"
+        raise ContractViolation(f"{name} must be a real number in {interval}, got {value!r}")
+    return float(value)
+
+
 def check_step_settings(learning_rate: float, momentum: float) -> None:
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ContractViolation("learning rate must be finite and > 0")
-    if not (0.0 <= momentum < 1.0):
-        raise ContractViolation("momentum must lie in [0, 1)")
+    _check_real("learning rate", learning_rate, closed=False)
+    _check_real("momentum", momentum, 1.0)
 
 
 def fresh_optimizer_state(params: ParamVector, learning_rate: float, momentum: float) -> OptimizerState:

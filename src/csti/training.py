@@ -13,22 +13,22 @@ exactly one permutation per epoch at every width. Each row of a stacked
 kernel call equals the one-row call, the optimizer step is elementwise
 and the merge is correctly rounded, so results are bit-identical
 regardless of kernel width or the position of a stock in the list.
-``jobs`` is that width: the most stocks in one kernel call. The
-optimizer work (loss guard, proximal term, momentum step, finiteness
-check) always spans all K.
+``jobs`` is that width: the most stocks in one call's batch work. The
+theta-only kernel work and the optimizer work (loss divide and guard,
+proximal term, momentum step, finiteness check) always span all K.
 
-A run binds its trainer once (``_StockStack``): the theta, gradient and
-velocity stacks, the shuffled windows and every bound kernel call, with
-its views and workspace, live as long as the run, and every step writes
-into them.
-Allocating them per step would leave the top of the glibc heap free at
-each step's end, glibc would trim it, and the next step would fault the
-same pages back in. Each round merges the theta stack itself.
+A run binds its trainer once (``_StockStack``): its stacks, windows,
+buffers and bound kernel work live as long as the run, and every step
+writes into them. Allocating them per step would leave the top of the
+glibc heap free at each step's end, glibc would trim it, and the next
+step would fault the same pages back in. Each round merges the theta
+stack itself.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 import zlib
@@ -45,8 +45,9 @@ from .errors import (
     DivergenceError,
     MergeIncompatibilityError,
 )
-from .models import ForecastModel, _check_batch, _check_int, build_model
-from .numerics import ParamVector, axpy_merge, check_step_settings, momentum_step
+from .models import ForecastModel, _check_batch, build_model
+from .numerics import (ParamVector, _check_int, _check_real, axpy_merge, check_step_settings,
+                       momentum_step)
 # not called here: the benchmark's traced run wraps training.sgd_step by name
 from .numerics import sgd_step  # noqa: F401
 
@@ -94,20 +95,18 @@ class CstiConfig:
         for name, low in (("stocks", 1), ("merge_rounds", 0), ("finetune_epochs", 0),
                           ("local_epochs_per_round", 1), ("batch_size", 1), ("seed", 0)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ContractViolation("learning_rate must be finite and > 0")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ContractViolation("momentum must lie in [0, 1)")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ContractViolation("alpha must be finite and > 0")
-        if not (math.isfinite(self.prox_weight) and self.prox_weight >= 0):
-            raise ContractViolation("prox_weight must be finite and >= 0")
+        for name, high, closed in (("learning_rate", math.inf, False), ("momentum", 1.0, True),
+                                   ("alpha", math.inf, False), ("prox_weight", math.inf, True)):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), high, closed))
         if self.merge_weights is not None:
-            w = tuple(float(x) for x in self.merge_weights)
+            if not isinstance(self.merge_weights, (list, tuple, np.ndarray)):
+                raise ContractViolation("merge_weights must be a sequence of numbers")
+            w = tuple(_check_real(f"merge_weights[{i}]", x)
+                      for i, x in enumerate(self.merge_weights))
             if len(w) != self.stocks:
                 raise ContractViolation("merge_weights must have one entry per stock")
-            if not (all(np.isfinite(w)) and min(w) >= 0 and sum(w) > 0):
-                raise ContractViolation("merge_weights must be finite, >= 0, with a positive sum")
+            if not sum(w) > 0:
+                raise ContractViolation("merge_weights must have a positive sum")
             object.__setattr__(self, "merge_weights", w)
 
     @property
@@ -180,17 +179,18 @@ class _StockStack:
     Row r of every stack holds stock ``order[r]``: rows run by (window
     count, stock id), so that the rows sharing a kernel call are always one
     contiguous run. ``row_of[i]`` is the row of the i-th stock given.
-    Everything is bound once per run, at construction: the (K, P) theta
-    stack, the gradient stack, the velocity, a step scratch, the batch
-    losses, the shuffled windows and every kernel call. A call is bound
-    over the ``unpack`` views of its theta and gradient rows, the views of
-    its shuffled windows and targets, and a workspace shared by the calls
-    of its (rows, batch size) (``ForecastModel.bind``). A step then writes
-    only into these buffers: the trainer allocates nothing (K, P)-sized per
-    step, and the kernel's temporaries stay put. Freed and re-allocated
-    each step, they would leave the top of the glibc heap free; glibc trims
-    it, and the next step faults the pages back in, at a cost that swings
-    with the allocator's state.
+    Everything is bound once per run, at construction: the (K, P) theta,
+    gradient and velocity stacks, a step scratch, the batch losses and
+    their N * H divisors, the shuffled windows, the theta-only row
+    buffers (``workspace(K)``) and all kernel work: per batch index the
+    kind's prologue and epilogue over the rows with a batch there, and
+    the blocks' data calls (``bind_batch``), each over its rows' views,
+    its windows and a workspace shared by the calls of its (rows, batch
+    size). A step allocates nothing (K, P)-sized, and the kernel's
+    temporaries stay put. Freed and re-allocated each step, they would
+    leave the top of the glibc heap free; glibc trims it, and the next
+    step faults the pages back in, at a cost that swings with the
+    allocator's state.
 
     A block is a run of at most ``width`` consecutive rows; no kernel call
     spans two blocks. Each epoch writes every stock's windows, in its
@@ -201,8 +201,8 @@ class _StockStack:
     thresholds, so later frees are no longer returned to the OS and peak
     RSS grows. The batch schedule depends only on the stock sizes, so it
     is built here too: per batch index, the rows with a batch there (a
-    contiguous run, since rows ascend in size), their step views, and the
-    bound calls of the blocks.
+    contiguous run, since rows ascend in size), their step views, their
+    prologue and epilogue, and the bound calls of the blocks.
     """
 
     def __init__(self, model: ForecastModel, datasets: Sequence[WindowedDataset],
@@ -221,6 +221,7 @@ class _StockStack:
         self._grad, self._velocity, self._scratch = (np.zeros_like(self.theta) for _ in range(3))
         self._finite = np.zeros(self.theta.shape, dtype=bool)
         self._losses = np.zeros((k_rows, max(self.batches)))
+        divisors = np.zeros_like(self._losses)  # N * H of each row's batch at each index
         self._shuffle = []  # per row: windows, targets, and its rows of the block buffers
         blocks = []  # (first row, end row, shuffled windows, shuffled targets)
         for lo in range(0, k_rows, width):
@@ -231,7 +232,13 @@ class _StockStack:
                 self._shuffle.append((*checked[self.order[r]],
                                       *(buf[r - lo, : self.sizes[r]] for buf in buffers)))
             blocks.append((lo, hi, *buffers))
-        views, workspaces = {}, {}
+        row_ws, workspaces = model.workspace(k_rows), {}  # theta-only; per (rows, batch size)
+
+        @functools.cache
+        def views_of(lo, hi):  # theta, gradient and theta-only views of rows lo..hi-1
+            return (model.unpack(self.theta[lo:hi]), model.unpack(self._grad[lo:hi]),
+                    {name: buf[lo:hi] for name, buf in row_ws.items()})
+
         self.schedule = []
         for batch, start in enumerate(range(0, self.sizes[-1], batch_size)):
             calls = []
@@ -240,19 +247,20 @@ class _StockStack:
                 for size, run in groupby(live, lambda r: min(batch_size, self.sizes[r] - start)):
                     run = list(run)
                     rows = slice(run[0], run[-1] + 1)
-                    if (rows.start, rows.stop) not in views:
-                        views[rows.start, rows.stop] = (model.unpack(self.theta[rows]),
-                                                        model.unpack(self._grad[rows]))
+                    divisors[rows, batch] = size * model.horizon
                     if (len(run), size) not in workspaces:
                         workspaces[len(run), size] = model.workspace(len(run), size)
-                    p, g = views[rows.start, rows.stop]
+                    p, g, row_views = views_of(rows.start, rows.stop)
                     at = (slice(rows.start - lo, rows.stop - lo), slice(start, start + size))
                     x, y = windows[at], targets[at]
-                    # the call reduces its losses straight into the trainer's column
-                    ws = dict(workspaces[len(run), size], losses=self._losses[rows, batch])
-                    calls.append((p, x, y, g, model.bind(p, x, y, g, ws)))
+                    # the call reduces its squared errors straight into the trainer's column
+                    ws = dict(workspaces[len(run), size], losses=self._losses[rows, batch],
+                              **row_views)
+                    calls.append((p, x, y, g, model.bind_batch(p, x, y, g, ws)))
             active = slice(next(r for r, n in enumerate(self.sizes) if start < n), k_rows)
-            self.schedule.append((active, self._losses[active, batch], calls,
+            p, g, row_views = views_of(active.start, k_rows)
+            self.schedule.append((active, self._losses[active, batch], divisors[active, batch],
+                                  *model.bind_rows(p, row_views, g), calls,
                                   *(buf[active] for buf in (self.theta, self._velocity,
                                                             self._grad, self._scratch,
                                                             self._finite))))
@@ -280,13 +288,13 @@ class _StockStack:
         a caller that passes the same generators to every call draws one
         stream per stock across calls. A stock with fewer windows skips
         the batch indices it lacks. At each batch index, the rows of a
-        block whose batches have the same size share one kernel call, run
-        through ``ForecastModel.loss_and_gradient``. Then the loss guard,
-        the proximal term 2 * prox_weight * (theta - anchor), the momentum
-        step and the finiteness check run over every row with a batch
-        there, in place. A failed check raises DivergenceError naming the
-        stock that fails first in (epoch, batch index, given stock) order,
-        at any width.
+        block whose batches have the same size share one data call, run
+        through ``ForecastModel.loss_and_gradient``. The prologue before
+        it, and the epilogue, loss divide, loss guard, proximal term
+        2 * prox_weight * (theta - anchor), momentum step and finiteness
+        check after it run over every row with a batch there, in place.
+        A failed check raises DivergenceError naming the stock that fails
+        first in (epoch, batch index, given stock) order, at any width.
         """
         check_step_settings(learning_rate, momentum)
         use_prox = anchor is not None and prox_weight > 0.0
@@ -303,10 +311,13 @@ class _StockStack:
                 order = rng.permutation(len(x))
                 x.take(order, axis=0, out=x_shuffled, mode="clip")  # "raise" would buffer
                 y.take(order, axis=0, out=y_shuffled, mode="clip")
-            for batch, (active, losses, calls, th, vel, gr, scratch, finite) in enumerate(
-                    self.schedule):
+            for batch, (active, losses, divisors, prologue, epilogue, calls,
+                        th, vel, gr, scratch, finite) in enumerate(self.schedule):
+                prologue()
                 for args in calls:
                     kernel(model, *args)
+                epilogue()
+                np.divide(losses, divisors, out=losses)  # squared-error sums to means
                 if not losses.max() <= DIVERGENCE_GUARD:  # NaN fails too
                     raise self._diverged(
                         active.start + np.flatnonzero(~(losses <= DIVERGENCE_GUARD)),
@@ -388,17 +399,17 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     (``_StockStack``): one ``train`` call per merge round and one for
     fine-tuning, each starting from zero velocity. ``jobs`` only caps the
     stocks in one kernel call (``jobs <= 1`` means one), while the
-    optimizer work spans every stock. Each round merges the theta stack
-    itself, with one ``axpy_merge`` call. Each stock's merge-phase
-    generator is seeded once, before round 1, from (config seed, merge,
-    stock id), and every round continues it; fine-tuning seeds one more
-    per stock. So a run derives 2K seeds for training, one for the
-    template model and, without a shared init, K for the stocks' inits.
-    Round means and trace rows come from the (K, epochs) loss and penalty
-    arrays of ``train``; a trace row's ``wall_ms`` is the wall time of the
-    whole-stack epoch the row belongs to. The stack keeps its rows in its
-    own order, so merge weights, trace rows, fine-tuned models and update
-    steps are mapped back to the order of ``stocks``.
+    theta-only kernel work, like the optimizer's, spans every stock. Each
+    round merges the theta stack itself, with one ``axpy_merge`` call. Each
+    stock's merge-phase generator is seeded once, before round 1, from
+    (config seed, merge, stock id), and every round continues it;
+    fine-tuning seeds one more per stock. So a run derives 2K seeds for
+    training, one for the template model and, without a shared init, K for
+    the stocks' inits. Round means and trace rows come from the (K, epochs)
+    loss and penalty arrays of ``train``; a trace row's ``wall_ms`` is the
+    wall time of the whole-stack epoch the row belongs to. The stack keeps
+    its rows in its own order, so merge weights, trace rows, fine-tuned
+    models and update steps are mapped back to the order of ``stocks``.
     """
     lookback, horizon, d = _check_stock_group(stocks)
     k_stocks = len(stocks)

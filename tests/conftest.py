@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csti import numerics
 from csti.data import fit_normalizer, generate_synthetic_market, make_windows, normalize
 from csti.errors import ContractViolation, NumericOverflowError
 
@@ -101,6 +102,18 @@ def gradient_check_max_error(model, inputs, targets, epsilon=1e-5):
     gf = finite_diff_gradient(model, inputs, targets, epsilon).values
     denom = np.maximum(np.maximum(np.abs(ga), np.abs(gf)), 1e-3)
     return float(np.max(np.abs(ga - gf) / denom)) if ga.size else 0.0
+
+
+def filter_spectrum(s_re, s_im, k_re, k_im):
+    """Real part of the inverse transform of the spectrum times a kernel."""
+    return numerics.real_idft_batch(s_re * k_re - s_im * k_im, s_re * k_im + s_im * k_re)
+
+
+def filter_series(model, z):
+    """A paifilter model's kernel applied to (N, L) scalar series; the pre-head signal."""
+    kernel = model.unpack(model.export_params().values[None])["kernel"]
+    g_op = kernel[:, None] @ numerics.filter_operator_basis(model.lookback)
+    return z @ g_op.reshape(model.lookback, model.lookback)
 
 
 @pytest.fixture

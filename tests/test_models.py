@@ -11,14 +11,13 @@ from csti.errors import (
 from csti import numerics
 from csti.models import (
     MODEL_KINDS,
-    _filter_spectrum,
     build_model,
     load_checkpoint,
     save_checkpoint,
 )
 from csti.numerics import axpy_merge
 
-from conftest import random_batch, train_sanity_mse
+from conftest import filter_series, filter_spectrum, random_batch, train_sanity_mse
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +115,7 @@ def test_paifilter_identity_filter_passes_series_through(rng):
     model = _zeroed(build_model("paifilter", L, 1, 2))
     model = _set_segment(model, "kernel_re", np.ones(L))
     z = rng.standard_normal((5, L))
-    assert np.max(np.abs(model.filter_series(z) - z)) < 1e-9
+    assert np.max(np.abs(filter_series(model, z) - z)) < 1e-9
 
 
 @pytest.mark.parametrize("lookback", [4, 5, 8, 16])
@@ -124,7 +123,7 @@ def test_filter_operator_equals_the_dft_chain(lookback, rng):
     z = rng.standard_normal((9, lookback))
     k_re, k_im = rng.standard_normal((2, lookback))
     operator = np.concatenate([k_re, k_im]) @ numerics.filter_operator_basis(lookback)
-    reference = _filter_spectrum(*numerics.dft_batch(z), k_re, k_im)
+    reference = filter_spectrum(*numerics.dft_batch(z), k_re, k_im)
     error = np.max(np.abs(z @ operator.reshape(lookback, lookback) - reference))
     assert error <= 1e-12 * np.max(np.abs(reference))
 
@@ -287,6 +286,58 @@ def test_bound_call_gives_the_same_bits_as_a_one_off_call(kind, k_rows, rng):
                                                batch_targets.copy(), model.unpack(one_off))
             assert losses.tobytes() == expected.tobytes()
             assert grad.tobytes() == one_off.tobytes()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("k_rows", [1, 2, 3])
+def test_a_row_step_gives_the_same_bits_as_one_off_calls(kind, k_rows, rng):
+    # a trainer's step at one batch index: one prologue over the active rows,
+    # one data call per run of rows with the same batch size, one epilogue and
+    # one divide; row 0 has no batch there, and the last row's batch is short
+    model = build_model(kind, 16, 2, 3, seed=21)
+    start = model.export_params().values
+    theta, grad = np.empty((k_rows + 1, model.n_params)), np.empty((k_rows + 1, model.n_params))
+    losses, sizes = np.zeros((k_rows + 1, 3)), np.zeros((k_rows + 1, 3))
+    rows_ws = model.workspace(k_rows + 1)
+    n = [0] + [64] * (k_rows - 1) + [37]
+    inputs = [np.empty((1, size, 16, 3)) for size in n]
+    targets = [np.empty((1, size, 2)) for size in n]
+
+    def views(rows):
+        return (model.unpack(theta[rows]), model.unpack(grad[rows]),
+                {name: buf[rows] for name, buf in rows_ws.items()})
+
+    calls = []
+    for lo, hi in ((1, k_rows), (k_rows, k_rows + 1)):
+        if lo < hi:  # the trainer's batch views are slices of its shuffled windows
+            batch = np.empty((hi - lo, 80, 16, 3)), np.empty((hi - lo, 80, 2))
+            inputs[lo:hi] = [batch[0][r : r + 1, : n[lo]] for r in range(hi - lo)]
+            targets[lo:hi] = [batch[1][r : r + 1, : n[lo]] for r in range(hi - lo)]
+            p, g, row_views = views(slice(lo, hi))
+            ws = dict(model.workspace(hi - lo, n[lo]), losses=losses[lo:hi, 1], **row_views)
+            calls.append(model.bind_batch(p, batch[0][:, : n[lo]], batch[1][:, : n[lo]], g, ws))
+            sizes[lo:hi, 1] = n[lo] * model.horizon
+    active = slice(1, k_rows + 1)
+    p, g, row_views = views(active)
+    prologue, epilogue = model.bind_rows(p, row_views, g)
+    for _ in range(2):  # the second step overwrites the first one's buffers
+        theta[...] = start + rng.uniform(-0.1, 0.1, theta.shape)
+        for x, y in zip(inputs[1:], targets[1:]):
+            x[...], y[...] = rng.uniform(0.0, 1.0, x.shape), rng.uniform(0.0, 1.0, y.shape)
+        grad[...] = np.nan
+        prologue()
+        for call in calls:
+            call()
+        epilogue()
+        np.divide(losses[active, 1], sizes[active, 1], out=losses[active, 1])
+        assert np.isnan(grad[0]).all() and not np.isnan(grad[active]).any()
+        for r in range(1, k_rows + 1):
+            one_off = np.full((1, model.n_params), np.nan)
+            expected = model.loss_and_gradient(model.unpack(theta[r:r + 1].copy()),
+                                               inputs[r].copy(), targets[r].copy(),
+                                               model.unpack(one_off))
+            assert losses[r:r + 1, 1].tobytes() == expected.tobytes()
+            assert grad[r:r + 1].tobytes() == one_off.tobytes()
 
 
 def test_texfilter_prediction_allocates_no_backward_buffer(rng):

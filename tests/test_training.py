@@ -25,6 +25,7 @@ from csti.errors import (
 from csti.models import MODEL_KINDS, ForecastModel, build_model
 from csti.numerics import momentum_step
 from csti.training import (
+    DIVERGENCE_GUARD,
     _TAG_FINETUNE,
     _TAG_INIT,
     _TAG_MERGE,
@@ -478,6 +479,31 @@ def test_divergence_naming_does_not_depend_on_width(small_market):
     assert seen == [seen[0]] * 3
 
 
+def _shifted(ds, offset):
+    return WindowedDataset(ds.stock_id, ds.split, ds.lookback, ds.horizon,
+                           ds.inputs, ds.targets + offset, ds.absolute_indices)
+
+
+def test_the_loss_guard_sees_batch_means_not_sums(small_market):
+    # a kernel call leaves squared-error sums, which the step divides before the guard
+    train, _, _ = small_market
+    cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=1, seed=43, learning_rate=1e-4)
+    init = build_model("dlinear", 16, 1, 3, seed=derive_seed(cfg.seed, _TAG_INIT, 0))
+    first = train[1].inputs[:cfg.batch_size], train[1].targets[:cfg.batch_size]
+    assert train[1].n_windows > cfg.batch_size
+    assert init.loss(first[0], first[1] + 200.0) < DIVERGENCE_GUARD
+    assert init.loss(first[0], first[1] + 200.0) * cfg.batch_size > DIVERGENCE_GUARD
+    assert init.loss(first[0], first[1] + 2000.0) > DIVERGENCE_GUARD
+    for jobs in (1, 3):
+        run_csti([train[0], _shifted(train[1], 200.0), train[2]], "dlinear", cfg, jobs=jobs)
+    named = []
+    for jobs in (1, 3):
+        with pytest.raises(DivergenceError) as err:
+            run_csti([train[0], _shifted(train[1], 2000.0), train[2]], "dlinear", cfg, jobs=jobs)
+        named.append((err.value.stock_id, str(err.value)))
+    assert named == [(train[1].stock_id, named[0][1])] * 2
+
+
 def _kernel_calls_per_epoch(sizes, width, batch_size):
     """Calls of the parent's per-group stacks: per block of ``width`` stocks
     and batch index, one call per distinct batch size among its rows."""
@@ -678,6 +704,35 @@ def test_config_rejects_non_finite_training_numbers(field, value):
     # a NaN prox_weight used to drop the proximal term without a word
     with pytest.raises(ContractViolation, match=field):
         CstiConfig(stocks=2, **{field: value})
+
+
+NOT_REAL = [True, False, "0.01", None, [0.1]]
+
+
+@pytest.mark.parametrize("value", NOT_REAL)
+@pytest.mark.parametrize("field", ["learning_rate", "momentum", "alpha", "prox_weight"])
+def test_config_rejects_a_training_number_that_is_not_real(field, value):
+    # True used to train at learning rate 1.0; "0.01" and None raised a raw TypeError
+    with pytest.raises(ContractViolation, match=field):
+        CstiConfig(stocks=2, **{field: value})
+
+
+@pytest.mark.parametrize("value", NOT_REAL)
+def test_config_rejects_a_merge_weight_that_is_not_real(value):
+    # float(x) used to let "1" and True through
+    with pytest.raises(ContractViolation, match=r"merge_weights\[1\]"):
+        CstiConfig(stocks=2, merge_weights=(1.0, value))
+
+
+@pytest.mark.parametrize("value", NOT_REAL)
+@pytest.mark.parametrize("field", ["learning rate", "momentum"])
+def test_step_settings_reject_a_value_that_is_not_real(small_market, field, value):
+    settings = {"learning_rate": 0.01, "momentum": 0.9, field.replace(" ", "_"): value}
+    model = build_model("dlinear", 16, 1, 3, seed=8)
+    with pytest.raises(ContractViolation, match=field):
+        train_local(model, small_market[0][0], 1, batch_size=64, **settings)
+    with pytest.raises(ContractViolation, match=field):
+        run_normal(small_market[0], "dlinear", 3, **settings)
 
 
 @pytest.mark.parametrize("weights", [(1.0, -1.0), (0.0, 0.0), (-1.0, 3.0)])
