@@ -1,7 +1,10 @@
 """Config-driven experiment runner: strategies x model kinds x feature sets.
 
-The spec file is JSON (nested key/value). Every cell of the grid trains,
-evaluates on held-out test windows and writes a report bundle under
+The spec file is JSON, and ``_FIELDS`` is its schema: one row per field, with
+its path, ``ExperimentSpec`` attribute, check and message. Defaults live on
+``ExperimentSpec``. One walker checks a document against the table, and
+``ExperimentSpec.echo`` rebuilds the document from it. Every cell of the grid
+trains, evaluates on held-out test windows and writes a report bundle under
 <out>/<model>/<strategy>/<features>/; a summary table collects the macro
 metrics of all cells.
 """
@@ -12,8 +15,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -92,73 +97,30 @@ class ExperimentSpec:
     model_hyper: dict = field(default_factory=dict)
 
     def csti_config(self) -> CstiConfig:
-        return CstiConfig(
-            stocks=self.stocks,
-            merge_rounds=self.merge_rounds,
-            finetune_epochs=self.finetune_epochs,
-            local_epochs_per_round=self.local_epochs_per_round,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            alpha=self.alpha,
-            prox_weight=self.prox_weight,
-            merge_weights=self.merge_weights,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            shared_init=self.shared_init,
-        )
+        return CstiConfig(**{f.name: getattr(self, f.name) for f in fields(CstiConfig)})
 
     def normal_budget(self) -> int:
-        if self.epochs_total is not None:
-            return self.epochs_total
-        return self.merge_rounds * self.local_epochs_per_round + self.finetune_epochs
+        return _normal_budget(vars(self))
 
     def echo(self) -> dict:
-        doc = {
-            "version": __version__,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "data": {"source": self.source},
-            "features": list(self.feature_sets),
-            "models": list(self.model_kinds),
-            "strategies": list(self.strategies),
-            "window": {
-                "lookback": self.lookback,
-                "horizon": self.horizon,
-                "fractions": list(self.fractions),
-            },
-            "training": {
-                "merge_rounds": self.merge_rounds,
-                "finetune_epochs": self.finetune_epochs,
-                "local_epochs_per_round": self.local_epochs_per_round,
-                "learning_rate": self.learning_rate,
-                "momentum": self.momentum,
-                "alpha": self.alpha,
-                "lambda": self.prox_weight,
-                "batch_size": self.batch_size,
-                "merge_weights": list(self.merge_weights) if self.merge_weights else None,
-                "shared_init": self.shared_init,
-                "epochs_total": self.normal_budget(),
-            },
-            "normal_eval": self.normal_eval,
-            "denormalized_metrics": self.denormalized_metrics,
-        }
-        if self.source == "synthetic":
-            doc["data"].update({
-                "stocks": self.stocks,
-                "length": self.length,
-                "shared_strength": self.shared_strength,
-            })
-        else:
-            doc["data"]["paths"] = list(self.csv_paths)
+        """The spec as a nested document, one entry per echoed row of ``_FIELDS``."""
+        doc = {"version": __version__}
+        for row in _FIELDS:
+            if row.echoed and row.source in (None, self.source):
+                section, _, key = row.path.rpartition(".")
+                value = getattr(self, row.attr)
+                (doc.setdefault(section, {}) if section else doc)[key] = (
+                    list(value) if isinstance(value, tuple) else value)
+        doc["training"]["epochs_total"] = self.normal_budget()
         if self.model_hyper:
             doc["model_hyper"] = self.model_hyper
         return doc
 
 
-def _expect(errors, condition, message):
-    if not condition:
-        errors.append(message)
-    return condition
+def _normal_budget(values: dict) -> int:
+    if values["epochs_total"] is not None:
+        return values["epochs_total"]
+    return values["merge_rounds"] * values["local_epochs_per_round"] + values["finetune_epochs"]
 
 
 def _number(value) -> bool:
@@ -169,214 +131,192 @@ def _number(value) -> bool:
         return False
 
 
+def _int(low):
+    """(check, message) for a JSON integer >= low that is not a boolean, as ``_check_int``."""
+    return lambda value: type(value) is int and value >= low, f"integer >= {low} required"
+
+
+def _real(test, message):
+    """(check, message, convert) for a finite JSON number that passes ``test``."""
+    return lambda value: _number(value) and test(value), message, float
+
+
+def _optional(check):
+    return lambda value: value is None or check(value)
+
+
+def _non_empty_list(value) -> bool:
+    return isinstance(value, list) and len(value) > 0
+
+
+def _numbers(value, test) -> bool:
+    return isinstance(value, list) and all(_number(x) and test(x) for x in value)
+
+
+def _floats(value):
+    return None if value is None else tuple(float(x) for x in value)
+
+
+def _unknown(path, noun, supported, out_of_scope=()):
+    """(entries, base_dir) -> a message for each entry outside ``supported``."""
+    listed = ", ".join(supported)
+    note = f" (out of scope: {', '.join(out_of_scope)})" if out_of_scope else ""
+    return lambda entries, _base_dir: [
+        f"{path}: {x!r} is recognized but out of scope; supported kinds: {listed}"
+        if x in out_of_scope else f"{path}: unknown {noun} {x!r}; supported: {listed}{note}"
+        for x in entries if x not in supported]
+
+
+def _path_errors(paths, base_dir):
+    errors, owners = [], {}
+    for p in paths:
+        if not isinstance(p, str):
+            errors.append(f"data.paths: file path string required, got {p!r}")
+            continue
+        if not Path(base_dir or "", p).is_file():  # a relative path is read from base_dir
+            errors.append(f"data.paths: file not found: {p}")
+        sid = stock_id_from_path(p)
+        if sid in owners:
+            errors.append(f"data.paths: {owners[sid]} and {p} both load as stock id {sid!r}")
+        owners.setdefault(sid, p)
+    return errors
+
+
+class _Field(NamedTuple):
+    path: str  # "section.key", or "key" at the top level
+    attr: str  # the ExperimentSpec attribute it resolves to
+    check: Callable  # value -> bool
+    message: str  # the error after "<path>: " when the check fails
+    convert: Callable = lambda value: value  # a checked value -> the attribute's value
+    items: Callable | None = None  # (checked list, base_dir) -> messages for its entries
+    source: str | None = None  # read and echoed only for this data source
+    required: bool = False  # omitted, it fails its check instead of taking the default
+    echoed: bool = True
+
+
+_POSITIVE = _real(lambda v: v > 0, "must be finite and > 0")
+_FIELDS = (
+    _Field("out_dir", "out_dir", lambda v: isinstance(v, str) and v != "", "required string",
+           required=True),
+    _Field("data.source", "source", lambda v: v in ("synthetic", "csv"),
+           "must be 'synthetic' or 'csv'", required=True),
+    _Field("data.stocks", "stocks", *_int(1), source="synthetic"),
+    _Field("data.length", "length", *_int(64), source="synthetic"),
+    _Field("data.shared_strength", "shared_strength",
+           *_real(lambda v: 0 <= v <= 1, "number in [0, 1] required"), source="synthetic"),
+    _Field("data.paths", "csv_paths", _non_empty_list, "non-empty list of CSV files required",
+           items=_path_errors, source="csv", required=True),
+    _Field("models", "model_kinds", _non_empty_list, "non-empty list of model kinds required",
+           tuple, _unknown("models", "kind", MODEL_KINDS, OUT_OF_SCOPE_KINDS), required=True),
+    _Field("strategies", "strategies", _non_empty_list,
+           "non-empty list required ('normal', 'csti')",
+           tuple, _unknown("strategies", "strategy", STRATEGIES), required=True),
+    _Field("features", "feature_sets", _non_empty_list, "non-empty list required", tuple,
+           _unknown("features", "feature set", FEATURE_SETS)),
+    _Field("window.lookback", "lookback", *_int(4)),
+    _Field("window.horizon", "horizon", *_int(1)),
+    _Field("window.fractions", "fractions",
+           lambda v: _numbers(v, lambda x: x > 0) and len(v) == 3 and abs(sum(v) - 1.0) <= 1e-9,
+           "three positive numbers summing to 1 required", _floats),
+    _Field("training.merge_rounds", "merge_rounds", *_int(0)),
+    _Field("training.finetune_epochs", "finetune_epochs", *_int(0)),
+    _Field("training.local_epochs_per_round", "local_epochs_per_round", *_int(1)),
+    _Field("training.learning_rate", "learning_rate", *_POSITIVE),
+    _Field("training.momentum", "momentum", *_real(lambda v: 0 <= v < 1, "must lie in [0, 1)")),
+    _Field("training.alpha", "alpha", *_POSITIVE),
+    _Field("training.lambda", "prox_weight", *_real(lambda v: v >= 0, "must be finite and >= 0")),
+    _Field("training.batch_size", "batch_size", *_int(1)),
+    _Field("training.epochs_total", "epochs_total", _optional(_int(1)[0]),
+           "integer >= 1 (or omitted) required"),
+    _Field("training.merge_weights", "merge_weights",
+           _optional(lambda v: _numbers(v, lambda w: w >= 0) and sum(v) > 0),
+           "list of finite numbers >= 0 with a positive sum (or null) required", _floats),
+    _Field("training.shared_init", "shared_init", lambda v: isinstance(v, bool),
+           "boolean required"),
+    _Field("seed", "seed", *_int(0)),
+    _Field("jobs", "jobs", *_int(1), echoed=False),
+    _Field("normal_eval", "normal_eval", lambda v: v in NORMAL_EVAL_MODES,
+           "'final' or 'snapshot' required"),
+    _Field("denormalized_metrics", "denormalized_metrics", lambda v: isinstance(v, bool),
+           "boolean required"),
+)
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentSpec)}
+_OPTIONAL_SECTIONS = {"window": "object (or null) required",
+                      "training": "object (or null) required",
+                      "model_hyper": "object mapping kind -> hyperparameters (or null) required"}
 _JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
                list: "an array"}
 
 
-def _section(errors, raw, name, message):
-    """The object under ``name``; an omitted or null section is empty."""
+def _section(errors, raw, name):
+    """The object under ``name``: None for a bad ``data``, {} for an omitted or bad other one."""
     value = raw.get(name)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        errors.append(f"{name}: {message}, got {_JSON_TYPES.get(type(value), 'a value')}")
-        return {}
-    return value
+    if isinstance(value, dict):
+        return value
+    if name not in _OPTIONAL_SECTIONS:
+        errors.append(f"{name}: required object with a 'source' field")
+        return None
+    if value is not None:
+        got = _JSON_TYPES.get(type(value), "a value")
+        errors.append(f"{name}: {_OPTIONAL_SECTIONS[name]}, got {got}")
+    return {}
 
 
 def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpec:
-    """Resolve a parsed config document; report all field errors at once."""
+    """Resolve a parsed config document; report all field errors at once.
+
+    Walks ``_FIELDS`` in order. A field that fails its check stays unresolved,
+    and a rule that spans fields is checked once every field it reads resolved.
+    """
     errors: list[str] = []
     if not isinstance(raw, dict):
         raw = {}
         errors.append("spec: top level must be a JSON object")
-
-    out_dir = raw.get("out_dir")
-    _expect(errors, isinstance(out_dir, str) and out_dir, "out_dir: required string")
-
-    data = raw.get("data")
-    source, stocks, length, shared, csv_paths = "synthetic", 5, 600, 0.7, ()
-    if not isinstance(data, dict):
-        errors.append("data: required object with a 'source' field")
-    else:
-        source = data.get("source")
-        if source not in ("synthetic", "csv"):
-            errors.append("data.source: must be 'synthetic' or 'csv'")
-        elif source == "synthetic":
-            stocks = data.get("stocks", 5)
-            length = data.get("length", 600)
-            shared = data.get("shared_strength", 0.7)
-            _expect(errors, type(stocks) is int and stocks >= 1,
-                    "data.stocks: integer >= 1 required")
-            _expect(errors, type(length) is int and length >= 64,
-                    "data.length: integer >= 64 required")
-            _expect(errors, _number(shared) and 0.0 <= shared <= 1.0,
-                    "data.shared_strength: number in [0, 1] required")
+    values, sections = {}, {"": raw}
+    for row in _FIELDS:
+        name, _, key = row.path.rpartition(".")
+        if name not in sections:
+            sections[name] = _section(errors, raw, name)
+        doc = sections[name]
+        if doc is None or row.source not in (None, values.get("source")):
+            continue
+        if key not in doc and not row.required:
+            values[row.attr] = _DEFAULTS[row.attr]
+        elif row.check(doc.get(key)):
+            values[row.attr] = row.convert(doc[key])
+            if row.items:
+                errors.extend(row.items(doc[key], base_dir))
         else:
-            paths = data.get("paths")
-            if not (isinstance(paths, list) and paths):
-                errors.append("data.paths: non-empty list of CSV files required")
-            else:
-                resolved, owners = [], {}
-                for p in paths:
-                    if not isinstance(p, str):
-                        errors.append(f"data.paths: file path string required, got {p!r}")
-                        continue
-                    candidate = Path(p)
-                    if base_dir is not None and not candidate.is_absolute():
-                        candidate = base_dir / candidate
-                    if not candidate.is_file():
-                        errors.append(f"data.paths: file not found: {p}")
-                    resolved.append(str(candidate))
-                    sid = stock_id_from_path(p)
-                    if sid in owners:
-                        errors.append(f"data.paths: {owners[sid]} and {p} both load as "
-                                      f"stock id {sid!r}")
-                    owners.setdefault(sid, p)
-                csv_paths = tuple(resolved)
-                stocks = len(csv_paths)
+            errors.append(f"{row.path}: {row.message}")
+    if "csv_paths" in values:
+        values["csv_paths"] = tuple(str(Path(base_dir or "", p))
+                                    for p in values["csv_paths"] if isinstance(p, str))
+        values["stocks"] = len(values["csv_paths"])
 
-    models = raw.get("models")
-    model_kinds = ()
-    if not (isinstance(models, list) and models):
-        errors.append("models: non-empty list of model kinds required")
-    else:
-        for kind in models:
-            if kind in OUT_OF_SCOPE_KINDS:
-                errors.append(
-                    f"models: {kind!r} is recognized but out of scope; "
-                    f"supported kinds: {', '.join(MODEL_KINDS)}"
-                )
-            elif kind not in MODEL_KINDS:
-                errors.append(
-                    f"models: unknown kind {kind!r}; supported: "
-                    f"{', '.join(MODEL_KINDS)} (out of scope: {', '.join(OUT_OF_SCOPE_KINDS)})"
-                )
-        model_kinds = tuple(models)
+    model_hyper = _section(errors, raw, "model_hyper")
+    if "lookback" in values and "horizon" in values:
+        n_features = {3 if f == "with_sentiment" else 2 for f in values.get("feature_sets", ())}
+        for kind in (k for k in MODEL_KINDS if k in values.get("model_kinds", ())):
+            try:  # the checks build_model makes, before any cell trains
+                for n in n_features:
+                    _resolve(kind, values["lookback"], values["horizon"], n,
+                             model_hyper.get(kind) or {})
+            except CstiError as err:
+                errors.append(f"model_hyper.{kind}: {err}")
 
-    strategies = raw.get("strategies")
-    strategy_set = ()
-    if not (isinstance(strategies, list) and strategies):
-        errors.append("strategies: non-empty list required ('normal', 'csti')")
-    else:
-        for s in strategies:
-            if s not in STRATEGIES:
-                errors.append(f"strategies: unknown strategy {s!r}; supported: normal, csti")
-        strategy_set = tuple(strategies)
-
-    features = raw.get("features", list(FEATURE_SETS))
-    feature_sets = ()
-    if not (isinstance(features, list) and features):
-        errors.append("features: non-empty list required")
-    else:
-        for f in features:
-            if f not in FEATURE_SETS:
-                errors.append(
-                    f"features: unknown feature set {f!r}; supported: "
-                    f"{', '.join(FEATURE_SETS)}"
-                )
-        feature_sets = tuple(features)
-
-    window = _section(errors, raw, "window", "object (or null) required")
-    lookback = window.get("lookback", 16)
-    horizon = window.get("horizon", 1)
-    fractions = window.get("fractions", [0.7, 0.1, 0.2])
-    _expect(errors, type(lookback) is int and lookback >= 4,
-            "window.lookback: integer >= 4 required")
-    _expect(errors, type(horizon) is int and horizon >= 1,
-            "window.horizon: integer >= 1 required")
-    if not (isinstance(fractions, list) and len(fractions) == 3
-            and all(_number(x) and x > 0 for x in fractions)
-            and abs(sum(fractions) - 1.0) <= 1e-9):
-        errors.append("window.fractions: three positive numbers summing to 1 required")
-        fractions = [0.7, 0.1, 0.2]
-
-    training = _section(errors, raw, "training", "object (or null) required")
-    def num(key, default, check, message):
-        value = training.get(key, default)
-        if not (_number(value) and check(value)):
-            errors.append(f"training.{key}: {message}")
-            return default
-        return value
-
-    merge_rounds = num("merge_rounds", 50, lambda v: v >= 0 and int(v) == v, "integer >= 0 required")
-    finetune_epochs = num("finetune_epochs", 50, lambda v: v >= 0 and int(v) == v, "integer >= 0 required")
-    local_epochs = num("local_epochs_per_round", 1, lambda v: v >= 1 and int(v) == v, "integer >= 1 required")
-    learning_rate = num("learning_rate", 0.01, lambda v: v > 0, "must be finite and > 0")
-    momentum = num("momentum", 0.9, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
-    alpha = num("alpha", 1.0, lambda v: v > 0, "must be finite and > 0")
-    prox_weight = num("lambda", 0.01, lambda v: v >= 0, "must be finite and >= 0")
-    batch_size = num("batch_size", 64, lambda v: v >= 1 and int(v) == v, "integer >= 1 required")
-    epochs_total = training.get("epochs_total")
-    if epochs_total is not None and not (type(epochs_total) is int and epochs_total >= 1):
-        errors.append("training.epochs_total: integer >= 1 (or omitted) required")
-        epochs_total = None
-    merge_weights = training.get("merge_weights")
-    if merge_weights is not None:
-        if not (isinstance(merge_weights, list)
-                and all(_number(w) and w >= 0
-                        for w in merge_weights) and sum(merge_weights) > 0):
-            errors.append("training.merge_weights: list of finite numbers >= 0 with a "
-                          "positive sum (or null) required")
-            merge_weights = None
-        else:
-            merge_weights = tuple(float(w) for w in merge_weights)
-    shared_init = training.get("shared_init", True)
-    if not isinstance(shared_init, bool):
-        errors.append("training.shared_init: boolean required")
-        shared_init = True
-
-    seed = raw.get("seed", 0)
-    _expect(errors, type(seed) is int and seed >= 0, "seed: integer >= 0 required")
-    jobs = raw.get("jobs", 1)
-    _expect(errors, type(jobs) is int and jobs >= 1, "jobs: integer >= 1 required")
-    normal_eval = raw.get("normal_eval", "final")
-    _expect(errors, normal_eval in NORMAL_EVAL_MODES,
-            "normal_eval: 'final' or 'snapshot' required")
-    denorm = raw.get("denormalized_metrics", False)
-    _expect(errors, isinstance(denorm, bool), "denormalized_metrics: boolean required")
-    model_hyper = _section(errors, raw, "model_hyper",
-                           "object mapping kind -> hyperparameters (or null) required")
-    window_ok = type(lookback) is int and lookback >= 4 and type(horizon) is int and horizon >= 1
-    for kind in (k for k in MODEL_KINDS if window_ok and k in model_kinds):
-        try:  # the checks build_model makes, before any cell trains
-            for n_features in {3 if f == "with_sentiment" else 2 for f in feature_sets}:
-                _resolve(kind, lookback, horizon, n_features, model_hyper.get(kind) or {})
-        except CstiError as err:
-            errors.append(f"model_hyper.{kind}: {err}")
+    stocks, weights = values.get("stocks"), values.get("merge_weights")
+    if stocks is not None and weights is not None and len(weights) != stocks:
+        errors.append(f"training.merge_weights: one weight per stock required, "
+                      f"got {len(weights)} for {stocks} stocks")
+    if stocks is not None and "normal" in values.get("strategies", ()):
+        with suppress(KeyError):  # a count the budget reads failed its own check
+            if (budget := _normal_budget(values)) < stocks:
+                errors.append(f"training.epochs_total: the normal budget of {budget} epochs "
+                              f"is below one epoch per stock; >= {stocks} required")
 
     if errors:
         raise SpecValidationError(errors)
-    return ExperimentSpec(
-        out_dir=out_dir,
-        source=source,
-        seed=seed,
-        stocks=stocks,
-        length=length,
-        shared_strength=float(shared),
-        csv_paths=csv_paths,
-        feature_sets=feature_sets,
-        model_kinds=model_kinds,
-        strategies=strategy_set,
-        lookback=lookback,
-        horizon=horizon,
-        fractions=tuple(float(f) for f in fractions),
-        merge_rounds=int(merge_rounds),
-        finetune_epochs=int(finetune_epochs),
-        local_epochs_per_round=int(local_epochs),
-        learning_rate=float(learning_rate),
-        momentum=float(momentum),
-        alpha=float(alpha),
-        prox_weight=float(prox_weight),
-        batch_size=int(batch_size),
-        merge_weights=merge_weights,
-        shared_init=shared_init,
-        epochs_total=epochs_total,
-        jobs=jobs,
-        normal_eval=normal_eval,
-        denormalized_metrics=denorm,
-        model_hyper=model_hyper,
-    )
+    return ExperimentSpec(**values, model_hyper=model_hyper)
 
 
 def _read_spec(path: Path):

@@ -274,6 +274,7 @@ class _StockStack:
         k = min(rows, key=self.order.__getitem__)
         return DivergenceError(f"{self.stock_ids[k]}: {message(k)}", stock_id=self.stock_ids[k])
 
+    @np.errstate(over="ignore", invalid="ignore")
     def train(self, seeds: Sequence[int | np.random.Generator], epochs: int,
               learning_rate: float, momentum: float,
               anchor: np.ndarray | None = None, prox_weight: float = 0.0) -> _StackLog:
@@ -294,7 +295,9 @@ class _StockStack:
         2 * prox_weight * (theta - anchor), momentum step and finiteness
         check after it run over every row with a batch there, in place.
         A failed check raises DivergenceError naming the stock that fails
-        first in (epoch, batch index, given stock) order, at any width.
+        first in (epoch, batch index, given stock) order, at any width. An
+        overflow or invalid operation warns nothing: the inf or NaN it
+        leaves fails one of these checks.
         """
         check_step_settings(learning_rate, momentum)
         use_prox = anchor is not None and prox_weight > 0.0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csti.data import StockSeries, generate_synthetic_market, save_series_csv
@@ -173,6 +173,56 @@ def test_bad_merge_weights_name_the_field(tmp_path, weights):
     assert any(e.startswith("training.merge_weights") for e in err.value.errors)
 
 
+def _empty_csvs(directory, count):
+    # validation only checks that each path is a file
+    for k in range(count):
+        (directory / f"S{k}.csv").touch()
+    return [f"S{k}.csv" for k in range(count)]
+
+
+def test_merge_weights_need_one_entry_per_stock(tmp_path):
+    # 2 weights on 3 stocks used to validate, then stop the run at the first csti cell
+    doc = spec_doc(tmp_path / "out")
+    doc["training"]["merge_weights"] = [1, 1]
+    with pytest.raises(SpecValidationError) as err:
+        validate_spec_dict(doc)
+    assert err.value.errors == [
+        "training.merge_weights: one weight per stock required, got 2 for 3 stocks"]
+    doc["data"] = {"source": "csv", "paths": _empty_csvs(tmp_path, 2)}
+    assert validate_spec_dict(doc, base_dir=tmp_path).merge_weights == (1.0, 1.0)
+    doc["training"]["merge_weights"] = [1, 1, 1]
+    with pytest.raises(SpecValidationError, match="got 3 for 2 stocks"):
+        validate_spec_dict(doc, base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("training", [
+    {"merge_rounds": 3, "finetune_epochs": 3, "epochs_total": 2},
+    {"merge_rounds": 0, "finetune_epochs": 0},
+], ids=["epochs_total", "zero_csti_budget"])
+def test_a_normal_budget_below_the_stock_count_names_epochs_total(training):
+    # it used to validate, then fail after the csti cell had been written
+    doc = spec_doc("out", strategies=["csti", "normal"], training=training)
+    budget = training.get("epochs_total", 0)
+    with pytest.raises(SpecValidationError) as err:
+        validate_spec_dict(doc)
+    assert err.value.errors == [
+        f"training.epochs_total: the normal budget of {budget} epochs is below one epoch "
+        "per stock; >= 3 required"]
+    assert validate_spec_dict(spec_doc("out", strategies=["csti"], training=training))
+
+
+@pytest.mark.parametrize("key,value", [("merge_rounds", 2.0), ("batch_size", 64.0),
+                                       ("finetune_epochs", 3.0),
+                                       ("local_epochs_per_round", 1.0)])
+def test_an_integral_float_count_names_the_field(key, value):
+    doc = spec_doc("out")
+    doc["training"][key] = value
+    with pytest.raises(SpecValidationError) as err:
+        validate_spec_dict(doc)
+    low = 1 if key in ("batch_size", "local_epochs_per_round") else 0
+    assert err.value.errors == [f"training.{key}: integer >= {low} required"]
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
@@ -205,6 +255,86 @@ def test_any_json_value_in_a_section_gives_a_spec_or_a_spec_validation_error(sec
         errors = []
     if not isinstance(value, dict) and (value is not None or section == "data"):
         assert any(e.startswith(f"{section}:") for e in errors), errors
+
+
+_TOP_LEVEL_VALUES = {
+    "seed": st.integers(), "jobs": st.integers(), "out_dir": st.text(max_size=6),
+    "models": st.lists(st.sampled_from(MODEL_KINDS + ("timesnet",)), max_size=3),
+    "strategies": st.lists(st.sampled_from(["normal", "csti"]), max_size=3),
+    "features": st.lists(st.sampled_from(["with_sentiment", "without_sentiment"]), max_size=3),
+    "normal_eval": st.sampled_from(["final", "snapshot"]),
+    "denormalized_metrics": st.booleans(),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(_TOP_LEVEL_VALUES)), data=st.data())
+def test_any_json_value_in_a_top_level_field_gives_a_spec_or_a_spec_validation_error(key,
+                                                                                    data):
+    doc = spec_doc("out")
+    doc[key] = data.draw(_JSON_VALUES | _TOP_LEVEL_VALUES[key], label=key)
+    try:
+        spec = validate_spec_dict(doc)
+    except SpecValidationError as err:
+        assert err.errors
+    else:
+        assert spec.echo()
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("csvs")
+    _empty_csvs(directory, 4)
+    return directory
+
+
+_FRACTIONS = st.sampled_from([[0.7, 0.1, 0.2], [0.6, 0.2, 0.2], [0.5, 0.25, 0.25]])
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_echo_of_a_valid_spec_validates_to_the_same_echo(csv_dir, data):
+    draw = data.draw
+    if draw(st.booleans(), label="csv"):
+        paths = draw(st.lists(st.sampled_from([f"S{k}.csv" for k in range(4)]), min_size=1,
+                              max_size=4, unique=True))
+        source = {"source": "csv", "paths": [draw(st.sampled_from([p, str(csv_dir / p)]))
+                                              for p in paths]}
+        stocks = len(paths)
+    else:
+        stocks = draw(st.integers(1, 6))
+        source = {"source": "synthetic", "stocks": stocks, "length": draw(st.integers(64, 900)),
+                  "shared_strength": draw(_UNIT)}
+    training = draw(st.fixed_dictionaries({}, optional={
+        "merge_rounds": st.integers(0, 6), "finetune_epochs": st.integers(0, 6),
+        "local_epochs_per_round": st.integers(1, 3),
+        "learning_rate": st.floats(1e-6, 1.0), "momentum": st.floats(0.0, 0.99),
+        "alpha": st.floats(0.1, 2.0), "lambda": _UNIT, "batch_size": st.integers(1, 128),
+        "epochs_total": st.none() | st.integers(1, 40),
+        "merge_weights": st.none() | st.lists(st.integers(1, 3) | st.floats(0.5, 2.0),
+                                              min_size=stocks, max_size=stocks),
+        "shared_init": st.booleans()}))
+    doc = {
+        "out_dir": "out", "data": source, "training": training,
+        "seed": draw(st.integers(0, 2**40)), "jobs": draw(st.integers(1, 8)),
+        "models": draw(st.lists(st.sampled_from(MODEL_KINDS), min_size=1, max_size=4)),
+        "strategies": draw(st.lists(st.sampled_from(["normal", "csti"]), min_size=1,
+                                    max_size=2)),
+        "features": draw(st.lists(st.sampled_from(["with_sentiment", "without_sentiment"]),
+                                  min_size=1, max_size=2)),
+        "window": {"lookback": draw(st.integers(4, 32)), "horizon": draw(st.integers(1, 4)),
+                   "fractions": draw(_FRACTIONS)},
+        "normal_eval": draw(st.sampled_from(["final", "snapshot"])),
+        "denormalized_metrics": draw(st.booleans()),
+        "model_hyper": draw(st.sampled_from([{}, None, {"frets": {"hidden": 8}}])),
+    }
+    budget = training.get("epochs_total") or (
+        training.get("merge_rounds", 50) * training.get("local_epochs_per_round", 1)
+        + training.get("finetune_epochs", 50))
+    assume(budget >= stocks)  # a csti-only spec may echo an epochs_total that fails
+    echo = validate_spec_dict(doc, base_dir=csv_dir).echo()
+    assert validate_spec_dict(json.loads(json.dumps(echo))).echo() == echo
 
 
 @pytest.mark.parametrize("section", ["window", "training", "model_hyper"])
@@ -447,11 +577,11 @@ def test_one_flipped_checkpoint_byte_raises_a_csti_error(kind, tmp_path_factory,
 # command line
 # ---------------------------------------------------------------------------
 
-def _run_cli(args, cwd):
+def _run_cli(args, cwd, python_args=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "csti", *args],
+        [sys.executable, *python_args, "-m", "csti", *args],
         cwd=cwd, env=env, capture_output=True, text=True,
     )
 
@@ -479,6 +609,34 @@ def test_cli_negative_merge_weight_exit_code(tmp_path):
     assert proc.returncode == 1
     assert "training.merge_weights" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["synthetic", "csv"])
+def test_cli_merge_weights_for_another_stock_count_exit_code(tmp_path, source):
+    doc = spec_doc("out")
+    doc["training"]["merge_weights"] = [1, 1]
+    args = ["spec.json"]
+    if source == "csv":  # 2 weights on the 1 stock that --stocks leaves
+        doc["data"] = {"source": "csv", "paths": _empty_csvs(tmp_path, 3)}
+        args += ["--stocks", "1"]
+    write_spec(tmp_path, doc)
+    proc = _run_cli(args, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "spec error: training.merge_weights: one weight per stock required" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list((tmp_path / "out").rglob("report.json"))
+
+
+def test_cli_overflow_in_training_exit_code_with_warnings_as_errors(tmp_path):
+    # weights this large overflow the squared errors of round 2, which used to
+    # escape as a RuntimeWarning: a traceback under -W error, noise without it
+    doc = spec_doc("out", strategies=["csti"])
+    doc["training"]["merge_weights"] = [1e308, 1e308, 1e308]
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json"], cwd=tmp_path, python_args=("-W", "error"))
+    assert proc.returncode == 2
+    assert "batch loss inf exceeded guard" in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("field", ["lambda", "learning_rate"])

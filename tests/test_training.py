@@ -484,6 +484,22 @@ def _shifted(ds, offset):
                            ds.inputs, ds.targets + offset, ds.absolute_indices)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_squared_errors_past_the_float_range_raise_divergence_not_a_warning(small_market,
+                                                                            kind, jobs):
+    # the overflow in the loss used to escape as a RuntimeWarning, which the
+    # suite's filterwarnings = error turns into an exception
+    train, _, _ = small_market
+    bad = train[1]
+    huge = WindowedDataset(bad.stock_id, bad.split, bad.lookback, bad.horizon,
+                           bad.inputs, bad.targets * 1e200, bad.absolute_indices)
+    cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=1, seed=43)
+    with pytest.raises(DivergenceError, match="batch loss inf exceeded guard") as err:
+        run_csti([train[0], huge, train[2]], kind, cfg, jobs=jobs)
+    assert (err.value.stock_id, err.value.round_index) == (bad.stock_id, 1)
+
+
 def test_the_loss_guard_sees_batch_means_not_sums(small_market):
     # a kernel call leaves squared-error sums, which the step divides before the guard
     train, _, _ = small_market
