@@ -14,7 +14,6 @@ from .data import (
     NormalizationParams,
     StockSeries,
     WindowedDataset,
-    denormalize,
     denormalize_close,
     fit_normalizer,
     generate_synthetic_market,
@@ -33,11 +32,9 @@ from .errors import (
     InsufficientDataError,
     MergeIncompatibilityError,
     NumericInputError,
-    NumericOverflowError,
     SchemaError,
     ShapeMismatchError,
     SpecValidationError,
-    SymmetryViolationError,
     WrongNormalizerError,
 )
 from .experiment import (
@@ -65,13 +62,7 @@ from .models import (
 from .numerics import (
     OptimizerState,
     ParamVector,
-    Spectrum,
     axpy_merge,
-    complex_hadamard,
-    dft,
-    idft,
-    load_param_vector,
-    save_param_vector,
     sgd_step,
 )
 from .training import (

@@ -286,16 +286,6 @@ def normalize(series: StockSeries, params: NormalizationParams) -> StockSeries:
     return StockSeries(series.stock_id, series.timestamps, feats)
 
 
-def denormalize(series: StockSeries, params: NormalizationParams) -> StockSeries:
-    if params.stock_id != series.stock_id:
-        raise WrongNormalizerError(
-            f"normalizer for {params.stock_id!r} applied to {series.stock_id!r}"
-        )
-    span = params.per_column_max - params.per_column_min
-    feats = series.features * span + params.per_column_min
-    return StockSeries(series.stock_id, series.timestamps, feats)
-
-
 def denormalize_close(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
     """Undo min/max scaling for close-price predictions/targets."""
     span = params.per_column_max[CLOSE_COL] - params.per_column_min[CLOSE_COL]

@@ -29,20 +29,12 @@ class NumericInputError(CstiError, ValueError):
     """Non-finite values where finite reals are required."""
 
 
-class SymmetryViolationError(CstiError):
-    """Inverse transform of a spectrum left a non-negligible imaginary part."""
-
-
 class ShapeMismatchError(CstiError, ValueError):
     """Operands have incompatible lengths/shapes."""
 
 
 class MergeIncompatibilityError(CstiError):
     """Parameter vectors with different layouts cannot be merged/imported."""
-
-
-class NumericOverflowError(CstiError):
-    """A gradient or intermediate became non-finite."""
 
 
 class DivergenceError(CstiError):

@@ -111,7 +111,6 @@ class ExperimentSpec:
                 value = getattr(self, row.attr)
                 (doc.setdefault(section, {}) if section else doc)[key] = (
                     list(value) if isinstance(value, tuple) else value)
-        doc["training"]["epochs_total"] = self.normal_budget()
         if self.model_hyper:
             doc["model_hyper"] = self.model_hyper
         return doc

@@ -344,7 +344,8 @@ class DLinearModel(ForecastModel):
 
     @classmethod
     def default_hyper(cls, lookback, horizon, n_features):
-        return {"harmonics": 3, "period": float(lookback), "use_anchor": True}
+        period = _check_real("dlinear: lookback as the default period", lookback, closed=False)
+        return {"harmonics": 3, "period": period, "use_anchor": True}
 
     @classmethod
     def check_hyper(cls, hyper):
@@ -495,7 +496,7 @@ class PaiFilterModel(ForecastModel):
 # ---------------------------------------------------------------------------
 
 class TexFilterModel(ForecastModel):
-    """Spectrum-conditioned kernel from a complex one-hidden-layer net.
+    """Kernel conditioned on the input spectrum, from a complex one-hidden-layer net.
 
     The kernel-producing output layer starts at the identity filter
     (bias re=1) with 0.01-scale weights so the untrained filter is

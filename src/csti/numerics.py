@@ -1,22 +1,23 @@
-"""Mathematical substrate: parameter vectors and their file container, DFT pair, SGD.
+"""Mathematical substrate: parameter vectors, their merge and file container, DFT operators, SGD.
 
 The discrete Fourier transform is an explicit linear operator (cos/sin
-matrices), so the frequency models backpropagate through it with plain
-transposes; at lookbacks <= 64 the O(n^2) product beats FFT bookkeeping.
-Cached forms: ``filter_operator_basis`` (2n, n^2) folds a static filter into
-one real n x n operator (16 n^3 bytes: 64 KiB at n=16, 4 MiB at n=64), and
-``interleaved_dft_operators`` D (n, 2n), R (2n, n) move complex128 spectra
-as (re, im) pairs through one real gemm each way (32 n^2 bytes, 8 KiB at n=16).
+matrices, ``dft_matrices``), so the frequency models backpropagate through
+it with plain transposes; at lookbacks <= 64 the O(n^2) product beats FFT
+bookkeeping. The kinds bind two cached forms: ``filter_operator_basis``
+(2n, n^2) folds a static filter into one real n x n operator (16 n^3 bytes:
+64 KiB at n=16, 4 MiB at n=64), and ``interleaved_dft_operators`` D (n, 2n),
+R (2n, n) move complex128 spectra as (re, im) pairs through one real gemm
+each way (32 n^2 bytes, 8 KiB at n=16).
 
-Parameter files (bare vectors, model checkpoints, merge rounds) are one
-container: magic b"CSTI", u32 version 2, u32 header length, a sorted-key
-UTF-8 JSON header, u64 value count, little-endian float64 values, and a
-CRC-32 (``zlib.crc32``) of every byte before it; integers are little-endian.
-The header holds ``type`` (params, checkpoint or round), ``layout`` as
-[[name, length], ...] and that type's fields. The reader checks magic,
-version, every length (the file ends right after the CRC) and the CRC
-before it parses or allocates, then the type and its exact key set. Any
-failure, version-1 files included, raises ``ContractViolation`` naming the file.
+Model checkpoints and merge rounds are one container: magic b"CSTI", u32
+version 2, u32 header length, a sorted-key UTF-8 JSON header, u64 value
+count, little-endian float64 values, and a CRC-32 (``zlib.crc32``) of every
+byte before it; integers are little-endian. The header holds ``type``
+(checkpoint or round), ``layout`` as [[name, length], ...] and that type's
+fields. The reader checks magic, version, every length (the file ends right
+after the CRC) and the CRC before it parses or allocates, then the type and
+its exact key set. Any failure, version-1 files included, raises
+``ContractViolation`` naming the file.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import math
 import struct
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -36,10 +38,7 @@ from .errors import (
     CstiError,
     NumericInputError,
     ShapeMismatchError,
-    SymmetryViolationError,
 )
-
-IDFT_IMAG_TOLERANCE = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +87,6 @@ class ParamVector:
     def __repr__(self):
         names = ",".join(s.name for s in self.layout)
         return f"ParamVector(n={len(self)}, segments=[{names}])"
-
-    def segment(self, name: str) -> np.ndarray:
-        for seg in self.layout:
-            if seg.name == name:
-                return self.values[seg.offset : seg.offset + seg.length]
-        raise KeyError(name)
 
     def same_layout(self, other: "ParamVector") -> bool:
         return self.layout == other.layout
@@ -154,7 +147,8 @@ def axpy_merge(rows: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     rounded and so independent of the order of the rows; K equal weighted
     rows merge to that row itself (the consensus case). The stack is read,
     never written: a trainer merges its own theta stack in place of K
-    parameter vectors, and weights of 1.0 skip the product stack.
+    parameter vectors, and weights of 1.0 skip the product stack. A weighted
+    row or a column sum beyond the float range raises ``NumericInputError``.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[0] != len(weights):
@@ -164,38 +158,25 @@ def axpy_merge(rows: np.ndarray, weights: Sequence[float]) -> np.ndarray:
         raise NumericInputError("merge weights must be finite")
     if not np.all(np.isfinite(rows)):
         raise NumericInputError("merge rows must be finite")
-    if rows.shape[0] == 1:
-        return w[0] * rows[0]
-    products = rows if np.all(w == 1.0) else w[:, None] * rows  # 1.0 * x is x, bit for bit
+    products = rows
+    if not np.all(w == 1.0):  # 1.0 * x is x, bit for bit
+        with np.errstate(over="ignore"):
+            products = w[:, None] * rows
+        if not np.all(np.isfinite(products)):
+            raise NumericInputError("a weighted merge row overflows the float range")
     bits = products.view(np.uint64)  # bitwise, so +0.0 and -0.0 differ
     if np.all(bits == bits[0]):
-        # consensus: the mean of K identical vectors is that vector, exactly
+        # consensus (one row included): the mean of K identical vectors is that vector
         return products[0].copy()
-    return fsum_columns(products) / rows.shape[0]
+    try:
+        return fsum_columns(products) / rows.shape[0]
+    except OverflowError:  # a column sum beyond the float range, although its mean is not
+        raise NumericInputError("a merged column sum overflows the float range") from None
 
 
 # ---------------------------------------------------------------------------
-# spectra and the DFT pair
+# DFT operators
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex spectrum stored as separate real/imag float64 arrays."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        re = np.asarray(self.re, dtype=np.float64).reshape(-1)
-        im = np.asarray(self.im, dtype=np.float64).reshape(-1)
-        if re.size != im.size or re.size < 1:
-            raise ShapeMismatchError("re and im must have equal length n >= 1")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def __len__(self):
-        return self.re.size
-
 
 @lru_cache(maxsize=None)
 def dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,49 +215,9 @@ def interleaved_dft_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
     return d, r
 
 
-def dft(signal) -> Spectrum:
-    """X(f) = sum_t x(t) * (cos(2*pi*f*t/n) - i*sin(2*pi*f*t/n))."""
-    x = np.asarray(signal, dtype=np.float64).reshape(-1)
-    if x.size < 1:
-        raise ContractViolation("signal must have length >= 1")
-    if not np.all(np.isfinite(x)):
-        raise NumericInputError("signal contains non-finite values")
-    re, im = dft_batch(x[None])
-    return Spectrum(re=re[0], im=im[0])
-
-
-def idft(spectrum: Spectrum) -> np.ndarray:
-    """Inverse transform; rejects spectra whose inverse is not real.
-
-    x(t) = (1/n) * sum_f (re + i*im) * e^{+i 2 pi f t / n}. The imaginary
-    residue must stay below IDFT_IMAG_TOLERANCE (conjugate-symmetric input).
-    """
-    re, im = spectrum.re[None], spectrum.im[None]
-    # the cos/sin matrices are symmetric, so the imaginary part is the
-    # real part of the inverse transform of i * spectrum = (-im, re)
-    imag = real_idft_batch(im, -re)[0]
-    worst = float(np.max(np.abs(imag)))
-    if worst >= IDFT_IMAG_TOLERANCE:
-        raise SymmetryViolationError(
-            f"imaginary residue {worst:.3e} >= {IDFT_IMAG_TOLERANCE:.0e}; "
-            "spectrum is not conjugate-symmetric"
-        )
-    return real_idft_batch(re, im)[0]
-
-
-def complex_hadamard(a: Spectrum, b: Spectrum) -> Spectrum:
-    """Elementwise complex product of two spectra."""
-    if len(a) != len(b):
-        raise ShapeMismatchError(f"length mismatch: {len(a)} vs {len(b)}")
-    return Spectrum(
-        re=a.re * b.re - a.im * b.im,
-        im=a.re * b.im + a.im * b.re,
-    )
-
-
-# Batch helpers used by the model zoo. Signals sit in the last axis; the
-# adjoints are the exact transposes of the forward maps, which keeps the
-# analytic gradients finite-difference-checkable.
+# Split (re, im) helpers: no kind calls them; they are the tests' reference
+# transform and the benchmark's patch points. Signals sit in the last axis;
+# the adjoints are the exact transposes of the forward maps.
 
 def dft_batch(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(..., n) real signals -> (S_re, S_im), each (..., n)."""
@@ -326,12 +267,14 @@ def _check_int(name, value, low):
 
 
 def _check_real(name, value, high=math.inf, closed=True):
-    """``value`` as a float in [0, high), or (0, high); bools, strings and NaN fail."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not (0.0 <= value if closed else 0.0 < value) or not value < high):
-        interval = f"{'[' if closed else '('}0, {high})"
-        raise ContractViolation(f"{name} must be a real number in {interval}, got {value!r}")
-    return float(value)
+    """``value`` as a float in [0, high), or (0, high); bools, strings, NaN and
+    integers beyond the float range fail."""
+    with suppress(OverflowError):  # float() of an integer beyond the float range
+        if (not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+                and (0.0 <= value if closed else 0.0 < value) and value < high):
+            return float(value)
+    interval = f"{'[' if closed else '('}0, {high})"
+    raise ContractViolation(f"{name} must be a real number in {interval}, got {value!r}")
 
 
 def check_step_settings(learning_rate: float, momentum: float) -> None:
@@ -434,12 +377,3 @@ def load_container(path, blob_type: str, fields: Sequence[str] = ()) -> tuple[di
     except CstiError as err:
         raise ContractViolation(f"{path}: {err}") from None
 
-
-def save_param_vector(pvec: ParamVector, path) -> None:
-    """Write ``pvec`` as a ``params`` container (see the module docstring)."""
-    save_container(path, "params", pvec)
-
-
-def load_param_vector(path) -> ParamVector:
-    """Read a ``save_param_vector`` file; any bad file raises ``ContractViolation`` naming it."""
-    return load_container(path, "params")[1]

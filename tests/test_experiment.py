@@ -22,7 +22,7 @@ from csti.experiment import (
     validate_spec_dict,
 )
 from csti.models import MODEL_KINDS, build_model, load_checkpoint, save_checkpoint
-from csti.numerics import load_param_vector, save_container, save_param_vector
+from csti.numerics import save_container
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -332,9 +332,17 @@ def test_echo_of_a_valid_spec_validates_to_the_same_echo(csv_dir, data):
     budget = training.get("epochs_total") or (
         training.get("merge_rounds", 50) * training.get("local_epochs_per_round", 1)
         + training.get("finetune_epochs", 50))
-    assume(budget >= stocks)  # a csti-only spec may echo an epochs_total that fails
+    assume("normal" not in doc["strategies"] or budget >= stocks)
     echo = validate_spec_dict(doc, base_dir=csv_dir).echo()
     assert validate_spec_dict(json.loads(json.dumps(echo))).echo() == echo
+
+
+def test_an_omitted_epochs_total_echoes_as_null():
+    # the echo used to write the normal budget, 0 for this csti-only spec, which fails validation
+    doc = spec_doc("out", strategies=["csti"], training={"merge_rounds": 0, "finetune_epochs": 0})
+    echo = validate_spec_dict(doc).echo()
+    assert echo["training"]["epochs_total"] is None
+    assert validate_spec_dict(echo).echo() == echo
 
 
 @pytest.mark.parametrize("section", ["window", "training", "model_hyper"])
@@ -448,19 +456,18 @@ def test_permuted_csv_paths_give_the_same_csti_reports(tmp_path):
 def binary_blobs(tmp_path_factory):
     """One valid file of each container type, plus a directory to write variants to.
 
-    Keys are the ids these tests have always had: PVEC a bare parameter
-    vector, FMCK a model checkpoint, RNDG a merge round's global model.
+    Keys are the ids these tests have always had: FMCK a model checkpoint,
+    RNDG a merge round's global model.
     """
     directory = tmp_path_factory.mktemp("blobs")
     model = build_model("texfilter", 8, 2, 3, {"hidden": 3}, seed=5)
-    save_param_vector(model.export_params(), directory / "theta.pvec")
     save_checkpoint(model, directory / "model.ckpt")
     save_round_checkpoint(7, model.export_params(), directory / "round-0007.pvec")
-    names = {"PVEC": "theta.pvec", "FMCK": "model.ckpt", "RNDG": "round-0007.pvec"}
+    names = {"FMCK": "model.ckpt", "RNDG": "round-0007.pvec"}
     return {fmt: (directory / name).read_bytes() for fmt, name in names.items()}, directory
 
 
-_LOADERS = {"PVEC": load_param_vector, "FMCK": load_checkpoint, "RNDG": load_round_checkpoint}
+_LOADERS = {"FMCK": load_checkpoint, "RNDG": load_round_checkpoint}
 
 
 def _read_blob(fmt, blob, directory):
@@ -661,8 +668,18 @@ def test_cli_bad_model_hyper_exit_code_before_any_cell(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_lookback_beyond_the_float_range_exit_code(tmp_path):
+    # the dlinear default period, float(lookback), used to escape as a raw OverflowError
+    write_spec(tmp_path, spec_doc("out", window={"lookback": 10**400}))
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "spec error: model_hyper.dlinear: dlinear: lookback" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("hyper", [{"frets": {"hidden": 0}}, {"dlinear": {"depth": 2}},
-                                   {"dlinear": {"period": -1.0}}])
+                                   {"dlinear": {"period": -1.0}},
+                                   {"dlinear": {"period": 10**400}}])
 def test_a_bad_model_hyper_entry_names_its_kind(tmp_path, hyper):
     doc = spec_doc(tmp_path / "out", models=["dlinear", "frets"], model_hyper=hyper)
     with pytest.raises(SpecValidationError, match=f"model_hyper.{next(iter(hyper))}"):

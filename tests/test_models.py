@@ -61,6 +61,11 @@ def test_build_validation():
         build_model("dlinear", 8, 1, 2, {"harmonics": 0})
     with pytest.raises(ContractViolation):
         build_model("texfilter", 8, 1, 2, {"width": 4})
+    # integers beyond the float range, which float() used to reject with a raw OverflowError
+    with pytest.raises(ContractViolation, match="period"):
+        build_model("dlinear", 16, 1, 2, {"period": 10**400})
+    with pytest.raises(ContractViolation, match="lookback"):
+        build_model("dlinear", 10**400, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,26 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csti import models, numerics
-from csti.errors import (
-    ContractViolation,
-    NumericInputError,
-    ShapeMismatchError,
-    SymmetryViolationError,
-)
+from csti.errors import ContractViolation, NumericInputError
 from csti.numerics import (
     OptimizerState,
     ParamVector,
     Segment,
-    Spectrum,
     axpy_merge,
-    complex_hadamard,
-    dft,
+    dft_batch,
+    dft_batch_adjoint,
+    filter_operator_basis,
     fresh_optimizer_state,
     fsum_columns,
-    idft,
     layout_from_lengths,
-    load_param_vector,
-    save_param_vector,
+    load_container,
+    real_idft_batch,
+    real_idft_batch_adjoint,
+    save_container,
     sgd_step,
 )
 
@@ -43,74 +39,64 @@ def pv(values, names=None):
 
 
 # ---------------------------------------------------------------------------
-# DFT pair
+# DFT operators: the split helpers against numpy's FFT and their adjoints
 # ---------------------------------------------------------------------------
 
 def test_dft_dc_signal():
-    s = dft([1.0, 1.0, 1.0, 1.0])
-    assert np.allclose(s.re, [4, 0, 0, 0], atol=1e-12)
-    assert np.allclose(s.im, 0.0, atol=1e-12)
+    re, im = dft_batch(np.array([1.0, 1.0, 1.0, 1.0]))
+    assert np.allclose(re, [4, 0, 0, 0], atol=1e-12)
+    assert np.allclose(im, 0.0, atol=1e-12)
 
 
 def test_dft_unit_impulse_flat_spectrum():
-    s = dft([1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(s.re, 1.0, atol=1e-12)
-    assert np.allclose(s.im, 0.0, atol=1e-12)
+    re, im = dft_batch(np.array([1.0, 0.0, 0.0, 0.0]))
+    assert np.allclose(re, 1.0, atol=1e-12)
+    assert np.allclose(im, 0.0, atol=1e-12)
 
 
 def test_dft_alternating_signal_matches_hand_value():
     # oracle: numpy fft of [0,1,0,-1] gives [0, -2j, 0, +2j]
-    s = dft([0.0, 1.0, 0.0, -1.0])
-    assert np.allclose(s.re, [0, 0, 0, 0], atol=1e-12)
-    assert np.allclose(s.im, [0, -2, 0, 2], atol=1e-12)
+    re, im = dft_batch(np.array([0.0, 1.0, 0.0, -1.0]))
+    assert np.allclose(re, [0, 0, 0, 0], atol=1e-12)
+    assert np.allclose(im, [0, -2, 0, 2], atol=1e-12)
 
 
 def test_dft_agrees_with_numpy_fft_oracle():
     rng = np.random.default_rng(7)
     for n in (4, 8, 16, 64):
-        x = rng.standard_normal(n)
-        ours = dft(x)
+        x = rng.standard_normal((3, n))
+        re, im = dft_batch(x)
         ref = np.fft.fft(x)
-        assert np.allclose(ours.re, ref.real, atol=1e-9)
-        assert np.allclose(ours.im, ref.imag, atol=1e-9)
-
-
-def test_dft_rejects_non_finite():
-    with pytest.raises(NumericInputError):
-        dft([1.0, np.nan, 0.0])
+        assert np.allclose(re, ref.real, atol=1e-9)
+        assert np.allclose(im, ref.imag, atol=1e-9)
 
 
 def test_idft_roundtrip_and_dc_inverse():
     x = np.array([0.3, -1.2, 4.5, 0.0])
-    assert np.allclose(idft(dft(x)), x, atol=1e-9)
-    assert np.allclose(idft(Spectrum(re=[4, 0, 0, 0], im=[0, 0, 0, 0])), 1.0)
-
-
-def test_idft_rejects_asymmetric_spectrum():
-    with pytest.raises(SymmetryViolationError):
-        idft(Spectrum(re=[0.0, 1.0, 0.0, 0.0], im=[0.0, 1.0, 0.0, 0.0]))
+    assert np.allclose(real_idft_batch(*dft_batch(x)), x, atol=1e-9)
+    assert np.allclose(real_idft_batch(np.array([4.0, 0, 0, 0]), np.zeros(4)), 1.0)
 
 
 def test_roundtrip_and_conjugate_symmetry_many_sizes():
     rng = np.random.default_rng(13)
     for n in (4, 8, 16, 64):
-        for _ in range(20):
-            x = rng.standard_normal(n)
-            s = dft(x)
-            # conjugate symmetry of a real signal's spectrum
-            for f in range(1, n):
-                assert abs(s.re[n - f] - s.re[f]) < 1e-9
-                assert abs(s.im[n - f] + s.im[f]) < 1e-9
-            assert np.max(np.abs(idft(s) - x)) < 1e-9
+        x = rng.standard_normal((20, n))
+        re, im = dft_batch(x)
+        # conjugate symmetry of a real signal's spectrum
+        assert np.max(np.abs(re[:, :0:-1] - re[:, 1:])) < 1e-9
+        assert np.max(np.abs(im[:, :0:-1] + im[:, 1:])) < 1e-9
+        # the inverse's imaginary part, the real part of the inverse of -i * spectrum, is 0
+        assert np.max(np.abs(real_idft_batch(im, -re))) < 1e-9
+        assert np.max(np.abs(real_idft_batch(re, im) - x)) < 1e-9
 
 
 def test_parseval_identity():
     rng = np.random.default_rng(29)
     for n in (4, 8, 16, 64):
         x = rng.standard_normal(n)
-        s = dft(x)
+        re, im = dft_batch(x)
         time_energy = np.sum(x**2)
-        freq_energy = np.sum(s.re**2 + s.im**2) / n
+        freq_energy = np.sum(re**2 + im**2) / n
         assert abs(time_energy - freq_energy) <= 1e-9 * max(1.0, abs(time_energy))
 
 
@@ -118,34 +104,36 @@ def test_dft_linearity():
     rng = np.random.default_rng(31)
     x, y = rng.standard_normal(16), rng.standard_normal(16)
     a, b = 2.5, -0.75
-    s = dft(a * x + b * y)
-    sx, sy = dft(x), dft(y)
-    assert np.allclose(s.re, a * sx.re + b * sy.re, atol=1e-9)
-    assert np.allclose(s.im, a * sx.im + b * sy.im, atol=1e-9)
+    s_re, s_im = dft_batch(a * x + b * y)
+    (x_re, x_im), (y_re, y_im) = dft_batch(x), dft_batch(y)
+    assert np.allclose(s_re, a * x_re + b * y_re, atol=1e-9)
+    assert np.allclose(s_im, a * x_im + b * y_im, atol=1e-9)
+    f_re, f_im = rng.standard_normal((2, 16))
+    g_re, g_im = rng.standard_normal((2, 16))
+    assert np.allclose(real_idft_batch(a * f_re + b * g_re, a * f_im + b * g_im),
+                       a * real_idft_batch(f_re, f_im) + b * real_idft_batch(g_re, g_im),
+                       atol=1e-9)
 
 
-def test_complex_hadamard_identity_and_j_squared():
-    rng = np.random.default_rng(37)
-    b = Spectrum(re=rng.standard_normal(6), im=rng.standard_normal(6))
-    ones = Spectrum(re=np.ones(6), im=np.zeros(6))
-    out = complex_hadamard(ones, b)
-    assert np.allclose(out.re, b.re) and np.allclose(out.im, b.im)
-
-    j = Spectrum(re=[0.0], im=[1.0])
-    jj = complex_hadamard(j, j)
-    assert np.allclose(jj.re, [-1.0]) and np.allclose(jj.im, [0.0])
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_split_adjoints_are_the_transposes_of_the_forward_maps(n, rng):
+    # <A x, y> = <x, A^T y> for the forward transform and the real inverse
+    x, y_re, y_im = rng.standard_normal((3, 5, n))
+    re, im = dft_batch(x)
+    forward = np.sum(re * y_re) + np.sum(im * y_im)
+    assert forward == pytest.approx(np.sum(x * dft_batch_adjoint(y_re, y_im)), rel=1e-12)
+    f_re, f_im, ds = rng.standard_normal((3, 5, n))
+    a_re, a_im = real_idft_batch_adjoint(ds)
+    inverse = np.sum(real_idft_batch(f_re, f_im) * ds)
+    assert inverse == pytest.approx(np.sum(f_re * a_re) + np.sum(f_im * a_im), rel=1e-12)
 
 
 def test_identity_filter_leaves_signal_unchanged():
     rng = np.random.default_rng(41)
-    x = rng.standard_normal(8)
-    kernel = Spectrum(re=np.ones(8), im=np.zeros(8))
-    assert np.allclose(idft(complex_hadamard(dft(x), kernel)), x, atol=1e-9)
-
-
-def test_complex_hadamard_length_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        complex_hadamard(Spectrum(re=[1, 2], im=[0, 0]), Spectrum(re=[1], im=[0]))
+    x = rng.standard_normal((3, 8))
+    kernel = np.concatenate([np.ones(8), np.zeros(8)])  # [k_re | k_im] of the unit kernel
+    g_op = (kernel @ filter_operator_basis(8)).reshape(8, 8)
+    assert np.allclose(x @ g_op, x, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +281,39 @@ def test_axpy_merge_rejects_non_finite_rows_and_weights(bad):
         axpy_merge(rows, [1.0] * 3)
 
 
+@pytest.mark.parametrize("rows,weights", [
+    ([[2.0], [-2.0]], [1e308, 1e308]),  # the weighted rows overflow, to inf and -inf
+    ([[2.0]], [1e308]),  # one weighted row overflows
+    ([[1e308], [1.5e308]], [1.0, 1.0]),  # the column sum overflows, its mean would not
+])
+def test_axpy_merge_overflow_is_a_numeric_input_error(rows, weights):
+    # these used to escape as a RuntimeWarning, then a raw ValueError or OverflowError
+    with pytest.raises(NumericInputError, match="overflows the float range"):
+        axpy_merge(np.array(rows), weights)
+
+
+_HUGE = st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+    hnp.arrays(np.float64, st.tuples(st.just(k), st.integers(1, 4)), elements=_HUGE),
+    st.lists(_HUGE, min_size=k, max_size=k))))
+def test_axpy_merge_of_finite_rows_is_finite_or_a_numeric_input_error(case):
+    rows, weights = case
+    try:
+        merged = axpy_merge(rows, weights)
+    except NumericInputError:
+        return
+    assert merged.shape == (rows.shape[1],) and np.all(np.isfinite(merged))
+
+
 def test_param_vector_serialization_roundtrip(tmp_path):
     vec = pv(np.random.default_rng(47).standard_normal(7),
              [("kernel", 4), ("bias", 3)])
-    save_param_vector(vec, tmp_path / "theta.pvec")
-    back = load_param_vector(tmp_path / "theta.pvec")
+    save_container(tmp_path / "round.bin", "round", vec, round=3)
+    header, back = load_container(tmp_path / "round.bin", "round", ("round",))
+    assert header["round"] == 3
     assert back.layout == vec.layout
     assert np.array_equal(back.values, vec.values)
 

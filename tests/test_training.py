@@ -722,7 +722,7 @@ def test_config_rejects_non_finite_training_numbers(field, value):
         CstiConfig(stocks=2, **{field: value})
 
 
-NOT_REAL = [True, False, "0.01", None, [0.1]]
+NOT_REAL = [True, False, "0.01", None, [0.1], pytest.param(10**400, id="10**400")]
 
 
 @pytest.mark.parametrize("value", NOT_REAL)
