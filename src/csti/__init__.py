@@ -59,12 +59,7 @@ from .models import (
     load_checkpoint,
     save_checkpoint,
 )
-from .numerics import (
-    OptimizerState,
-    ParamVector,
-    axpy_merge,
-    sgd_step,
-)
+from .numerics import ParamVector, axpy_merge
 from .training import (
     CstiConfig,
     TrainingTrace,

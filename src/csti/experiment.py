@@ -30,6 +30,7 @@ from .data import (
     load_csv,
     make_windows,
     normalize,
+    split_bounds,
     stock_id_from_path,
 )
 from .errors import (
@@ -303,6 +304,19 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
             except CstiError as err:
                 errors.append(f"model_hyper.{kind}: {err}")
 
+    if values.get("source") == "synthetic" and values.keys() >= {"length", "lookback", "horizon",
+                                                                  "fractions"}:
+        needed = values["lookback"] + values["horizon"]
+        with suppress(OverflowError):  # a length beyond the float range has no split sizes
+            bounds = split_bounds(values["length"], values["fractions"])
+            for split in ("train", "test"):  # the splits a cell windows
+                rows = bounds[split][1] - bounds[split][0]
+                if rows < needed:
+                    errors.append(f"window.lookback: the {split} split of data.length "
+                                  f"{values['length']} holds {rows} rows, fewer than "
+                                  f"lookback + horizon = {needed}")
+                    break
+
     stocks, weights = values.get("stocks"), values.get("merge_weights")
     if stocks is not None and weights is not None and len(weights) != stocks:
         errors.append(f"training.merge_weights: one weight per stock required, "
@@ -436,13 +450,12 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     Each completed cell's files are on disk before the next cell starts,
     so partial results survive a failure in a later cell.
     """
-    out_root = Path(spec.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
     market = _load_market(spec)
-
     prepared = {}
     for feature_set in spec.feature_sets:
         prepared[feature_set] = _prepare_feature_set(market, feature_set, spec)
+    out_root = Path(spec.out_dir)  # created once the data loads, so a bad input leaves none
+    out_root.mkdir(parents=True, exist_ok=True)
 
     summary = {}
     for kind in spec.model_kinds:

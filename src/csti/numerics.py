@@ -33,12 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ContractViolation,
-    CstiError,
-    NumericInputError,
-    ShapeMismatchError,
-)
+from .errors import ContractViolation, CstiError, NumericInputError
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +82,6 @@ class ParamVector:
     def __repr__(self):
         names = ",".join(s.name for s in self.layout)
         return f"ParamVector(n={len(self)}, segments=[{names}])"
-
-    def same_layout(self, other: "ParamVector") -> bool:
-        return self.layout == other.layout
 
     def replace(self, values) -> "ParamVector":
         return ParamVector(values, self.layout)
@@ -247,18 +239,6 @@ def real_idft_batch_adjoint(ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # SGD with classical momentum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OptimizerState:
-    """Velocity buffer plus step settings; owned by exactly one trainer."""
-
-    velocity: ParamVector
-    learning_rate: float
-    momentum: float
-
-    def __post_init__(self):
-        check_step_settings(self.learning_rate, self.momentum)
-
-
 def _check_int(name, value, low):
     """``value`` as an int >= low; bools and non-integral numbers are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
@@ -282,39 +262,17 @@ def check_step_settings(learning_rate: float, momentum: float) -> None:
     _check_real("momentum", momentum, 1.0)
 
 
-def fresh_optimizer_state(params: ParamVector, learning_rate: float, momentum: float) -> OptimizerState:
-    return OptimizerState(
-        velocity=params.replace(np.zeros(len(params))),
-        learning_rate=learning_rate,
-        momentum=momentum,
-    )
-
-
-def momentum_step(theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
-                  learning_rate: float, momentum: float, scratch: np.ndarray | None = None) -> None:
+def sgd_step(theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
+             learning_rate: float, momentum: float, scratch: np.ndarray | None = None) -> None:
     """In place: v <- mu*v + g; theta <- theta - eta*v (classical momentum).
 
-    ``scratch``, shaped like theta, holds eta*v; without it that product
-    is a fresh array.
+    Every operation is elementwise, so on a (K, P) stack of rows each row
+    ends bit for bit as the one-row step would leave it. ``scratch``, shaped
+    like theta, holds eta*v; without it that product is a fresh array.
     """
     velocity *= momentum
     velocity += grad
     theta -= np.multiply(velocity, learning_rate, out=scratch)
-
-
-def sgd_step(params: ParamVector, grad: ParamVector, state: OptimizerState) -> tuple[ParamVector, OptimizerState]:
-    """One ``momentum_step`` on immutable vectors; returns new ones."""
-    if not (params.same_layout(grad) and params.same_layout(state.velocity)):
-        raise ShapeMismatchError("params/grad/velocity layouts differ")
-    theta = params.values.copy()
-    v = state.velocity.values.copy()
-    momentum_step(theta, v, grad.values, state.learning_rate, state.momentum)
-    new_state = OptimizerState(
-        velocity=params.replace(v),
-        learning_rate=state.learning_rate,
-        momentum=state.momentum,
-    )
-    return params.replace(theta), new_state
 
 
 # ---------------------------------------------------------------------------

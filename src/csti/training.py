@@ -47,9 +47,7 @@ from .errors import (
 )
 from .models import ForecastModel, _check_batch, build_model
 from .numerics import (ParamVector, _check_int, _check_real, axpy_merge, check_step_settings,
-                       momentum_step)
-# not called here: the benchmark's traced run wraps training.sgd_step by name
-from .numerics import sgd_step  # noqa: F401
+                       sgd_step)
 
 DIVERGENCE_GUARD = 1e6
 
@@ -136,7 +134,6 @@ class TrainingTrace:
     global_loss_per_round: list = field(default_factory=list)
     round_globals: list = field(default_factory=list)  # ParamVector per merge round
     lineage_update_steps: list = field(default_factory=list)
-    phase_wall_ms: dict = field(default_factory=dict)
 
     def add(self, phase, round_index, stock_id, data_loss, prox_penalty, wall_ms):
         if not (math.isfinite(data_loss) and data_loss >= 0):
@@ -329,7 +326,7 @@ class _StockStack:
                     np.subtract(th, anchor, out=scratch)
                     scratch *= 2.0 * prox_weight
                     gr += scratch
-                momentum_step(th, vel, gr, learning_rate, momentum, scratch)
+                sgd_step(th, vel, gr, learning_rate, momentum, scratch)
                 if not np.isfinite(th, out=finite).all():
                     raise self._diverged(
                         active.start + np.flatnonzero(~finite.all(axis=1)),
@@ -441,7 +438,6 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     global_params = None
     merge_rngs = [np.random.default_rng(seed) for seed in seeds(_TAG_MERGE, 1)]
 
-    tick = time.perf_counter()
     for round_index in range(1, cfg.merge_rounds + 1):
         if global_params is not None:
             theta[:] = global_params.values
@@ -462,12 +458,10 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         mean_loss = math.fsum(log.losses.mean(axis=1).tolist()) / k_stocks  # correctly rounded: order-free
         trace.global_loss_per_round.append(mean_loss)
         trace.add("merge", round_index, "global", mean_loss, 0.0, 0.0)
-    trace.phase_wall_ms["merge"] = (time.perf_counter() - tick) * 1000.0
 
     if global_params is None:  # merge_rounds == 0: fall back to stock 0's init
         global_params = init.replace(theta[given[0]])
 
-    tick = time.perf_counter()
     theta[:] = global_params.values
     try:
         log = stack.train(seeds(_TAG_FINETUNE, 0), cfg.finetune_epochs,
@@ -480,7 +474,6 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
                                      log.penalties[given].tolist()):
         for e, (loss_val, penalty, wall) in enumerate(zip(losses, penalties, log.epoch_wall_ms)):
             trace.add("finetune", e + 1, ds.stock_id, loss_val, penalty, wall)
-    trace.phase_wall_ms["finetune"] = (time.perf_counter() - tick) * 1000.0
 
     trace.lineage_update_steps = [cfg.epochs_budget * stack.batches[r] for r in given]
     return CstiResult(global_params, finetuned, trace)
@@ -513,7 +506,6 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, epochs_total: int,
         seed=derive_seed(seed, _TAG_INIT, 0),
     )
     trace = TrainingTrace()
-    tick = time.perf_counter()
     snapshots = []
     epoch_counter = 0
     total_steps = 0
@@ -534,7 +526,6 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, epochs_total: int,
             epoch_counter += 1
             trace.add("normal", epoch_counter, ds.stock_id,
                       loss_val, 0.0, res.epoch_wall_ms[e])
-    trace.phase_wall_ms["normal"] = (time.perf_counter() - tick) * 1000.0
     trace.lineage_update_steps = [total_steps]
     return NormalResult(snapshots, trace)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from csti.data import StockSeries, generate_synthetic_market, save_series_csv
+from csti.data import StockSeries, generate_synthetic_market, save_series_csv, split_bounds
 from csti.errors import ContractViolation, CstiError, DivergenceError, SpecValidationError
 from csti.experiment import (
     load_round_checkpoint,
@@ -333,6 +333,10 @@ def test_echo_of_a_valid_spec_validates_to_the_same_echo(csv_dir, data):
         training.get("merge_rounds", 50) * training.get("local_epochs_per_round", 1)
         + training.get("finetune_epochs", 50))
     assume("normal" not in doc["strategies"] or budget >= stocks)
+    if source["source"] == "synthetic":  # every windowed split holds one window
+        bounds = split_bounds(source["length"], doc["window"]["fractions"])
+        assume(min(bounds["train"][1], bounds["test"][1] - bounds["test"][0])
+               >= doc["window"]["lookback"] + doc["window"]["horizon"])
     echo = validate_spec_dict(doc, base_dir=csv_dir).echo()
     assert validate_spec_dict(json.loads(json.dumps(echo))).echo() == echo
 
@@ -675,6 +679,38 @@ def test_cli_lookback_beyond_the_float_range_exit_code(tmp_path):
     assert proc.returncode == 1
     assert "spec error: model_hyper.dlinear: dlinear: lookback" in proc.stderr
     assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["synthetic", "csv"])
+def test_cli_lookback_longer_than_a_split_exit_code(tmp_path, source):
+    # a synthetic spec fails validation; a CSV split found short at load
+    # used to fail after out_dir had been created, and left it empty
+    doc = spec_doc("out", models=["paifilter"], strategies=["csti"])
+    if source == "synthetic":
+        doc["data"]["length"], doc["window"] = 100, {"lookback": 5000}
+        expected = ("spec error: window.lookback: the train split of data.length 100 holds "
+                    "70 rows, fewer than lookback + horizon = 5001")
+    else:  # 240 rows: 168 train rows fit, but the test split holds 48 < 101
+        market = generate_synthetic_market(2, 240, 0.6, seed=8)
+        for series in market:
+            save_series_csv(series, tmp_path / f"{series.stock_id}.csv")
+        doc["data"] = {"source": "csv", "paths": [f"{s.stock_id}.csv" for s in market]}
+        doc["window"] = {"lookback": 100}
+        expected = "error: SYN000/test: segment has 48 rows, needs at least L+H=101"
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert expected in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_lookback_that_fits_every_split_validates():
+    # length 100 at (0.7, 0.1, 0.2) leaves a 20-row test split: 19 + 1 fits, 20 + 1 does not
+    assert validate_spec_dict(spec_doc("out", window={"lookback": 19},
+                                       data={"source": "synthetic", "length": 100}))
+    with pytest.raises(SpecValidationError, match="test split of data.length 100 holds 20 rows"):
+        validate_spec_dict(spec_doc("out", window={"lookback": 20},
+                                    data={"source": "synthetic", "length": 100}))
 
 
 @pytest.mark.parametrize("hyper", [{"frets": {"hidden": 0}}, {"dlinear": {"depth": 2}},

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from csti import models, numerics
 from csti.errors import ContractViolation, NumericInputError
 from csti.numerics import (
-    OptimizerState,
     ParamVector,
     Segment,
     axpy_merge,
     dft_batch,
     dft_batch_adjoint,
     filter_operator_basis,
-    fresh_optimizer_state,
     fsum_columns,
     layout_from_lengths,
     load_container,
@@ -322,47 +320,59 @@ def test_param_vector_serialization_roundtrip(tmp_path):
 # SGD with momentum
 # ---------------------------------------------------------------------------
 
+def _step(theta, grad, learning_rate, momentum, velocity=None):
+    """(theta, velocity) after one ``sgd_step`` on copies, from zero velocity by default."""
+    theta = np.array(theta, dtype=float)
+    velocity = np.zeros_like(theta) if velocity is None else np.array(velocity, dtype=float)
+    sgd_step(theta, velocity, np.asarray(grad, dtype=float), learning_rate, momentum)
+    return theta, velocity
+
+
 def test_sgd_step_arithmetic_example():
-    params = pv([1.0])
-    state = fresh_optimizer_state(params, learning_rate=0.01, momentum=0.9)
-    new_params, new_state = sgd_step(params, pv([1.0]), state)
-    assert np.allclose(new_state.velocity.values, [1.0])
-    assert np.allclose(new_params.values, [0.99])
+    theta, velocity = _step([1.0], [1.0], learning_rate=0.01, momentum=0.9)
+    assert np.allclose(velocity, [1.0])
+    assert np.allclose(theta, [0.99])
 
 
 def test_sgd_step_zero_momentum_is_plain_descent():
-    params = pv([2.0, -3.0])
-    grad = pv([0.5, 0.5])
-    state = fresh_optimizer_state(params, 0.1, 0.0)
-    new_params, _ = sgd_step(params, grad, state)
-    assert np.allclose(new_params.values, params.values - 0.1 * grad.values)
+    theta, grad = np.array([2.0, -3.0]), np.array([0.5, 0.5])
+    stepped, _ = _step(theta, grad, 0.1, 0.0, velocity=[7.0, -7.0])  # mu = 0 forgets v
+    assert np.allclose(stepped, theta - 0.1 * grad)
 
 
 def test_sgd_step_fixed_point():
-    params = pv([1.0, 2.0])
-    state = fresh_optimizer_state(params, 0.01, 0.9)
-    new_params, _ = sgd_step(params, pv([0.0, 0.0]), state)
-    assert np.array_equal(new_params.values, params.values)
+    theta, velocity = _step([1.0, 2.0], [0.0, 0.0], 0.01, 0.9)
+    assert np.array_equal(theta, [1.0, 2.0]) and np.array_equal(velocity, [0.0, 0.0])
 
 
 def test_sgd_momentum_converges_on_quadratic():
     # minimize (theta - 3)^2 with eta=0.01, mu=0.9
-    params = pv([10.0])
-    state = fresh_optimizer_state(params, 0.01, 0.9)
+    theta, velocity = np.array([10.0]), np.zeros(1)
     for _ in range(10_000):
-        grad = pv(2.0 * (params.values - 3.0))
-        params, state = sgd_step(params, grad, state)
-        if abs(params.values[0] - 3.0) < 1e-6:
+        sgd_step(theta, velocity, 2.0 * (theta - 3.0), 0.01, 0.9)
+        if abs(theta[0] - 3.0) < 1e-6:
             break
-    assert abs(params.values[0] - 3.0) < 1e-6
+    assert abs(theta[0] - 3.0) < 1e-6
 
 
-def test_optimizer_state_validation():
-    params = pv([1.0])
-    with pytest.raises(ContractViolation):
-        OptimizerState(velocity=params, learning_rate=0.0, momentum=0.5)
-    with pytest.raises(ContractViolation):
-        OptimizerState(velocity=params, learning_rate=0.1, momentum=1.0)
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(1, 5).flatmap(lambda k: st.tuples(*(
+    hnp.arrays(np.float64, (k, 6), elements=st.floats(-1e3, 1e3)) for _ in range(3)))),
+       learning_rate=st.floats(1e-6, 1.0), momentum=st.floats(0.0, 0.99),
+       with_scratch=st.booleans())
+def test_a_stack_step_equals_one_step_per_row_bit_for_bit(case, learning_rate, momentum,
+                                                          with_scratch):
+    # the trainer steps its whole (K, P) theta stack at once; each row must
+    # end as the one-row step leaves it, or width and stock order would move bits
+    theta, velocity, grad = (a.copy() for a in case)
+    scratch = np.empty_like(theta) if with_scratch else None
+    sgd_step(theta, velocity, grad, learning_rate, momentum, scratch)
+    for k in range(len(theta)):
+        row_theta, row_velocity = case[0][k].copy(), case[1][k].copy()
+        row_scratch = np.empty_like(row_theta) if with_scratch else None
+        sgd_step(row_theta, row_velocity, case[2][k], learning_rate, momentum, row_scratch)
+        assert theta[k].tobytes() == row_theta.tobytes()
+        assert velocity[k].tobytes() == row_velocity.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from csti.errors import (
     ShapeMismatchError,
 )
 from csti.models import MODEL_KINDS, ForecastModel, build_model
-from csti.numerics import momentum_step
+from csti.numerics import sgd_step
 from csti.training import (
     DIVERGENCE_GUARD,
     _TAG_FINETUNE,
@@ -152,7 +152,7 @@ def _reference_sgd(model, ds, epochs, learning_rate, momentum, anchor, prox_weig
             current = model.import_params(params.replace(theta))
             grad = current.loss_gradient(ds.inputs[idx], ds.targets[idx]).values
             grad = grad + 2.0 * prox_weight * (theta - anchor)
-            momentum_step(theta, velocity, grad, learning_rate, momentum)
+            sgd_step(theta, velocity, grad, learning_rate, momentum)
     return theta
 
 
@@ -408,7 +408,7 @@ def test_a_second_train_call_allocates_no_temporary_per_step(kind, width, monkey
     stack = training._StockStack(model, train, 64, width)
     stack.theta[:] = model.export_params().values
     stack.train([1, 2, 3], 1, 0.01, 0.9)
-    grown, start, step = [], [0], training.momentum_step
+    grown, start, step = [], [0], training.sgd_step
 
     def measured(*args):  # once per batch index: the peak since the last one
         grown.append(tracemalloc.get_traced_memory()[1] - start[0])
@@ -416,7 +416,7 @@ def test_a_second_train_call_allocates_no_temporary_per_step(kind, width, monkey
         start[0] = tracemalloc.get_traced_memory()[0]
         return step(*args)
 
-    monkeypatch.setattr(training, "momentum_step", measured)
+    monkeypatch.setattr(training, "sgd_step", measured)
     # a broadcasting or casting ufunc allocates iteration buffers of up to
     # this many elements per operand; kept small, they stay out of the count
     bufsize = np.setbufsize(16)
@@ -582,6 +582,19 @@ def test_run_csti_merges_through_the_traced_hook(small_market, monkeypatch):
     assert calls == [3] * cfg.merge_rounds
 
 
+def _count_sgd_steps(monkeypatch):
+    # the benchmark's traced run counts one numerics.sgd_step span per call of
+    # training.sgd_step, so the trainer must look the step up by that name
+    steps, step = [], training.sgd_step
+
+    def counting(theta, *args):
+        steps.append(len(theta))
+        return step(theta, *args)
+
+    monkeypatch.setattr(training, "sgd_step", counting)
+    return steps
+
+
 def test_run_csti_runs_every_step_through_the_traced_kernel(small_market, monkeypatch):
     # the benchmark's traced run counts one loss_and_gradient span per kernel call
     train, _, _ = small_market
@@ -593,10 +606,24 @@ def test_run_csti_runs_every_step_through_the_traced_kernel(small_market, monkey
         return kernel(self, *args)
 
     monkeypatch.setattr(ForecastModel, "loss_and_gradient", counting)
+    steps = _count_sgd_steps(monkeypatch)
     cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, seed=47)
     result = run_csti(train, "dlinear", cfg, jobs=1)
     assert set(calls) == {1}
     assert len(calls) == sum(result.trace.lineage_update_steps) > 0
+    # one step per (epoch, batch index), over every stock with a batch there
+    batches = [-(-ds.n_windows // cfg.batch_size) for ds in train]
+    assert len(steps) == cfg.epochs_budget * max(batches)
+    assert max(steps) == len(train)
+
+
+def test_run_normal_runs_every_step_through_the_traced_sgd_step(small_market, monkeypatch):
+    train, _, _ = small_market
+    steps = _count_sgd_steps(monkeypatch)
+    result = run_normal(train, "dlinear", epochs_total=7, batch_size=32, seed=3)
+    epochs_per = 7 // len(train)
+    assert len(steps) == sum(epochs_per * -(-ds.n_windows // 32) for ds in train)
+    assert len(steps) == result.trace.lineage_update_steps[0] and set(steps) == {1}
 
 
 def test_stock_order_leaves_round_losses_identical():
