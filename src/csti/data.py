@@ -368,7 +368,10 @@ def generate_synthetic_market(stocks: int, length: int, shared_strength: float,
         raise ContractViolation("shared_strength must lie in [0, 1]")
 
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5EED)))
-    t = np.arange(length, dtype=np.float64)
+    try:
+        t = np.arange(length, dtype=np.float64)
+    except (ValueError, MemoryError) as err:  # more rows than numpy can allocate
+        raise ContractViolation(f"length {length} is too large to generate: {err}") from None
     phase1, phase2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
     common = (
         1.5 * (2.0 * t / length - 1.0)

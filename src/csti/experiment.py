@@ -229,8 +229,10 @@ _FIELDS = (
     _Field("training.epochs_total", "epochs_total", _optional(_int(1)[0]),
            "integer >= 1 (or omitted) required"),
     _Field("training.merge_weights", "merge_weights",
-           _optional(lambda v: _numbers(v, lambda w: w >= 0) and sum(v) > 0),
-           "list of finite numbers >= 0 with a positive sum (or null) required", _floats),
+           _optional(lambda v: _numbers(v, lambda w: w >= 0)
+                     and 0 < sum(map(float, v)) < math.inf),
+           "list of finite numbers >= 0 with a positive sum in the float range (or null) required",
+           _floats),
     _Field("training.shared_init", "shared_init", lambda v: isinstance(v, bool),
            "boolean required"),
     _Field("seed", "seed", *_int(0)),
@@ -307,8 +309,11 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
     if values.get("source") == "synthetic" and values.keys() >= {"length", "lookback", "horizon",
                                                                   "fractions"}:
         needed = values["lookback"] + values["horizon"]
-        with suppress(OverflowError):  # a length beyond the float range has no split sizes
+        try:
             bounds = split_bounds(values["length"], values["fractions"])
+        except OverflowError:  # a length beyond the float range has no split sizes
+            errors.append("data.length: integer >= 64 within the float range required")
+        else:
             for split in ("train", "test"):  # the splits a cell windows
                 rows = bounds[split][1] - bounds[split][0]
                 if rows < needed:

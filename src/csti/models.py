@@ -24,7 +24,8 @@ Parameters live in flat float64 rows. Each kind declares an ordered
 seeded initial draw both follow it. A kind may also name ``groups``:
 runs of adjacent segments that it reads and writes as one (K, n) view,
 so no kernel concatenates or splits segments. Kernels run over a (K, P)
-stack of rows, and ``unpack`` turns it into named (K, ...) views.
+stack of rows, and ``unpack`` turns it into named (K, ...) views. Each
+kind declares ``window_rows``, the rows of each window its kernel reads.
 
 Every kind's kernel is bound once over views and buffers, as functions
 of no arguments that run only ufuncs and matmuls writing with ``out=``,
@@ -97,6 +98,7 @@ class ForecastModel:
 
     kind = "abstract"
     groups = {}  # view name -> (first, last) segment of a run of adjacent segments
+    window_rows = slice(None)  # the rows of each (L, d) window that the kernel reads
 
     def __init__(self, lookback: int, horizon: int, n_features: int,
                  hyper: dict, values: np.ndarray):
@@ -213,7 +215,8 @@ class ForecastModel:
         ``ws`` is a ``workspace(K, N)``, fresh by default. With ``g`` the
         call returns the (K,) batch MSEs and writes every gradient
         coordinate; without, the prediction. Every row's bits are those of
-        the K=1 call and of a trainer's step. It trusts the shapes.
+        the K=1 call and of a trainer's step. It trusts the shapes and reads
+        the inputs as given: their bits match a trainer's for ``rows_read``.
         """
         k, n, backward = *inputs.shape[:2], g is not None
         ws = dict(ws or self.workspace(k, n, backward), **self.workspace(k, None, backward))
@@ -229,9 +232,13 @@ class ForecastModel:
             return np.divide(losses, n * self.horizon, out=losses)
         return one_off
 
+    def rows_read(self, inputs):
+        """The ``window_rows`` of (N, L, d) windows, contiguous: a copy only if they are not."""
+        return np.ascontiguousarray(np.asarray(inputs, dtype=np.float64)[:, self.window_rows])
+
     def _predict(self, inputs):
         """``predict_batch``: a forward-only K=1 call at this model's own theta."""
-        return self.bind(self._theta_views, np.asarray(inputs, dtype=np.float64)[None])()[0]
+        return self.bind(self._theta_views, self.rows_read(inputs)[None])()[0]
 
     def predict(self, window) -> np.ndarray:
         window = np.asarray(window, dtype=np.float64)
@@ -276,7 +283,8 @@ class ForecastModel:
             inputs, targets, self.lookback, self.horizon, self.n_features
         )
         grad = np.empty((1, self.n_params))
-        self.loss_and_gradient(self._theta_views, inputs[None], targets[None], self.unpack(grad))
+        self.loss_and_gradient(self._theta_views, self.rows_read(inputs)[None], targets[None],
+                               self.unpack(grad))
         return ParamVector(grad[0], self._layout)
 
 
@@ -326,6 +334,7 @@ class DLinearModel(ForecastModel):
 
     kind = "dlinear"
     groups = {"coef": ("trend", "seasonal_sin")}
+    window_rows = slice(-1, None)  # the anchor reads the last row alone
 
     def __init__(self, lookback, horizon, n_features, hyper, values):
         super().__init__(lookback, horizon, n_features, hyper, values)

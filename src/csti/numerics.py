@@ -133,14 +133,16 @@ def fsum_columns(rows: np.ndarray) -> np.ndarray:
 
 
 def axpy_merge(rows: np.ndarray, weights: Sequence[float]) -> np.ndarray:
-    """Merge the (K, P) row stack into (1/K) * sum_k w_k * rows[k], a fresh (P,) array.
+    """Merge the (K, P) row stack into its weighted mean, a fresh (P,) array.
 
-    Coordinate i is math.fsum(w_k * rows[k, i] for k) / K, correctly
-    rounded and so independent of the order of the rows; K equal weighted
-    rows merge to that row itself (the consensus case). The stack is read,
-    never written: a trainer merges its own theta stack in place of K
-    parameter vectors, and weights of 1.0 skip the product stack. A weighted
-    row or a column sum beyond the float range raises ``NumericInputError``.
+    Coordinate i is math.fsum(w_k * rows[k, i] for k) / math.fsum(w), two
+    correctly rounded sums and so independent of the order of the rows;
+    weights of 1.0 sum to K exactly. K equal rows merge to that row itself
+    (the consensus case). The stack is read, never written: a trainer
+    merges its own theta stack in place of K parameter vectors, and weights
+    of 1.0 skip the product stack. Weights without a positive sum, and a
+    weight sum, weighted row, column sum or mean beyond the float range,
+    raise ``NumericInputError``.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[0] != len(weights):
@@ -150,20 +152,31 @@ def axpy_merge(rows: np.ndarray, weights: Sequence[float]) -> np.ndarray:
         raise NumericInputError("merge weights must be finite")
     if not np.all(np.isfinite(rows)):
         raise NumericInputError("merge rows must be finite")
+    try:
+        total = math.fsum(w.tolist())
+    except OverflowError:
+        raise NumericInputError("the merge weights' sum overflows the float range") from None
+    if not total > 0.0:
+        raise NumericInputError("merge weights must have a positive sum")
     products = rows
     if not np.all(w == 1.0):  # 1.0 * x is x, bit for bit
         with np.errstate(over="ignore"):
             products = w[:, None] * rows
         if not np.all(np.isfinite(products)):
             raise NumericInputError("a weighted merge row overflows the float range")
-    bits = products.view(np.uint64)  # bitwise, so +0.0 and -0.0 differ
+    bits = rows.view(np.uint64)  # bitwise, so +0.0 and -0.0 differ
     if np.all(bits == bits[0]):
-        # consensus (one row included): the mean of K identical vectors is that vector
-        return products[0].copy()
+        # consensus (one row included): the weighted mean of K identical vectors is that vector
+        return rows[0].copy()
     try:
-        return fsum_columns(products) / rows.shape[0]
+        sums = fsum_columns(products)
     except OverflowError:  # a column sum beyond the float range, although its mean is not
         raise NumericInputError("a merged column sum overflows the float range") from None
+    with np.errstate(over="ignore"):
+        merged = sums / total
+    if not np.all(np.isfinite(merged)):  # weights summing to far below 1
+        raise NumericInputError("the merged mean overflows the float range")
+    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,8 @@ class CstiConfig:
                       for i, x in enumerate(self.merge_weights))
             if len(w) != self.stocks:
                 raise ContractViolation("merge_weights must have one entry per stock")
-            if not sum(w) > 0:
-                raise ContractViolation("merge_weights must have a positive sum")
+            if not 0 < sum(w) < math.inf:
+                raise ContractViolation("merge_weights must have a positive sum in the float range")
             object.__setattr__(self, "merge_weights", w)
 
     @property
@@ -190,9 +190,12 @@ class _StockStack:
     allocator's state.
 
     A block is a run of at most ``width`` consecutive rows; no kernel call
-    spans two blocks. Each epoch writes every stock's windows, in its
-    shuffled order, into its row of its block's (rows, most windows, ...)
-    buffers, so a kernel call reads its batch as one view. Each block keeps
+    spans two blocks. The stack keeps one contiguous copy of each stock's
+    windows cut to the rows its kind reads (``window_rows``: the last row
+    for dlinear, all L for the others), and each epoch writes those, in the
+    stock's shuffled order, into its row of its block's (rows, most
+    windows, rows read, d) buffers, so a kernel call reads its batch as one
+    view and each take copies only what the kernel reads. Each block keeps
     its own buffers, not one array over all K stocks: glibc serves an array
     that large by mmap, and freeing it raises glibc's mmap and trim
     thresholds, so later frees are no longer returned to the OS and peak
@@ -204,8 +207,9 @@ class _StockStack:
 
     def __init__(self, model: ForecastModel, datasets: Sequence[WindowedDataset],
                  batch_size: int, width: int):
-        checked = [_check_batch(ds.inputs, ds.targets, model.lookback, model.horizon,
-                                model.n_features) for ds in datasets]
+        checked = [(model.rows_read(x), y) for x, y in (  # the rows its kernel reads
+            _check_batch(ds.inputs, ds.targets, model.lookback, model.horizon, model.n_features)
+            for ds in datasets)]
         self.order = sorted(range(len(datasets)),
                             key=lambda i: (len(checked[i][0]), datasets[i].stock_id))
         self.row_of = sorted(range(len(datasets)), key=self.order.__getitem__)
@@ -223,7 +227,7 @@ class _StockStack:
         blocks = []  # (first row, end row, shuffled windows, shuffled targets)
         for lo in range(0, k_rows, width):
             hi = min(lo + width, k_rows)
-            buffers = (np.zeros((hi - lo, self.sizes[hi - 1], model.lookback, model.n_features)),
+            buffers = (np.zeros((hi - lo, self.sizes[hi - 1], *checked[0][0].shape[1:])),
                        np.zeros((hi - lo, self.sizes[hi - 1], model.horizon)))
             for r in range(lo, hi):
                 self._shuffle.append((*checked[self.order[r]],

@@ -376,6 +376,13 @@ def test_synthetic_determinism():
         assert sa.timestamps == sb.timestamps
 
 
+@pytest.mark.parametrize("length", [10**19, 2**61])  # past numpy's index range, its byte range
+def test_synthetic_length_numpy_cannot_allocate_is_a_named_error(length):
+    # numpy refuses these sizes before it allocates anything
+    with pytest.raises(ContractViolation, match=f"length {length} is too large to generate"):
+        generate_synthetic_market(1, length, 0.5, seed=1)
+
+
 def test_synthetic_shapes_and_sentiment_bounds():
     market = generate_synthetic_market(2, 100, 0.5, seed=5)
     for s in market:

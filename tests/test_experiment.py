@@ -164,7 +164,7 @@ def test_a_seed_that_is_not_an_integer_of_at_least_zero_names_the_field(tmp_path
     assert "seed: integer >= 0 required" in err.value.errors
 
 
-@pytest.mark.parametrize("weights", [[1, -1, 1], [0, 0, 0]])
+@pytest.mark.parametrize("weights", [[1, -1, 1], [0, 0, 0], [1e308, 1e308, 1e308]])
 def test_bad_merge_weights_name_the_field(tmp_path, weights):
     doc = spec_doc(tmp_path / "out")
     doc["training"]["merge_weights"] = weights
@@ -639,15 +639,30 @@ def test_cli_merge_weights_for_another_stock_count_exit_code(tmp_path, source):
 
 
 def test_cli_overflow_in_training_exit_code_with_warnings_as_errors(tmp_path):
-    # weights this large overflow the squared errors of round 2, which used to
-    # escape as a RuntimeWarning: a traceback under -W error, noise without it
+    # a step this large overflows the squared errors of the next batch, which used
+    # to escape as a RuntimeWarning: a traceback under -W error, noise without it
     doc = spec_doc("out", strategies=["csti"])
-    doc["training"]["merge_weights"] = [1e308, 1e308, 1e308]
+    doc["training"]["learning_rate"] = 1e300
     write_spec(tmp_path, doc)
     proc = _run_cli(["spec.json"], cwd=tmp_path, python_args=("-W", "error"))
     assert proc.returncode == 2
     assert "batch loss inf exceeded guard" in proc.stderr
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("length,message", [
+    (10**400, "spec error: data.length: integer >= 64 within the float range required"),
+    (10**19, f"error: length {10**19} is too large to generate"),  # beyond numpy's sizes
+])
+def test_cli_data_length_too_large_to_generate_exit_code(tmp_path, length, message):
+    # both used to end in a raw ValueError traceback from np.arange
+    doc = spec_doc("out")
+    doc["data"]["length"] = length
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert message in proc.stderr.splitlines()[-1] and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field", ["lambda", "learning_rate"])

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from csti.errors import (
     ContractViolation,
@@ -263,6 +266,40 @@ def test_stacked_rows_equal_one_row_calls_past_numpy_temporary_elision(kind, rng
         loss_k, grad_k = _loss_and_gradient(model, theta[k:k + 1], inputs[k:k + 1], targets[k:k + 1])
         assert np.array_equal(losses[k:k + 1], loss_k)
         assert np.array_equal(grad[k:k + 1], grad_k), f"row {k}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(MODEL_KINDS), data=st.data())
+def test_a_kind_reads_only_its_declared_window_rows(kind, data):
+    # the trainer shuffles only each window's ``window_rows``, so the kernel,
+    # given whole windows, must not read the other rows; the last row is
+    # declared by every kind, and a change there must show
+    model = build_model(kind, 16, 2, 3, seed=data.draw(st.integers(0, 3), label="seed"))
+    n = data.draw(st.integers(1, 9), label="windows")
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    inputs = data.draw(hnp.arrays(np.float64, (n, 16, 3), elements=unit), label="inputs")
+    targets = data.draw(hnp.arrays(np.float64, (n, 2), elements=unit), label="targets")
+    unread = np.ones(16, dtype=bool)
+    unread[type(model).window_rows] = False
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    perturbed = inputs.copy()
+    perturbed[:, unread] = data.draw(
+        hnp.arrays(np.float64, (n, int(unread.sum()), 3), elements=finite), label="unread rows")
+    theta = model.export_params().values[None]
+
+    def outputs(x):
+        grad = np.empty_like(theta)
+        loss = model.loss_and_gradient(model.unpack(theta), x[None], targets[None],
+                                       model.unpack(grad))
+        pred = model.bind(model.unpack(theta), x[None])()
+        return (loss.tobytes(), grad.tobytes(), pred.tobytes(),
+                model.loss_gradient(x, targets).values.tobytes(),
+                model.predict_batch(x).tobytes())
+
+    assert outputs(perturbed) == outputs(inputs)
+    changed = inputs.copy()
+    changed[:, -1] += 1.0
+    assert all(a != b for a, b in zip(outputs(changed), outputs(inputs)))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

@@ -244,8 +244,39 @@ def test_axpy_merge_weighted_is_fsum_of_products():
     rows = rng.standard_normal((7, 40))
     weights = rng.uniform(0.0, 3.0, size=7)
     merged = axpy_merge(rows, weights)
-    expected = [math.fsum(w * x for w, x in zip(weights, col)) / 7 for col in rows.T]
+    total = math.fsum(weights)
+    expected = [math.fsum(w * x for w, x in zip(weights, col)) / total for col in rows.T]
     assert np.array_equal(_bits(merged), _bits(expected))
+    assert np.allclose(merged, np.average(rows, axis=0, weights=weights), rtol=0, atol=1e-15)
+
+
+def test_axpy_merge_divides_by_the_weight_sum():
+    # it used to divide by K, so weights of 2 doubled the merged model
+    rows = np.array([[1.0, 1.0], [3.0, 3.0]])
+    assert np.array_equal(axpy_merge(rows, [2.0, 2.0]), [2.0, 2.0])
+    assert np.array_equal(axpy_merge(rows, [1.0, 3.0]), [2.5, 2.5])
+    rows = np.random.default_rng(59).standard_normal((5, 30))
+    uniform = axpy_merge(rows, [1.0] * 5)
+    # fsum(w) is exactly K for weights of 1.0, so uniform merges keep the 1/K bits
+    assert np.array_equal(_bits(uniform), _bits([math.fsum(col) / 5 for col in rows.T]))
+    # 2 * x and dividing by 2K are exact, so scaling every weight by 2 keeps every bit
+    assert np.array_equal(_bits(axpy_merge(rows, [2.0] * 5)), _bits(uniform))
+
+
+def test_axpy_merge_consensus_is_the_row_itself_whatever_the_weights():
+    theta = np.array([0.1, -0.0, 3.0 + 2.0**-51, 1e-300])
+    merged = axpy_merge(np.tile(theta, (3, 1)), [0.3, 2.0, 1.7])
+    assert np.array_equal(_bits(merged), _bits(theta))
+
+
+@pytest.mark.parametrize("weights,message", [
+    ([1e308, 1e308, 1.0], "weights' sum overflows the float range"),
+    ([1.0, -1.0, 0.0], "positive sum"),
+    ([0.0, 0.0, 0.0], "positive sum"),
+])
+def test_axpy_merge_rejects_a_weight_sum_that_is_not_a_positive_float(weights, message):
+    with pytest.raises(NumericInputError, match=message):
+        axpy_merge(np.arange(6.0).reshape(3, 2), weights)
 
 
 @pytest.mark.parametrize("rows", [np.ones((1, 3)), np.ones((3, 4)), np.arange(12.0).reshape(3, 4)])

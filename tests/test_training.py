@@ -219,6 +219,18 @@ def test_round_one_merge_of_identical_trainings_is_identity(small_market):
     assert np.array_equal(merged, rows[0])
 
 
+def test_merge_weights_act_through_their_ratios_alone(small_market):
+    # the merge divides by the weight sum: doubling every weight changes no
+    # bit (2x and the division by 2K are exact), while it used to double theta
+    train = small_market[0]
+    cfg = dict(stocks=3, merge_rounds=2, finetune_epochs=1, seed=19)
+    results = [run_csti(train, "dlinear", CstiConfig(**cfg, merge_weights=weights))
+               for weights in (None, (2.0, 2.0, 2.0), (1.0, 3.0, 0.5))]
+    plain, doubled, skewed = (r.global_params.values for r in results)
+    assert doubled.tobytes() == plain.tobytes()
+    assert skewed.tobytes() != plain.tobytes() and np.allclose(skewed, plain, atol=0.05)
+
+
 def test_serial_and_parallel_runs_bit_identical(small_market):
     train, _, _ = small_market
     cfg = CstiConfig(stocks=3, merge_rounds=4, finetune_epochs=2, seed=7)
@@ -430,6 +442,19 @@ def test_a_second_train_call_allocates_no_temporary_per_step(kind, width, monkey
     # grown[0] holds the epoch's permutations; one (1, 64, 16) float64
     # temporary would be 8 KiB, and Python's own objects take about 1.5 KiB
     assert max(grown[1:]) < 4096, grown
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_the_stack_shuffles_only_the_window_rows_its_kind_reads(kind, small_market):
+    # each epoch copies every stock's windows into its block buffer; rows the
+    # kernel does not read (15 of 16 for dlinear) would be copied for nothing
+    model = build_model(kind, 16, 1, 3, seed=3)
+    stack = training._StockStack(model, small_market[0], 64, 2)
+    rows = len(range(16)[type(model).window_rows])
+    assert rows == (1 if kind == "dlinear" else 16)
+    for windows, _, shuffled, _ in stack._shuffle:
+        assert windows.shape[1:] == shuffled.shape[1:] == (rows, 3)
+        assert windows.flags.c_contiguous
 
 
 def test_two_runs_in_one_process_are_bit_identical():
@@ -778,7 +803,7 @@ def test_step_settings_reject_a_value_that_is_not_real(small_market, field, valu
         run_normal(small_market[0], "dlinear", 3, **settings)
 
 
-@pytest.mark.parametrize("weights", [(1.0, -1.0), (0.0, 0.0), (-1.0, 3.0)])
+@pytest.mark.parametrize("weights", [(1.0, -1.0), (0.0, 0.0), (-1.0, 3.0), (1e308, 1e308)])
 def test_merge_weights_must_be_non_negative_with_positive_sum(weights):
     # (1, -1) used to merge theta and theta + 1 into a vector of -0.5s
     with pytest.raises(ContractViolation, match="merge_weights"):
