@@ -20,12 +20,11 @@ real signals. Backward passes are hand-derived and are checked against
 central finite differences in the test suite.
 
 Parameters live in flat float64 rows. Each kind declares an ordered
-(segment name, shape, initializer) table; the segment layout and the
-seeded initial draw both follow it. A kind may also name ``groups``:
-runs of adjacent segments that it reads and writes as one (K, n) view,
-so no kernel concatenates or splits segments. Kernels run over a (K, P)
-stack of rows, and ``unpack`` turns it into named (K, ...) views. Each
-kind declares ``window_rows``, the rows of each window its kernel reads.
+(segment name, shape, initializer) table, one segment per tensor a kernel
+reads in place; the (name, length) layout and the seeded initial draw both
+follow it. Kernels run over a (K, P) stack of rows through the named
+(K, ...) views ``unpack`` makes of it. Each kind declares ``window_rows``,
+the rows of each window its kernel reads.
 
 Every kind's kernel is bound once over views and buffers, as functions
 of no arguments that run only ufuncs and matmuls writing with ``out=``,
@@ -58,7 +57,7 @@ from .errors import (
     NumericInputError,
     ShapeMismatchError,
 )
-from .numerics import ParamVector, _check_int, _check_real, layout_from_lengths
+from .numerics import ParamVector, _check_int, _check_real
 
 MODEL_KINDS = ("dlinear", "paifilter", "texfilter", "frets")
 
@@ -70,19 +69,24 @@ _GATE_EPS = 1e-12
 _F, _C = np.float64, np.complex128
 
 
-def _check_batch(inputs, targets, lookback, horizon, n_features):
+def _check_inputs(inputs, lookback, n_features):
     inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[1:] != (lookback, n_features):
         raise ShapeMismatchError(
             f"batch inputs must be (N, {lookback}, {n_features}), got {inputs.shape}"
         )
+    if inputs.shape[0] == 0:
+        raise ContractViolation("batch must be non-empty")
+    return inputs
+
+
+def _check_batch(inputs, targets, lookback, horizon, n_features):
+    inputs = _check_inputs(inputs, lookback, n_features)
+    targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (inputs.shape[0], horizon):
         raise ShapeMismatchError(
             f"batch targets must be (N, {horizon}), got {targets.shape}"
         )
-    if inputs.shape[0] == 0:
-        raise ContractViolation("batch must be non-empty")
     return inputs, targets
 
 
@@ -97,7 +101,6 @@ class ForecastModel:
     """
 
     kind = "abstract"
-    groups = {}  # view name -> (first, last) segment of a run of adjacent segments
     window_rows = slice(None)  # the rows of each (L, d) window that the kernel reads
 
     def __init__(self, lookback: int, horizon: int, n_features: int,
@@ -107,17 +110,12 @@ class ForecastModel:
         self.n_features = int(n_features)
         self.hyper = dict(hyper)
         shapes = self.segments(self.lookback, self.horizon, self.n_features, self.hyper)
-        self._layout = layout_from_lengths(
-            (name, math.prod(shape)) for name, shape, _ in shapes
-        )
-        spans = {seg.name: slice(seg.offset, seg.offset + seg.length) for seg in self._layout}
-        self._views = tuple((name, spans[name], shape) for name, shape, _ in shapes) + tuple(
-            (name, slice(spans[first].start, spans[last].stop),
-             (spans[last].stop - spans[first].start,))
-            for name, (first, last) in self.groups.items()
-        )
+        self._layout = tuple((name, math.prod(shape)) for name, shape, _ in shapes)
+        self._views, total = [], 0
+        for (name, length), (_, shape, _) in zip(self._layout, shapes):
+            self._views.append((name, slice(total, total + length), shape))
+            total += length
         values = np.asarray(values, dtype=np.float64).reshape(-1)
-        total = sum(seg.length for seg in self._layout)
         if values.size != total:
             raise MergeIncompatibilityError(
                 f"{self.kind}: expected {total} parameters, got {values.size}"
@@ -167,7 +165,7 @@ class ForecastModel:
         return self._values.size
 
     def unpack(self, stack: np.ndarray) -> dict:
-        """Named (K, ...) views of a (K, P) stack: one per segment and one per group."""
+        """Named (K, ...) views of a (K, P) stack, one per segment."""
         return {name: stack[:, span].reshape(-1, *shape) for name, span, shape in self._views}
 
     def workspace(self, rows: int, n: int | None = None, backward: bool = True) -> dict:
@@ -237,7 +235,8 @@ class ForecastModel:
         return np.ascontiguousarray(np.asarray(inputs, dtype=np.float64)[:, self.window_rows])
 
     def _predict(self, inputs):
-        """``predict_batch``: a forward-only K=1 call at this model's own theta."""
+        """``predict_batch``: a forward-only K=1 call at this model's own theta, N >= 1 windows."""
+        inputs = _check_inputs(inputs, self.lookback, self.n_features)
         return self.bind(self._theta_views, self.rows_read(inputs)[None])()[0]
 
     def predict(self, window) -> np.ndarray:
@@ -310,8 +309,18 @@ def _uniform(bound):
 
 
 def _normal(scale, mean=0.0):
-    """Initializer drawing mean + scale * N(0, 1)."""
+    """Initializer drawing mean + scale * N(0, 1); ``mean`` may be an array of n."""
     return lambda rng, n: mean + scale * rng.standard_normal(n)
+
+
+def _pairs(init):
+    """Initializer drawing ``init``'s real block, then its imaginary block, as (re, im) pairs."""
+    return lambda rng, n: init(rng, n).reshape(2, -1).T.reshape(-1)
+
+
+def _complex(pairs):
+    """The complex128 view of a (..., 2) array of (re, im) pairs."""
+    return pairs.view(_C)[..., 0]
 
 
 def _check_hidden(kind, hyper):
@@ -333,7 +342,6 @@ class DLinearModel(ForecastModel):
     """
 
     kind = "dlinear"
-    groups = {"coef": ("trend", "seasonal_sin")}
     window_rows = slice(-1, None)  # the anchor reads the last row alone
 
     def __init__(self, lookback, horizon, n_features, hyper, values):
@@ -371,9 +379,7 @@ class DLinearModel(ForecastModel):
         k = hyper["harmonics"]
         init = _uniform(_affine_bound(2 + 2 * k + n_features))
         return (
-            ("trend", (2,), init),
-            ("seasonal_cos", (k,), init),
-            ("seasonal_sin", (k,), init),
+            ("coef", (2 + 2 * k,), init),  # trend slope and intercept, then k cos, then k sin
             ("input_mix", (n_features,), init),
         )
 
@@ -437,14 +443,12 @@ class PaiFilterModel(ForecastModel):
     """
 
     kind = "paifilter"
-    groups = {"kernel": ("kernel_re", "kernel_im")}
 
     @classmethod
     def segments(cls, lookback, horizon, n_features, hyper):
         head = _uniform(_affine_bound(lookback))
         return (
-            ("kernel_re", (lookback,), _normal(0.01, mean=1.0)),
-            ("kernel_im", (lookback,), _normal(0.01)),
+            ("kernel", (2 * lookback,), _normal(0.01, mean=np.repeat([1.0, 0.0], lookback))),
             ("head_weight", (horizon, lookback), head),
             ("head_bias", (horizon,), head),
             ("input_mix", (n_features,), _uniform(_affine_bound(n_features))),
@@ -510,10 +514,11 @@ class TexFilterModel(ForecastModel):
     The kernel-producing output layer starts at the identity filter
     (bias re=1) with 0.01-scale weights so the untrained filter is
     near-pass-through; the hidden affine uses the standard fan-in rule.
-    It runs on complex128 arrays, which the prologue builds from the re/im
-    segments once per row and step: a complex product is one call, not four
-    real matmuls and two adds. The backward pass carries dl/dRe + i dl/dIm
-    of the real loss, which y = x w sends back as dy * conj(w).
+    The complex weights are segments of (re, im) pairs, which the kernel
+    reads and writes in place as complex128 views: a complex product is one
+    call, not four real matmuls and two adds. The backward pass carries
+    dl/dRe + i dl/dIm of the real loss, which y = x w sends back as
+    dy * conj(w); the prologue only conjugates w1 and w2 for it.
     """
 
     kind = "texfilter"
@@ -531,22 +536,18 @@ class TexFilterModel(ForecastModel):
         m, L = hyper["hidden"], lookback
         hidden, small = _uniform(_affine_bound(L)), _normal(0.01)
         return (
-            ("filter_w1_re", (m, L), hidden),
-            ("filter_w1_im", (m, L), hidden),
-            ("filter_b1_re", (m,), hidden),
-            ("filter_b1_im", (m,), hidden),
+            ("filter_w1", (m, L, 2), _pairs(hidden)),
+            ("filter_b1", (m, 2), _pairs(hidden)),
             ("filter_gate_bias", (m,), small),
-            ("filter_w2_re", (L, m), small),
-            ("filter_w2_im", (L, m), small),
-            ("filter_b2_re", (L,), _normal(0.01, mean=1.0)),
-            ("filter_b2_im", (L,), small),
+            ("filter_w2", (L, m, 2), _pairs(small)),
+            ("filter_b2", (L, 2), _pairs(_normal(0.01, mean=np.repeat([1.0, 0.0], L)))),
             ("head_weight", (horizon, L), hidden),
             ("head_bias", (horizon,), hidden),
             ("input_mix", (n_features,), _uniform(_affine_bound(n_features))),
         )
 
     def _buffers(self, n):
-        """The complex weights, their conjugates and gradients, then the (n, .) temporaries.
+        """The conjugate weights the backward pass reads, then the (n, .) temporaries.
 
         The backward pass also reuses forward buffers whose values are dead
         by then: d(filtered) goes into ``z``, dy into ``ks``, d(gate) into
@@ -559,28 +560,17 @@ class TexFilterModel(ForecastModel):
                    "filtered": (_F, n, L)}
         backward = {"s_conj": (_C, n, L), "dk": (_C, n, L), "ds": (_C, n, L), "conj": (_C, n, m),
                     "da": (_C, n, m), "du": (_C, n, m)}
-        weights = {"w1": (_C, m, L), "w2": (_C, L, m), "b1": (_C, m), "b2": (_C, L)}
-        grads = {"d" + name: spec for name, spec in weights.items()}
-        return weights, dict(grads, w1_conj=weights["w1"], w2_conj=weights["w2"]), forward, backward
+        return {}, {"w1_conj": (_C, m, L), "w2_conj": (_C, L, m)}, forward, backward
 
     def bind_rows(self, p, ws, g=None):
-        # the complex weights, from their re/im segments, and the gradient segments back
-        pairs = [(part, f"filter_{name}_{suffix}", name) for name in ("w1", "w2", "b1", "b2")
-                 for part, suffix in ((np.real, "re"), (np.imag, "im"))]
-        parts = [(part(ws[name]), p[segment]) for part, segment, name in pairs]
-        conjugates = [] if g is None else [(ws[name], ws[name + "_conj"]) for name in ("w1", "w2")]
-        grads = [] if g is None else [(g[seg], part(ws["d" + name])) for part, seg, name in pairs]
+        if g is None:
+            return super().bind_rows(p, ws)
+        conjugates = [(_complex(p["filter_" + name]), ws[name + "_conj"]) for name in ("w1", "w2")]
 
         def prologue():
-            for part, value in parts:
-                np.copyto(part, value)
             for w, w_conj in conjugates:
                 np.conjugate(w, out=w_conj)
-
-        def epilogue():
-            for g_part, value in grads:
-                np.copyto(g_part, value)
-        return prologue, epilogue if grads else None
+        return prologue, (lambda: None)
 
     def _bind(self, p, inputs, ws, g=None):
         d_op, r_op = numerics.interleaved_dft_operators(self.lookback)
@@ -588,7 +578,8 @@ class TexFilterModel(ForecastModel):
         z, s, u, r, shifted, active, inv, scale, a, k, ks, filtered, pred = (
             ws[name] for name in ("z", "s", "u", "r", "shifted", "active", "inv", "scale", "a",
                                   "k", "ks", "filtered", "pred"))
-        w1_t, w2_t, b1, b2 = _t(ws["w1"]), _t(ws["w2"]), ws["b1"][:, None], ws["b2"][:, None]
+        w1, w2, b1, b2 = (_complex(p["filter_" + name]) for name in ("w1", "w2", "b1", "b2"))
+        w1_t, w2_t, b1, b2 = _t(w1), _t(w2), b1[:, None], b2[:, None]
         s_real, ks_real, gate_bias = s.view(_F), ks.view(_F), p["filter_gate_bias"][:, None]
         weight_t, bias = _t(p["head_weight"]), p["head_bias"][:, None]
 
@@ -608,9 +599,9 @@ class TexFilterModel(ForecastModel):
             np.add(np.matmul(filtered, weight_t, out=pred), bias, out=pred)
         if g is None:
             return forward, None
-        s_conj, dk, ds, conj, da, du, w1_conj, w2_conj, dw1, dw2, db1, db2 = (
-            ws[name] for name in ("s_conj", "dk", "ds", "conj", "da", "du", "w1_conj",
-                                  "w2_conj", "dw1", "dw2", "db1", "db2"))
+        s_conj, dk, ds, conj, da, du, w1_conj, w2_conj = (
+            ws[name] for name in ("s_conj", "dk", "ds", "conj", "da", "du", "w1_conj", "w2_conj"))
+        dw1, dw2, db1, db2 = (_complex(g["filter_" + name]) for name in ("w1", "w2", "b1", "b2"))
         pred_t, weight, r_op_t, d_op_t = _t(pred), p["head_weight"], r_op.T, d_op.T
         dk_t, du_t, conj_real, ds_real = _t(dk), _t(du), conj.real, ds.view(_F)
         g_weight, g_bias, g_gate = g["head_weight"], g["head_bias"], g["filter_gate_bias"]

@@ -13,10 +13,11 @@ Model checkpoints and merge rounds are one container: magic b"CSTI", u32
 version 2, u32 header length, a sorted-key UTF-8 JSON header, u64 value
 count, little-endian float64 values, and a CRC-32 (``zlib.crc32``) of every
 byte before it; integers are little-endian. The header holds ``type``
-(checkpoint or round), ``layout`` as [[name, length], ...] and that type's
-fields. The reader checks magic, version, every length (the file ends right
-after the CRC) and the CRC before it parses or allocates, then the type and
-its exact key set. Any failure, version-1 files included, raises
+(checkpoint or round), the vector's layout, its (name, length) segment pairs,
+as ``layout`` [[name, length], ...], and that type's fields. The reader checks
+magic, version, every length (the file ends right after the CRC) and the CRC
+before it parses or allocates, then the type, its exact key set and, through
+``ParamVector``, the layout. Any failure, version-1 files included, raises
 ``ContractViolation`` naming the file.
 """
 
@@ -27,7 +28,6 @@ import math
 import struct
 import zlib
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -40,15 +40,8 @@ from .errors import ContractViolation, CstiError, NumericInputError
 # parameter vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Segment:
-    name: str
-    offset: int
-    length: int
-
-
 class ParamVector:
-    """Flat float64 parameter vector with a named segment layout.
+    """Flat float64 values and their layout: (name, length) pairs of consecutive segments.
 
     Two vectors fit the same model iff their layouts are identical.
     Instances are immutable; algebra returns new vectors.
@@ -56,20 +49,17 @@ class ParamVector:
 
     __slots__ = ("values", "layout")
 
-    def __init__(self, values, layout: Sequence[Segment]):
+    def __init__(self, values, layout: Sequence[tuple[str, int]]):
         arr = np.asarray(values, dtype=np.float64).reshape(-1).copy()
-        layout = tuple(layout)
-        expected = 0
-        for seg in layout:
-            if seg.offset != expected:
-                raise ContractViolation(
-                    f"segment {seg.name!r} at offset {seg.offset}, expected {expected}"
-                )
-            expected += seg.length
-        if expected != arr.size:
-            raise ContractViolation(
-                f"layout covers {expected} values, vector has {arr.size}"
-            )
+        if not isinstance(layout, (list, tuple)) or not all(
+                isinstance(seg, (list, tuple)) and len(seg) == 2 and isinstance(seg[0], str)
+                for seg in layout):
+            raise ContractViolation("a layout must be a list of (name, length) pairs")
+        layout = tuple((name, _check_int(f"segment {name!r} length", length, 0))
+                       for name, length in layout)
+        total = sum(length for _, length in layout)
+        if total != arr.size:
+            raise ContractViolation(f"layout covers {total} values, vector has {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise NumericInputError("parameter vector contains non-finite values")
         arr.flags.writeable = False
@@ -80,21 +70,11 @@ class ParamVector:
         return self.values.size
 
     def __repr__(self):
-        names = ",".join(s.name for s in self.layout)
+        names = ",".join(name for name, _ in self.layout)
         return f"ParamVector(n={len(self)}, segments=[{names}])"
 
     def replace(self, values) -> "ParamVector":
         return ParamVector(values, self.layout)
-
-
-def layout_from_lengths(pairs: Sequence[tuple[str, int]]) -> tuple[Segment, ...]:
-    """Build a contiguous layout from (name, length) pairs."""
-    segs = []
-    offset = 0
-    for name, length in pairs:
-        segs.append(Segment(name, offset, int(length)))
-        offset += int(length)
-    return tuple(segs)
 
 
 def _two_sum(a, b):
@@ -300,7 +280,7 @@ _CRC = struct.Struct("<I")
 
 def save_container(path, blob_type: str, pvec: ParamVector, **fields) -> None:
     """Write ``pvec`` as a ``blob_type`` container with the JSON ``fields`` in its header."""
-    header = dict(fields, type=blob_type, layout=[[s.name, s.length] for s in pvec.layout])
+    header = dict(fields, type=blob_type, layout=pvec.layout)
     text = json.dumps(header, sort_keys=True).encode("utf-8")
     body = b"".join([_PREFIX.pack(_MAGIC, _VERSION, len(text)), text,
                      _COUNT.pack(len(pvec)), pvec.values.astype("<f8").tobytes()])
@@ -338,13 +318,9 @@ def load_container(path, blob_type: str, fields: Sequence[str] = ()) -> tuple[di
     check(isinstance(header, dict), "container header is not a JSON object")
     check(header.get("type") == blob_type, f"a {header.get('type')!r} blob, not {blob_type!r}")
     check(set(header) == {"type", "layout", *fields}, f"header keys are not the {blob_type} keys")
-    layout = header["layout"]
-    check(isinstance(layout, list) and all(
-        isinstance(seg, list) and len(seg) == 2 and isinstance(seg[0], str)
-        and type(seg[1]) is int and seg[1] >= 0 for seg in layout), "malformed layout")
     values = np.frombuffer(blob, dtype="<f8", count=count, offset=count_at + _COUNT.size)
     try:
-        return header, ParamVector(values, layout_from_lengths(layout))
+        return header, ParamVector(values, header["layout"])
     except CstiError as err:
         raise ContractViolation(f"{path}: {err}") from None
 

@@ -68,9 +68,8 @@ def gradient(model, inputs, targets):
     if inputs.shape[0] == 0:
         raise ContractViolation("batch must be non-empty")
     grad = model.loss_gradient(inputs, targets)
-    for seg in grad.layout:
-        assert np.all(np.isfinite(grad.values[seg.offset : seg.offset + seg.length])), (
-            f"non-finite gradient in segment {seg.name!r}")
+    for name, view in model.unpack(grad.values[None]).items():
+        assert np.all(np.isfinite(view)), f"non-finite gradient in segment {name!r}"
     return grad
 
 

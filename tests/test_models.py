@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from csti.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from csti.numerics import axpy_merge
+from csti.numerics import ParamVector, axpy_merge
 
 from conftest import filter_series, filter_spectrum, random_batch, train_sanity_mse
 
@@ -92,12 +93,22 @@ def test_predict_shape_errors(rng):
         model.loss(rng.uniform(size=(3, 8, 2)), rng.uniform(size=(3, 2)))
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_predict_batch_rejects_windows_of_the_wrong_shape(kind):
+    model = build_model(kind, 16, 1, 3)
+    for shape in ((5, 8, 3), (5, 16, 2), (16, 3), (5, 17, 3), (5, 16, 3, 1)):
+        with pytest.raises(ShapeMismatchError, match=r"batch inputs must be \(N, 16, 3\)"):
+            model.predict_batch(np.ones(shape))
+    with pytest.raises(ContractViolation, match="non-empty"):
+        model.predict_batch(np.ones((0, 16, 3)))
+    assert model.predict_batch(np.ones((5, 16, 3))).shape == (5, 1)
+
+
 def _set_segment(model, name, values):
     pvec = model.export_params()
     flat = pvec.values.copy()
-    for seg in pvec.layout:
-        if seg.name == name:
-            flat[seg.offset : seg.offset + seg.length] = np.asarray(values).reshape(-1)
+    view = model.unpack(flat[None])[name]
+    view[...] = np.reshape(values, view.shape)
     return model.import_params(pvec.replace(flat))
 
 
@@ -109,7 +120,7 @@ def _zeroed(model):
 def test_paifilter_identity_kernel_with_select_last_head(rng):
     L = 8
     model = _zeroed(build_model("paifilter", L, 1, 2))
-    model = _set_segment(model, "kernel_re", np.ones(L))
+    model = _set_segment(model, "kernel", np.repeat([1.0, 0.0], L))  # [k_re | k_im]
     head = np.zeros(L)
     head[-1] = 1.0
     model = _set_segment(model, "head_weight", head)
@@ -121,7 +132,7 @@ def test_paifilter_identity_kernel_with_select_last_head(rng):
 def test_paifilter_identity_filter_passes_series_through(rng):
     L = 8
     model = _zeroed(build_model("paifilter", L, 1, 2))
-    model = _set_segment(model, "kernel_re", np.ones(L))
+    model = _set_segment(model, "kernel", np.repeat([1.0, 0.0], L))  # [k_re | k_im]
     z = rng.standard_normal((5, L))
     assert np.max(np.abs(filter_series(model, z) - z)) < 1e-9
 
@@ -151,7 +162,9 @@ def test_dlinear_seasonal_periodicity():
         {"harmonics": 3, "period": float(period), "use_anchor": False},
         seed=6,
     )
-    model = _set_segment(model, "trend", [0.0, 0.4])  # zero slope, free intercept
+    coef = model.unpack(model.export_params().values[None])["coef"][0].copy()
+    coef[:2] = [0.0, 0.4]  # zero trend slope, free intercept
+    model = _set_segment(model, "coef", coef)
     window = np.random.default_rng(8).uniform(0, 1, size=(8, 2))
     out = model.predict(window)
     assert out[period] == pytest.approx(out[0], abs=1e-9)
@@ -223,6 +236,33 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     assert back.kind == "frets" and back.hyper == model.hyper
     window = rng.uniform(0, 1, size=(8, 3))
     assert np.array_equal(back.predict(window), model.predict(window))
+
+
+# lookback 8, horizon 1, 2 features: the layouts written before every tensor
+# a kernel reads became one segment of (re, im) pairs or of adjacent parts
+_SPLIT_LAYOUTS = {
+    "dlinear": [("trend", 2), ("seasonal_cos", 3), ("seasonal_sin", 3), ("input_mix", 2)],
+    "paifilter": [("kernel_re", 8), ("kernel_im", 8), ("head_weight", 8), ("head_bias", 1),
+                  ("input_mix", 2)],
+    "texfilter": [("filter_w1_re", 32), ("filter_w1_im", 32), ("filter_b1_re", 4),
+                  ("filter_b1_im", 4), ("filter_gate_bias", 4), ("filter_w2_re", 32),
+                  ("filter_w2_im", 32), ("filter_b2_re", 8), ("filter_b2_im", 8),
+                  ("head_weight", 8), ("head_bias", 1), ("input_mix", 2)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPLIT_LAYOUTS))
+def test_checkpoint_of_a_split_layout_fails_naming_the_file(kind, tmp_path):
+    # the values fit in number, so only the layout tells the old format apart
+    model = build_model(kind, 8, 1, 2, {"hidden": 4} if kind == "texfilter" else None, seed=12)
+    header = dict(kind=kind, lookback=8, horizon=1, n_features=2, hyper=model.hyper)
+    values = model.export_params().values
+    for layout, path in ((model.export_params().layout, tmp_path / "now.ckpt"),
+                         (_SPLIT_LAYOUTS[kind], tmp_path / "split.ckpt")):
+        numerics.save_container(path, "checkpoint", ParamVector(values, layout), **header)
+    assert np.array_equal(load_checkpoint(tmp_path / "now.ckpt").export_params().values, values)
+    with pytest.raises(ContractViolation, match=re.escape(f"{tmp_path / 'split.ckpt'}: ")):
+        load_checkpoint(tmp_path / "split.ckpt")
 
 
 # ---------------------------------------------------------------------------
@@ -443,22 +483,20 @@ def test_forward_returns_a_fresh_prediction(kind, k_rows, rng):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("k_rows", [1, 3])
-def test_group_views_are_their_segments_viewed_as_one(kind, k_rows, rng):
+def test_unpack_views_are_the_stack_in_place(kind, k_rows, rng):
+    # a kernel reads theta and writes the gradient through these views, so
+    # each must be one layout segment of the stack itself, not a copy
     model = build_model(kind, 8, 2, 3, seed=21)
-    assert set(model.groups) == {"dlinear": {"coef"}, "paifilter": {"kernel"}}.get(kind, set())
     stack = rng.uniform(-0.5, 0.5, size=(k_rows, model.n_params))
-    views = model.unpack(stack)
-    names = [seg.name for seg in model.export_params().layout]
-    for group, (first, last) in model.groups.items():
-        members = names[names.index(first) : names.index(last) + 1]
-        assert len(members) >= 2
-        assert all(np.shares_memory(views[group], views[m]) for m in members)
-        joined = np.concatenate([views[m].reshape(k_rows, -1) for m in members], axis=1)
-        assert views[group].shape == joined.shape
-        assert np.array_equal(views[group], joined)
-        views[group][...] = 7.0  # writes show through every member and the stack
-        assert all((views[m] == 7.0).all() for m in members)
-        assert (stack == 7.0).sum() == joined.size
+    views, layout = model.unpack(stack), model.export_params().layout
+    assert tuple((name, view[0].size) for name, view in views.items()) == layout
+    for i, view in enumerate(views.values()):
+        assert np.shares_memory(view, stack)
+        view[...] = i  # writes show through in the stack, segment after segment
+    lengths = [length for _, length in layout]
+    assert np.array_equal(stack, np.tile(np.repeat(np.arange(len(lengths)), lengths), (k_rows, 1)))
+    if kind == "texfilter":  # theta-only buffers: the conjugates alone, no weight copies
+        assert set(model.workspace(k_rows)) == {"w1_conj", "w2_conj"}
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,11 @@ from csti import models, numerics
 from csti.errors import ContractViolation, NumericInputError
 from csti.numerics import (
     ParamVector,
-    Segment,
     axpy_merge,
     dft_batch,
     dft_batch_adjoint,
     filter_operator_basis,
     fsum_columns,
-    layout_from_lengths,
     load_container,
     real_idft_batch,
     real_idft_batch_adjoint,
@@ -29,11 +27,7 @@ from conftest import finite_diff_gradient, gradient, gradient_check_max_error, r
 
 def pv(values, names=None):
     values = np.asarray(values, dtype=float)
-    if names is None:
-        layout = layout_from_lengths([("all", values.size)])
-    else:
-        layout = layout_from_lengths(names)
-    return ParamVector(values, layout)
+    return ParamVector(values, [("all", values.size)] if names is None else names)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +133,16 @@ def test_identity_filter_leaves_signal_unchanged():
 # ---------------------------------------------------------------------------
 
 def test_param_vector_layout_validation():
-    with pytest.raises(ContractViolation):
-        ParamVector([1.0, 2.0], [Segment("a", 0, 1)])
-    with pytest.raises(ContractViolation):
-        ParamVector([1.0, 2.0], [Segment("a", 1, 1), Segment("b", 0, 1)])
+    assert ParamVector([1.0, 2.0], [["a", 0], ["b", 2]]).layout == (("a", 0), ("b", 2))
+    for layout in ([("a", 1)],  # the lengths sum to 1, not the 2 values
+                   [("a", 1), ("b", 2)],
+                   [("a", 1, 1)], ["ab"], [("a", 1), 1],  # entries that are not pairs
+                   [(1, 2)], [(None, 2)],  # names that are not strings
+                   [("a", True), ("b", 1)], [("a", 1.0), ("b", 1)],
+                   [("a", -1), ("b", 3)],  # a negative length, although the sum fits
+                   {"a": 2}, "a2", 2, None):  # layouts that are not lists
+        with pytest.raises(ContractViolation):
+            ParamVector([1.0, 2.0], layout)
     with pytest.raises(NumericInputError):
         pv([np.inf, 1.0])
 
@@ -416,6 +416,9 @@ class _ZeroParamModel:
     def __init__(self):
         self._layout = ()
 
+    def unpack(self, stack):
+        return {}
+
     def export_params(self):
         return ParamVector([], ())
 
@@ -451,7 +454,7 @@ def test_finite_diff_on_scalar_quadratic():
             self.theta = theta
 
         def export_params(self):
-            return ParamVector([self.theta], layout_from_lengths([("t", 1)]))
+            return ParamVector([self.theta], [("t", 1)])
 
         def import_params(self, pvec):
             return Quad(pvec.values[0])
@@ -466,7 +469,7 @@ def test_finite_diff_on_scalar_quadratic():
 def test_finite_diff_constant_loss_is_zero():
     class Const:
         def export_params(self):
-            return ParamVector([1.0, 2.0], layout_from_lengths([("t", 2)]))
+            return ParamVector([1.0, 2.0], [("t", 2)])
 
         def import_params(self, pvec):
             return self
