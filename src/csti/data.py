@@ -23,6 +23,7 @@ from .errors import (
     SchemaError,
     WrongNormalizerError,
 )
+from .numerics import atomic_open
 
 OPEN_COL = 0
 CLOSE_COL = 1
@@ -234,7 +235,7 @@ def stock_id_from_path(path: str) -> str:
 def save_series_csv(series: StockSeries, path) -> None:
     """Write a series in the same CSV format the loader accepts."""
     headers = ["date", "open", "close"] + (["sentiment"] if series.has_sentiment else [])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(headers)
         for day, row in zip(series.timestamps, series.features):

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .metrics import export_regression_series, write_report_json
 from .models import MODEL_KINDS, OUT_OF_SCOPE_KINDS, _resolve, save_checkpoint
-from .numerics import ParamVector, load_container, save_container
+from .numerics import ParamVector, atomic_open, load_container, save_container
 from .training import (
     CstiConfig,
     CstiResult,
@@ -90,9 +90,10 @@ class ExperimentSpec:
     merge_weights: tuple | None = None
     shared_init: bool = True
     epochs_total: int | None = None  # normal budget; defaults to the csti budget
-    # execution: the most stocks in one kernel call; the optimizer step
-    # always spans every stock, and results do not depend on this value
-    jobs: int = 1
+    # execution: the most stocks in one kernel call, None for every stock;
+    # the optimizer step always spans every stock, and results do not
+    # depend on this value
+    jobs: int | None = None
     normal_eval: str = "final"
     denormalized_metrics: bool = False
     model_hyper: dict = field(default_factory=dict)
@@ -236,7 +237,8 @@ _FIELDS = (
     _Field("training.shared_init", "shared_init", lambda v: isinstance(v, bool),
            "boolean required"),
     _Field("seed", "seed", *_int(0)),
-    _Field("jobs", "jobs", *_int(1), echoed=False),
+    _Field("jobs", "jobs", _optional(_int(1)[0]), "integer >= 1 (or null) required",
+           echoed=False),
     _Field("normal_eval", "normal_eval", lambda v: v in NORMAL_EVAL_MODES,
            "'final' or 'snapshot' required"),
     _Field("denormalized_metrics", "denormalized_metrics", lambda v: isinstance(v, bool),
@@ -520,7 +522,7 @@ def _write_cell(spec, cell, cell_dir, report, trace, result, test_sets):
 
 
 def _write_summary(spec, summary, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         fh.write("model,strategy,features,mae,mse,r2\n")
         for cell in sorted(summary):
             kind, strategy, feature_set = cell.split("/")
@@ -574,7 +576,10 @@ def main(argv=None) -> int:
     parser.add_argument("--stocks", type=int, default=None,
                         help="override stock group size")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="max stocks in one kernel call (results do not depend on it)")
+                        help="max stocks in one kernel call; by default every stock, which "
+                             "is fastest but holds every stock's kernel buffers at once (a "
+                             "24-stock texfilter stack peaks at 50.6 MiB RSS, against 41.3 MiB "
+                             "at 2). Results do not depend on it")
     args = parser.parse_args(argv)
 
     try:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, DegenerateTargetError, ShapeMismatchError
+from .numerics import atomic_open
 
 
 def _pair(pred, actual):
@@ -110,7 +111,7 @@ def export_regression_series(stock_id: str, pred, actual, path, t=None) -> None:
     t = np.asarray(t).reshape(-1)
     if t.size != p.size:
         raise ShapeMismatchError("t length does not match series")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "actual", "predicted"])
         for ti, ai, pi in zip(t, a, p):
@@ -119,6 +120,6 @@ def export_regression_series(stock_id: str, pred, actual, path, t=None) -> None:
 
 def write_report_json(document: dict, path) -> None:
     """Stable JSON serialization: sorted keys, fixed separators."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         json.dump(document, fh, sort_keys=True, indent=2, separators=(",", ": "))
         fh.write("\n")

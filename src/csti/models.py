@@ -23,14 +23,20 @@ Parameters live in flat float64 rows. Each kind declares an ordered
 (segment name, shape, initializer) table, one segment per tensor a kernel
 reads in place; the (name, length) layout and the seeded initial draw both
 follow it. Kernels run over a (K, P) stack of rows through the named
-(K, ...) views ``unpack`` makes of it. Each kind declares ``window_rows``,
-the rows of each window its kernel reads.
+(K, ...) views ``unpack`` makes of it. Each kind's ``rows_read`` turns
+(N, L, d) windows into the contiguous design its kernel reads. Dlinear and
+paifilter are affine maps of the window once theta is fixed, so their
+design is the part of the window they read plus a column of ones, and a
+data call is one product with a per-row weight block W the prologue
+builds: ``pred = X @ W`` forward and ``gW = X^T @ dpred`` backward, which
+the epilogue folds back into the segments. Texfilter and frets read the
+whole window.
 
 Every kind's kernel is bound once over views and buffers, as functions
 of no arguments that run only ufuncs and matmuls writing with ``out=``,
 in two parts. ``bind_batch`` binds the data work, every operation that
-reads a (K, N, L, d) batch, over a ``workspace(K, N)``. ``bind_rows``
-binds the theta-only work over every row of a stack and a
+reads a (K, N, ...) batch of designs, over a ``workspace(K, N)``.
+``bind_rows`` binds the theta-only work over every row of a stack and a
 ``workspace(K)``: a prologue builds what depends on theta alone, and an
 epilogue turns the data work's per-row reductions into gradient
 coordinates. A trainer runs the prologue once per step over its active
@@ -77,6 +83,8 @@ def _check_inputs(inputs, lookback, n_features):
         )
     if inputs.shape[0] == 0:
         raise ContractViolation("batch must be non-empty")
+    if not np.isfinite(inputs).all():
+        raise NumericInputError("batch inputs contain non-finite values")
     return inputs
 
 
@@ -101,7 +109,6 @@ class ForecastModel:
     """
 
     kind = "abstract"
-    window_rows = slice(None)  # the rows of each (L, d) window that the kernel reads
 
     def __init__(self, lookback: int, horizon: int, n_features: int,
                  hyper: dict, values: np.ndarray):
@@ -181,9 +188,9 @@ class ForecastModel:
         """The data work of one kernel call over fixed views, as a function of no arguments.
 
         ``p`` and ``g`` are ``unpack`` views of (K, P) theta and gradient
-        rows, inputs (K, N, L, d), targets (K, N, H); ``ws`` holds a
-        ``workspace(K, N)``, which calls of one shape may share, and these
-        rows of a ``workspace(K)``. With ``g`` the call returns the (K,)
+        rows, inputs (K, N, ...) ``rows_read`` designs, targets (K, N, H);
+        ``ws`` holds a ``workspace(K, N)``, which calls of one shape may
+        share, and these rows of a ``workspace(K)``. With ``g`` the call returns the (K,)
         per-row squared-error sums, ``ws["losses"]``, which the caller
         divides by N * H after the epilogue; without, the prediction.
         """
@@ -214,7 +221,7 @@ class ForecastModel:
         call returns the (K,) batch MSEs and writes every gradient
         coordinate; without, the prediction. Every row's bits are those of
         the K=1 call and of a trainer's step. It trusts the shapes and reads
-        the inputs as given: their bits match a trainer's for ``rows_read``.
+        the inputs as given: (K, N, ...) ``rows_read`` designs.
         """
         k, n, backward = *inputs.shape[:2], g is not None
         ws = dict(ws or self.workspace(k, n, backward), **self.workspace(k, None, backward))
@@ -231,8 +238,12 @@ class ForecastModel:
         return one_off
 
     def rows_read(self, inputs):
-        """The ``window_rows`` of (N, L, d) windows, contiguous: a copy only if they are not."""
-        return np.ascontiguousarray(np.asarray(inputs, dtype=np.float64)[:, self.window_rows])
+        """The contiguous design the kernel reads of (..., L, d) windows; here the windows.
+
+        A copy only if they are not contiguous float64. The trainer keeps,
+        shuffles and batches designs, and every other path passes them too.
+        """
+        return np.ascontiguousarray(np.asarray(inputs, dtype=np.float64))
 
     def _predict(self, inputs):
         """``predict_batch``: a forward-only K=1 call at this model's own theta, N >= 1 windows."""
@@ -245,8 +256,6 @@ class ForecastModel:
             raise ShapeMismatchError(
                 f"window must be ({self.lookback}, {self.n_features}), got {window.shape}"
             )
-        if not np.all(np.isfinite(window)):
-            raise NumericInputError("window contains non-finite values")
         return self.predict_batch(window[None])[0]
 
     def loss(self, inputs, targets) -> float:
@@ -327,11 +336,43 @@ def _check_hidden(kind, hyper):
     return {"hidden": _check_int(f"{kind}: hidden width", hyper["hidden"], 1)}
 
 
+class _Affine:
+    """Mixin of a kind whose forecast is affine in the window once theta is fixed.
+
+    The design is what the kernel reads of a window (``_read``), then a
+    one. The prologue builds each row's (D, H) weight block W in
+    ``ws["w"]``, whose last row holds the constant terms, so a data call is
+    one product each way: ``pred = X @ W``, and ``gW = X^T @ dpred`` into
+    ``ws["g_w"]``, which the epilogue folds back into the segments. It
+    comes before ``ForecastModel`` in a kind's bases, so the kind stays a
+    direct subclass of ``ForecastModel``, whose own ``predict_batch`` the
+    traced benchmark wraps.
+    """
+
+    def rows_read(self, inputs):
+        """``_read`` of (..., L, d) windows, then a one: always a fresh contiguous copy."""
+        read = self._read(np.asarray(inputs, dtype=np.float64))
+        return np.concatenate([read, np.ones((*read.shape[:-1], 1))], axis=-1)
+
+    def _bind(self, p, inputs, ws, g=None):
+        x, w, pred = inputs.reshape(*inputs.shape[:2], -1), ws["w"], ws["pred"]
+
+        def forward():
+            np.matmul(x, w, out=pred)
+        if g is None:
+            return forward, None
+        x_t, g_w = _t(x), ws["g_w"]
+
+        def backward():
+            np.matmul(x_t, pred, out=g_w)
+        return forward, backward
+
+
 # ---------------------------------------------------------------------------
 # dlinear
 # ---------------------------------------------------------------------------
 
-class DLinearModel(ForecastModel):
+class DLinearModel(_Affine, ForecastModel):
     """Trend + Fourier seasonal curve over forecast steps, plus anchor.
 
     The trend slope acts on time measured in lookback units (t/L); the
@@ -339,10 +380,13 @@ class DLinearModel(ForecastModel):
     magnitude above every other coordinate and destabilize SGD at the
     shared learning rate. Harmonics stay on raw steps so the seasonal
     period is expressed in rows.
+
+    The anchor reads the window's last row alone, so the design is
+    ``[last row, 1]``, (N, 1, d + 1). W holds the input mix in every
+    column (zeros without the anchor), then the curve ``basis @ coef``.
     """
 
     kind = "dlinear"
-    window_rows = slice(-1, None)  # the anchor reads the last row alone
 
     def __init__(self, lookback, horizon, n_features, hyper, values):
         super().__init__(lookback, horizon, n_features, hyper, values)
@@ -383,46 +427,37 @@ class DLinearModel(ForecastModel):
             ("input_mix", (n_features,), init),
         )
 
+    @staticmethod
+    def _read(inputs):
+        return inputs[..., -1:, :]
+
     def _buffers(self, n):
-        return ({"curve": (_F, self.horizon, 1)}, {"dcurve": (_F, self.horizon)},
-                {"z_last": (_F, n, 1)}, {"dz_last": (_F, n)})
+        shape = (_F, self.n_features + 1, self.horizon)
+        return {"w": shape}, {"g_w": shape}, {}, {}
 
     def bind_rows(self, p, ws, g=None):
-        basis, coef, curve = self._basis, p["coef"][..., None], ws["curve"]
+        d, anchor, basis = self.n_features, self.hyper["use_anchor"], self._basis
+        w_mix, w_curve, mix = ws["w"][:, :d], ws["w"][:, d:], p["input_mix"][..., None]
+        coef, basis_t = p["coef"][:, None], basis.T
 
         def prologue():
-            np.matmul(basis, coef, out=curve)
+            if anchor:
+                np.copyto(w_mix, mix)  # broadcast over h
+            else:
+                w_mix[...] = 0.0
+            np.matmul(coef, basis_t, out=w_curve)  # (K, 1, H)
         if g is None:
             return prologue, None
-        basis_t, dcurves, g_coef = basis.T, ws["dcurve"][..., None], g["coef"][..., None]
+        g_w_mix, g_w_curve = ws["g_w"][:, :d], ws["g_w"][:, d:]
+        g_mix, g_coef = g["input_mix"], g["coef"][:, None]
 
         def epilogue():
-            np.matmul(basis_t, dcurves, out=g_coef)
-        return prologue, epilogue
-
-    def _bind(self, p, inputs, ws, g=None):
-        last, mix, z_last = inputs[:, :, -1, :], p["input_mix"][..., None], ws["z_last"]
-        curves, pred, anchor = ws["curve"][:, None, :, 0], ws["pred"], self.hyper["use_anchor"]
-
-        def forward():
+            np.matmul(g_w_curve, basis, out=g_coef)
             if anchor:
-                np.matmul(last, mix, out=z_last)
-                np.add(curves, z_last, out=pred)
-            else:
-                np.copyto(pred, curves)
-        if g is None:
-            return forward, None
-        last_t, dcurve, dz_last = _t(last), ws["dcurve"], ws["dz_last"]
-        dz_lasts, g_mix = dz_last[..., None], g["input_mix"][..., None]
-
-        def backward():
-            np.add.reduce(pred, axis=1, out=dcurve)
-            if anchor:
-                np.add.reduce(pred, axis=2, out=dz_last)
-                np.matmul(last_t, dz_lasts, out=g_mix)
+                np.add.reduce(g_w_mix, axis=2, out=g_mix)
             else:
                 g_mix[...] = 0.0
-        return forward, backward
+        return prologue, epilogue
 
     def predict_batch(self, inputs):
         return self._predict(inputs)
@@ -432,14 +467,18 @@ class DLinearModel(ForecastModel):
 # paifilter
 # ---------------------------------------------------------------------------
 
-class PaiFilterModel(ForecastModel):
+class PaiFilterModel(_Affine, ForecastModel):
     """Static learnable complex kernel on the window spectrum.
 
     Re IDFT(k * DFT(z)) is real-linear in z and in k, so it equals z @ G
     with G = ([k_re | k_im] @ T).reshape(L, L), T the cached
     ``numerics.filter_operator_basis``. The prologue builds G and
-    v = G @ W^T once per row and step, and a sample costs only z @ v;
-    results differ from the DFT chain by rounding alone.
+    v = G @ W^T once per row and step; as z is the window times the input
+    mix, the forecast is affine in the window. The design is the window
+    flattened feature by feature (the d series of L values, one after
+    another), then a one: (N, L*d + 1). W holds ``mix_j * v`` in feature
+    j's L rows, then the head bias. Results differ from the DFT chain by
+    rounding alone.
     """
 
     kind = "paifilter"
@@ -454,51 +493,46 @@ class PaiFilterModel(ForecastModel):
             ("input_mix", (n_features,), _uniform(_affine_bound(n_features))),
         )
 
+    @staticmethod
+    def _read(inputs):
+        return _t(inputs).reshape(*inputs.shape[:-2], -1)
+
     def _buffers(self, n):
-        L, h = self.lookback, self.horizon
-        return ({"g_op": (_F, L, L), "v": (_F, L, h)}, {"dv": (_F, L, h), "dg_op": (_F, L, L)},
-                {"z": (_F, n, L)}, {"dz": (_F, n, L)})
+        L, h, rows = self.lookback, self.horizon, self.lookback * self.n_features + 1
+        return ({"g_op": (_F, L, L), "v": (_F, L, h), "w": (_F, rows, h)},
+                {"g_w": (_F, rows, h), "dv": (_F, L, h), "dg_op": (_F, L, L)}, {}, {})
 
     def bind_rows(self, p, ws, g=None):
-        k, L, basis = len(p["kernel"]), self.lookback, numerics.filter_operator_basis(self.lookback)
-        g_op, v, weight_t = ws["g_op"], ws["v"], _t(p["head_weight"])
+        k, L, d = len(p["kernel"]), self.lookback, self.n_features
+        basis = numerics.filter_operator_basis(L)
+        g_op, v, w, weight_t = ws["g_op"], ws["v"], ws["w"], _t(p["head_weight"])
         # (K, 1, 2L) products keep each row's G bit-identical to K=1
         kernel, g_ops = p["kernel"][:, None], g_op.reshape(k, 1, L * L)
+        mix, v_rows = p["input_mix"][..., None, None], v[:, None]
+        w_series, w_bias, bias = w[:, :-1].reshape(k, d, L, -1), w[:, -1], p["head_bias"]
 
         def prologue():
             np.matmul(kernel, basis, out=g_ops)
             np.matmul(g_op, weight_t, out=v)  # (K, L, H)
+            np.multiply(mix, v_rows, out=w_series)
+            np.copyto(w_bias, bias)
         if g is None:
             return prologue, None
         dv, dg_op, weight, basis_t = ws["dv"], ws["dg_op"], p["head_weight"], basis.T
+        g_w_series, g_w_bias = ws["g_w"][:, :-1].reshape(k, d, -1), ws["g_w"][:, -1]
+        mix_row, v_col, dv_row = p["input_mix"][:, None], v.reshape(k, -1, 1), dv.reshape(k, 1, -1)
         dv_t, dg_ops = _t(dv), dg_op.reshape(k, 1, L * L)
-        g_weight, g_kernel = g["head_weight"], g["kernel"][:, None]
+        g_weight, g_bias, g_kernel = g["head_weight"], g["head_bias"], g["kernel"][:, None]
+        g_mix = g["input_mix"][..., None]
 
         def epilogue():
+            np.copyto(g_bias, g_w_bias)
+            np.matmul(mix_row, g_w_series, out=dv_row)  # dv = sum_j mix_j gW_j
+            np.matmul(g_w_series, v_col, out=g_mix)  # d mix_j = <gW_j, v>
             np.matmul(dv_t, g_op, out=g_weight)
             np.matmul(dv, weight, out=dg_op)
             np.matmul(dg_ops, basis_t, out=g_kernel)
         return prologue, epilogue
-
-    def _bind(self, p, inputs, ws, g=None):
-        flat, mix, z_flat = _mix(inputs, p, ws["z"])
-        z, v, pred, bias = ws["z"], ws["v"], ws["pred"], p["head_bias"][:, None]
-
-        def forward():
-            np.matmul(flat, mix, out=z_flat)
-            np.matmul(z, v, out=pred)
-            np.add(pred, bias, out=pred)
-        if g is None:
-            return forward, None
-        dv, dz, z_t, v_t = ws["dv"], ws["dz"], _t(z), _t(v)
-        dz_row, g_bias, g_mix = dz.reshape(len(z), 1, -1), g["head_bias"], g["input_mix"][:, None]
-
-        def backward():
-            np.matmul(z_t, pred, out=dv)
-            np.add.reduce(pred, axis=1, out=g_bias)
-            np.matmul(pred, v_t, out=dz)
-            np.matmul(dz_row, flat, out=g_mix)
-        return forward, backward
 
     def predict_batch(self, inputs):
         return self._predict(inputs)

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from functools import lru_cache
 from typing import Sequence
 
@@ -269,8 +270,26 @@ def sgd_step(theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the binary container
+# whole-file writes and the binary container
 # ---------------------------------------------------------------------------
+
+@contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """A file to write ``path`` through: a temporary beside it that replaces it on a clean exit.
+
+    If the body raises, the temporary goes and ``path`` keeps its previous
+    contents, or stays absent, so a reader never sees a partial file.
+    """
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, mode, **kwargs) as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(temporary)
+        raise
+
 
 _MAGIC, _VERSION = b"CSTI", 2
 _PREFIX = struct.Struct("<4sII")  # magic, version, header bytes
@@ -284,7 +303,7 @@ def save_container(path, blob_type: str, pvec: ParamVector, **fields) -> None:
     text = json.dumps(header, sort_keys=True).encode("utf-8")
     body = b"".join([_PREFIX.pack(_MAGIC, _VERSION, len(text)), text,
                      _COUNT.pack(len(pvec)), pvec.values.astype("<f8").tobytes()])
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(body + _CRC.pack(zlib.crc32(body)))
 
 

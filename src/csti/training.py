@@ -17,9 +17,12 @@ regardless of kernel width or the position of a stock in the list.
 theta-only kernel work and the optimizer work (loss divide and guard,
 proximal term, momentum step, finiteness check) always span all K.
 
-A run binds its trainer once (``_StockStack``): its stacks, windows,
+A run binds its trainer once (``_StockStack``): its stacks, designs,
 buffers and bound kernel work live as long as the run, and every step
-writes into them. Allocating them per step would leave the top of the
+writes into them. A design is what the kind's kernel reads of each
+window (``ForecastModel.rows_read``): the last row and a one for dlinear,
+the flattened window and a one for paifilter, the whole window for the
+spectral kinds. Allocating them per step would leave the top of the
 glibc heap free at each step's end, glibc would trim it, and the next
 step would fault the same pages back in. Each round merges the theta
 stack itself.
@@ -46,8 +49,8 @@ from .errors import (
     MergeIncompatibilityError,
 )
 from .models import ForecastModel, _check_batch, build_model
-from .numerics import (ParamVector, _check_int, _check_real, axpy_merge, check_step_settings,
-                       sgd_step)
+from .numerics import (ParamVector, _check_int, _check_real, atomic_open, axpy_merge,
+                       check_step_settings, sgd_step)
 
 DIVERGENCE_GUARD = 1e6
 
@@ -144,7 +147,7 @@ class TrainingTrace:
 
 
 def write_trace_csv(trace: TrainingTrace, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["phase", "round", "stock_id", "data_loss", "proximal_penalty", "wall_ms"])
         for row in trace.rows:
@@ -178,11 +181,11 @@ class _StockStack:
     contiguous run. ``row_of[i]`` is the row of the i-th stock given.
     Everything is bound once per run, at construction: the (K, P) theta,
     gradient and velocity stacks, a step scratch, the batch losses and
-    their N * H divisors, the shuffled windows, the theta-only row
+    their N * H divisors, the shuffled designs, the theta-only row
     buffers (``workspace(K)``) and all kernel work: per batch index the
     kind's prologue and epilogue over the rows with a batch there, and
     the blocks' data calls (``bind_batch``), each over its rows' views,
-    its windows and a workspace shared by the calls of its (rows, batch
+    its designs and a workspace shared by the calls of its (rows, batch
     size). A step allocates nothing (K, P)-sized, and the kernel's
     temporaries stay put. Freed and re-allocated each step, they would
     leave the top of the glibc heap free; glibc trims it, and the next
@@ -190,12 +193,11 @@ class _StockStack:
     allocator's state.
 
     A block is a run of at most ``width`` consecutive rows; no kernel call
-    spans two blocks. The stack keeps one contiguous copy of each stock's
-    windows cut to the rows its kind reads (``window_rows``: the last row
-    for dlinear, all L for the others), and each epoch writes those, in the
-    stock's shuffled order, into its row of its block's (rows, most
-    windows, rows read, d) buffers, so a kernel call reads its batch as one
-    view and each take copies only what the kernel reads. Each block keeps
+    spans two blocks. The stack keeps one contiguous design per stock, the
+    ``rows_read`` of its windows (N, ...), and each epoch writes it, in
+    the stock's shuffled order, into its row of its block's (rows, most
+    windows, ...) buffer, so a kernel call reads its batch as one view and
+    each take copies only what the kernel reads. Each block keeps
     its own buffers, not one array over all K stocks: glibc serves an array
     that large by mmap, and freeing it raises glibc's mmap and trim
     thresholds, so later frees are no longer returned to the OS and peak
@@ -207,7 +209,7 @@ class _StockStack:
 
     def __init__(self, model: ForecastModel, datasets: Sequence[WindowedDataset],
                  batch_size: int, width: int):
-        checked = [(model.rows_read(x), y) for x, y in (  # the rows its kernel reads
+        checked = [(model.rows_read(x), y) for x, y in (  # the designs its kernel reads
             _check_batch(ds.inputs, ds.targets, model.lookback, model.horizon, model.n_features)
             for ds in datasets)]
         self.order = sorted(range(len(datasets)),
@@ -223,8 +225,8 @@ class _StockStack:
         self._finite = np.zeros(self.theta.shape, dtype=bool)
         self._losses = np.zeros((k_rows, max(self.batches)))
         divisors = np.zeros_like(self._losses)  # N * H of each row's batch at each index
-        self._shuffle = []  # per row: windows, targets, and its rows of the block buffers
-        blocks = []  # (first row, end row, shuffled windows, shuffled targets)
+        self._shuffle = []  # per row: designs, targets, and its rows of the block buffers
+        blocks = []  # (first row, end row, shuffled designs, shuffled targets)
         for lo in range(0, k_rows, width):
             hi = min(lo + width, k_rows)
             buffers = (np.zeros((hi - lo, self.sizes[hi - 1], *checked[0][0].shape[1:])),
@@ -243,7 +245,7 @@ class _StockStack:
         self.schedule = []
         for batch, start in enumerate(range(0, self.sizes[-1], batch_size)):
             calls = []
-            for lo, hi, windows, targets in blocks:
+            for lo, hi, designs, targets in blocks:
                 live = [r for r in range(lo, hi) if start < self.sizes[r]]
                 for size, run in groupby(live, lambda r: min(batch_size, self.sizes[r] - start)):
                     run = list(run)
@@ -253,7 +255,7 @@ class _StockStack:
                         workspaces[len(run), size] = model.workspace(len(run), size)
                     p, g, row_views = views_of(rows.start, rows.stop)
                     at = (slice(rows.start - lo, rows.stop - lo), slice(start, start + size))
-                    x, y = windows[at], targets[at]
+                    x, y = designs[at], targets[at]
                     # the call reduces its squared errors straight into the trainer's column
                     ws = dict(workspaces[len(run), size], losses=self._losses[rows, batch],
                               **row_views)
@@ -396,18 +398,18 @@ class CstiResult(NamedTuple):
 
 
 def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
-             hyper: dict | None = None, jobs: int = 1) -> CstiResult:
+             hyper: dict | None = None, jobs: int | None = None) -> CstiResult:
     """Full protocol: iterative merge rounds, then proximal fine-tuning.
 
     All K stocks train as one lockstep stack, bound once per run
     (``_StockStack``): one ``train`` call per merge round and one for
     fine-tuning, each starting from zero velocity. ``jobs`` only caps the
-    stocks in one kernel call (``jobs <= 1`` means one), while the
-    theta-only kernel work, like the optimizer's, spans every stock. Each
-    round merges the theta stack itself, with one ``axpy_merge`` call. Each
-    stock's merge-phase generator is seeded once, before round 1, from
-    (config seed, merge, stock id), and every round continues it;
-    fine-tuning seeds one more per stock. So a run derives 2K seeds for
+    stocks in one kernel call (``jobs <= 1`` means one, None every stock),
+    while the theta-only kernel work, like the optimizer's, spans every
+    stock. Each round merges the theta stack itself, with one
+    ``axpy_merge`` call. Each stock's merge-phase generator is seeded
+    once, before round 1, from (config seed, merge, stock id), and every
+    round continues it; fine-tuning seeds one more per stock. So a run derives 2K seeds for
     training, one for the template model and, without a shared init, K for
     the stocks' inits. Round means and trace rows come from the (K, epochs)
     loss and penalty arrays of ``train``; a trace row's ``wall_ms`` is the
@@ -419,7 +421,7 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     k_stocks = len(stocks)
     if k_stocks != cfg.stocks:
         raise ContractViolation(f"config says {cfg.stocks} stocks, got {k_stocks}")
-    width = max(1, _check_int("jobs", jobs, -math.inf))
+    width = k_stocks if jobs is None else max(1, _check_int("jobs", jobs, -math.inf))
     trace = TrainingTrace()
 
     template = build_model(

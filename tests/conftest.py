@@ -115,6 +115,53 @@ def filter_series(model, z):
     return z @ g_op.reshape(model.lookback, model.lookback)
 
 
+def _mse_and_scaled_residual(pred, targets):
+    residual = pred - targets
+    return float(np.mean(residual ** 2)), 2.0 * residual / residual.size
+
+
+def dlinear_reference(model, inputs, targets):
+    """(prediction, batch MSE, gradient) of dlinear in two stages, as plain numpy.
+
+    The curve over the forecast steps, ``basis @ coef``, plus the anchor,
+    the last row's mixed value; the gradient in layout order (coef, mix).
+    """
+    p = model.unpack(model.export_params().values[None])
+    coef, mix = p["coef"][0], p["input_mix"][0]
+    lookback, hyper = model.lookback, model.hyper
+    t = lookback + np.arange(model.horizon, dtype=float)
+    angles = 2.0 * np.pi * np.outer(t, np.arange(1, hyper["harmonics"] + 1)) / hyper["period"]
+    basis = np.column_stack([t / lookback, np.ones_like(t), np.cos(angles), np.sin(angles)])
+    last = inputs[:, -1]
+    anchor = last @ mix if hyper["use_anchor"] else np.zeros(len(inputs))
+    pred = basis @ coef + anchor[:, None]
+    loss, dpred = _mse_and_scaled_residual(pred, targets)
+    g_mix = last.T @ dpred.sum(axis=1) if hyper["use_anchor"] else np.zeros_like(mix)
+    return pred, loss, np.concatenate([basis.T @ dpred.sum(axis=0), g_mix])
+
+
+def paifilter_reference(model, inputs, targets):
+    """(prediction, batch MSE, gradient) of paifilter in two stages, as plain numpy.
+
+    The mixed series z = window @ mix, then the filtered head z @ G @ W^T + b
+    with G the kernel's real operator; the gradient in layout order
+    (kernel, head weight, head bias, mix).
+    """
+    p = {name: view[0] for name, view in
+         model.unpack(model.export_params().values[None]).items()}
+    lookback = model.lookback
+    basis = numerics.filter_operator_basis(lookback)
+    g_op = (p["kernel"] @ basis).reshape(lookback, lookback)
+    weight, v = p["head_weight"], g_op @ p["head_weight"].T
+    z = inputs @ p["input_mix"]
+    pred = z @ v + p["head_bias"]
+    loss, dpred = _mse_and_scaled_residual(pred, targets)
+    dv, dz = z.T @ dpred, dpred @ v.T
+    grad = [basis @ (dv @ weight).reshape(-1), (dv.T @ g_op).reshape(-1), dpred.sum(axis=0),
+            np.einsum("nl,nlj->j", dz, inputs)]
+    return pred, loss, np.concatenate(grad)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

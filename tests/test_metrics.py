@@ -13,7 +13,10 @@ from csti.metrics import (
     metric_set,
     mse,
     r_squared,
+    write_report_json,
 )
+from csti.numerics import atomic_open
+from csti.training import TraceRow, TrainingTrace, write_trace_csv
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -159,3 +162,38 @@ def test_export_regression_series_deterministic(tmp_path):
 def test_export_regression_series_empty_rejected(tmp_path):
     with pytest.raises(ContractViolation):
         export_regression_series("AAA", [], [], tmp_path / "x.csv")
+
+
+# ---------------------------------------------------------------------------
+# whole-file writes
+# ---------------------------------------------------------------------------
+
+def _write_then_fail(path):
+    with atomic_open(path) as fh:
+        fh.write("partial")
+        raise RuntimeError("failed midway")
+
+
+_FAILING_WRITES = {  # each writes some lines before it raises
+    "atomic_open": (_write_then_fail, RuntimeError),
+    "write_report_json": (lambda path: write_report_json({"a": [1, 2], "b": object()}, path),
+                          TypeError),
+    "write_trace_csv": (lambda path: write_trace_csv(TrainingTrace(rows=[
+        TraceRow("merge", 1, "A", 0.5, 0.0, 1.0), TraceRow("merge", 2, "A", "x", 0.0, 1.0)]),
+        path), ValueError),
+    "export_regression_series": (lambda path: export_regression_series(
+        "A", [0.1, 0.2], [0.3, 0.4], path, t=["1", "x"]), ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAILING_WRITES))
+def test_a_write_that_fails_midway_leaves_the_previous_file_or_none(name, tmp_path):
+    write, error = _FAILING_WRITES[name]
+    path = tmp_path / "out"
+    with pytest.raises(error):
+        write(path)
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"previous")
+    with pytest.raises(error):
+        write(path)
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"previous"

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from csti.errors import (
     ContractViolation,
     MergeIncompatibilityError,
+    NumericInputError,
     ShapeMismatchError,
 )
 from csti import numerics
@@ -21,7 +22,14 @@ from csti.models import (
 )
 from csti.numerics import ParamVector, axpy_merge
 
-from conftest import filter_series, filter_spectrum, random_batch, train_sanity_mse
+from conftest import (
+    dlinear_reference,
+    filter_series,
+    filter_spectrum,
+    paifilter_reference,
+    random_batch,
+    train_sanity_mse,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +110,19 @@ def test_predict_batch_rejects_windows_of_the_wrong_shape(kind):
     with pytest.raises(ContractViolation, match="non-empty"):
         model.predict_batch(np.ones((0, 16, 3)))
     assert model.predict_batch(np.ones((5, 16, 3))).shape == (5, 1)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_entry_point_rejects_a_non_finite_window(kind, bad, rng):
+    # predict_batch and loss used to return NaN here while predict raised
+    model = build_model(kind, 16, 1, 3)
+    inputs, targets = random_batch(rng, 4, 16, 3, 1)
+    inputs[1, -1, 0] = bad
+    for call in (lambda: model.predict_batch(inputs), lambda: model.predict(inputs[1]),
+                 lambda: model.loss(inputs, targets), lambda: model.loss_gradient(inputs, targets)):
+        with pytest.raises(NumericInputError, match="non-finite"):
+            call()
 
 
 def _set_segment(model, name, values):
@@ -270,10 +291,17 @@ def test_checkpoint_of_a_split_layout_fails_naming_the_file(kind, tmp_path):
 # ---------------------------------------------------------------------------
 
 def _loss_and_gradient(model, theta, inputs, targets, fill=0.0):
-    """The kernel over a theta stack, into a gradient stack pre-filled with ``fill``."""
+    """The kernel over a theta stack and the designs of (K, N, L, d) windows, into a
+    gradient stack pre-filled with ``fill``."""
     grad = np.full(theta.shape, fill)
-    losses = model.loss_and_gradient(model.unpack(theta), inputs, targets, model.unpack(grad))
+    losses = model.loss_and_gradient(model.unpack(theta), model.rows_read(inputs), targets,
+                                     model.unpack(grad))
     return losses, grad
+
+
+def _design_shape(model):
+    """The shape of one window's ``rows_read`` design."""
+    return model.rows_read(np.zeros((1, model.lookback, model.n_features))).shape[1:]
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -311,28 +339,31 @@ def test_stacked_rows_equal_one_row_calls_past_numpy_temporary_elision(kind, rng
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(MODEL_KINDS), data=st.data())
 def test_a_kind_reads_only_its_declared_window_rows(kind, data):
-    # the trainer shuffles only each window's ``window_rows``, so the kernel,
-    # given whole windows, must not read the other rows; the last row is
-    # declared by every kind, and a change there must show
+    # the trainer keeps and shuffles only each window's ``rows_read`` design,
+    # so every path must read the window through it alone: cells the design
+    # does not copy leave every output's bits unchanged, and the last row,
+    # which every kind reads, shows in every output
     model = build_model(kind, 16, 2, 3, seed=data.draw(st.integers(0, 3), label="seed"))
     n = data.draw(st.integers(1, 9), label="windows")
     unit = st.floats(-1.0, 1.0, allow_nan=False)
     inputs = data.draw(hnp.arrays(np.float64, (n, 16, 3), elements=unit), label="inputs")
     targets = data.draw(hnp.arrays(np.float64, (n, 2), elements=unit), label="targets")
-    unread = np.ones(16, dtype=bool)
-    unread[type(model).window_rows] = False
+    cells = np.arange(2.0, 16 * 3 + 2).reshape(1, 16, 3)  # distinct, and none is the ones column
+    unread = ~np.isin(cells[0], model.rows_read(cells))
+    assert not unread[-1].any()
     finite = st.floats(-1e6, 1e6, allow_nan=False)
     perturbed = inputs.copy()
     perturbed[:, unread] = data.draw(
-        hnp.arrays(np.float64, (n, int(unread.sum()), 3), elements=finite), label="unread rows")
+        hnp.arrays(np.float64, (n, int(unread.sum())), elements=finite), label="unread cells")
     theta = model.export_params().values[None]
 
     def outputs(x):
+        design = model.rows_read(x)
         grad = np.empty_like(theta)
-        loss = model.loss_and_gradient(model.unpack(theta), x[None], targets[None],
+        loss = model.loss_and_gradient(model.unpack(theta), design[None], targets[None],
                                        model.unpack(grad))
-        pred = model.bind(model.unpack(theta), x[None])()
-        return (loss.tobytes(), grad.tobytes(), pred.tobytes(),
+        pred = model.bind(model.unpack(theta), design[None])()
+        return (design.tobytes(), loss.tobytes(), grad.tobytes(), pred.tobytes(),
                 model.loss_gradient(x, targets).values.tobytes(),
                 model.predict_batch(x).tobytes())
 
@@ -340,6 +371,30 @@ def test_a_kind_reads_only_its_declared_window_rows(kind, data):
     changed = inputs.copy()
     changed[:, -1] += 1.0
     assert all(a != b for a, b in zip(outputs(changed), outputs(inputs)))
+
+
+_REFERENCES = {"dlinear": dlinear_reference, "paifilter": paifilter_reference}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_REFERENCES)), lookback=st.integers(4, 20),
+       horizon=st.integers(1, 4), d=st.sampled_from([2, 3]), n=st.integers(1, 40),
+       use_anchor=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_affine_kinds_agree_with_their_two_stage_reference(kind, lookback, horizon, d, n,
+                                                            use_anchor, seed):
+    # one product over the ones-augmented design against the separate mix,
+    # filter or curve and head stages: the same maps, rounded differently
+    hyper = {"use_anchor": use_anchor} if kind == "dlinear" else None
+    model = build_model(kind, lookback, horizon, d, hyper, seed=seed % 7)
+    gen = np.random.default_rng(seed)
+    model = model.import_params(model.export_params().replace(
+        gen.uniform(-1.0, 1.0, model.n_params)))
+    inputs, targets = random_batch(gen, n, lookback, d, horizon)
+    expected = _REFERENCES[kind](model, inputs, targets)
+    got = (model.predict_batch(inputs), model.loss(inputs, targets),
+           model.loss_gradient(inputs, targets).values)
+    for a, b in zip(got, expected):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -352,13 +407,13 @@ def test_bound_call_gives_the_same_bits_as_a_one_off_call(kind, k_rows, rng):
     start = model.export_params().values
     for n in (64, 37):
         theta, grad = np.empty((k_rows, model.n_params)), np.empty((k_rows, model.n_params))
-        windows, targets = np.empty((k_rows, 80, 16, 3)), np.empty((k_rows, 80, 1))
-        inputs, batch_targets = windows[:, :n], targets[:, :n]  # slices, as the trainer's are
+        designs, targets = np.empty((k_rows, 80, *_design_shape(model))), np.empty((k_rows, 80, 1))
+        inputs, batch_targets = designs[:, :n], targets[:, :n]  # slices, as the trainer's are
         call = model.bind(model.unpack(theta), inputs, batch_targets, model.unpack(grad),
                           model.workspace(k_rows, n))
         for _ in range(2):  # the second run overwrites the first one's temporaries
             theta[...] = start + rng.uniform(-0.1, 0.1, theta.shape)
-            windows[...] = rng.uniform(0.0, 1.0, size=windows.shape)
+            designs[...] = model.rows_read(rng.uniform(0.0, 1.0, size=(k_rows, 80, 16, 3)))
             targets[...] = rng.uniform(0.0, 1.0, size=targets.shape)
             grad[...] = np.nan
             losses = model.loss_and_gradient(model.unpack(theta), inputs, batch_targets,
@@ -380,9 +435,9 @@ def test_a_row_step_gives_the_same_bits_as_one_off_calls(kind, k_rows, rng):
     start = model.export_params().values
     theta, grad = np.empty((k_rows + 1, model.n_params)), np.empty((k_rows + 1, model.n_params))
     losses, sizes = np.zeros((k_rows + 1, 3)), np.zeros((k_rows + 1, 3))
-    rows_ws = model.workspace(k_rows + 1)
+    rows_ws, shape = model.workspace(k_rows + 1), _design_shape(model)
     n = [0] + [64] * (k_rows - 1) + [37]
-    inputs = [np.empty((1, size, 16, 3)) for size in n]
+    inputs = [np.empty((1, size, *shape)) for size in n]
     targets = [np.empty((1, size, 2)) for size in n]
 
     def views(rows):
@@ -391,8 +446,8 @@ def test_a_row_step_gives_the_same_bits_as_one_off_calls(kind, k_rows, rng):
 
     calls = []
     for lo, hi in ((1, k_rows), (k_rows, k_rows + 1)):
-        if lo < hi:  # the trainer's batch views are slices of its shuffled windows
-            batch = np.empty((hi - lo, 80, 16, 3)), np.empty((hi - lo, 80, 2))
+        if lo < hi:  # the trainer's batch views are slices of its shuffled designs
+            batch = np.empty((hi - lo, 80, *shape)), np.empty((hi - lo, 80, 2))
             inputs[lo:hi] = [batch[0][r : r + 1, : n[lo]] for r in range(hi - lo)]
             targets[lo:hi] = [batch[1][r : r + 1, : n[lo]] for r in range(hi - lo)]
             p, g, row_views = views(slice(lo, hi))
@@ -405,7 +460,8 @@ def test_a_row_step_gives_the_same_bits_as_one_off_calls(kind, k_rows, rng):
     for _ in range(2):  # the second step overwrites the first one's buffers
         theta[...] = start + rng.uniform(-0.1, 0.1, theta.shape)
         for x, y in zip(inputs[1:], targets[1:]):
-            x[...], y[...] = rng.uniform(0.0, 1.0, x.shape), rng.uniform(0.0, 1.0, y.shape)
+            x[...] = model.rows_read(rng.uniform(0.0, 1.0, (*x.shape[:2], 16, 3)))
+            y[...] = rng.uniform(0.0, 1.0, y.shape)
         grad[...] = np.nan
         prologue()
         for call in calls:
@@ -457,10 +513,10 @@ def test_kernel_writes_every_gradient_coordinate(kind, k_rows, rng):
 def test_kernel_writes_only_the_gradient_stack(kind, k_rows, rng):
     model = build_model(kind, 8, 2, 3, seed=21)
     theta = rng.uniform(-0.5, 0.5, size=(k_rows, model.n_params))
-    inputs = rng.uniform(0.0, 1.0, size=(k_rows, 11, 8, 3))
+    inputs = model.rows_read(rng.uniform(0.0, 1.0, size=(k_rows, 11, 8, 3)))
     targets = rng.uniform(0.0, 1.0, size=(k_rows, 11, 2))
     before = [a.tobytes() for a in (theta, inputs, targets)]
-    _loss_and_gradient(model, theta, inputs, targets)
+    model.loss_and_gradient(model.unpack(theta), inputs, targets, model.unpack(np.empty_like(theta)))
     assert [a.tobytes() for a in (theta, inputs, targets)] == before
 
 
@@ -471,7 +527,7 @@ def test_forward_returns_a_fresh_prediction(kind, k_rows, rng):
     # it must have a buffer of its own
     model = build_model(kind, 8, 2, 3, seed=21)
     theta = rng.uniform(-0.5, 0.5, size=(k_rows, model.n_params))
-    inputs = rng.uniform(0.0, 1.0, size=(k_rows, 11, 8, 3))
+    inputs = model.rows_read(rng.uniform(0.0, 1.0, size=(k_rows, 11, 8, 3)))
     workspace = model.workspace(k_rows, 11)
     pred = model.bind(model.unpack(theta), inputs, ws=workspace)()
     assert pred.shape == (k_rows, 11, 2) and pred.flags.writeable

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from csti.errors import (
     ContractViolation,
     DivergenceError,
     MergeIncompatibilityError,
+    NumericInputError,
     ShapeMismatchError,
 )
 from csti.models import MODEL_KINDS, ForecastModel, build_model
@@ -175,6 +178,17 @@ def test_dataset_shape_checked_against_model():
         train_local(model, train[0], 1, 0.01, 0.9, 64, seed=1)
 
 
+def test_the_stack_names_a_non_finite_training_window(small_market):
+    # WindowedDataset rejects them, but the stack reads any object with these
+    # fields; a NaN window used to surface as "batch loss nan exceeded guard"
+    ds = small_market[0][0]
+    inputs = ds.inputs.copy()
+    inputs[5, 3, 1] = np.nan
+    bad = types.SimpleNamespace(stock_id=ds.stock_id, inputs=inputs, targets=ds.targets)
+    with pytest.raises(NumericInputError, match="non-finite"):
+        training._StockStack(build_model("dlinear", 16, 1, 3), [bad], 64, 1)
+
+
 # ---------------------------------------------------------------------------
 # run_csti
 # ---------------------------------------------------------------------------
@@ -326,7 +340,7 @@ def test_run_csti_is_bit_identical_at_every_width_and_stock_order(kind, data):
     # the position of a stock moves a bit
     picked = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True),
                        label="stocks, in run order")
-    width = data.draw(st.integers(1, len(picked)), label="width")
+    width = data.draw(st.none() | st.integers(1, len(picked)), label="width (None: every stock)")
     cfg = CstiConfig(stocks=len(picked), merge_rounds=data.draw(st.integers(3, 4)),
                      finetune_epochs=1, batch_size=32, seed=61,
                      local_epochs_per_round=data.draw(st.integers(1, 2)))
@@ -446,15 +460,26 @@ def test_a_second_train_call_allocates_no_temporary_per_step(kind, width, monkey
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_the_stack_shuffles_only_the_window_rows_its_kind_reads(kind, small_market):
-    # each epoch copies every stock's windows into its block buffer; rows the
-    # kernel does not read (15 of 16 for dlinear) would be copied for nothing
+    # each epoch copies every stock's design into its block buffer: what the
+    # kernel reads of each window (1 of 16 rows for dlinear) and, for the
+    # affine kinds, a one; window cells no design copies cannot move a bit
     model = build_model(kind, 16, 1, 3, seed=3)
-    stack = training._StockStack(model, small_market[0], 64, 2)
-    rows = len(range(16)[type(model).window_rows])
-    assert rows == (1 if kind == "dlinear" else 16)
-    for windows, _, shuffled, _ in stack._shuffle:
-        assert windows.shape[1:] == shuffled.shape[1:] == (rows, 3)
-        assert windows.flags.c_contiguous
+    train = small_market[0]
+    stack = training._StockStack(model, train, 64, 2)
+    shape = {"dlinear": (1, 3 + 1), "paifilter": (16 * 3 + 1,)}.get(kind, (16, 3))
+    for (design, _, shuffled, _), i in zip(stack._shuffle, stack.order):
+        assert design.shape[1:] == shuffled.shape[1:] == shape
+        assert design.flags.c_contiguous
+        assert design.tobytes() == model.rows_read(train[i].inputs).tobytes()
+    cells = np.arange(2.0, 16 * 3 + 2).reshape(1, 16, 3)  # distinct, and none is the ones column
+    unread = ~np.isin(cells[0], model.rows_read(cells))
+    assert unread.sum() == {"dlinear": 15 * 3}.get(kind, 0)
+    perturbed = [dataclasses.replace(ds, inputs=np.where(unread, 1e6, ds.inputs)) for ds in train]
+    theta = model.export_params().values
+    runs = [_train_fresh(kind, data, theta, [1, 2, 3], 2, epochs=2, learning_rate=0.01,
+                         momentum=0.9) for data in (train, perturbed)]
+    assert runs[0][0].theta.tobytes() == runs[1][0].theta.tobytes()
+    assert _same_log(runs[0][1], runs[1][1])
 
 
 def test_two_runs_in_one_process_are_bit_identical():
@@ -555,7 +580,7 @@ def _kernel_calls_per_epoch(sizes, width, batch_size):
     )
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("jobs", [1, 2, 3, None])
 def test_jobs_caps_the_rows_of_every_kernel_call(jobs, monkeypatch):
     train = _unequal_market()
     rows = []
@@ -568,15 +593,15 @@ def test_jobs_caps_the_rows_of_every_kernel_call(jobs, monkeypatch):
     monkeypatch.setattr(ForecastModel, "loss_and_gradient", counting)
     cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=2, seed=53)
     run_csti(train, "dlinear", cfg, jobs=jobs)
-    sizes = [ds.n_windows for ds in train]
-    per_epoch = _kernel_calls_per_epoch(sizes, jobs, cfg.batch_size)
+    sizes, width = [ds.n_windows for ds in train], jobs or 3  # None, the default: every stock
+    per_epoch = _kernel_calls_per_epoch(sizes, width, cfg.batch_size)
     # 89, 124 and 166 windows in batches of 64
-    assert per_epoch == {1: 7, 2: 6, 3: 5}[jobs]
-    assert max(rows) <= jobs
+    assert per_epoch == {1: 7, 2: 6, 3: 5}[width]
+    assert max(rows) <= width
     assert len(rows) == per_epoch * cfg.epochs_budget
 
 
-@pytest.mark.parametrize("jobs", [2.5, "2", None, True])
+@pytest.mark.parametrize("jobs", [2.5, "2", True])
 def test_run_csti_rejects_a_non_integer_jobs(small_market, jobs):
     train, _, _ = small_market
     cfg = CstiConfig(stocks=3, merge_rounds=1, finetune_epochs=1)
