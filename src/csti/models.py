@@ -28,21 +28,26 @@ follow it. Kernels run over a (K, P) stack of rows through the named
 paifilter are affine maps of the window once theta is fixed, so their
 design is the part of the window they read plus a column of ones, and a
 data call is one product with a per-row weight block W the prologue
-builds: ``pred = X @ W`` forward and ``gW = X^T @ dpred`` backward, which
+builds: ``pred = X @ W`` forward and ``gW = X^T @ r`` backward, which
 the epilogue folds back into the segments. Texfilter and frets read the
 whole window.
 
 Every kind's kernel is bound once over views and buffers, as functions
 of no arguments that run only ufuncs and matmuls writing with ``out=``,
 in two parts. ``bind_batch`` binds the data work, every operation that
-reads a (K, N, ...) batch of designs, over a ``workspace(K, N)``.
-``bind_rows`` binds the theta-only work over every row of a stack and a
-``workspace(K)``: a prologue builds what depends on theta alone, and an
-epilogue turns the data work's per-row reductions into gradient
-coordinates. A trainer runs the prologue once per step over its active
-rows, its width-capped data calls, the epilogue, then one loss divide;
-``bind`` composes the same for a one-off call. Every product and
-reduction runs per row, so each row is bit-identical to the K=1 call.
+reads a (K, N, ...) batch of designs, over a ``workspace(K, N)``: the
+kind's forward into ``pred``, the residual r = pred - targets in place,
+and the kind's backward, which reads r and leaves the unscaled gradient
+sum r * d(pred)/d(theta). ``bind_rows`` binds the theta-only work over
+every row of a stack and a ``workspace(K)``: a prologue builds what
+depends on theta alone, and an epilogue turns the data work's per-row
+reductions into gradient coordinates. A trainer runs the prologue once
+per step over its active rows, its width-capped data calls, the
+epilogue, one dot r . r per run of rows with one batch size
+(``bind_sum_of_squares``), one loss divide and one scale of the gradient
+by 2 / (N * H); ``bind`` composes the same for a one-off call. Every
+product and reduction runs per row, so each row is bit-identical to the
+K=1 call.
 The kernels check nothing: the trainer owns theta and checks shapes.
 Reuse matters because temporaries freed at the end of every step leave
 the top of the glibc heap free: glibc trims it, and the next step
@@ -156,9 +161,9 @@ class ForecastModel:
     def _bind(self, p, inputs, ws, g=None):
         """(forward, backward): the data work, functions of no arguments over these views.
 
-        ``forward`` writes ``ws["pred"]``; ``backward`` reads d(loss)/d(pred)
+        ``forward`` writes ``ws["pred"]``; ``backward`` reads the residual r
         there and writes what the data feeds of ``g`` and of the epilogue's
-        inputs; None without ``g``.
+        inputs, as the gradient of (r . r) / 2, unscaled; None without ``g``.
         """
         raise NotImplementedError
 
@@ -176,11 +181,14 @@ class ForecastModel:
         return {name: stack[:, span].reshape(-1, *shape) for name, span, shape in self._views}
 
     def workspace(self, rows: int, n: int | None = None, backward: bool = True) -> dict:
-        """Forward, plus backward, buffers of a (rows, n)-window call; without n, theta-only ones."""
+        """Forward, plus backward, buffers of a (rows, n)-window call; without n, theta-only ones.
+
+        A call's ``pred`` holds the prediction, then the residual; a caller
+        may replace it with any (rows, n, H) view whose rows are contiguous.
+        """
         forward, back, call_forward, call_back = self._buffers(n)
         if n is not None:
-            forward = {"pred": (_F, n, self.horizon), **call_forward}
-            back = dict(square=(_F, n, self.horizon), losses=(_F,), **call_back)
+            forward, back = {"pred": (_F, n, self.horizon), **call_forward}, call_back
         specs = dict(forward, **back) if backward else forward
         return {name: np.empty((rows, *shape), dtype) for name, (dtype, *shape) in specs.items()}
 
@@ -190,9 +198,11 @@ class ForecastModel:
         ``p`` and ``g`` are ``unpack`` views of (K, P) theta and gradient
         rows, inputs (K, N, ...) ``rows_read`` designs, targets (K, N, H);
         ``ws`` holds a ``workspace(K, N)``, which calls of one shape may
-        share, and these rows of a ``workspace(K)``. With ``g`` the call returns the (K,)
-        per-row squared-error sums, ``ws["losses"]``, which the caller
-        divides by N * H after the epilogue; without, the prediction.
+        share, and these rows of a ``workspace(K)``. The call returns
+        ``ws["pred"]``: without ``g`` the prediction; with ``g`` the residual
+        r = pred - targets, after the backward has written the unscaled
+        gradient sum r * d(pred)/d(theta). The caller runs the epilogue, then
+        turns r . r into the loss and scales the gradient by 2 / (N * H).
         """
         (forward, backward), pred = self._bind(p, inputs, ws, g), ws["pred"]
         if g is None:
@@ -200,41 +210,46 @@ class ForecastModel:
                 forward()
                 return pred
             return predict
-        k, n = inputs.shape[:2]
-        square, squares, losses = ws["square"], ws["square"].reshape(k, -1), ws["losses"]
-        scale = np.array(2.0 / (n * self.horizon))  # 0-d, so that no call converts a number
 
         def call():
             forward()
-            np.subtract(pred, targets, out=pred)  # the residual, then d(loss)/d(pred)
-            np.square(pred, out=square)
-            np.add.reduce(squares, axis=1, out=losses)
-            np.multiply(pred, scale, out=pred)
+            np.subtract(pred, targets, out=pred)
             backward()
-            return losses
+            return pred
         return call
 
     def bind(self, p, inputs, targets=None, g=None, ws=None):
-        """One whole call: prologue, ``bind_batch`` call, epilogue and loss divide.
+        """One whole call: prologue, ``bind_batch`` call, epilogue, loss and gradient scale.
 
         ``ws`` is a ``workspace(K, N)``, fresh by default. With ``g`` the
-        call returns the (K,) batch MSEs and writes every gradient
-        coordinate; without, the prediction. Every row's bits are those of
-        the K=1 call and of a trainer's step. It trusts the shapes and reads
-        the inputs as given: (K, N, ...) ``rows_read`` designs.
+        call returns the (K,) batch MSEs, r . r / (N * H), and writes every
+        gradient coordinate, scaling each ``g`` view by 2 / (N * H);
+        without, the prediction. Every row's bits are those of the K=1 call
+        and of a trainer's step. It trusts the shapes and reads the inputs
+        as given: (K, N, ...) ``rows_read`` designs.
         """
         k, n, backward = *inputs.shape[:2], g is not None
         ws = dict(ws or self.workspace(k, n, backward), **self.workspace(k, None, backward))
         prologue, epilogue = self.bind_rows(p, ws, g)
         call = self.bind_batch(p, inputs, targets, g, ws)
+        if g is None:
+            def predict():
+                prologue()
+                return call()
+            return predict
+        losses, views = np.empty(k), list(g.values())
+        sum_of_squares = bind_sum_of_squares(ws["pred"].reshape(k, -1), losses)
+        scale = np.array(2.0 / (n * self.horizon))  # 0-d, so that no call converts a number
 
         def one_off():
             prologue()
-            if g is None:
-                return call()
-            losses = call()
+            call()
             epilogue()
-            return np.divide(losses, n * self.horizon, out=losses)
+            sum_of_squares()
+            np.divide(losses, n * self.horizon, out=losses)
+            for view in views:
+                np.multiply(view, scale, out=view)
+            return losses
         return one_off
 
     def rows_read(self, inputs):
@@ -262,8 +277,9 @@ class ForecastModel:
         inputs, targets = _check_batch(
             inputs, targets, self.lookback, self.horizon, self.n_features
         )
-        pred = self.predict_batch(inputs)
-        return float(np.mean((pred - targets) ** 2))
+        residual, total = (self.predict_batch(inputs) - targets).reshape(1, -1), np.empty(1)
+        bind_sum_of_squares(residual, total)()  # the kernel's reduction, so the kernel's bits
+        return float(total[0] / residual.size)
 
     def export_params(self) -> ParamVector:
         return ParamVector(self._values, self._layout)
@@ -280,9 +296,10 @@ class ForecastModel:
     def loss_and_gradient(self, p, inputs, targets, g, call=None) -> np.ndarray:
         """Per-row batch MSE of a stack; its gradient goes into ``g`` (see ``bind``).
 
-        ``call`` runs as it is; without one a fresh ``bind`` call runs. A
-        trainer runs each width-capped ``bind_batch`` call through here and
-        leaves the prologue, epilogue and divide of its sums to its step.
+        ``call`` runs as it is and its result is returned; without one a
+        fresh ``bind`` call runs. A trainer runs each width-capped
+        ``bind_batch`` call through here and leaves the prologue, epilogue,
+        loss reduction and gradient scale to its step.
         """
         return (call or self.bind(p, inputs, targets, g))()
 
@@ -294,6 +311,17 @@ class ForecastModel:
         self.loss_and_gradient(self._theta_views, self.rows_read(inputs)[None], targets[None],
                                self.unpack(grad))
         return ParamVector(grad[0], self._layout)
+
+
+def bind_sum_of_squares(residuals, out):
+    """r . r of each row of a (K, M) stack into (K,) ``out``, as a function of no arguments.
+
+    One (K, 1, M) @ (K, M, 1) product: each row is one dot of its own M
+    values, so its bits do not depend on K or on the row's place. Rows
+    need only be contiguous; ``out`` may be strided.
+    """
+    rows, cols, sums = residuals[:, None], residuals[..., None], out[:, None, None]
+    return lambda: np.matmul(rows, cols, out=sums)
 
 
 def _t(a):
@@ -342,11 +370,11 @@ class _Affine:
     The design is what the kernel reads of a window (``_read``), then a
     one. The prologue builds each row's (D, H) weight block W in
     ``ws["w"]``, whose last row holds the constant terms, so a data call is
-    one product each way: ``pred = X @ W``, and ``gW = X^T @ dpred`` into
-    ``ws["g_w"]``, which the epilogue folds back into the segments. It
-    comes before ``ForecastModel`` in a kind's bases, so the kind stays a
-    direct subclass of ``ForecastModel``, whose own ``predict_batch`` the
-    traced benchmark wraps.
+    one product each way: ``pred = X @ W``, and ``gW = X^T @ r`` of the
+    residual r into ``ws["g_w"]``, which the epilogue folds back into the
+    segments. It comes before ``ForecastModel`` in a kind's bases, so the
+    kind stays a direct subclass of ``ForecastModel``, whose own
+    ``predict_batch`` the traced benchmark wraps.
     """
 
     def rows_read(self, inputs):

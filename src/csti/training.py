@@ -14,8 +14,9 @@ kernel call equals the one-row call, the optimizer step is elementwise
 and the merge is correctly rounded, so results are bit-identical
 regardless of kernel width or the position of a stock in the list.
 ``jobs`` is that width: the most stocks in one call's batch work. The
-theta-only kernel work and the optimizer work (loss divide and guard,
-proximal term, momentum step, finiteness check) always span all K.
+theta-only kernel work, the loss reduction and the optimizer work (loss
+divide and guard, gradient scale, proximal term, momentum step,
+finiteness check) always span all K.
 
 A run binds its trainer once (``_StockStack``): its stacks, designs,
 buffers and bound kernel work live as long as the run, and every step
@@ -48,7 +49,7 @@ from .errors import (
     DivergenceError,
     MergeIncompatibilityError,
 )
-from .models import ForecastModel, _check_batch, build_model
+from .models import ForecastModel, _check_batch, bind_sum_of_squares, build_model
 from .numerics import (ParamVector, _check_int, _check_real, atomic_open, axpy_merge,
                        check_step_settings, sgd_step)
 
@@ -173,6 +174,13 @@ class _StackLog(NamedTuple):
     epoch_wall_ms: list  # of the whole stack, per epoch
 
 
+def _runs(rows, key):
+    """(key, slice) for each run of consecutive ``rows`` with one value of ``key``."""
+    for value, run in groupby(rows, key):
+        run = list(run)
+        yield value, slice(run[0], run[-1] + 1)
+
+
 class _StockStack:
     """The windows of K stocks and every buffer their lockstep training needs.
 
@@ -180,13 +188,16 @@ class _StockStack:
     count, stock id), so that the rows sharing a kernel call are always one
     contiguous run. ``row_of[i]`` is the row of the i-th stock given.
     Everything is bound once per run, at construction: the (K, P) theta,
-    gradient and velocity stacks, a step scratch, the batch losses and
-    their N * H divisors, the shuffled designs, the theta-only row
-    buffers (``workspace(K)``) and all kernel work: per batch index the
-    kind's prologue and epilogue over the rows with a batch there, and
-    the blocks' data calls (``bind_batch``), each over its rows' views,
-    its designs and a workspace shared by the calls of its (rows, batch
-    size). A step allocates nothing (K, P)-sized, and the kernel's
+    gradient and velocity stacks, a step scratch, a (K, batch size * H)
+    residual stack, the batch losses with their N * H divisors, the
+    shuffled designs, the theta-only row buffers (``workspace(K)``) and
+    all kernel work. Per batch index that is the kind's prologue and
+    epilogue over the rows with a batch there; the blocks' data calls
+    (``bind_batch``), each over its rows' views, its designs, its rows of
+    the residual stack as ``pred`` and a workspace shared by the calls of
+    its (rows, batch size); and one ``bind_sum_of_squares`` dot per run of
+    rows with one batch size, across blocks, from the residual rows into
+    the loss column. A step allocates nothing (K, P)-sized, and the kernel's
     temporaries stay put. Freed and re-allocated each step, they would
     leave the top of the glibc heap free; glibc trims it, and the next
     step faults the pages back in, at a cost that swings with the
@@ -203,8 +214,9 @@ class _StockStack:
     thresholds, so later frees are no longer returned to the OS and peak
     RSS grows. The batch schedule depends only on the stock sizes, so it
     is built here too: per batch index, the rows with a batch there (a
-    contiguous run, since rows ascend in size), their step views, their
-    prologue and epilogue, and the bound calls of the blocks.
+    contiguous run, since rows ascend in size), their step views and
+    2 / (N * H) gradient scales, their prologue and epilogue, the bound
+    calls of the blocks and the dots of the size runs.
     """
 
     def __init__(self, model: ForecastModel, datasets: Sequence[WindowedDataset],
@@ -225,6 +237,9 @@ class _StockStack:
         self._finite = np.zeros(self.theta.shape, dtype=bool)
         self._losses = np.zeros((k_rows, max(self.batches)))
         divisors = np.zeros_like(self._losses)  # N * H of each row's batch at each index
+        # row r's (N, H) prediction at the current batch index, then its residual
+        horizon = model.horizon
+        residuals = np.zeros((k_rows, min(batch_size, self.sizes[-1]) * horizon))
         self._shuffle = []  # per row: designs, targets, and its rows of the block buffers
         blocks = []  # (first row, end row, shuffled designs, shuffled targets)
         for lo in range(0, k_rows, width):
@@ -244,33 +259,37 @@ class _StockStack:
 
         self.schedule = []
         for batch, start in enumerate(range(0, self.sizes[-1], batch_size)):
+            def size_at(r):
+                return min(batch_size, self.sizes[r] - start)
+
             calls = []
             for lo, hi, designs, targets in blocks:
                 live = [r for r in range(lo, hi) if start < self.sizes[r]]
-                for size, run in groupby(live, lambda r: min(batch_size, self.sizes[r] - start)):
-                    run = list(run)
-                    rows = slice(run[0], run[-1] + 1)
-                    divisors[rows, batch] = size * model.horizon
-                    if (len(run), size) not in workspaces:
-                        workspaces[len(run), size] = model.workspace(len(run), size)
+                for size, rows in _runs(live, size_at):
+                    k = rows.stop - rows.start
+                    if (k, size) not in workspaces:
+                        workspaces[k, size] = model.workspace(k, size)
+                        del workspaces[k, size]["pred"]  # the residual rows stand in for it
                     p, g, row_views = views_of(rows.start, rows.stop)
                     at = (slice(rows.start - lo, rows.stop - lo), slice(start, start + size))
                     x, y = designs[at], targets[at]
-                    # the call reduces its squared errors straight into the trainer's column
-                    ws = dict(workspaces[len(run), size], losses=self._losses[rows, batch],
-                              **row_views)
+                    pred = residuals[rows, : size * horizon].reshape(k, size, horizon)
+                    ws = dict(workspaces[k, size], pred=pred, **row_views)
                     calls.append((p, x, y, g, model.bind_batch(p, x, y, g, ws)))
             active = slice(next(r for r, n in enumerate(self.sizes) if start < n), k_rows)
+            sums = []  # one r . r per run of active rows with one batch size, across blocks
+            for size, rows in _runs(range(active.start, k_rows), size_at):
+                divisors[rows, batch] = size * horizon
+                sums.append(bind_sum_of_squares(residuals[rows, : size * horizon],
+                                                self._losses[rows, batch]))
             p, g, row_views = views_of(active.start, k_rows)
             self.schedule.append((active, self._losses[active, batch], divisors[active, batch],
-                                  *model.bind_rows(p, row_views, g), calls,
+                                  2.0 / divisors[active, batch, None],
+                                  *model.bind_rows(p, row_views, g), calls, sums,
                                   *(buf[active] for buf in (self.theta, self._velocity,
                                                             self._grad, self._scratch,
                                                             self._finite))))
-        self._same_batches = []
-        for b, run in groupby(range(k_rows), self.batches.__getitem__):
-            run = list(run)
-            self._same_batches.append((b, slice(run[0], run[-1] + 1)))
+        self._same_batches = list(_runs(range(k_rows), self.batches.__getitem__))
 
     def _diverged(self, rows, message):
         """DivergenceError for the first given stock among the failing ``rows``."""
@@ -293,10 +312,12 @@ class _StockStack:
         stream per stock across calls. A stock with fewer windows skips
         the batch indices it lacks. At each batch index, the rows of a
         block whose batches have the same size share one data call, run
-        through ``ForecastModel.loss_and_gradient``. The prologue before
-        it, and the epilogue, loss divide, loss guard, proximal term
-        2 * prox_weight * (theta - anchor), momentum step and finiteness
-        check after it run over every row with a batch there, in place.
+        through ``ForecastModel.loss_and_gradient``, which leaves their
+        residuals and unscaled gradients. The prologue before it, and the
+        epilogue, the r . r dots, loss divide, gradient scale, loss guard,
+        proximal term 2 * prox_weight * (theta - anchor), momentum step and
+        finiteness check after it run over every row with a batch there,
+        in place.
         A failed check raises DivergenceError naming the stock that fails
         first in (epoch, batch index, given stock) order, at any width. An
         overflow or invalid operation warns nothing: the inf or NaN it
@@ -317,13 +338,16 @@ class _StockStack:
                 order = rng.permutation(len(x))
                 x.take(order, axis=0, out=x_shuffled, mode="clip")  # "raise" would buffer
                 y.take(order, axis=0, out=y_shuffled, mode="clip")
-            for batch, (active, losses, divisors, prologue, epilogue, calls,
+            for batch, (active, losses, divisors, scales, prologue, epilogue, calls, sums,
                         th, vel, gr, scratch, finite) in enumerate(self.schedule):
                 prologue()
                 for args in calls:
                     kernel(model, *args)
                 epilogue()
+                for sum_of_squares in sums:
+                    sum_of_squares()
                 np.divide(losses, divisors, out=losses)  # squared-error sums to means
+                np.multiply(gr, scales, out=gr)  # 2 / (N * H), per row
                 if not losses.max() <= DIVERGENCE_GUARD:  # NaN fails too
                     raise self._diverged(
                         active.start + np.flatnonzero(~(losses <= DIVERGENCE_GUARD)),
@@ -403,8 +427,8 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
 
     All K stocks train as one lockstep stack, bound once per run
     (``_StockStack``): one ``train`` call per merge round and one for
-    fine-tuning, each starting from zero velocity. ``jobs`` only caps the
-    stocks in one kernel call (``jobs <= 1`` means one, None every stock),
+    fine-tuning, each starting from zero velocity. ``jobs``, an integer of
+    at least 1, only caps the stocks in one kernel call (None: every stock),
     while the theta-only kernel work, like the optimizer's, spans every
     stock. Each round merges the theta stack itself, with one
     ``axpy_merge`` call. Each stock's merge-phase generator is seeded
@@ -421,7 +445,7 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     k_stocks = len(stocks)
     if k_stocks != cfg.stocks:
         raise ContractViolation(f"config says {cfg.stocks} stocks, got {k_stocks}")
-    width = k_stocks if jobs is None else max(1, _check_int("jobs", jobs, -math.inf))
+    width = k_stocks if jobs is None else _check_int("jobs", jobs, 1)
     trace = TrainingTrace()
 
     template = build_model(

@@ -16,6 +16,7 @@ from csti.errors import (
 from csti import numerics
 from csti.models import (
     MODEL_KINDS,
+    bind_sum_of_squares,
     build_model,
     load_checkpoint,
     save_checkpoint,
@@ -213,6 +214,19 @@ def test_loss_examples(rng):
 
     targets = rng.uniform(size=(4, 1))
     assert model.loss(inputs, targets) >= 0.0
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_loss_gives_the_bits_of_the_kernels_batch_mse(kind, rng):
+    # the trainer's guard and epoch means read the kernel's r . r / (N * H);
+    # ``loss`` must report the same number for the same batch
+    model = build_model(kind, 16, 2, 3, seed=4)
+    theta = model.export_params().values[None]
+    for n in (1, 37, 64):
+        inputs, targets = random_batch(rng, n, 16, 3, 2)
+        kernel = model.loss_and_gradient(model.unpack(theta), model.rows_read(inputs)[None],
+                                         targets[None], model.unpack(np.empty_like(theta)))
+        assert np.float64(model.loss(inputs, targets)).tobytes() == kernel.tobytes()
 
 
 def test_loss_empty_batch_rejected():
@@ -429,53 +443,64 @@ def test_bound_call_gives_the_same_bits_as_a_one_off_call(kind, k_rows, rng):
 @pytest.mark.parametrize("k_rows", [1, 2, 3])
 def test_a_row_step_gives_the_same_bits_as_one_off_calls(kind, k_rows, rng):
     # a trainer's step at one batch index: one prologue over the active rows,
-    # one data call per run of rows with the same batch size, one epilogue and
-    # one divide; row 0 has no batch there, and the last row's batch is short
+    # one data call per block and run of rows with the same batch size, each
+    # leaving its residuals in its rows of one (K, 64 * H) stack, one epilogue,
+    # then one dot r . r per run of rows with the same batch size, across
+    # blocks, one divide and one gradient scale. Row 0 has no batch there,
+    # rows 1 and 2 short ones of 21 and 37, and the k_rows full rows
+    # after them are split over two blocks
     model = build_model(kind, 16, 2, 3, seed=21)
-    start = model.export_params().values
-    theta, grad = np.empty((k_rows + 1, model.n_params)), np.empty((k_rows + 1, model.n_params))
-    losses, sizes = np.zeros((k_rows + 1, 3)), np.zeros((k_rows + 1, 3))
-    rows_ws, shape = model.workspace(k_rows + 1), _design_shape(model)
-    n = [0] + [64] * (k_rows - 1) + [37]
+    h, start = model.horizon, model.export_params().values
+    n = [0, 21, 37] + [64] * k_rows
+    theta, grad = np.empty((len(n), model.n_params)), np.empty((len(n), model.n_params))
+    losses, residuals = np.zeros(len(n)), np.empty((len(n), 64 * h))
+    rows_ws, shape = model.workspace(len(n)), _design_shape(model)
     inputs = [np.empty((1, size, *shape)) for size in n]
-    targets = [np.empty((1, size, 2)) for size in n]
+    targets = [np.empty((1, size, h)) for size in n]
 
     def views(rows):
         return (model.unpack(theta[rows]), model.unpack(grad[rows]),
                 {name: buf[rows] for name, buf in rows_ws.items()})
 
     calls = []
-    for lo, hi in ((1, k_rows), (k_rows, k_rows + 1)):
+    for lo, hi in ((1, 2), (2, 3), (3, 4), (4, len(n))):
         if lo < hi:  # the trainer's batch views are slices of its shuffled designs
-            batch = np.empty((hi - lo, 80, *shape)), np.empty((hi - lo, 80, 2))
-            inputs[lo:hi] = [batch[0][r : r + 1, : n[lo]] for r in range(hi - lo)]
-            targets[lo:hi] = [batch[1][r : r + 1, : n[lo]] for r in range(hi - lo)]
-            p, g, row_views = views(slice(lo, hi))
-            ws = dict(model.workspace(hi - lo, n[lo]), losses=losses[lo:hi, 1], **row_views)
-            calls.append(model.bind_batch(p, batch[0][:, : n[lo]], batch[1][:, : n[lo]], g, ws))
-            sizes[lo:hi, 1] = n[lo] * model.horizon
-    active = slice(1, k_rows + 1)
+            size, rows = n[lo], slice(lo, hi)
+            batch = np.empty((hi - lo, 80, *shape)), np.empty((hi - lo, 80, h))
+            inputs[rows] = [batch[0][r : r + 1, :size] for r in range(hi - lo)]
+            targets[rows] = [batch[1][r : r + 1, :size] for r in range(hi - lo)]
+            p, g, row_views = views(rows)
+            pred = residuals[rows, : size * h].reshape(hi - lo, size, h)
+            ws = dict(model.workspace(hi - lo, size), pred=pred, **row_views)
+            calls.append(model.bind_batch(p, batch[0][:, :size], batch[1][:, :size], g, ws))
+    sums = [bind_sum_of_squares(residuals[lo:hi, : n[lo] * h], losses[lo:hi])
+            for lo, hi in ((1, 2), (2, 3), (3, len(n)))]
+    active = slice(1, len(n))
+    divisors = np.array(n[active], dtype=np.float64) * h
     p, g, row_views = views(active)
     prologue, epilogue = model.bind_rows(p, row_views, g)
     for _ in range(2):  # the second step overwrites the first one's buffers
         theta[...] = start + rng.uniform(-0.1, 0.1, theta.shape)
-        for x, y in zip(inputs[1:], targets[1:]):
+        for x, y in zip(inputs[active], targets[active]):
             x[...] = model.rows_read(rng.uniform(0.0, 1.0, (*x.shape[:2], 16, 3)))
             y[...] = rng.uniform(0.0, 1.0, y.shape)
-        grad[...] = np.nan
+        grad[...], losses[...] = np.nan, np.nan
         prologue()
         for call in calls:
             call()
         epilogue()
-        np.divide(losses[active, 1], sizes[active, 1], out=losses[active, 1])
+        for sum_of_squares in sums:
+            sum_of_squares()
+        np.divide(losses[active], divisors, out=losses[active])
+        np.multiply(grad[active], 2.0 / divisors[:, None], out=grad[active])
         assert np.isnan(grad[0]).all() and not np.isnan(grad[active]).any()
-        for r in range(1, k_rows + 1):
+        for r in range(1, len(n)):
             one_off = np.full((1, model.n_params), np.nan)
             expected = model.loss_and_gradient(model.unpack(theta[r:r + 1].copy()),
                                                inputs[r].copy(), targets[r].copy(),
                                                model.unpack(one_off))
-            assert losses[r:r + 1, 1].tobytes() == expected.tobytes()
-            assert grad[r:r + 1].tobytes() == one_off.tobytes()
+            assert losses[r:r + 1].tobytes() == expected.tobytes(), f"row {r}"
+            assert grad[r:r + 1].tobytes() == one_off.tobytes(), f"row {r}"
 
 
 def test_texfilter_prediction_allocates_no_backward_buffer(rng):
@@ -523,7 +548,7 @@ def test_kernel_writes_only_the_gradient_stack(kind, k_rows, rng):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("k_rows", [1, 3])
 def test_forward_returns_a_fresh_prediction(kind, k_rows, rng):
-    # the shared loss turns the prediction into d(loss)/d(pred) in place, so
+    # a data call turns the prediction into the residual in place, so
     # it must have a buffer of its own
     model = build_model(kind, 8, 2, 3, seed=21)
     theta = rng.uniform(-0.5, 0.5, size=(k_rows, model.n_params))

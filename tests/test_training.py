@@ -529,6 +529,27 @@ def test_divergence_naming_does_not_depend_on_width(small_market):
     assert seen == [seen[0]] * 3
 
 
+def test_every_batch_size_group_reaches_the_loss_guard():
+    # the step reduces each run of rows with one batch size on its own; at
+    # batch index 1 the stocks' batches hold 25, 60, 64 and 64 windows, and
+    # only the 60-window batch, in the middle size group, overflows. A group
+    # left out would keep a stale loss that passes the guard
+    train = _unequal_market(lengths=(260, 150, 200, 260), seed=31)
+    assert [ds.n_windows for ds in train] == [166, 89, 124, 166]
+    cfg = CstiConfig(stocks=4, merge_rounds=2, finetune_epochs=1, seed=43)
+    bad = train[2]
+    order = np.random.default_rng(
+        derive_seed(cfg.seed, _TAG_MERGE, 1, bad.stock_id)).permutation(bad.n_windows)
+    targets = bad.targets.copy()
+    targets[order[cfg.batch_size:]] = 1e200  # its second, partial batch alone
+    train[2] = WindowedDataset(bad.stock_id, bad.split, bad.lookback, bad.horizon,
+                               bad.inputs, targets, bad.absolute_indices)
+    for jobs in (1, 2, None):
+        with pytest.raises(DivergenceError, match="batch loss inf exceeded guard") as err:
+            run_csti(train, "dlinear", cfg, jobs=jobs)
+        assert (err.value.stock_id, err.value.round_index) == (bad.stock_id, 1), jobs
+
+
 def _shifted(ds, offset):
     return WindowedDataset(ds.stock_id, ds.split, ds.lookback, ds.horizon,
                            ds.inputs, ds.targets + offset, ds.absolute_indices)
@@ -551,7 +572,7 @@ def test_squared_errors_past_the_float_range_raise_divergence_not_a_warning(smal
 
 
 def test_the_loss_guard_sees_batch_means_not_sums(small_market):
-    # a kernel call leaves squared-error sums, which the step divides before the guard
+    # the step reduces residuals to squared-error sums, which it divides before the guard
     train, _, _ = small_market
     cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=1, seed=43, learning_rate=1e-4)
     init = build_model("dlinear", 16, 1, 3, seed=derive_seed(cfg.seed, _TAG_INIT, 0))
@@ -609,11 +630,13 @@ def test_run_csti_rejects_a_non_integer_jobs(small_market, jobs):
         run_csti(train, "dlinear", cfg, jobs=jobs)
 
 
-def test_jobs_below_one_means_one_row_per_kernel_call(small_market):
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_run_csti_rejects_jobs_below_one(small_market, jobs):
+    # the spec's jobs field and --jobs require an integer >= 1 too
     train, _, _ = small_market
     cfg = CstiConfig(stocks=3, merge_rounds=1, finetune_epochs=1, seed=5)
-    runs = [_run_fingerprint(run_csti(train, "dlinear", cfg, jobs=jobs)) for jobs in (1, 0, -4)]
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+    with pytest.raises(ContractViolation, match="jobs"):
+        run_csti(train, "dlinear", cfg, jobs=jobs)
 
 
 def test_run_csti_merges_through_the_traced_hook(small_market, monkeypatch):
