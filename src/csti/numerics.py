@@ -78,52 +78,22 @@ class ParamVector:
         return ParamVector(values, self.layout)
 
 
-def _two_sum(a, b):
-    """(s, e) with s = fl(a + b) and s + e == a + b exactly (Knuth)."""
-    s = a + b
-    b_virtual = s - a
-    return s, (a - (s - b_virtual)) + (b - b_virtual)
-
-
-def fsum_columns(rows: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of every column of a (K, n) array, bit for bit.
-
-    Cascaded TwoSum leaves s and errors e_k with s + sum(e_k) exact. r =
-    fl(s + c), c the float sum of the e_k, is correctly rounded when the
-    remainder (s + c - r) + (sum(e_k) - c), with |sum(e_k) - c| <= K * eps
-    * sum|e_k|, lies strictly inside half the gap to r's neighbour on each
-    side (the gaps differ at powers of two). Other columns, zero sums
-    (fsum decides the sign) and non-finite ones go to ``math.fsum``.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = rows[0]
-        c = np.zeros_like(s)
-        magnitude = np.zeros_like(s)
-        for row in rows[1:]:
-            s, e = _two_sum(s, row)
-            c += e
-            magnitude += np.abs(e)
-        r, rest = _two_sum(s, c)
-        bound = magnitude * (rows.shape[0] * np.finfo(np.float64).eps)
-        up = np.nextafter(r, np.inf) - r
-        down = r - np.nextafter(r, -np.inf)
-        exact = (rest + bound < 0.5 * up) & (rest - bound > -0.5 * down) & (r != 0.0)
-    for i in np.flatnonzero(~exact):
-        r[i] = math.fsum(rows[:, i])
-    return r
-
-
 def axpy_merge(rows: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     """Merge the (K, P) row stack into its weighted mean, a fresh (P,) array.
 
-    Coordinate i is math.fsum(w_k * rows[k, i] for k) / math.fsum(w), two
-    correctly rounded sums and so independent of the order of the rows;
-    weights of 1.0 sum to K exactly. K equal rows merge to that row itself
-    (the consensus case). The stack is read, never written: a trainer
-    merges its own theta stack in place of K parameter vectors, and weights
-    of 1.0 skip the product stack. Weights without a positive sum, and a
-    weight sum, weighted row, column sum or mean beyond the float range,
-    raise ``NumericInputError``.
+    The sum runs in row order: s = w_0 * rows[0], then s = s + w_k * rows[k]
+    for k = 1 .. K - 1, one elementwise IEEE add per row, so neither a BLAS
+    kernel nor the memory layout reaches the bits.
+    The mean is s / math.fsum(w); weights of 1.0 sum to K exactly. The
+    result depends on the order of the rows, so it is order-free only for
+    a stack in a canonical order, as the trainer's (``_StockStack``) is.
+    K equal rows merge to that row itself (the consensus case). The stack
+    is read, never written: a trainer merges its own theta stack in place
+    of K parameter vectors, and weights of 1.0 skip the product stack.
+    Weights without a positive sum, and a weight sum, weighted row, partial
+    sum or mean beyond the float range, raise ``NumericInputError``: a
+    partial sum can overflow although the whole column's would not, as in
+    [1e308, 1e308, -1e308].
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[0] != len(weights):
@@ -149,11 +119,14 @@ def axpy_merge(rows: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     if np.all(bits == bits[0]):
         # consensus (one row included): the weighted mean of K identical vectors is that vector
         return rows[0].copy()
-    try:
-        sums = fsum_columns(products)
-    except OverflowError:  # a column sum beyond the float range, although its mean is not
-        raise NumericInputError("a merged column sum overflows the float range") from None
+    # a loop, not np.add.reduce(axis=0): numpy reduces a single column, or a
+    # Fortran-ordered stack, pairwise from K = 8 on, not in row order
+    sums = products[0].copy()
     with np.errstate(over="ignore"):
+        for row in products[1:]:
+            sums += row
+        if not np.all(np.isfinite(sums)):  # finite rows, so only an overflow leaves inf
+            raise NumericInputError("a merged column sum overflows the float range")
         merged = sums / total
     if not np.all(np.isfinite(merged)):  # weights summing to far below 1
         raise NumericInputError("the merged mean overflows the float range")

@@ -10,8 +10,9 @@ Determinism contract: every stock shuffles from its own stream, keyed by
 (config seed, phase, stock identity) and seeded once per run; merge round
 r continues the stream where round r - 1 left it, and every stock draws
 exactly one permutation per epoch at every width. Each row of a stacked
-kernel call equals the one-row call, the optimizer step is elementwise
-and the merge is correctly rounded, so results are bit-identical
+kernel call equals the one-row call, the optimizer step is elementwise,
+and the stack keeps its rows in one canonical order, by (window count,
+stock id), which the merge sums in; so results are bit-identical
 regardless of kernel width or the position of a stock in the list.
 ``jobs`` is that width: the most stocks in one call's batch work. The
 theta-only kernel work, the loss reduction and the optimizer work (loss
@@ -186,7 +187,9 @@ class _StockStack:
 
     Row r of every stack holds stock ``order[r]``: rows run by (window
     count, stock id), so that the rows sharing a kernel call are always one
-    contiguous run. ``row_of[i]`` is the row of the i-th stock given.
+    contiguous run, and so that the merge, which sums the theta rows in
+    row order, gets the same bits whatever the order the stocks were given
+    in. ``row_of[i]`` is the row of the i-th stock given.
     Everything is bound once per run, at construction: the (K, P) theta,
     gradient and velocity stacks, a step scratch, a (K, batch size * H)
     residual stack, the batch losses with their N * H divisors, the
@@ -431,15 +434,18 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     at least 1, only caps the stocks in one kernel call (None: every stock),
     while the theta-only kernel work, like the optimizer's, spans every
     stock. Each round merges the theta stack itself, with one
-    ``axpy_merge`` call. Each stock's merge-phase generator is seeded
-    once, before round 1, from (config seed, merge, stock id), and every
-    round continues it; fine-tuning seeds one more per stock. So a run derives 2K seeds for
-    training, one for the template model and, without a shared init, K for
-    the stocks' inits. Round means and trace rows come from the (K, epochs)
-    loss and penalty arrays of ``train``; a trace row's ``wall_ms`` is the
-    wall time of the whole-stack epoch the row belongs to. The stack keeps
+    ``axpy_merge`` call: a sum in the stack's row order, which is canonical,
+    so the merge is order-free. Each stock's merge-phase generator is
+    seeded once, before round 1, from (config seed, merge, stock id), and
+    every round continues it; fine-tuning seeds one more per stock. So a
+    run derives 2K seeds for training, one for the template model and,
+    without a shared init, K for the stocks' inits. Round means and trace
+    rows come from the (K, epochs) loss and penalty arrays of ``train``; a
+    trace row's ``wall_ms`` is the wall time of the whole-stack epoch the
+    row belongs to. The stack keeps
     its rows in its own order, so merge weights, trace rows, fine-tuned
     models and update steps are mapped back to the order of ``stocks``.
+    With no merge rounds, fine-tuning starts from the template's init.
     """
     lookback, horizon, d = _check_stock_group(stocks)
     k_stocks = len(stocks)
@@ -465,11 +471,11 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     def seeds(tag, round_index):
         return [derive_seed(cfg.seed, tag, round_index, sid) for sid in stack.stock_ids]
 
-    global_params = None
+    global_params = init  # what fine-tuning starts from if there are no merge rounds
     merge_rngs = [np.random.default_rng(seed) for seed in seeds(_TAG_MERGE, 1)]
 
     for round_index in range(1, cfg.merge_rounds + 1):
-        if global_params is not None:
+        if round_index > 1:
             theta[:] = global_params.values
         try:
             log = stack.train(merge_rngs, cfg.local_epochs_per_round,
@@ -488,9 +494,6 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         mean_loss = math.fsum(log.losses.mean(axis=1).tolist()) / k_stocks  # correctly rounded: order-free
         trace.global_loss_per_round.append(mean_loss)
         trace.add("merge", round_index, "global", mean_loss, 0.0, 0.0)
-
-    if global_params is None:  # merge_rounds == 0: fall back to stock 0's init
-        global_params = init.replace(theta[given[0]])
 
     theta[:] = global_params.values
     try:

@@ -14,7 +14,6 @@ from csti.numerics import (
     dft_batch,
     dft_batch_adjoint,
     filter_operator_basis,
-    fsum_columns,
     load_container,
     real_idft_batch,
     real_idft_batch_adjoint,
@@ -195,43 +194,39 @@ def merge_columns(draw):
     return rows
 
 
-@settings(max_examples=300, deadline=None)
-@given(merge_columns())
-def test_fsum_columns_equals_fsum_bit_for_bit(rows):
-    expected = [math.fsum(col) for col in rows.T]
-    assert np.array_equal(_bits(fsum_columns(rows)), _bits(expected))
+def _row_order_mean(rows, weights):
+    """The merge's reference: a sequential loop over the rows, then a divide by fsum(w)."""
+    acc = weights[0] * rows[0]
+    for w, row in zip(weights[1:], rows[1:]):
+        acc = acc + w * row
+    return acc / math.fsum(weights)
 
 
-def test_fsum_columns_edge_columns():
-    columns = [
-        # s + c rounds (tie to even) up to 1.0, but the exact sum lies just
-        # below 1 - 2**-54, half the gap under the power of two
-        [1.0, -(2.0**-54), -(2.0**-110)],
-        [-0.0, -0.0, -0.0],
-        [1.0, -1.0, 0.0],
-        [3.0, 1e-300, -3.0],
-    ]
-    rows = np.array(columns).T
-    assert np.array_equal(_bits(fsum_columns(rows)), _bits([math.fsum(c) for c in columns]))
+def _layouts(rows):
+    """The stack C-ordered, Fortran-ordered, as a column-strided view and as a row-reversed view."""
+    spaced = np.zeros((rows.shape[0], 2 * rows.shape[1]))
+    spaced[:, ::2] = rows
+    return (np.ascontiguousarray(rows), np.asfortranarray(rows), spaced[:, ::2],
+            np.ascontiguousarray(rows[::-1])[::-1])
 
 
 @settings(max_examples=100, deadline=None)
-@given(merge_columns(), st.randoms(use_true_random=False))
-def test_axpy_merge_is_fsum_mean_and_order_free(rows, shuffler):
+@given(merge_columns(), st.none() | st.lists(st.floats(0.25, 4.0), min_size=40, max_size=40))
+def test_axpy_merge_is_the_row_order_mean_on_every_layout(rows, drawn):
+    # K up to 40 and single columns included: numpy reduces a lone column,
+    # or a Fortran-ordered stack, pairwise from K = 8 on, not in row order
     k = rows.shape[0]
-    merged = axpy_merge(rows, [1.0] * k)
+    weights = [1.0] * k if drawn is None else drawn[:k]
     if np.all(_bits(rows) == _bits(rows[0])):  # consensus: the shared vector itself
         expected = rows[0]
     else:
-        expected = [math.fsum(col) / k for col in rows.T]
-    assert np.array_equal(_bits(merged), _bits(expected))
-    order = list(range(k))
-    shuffler.shuffle(order)
-    assert np.array_equal(_bits(axpy_merge(rows[order], [1.0] * k)), _bits(merged))
+        expected = _row_order_mean(rows, weights)
+    for stack in _layouts(rows):
+        assert np.array_equal(_bits(axpy_merge(stack, weights)), _bits(expected))
 
 
 def test_axpy_merge_signed_zeros_are_order_free():
-    # +0.0 and -0.0 compare equal but are not a consensus; fsum/K is +0.0
+    # +0.0 and -0.0 compare equal but are not a consensus; +0.0 + -0.0 is +0.0 in either order
     for rows in ([0.0], [-0.0]), ([-0.0], [0.0]):
         merged = axpy_merge(np.array(rows), [1.0, 1.0])
         assert np.array_equal(_bits(merged), _bits([0.0]))
@@ -239,15 +234,15 @@ def test_axpy_merge_signed_zeros_are_order_free():
     assert np.array_equal(_bits(both_negative), _bits([-0.0]))
 
 
-def test_axpy_merge_weighted_is_fsum_of_products():
+@pytest.mark.parametrize("shape", [(24, 40), (24, 1), (200, 3)])
+def test_axpy_merge_weighted_is_the_row_order_sum_of_products(shape):
     rng = np.random.default_rng(53)
-    rows = rng.standard_normal((7, 40))
-    weights = rng.uniform(0.0, 3.0, size=7)
-    merged = axpy_merge(rows, weights)
-    total = math.fsum(weights)
-    expected = [math.fsum(w * x for w, x in zip(weights, col)) / total for col in rows.T]
-    assert np.array_equal(_bits(merged), _bits(expected))
-    assert np.allclose(merged, np.average(rows, axis=0, weights=weights), rtol=0, atol=1e-15)
+    rows = rng.standard_normal(shape)
+    weights = rng.uniform(0.0, 3.0, size=shape[0])
+    expected = _row_order_mean(rows, weights)
+    for stack in _layouts(rows):
+        assert np.array_equal(_bits(axpy_merge(stack, weights)), _bits(expected))
+    assert np.allclose(expected, np.average(rows, axis=0, weights=weights), rtol=0, atol=1e-15)
 
 
 def test_axpy_merge_divides_by_the_weight_sum():
@@ -257,8 +252,9 @@ def test_axpy_merge_divides_by_the_weight_sum():
     assert np.array_equal(axpy_merge(rows, [1.0, 3.0]), [2.5, 2.5])
     rows = np.random.default_rng(59).standard_normal((5, 30))
     uniform = axpy_merge(rows, [1.0] * 5)
-    # fsum(w) is exactly K for weights of 1.0, so uniform merges keep the 1/K bits
-    assert np.array_equal(_bits(uniform), _bits([math.fsum(col) / 5 for col in rows.T]))
+    # fsum(w) is exactly K for weights of 1.0, so uniform merges divide the row sum by K
+    row_sum = rows[0] + rows[1] + rows[2] + rows[3] + rows[4]
+    assert np.array_equal(_bits(uniform), _bits(row_sum / 5))
     # 2 * x and dividing by 2K are exact, so scaling every weight by 2 keeps every bit
     assert np.array_equal(_bits(axpy_merge(rows, [2.0] * 5)), _bits(uniform))
 
@@ -282,7 +278,7 @@ def test_axpy_merge_rejects_a_weight_sum_that_is_not_a_positive_float(weights, m
 @pytest.mark.parametrize("rows", [np.ones((1, 3)), np.ones((3, 4)), np.arange(12.0).reshape(3, 4)])
 def test_axpy_merge_reads_the_stack_and_returns_a_fresh_row(rows):
     # the trainer merges its live theta stack, so the merge must not write
-    # it or hand back a view of it (single row, consensus and fsum paths)
+    # it or hand back a view of it (single row, consensus and sum paths)
     before = rows.tobytes()
     merged = axpy_merge(rows, [1.0] * len(rows))
     assert rows.tobytes() == before
@@ -319,6 +315,12 @@ def test_axpy_merge_overflow_is_a_numeric_input_error(rows, weights):
     # these used to escape as a RuntimeWarning, then a raw ValueError or OverflowError
     with pytest.raises(NumericInputError, match="overflows the float range"):
         axpy_merge(np.array(rows), weights)
+
+
+def test_axpy_merge_names_a_partial_sum_that_overflows():
+    # the whole column sums to 1e308, but the row-order sum passes through 2e308
+    with pytest.raises(NumericInputError, match="a merged column sum overflows the float range"):
+        axpy_merge(np.array([[1e308], [1e308], [-1e308]]), [1.0] * 3)
 
 
 _HUGE = st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False)

@@ -316,9 +316,10 @@ def test_lockstep_rows_match_train_local():
 
 
 @functools.lru_cache(maxsize=1)
-def _five_unequal_stocks():
-    # 47, 68, 89, 113 and 138 windows: 2 to 5 batches of 32, unequal last batches
-    return _unequal_market(lengths=(90, 120, 150, 185, 220), seed=53)
+def _six_stocks_with_ties():
+    # 46, 89, 68, 89, 138 and 46 windows: 2 to 5 batches of 32, unequal last
+    # batches, and two pairs of equal size, which the stack orders by stock id
+    return _unequal_market(lengths=(90, 150, 120, 150, 220, 90), seed=53)
 
 
 def _keyed_fingerprint(result, train):
@@ -336,19 +337,56 @@ def _keyed_fingerprint(result, train):
 @given(kind=st.sampled_from(MODEL_KINDS), data=st.data())
 def test_run_csti_is_bit_identical_at_every_width_and_stock_order(kind, data):
     # the determinism contract: each stock's shuffle stream is keyed by its
-    # id and continued across merge rounds, so neither the kernel width nor
-    # the position of a stock moves a bit
-    picked = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True),
+    # id and continued across merge rounds, and the merge sums the stack's
+    # rows in their (window count, stock id) order, so neither the kernel
+    # width nor the position of a stock, nor its merge weight's, moves a bit
+    stocks = _six_stocks_with_ties()
+    picked = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=5, unique=True),
                        label="stocks, in run order")
     width = data.draw(st.none() | st.integers(1, len(picked)), label="width (None: every stock)")
-    cfg = CstiConfig(stocks=len(picked), merge_rounds=data.draw(st.integers(3, 4)),
-                     finetune_epochs=1, batch_size=32, seed=61,
-                     local_epochs_per_round=data.draw(st.integers(1, 2)))
-    stocks = _five_unequal_stocks()
-    reference = [stocks[i] for i in sorted(picked)]
-    permuted = [stocks[i] for i in picked]
-    expected = _keyed_fingerprint(run_csti(reference, kind, cfg, jobs=1), reference)
-    assert _keyed_fingerprint(run_csti(permuted, kind, cfg, jobs=width), permuted) == expected
+    weights = data.draw(st.none() | st.lists(st.floats(0.25, 4.0), min_size=6, max_size=6),
+                        label="merge weight of each stock (None: uniform)")
+    cfg = dict(stocks=len(picked), merge_rounds=data.draw(st.integers(3, 4)),
+               finetune_epochs=1, batch_size=32, seed=61,
+               local_epochs_per_round=data.draw(st.integers(1, 2)))
+
+    def run(order, jobs):
+        given_weights = None if weights is None else [weights[i] for i in order]
+        train = [stocks[i] for i in order]
+        result = run_csti(train, kind, CstiConfig(**cfg, merge_weights=given_weights), jobs=jobs)
+        return _keyed_fingerprint(result, train)
+
+    assert run(picked, width) == run(sorted(picked), 1)
+
+
+def test_equal_sized_stocks_merge_in_stock_id_order_whatever_the_order_given():
+    # six stocks in two sizes, skewed weights: every order given merges the same rows
+    train = _unequal_market(lengths=(150, 120, 150, 120, 150, 120), seed=67)
+    weights = (0.5, 3.0, 1.0, 2.5, 0.25, 4.0)
+    cfg = dict(stocks=6, merge_rounds=3, finetune_epochs=1, batch_size=32, seed=71)
+    runs = []
+    for perm in ([0, 1, 2, 3, 4, 5], [5, 3, 1, 4, 2, 0], [2, 0, 5, 1, 3, 4]):
+        given_stocks = [train[i] for i in perm]
+        result = run_csti(given_stocks, "paifilter",
+                          CstiConfig(**cfg, merge_weights=[weights[i] for i in perm]))
+        runs.append(_keyed_fingerprint(result, given_stocks))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("kind", ["dlinear", "texfilter"])
+def test_no_merge_rounds_without_a_shared_init_starts_from_the_template(kind):
+    # without merge rounds there is no merged model to fine-tune from; the
+    # init of the stock given first would make every output depend on the order
+    train = _unequal_market()
+    cfg = CstiConfig(stocks=3, merge_rounds=0, finetune_epochs=2, seed=43, shared_init=False)
+    template = build_model(kind, 16, 1, 3, seed=derive_seed(cfg.seed, _TAG_INIT, 0))
+    runs = []
+    for perm in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+        given_stocks = [train[i] for i in perm]
+        result = run_csti(given_stocks, kind, cfg)
+        assert result.global_params.values.tobytes() == _params(template).values.tobytes()
+        runs.append(_keyed_fingerprint(result, given_stocks))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 @pytest.mark.parametrize("shared_init,expected", [(True, 2 * 3 + 1), (False, 3 * 3 + 1)])
