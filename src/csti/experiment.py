@@ -576,11 +576,13 @@ def main(argv=None) -> int:
     parser.add_argument("--stocks", type=int, default=None,
                         help="override stock group size")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="max stocks in one kernel call, at least 1; by default every "
-                             "stock, which is fastest but holds every stock's kernel buffers "
-                             "at once (a 24-stock texfilter run with 20 merge rounds and 20 "
-                             "fine-tune epochs peaks at 51.6 MiB RSS, against 42.3 MiB at 2). "
-                             "Results do not depend on it")
+                        help="max stocks in one kernel call that holds buffers (texfilter, "
+                             "frets), at least 1; by default every stock, which is fastest "
+                             "but holds every stock's kernel buffers at once (a 24-stock "
+                             "texfilter run with 20 merge rounds and 20 fine-tune epochs "
+                             "peaks at 51.6 MiB RSS, against 42.3 MiB at 2). dlinear and "
+                             "paifilter calls hold none, so stocks with equal window counts "
+                             "share one call past the cap. Results do not depend on it")
     args = parser.parse_args(argv)
 
     try:

@@ -42,12 +42,12 @@ sum r * d(pred)/d(theta). ``bind_rows`` binds the theta-only work over
 every row of a stack and a ``workspace(K)``: a prologue builds what
 depends on theta alone, and an epilogue turns the data work's per-row
 reductions into gradient coordinates. A trainer runs the prologue once
-per step over its active rows, its width-capped data calls, the
-epilogue, one dot r . r per run of rows with one batch size
-(``bind_sum_of_squares``), one loss divide and one scale of the gradient
-by 2 / (N * H); ``bind`` composes the same for a one-off call. Every
-product and reduction runs per row, so each row is bit-identical to the
-K=1 call.
+per step over its active rows, its data calls (``jobs`` caps the rows of
+a call that holds buffers), the epilogue, one dot r . r per run of rows
+with one batch size (``bind_sum_of_squares``), one loss divide and one
+scale of the gradient by 2 / (N * H); ``bind`` composes the same for a
+one-off call. Every product and reduction runs per row, so each row is
+bit-identical to the K=1 call.
 The kernels check nothing: the trainer owns theta and checks shapes.
 Reuse matters because temporaries freed at the end of every step leave
 the top of the glibc heap free: glibc trims it, and the next step
@@ -297,9 +297,12 @@ class ForecastModel:
         """Per-row batch MSE of a stack; its gradient goes into ``g`` (see ``bind``).
 
         ``call`` runs as it is and its result is returned; without one a
-        fresh ``bind`` call runs. A trainer runs each width-capped
-        ``bind_batch`` call through here and leaves the prologue, epilogue,
-        loss reduction and gradient scale to its step.
+        fresh ``bind`` call runs. A trainer runs each of its ``bind_batch``
+        calls through here, one per block and batch size: ``jobs`` caps the
+        rows of a call that holds buffers, while dlinear and paifilter calls,
+        which hold none, also take every equal-size row after the cap. It
+        leaves the prologue, epilogue, loss reduction and gradient scale to
+        its step.
         """
         return (call or self.bind(p, inputs, targets, g))()
 

@@ -14,10 +14,12 @@ kernel call equals the one-row call, the optimizer step is elementwise,
 and the stack keeps its rows in one canonical order, by (window count,
 stock id), which the merge sums in; so results are bit-identical
 regardless of kernel width or the position of a stock in the list.
-``jobs`` is that width: the most stocks in one call's batch work. The
-theta-only kernel work, the loss reduction and the optimizer work (loss
-divide and guard, gradient scale, proximal term, momentum step,
-finiteness check) always span all K.
+``jobs`` is that width: it caps the stocks in one call's batch work, and
+with it the buffers the call holds. Kinds whose data calls hold no
+buffers (dlinear, paifilter) let stocks of equal window count past the
+cap, into one call. The theta-only kernel work, the loss reduction and
+the optimizer work (loss divide and guard, gradient scale, proximal
+term, momentum step, finiteness check) always span all K.
 
 A run binds its trainer once (``_StockStack``): its stacks, designs,
 buffers and bound kernel work live as long as the run, and every step
@@ -206,12 +208,21 @@ class _StockStack:
     step faults the pages back in, at a cost that swings with the
     allocator's state.
 
-    A block is a run of at most ``width`` consecutive rows; no kernel call
-    spans two blocks. The stack keeps one contiguous design per stock, the
-    ``rows_read`` of its windows (N, ...), and each epoch writes it, in
-    the stock's shuffled order, into its row of its block's (rows, most
-    windows, ...) buffer, so a kernel call reads its batch as one view and
-    each take copies only what the kernel reads. Each block keeps
+    A block is a run of consecutive rows; no kernel call spans two blocks.
+    Blocks close at every multiple of ``width`` rows, which bounds the
+    buffers a data call holds (``workspace(rows, n)``). A kind whose calls
+    hold none beyond ``pred``, as dlinear and paifilter, keeps a block open
+    past its cut while the next row has the same window count: that row
+    pads no design, and its calls join the block's calls of one batch
+    size. So at any width equal-size stocks share one data call per batch
+    index, and no row's design is padded to more windows than when
+    blocks close at the cuts.
+
+    The stack keeps one contiguous design per stock, the ``rows_read`` of
+    its windows (N, ...), and each epoch writes it, in the stock's shuffled
+    order, into its row of its block's (rows, most windows, ...) buffer, so
+    a kernel call reads its batch as one view and each take copies only
+    what the kernel reads. Each block keeps
     its own buffers, not one array over all K stocks: glibc serves an array
     that large by mmap, and freeing it raises glibc's mmap and trim
     thresholds, so later frees are no longer returned to the OS and peak
@@ -245,14 +256,21 @@ class _StockStack:
         residuals = np.zeros((k_rows, min(batch_size, self.sizes[-1]) * horizon))
         self._shuffle = []  # per row: designs, targets, and its rows of the block buffers
         blocks = []  # (first row, end row, shuffled designs, shuffled targets)
-        for lo in range(0, k_rows, width):
-            hi = min(lo + width, k_rows)
+        call_buffers = any(model._buffers(batch_size)[2:])  # does a data call hold buffers?
+        lo = 0
+        for cut in range(width, k_rows + width, width):
+            hi = min(cut, k_rows)
+            while not call_buffers and hi < k_rows and self.sizes[hi] == self.sizes[hi - 1]:
+                hi += 1  # an equal-count row adds no padding and no call buffers
+            if hi <= lo:  # an earlier block ran past this cut
+                continue
             buffers = (np.zeros((hi - lo, self.sizes[hi - 1], *checked[0][0].shape[1:])),
                        np.zeros((hi - lo, self.sizes[hi - 1], model.horizon)))
             for r in range(lo, hi):
                 self._shuffle.append((*checked[self.order[r]],
                                       *(buf[r - lo, : self.sizes[r]] for buf in buffers)))
             blocks.append((lo, hi, *buffers))
+            lo = hi
         row_ws, workspaces = model.workspace(k_rows), {}  # theta-only; per (rows, batch size)
 
         @functools.cache
@@ -432,8 +450,10 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     (``_StockStack``): one ``train`` call per merge round and one for
     fine-tuning, each starting from zero velocity. ``jobs``, an integer of
     at least 1, only caps the stocks in one kernel call (None: every stock),
-    while the theta-only kernel work, like the optimizer's, spans every
-    stock. Each round merges the theta stack itself, with one
+    and so the buffers that call holds; dlinear and paifilter calls hold
+    none, so their equal-size stocks share a call past the cap. The
+    theta-only kernel work, like the optimizer's, spans every stock.
+    Each round merges the theta stack itself, with one
     ``axpy_merge`` call: a sum in the stack's row order, which is canonical,
     so the merge is order-free. Each stock's merge-phase generator is
     seeded once, before round 1, from (config seed, merge, stock id), and

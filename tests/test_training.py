@@ -315,6 +315,55 @@ def test_lockstep_rows_match_train_local():
         assert row.stock_id == ds.stock_id and [row.data_loss] == alone.epoch_losses
 
 
+@pytest.mark.parametrize("kind", ["dlinear", "paifilter"])
+def test_equal_size_rows_of_one_call_match_train_local(kind, monkeypatch):
+    # at jobs=1 the affine kinds still run equal-size stocks in one call,
+    # and each of its rows trains as the stock would alone
+    train = _unequal_market(lengths=(150, 120, 150, 120, 150, 120), seed=67)
+    rows = []
+    kernel = ForecastModel.loss_and_gradient
+
+    def counting(self, *args):
+        rows.append(len(args[1]))
+        return kernel(self, *args)
+
+    monkeypatch.setattr(ForecastModel, "loss_and_gradient", counting)
+    cfg = CstiConfig(stocks=6, merge_rounds=1, finetune_epochs=0, seed=41)
+    result = run_csti(train, kind, cfg, jobs=1)
+    assert max(rows) == 3  # 68 and 89 windows, three stocks each
+    monkeypatch.undo()
+    init = build_model(kind, 16, 1, 3, seed=derive_seed(cfg.seed, _TAG_INIT, 0))
+    for ds, row in zip(train, [r for r in result.trace.rows if r.stock_id != "global"]):
+        alone = train_local(init, ds, 1, cfg.learning_rate, cfg.momentum, cfg.batch_size,
+                            seed=derive_seed(cfg.seed, _TAG_MERGE, 1, ds.stock_id))
+        assert row.stock_id == ds.stock_id and [row.data_loss] == alone.epoch_losses
+
+
+def _block_buffer_bytes(stack):
+    """Summed nbytes of the stack's shuffled design and target block buffers."""
+    buffers = {id(view.base): view.base for _, _, *views in stack._shuffle for view in views}
+    return sum(buf.nbytes for buf in buffers.values())
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("lengths,seed", [((150, 200, 260), 29),
+                                          ((90, 150, 120, 150, 220, 90), 53),
+                                          ((90, 120, 120, 150, 260), 53)])
+def test_block_buffers_never_outgrow_the_width_capped_layout(kind, lengths, seed):
+    # a block that runs past its cut pads no design, and the next block
+    # still closes at the next cut: with 46, 68, 68, 89 and 166 windows at
+    # width 2, blocks of two rows after the first block's extension would
+    # pad the 89-window row to 166
+    train = _unequal_market(lengths=lengths, seed=seed)
+    for jobs in (1, 2, None):
+        width = jobs or len(train)
+        stack = training._StockStack(build_model(kind, 16, 1, 3, seed=2), train, 32, width)
+        window_bytes = stack._shuffle[0][0][0].nbytes + stack._shuffle[0][1][0].nbytes
+        capped = sum(len(stack.sizes[lo : lo + width]) * max(stack.sizes[lo : lo + width])
+                     for lo in range(0, len(stack.sizes), width)) * window_bytes
+        assert _block_buffer_bytes(stack) <= capped, jobs
+
+
 @functools.lru_cache(maxsize=1)
 def _six_stocks_with_ties():
     # 46, 89, 68, 89, 138 and 46 windows: 2 to 5 batches of 32, unequal last
@@ -629,19 +678,38 @@ def test_the_loss_guard_sees_batch_means_not_sums(small_market):
     assert named == [(train[1].stock_id, named[0][1])] * 2
 
 
-def _kernel_calls_per_epoch(sizes, width, batch_size):
-    """Calls of the parent's per-group stacks: per block of ``width`` stocks
-    and batch index, one call per distinct batch size among its rows."""
+def _blocks(sizes, width, extend):
+    """The blocks of a stack's ascending window ``sizes``: a cut after every
+    ``width`` rows, which with ``extend`` moves on past the rows that equal
+    the row before it. So row r starts a block when a cut falls in the run
+    of equal rows that ends at r - 1 and row r does not extend that run."""
+    starts = [0]
+    for r in range(1, len(sizes)):
+        tied = extend and sizes[r] == sizes[r - 1]
+        run_start = sizes.index(sizes[r - 1]) if extend else r - 1
+        if not tied and any(cut % width == 0 for cut in range(run_start + 1, r + 1)):
+            starts.append(r)
+    return [sizes[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(sizes)])]
+
+
+def _kernel_calls_per_epoch(blocks, batch_size):
+    """Per block and batch index, one call per distinct batch size among its rows."""
     return sum(
-        len({min(batch_size, n - start) for n in sizes[lo : lo + width] if start < n})
-        for lo in range(0, len(sizes), width)
-        for start in range(0, max(sizes), batch_size)
+        len({min(batch_size, n - start) for n in block if start < n})
+        for block in blocks
+        for start in range(0, max(map(max, blocks)), batch_size)
     )
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, None])
 def test_jobs_caps_the_rows_of_every_kernel_call(jobs, monkeypatch):
-    train = _unequal_market()
+    # texfilter's data calls hold buffers, so no call takes more than jobs
+    # stocks; dlinear's and paifilter's hold none, so their blocks run on
+    # past the cap over the stocks of equal window count
+    train = _six_stocks_with_ties()
+    sizes, width = sorted(ds.n_windows for ds in train), jobs or 6  # None: every stock
+    assert sizes == [46, 46, 68, 89, 89, 138]  # in batches of 32
+    cfg = CstiConfig(stocks=6, merge_rounds=2, finetune_epochs=1, batch_size=32, seed=53)
     rows = []
     kernel = ForecastModel.loss_and_gradient
 
@@ -650,14 +718,17 @@ def test_jobs_caps_the_rows_of_every_kernel_call(jobs, monkeypatch):
         return kernel(self, p, inputs, targets, g, call)
 
     monkeypatch.setattr(ForecastModel, "loss_and_gradient", counting)
-    cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=2, seed=53)
-    run_csti(train, "dlinear", cfg, jobs=jobs)
-    sizes, width = [ds.n_windows for ds in train], jobs or 3  # None, the default: every stock
-    per_epoch = _kernel_calls_per_epoch(sizes, width, cfg.batch_size)
-    # 89, 124 and 166 windows in batches of 64
-    assert per_epoch == {1: 7, 2: 6, 3: 5}[width]
-    assert max(rows) <= width
-    assert len(rows) == per_epoch * cfg.epochs_budget
+    for kind in ("dlinear", "paifilter", "texfilter"):
+        rows.clear()
+        run_csti(train, kind, cfg, jobs=jobs)
+        extend = kind != "texfilter"
+        per_epoch = _kernel_calls_per_epoch(_blocks(sizes, width, extend), cfg.batch_size)
+        assert per_epoch == {(1, False): 18, (2, False): 12, (3, False): 10, (6, False): 8,
+                             (1, True): 13, (2, True): 11, (3, True): 10,
+                             (6, True): 8}[width, extend]
+        assert len(rows) == per_epoch * cfg.epochs_budget, kind
+        if not extend:
+            assert max(rows) <= width
 
 
 @pytest.mark.parametrize("jobs", [2.5, "2", True])
@@ -719,13 +790,18 @@ def test_run_csti_runs_every_step_through_the_traced_kernel(small_market, monkey
     monkeypatch.setattr(ForecastModel, "loss_and_gradient", counting)
     steps = _count_sgd_steps(monkeypatch)
     cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, seed=47)
-    result = run_csti(train, "dlinear", cfg, jobs=1)
+    run_csti(train, "dlinear", cfg, jobs=1)
+    # one step per (epoch, batch index), over every stock with a batch there;
+    # the three stocks have 194 windows each, and a dlinear call holds no
+    # buffers, so at jobs=1 too they share one call per step
+    batches = [-(-ds.n_windows // cfg.batch_size) for ds in train]
+    assert len(calls) == len(steps) == cfg.epochs_budget * max(batches)
+    assert set(calls) == {3}
+    assert max(steps) == len(train)
+    calls.clear()
+    result = run_csti(train, "texfilter", cfg, jobs=1)  # its calls hold buffers
     assert set(calls) == {1}
     assert len(calls) == sum(result.trace.lineage_update_steps) > 0
-    # one step per (epoch, batch index), over every stock with a batch there
-    batches = [-(-ds.n_windows // cfg.batch_size) for ds in train]
-    assert len(steps) == cfg.epochs_budget * max(batches)
-    assert max(steps) == len(train)
 
 
 def test_run_normal_runs_every_step_through_the_traced_sgd_step(small_market, monkeypatch):
