@@ -17,7 +17,6 @@ from .data import (
     denormalize_close,
     fit_normalizer,
     generate_synthetic_market,
-    load_csv,
     load_csv_detailed,
     make_windows,
     normalize,

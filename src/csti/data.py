@@ -220,12 +220,6 @@ def load_csv_detailed(path, with_sentiment: bool = False, min_rows: int = 2,
     return series, rejections
 
 
-def load_csv(path, with_sentiment: bool = False, min_rows: int = 2,
-             stock_id: str | None = None) -> StockSeries:
-    series, _ = load_csv_detailed(path, with_sentiment, min_rows, stock_id)
-    return series
-
-
 def stock_id_from_path(path: str) -> str:
     """The stock id of a CSV loaded without an explicit one: the file name's stem."""
     name = path.replace("\\", "/").rsplit("/", 1)[-1]

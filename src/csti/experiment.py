@@ -22,12 +22,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, data
 from .data import (
     StockSeries,
     fit_normalizer,
     generate_synthetic_market,
-    load_csv,
     make_windows,
     normalize,
     split_bounds,
@@ -393,10 +392,9 @@ def _load_market(spec: ExperimentSpec) -> list[StockSeries]:
         )
     min_rows = spec.lookback + spec.horizon + 1
     want_sentiment = "with_sentiment" in spec.feature_sets
-    return [
-        load_csv(p, with_sentiment=want_sentiment, min_rows=min_rows)
-        for p in spec.csv_paths
-    ]
+    # looked up on ``data``, so that a wrapper set there sees every load
+    return [data.load_csv_detailed(p, with_sentiment=want_sentiment, min_rows=min_rows)[0]
+            for p in spec.csv_paths]
 
 
 def _prepare_feature_set(market, feature_set, spec):
@@ -537,27 +535,28 @@ def _write_summary(spec, summary, path):
 # command line front-end
 # ---------------------------------------------------------------------------
 
+# (command-line flag, ``_FIELDS`` path) of the overrides that replace one top-level field
+_OVERRIDES = (("seed", "seed"), ("out", "out_dir"), ("strategy", "strategies"),
+              ("model", "models"), ("jobs", "jobs"))
+
+
 def _apply_overrides(raw: dict, args) -> dict:
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["out_dir"] = args.out
-    if args.strategy:
-        raw["strategies"] = args.strategy.split(",")
-    if args.model:
-        raw["models"] = args.model.split(",")
+    """``raw`` with every given flag written over its field; a list field splits on commas."""
+    checks = {row.path: row.check for row in _FIELDS}
+    for flag, path in _OVERRIDES:
+        value = getattr(args, flag)
+        if value is not None:
+            raw[path] = value.split(",") if checks[path] is _non_empty_list else value
     if args.stocks is not None and isinstance(raw.setdefault("data", {}), dict):
-        data = raw["data"]
-        paths = data.get("paths")
-        if data.get("source") != "csv":
-            data["stocks"] = args.stocks
+        section = raw["data"]
+        paths = section.get("paths")
+        if section.get("source") != "csv":
+            section["stocks"] = args.stocks
         elif isinstance(paths, list):
             if not 1 <= args.stocks <= len(paths):
                 raise SpecValidationError(
                     [f"--stocks: {args.stocks} is not in 1..{len(paths)}, the number of data.paths"])
-            data["paths"] = paths[: args.stocks]
-    if args.jobs is not None:
-        raw["jobs"] = args.jobs
+            section["paths"] = paths[: args.stocks]
     return raw
 
 

@@ -19,18 +19,20 @@ conjugate-symmetric, so their filtered spectra are projected back onto
 real signals. Backward passes are hand-derived and are checked against
 central finite differences in the test suite.
 
-Parameters live in flat float64 rows. Each kind declares an ordered
+A model holds its parameters as one ``numerics.ParamVector``, which checks
+them once, and exports that same object. Each kind declares an ordered
 (segment name, shape, initializer) table, one segment per tensor a kernel
 reads in place; the (name, length) layout and the seeded initial draw both
-follow it. Kernels run over a (K, P) stack of rows through the named
-(K, ...) views ``unpack`` makes of it. Each kind's ``rows_read`` turns
-(N, L, d) windows into the contiguous design its kernel reads. Dlinear and
-paifilter are affine maps of the window once theta is fixed, so their
-design is the part of the window they read plus a column of ones, and a
-data call is one product with a per-row weight block W the prologue
-builds: ``pred = X @ W`` forward and ``gW = X^T @ r`` backward, which
-the epilogue folds back into the segments. Texfilter and frets read the
-whole window.
+follow it, and a model rejects a vector of any other layout. Kernels run
+over a (K, P) stack of flat float64 rows, the model's own or a trainer's,
+through the named (K, ...) views ``unpack`` makes of it. Each kind's
+``rows_read`` turns (N, L, d) windows into the contiguous design its
+kernel reads. Dlinear and paifilter are affine maps of the window once
+theta is fixed, so their design is the part of the window they read plus
+a column of ones, and a data call is one product with a per-row weight
+block W the prologue builds: ``pred = X @ W`` forward and
+``gW = X^T @ r`` backward, which the epilogue folds back into the
+segments. Texfilter and frets read the whole window.
 
 Every kind's kernel is bound once over views and buffers, as functions
 of no arguments that run only ufuncs and matmuls writing with ``out=``,
@@ -106,8 +108,8 @@ def _check_batch(inputs, targets, lookback, horizon, n_features):
 class ForecastModel:
     """A kind's kernel plus one immutable parameter vector.
 
-    The instance's own theta is a read-only, finite copy checked at
-    construction; it serves prediction, export and checkpoints. The binds
+    The instance's own theta is the ``ParamVector`` it was built over, viewed
+    in place; it serves prediction, export and checkpoints. The binds
     take the ``unpack`` views of a theta stack and of a gradient stack
     instead, so a trainer binds its kernel work once over its own buffers
     and runs it without rebuilding the model.
@@ -116,28 +118,21 @@ class ForecastModel:
     kind = "abstract"
 
     def __init__(self, lookback: int, horizon: int, n_features: int,
-                 hyper: dict, values: np.ndarray):
+                 hyper: dict, params: ParamVector):
         self.lookback = int(lookback)
         self.horizon = int(horizon)
         self.n_features = int(n_features)
         self.hyper = dict(hyper)
         shapes = self.segments(self.lookback, self.horizon, self.n_features, self.hyper)
-        self._layout = tuple((name, math.prod(shape)) for name, shape, _ in shapes)
+        layout = tuple((name, math.prod(shape)) for name, shape, _ in shapes)
+        if params.layout != layout:
+            raise MergeIncompatibilityError(f"{self.kind}: the parameter layout is not this model's")
         self._views, total = [], 0
-        for (name, length), (_, shape, _) in zip(self._layout, shapes):
+        for (name, length), (_, shape, _) in zip(layout, shapes):
             self._views.append((name, slice(total, total + length), shape))
             total += length
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.size != total:
-            raise MergeIncompatibilityError(
-                f"{self.kind}: expected {total} parameters, got {values.size}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise NumericInputError(f"{self.kind}: non-finite parameters")
-        values = values.copy()
-        values.flags.writeable = False
-        self._values = values
-        self._theta_views = self.unpack(values[None])
+        self._params = params
+        self._theta_views = self.unpack(params.values[None])
 
     # -- subclass hooks ----------------------------------------------------
     @classmethod
@@ -174,7 +169,7 @@ class ForecastModel:
     # -- shared behaviour --------------------------------------------------
     @property
     def n_params(self) -> int:
-        return self._values.size
+        return len(self._params)
 
     def unpack(self, stack: np.ndarray) -> dict:
         """Named (K, ...) views of a (K, P) stack, one per segment."""
@@ -282,16 +277,12 @@ class ForecastModel:
         return float(total[0] / residual.size)
 
     def export_params(self) -> ParamVector:
-        return ParamVector(self._values, self._layout)
+        """The parameter vector this model holds: the same object, not a copy."""
+        return self._params
 
     def import_params(self, pvec: ParamVector) -> "ForecastModel":
-        if pvec.layout != self._layout:
-            raise MergeIncompatibilityError(
-                f"{self.kind}: incoming layout does not match model layout"
-            )
-        return type(self)(
-            self.lookback, self.horizon, self.n_features, self.hyper, pvec.values
-        )
+        """This model's kind, shapes and hyper over ``pvec``, held as it is."""
+        return type(self)(self.lookback, self.horizon, self.n_features, self.hyper, pvec)
 
     def loss_and_gradient(self, p, inputs, targets, g, call=None) -> np.ndarray:
         """Per-row batch MSE of a stack; its gradient goes into ``g`` (see ``bind``).
@@ -313,7 +304,7 @@ class ForecastModel:
         grad = np.empty((1, self.n_params))
         self.loss_and_gradient(self._theta_views, self.rows_read(inputs)[None], targets[None],
                                self.unpack(grad))
-        return ParamVector(grad[0], self._layout)
+        return self._params.replace(grad[0])
 
 
 def bind_sum_of_squares(residuals, out):
@@ -419,8 +410,8 @@ class DLinearModel(_Affine, ForecastModel):
 
     kind = "dlinear"
 
-    def __init__(self, lookback, horizon, n_features, hyper, values):
-        super().__init__(lookback, horizon, n_features, hyper, values)
+    def __init__(self, lookback, horizon, n_features, hyper, params):
+        super().__init__(lookback, horizon, n_features, hyper, params)
         # forecast step h (0-based) sits at window-relative time t = L + h
         t = self.lookback + np.arange(self.horizon, dtype=np.float64)
         harm = np.arange(1, self.hyper["harmonics"] + 1, dtype=np.float64)
@@ -851,10 +842,11 @@ def build_model(kind: str, lookback: int, horizon: int, n_features: int,
     """Construct a seeded model; layout depends only on the arguments."""
     cls, shapes, resolved = _resolve(kind, lookback, horizon, n_features, hyper or {})
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), MODEL_KINDS.index(kind))))
-    values = np.concatenate([
-        init(rng, math.prod(shape)) for _, shape, init in cls.segments(*shapes, resolved)
-    ])
-    return cls(*shapes, resolved, values)
+    layout, draws = [], []
+    for name, shape, init in cls.segments(*shapes, resolved):
+        layout.append((name, math.prod(shape)))
+        draws.append(init(rng, layout[-1][1]))
+    return cls(*shapes, resolved, ParamVector(np.concatenate(draws), layout))
 
 
 def save_checkpoint(model: ForecastModel, path) -> None:
@@ -882,9 +874,6 @@ def load_checkpoint(path) -> ForecastModel:
             header["kind"], header["lookback"], header["horizon"], header["n_features"],
             header["hyper"], complete=True,
         )
-        model = cls(*shapes, hyper, pvec.values)
-        if pvec.layout != model._layout:
-            raise ContractViolation("parameter layout does not match the header")
-        return model
+        return cls(*shapes, hyper, pvec)
     except (CstiError, TypeError) as err:  # TypeError: an unhashable kind
         raise ContractViolation(f"{path}: {err}") from None

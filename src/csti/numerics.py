@@ -44,8 +44,11 @@ from .errors import ContractViolation, CstiError, NumericInputError
 class ParamVector:
     """Flat float64 values and their layout: (name, length) pairs of consecutive segments.
 
-    Two vectors fit the same model iff their layouts are identical.
-    Instances are immutable; algebra returns new vectors.
+    Two vectors fit the same model iff their layouts are identical. The
+    constructor is the one place a vector is checked: a well-formed layout
+    that covers every value, and finite values, which it copies read-only.
+    Instances are immutable, so a model holds the vector it was built over
+    and exports that very object; ``replace`` returns a new vector.
     """
 
     __slots__ = ("values", "layout")

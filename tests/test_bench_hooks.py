@@ -10,6 +10,7 @@ traced run with a KeyError or AttributeError, so this test loads
 import importlib.util
 from pathlib import Path
 
+from csti import data, experiment
 from csti.models import MODEL_KINDS, ForecastModel
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -36,3 +37,22 @@ def test_every_patch_point_resolves_as_the_tracer_looks_it_up():
 def test_every_model_kind_is_a_direct_subclass():
     # the traced run wraps predict_batch on each direct subclass only
     assert {cls.kind for cls in ForecastModel.__subclasses__()} == set(MODEL_KINDS)
+
+
+def test_csv_market_loads_through_the_data_modules_loader(tmp_path, monkeypatch):
+    # the traced run counts CSV ingest by wrapping data.load_csv_detailed alone
+    paths = []
+    for series in data.generate_synthetic_market(2, 80, 0.5, seed=3):
+        paths.append(str(tmp_path / f"{series.stock_id}.csv"))
+        data.save_series_csv(series, paths[-1])
+    calls, load = [], data.load_csv_detailed
+
+    def counting(path, *args, **kwargs):
+        calls.append(str(path))
+        return load(path, *args, **kwargs)
+    monkeypatch.setattr(data, "load_csv_detailed", counting)
+    spec = experiment.validate_spec_dict({"out_dir": str(tmp_path / "out"), "models": ["dlinear"],
+                                          "strategies": ["normal"],
+                                          "data": {"source": "csv", "paths": paths}})
+    market = experiment._load_market(spec)
+    assert calls == paths and len(market) == 2

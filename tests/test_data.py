@@ -12,7 +12,6 @@ from csti.data import (
     denormalize_close,
     fit_normalizer,
     generate_synthetic_market,
-    load_csv,
     load_csv_detailed,
     make_windows,
     normalize,
@@ -54,13 +53,14 @@ SENTIMENT_CSV = """date,open,close,sentiment
 # ---------------------------------------------------------------------------
 
 def test_load_basic_csv(tmp_path):
-    series = load_csv(write_csv(tmp_path / "a.csv", BASIC_CSV))
+    series = load_csv_detailed(write_csv(tmp_path / "a.csv", BASIC_CSV))[0]
     assert series.T == 4 and series.d == 2
     assert series.features[0, 0] == 10.0 and series.features[-1, 1] == 14.0
 
 
 def test_load_with_sentiment_column(tmp_path):
-    series = load_csv(write_csv(tmp_path / "a.csv", SENTIMENT_CSV), with_sentiment=True)
+    path = write_csv(tmp_path / "a.csv", SENTIMENT_CSV)
+    series = load_csv_detailed(path, with_sentiment=True)[0]
     assert series.d == 3
     assert series.features[1, 2] == 0.7
 
@@ -71,7 +71,7 @@ def test_load_ignores_extra_columns_and_sorts(tmp_path):
         "99,12,2020-01-03,11\n"
         "98,11,2020-01-02,10\n"
     )
-    series = load_csv(write_csv(tmp_path / "a.csv", text))
+    series = load_csv_detailed(write_csv(tmp_path / "a.csv", text))[0]
     assert series.timestamps[0].isoformat() == "2020-01-02"
     assert series.features[0, 1] == 11.0
 
@@ -79,10 +79,10 @@ def test_load_ignores_extra_columns_and_sorts(tmp_path):
 def test_missing_column_names_it(tmp_path):
     path = write_csv(tmp_path / "a.csv", "date,open\n2020-01-02,10\n")
     with pytest.raises(SchemaError, match="close"):
-        load_csv(path)
+        load_csv_detailed(path)
     path2 = write_csv(tmp_path / "b.csv", BASIC_CSV)
     with pytest.raises(SchemaError, match="sentiment"):
-        load_csv(path2, with_sentiment=True)
+        load_csv_detailed(path2, with_sentiment=True)
 
 
 def test_non_utf8_csv_names_path_and_byte_offset(tmp_path):
@@ -152,14 +152,14 @@ def test_only_ascii_yyyy_mm_dd_dates_load(tmp_path, stamp):
 def test_too_few_usable_rows(tmp_path):
     path = write_csv(tmp_path / "a.csv", BASIC_CSV)
     with pytest.raises(InsufficientDataError, match="18"):
-        load_csv(path, min_rows=18)  # e.g. L + H + 1 with L=16, H=1
+        load_csv_detailed(path, min_rows=18)  # e.g. L + H + 1 with L=16, H=1
 
 
 def test_constant_close_loads_but_normalizer_rejects(tmp_path):
     text = "date,open,close\n" + "".join(
         f"2020-01-{d:02d},{10 + d},42\n" for d in range(1, 11)
     )
-    series = load_csv(write_csv(tmp_path / "a.csv", text))
+    series = load_csv_detailed(write_csv(tmp_path / "a.csv", text))[0]
     assert series.T == 10
     with pytest.raises(DegenerateColumnError):
         fit_normalizer(series, 0.7)
@@ -169,7 +169,7 @@ def test_csv_roundtrip_via_export(tmp_path):
     market = generate_synthetic_market(1, 80, 0.5, seed=3)
     path = tmp_path / "syn.csv"
     save_series_csv(market[0], path)
-    back = load_csv(path, with_sentiment=True)
+    back = load_csv_detailed(path, with_sentiment=True)[0]
     assert back.T == market[0].T
     assert np.allclose(back.features, market[0].features, rtol=1e-8, atol=1e-10)
 

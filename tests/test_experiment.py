@@ -756,6 +756,17 @@ def test_cli_overrides(tmp_path):
     assert not (tmp_path / "alt/dlinear/csti").exists()
 
 
+@pytest.mark.parametrize("flag,field", [("--model", "models"), ("--strategy", "strategies")])
+def test_cli_empty_list_override_exit_code(tmp_path, flag, field):
+    # an empty value overrides the spec's list like any other, and names its field
+    write_spec(tmp_path, spec_doc("out"))
+    proc = _run_cli(["spec.json", flag, ""], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert f"spec error: {field}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("where", ["spec", "flag"])
 def test_cli_negative_seed_exit_code(tmp_path, where):
     write_spec(tmp_path, spec_doc("out", seed=-1 if where == "spec" else 5))

@@ -256,11 +256,23 @@ def test_consensus_merge_leaves_predictions_unchanged(rng):
     assert np.allclose(clone.predict(window), model.predict(window), atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_export_and_import_hold_the_vector_itself(kind):
+    model = build_model(kind, 8, 1, 2, seed=10)
+    assert model.export_params() is model.export_params()
+    pvec = build_model(kind, 8, 1, 2, seed=11).export_params()
+    assert model.import_params(pvec).export_params() is pvec
+
+
 def test_import_wrong_length_rejected():
     a = build_model("paifilter", 8, 1, 2)
     b = build_model("paifilter", 16, 1, 2)
     with pytest.raises(MergeIncompatibilityError):
         a.import_params(b.export_params())
+    # the right number of values, split into segments the model does not have
+    resplit = ParamVector(a.export_params().values, [("kernel", 16), ("head", 11)])
+    with pytest.raises(MergeIncompatibilityError):
+        a.import_params(resplit)
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
