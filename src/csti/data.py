@@ -1,7 +1,8 @@
 """Stock series ingestion, normalization, windowing, synthetic markets.
 
 All containers are immutable after construction (arrays are marked
-read-only) so multiple trainers can share them without copying.
+read-only) so multiple trainers can share them without copying; the
+windows ``make_windows`` cuts are views of a series' own rows, not copies.
 """
 
 from __future__ import annotations
@@ -101,7 +102,10 @@ class NormalizationParams:
 
 @dataclass(frozen=True)
 class WindowedDataset:
-    """Stride-1 windows over one chronological split of a stock series."""
+    """Stride-1 windows over one chronological split of a stock series.
+
+    Float64 arrays are held as given, read-only: ``inputs`` may be a view.
+    """
 
     stock_id: str
     split: str
@@ -149,19 +153,21 @@ def load_csv_detailed(path, with_sentiment: bool = False, min_rows: int = 2,
                       stock_id: str | None = None) -> tuple[StockSeries, list[str]]:
     """Parse a stock CSV, returning the series and a row rejection report.
 
-    Required header columns: date (ASCII YYYY-MM-DD), open, close
-    (sentiment when flagged); extra columns are ignored. Rows with
-    missing, non-numeric or unparseable cells and duplicate dates are
-    dropped and reported.
+    The file is UTF-8 text, after an optional byte-order mark. Required
+    header columns, each named once ignoring case: date (ASCII
+    YYYY-MM-DD), open, close (sentiment when flagged); extra columns are
+    ignored. Rows with missing, non-numeric or unparseable cells and
+    duplicate dates are dropped and reported.
     """
     path = str(path)
     wanted = ["date", "open", "close"] + (["sentiment"] if with_sentiment else [])
     with open(path, "rb") as fh:
         raw = fh.read()
+    bom = 3 if raw.startswith(b"\xef\xbb\xbf") else 0  # a UTF-8 byte-order mark, as Excel writes
     try:
-        text = raw.decode("utf-8")
+        text = raw[bom:].decode("utf-8")
     except UnicodeDecodeError as err:
-        raise SchemaError(f"{path}: not UTF-8 text at byte offset {err.start}") from None
+        raise SchemaError(f"{path}: not UTF-8 text at byte offset {bom + err.start}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
@@ -170,10 +176,13 @@ def load_csv_detailed(path, with_sentiment: bool = False, min_rows: int = 2,
         raise SchemaError(f"{path}: line {reader.line_num}: {err}") from None
     if header is None:
         raise SchemaError(f"{path}: empty file, header row required")
-    cols = {name.strip().lower(): i for i, name in enumerate(header)}
+    names = [name.strip().lower() for name in header]
     for name in wanted:
-        if name not in cols:
+        if name not in names:
             raise SchemaError(f"{path}: missing required column {name!r}")
+        if names.count(name) > 1:
+            raise SchemaError(f"{path}: required column {name!r} is named more than once")
+    cols = {name: names.index(name) for name in wanted}
 
     rejections: list[str] = []
     parsed: list[tuple[datetime.date, list[float]]] = []
@@ -240,15 +249,11 @@ def save_series_csv(series: StockSeries, path) -> None:
 # normalization
 # ---------------------------------------------------------------------------
 
-def train_row_count(total: int, train_fraction: float) -> int:
-    return int(np.floor(train_fraction * total))
-
-
 def fit_normalizer(series: StockSeries, train_fraction: float) -> NormalizationParams:
     """Min/max per column over the first floor(train_fraction * T) rows."""
     if not (0.0 < train_fraction < 1.0):
         raise ContractViolation("train_fraction must lie in (0, 1)")
-    n_train = train_row_count(series.T, train_fraction)
+    n_train = int(np.floor(train_fraction * series.T))  # the train rows of split_bounds
     if n_train < 2:
         raise ContractViolation("train segment must have at least 2 rows")
     seg = series.features[:n_train]
@@ -310,7 +315,8 @@ def make_windows(series: StockSeries, lookback: int, horizon: int, split: str,
                  fractions: Sequence[float] = (0.7, 0.1, 0.2)) -> WindowedDataset:
     """Stride-1 windows inside one chronological split segment.
 
-    Expects an already-normalized series; targets are the close column.
+    Expects an already-normalized series. Inputs are a read-only view of
+    its feature rows; targets, the close column, a contiguous copy.
     """
     if split not in SPLIT_NAMES:
         raise ContractViolation(f"split must be one of {SPLIT_NAMES}")
@@ -325,20 +331,11 @@ def make_windows(series: StockSeries, lookback: int, horizon: int, split: str,
             f"needs at least L+H={needed}"
         )
     seg = series.features[start:end]
-    # (n, L+H, d) views of the segment, copied once into (n, L, d) inputs, (n, H) close targets
+    # (n, L+H, d) views of the segment; targets are copied, as a take of a view copies it whole
     windows = np.lib.stride_tricks.sliding_window_view(seg, (needed, seg.shape[1]))[:, 0]
-    inputs = np.ascontiguousarray(windows[:, :lookback])
-    targets = np.ascontiguousarray(windows[:, lookback:, CLOSE_COL])
-    abs_idx = start + lookback + np.arange(len(windows))
-    return WindowedDataset(
-        stock_id=series.stock_id,
-        split=split,
-        lookback=lookback,
-        horizon=horizon,
-        inputs=inputs,
-        targets=targets,
-        absolute_indices=abs_idx,
-    )
+    return WindowedDataset(series.stock_id, split, lookback, horizon, windows[:, :lookback],
+                           np.ascontiguousarray(windows[:, lookback:, CLOSE_COL]),
+                           start + lookback + np.arange(len(windows)))
 
 
 # ---------------------------------------------------------------------------

@@ -579,7 +579,7 @@ def main(argv=None) -> int:
                              "frets), at least 1; by default every stock, which is fastest "
                              "but holds every stock's kernel buffers at once (a 24-stock "
                              "texfilter run with 20 merge rounds and 20 fine-tune epochs "
-                             "peaks at 51.6 MiB RSS, against 42.3 MiB at 2). dlinear and "
+                             "peaks at 1.2 times the RSS it reaches at 2). dlinear and "
                              "paifilter calls hold none, so stocks with equal window counts "
                              "share one call past the cap. Results do not depend on it")
     args = parser.parse_args(argv)

@@ -250,8 +250,9 @@ class ForecastModel:
     def rows_read(self, inputs):
         """The contiguous design the kernel reads of (..., L, d) windows; here the windows.
 
-        A copy only if they are not contiguous float64. The trainer keeps,
-        shuffles and batches designs, and every other path passes them too.
+        A copy unless they are contiguous float64: one per run or predict
+        of ``make_windows``'s views. The trainer keeps, shuffles and batches
+        designs, and every other path passes them too.
         """
         return np.ascontiguousarray(np.asarray(inputs, dtype=np.float64))
 
@@ -361,8 +362,8 @@ def _check_hidden(kind, hyper):
 class _Affine:
     """Mixin of a kind whose forecast is affine in the window once theta is fixed.
 
-    The design is what the kernel reads of a window (``_read``), then a
-    one. The prologue builds each row's (D, H) weight block W in
+    The design is what the kernel reads of a window (``_read``), flat,
+    then a one. The prologue builds each row's (D, H) weight block W in
     ``ws["w"]``, whose last row holds the constant terms, so a data call is
     one product each way: ``pred = X @ W``, and ``gW = X^T @ r`` of the
     residual r into ``ws["g_w"]``, which the epilogue folds back into the
@@ -372,9 +373,12 @@ class _Affine:
     """
 
     def rows_read(self, inputs):
-        """``_read`` of (..., L, d) windows, then a one: always a fresh contiguous copy."""
+        """``_read``'s (..., a, b) view of (..., L, d) windows, each (a, b) flat, then a one."""
         read = self._read(np.asarray(inputs, dtype=np.float64))
-        return np.concatenate([read, np.ones((*read.shape[:-1], 1))], axis=-1)
+        design = np.empty((*read.shape[:-2], read.shape[-2] * read.shape[-1] + 1))
+        design[..., -1] = 1.0
+        design[..., :-1].reshape(read.shape)[...] = read  # splitting one axis is always a view
+        return design
 
     def _bind(self, p, inputs, ws, g=None):
         x, w, pred = inputs.reshape(*inputs.shape[:2], -1), ws["w"], ws["pred"]
@@ -451,7 +455,7 @@ class DLinearModel(_Affine, ForecastModel):
 
     @staticmethod
     def _read(inputs):
-        return inputs[..., -1:, :]
+        return inputs[..., -1:, None, :]  # one (1, d) block per design row
 
     def _buffers(self, n):
         shape = (_F, self.n_features + 1, self.horizon)
@@ -517,7 +521,7 @@ class PaiFilterModel(_Affine, ForecastModel):
 
     @staticmethod
     def _read(inputs):
-        return _t(inputs).reshape(*inputs.shape[:-2], -1)
+        return _t(inputs)
 
     def _buffers(self, n):
         L, h, rows = self.lookback, self.horizon, self.lookback * self.n_features + 1

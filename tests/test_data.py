@@ -1,4 +1,5 @@
 import datetime
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,38 @@ def test_non_utf8_csv_names_path_and_byte_offset(tmp_path):
     path.write_bytes(b"date,open,close\n2020-01-02,10,11\n2020-01-03,caf\xe9,12\n")
     with pytest.raises(SchemaError, match=r"latin1\.csv.*byte offset 47"):
         load_csv_detailed(path)
+
+
+def test_byte_order_mark_before_the_header_is_skipped(tmp_path):
+    # as in an Excel export; a bad byte after it keeps its offset in the file
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + BASIC_CSV.encode())
+    series, rejections = load_csv_detailed(path)
+    assert series.T == 4 and rejections == []
+    assert series.features[0].tolist() == [10.0, 11.0]
+    path.write_bytes(b"\xef\xbb\xbfdate,open,close\n2020-01-02,10,11\n2020-01-03,caf\xe9,12\n")
+    with pytest.raises(SchemaError, match=r"bom\.csv.*byte offset 50"):
+        load_csv_detailed(path)
+
+
+@pytest.mark.parametrize("header", ["date,open,close,Close", "date,open,close, CLOSE ",
+                                    "Date,open,close,date"])
+def test_a_required_column_named_twice_is_rejected(tmp_path, header):
+    name = header.split(",")[-1].strip().lower()
+    path = write_csv(tmp_path / "a.csv", f"{header}\n2020-01-02,10,11,12\n2020-01-03,11,12,13\n")
+    with pytest.raises(SchemaError, match=f"{name}' is named more than once"):
+        load_csv_detailed(path)
+    sentiment = write_csv(tmp_path / "s.csv", "date,open,close,Close,sentiment\n"
+                          "2020-01-02,10,11,12,0.5\n2020-01-03,11,12,13,0.5\n")
+    with pytest.raises(SchemaError, match="'close' is named more than once"):
+        load_csv_detailed(sentiment, with_sentiment=True)
+
+
+def test_extra_columns_may_repeat(tmp_path):
+    text = ("date,volume,open,Volume,close,sentiment,SENTIMENT\n"
+            "2020-01-02,1,10,2,11,0.1,0.2\n2020-01-03,3,11,4,12,0.3,0.4\n")
+    series, rejections = load_csv_detailed(write_csv(tmp_path / "a.csv", text))
+    assert rejections == [] and series.features.tolist() == [[10.0, 11.0], [11.0, 12.0]]
 
 
 def test_csv_cell_over_the_field_limit_names_path_and_line(tmp_path):
@@ -318,8 +351,26 @@ def test_windows_equal_the_per_window_loop(total, lookback, horizon, d, seed):
         assert ds.inputs.tobytes() == loop_inputs.tobytes()
         assert ds.targets.tobytes() == loop_targets.tobytes()
         assert ds.inputs.shape == loop_inputs.shape and ds.targets.shape == loop_targets.shape
-        assert ds.inputs.flags.c_contiguous and ds.targets.flags.c_contiguous
+        # inputs are a read-only view of the series' own rows; targets a contiguous copy
+        assert not ds.inputs.flags.writeable and np.shares_memory(ds.inputs, series.features)
+        assert ds.targets.flags.c_contiguous
         assert np.array_equal(ds.absolute_indices, start + lookback + np.arange(n))
+
+
+def test_windows_hold_no_copy_of_the_series():
+    # a (N, L, d) copy would hold each series value L times over
+    stamps = tuple(datetime.date(2000, 1, 1) + datetime.timedelta(days=i) for i in range(2000))
+    series = StockSeries("TST", stamps, np.random.default_rng(5).normal(size=(2000, 3)))
+    tracemalloc.start()
+    try:
+        ds = make_windows(series, 16, 1, "train")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    copy_bytes = ds.inputs.size * ds.inputs.itemsize
+    assert ds.inputs.shape == (1384, 16, 3)
+    assert held < copy_bytes / 8, (held, copy_bytes)
+    assert peak < copy_bytes / 2, (peak, copy_bytes)  # no passing copy either
 
 
 def test_split_chronology():

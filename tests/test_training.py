@@ -292,6 +292,28 @@ def test_lockstep_unequal_stocks_bit_identical_across_stack_widths(kind):
     assert [g.values.tobytes() for g in reversed_run.trace.round_globals] == runs[1][0]
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_window_views_train_and_score_as_contiguous_copies(kind, small_market):
+    # make_windows returns strided views of the series rows, and every kernel
+    # reads contiguous copies of them; a view and a copy can round differently
+    # if a kernel ever reads the view itself
+    train, test, _ = small_market
+    assert not train[0].inputs.flags.c_contiguous
+    copies = [[WindowedDataset(ds.stock_id, ds.split, ds.lookback, ds.horizon,
+                               np.ascontiguousarray(ds.inputs), ds.targets, ds.absolute_indices)
+               for ds in sets] for sets in (train, test)]
+    cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=1, seed=13)
+    runs = [run_csti(sets, kind, cfg) for sets in (train, copies[0])]
+    assert _run_fingerprint(runs[0]) == _run_fingerprint(runs[1])
+    model = build_model(kind, 16, 1, 3, seed=5)
+    alone = [train_local(model, ds, 2, 0.01, 0.9, 64, seed=3) for ds in (train[0], copies[0][0])]
+    assert _params(alone[0].model).values.tobytes() == _params(alone[1].model).values.tobytes()
+    assert alone[0].epoch_losses == alone[1].epoch_losses
+    reports = [evaluate(runs[0].finetuned, sets) for sets in (test, copies[1])]
+    assert reports[0].as_dict() == reports[1].as_dict()
+    assert reports[0].series == reports[1].series
+
+
 @pytest.mark.parametrize("kind", ["dlinear", "texfilter"])
 def test_lockstep_non_contiguous_rows_bit_identical_across_stack_widths(kind):
     # 166, 89, 166 and 124 windows: at batch index 1 rows 0 and 2 share a
