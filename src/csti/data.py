@@ -116,9 +116,10 @@ class WindowedDataset:
     absolute_indices: np.ndarray  # (N,) index of each first target row
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64)
-        idx = np.asarray(self.absolute_indices, dtype=np.int64)
+        # views, so that freezing them leaves the caller's own arrays writeable
+        inputs = np.asarray(self.inputs, dtype=np.float64).view()
+        targets = np.asarray(self.targets, dtype=np.float64).view()
+        idx = np.asarray(self.absolute_indices, dtype=np.int64).view()
         if inputs.ndim != 3 or targets.ndim != 2:
             raise ContractViolation("inputs must be (N, L, d), targets (N, H)")
         n = inputs.shape[0]

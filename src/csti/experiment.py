@@ -575,13 +575,12 @@ def main(argv=None) -> int:
     parser.add_argument("--stocks", type=int, default=None,
                         help="override stock group size")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="max stocks in one kernel call that holds buffers (texfilter, "
-                             "frets), at least 1; by default every stock, which is fastest "
-                             "but holds every stock's kernel buffers at once (a 24-stock "
-                             "texfilter run with 20 merge rounds and 20 fine-tune epochs "
-                             "peaks at 1.2 times the RSS it reaches at 2). dlinear and "
-                             "paifilter calls hold none, so stocks with equal window counts "
-                             "share one call past the cap. Results do not depend on it")
+                        help="max stocks in one texfilter or frets kernel call, at least "
+                             "1; by default every stock, which is fastest but holds every "
+                             "stock's kernel buffers at once (a 24-stock texfilter run with "
+                             "20 merge rounds and 20 fine-tune epochs peaks at 1.2 times the "
+                             "RSS it reaches at 2). It does not cap dlinear or paifilter "
+                             "calls, which hold no buffers. Results do not depend on it")
     args = parser.parse_args(argv)
 
     try:

@@ -290,11 +290,11 @@ class ForecastModel:
 
         ``call`` runs as it is and its result is returned; without one a
         fresh ``bind`` call runs. A trainer runs each of its ``bind_batch``
-        calls through here, one per block and batch size: ``jobs`` caps the
-        rows of a call that holds buffers, while dlinear and paifilter calls,
-        which hold none, also take every equal-size row after the cap. It
-        leaves the prologue, epilogue, loss reduction and gradient scale to
-        its step.
+        calls through here, one per batch index and batch size: ``jobs``
+        caps the rows of a texfilter or frets call, whose buffers grow with
+        them, while a dlinear or paifilter call, which holds none, takes
+        every row with a batch of that size. It leaves the prologue,
+        epilogue, loss reduction and gradient scale to its step.
         """
         return (call or self.bind(p, inputs, targets, g))()
 

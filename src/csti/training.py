@@ -8,18 +8,19 @@ single model across stocks sequentially.
 
 Determinism contract: every stock shuffles from its own stream, keyed by
 (config seed, phase, stock identity) and seeded once per run; merge round
-r continues the stream where round r - 1 left it, and every stock draws
-exactly one permutation per epoch at every width. Each row of a stacked
-kernel call equals the one-row call, the optimizer step is elementwise,
-and the stack keeps its rows in one canonical order, by (window count,
-stock id), which the merge sums in; so results are bit-identical
-regardless of kernel width or the position of a stock in the list.
-``jobs`` is that width: it caps the stocks in one call's batch work, and
-with it the buffers the call holds. Kinds whose data calls hold no
-buffers (dlinear, paifilter) let stocks of equal window count past the
-cap, into one call. The theta-only kernel work, the loss reduction and
-the optimizer work (loss divide and guard, gradient scale, proximal
-term, momentum step, finiteness check) always span all K.
+r continues the stream where round r - 1 left it, and every stock
+shuffles its windows once per epoch, with the draws of one
+``permutation``, at every width. Each row of a stacked kernel call
+equals the one-row call, the optimizer step is elementwise, and the
+stack keeps its rows in one canonical order, by (window count, stock
+id), which the merge sums in; so results are bit-identical regardless of
+kernel width or the position of a stock in the list. ``jobs`` is that
+width, and it caps only texfilter and frets data calls, whose buffers
+grow with their stocks. dlinear and paifilter data calls hold none, so
+at any width one call takes every stock with a batch of one size. The
+theta-only kernel work, the loss reduction and the optimizer work (loss
+divide and guard, gradient scale, proximal term, momentum step,
+finiteness check) always span all K.
 
 A run binds its trainer once (``_StockStack``): its stacks, designs,
 buffers and bound kernel work live as long as the run, and every step
@@ -195,49 +196,43 @@ class _StockStack:
     Everything is bound once per run, at construction: the (K, P) theta,
     gradient and velocity stacks, a step scratch, a (K, batch size * H)
     residual stack, the batch losses with their N * H divisors, the
-    shuffled designs, the theta-only row buffers (``workspace(K)``) and
+    designs and targets, the theta-only row buffers (``workspace(K)``) and
     all kernel work. Per batch index that is the kind's prologue and
-    epilogue over the rows with a batch there; the blocks' data calls
+    epilogue over the rows with a batch there; the data calls
     (``bind_batch``), each over its rows' views, its designs, its rows of
     the residual stack as ``pred`` and a workspace shared by the calls of
     its (rows, batch size); and one ``bind_sum_of_squares`` dot per run of
-    rows with one batch size, across blocks, from the residual rows into
-    the loss column. A step allocates nothing (K, P)-sized, and the kernel's
-    temporaries stay put. Freed and re-allocated each step, they would
-    leave the top of the glibc heap free; glibc trims it, and the next
-    step faults the pages back in, at a cost that swings with the
-    allocator's state.
+    rows with one batch size, from the residual rows into the loss column.
+    A step allocates nothing (K, P)-sized, and the kernel's temporaries
+    stay put. Freed and re-allocated each step, they would leave the top
+    of the glibc heap free; glibc trims it, and the next step faults the
+    pages back in, at a cost that swings with the allocator's state.
 
-    A block is a run of consecutive rows; no kernel call spans two blocks.
-    Blocks close at every multiple of ``width`` rows, which bounds the
-    buffers a data call holds (``workspace(rows, n)``). A kind whose calls
-    hold none beyond ``pred``, as dlinear and paifilter, keeps a block open
-    past its cut while the next row has the same window count: that row
-    pads no design, and its calls join the block's calls of one batch
-    size. So at any width equal-size stocks share one data call per batch
-    index, and no row's design is padded to more windows than when
-    blocks close at the cuts.
-
-    The stack keeps one contiguous design per stock, the ``rows_read`` of
-    its windows (N, ...), and each epoch writes it, in the stock's shuffled
-    order, into its row of its block's (rows, most windows, ...) buffer, so
-    a kernel call reads its batch as one view and each take copies only
-    what the kernel reads. Each block keeps
-    its own buffers, not one array over all K stocks: glibc serves an array
-    that large by mmap, and freeing it raises glibc's mmap and trim
-    thresholds, so later frees are no longer returned to the OS and peak
-    RSS grows. The batch schedule depends only on the stock sizes, so it
-    is built here too: per batch index, the rows with a batch there (a
-    contiguous run, since rows ascend in size), their step views and
-    2 / (N * H) gradient scales, their prologue and epilogue, the bound
-    calls of the blocks and the dots of the size runs.
+    The designs (the ``rows_read`` of each window) and targets of all K
+    stocks are held batch-major, each window once: at each batch index,
+    the batches of the rows with one there, in row order. So a run of rows
+    with one batch size is one contiguous (rows, size, ...) view, and no
+    row is padded to a longer stock's size. ``_slots`` maps each window,
+    in stock-major order (row r's windows after those of rows 0..r-1), to
+    its batch-major position. Each epoch copies the slots into ``_work``,
+    shuffles each row's slice of it in place with the row's generator,
+    scatters it through the slots into ``_gather``, and fills the shuffled
+    designs and targets with one take each. A data call spans a run of
+    rows with one batch size. dlinear and paifilter calls hold no buffers
+    beyond ``pred``, so that is all; texfilter and frets calls hold
+    buffers that grow with their rows (``workspace(rows, n)``), so their
+    runs are also cut at every multiple of ``width`` rows. The batch
+    schedule depends only on the stock sizes, so it is built here too:
+    per batch index, the rows with a batch there (a contiguous run, since
+    rows ascend in size), their step views and 2 / (N * H) gradient
+    scales, their prologue and epilogue, the bound data calls and the dots
+    of the size runs.
     """
 
     def __init__(self, model: ForecastModel, datasets: Sequence[WindowedDataset],
                  batch_size: int, width: int):
-        checked = [(model.rows_read(x), y) for x, y in (  # the designs its kernel reads
-            _check_batch(ds.inputs, ds.targets, model.lookback, model.horizon, model.n_features)
-            for ds in datasets)]
+        checked = [_check_batch(ds.inputs, ds.targets, model.lookback, model.horizon,
+                                model.n_features) for ds in datasets]
         self.order = sorted(range(len(datasets)),
                             key=lambda i: (len(checked[i][0]), datasets[i].stock_id))
         self.row_of = sorted(range(len(datasets)), key=self.order.__getitem__)
@@ -254,23 +249,10 @@ class _StockStack:
         # row r's (N, H) prediction at the current batch index, then its residual
         horizon = model.horizon
         residuals = np.zeros((k_rows, min(batch_size, self.sizes[-1]) * horizon))
-        self._shuffle = []  # per row: designs, targets, and its rows of the block buffers
-        blocks = []  # (first row, end row, shuffled designs, shuffled targets)
-        call_buffers = any(model._buffers(batch_size)[2:])  # does a data call hold buffers?
-        lo = 0
-        for cut in range(width, k_rows + width, width):
-            hi = min(cut, k_rows)
-            while not call_buffers and hi < k_rows and self.sizes[hi] == self.sizes[hi - 1]:
-                hi += 1  # an equal-count row adds no padding and no call buffers
-            if hi <= lo:  # an earlier block ran past this cut
-                continue
-            buffers = (np.zeros((hi - lo, self.sizes[hi - 1], *checked[0][0].shape[1:])),
-                       np.zeros((hi - lo, self.sizes[hi - 1], model.horizon)))
-            for r in range(lo, hi):
-                self._shuffle.append((*checked[self.order[r]],
-                                      *(buf[r - lo, : self.sizes[r]] for buf in buffers)))
-            blocks.append((lo, hi, *buffers))
-            lo = hi
+        bases = np.cumsum([0, *self.sizes])  # row r's windows start here in stock-major order
+        self._slots = np.empty(bases[-1], dtype=np.intp)  # stock-major -> batch-major position
+        # a data call that holds buffers takes the rows of one cut, between multiples of width
+        cap = width if any(model._buffers(batch_size)[2:]) else k_rows
         row_ws, workspaces = model.workspace(k_rows), {}  # theta-only; per (rows, batch size)
 
         @functools.cache
@@ -278,31 +260,37 @@ class _StockStack:
             return (model.unpack(self.theta[lo:hi]), model.unpack(self._grad[lo:hi]),
                     {name: buf[lo:hi] for name, buf in row_ws.items()})
 
-        self.schedule = []
+        read = model.rows_read(checked[0][0][:1]).shape[1:]  # the design of one window
+        self._unshuffled, self._shuffled = ((np.empty((bases[-1], *read)),
+                                             np.empty((bases[-1], horizon))) for _ in range(2))
+        self.schedule, pos = [], 0
         for batch, start in enumerate(range(0, self.sizes[-1], batch_size)):
             def size_at(r):
                 return min(batch_size, self.sizes[r] - start)
 
-            calls = []
-            for lo, hi, designs, targets in blocks:
-                live = [r for r in range(lo, hi) if start < self.sizes[r]]
-                for size, rows in _runs(live, size_at):
-                    k = rows.stop - rows.start
-                    if (k, size) not in workspaces:
-                        workspaces[k, size] = model.workspace(k, size)
-                        del workspaces[k, size]["pred"]  # the residual rows stand in for it
-                    p, g, row_views = views_of(rows.start, rows.stop)
-                    at = (slice(rows.start - lo, rows.stop - lo), slice(start, start + size))
-                    x, y = designs[at], targets[at]
-                    pred = residuals[rows, : size * horizon].reshape(k, size, horizon)
-                    ws = dict(workspaces[k, size], pred=pred, **row_views)
-                    calls.append((p, x, y, g, model.bind_batch(p, x, y, g, ws)))
             active = slice(next(r for r, n in enumerate(self.sizes) if start < n), k_rows)
-            sums = []  # one r . r per run of active rows with one batch size, across blocks
+            calls, sums = [], []  # sums: one r . r per run of active rows with one batch size
             for size, rows in _runs(range(active.start, k_rows), size_at):
                 divisors[rows, batch] = size * horizon
                 sums.append(bind_sum_of_squares(residuals[rows, : size * horizon],
                                                 self._losses[rows, batch]))
+                for _, part in _runs(range(rows.start, rows.stop), lambda r: r // cap):
+                    k = part.stop - part.start
+                    if (k, size) not in workspaces:
+                        workspaces[k, size] = model.workspace(k, size)
+                        del workspaces[k, size]["pred"]  # the residual rows stand in for it
+                    p, g, row_views = views_of(part.start, part.stop)
+                    x, y = (buf[pos : pos + k * size].reshape(k, size, *buf.shape[1:])
+                            for buf in self._shuffled)
+                    pred = residuals[part, : size * horizon].reshape(k, size, horizon)
+                    ws = dict(workspaces[k, size], pred=pred, **row_views)
+                    calls.append((p, x, y, g, model.bind_batch(p, x, y, g, ws)))
+                    for r in range(part.start, part.stop):  # one batch at a time: no whole copy
+                        x_r, y_r = (a[start : start + size] for a in checked[self.order[r]])
+                        self._slots[bases[r] + start :][:size] = np.arange(pos, pos + size)
+                        self._unshuffled[0][pos : pos + size] = model.rows_read(x_r)
+                        self._unshuffled[1][pos : pos + size] = y_r
+                        pos += size
             p, g, row_views = views_of(active.start, k_rows)
             self.schedule.append((active, self._losses[active, batch], divisors[active, batch],
                                   2.0 / divisors[active, batch, None],
@@ -310,6 +298,8 @@ class _StockStack:
                                   *(buf[active] for buf in (self.theta, self._velocity,
                                                             self._grad, self._scratch,
                                                             self._finite))))
+        self._work, self._gather = np.empty_like(self._slots), np.empty_like(self._slots)
+        self._stock_slices = [self._work[lo:hi] for lo, hi in zip(bases, bases[1:])]
         self._same_batches = list(_runs(range(k_rows), self.batches.__getitem__))
 
     def _diverged(self, rows, message):
@@ -325,16 +315,18 @@ class _StockStack:
 
         The velocity starts at zero on every call, and every other buffer
         is written before it is read, so a call depends only on theta and
-        its arguments. Row k draws one permutation per epoch from
-        ``default_rng(seeds[k])`` and takes its batches in that order. A
+        its arguments. Row k shuffles its windows once per epoch with
+        ``default_rng(seeds[k])``, drawing what one ``permutation`` draws,
+        and takes its batches in that order. A
         seed may be a ``Generator``, which ``default_rng`` returns as is:
         its state carries over from earlier calls and on to later ones, so
         a caller that passes the same generators to every call draws one
         stream per stock across calls. A stock with fewer windows skips
-        the batch indices it lacks. At each batch index, the rows of a
-        block whose batches have the same size share one data call, run
-        through ``ForecastModel.loss_and_gradient``, which leaves their
-        residuals and unscaled gradients. The prologue before it, and the
+        the batch indices it lacks. At each batch index, the rows whose
+        batches have one size share one data call (texfilter and frets: one
+        per cut of ``width`` rows), run through
+        ``ForecastModel.loss_and_gradient``, which leaves their residuals
+        and unscaled gradients. The prologue before it, and the
         epilogue, the r . r dots, loss divide, gradient scale, loss guard,
         proximal term 2 * prox_weight * (theta - anchor), momentum step and
         finiteness check after it run over every row with a batch there,
@@ -355,10 +347,12 @@ class _StockStack:
         epoch_wall = []
         for epoch in range(epochs):
             tick = time.perf_counter()
-            for rng, (x, y, x_shuffled, y_shuffled) in zip(rngs, self._shuffle):
-                order = rng.permutation(len(x))
-                x.take(order, axis=0, out=x_shuffled, mode="clip")  # "raise" would buffer
-                y.take(order, axis=0, out=y_shuffled, mode="clip")
+            np.copyto(self._work, self._slots)
+            for rng, part in zip(rngs, self._stock_slices):
+                rng.shuffle(part)  # the draws and the order of rng.permutation(len(part))
+            self._gather[self._slots] = self._work
+            for unshuffled, shuffled in zip(self._unshuffled, self._shuffled):
+                unshuffled.take(self._gather, axis=0, out=shuffled, mode="clip")  # "raise" buffers
             for batch, (active, losses, divisors, scales, prologue, epilogue, calls, sums,
                         th, vel, gr, scratch, finite) in enumerate(self.schedule):
                 prologue()
@@ -449,10 +443,11 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     All K stocks train as one lockstep stack, bound once per run
     (``_StockStack``): one ``train`` call per merge round and one for
     fine-tuning, each starting from zero velocity. ``jobs``, an integer of
-    at least 1, only caps the stocks in one kernel call (None: every stock),
-    and so the buffers that call holds; dlinear and paifilter calls hold
-    none, so their equal-size stocks share a call past the cap. The
-    theta-only kernel work, like the optimizer's, spans every stock.
+    at least 1, only caps the stocks in one texfilter or frets data call
+    (None: every stock), and so the buffers that call holds; dlinear and
+    paifilter calls hold none, so one call takes every stock with a batch
+    of one size at any ``jobs``. The theta-only kernel work, like the
+    optimizer's, spans every stock.
     Each round merges the theta stack itself, with one
     ``axpy_merge`` call: a sum in the stack's row order, which is canonical,
     so the merge is order-free. Each stock's merge-phase generator is

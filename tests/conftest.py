@@ -163,6 +163,21 @@ def paifilter_reference(model, inputs, targets):
 
 
 @pytest.fixture
+def kernel_rows(monkeypatch):
+    """The rows of every ``ForecastModel.loss_and_gradient`` call, appended as they run."""
+    from csti.models import ForecastModel
+
+    rows, kernel = [], ForecastModel.loss_and_gradient
+
+    def counting(self, p, inputs, targets, g, call=None):
+        rows.append(len(inputs))
+        return kernel(self, p, inputs, targets, g, call)
+
+    monkeypatch.setattr(ForecastModel, "loss_and_gradient", counting)
+    return rows
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
 

@@ -10,6 +10,7 @@ from csti.data import (
     CLOSE_COL,
     SPLIT_NAMES,
     StockSeries,
+    WindowedDataset,
     denormalize_close,
     fit_normalizer,
     generate_synthetic_market,
@@ -371,6 +372,15 @@ def test_windows_hold_no_copy_of_the_series():
     assert ds.inputs.shape == (1384, 16, 3)
     assert held < copy_bytes / 8, (held, copy_bytes)
     assert peak < copy_bytes / 2, (peak, copy_bytes)  # no passing copy either
+
+
+def test_a_dataset_leaves_the_callers_arrays_writeable():
+    # the dataset freezes views of what it is given, not the caller's own arrays
+    inputs, targets, indices = np.zeros((3, 4, 2)), np.zeros((3, 1)), np.arange(3)
+    ds = WindowedDataset("A", "train", 4, 1, inputs, targets, indices)
+    inputs[0], targets[0], indices[0] = 1.0, 1.0, 7
+    assert not any(a.flags.writeable for a in (ds.inputs, ds.targets, ds.absolute_indices))
+    assert ds.inputs[0, 0, 0] == ds.targets[0, 0] == 1.0 and ds.absolute_indices[0] == 7
 
 
 def test_split_chronology():

@@ -338,22 +338,14 @@ def test_lockstep_rows_match_train_local():
 
 
 @pytest.mark.parametrize("kind", ["dlinear", "paifilter"])
-def test_equal_size_rows_of_one_call_match_train_local(kind, monkeypatch):
-    # at jobs=1 the affine kinds still run equal-size stocks in one call,
-    # and each of its rows trains as the stock would alone
+def test_equal_size_rows_of_one_call_match_train_local(kind, kernel_rows):
+    # at jobs=1 the affine kinds still run every row with a batch of one size
+    # in one call, and each of its rows trains as the stock would alone
     train = _unequal_market(lengths=(150, 120, 150, 120, 150, 120), seed=67)
-    rows = []
-    kernel = ForecastModel.loss_and_gradient
-
-    def counting(self, *args):
-        rows.append(len(args[1]))
-        return kernel(self, *args)
-
-    monkeypatch.setattr(ForecastModel, "loss_and_gradient", counting)
     cfg = CstiConfig(stocks=6, merge_rounds=1, finetune_epochs=0, seed=41)
     result = run_csti(train, kind, cfg, jobs=1)
-    assert max(rows) == 3  # 68 and 89 windows, three stocks each
-    monkeypatch.undo()
+    # 68 and 89 windows, three stocks each: six full batches, then 4 and 25 windows
+    assert kernel_rows == [6, 3, 3]
     init = build_model(kind, 16, 1, 3, seed=derive_seed(cfg.seed, _TAG_INIT, 0))
     for ds, row in zip(train, [r for r in result.trace.rows if r.stock_id != "global"]):
         alone = train_local(init, ds, 1, cfg.learning_rate, cfg.momentum, cfg.batch_size,
@@ -361,10 +353,10 @@ def test_equal_size_rows_of_one_call_match_train_local(kind, monkeypatch):
         assert row.stock_id == ds.stock_id and [row.data_loss] == alone.epoch_losses
 
 
-def _block_buffer_bytes(stack):
-    """Summed nbytes of the stack's shuffled design and target block buffers."""
-    buffers = {id(view.base): view.base for _, _, *views in stack._shuffle for view in views}
-    return sum(buf.nbytes for buf in buffers.values())
+def _window_buffers(stack):
+    """The distinct arrays that the stack's kernel calls read designs and targets from."""
+    calls = [call for step in stack.schedule for call in step[6]]  # (p, x, y, g, bound)
+    return calls[0], {id(view.base): view.base for call in calls for view in call[1:3]}
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -372,18 +364,15 @@ def _block_buffer_bytes(stack):
                                           ((90, 150, 120, 150, 220, 90), 53),
                                           ((90, 120, 120, 150, 260), 53)])
 def test_block_buffers_never_outgrow_the_width_capped_layout(kind, lengths, seed):
-    # a block that runs past its cut pads no design, and the next block
-    # still closes at the next cut: with 46, 68, 68, 89 and 166 windows at
-    # width 2, blocks of two rows after the first block's extension would
-    # pad the 89-window row to 166
+    # the calls read batch-major buffers that hold each window once at every
+    # width: no row is padded to the window count of a longer stock
     train = _unequal_market(lengths=lengths, seed=seed)
     for jobs in (1, 2, None):
-        width = jobs or len(train)
-        stack = training._StockStack(build_model(kind, 16, 1, 3, seed=2), train, 32, width)
-        window_bytes = stack._shuffle[0][0][0].nbytes + stack._shuffle[0][1][0].nbytes
-        capped = sum(len(stack.sizes[lo : lo + width]) * max(stack.sizes[lo : lo + width])
-                     for lo in range(0, len(stack.sizes), width)) * window_bytes
-        assert _block_buffer_bytes(stack) <= capped, jobs
+        stack = training._StockStack(build_model(kind, 16, 1, 3, seed=2), train, 32,
+                                     jobs or len(train))
+        (_, x, y, _, _), buffers = _window_buffers(stack)
+        window_bytes = x[0, 0].nbytes + y[0, 0].nbytes
+        assert sum(buf.nbytes for buf in buffers.values()) == sum(stack.sizes) * window_bytes, jobs
 
 
 @functools.lru_cache(maxsize=1)
@@ -535,10 +524,12 @@ def test_interleaved_stacks_equal_stacks_trained_alone():
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("width", [1, 3])
 def test_a_second_train_call_allocates_no_temporary_per_step(kind, width, monkeypatch):
-    # every kernel call is bound once per run, over buffers shared by shape;
-    # a temporary allocated and freed at each step would cost the heap
-    # churn and page faults those bound calls exist to avoid
-    train, _, _ = windowed_market(3, 300, 0.7, seed=11, horizon=16)
+    # every kernel call is bound once per run, over buffers shared by shape,
+    # and each epoch shuffles into the stack's own index arrays; a temporary
+    # allocated and freed at each step or epoch would cost the heap churn
+    # and page faults those bound calls exist to avoid
+    train, _, _ = windowed_market(3, 1480, 0.7, seed=11, horizon=16)
+    assert min(ds.n_windows for ds in train) >= 1000  # a permutation of each: 8 KB or more
     model = build_model(kind, 16, 16, 3, seed=2)
     stack = training._StockStack(model, train, 64, width)
     stack.theta[:] = model.export_params().values
@@ -557,29 +548,55 @@ def test_a_second_train_call_allocates_no_temporary_per_step(kind, width, monkey
     bufsize = np.setbufsize(16)
     tracemalloc.start()
     try:
-        stack.train([1, 2, 3], 1, 0.01, 0.9)
+        stack.train([1, 2, 3], 2, 0.01, 0.9)
     finally:
         tracemalloc.stop()
         np.setbufsize(bufsize)
-    assert len(grown) == max(stack.batches) == 3
-    # grown[0] holds the epoch's permutations; one (1, 64, 16) float64
-    # temporary would be 8 KiB, and Python's own objects take about 1.5 KiB
+    assert len(grown) == 2 * max(stack.batches) == 2 * 16
+    # grown[0] holds the call's generators and loss arrays, and grown[16]
+    # the epoch boundary with the second epoch's shuffle; one (1, 64, 16)
+    # float64 temporary would be 8 KiB, and Python's own objects take about 1.5 KiB
     assert max(grown[1:]) < 4096, grown
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 400), offset=st.integers(0, 1000), seed=st.integers(0, 2**64 - 1))
+def test_shuffling_a_slice_in_place_draws_a_permutation(n, offset, seed):
+    # the stack shuffles each stock's slice of one index array in place, where
+    # it used to draw rng.permutation(n), which is shuffle(arange(n)): every
+    # order and every draw must stay the same, and so must the generator's end state
+    drawn, shuffled = np.random.default_rng(seed), np.random.default_rng(seed)
+    order = drawn.permutation(n)
+    work = np.arange(offset + n + 5)
+    shuffled.shuffle(work[offset : offset + n])
+    assert np.array_equal(work[offset : offset + n], order + offset)
+    assert np.array_equal(np.delete(work, np.s_[offset : offset + n]),
+                          np.delete(np.arange(offset + n + 5), np.s_[offset : offset + n]))
+    assert shuffled.bit_generator.state == drawn.bit_generator.state
+    # the draws move positions, whatever values they hold, as the stack's slots
+    values = np.random.default_rng(offset).integers(0, 10**9, n)
+    moved = values.copy()
+    np.random.default_rng(seed).shuffle(moved)
+    assert np.array_equal(moved, values[order])
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_the_stack_shuffles_only_the_window_rows_its_kind_reads(kind, small_market):
-    # each epoch copies every stock's design into its block buffer: what the
-    # kernel reads of each window (1 of 16 rows for dlinear) and, for the
+    # each epoch copies every stock's design into the shuffled buffer: what
+    # the kernel reads of each window (1 of 16 rows for dlinear) and, for the
     # affine kinds, a one; window cells no design copies cannot move a bit
     model = build_model(kind, 16, 1, 3, seed=3)
     train = small_market[0]
     stack = training._StockStack(model, train, 64, 2)
     shape = {"dlinear": (1, 3 + 1), "paifilter": (16 * 3 + 1,)}.get(kind, (16, 3))
-    for (design, _, shuffled, _), i in zip(stack._shuffle, stack.order):
-        assert design.shape[1:] == shuffled.shape[1:] == shape
-        assert design.flags.c_contiguous
-        assert design.tobytes() == model.rows_read(train[i].inputs).tobytes()
+    (designs, targets), (shuffled, _) = stack._unshuffled, stack._shuffled
+    assert designs.shape[1:] == shuffled.shape[1:] == shape
+    assert designs.flags.c_contiguous and shuffled.flags.c_contiguous
+    bases = np.cumsum([0, *stack.sizes])
+    for r, i in enumerate(stack.order):  # row r's windows in the batch-major slots
+        slots = stack._slots[bases[r] : bases[r + 1]]
+        assert designs[slots].tobytes() == model.rows_read(train[i].inputs).tobytes()
+        assert targets[slots].tobytes() == train[i].targets.tobytes()
     cells = np.arange(2.0, 16 * 3 + 2).reshape(1, 16, 3)  # distinct, and none is the ones column
     unread = ~np.isin(cells[0], model.rows_read(cells))
     assert unread.sum() == {"dlinear": 15 * 3}.get(kind, 0)
@@ -700,57 +717,34 @@ def test_the_loss_guard_sees_batch_means_not_sums(small_market):
     assert named == [(train[1].stock_id, named[0][1])] * 2
 
 
-def _blocks(sizes, width, extend):
-    """The blocks of a stack's ascending window ``sizes``: a cut after every
-    ``width`` rows, which with ``extend`` moves on past the rows that equal
-    the row before it. So row r starts a block when a cut falls in the run
-    of equal rows that ends at r - 1 and row r does not extend that run."""
-    starts = [0]
-    for r in range(1, len(sizes)):
-        tied = extend and sizes[r] == sizes[r - 1]
-        run_start = sizes.index(sizes[r - 1]) if extend else r - 1
-        if not tied and any(cut % width == 0 for cut in range(run_start + 1, r + 1)):
-            starts.append(r)
-    return [sizes[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(sizes)])]
-
-
-def _kernel_calls_per_epoch(blocks, batch_size):
-    """Per block and batch index, one call per distinct batch size among its rows."""
+def _kernel_calls_per_epoch(sizes, cap, batch_size):
+    """Per batch index, one call per run of rows with one batch size and one cut;
+    ``sizes`` ascend, so each distinct (batch size, cut) is one run of rows."""
     return sum(
-        len({min(batch_size, n - start) for n in block if start < n})
-        for block in blocks
-        for start in range(0, max(map(max, blocks)), batch_size)
+        len({(min(batch_size, n - start), r // cap) for r, n in enumerate(sizes) if start < n})
+        for start in range(0, max(sizes), batch_size)
     )
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, None])
-def test_jobs_caps_the_rows_of_every_kernel_call(jobs, monkeypatch):
-    # texfilter's data calls hold buffers, so no call takes more than jobs
-    # stocks; dlinear's and paifilter's hold none, so their blocks run on
-    # past the cap over the stocks of equal window count
+def test_jobs_caps_the_rows_of_every_kernel_call(jobs, kernel_rows):
+    # texfilter's data calls hold buffers, so a call takes the rows of one
+    # cut, between multiples of jobs; dlinear's and paifilter's hold none,
+    # so at any jobs a batch index runs one call per batch size
     train = _six_stocks_with_ties()
     sizes, width = sorted(ds.n_windows for ds in train), jobs or 6  # None: every stock
     assert sizes == [46, 46, 68, 89, 89, 138]  # in batches of 32
     cfg = CstiConfig(stocks=6, merge_rounds=2, finetune_epochs=1, batch_size=32, seed=53)
-    rows = []
-    kernel = ForecastModel.loss_and_gradient
-
-    def counting(self, p, inputs, targets, g, call=None):
-        rows.append(len(inputs))
-        return kernel(self, p, inputs, targets, g, call)
-
-    monkeypatch.setattr(ForecastModel, "loss_and_gradient", counting)
     for kind in ("dlinear", "paifilter", "texfilter"):
-        rows.clear()
+        kernel_rows.clear()
         run_csti(train, kind, cfg, jobs=jobs)
-        extend = kind != "texfilter"
-        per_epoch = _kernel_calls_per_epoch(_blocks(sizes, width, extend), cfg.batch_size)
-        assert per_epoch == {(1, False): 18, (2, False): 12, (3, False): 10, (6, False): 8,
-                             (1, True): 13, (2, True): 11, (3, True): 10,
-                             (6, True): 8}[width, extend]
-        assert len(rows) == per_epoch * cfg.epochs_budget, kind
-        if not extend:
-            assert max(rows) <= width
+        cap = width if kind == "texfilter" else len(sizes)
+        per_epoch = _kernel_calls_per_epoch(sizes, cap, cfg.batch_size)
+        assert per_epoch == {1: 18, 2: 12, 3: 10, 6: 8}[cap]
+        assert len(kernel_rows) == per_epoch * cfg.epochs_budget, kind
+        assert max(kernel_rows) <= cap
+        # every row with a batch at an index is in exactly one of its calls
+        assert sum(kernel_rows) == cfg.epochs_budget * sum(-(-n // 32) for n in sizes)
 
 
 @pytest.mark.parametrize("jobs", [2.5, "2", True])
