@@ -100,6 +100,18 @@ class NormalizationParams:
         object.__setattr__(self, "per_column_max", hi)
 
 
+def windows_finite(inputs: np.ndarray) -> bool:
+    """Whether all (N, L, ...) windows are finite, reading each value once.
+
+    Windows as strided from one to the next as within one (``make_windows``'s
+    views) hold just the values of ``inputs[:, 0]`` and ``inputs[-1]``, so
+    only those are read; any other array is read whole.
+    """
+    if inputs.size and inputs.strides[0] == inputs.strides[1]:
+        return bool(np.isfinite(inputs[:, 0]).all() and np.isfinite(inputs[-1]).all())
+    return bool(np.isfinite(inputs).all())
+
+
 @dataclass(frozen=True)
 class WindowedDataset:
     """Stride-1 windows over one chronological split of a stock series.
@@ -129,7 +141,7 @@ class WindowedDataset:
             raise ContractViolation("inputs/targets/indices row counts differ")
         if inputs.shape[1] != self.lookback or targets.shape[1] != self.horizon:
             raise ContractViolation("window shapes disagree with L/H")
-        if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
+        if not (windows_finite(inputs) and np.all(np.isfinite(targets))):
             raise NumericInputError(f"{self.stock_id}: non-finite window values")
         for arr in (inputs, targets, idx):
             arr.flags.writeable = False

@@ -7,8 +7,8 @@ learned input mix, then applies its own mapping to an H-step forecast:
                sum evaluated at the forecast steps, anchored to the
                window's last mixed value.
 * paifilter  -- learnable static complex kernel applied to the window
-               spectrum, inverse-transformed, affine head; a linear map of
-               the series, so it runs as one precomposed real operator.
+               spectrum, inverse-transformed, affine head; a circular
+               convolution of the series, so it runs as one real product.
 * texfilter  -- spectrum-conditioned kernel produced by a one-hidden-
                layer complex network (modReLU) on complex128 spectra.
 * frets      -- separate real networks for the real and imaginary parts
@@ -63,6 +63,7 @@ import math
 import numpy as np
 
 from . import numerics
+from .data import windows_finite
 from .errors import (
     ContractViolation,
     CstiError,
@@ -90,7 +91,7 @@ def _check_inputs(inputs, lookback, n_features):
         )
     if inputs.shape[0] == 0:
         raise ContractViolation("batch must be non-empty")
-    if not np.isfinite(inputs).all():
+    if not windows_finite(inputs):
         raise NumericInputError("batch inputs contain non-finite values")
     return inputs
 
@@ -493,18 +494,25 @@ class DLinearModel(_Affine, ForecastModel):
 # paifilter
 # ---------------------------------------------------------------------------
 
+def _circulant(c2):
+    """The read-only (K, L, L) view G[t, u] = c[(u - t) mod L] of (K, 1, 2L) rows [c | c]."""
+    lookback = c2.shape[-1] // 2
+    return np.lib.stride_tricks.sliding_window_view(c2[:, 0], lookback, axis=-1)[:, lookback:0:-1]
+
+
 class PaiFilterModel(_Affine, ForecastModel):
     """Static learnable complex kernel on the window spectrum.
 
-    Re IDFT(k * DFT(z)) is real-linear in z and in k, so it equals z @ G
-    with G = ([k_re | k_im] @ T).reshape(L, L), T the cached
-    ``numerics.filter_operator_basis``. The prologue builds G and
+    Re IDFT(k * DFT(z)) is a circular convolution of z with the real taps
+    c = [k_re | k_im] @ B, B = [C; -E] / L (the convolution theorem): z @ G
+    with G[t, u] = c[(u - t) mod L]. The prologue builds the taps and
     v = G @ W^T once per row and step; as z is the window times the input
     mix, the forecast is affine in the window. The design is the window
     flattened feature by feature (the d series of L values, one after
     another), then a one: (N, L*d + 1). W holds ``mix_j * v`` in feature
-    j's L rows, then the head bias. Results differ from the DFT chain by
-    rounding alone.
+    j's L rows, then the head bias. G and the Hankel form of W are views
+    of the taps and of W^T, each written twice, so no buffer grows with
+    L^2. Results differ from the DFT chain by rounding alone.
     """
 
     kind = "paifilter"
@@ -524,30 +532,36 @@ class PaiFilterModel(_Affine, ForecastModel):
         return _t(inputs)
 
     def _buffers(self, n):
+        """One row's taps [c | c], W^T twice, v and W; then gW, dv and the taps' gradient."""
         L, h, rows = self.lookback, self.horizon, self.lookback * self.n_features + 1
-        return ({"g_op": (_F, L, L), "v": (_F, L, h), "w": (_F, rows, h)},
-                {"g_w": (_F, rows, h), "dv": (_F, L, h), "dg_op": (_F, L, L)}, {}, {})
+        return ({"c2": (_F, 1, 2 * L), "w2": (_F, 2 * L, h), "v": (_F, L, h), "w": (_F, rows, h)},
+                {"g_w": (_F, rows, h), "dv": (_F, L, h), "g_c": (_F, L)}, {}, {})
 
     def bind_rows(self, p, ws, g=None):
         k, L, d = len(p["kernel"]), self.lookback, self.n_features
-        basis = numerics.filter_operator_basis(L)
-        g_op, v, w, weight_t = ws["g_op"], ws["v"], ws["w"], _t(p["head_weight"])
-        # (K, 1, 2L) products keep each row's G bit-identical to K=1
-        kernel, g_ops = p["kernel"][:, None], g_op.reshape(k, 1, L * L)
-        mix, v_rows = p["input_mix"][..., None, None], v[:, None]
+        doubled, basis_t = numerics.planar_dft_operators(L)
+        c2, w2, v, w = ws["c2"], ws["w2"], ws["v"], ws["w"]
+        # (K, 1, 2L) products keep each row's taps bit-identical to K=1
+        kernel, taps, circulant = p["kernel"][:, None], c2[..., :L], _circulant(c2)
+        weight_t, w2_halves = _t(p["head_weight"])[:, None], w2.reshape(k, 2, L, -1)
+        # the read-only (K, L, L*H) view hankel[s, t*H + h] = W[h, (s + t) mod L] of W^T twice
+        hankel = np.lib.stride_tricks.sliding_window_view(
+            w2.reshape(k, -1), L * self.horizon, axis=-1)[:, : L * self.horizon : self.horizon]
+        mix, v_rows, v_row = p["input_mix"][..., None, None], v[:, None], v.reshape(k, 1, -1)
         w_series, w_bias, bias = w[:, :-1].reshape(k, d, L, -1), w[:, -1], p["head_bias"]
 
         def prologue():
-            np.matmul(kernel, basis, out=g_ops)
-            np.matmul(g_op, weight_t, out=v)  # (K, L, H)
+            np.matmul(kernel, doubled, out=c2)
+            np.copyto(w2_halves, weight_t)
+            np.matmul(taps, hankel, out=v_row)  # v = G @ W^T, (K, L, H)
             np.multiply(mix, v_rows, out=w_series)
             np.copyto(w_bias, bias)
         if g is None:
             return prologue, None
-        dv, dg_op, weight, basis_t = ws["dv"], ws["dg_op"], p["head_weight"], basis.T
+        dv, g_c = ws["dv"], ws["g_c"]
         g_w_series, g_w_bias = ws["g_w"][:, :-1].reshape(k, d, -1), ws["g_w"][:, -1]
         mix_row, v_col, dv_row = p["input_mix"][:, None], v.reshape(k, -1, 1), dv.reshape(k, 1, -1)
-        dv_t, dg_ops = _t(dv), dg_op.reshape(k, 1, L * L)
+        dv_t, dv_col, g_c_col, g_c_row = _t(dv), dv.reshape(k, -1, 1), g_c[..., None], g_c[:, None]
         g_weight, g_bias, g_kernel = g["head_weight"], g["head_bias"], g["kernel"][:, None]
         g_mix = g["input_mix"][..., None]
 
@@ -555,9 +569,9 @@ class PaiFilterModel(_Affine, ForecastModel):
             np.copyto(g_bias, g_w_bias)
             np.matmul(mix_row, g_w_series, out=dv_row)  # dv = sum_j mix_j gW_j
             np.matmul(g_w_series, v_col, out=g_mix)  # d mix_j = <gW_j, v>
-            np.matmul(dv_t, g_op, out=g_weight)
-            np.matmul(dv, weight, out=dg_op)
-            np.matmul(dg_ops, basis_t, out=g_kernel)
+            np.matmul(dv_t, circulant, out=g_weight)
+            np.matmul(hankel, dv_col, out=g_c_col)  # d c_s = sum dv[t, h] W[h, (s + t) mod L]
+            np.matmul(g_c_row, basis_t, out=g_kernel)
         return prologue, epilogue
 
     def predict_batch(self, inputs):

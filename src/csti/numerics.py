@@ -3,11 +3,11 @@
 The discrete Fourier transform is an explicit linear operator (cos/sin
 matrices, ``dft_matrices``), so the frequency models backpropagate through
 it with plain transposes; at lookbacks <= 64 the O(n^2) product beats FFT
-bookkeeping. The kinds bind two cached forms: ``filter_operator_basis``
-(2n, n^2) folds a static filter into one real n x n operator (16 n^3 bytes:
-64 KiB at n=16, 4 MiB at n=64), and ``interleaved_dft_operators`` D (n, 2n),
-R (2n, n) move complex128 spectra as (re, im) pairs through one real gemm
-each way (32 n^2 bytes, 8 KiB at n=16).
+bookkeeping. The kinds bind two cached O(n^2) forms: the planar pair
+``planar_dft_operators``, [B | B] (2n, 2n) and B^T with B = [C; -E] / n,
+turns a static filter into its circular-convolution taps and back, and
+``interleaved_dft_operators`` D (n, 2n), R (2n, n) move complex128 spectra
+as (re, im) pairs through one real gemm each way.
 
 Model checkpoints and merge rounds are one container: magic b"CSTI", u32
 version 2, u32 header length, a sorted-key UTF-8 JSON header, u64 value
@@ -153,14 +153,18 @@ def dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def filter_operator_basis(n: int) -> np.ndarray:
-    """(2n, n*n) T with Re IDFT(k * DFT(z)) = z @ ([k_re | k_im] @ T).reshape(n, n)."""
+def planar_dft_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """[B | B] (2n, 2n) and B^T (n, 2n), with B = [C; -E] / n the real inverse of planar spectra.
+
+    ``[f_re | f_im] @ B`` is Re IDFT(f), so a kernel's circular-convolution
+    taps are ``[k_re | k_im] @ B``; the doubled form writes them twice in one
+    product, and B^T carries their gradient back to the kernel.
+    """
     c, e = dft_matrices(n)
-    ct, et, cu, eu = c[:, :, None], e[:, :, None], c[:, None, :], e[:, None, :]
-    # row f, column t*n + u: k_re's share of G[t, u]; row n + f: k_im's share
-    basis = np.concatenate([ct * cu + et * eu, et * cu - ct * eu]).reshape(2 * n, n * n) / n
-    basis.flags.writeable = False
-    return basis
+    b = np.concatenate([c, -e]) / n
+    doubled, b_t = np.concatenate([b, b], axis=1), np.ascontiguousarray(b.T)
+    doubled.flags.writeable = b_t.flags.writeable = False
+    return doubled, b_t
 
 
 @lru_cache(maxsize=None)

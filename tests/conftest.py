@@ -1,7 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from csti import numerics
+from csti import models, numerics
 from csti.data import fit_normalizer, generate_synthetic_market, make_windows, normalize
 from csti.errors import ContractViolation
 
@@ -108,11 +110,30 @@ def filter_spectrum(s_re, s_im, k_re, k_im):
     return numerics.real_idft_batch(s_re * k_re - s_im * k_im, s_re * k_im + s_im * k_re)
 
 
+@lru_cache(maxsize=None)
+def filter_operator_basis(n):
+    """(2n, n*n) T with Re IDFT(k * DFT(z)) = z @ ([k_re | k_im] @ T).reshape(n, n).
+
+    The reference operator: it holds 16 n^3 bytes, so the model builds the
+    same G as a circulant view of its n taps instead.
+    """
+    c, e = numerics.dft_matrices(n)
+    ct, et, cu, eu = c[:, :, None], e[:, :, None], c[:, None, :], e[:, None, :]
+    # row f, column t*n + u: k_re's share of G[t, u]; row n + f: k_im's share
+    basis = np.concatenate([ct * cu + et * eu, et * cu - ct * eu]).reshape(2 * n, n * n) / n
+    basis.flags.writeable = False
+    return basis
+
+
+def circulant_operator(kernel):
+    """The model's (L, L) filter operator G of one [k_re | k_im] kernel: a view of its taps."""
+    doubled, _ = numerics.planar_dft_operators(len(kernel) // 2)
+    return models._circulant(np.asarray(kernel)[None, None] @ doubled)[0]
+
+
 def filter_series(model, z):
     """A paifilter model's kernel applied to (N, L) scalar series; the pre-head signal."""
-    kernel = model.unpack(model.export_params().values[None])["kernel"]
-    g_op = kernel[:, None] @ numerics.filter_operator_basis(model.lookback)
-    return z @ g_op.reshape(model.lookback, model.lookback)
+    return z @ circulant_operator(model.unpack(model.export_params().values[None])["kernel"][0])
 
 
 def _mse_and_scaled_residual(pred, targets):
@@ -150,7 +171,7 @@ def paifilter_reference(model, inputs, targets):
     p = {name: view[0] for name, view in
          model.unpack(model.export_params().values[None]).items()}
     lookback = model.lookback
-    basis = numerics.filter_operator_basis(lookback)
+    basis = filter_operator_basis(lookback)
     g_op = (p["kernel"] @ basis).reshape(lookback, lookback)
     weight, v = p["head_weight"], g_op @ p["head_weight"].T
     z = inputs @ p["input_mix"]

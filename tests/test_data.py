@@ -25,9 +25,11 @@ from csti.errors import (
     CstiError,
     DegenerateColumnError,
     InsufficientDataError,
+    NumericInputError,
     SchemaError,
     WrongNormalizerError,
 )
+from csti.models import build_model
 
 
 def write_csv(path, text):
@@ -372,6 +374,26 @@ def test_windows_hold_no_copy_of_the_series():
     assert ds.inputs.shape == (1384, 16, 3)
     assert held < copy_bytes / 8, (held, copy_bytes)
     assert peak < copy_bytes / 2, (peak, copy_bytes)  # no passing copy either
+    # nor a check that reads each value L times: (N, L, d) finiteness flags alone take 66 KB
+    assert peak < 48_000, peak
+
+
+@settings(max_examples=60, deadline=None)
+@given(lookback=st.integers(4, 12), extra=st.integers(0, 30), data=st.data())
+def test_a_non_finite_value_anywhere_in_the_windows_is_rejected(lookback, extra, data):
+    # the windows cover every row, and a window view is checked by two of its slices
+    total = lookback + extra
+    row, col = data.draw(st.integers(0, total - 1)), data.draw(st.integers(0, 2))
+    features = np.random.default_rng(row).uniform(size=(total, 3))
+    features[row, col] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    view = np.lib.stride_tricks.sliding_window_view(features, (lookback, 3))[:, 0]
+    assert view.strides[0] == view.strides[1]
+    model, n = build_model("dlinear", lookback, 1, 3), len(view)
+    for inputs in (view, np.array(view)):
+        with pytest.raises(NumericInputError, match="non-finite window values"):
+            WindowedDataset("TST", "train", lookback, 1, inputs, np.zeros((n, 1)), np.arange(n))
+        with pytest.raises(NumericInputError, match="batch inputs contain non-finite values"):
+            model.predict_batch(inputs)
 
 
 def test_a_dataset_leaves_the_callers_arrays_writeable():

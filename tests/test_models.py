@@ -24,6 +24,7 @@ from csti.models import (
 from csti.numerics import ParamVector, axpy_merge
 
 from conftest import (
+    circulant_operator,
     dlinear_reference,
     filter_series,
     filter_spectrum,
@@ -163,9 +164,9 @@ def test_paifilter_identity_filter_passes_series_through(rng):
 def test_filter_operator_equals_the_dft_chain(lookback, rng):
     z = rng.standard_normal((9, lookback))
     k_re, k_im = rng.standard_normal((2, lookback))
-    operator = np.concatenate([k_re, k_im]) @ numerics.filter_operator_basis(lookback)
+    operator = circulant_operator(np.concatenate([k_re, k_im]))
     reference = filter_spectrum(*numerics.dft_batch(z), k_re, k_im)
-    error = np.max(np.abs(z @ operator.reshape(lookback, lookback) - reference))
+    error = np.max(np.abs(z @ operator - reference))
     assert error <= 1e-12 * np.max(np.abs(reference))
 
 
@@ -345,6 +346,44 @@ def test_stacked_rows_equal_one_row_calls(kind, horizon, k_rows, rng):
         loss_k, grad_k = _loss_and_gradient(model, theta[k:k + 1], inputs[k:k + 1], targets[k:k + 1])
         assert np.array_equal(losses[k:k + 1], loss_k)
         assert np.array_equal(grad[k:k + 1], grad_k)
+
+
+@pytest.mark.parametrize("lookback", [5, 16])
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_paifilter_bind_rows_give_the_bits_of_one_row_calls(lookback, horizon, rng):
+    # the reversed circulant view of the taps and the Hankel view of the head
+    # weight, at odd L and at H > 1: every row of a K-row bind call, forward
+    # and backward, holds the bits of its own K=1 call
+    model = build_model("paifilter", lookback, horizon, 3, seed=21)
+    theta = model.export_params().values + rng.uniform(-0.5, 0.5, size=(3, model.n_params))
+    inputs = model.rows_read(rng.uniform(0.0, 1.0, size=(3, 11, lookback, 3)))
+    targets = rng.uniform(0.0, 1.0, size=(3, 11, horizon))
+
+    def run(rows):
+        p, grad = model.unpack(theta[rows]), np.full(theta[rows].shape, np.nan)
+        pred = model.bind(p, inputs[rows])().copy()
+        losses = model.bind(p, inputs[rows], targets[rows], model.unpack(grad))()
+        return pred, losses, grad
+
+    one_row = [run(slice(k, k + 1)) for k in range(3)]
+    for k_rows in (1, 2, 3):
+        for k, stacked in enumerate(zip(*run(slice(0, k_rows)))):
+            assert all(a.tobytes() == b[0].tobytes() for a, b in zip(stacked, one_row[k]))
+
+
+def test_paifilter_gradient_at_lookback_128_holds_no_quadratic_operator(rng):
+    # G and the Hankel form of W are views of O(L) buffers; the (2L, L^2)
+    # operator basis this replaced held 32 MiB at L = 128 by itself
+    model = build_model("paifilter", 128, 1, 3, seed=3)
+    inputs, targets = random_batch(rng, 64, 128, 3, 1)
+    assert max(buf.size for buf in model.workspace(1).values()) < 128 * 128
+    tracemalloc.start()
+    try:
+        model.loss_gradient(inputs, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

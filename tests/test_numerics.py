@@ -13,7 +13,6 @@ from csti.numerics import (
     axpy_merge,
     dft_batch,
     dft_batch_adjoint,
-    filter_operator_basis,
     load_container,
     real_idft_batch,
     real_idft_batch_adjoint,
@@ -21,7 +20,8 @@ from csti.numerics import (
     sgd_step,
 )
 
-from conftest import finite_diff_gradient, gradient, gradient_check_max_error, random_batch
+from conftest import (circulant_operator, finite_diff_gradient, gradient, gradient_check_max_error,
+                      random_batch)
 
 
 def pv(values, names=None):
@@ -123,8 +123,7 @@ def test_identity_filter_leaves_signal_unchanged():
     rng = np.random.default_rng(41)
     x = rng.standard_normal((3, 8))
     kernel = np.concatenate([np.ones(8), np.zeros(8)])  # [k_re | k_im] of the unit kernel
-    g_op = (kernel @ filter_operator_basis(8)).reshape(8, 8)
-    assert np.allclose(x @ g_op, x, atol=1e-9)
+    assert np.allclose(x @ circulant_operator(kernel), x, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from csti.errors import (
     NumericInputError,
     ShapeMismatchError,
 )
-from csti.models import MODEL_KINDS, ForecastModel, build_model
+from csti.models import MODEL_KINDS, build_model
 from csti.numerics import sgd_step
 from csti.training import (
     DIVERGENCE_GUARD,
@@ -316,9 +316,10 @@ def test_window_views_train_and_score_as_contiguous_copies(kind, small_market):
 
 @pytest.mark.parametrize("kind", ["dlinear", "texfilter"])
 def test_lockstep_non_contiguous_rows_bit_identical_across_stack_widths(kind):
-    # 166, 89, 166 and 124 windows: at batch index 1 rows 0 and 2 share a
-    # kernel call, and at index 2 only rows 0 and 2 have a batch, so the
-    # stack runs on copies with write-back instead of views
+    # 166, 89, 166 and 124 windows: given rows 0 and 2 are not adjacent, but
+    # the stack orders its rows by window count, so they are its rows 2 and
+    # 3. At batch index 1 they share a kernel call, and at index 2 they alone
+    # have a batch; texfilter's width of 3 cuts that run of rows in two
     train = _unequal_market(lengths=(260, 150, 260, 200), seed=31)
     assert [ds.n_windows for ds in train] == [166, 89, 166, 124]
     cfg = CstiConfig(stocks=4, merge_rounds=2, finetune_epochs=2, seed=59)
@@ -793,17 +794,10 @@ def _count_sgd_steps(monkeypatch):
     return steps
 
 
-def test_run_csti_runs_every_step_through_the_traced_kernel(small_market, monkeypatch):
+def test_run_csti_runs_every_step_through_the_traced_kernel(small_market, monkeypatch,
+                                                            kernel_rows):
     # the benchmark's traced run counts one loss_and_gradient span per kernel call
     train, _, _ = small_market
-    calls = []
-    kernel = ForecastModel.loss_and_gradient
-
-    def counting(self, *args):
-        calls.append(len(args[1]))
-        return kernel(self, *args)
-
-    monkeypatch.setattr(ForecastModel, "loss_and_gradient", counting)
     steps = _count_sgd_steps(monkeypatch)
     cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, seed=47)
     run_csti(train, "dlinear", cfg, jobs=1)
@@ -811,13 +805,13 @@ def test_run_csti_runs_every_step_through_the_traced_kernel(small_market, monkey
     # the three stocks have 194 windows each, and a dlinear call holds no
     # buffers, so at jobs=1 too they share one call per step
     batches = [-(-ds.n_windows // cfg.batch_size) for ds in train]
-    assert len(calls) == len(steps) == cfg.epochs_budget * max(batches)
-    assert set(calls) == {3}
+    assert len(kernel_rows) == len(steps) == cfg.epochs_budget * max(batches)
+    assert set(kernel_rows) == {3}
     assert max(steps) == len(train)
-    calls.clear()
+    kernel_rows.clear()
     result = run_csti(train, "texfilter", cfg, jobs=1)  # its calls hold buffers
-    assert set(calls) == {1}
-    assert len(calls) == sum(result.trace.lineage_update_steps) > 0
+    assert set(kernel_rows) == {1}
+    assert len(kernel_rows) == sum(result.trace.lineage_update_steps) > 0
 
 
 def test_run_normal_runs_every_step_through_the_traced_sgd_step(small_market, monkeypatch):
