@@ -20,7 +20,6 @@ from .data import (
     load_csv_detailed,
     make_windows,
     normalize,
-    save_series_csv,
 )
 from .errors import (
     ContractViolation,

@@ -24,7 +24,6 @@ from .errors import (
     SchemaError,
     WrongNormalizerError,
 )
-from .numerics import atomic_open
 
 OPEN_COL = 0
 CLOSE_COL = 1
@@ -159,7 +158,7 @@ class WindowedDataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion / export
+# CSV ingestion
 # ---------------------------------------------------------------------------
 
 def load_csv_detailed(path, with_sentiment: bool = False, min_rows: int = 2,
@@ -246,16 +245,6 @@ def stock_id_from_path(path: str) -> str:
     """The stock id of a CSV loaded without an explicit one: the file name's stem."""
     name = path.replace("\\", "/").rsplit("/", 1)[-1]
     return name.rsplit(".", 1)[0]
-
-
-def save_series_csv(series: StockSeries, path) -> None:
-    """Write a series in the same CSV format the loader accepts."""
-    headers = ["date", "open", "close"] + (["sentiment"] if series.has_sentiment else [])
-    with atomic_open(path, newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers)
-        for day, row in zip(series.timestamps, series.features):
-            writer.writerow([day.isoformat()] + [f"{v:.9g}" for v in row])
 
 
 # ---------------------------------------------------------------------------

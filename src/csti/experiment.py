@@ -45,6 +45,7 @@ from .training import (
     CstiConfig,
     CstiResult,
     NormalResult,
+    _check_finetune_rate,
     evaluate,
     run_csti,
     run_normal,
@@ -322,6 +323,12 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
                                   f"{values['length']} holds {rows} rows, fewer than "
                                   f"lookback + horizon = {needed}")
                     break
+
+    if values.keys() >= {"alpha", "learning_rate"}:
+        try:  # the check CstiConfig makes, before any cell trains
+            _check_finetune_rate(values["alpha"], values["learning_rate"])
+        except ContractViolation as err:
+            errors.append(f"training.alpha: {err}")
 
     stocks, weights = values.get("stocks"), values.get("merge_weights")
     if stocks is not None and weights is not None and len(weights) != stocks:

@@ -50,7 +50,8 @@ with one batch size (``bind_sum_of_squares``), one loss divide and one
 scale of the gradient by 2 / (N * H); ``bind`` composes the same for a
 one-off call. Every product and reduction runs per row, so each row is
 bit-identical to the K=1 call.
-The kernels check nothing: the trainer owns theta and checks shapes.
+The kernels check nothing: ``predict_batch``, ``loss`` and ``loss_gradient``
+check their windows once, and a trainer trusts what its entry points checked.
 Reuse matters because temporaries freed at the end of every step leave
 the top of the glibc heap free: glibc trims it, and the next step
 faults the same pages back in.
@@ -262,19 +263,12 @@ class ForecastModel:
         inputs = _check_inputs(inputs, self.lookback, self.n_features)
         return self.bind(self._theta_views, self.rows_read(inputs)[None])()[0]
 
-    def predict(self, window) -> np.ndarray:
-        window = np.asarray(window, dtype=np.float64)
-        if window.shape != (self.lookback, self.n_features):
-            raise ShapeMismatchError(
-                f"window must be ({self.lookback}, {self.n_features}), got {window.shape}"
-            )
-        return self.predict_batch(window[None])[0]
-
     def loss(self, inputs, targets) -> float:
-        inputs, targets = _check_batch(
-            inputs, targets, self.lookback, self.horizon, self.n_features
-        )
-        residual, total = (self.predict_batch(inputs) - targets).reshape(1, -1), np.empty(1)
+        """The batch MSE with the kernel's bits: the tests' finite-difference reference."""
+        inputs, targets = _check_batch(inputs, targets, self.lookback, self.horizon,
+                                       self.n_features)
+        pred = self.bind(self._theta_views, self.rows_read(inputs)[None])()[0]
+        residual, total = (pred - targets).reshape(1, -1), np.empty(1)
         bind_sum_of_squares(residual, total)()  # the kernel's reduction, so the kernel's bits
         return float(total[0] / residual.size)
 
@@ -300,9 +294,8 @@ class ForecastModel:
         return (call or self.bind(p, inputs, targets, g))()
 
     def loss_gradient(self, inputs, targets) -> ParamVector:
-        inputs, targets = _check_batch(
-            inputs, targets, self.lookback, self.horizon, self.n_features
-        )
+        inputs, targets = _check_batch(inputs, targets, self.lookback, self.horizon,
+                                       self.n_features)
         grad = np.empty((1, self.n_params))
         self.loss_and_gradient(self._theta_views, self.rows_read(inputs)[None], targets[None],
                                self.unpack(grad))

@@ -30,7 +30,8 @@ the flattened window and a one for paifilter, the whole window for the
 spectral kinds. Allocating them per step would leave the top of the
 glibc heap free at each step's end, glibc would trim it, and the next
 step would fault the same pages back in. Each round merges the theta
-stack itself.
+stack itself. Each value is checked once, where it enters: by
+``WindowedDataset``, ``CstiConfig`` or a public trainer; the stack trusts it.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ from .errors import (
     ContractViolation,
     DivergenceError,
     MergeIncompatibilityError,
+    ShapeMismatchError,
 )
-from .models import ForecastModel, _check_batch, bind_sum_of_squares, build_model
+from .models import ForecastModel, bind_sum_of_squares, build_model
 from .numerics import (ParamVector, _check_int, _check_real, atomic_open, axpy_merge,
                        check_step_settings, sgd_step)
 
@@ -82,7 +84,8 @@ def derive_seed(base_seed: int, tag: int, round_index: int, stock_id: str = "") 
 
 @dataclass(frozen=True)
 class CstiConfig:
-    """Protocol hyperparameters; defaults follow the benchmark protocol."""
+    """Protocol hyperparameters, each checked at construction, the fine-tune rate
+    alpha * learning_rate too; defaults follow the benchmark protocol."""
 
     stocks: int
     merge_rounds: int = 50
@@ -104,6 +107,7 @@ class CstiConfig:
         for name, high, closed in (("learning_rate", math.inf, False), ("momentum", 1.0, True),
                                    ("alpha", math.inf, False), ("prox_weight", math.inf, True)):
             object.__setattr__(self, name, _check_real(name, getattr(self, name), high, closed))
+        _check_finetune_rate(self.alpha, self.learning_rate)
         if self.merge_weights is not None:
             if not isinstance(self.merge_weights, (list, tuple, np.ndarray)):
                 raise ContractViolation("merge_weights must be a sequence of numbers")
@@ -124,6 +128,13 @@ class CstiConfig:
         return self.merge_weights if self.merge_weights is not None else (1.0,) * self.stocks
 
 
+def _check_finetune_rate(alpha: float, learning_rate: float) -> None:
+    """Each factor may be in range while alpha * learning_rate rounds to 0.0 or overflows."""
+    if not 0.0 < alpha * learning_rate < math.inf:
+        raise ContractViolation(f"alpha * learning_rate, the fine-tune rate, must lie in (0, inf), "
+                                f"got {alpha!r} * {learning_rate!r} = {alpha * learning_rate!r}")
+
+
 @dataclass
 class TraceRow:
     phase: str  # "merge" | "finetune" | "normal"
@@ -136,7 +147,9 @@ class TraceRow:
 
 @dataclass
 class TrainingTrace:
-    """Loss curves, per-round global parameters and step counters."""
+    """Loss curves, per-round global parameters and step counters.
+
+    ``add`` trusts its rows: each loss is a mean of batch losses the trainer's guard bounded."""
 
     rows: list = field(default_factory=list)
     global_loss_per_round: list = field(default_factory=list)
@@ -144,11 +157,7 @@ class TrainingTrace:
     lineage_update_steps: list = field(default_factory=list)
 
     def add(self, phase, round_index, stock_id, data_loss, prox_penalty, wall_ms):
-        if not (math.isfinite(data_loss) and data_loss >= 0):
-            raise ContractViolation("trace losses must be finite and >= 0")
-        self.rows.append(
-            TraceRow(phase, round_index, stock_id, data_loss, prox_penalty, wall_ms)
-        )
+        self.rows.append(TraceRow(phase, round_index, stock_id, data_loss, prox_penalty, wall_ms))
 
 
 def write_trace_csv(trace: TrainingTrace, path) -> None:
@@ -226,19 +235,17 @@ class _StockStack:
     per batch index, the rows with a batch there (a contiguous run, since
     rows ascend in size), their step views and 2 / (N * H) gradient
     scales, their prologue and epilogue, the bound data calls and the dots
-    of the size runs.
+    of the size runs. It checks nothing: it trusts its callers' datasets and settings.
     """
 
     def __init__(self, model: ForecastModel, datasets: Sequence[WindowedDataset],
                  batch_size: int, width: int):
-        checked = [_check_batch(ds.inputs, ds.targets, model.lookback, model.horizon,
-                                model.n_features) for ds in datasets]
         self.order = sorted(range(len(datasets)),
-                            key=lambda i: (len(checked[i][0]), datasets[i].stock_id))
+                            key=lambda i: (datasets[i].n_windows, datasets[i].stock_id))
         self.row_of = sorted(range(len(datasets)), key=self.order.__getitem__)
         self.model = model
         self.stock_ids = [datasets[i].stock_id for i in self.order]
-        self.sizes = [len(checked[i][0]) for i in self.order]
+        self.sizes = [datasets[i].n_windows for i in self.order]
         self.batches = [-(-n // batch_size) for n in self.sizes]
         k_rows = len(self.sizes)
         self.theta = np.zeros((k_rows, model.n_params))
@@ -260,7 +267,7 @@ class _StockStack:
             return (model.unpack(self.theta[lo:hi]), model.unpack(self._grad[lo:hi]),
                     {name: buf[lo:hi] for name, buf in row_ws.items()})
 
-        read = model.rows_read(checked[0][0][:1]).shape[1:]  # the design of one window
+        read = model.rows_read(datasets[0].inputs[:1]).shape[1:]  # the design of one window
         self._unshuffled, self._shuffled = ((np.empty((bases[-1], *read)),
                                              np.empty((bases[-1], horizon))) for _ in range(2))
         self.schedule, pos = [], 0
@@ -286,7 +293,8 @@ class _StockStack:
                     ws = dict(workspaces[k, size], pred=pred, **row_views)
                     calls.append((p, x, y, g, model.bind_batch(p, x, y, g, ws)))
                     for r in range(part.start, part.stop):  # one batch at a time: no whole copy
-                        x_r, y_r = (a[start : start + size] for a in checked[self.order[r]])
+                        ds = datasets[self.order[r]]
+                        x_r, y_r = (a[start : start + size] for a in (ds.inputs, ds.targets))
                         self._slots[bases[r] + start :][:size] = np.arange(pos, pos + size)
                         self._unshuffled[0][pos : pos + size] = model.rows_read(x_r)
                         self._unshuffled[1][pos : pos + size] = y_r
@@ -334,9 +342,8 @@ class _StockStack:
         A failed check raises DivergenceError naming the stock that fails
         first in (epoch, batch index, given stock) order, at any width. An
         overflow or invalid operation warns nothing: the inf or NaN it
-        leaves fails one of these checks.
+        leaves fails one of these checks. ``train_local`` or ``CstiConfig`` checked the settings.
         """
-        check_step_settings(learning_rate, momentum)
         use_prox = anchor is not None and prox_weight > 0.0
         rngs = [np.random.default_rng(seed) for seed in seeds]
         model = self.model
@@ -395,12 +402,18 @@ def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
 
     The one-row call of the lockstep trainer ``_StockStack.train``:
     ``model`` supplies the starting theta and serves only as the kernel,
-    the dataset's shapes are checked against the model once, up front,
     and one model is built from the final theta. ``seed`` may be a
-    ``Generator``, whose state carries over between calls.
+    ``Generator``, whose state carries over between calls. The settings
+    are checked here, and ``dataset`` must be a ``WindowedDataset`` (which
+    checked its windows) of the model's shapes; the stack trusts both.
     """
+    shape = _check_stock_group([dataset])
+    if shape != (model.lookback, model.horizon, model.n_features):
+        raise ShapeMismatchError(f"{dataset.stock_id}: (lookback, horizon, features) {shape}, "
+                                 f"the model's {(model.lookback, model.horizon, model.n_features)}")
     epochs = _check_int("epochs", epochs, 1)
     check_step_settings(learning_rate, momentum)
+    prox_weight = _check_real("prox_weight", prox_weight)
     params = model.export_params()
     if anchor is not None and anchor.layout != params.layout:
         raise MergeIncompatibilityError("anchor layout does not match model")
@@ -414,10 +427,13 @@ def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
 
 
 def _check_stock_group(stocks: Sequence[WindowedDataset]):
+    """The (lookback, horizon, d) of a group of distinct ``WindowedDataset``s of one shape."""
     if len(stocks) < 1:
         raise ContractViolation("need at least one stock dataset")
     seen = set()
     for ds in stocks:
+        if not isinstance(ds, WindowedDataset):
+            raise ContractViolation(f"must be a WindowedDataset, got {type(ds).__name__}")
         if ds.stock_id in seen:
             raise ContractViolation(f"duplicate stock id {ds.stock_id!r} in group")
         seen.add(ds.stock_id)
@@ -461,6 +477,7 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     its rows in its own order, so merge weights, trace rows, fine-tuned
     models and update steps are mapped back to the order of ``stocks``.
     With no merge rounds, fine-tuning starts from the template's init.
+    The stack trusts ``stocks``, ``WindowedDataset``s of one shape, and ``cfg``.
     """
     lookback, horizon, d = _check_stock_group(stocks)
     k_stocks = len(stocks)
@@ -549,14 +566,9 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, epochs_total: int,
     epochs_per = _check_int("epochs_total", epochs_total, k_stocks) // k_stocks
     seed = _check_int("seed", seed, 0)
 
-    model = build_model(
-        kind, lookback, horizon, d, hyper,
-        seed=derive_seed(seed, _TAG_INIT, 0),
-    )
+    model = build_model(kind, lookback, horizon, d, hyper, seed=derive_seed(seed, _TAG_INIT, 0))
     trace = TrainingTrace()
-    snapshots = []
-    epoch_counter = 0
-    total_steps = 0
+    snapshots, epoch_counter, total_steps = [], 0, 0
     for k, ds in enumerate(stocks):
         try:
             res = train_local(
@@ -570,10 +582,9 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, epochs_total: int,
         model = res.model
         total_steps += res.update_steps
         snapshots.append(model)
-        for e, loss_val in enumerate(res.epoch_losses):
+        for loss_val, wall in zip(res.epoch_losses, res.epoch_wall_ms):
             epoch_counter += 1
-            trace.add("normal", epoch_counter, ds.stock_id,
-                      loss_val, 0.0, res.epoch_wall_ms[e])
+            trace.add("normal", epoch_counter, ds.stock_id, loss_val, 0.0, wall)
     trace.lineage_update_steps = [total_steps]
     return NormalResult(snapshots, trace)
 

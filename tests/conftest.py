@@ -1,3 +1,4 @@
+import csv
 from functools import lru_cache
 
 import numpy as np
@@ -22,6 +23,21 @@ def windowed_market(stocks, length, shared_strength, seed, lookback=16, horizon=
         test.append(make_windows(normed, lookback, horizon, "test", fractions))
         normalizers.append(params)
     return train, test, normalizers
+
+
+def write_series_csv(series, path):
+    """Write a series as a CSV the loader accepts: date, open, close (, sentiment)."""
+    headers = ["date", "open", "close"] + (["sentiment"] if series.has_sentiment else [])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(headers)
+        for day, row in zip(series.timestamps, series.features):
+            writer.writerow([day.isoformat()] + [f"{v:.9g}" for v in row])
+
+
+def predict_one(model, window):
+    """The (H,) forecast of one (L, d) window: a one-window ``predict_batch``."""
+    return model.predict_batch(np.asarray(window)[None])[0]
 
 
 def sinusoid_windows(period, lookback=16, horizon=1, total=240):

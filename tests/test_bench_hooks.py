@@ -13,6 +13,8 @@ from pathlib import Path
 from csti import data, experiment
 from csti.models import MODEL_KINDS, ForecastModel
 
+from conftest import write_series_csv
+
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
@@ -44,7 +46,7 @@ def test_csv_market_loads_through_the_data_modules_loader(tmp_path, monkeypatch)
     paths = []
     for series in data.generate_synthetic_market(2, 80, 0.5, seed=3):
         paths.append(str(tmp_path / f"{series.stock_id}.csv"))
-        data.save_series_csv(series, paths[-1])
+        write_series_csv(series, paths[-1])
     calls, load = [], data.load_csv_detailed
 
     def counting(path, *args, **kwargs):

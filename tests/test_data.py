@@ -17,7 +17,6 @@ from csti.data import (
     load_csv_detailed,
     make_windows,
     normalize,
-    save_series_csv,
     split_bounds,
 )
 from csti.errors import (
@@ -30,6 +29,8 @@ from csti.errors import (
     WrongNormalizerError,
 )
 from csti.models import build_model
+
+from conftest import write_series_csv
 
 
 def write_csv(path, text):
@@ -204,7 +205,7 @@ def test_constant_close_loads_but_normalizer_rejects(tmp_path):
 def test_csv_roundtrip_via_export(tmp_path):
     market = generate_synthetic_market(1, 80, 0.5, seed=3)
     path = tmp_path / "syn.csv"
-    save_series_csv(market[0], path)
+    write_series_csv(market[0], path)
     back = load_csv_detailed(path, with_sentiment=True)[0]
     assert back.T == market[0].T
     assert np.allclose(back.features, market[0].features, rtol=1e-8, atol=1e-10)

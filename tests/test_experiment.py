@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from csti.data import StockSeries, generate_synthetic_market, save_series_csv, split_bounds
+from csti.data import StockSeries, generate_synthetic_market, split_bounds
 from csti.errors import ContractViolation, CstiError, DivergenceError, SpecValidationError
 from csti.experiment import (
     load_round_checkpoint,
@@ -23,6 +23,8 @@ from csti.experiment import (
 )
 from csti.models import MODEL_KINDS, build_model, load_checkpoint, save_checkpoint
 from csti.numerics import save_container
+
+from conftest import write_series_csv
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -98,7 +100,7 @@ def _same_stem_csvs(tmp_path):
     market = generate_synthetic_market(2, 240, 0.6, seed=8)
     for sub, series in zip(("a", "b"), market):
         (tmp_path / sub).mkdir()
-        save_series_csv(series, tmp_path / sub / "ACME.csv")
+        write_series_csv(series, tmp_path / sub / "ACME.csv")
     return ["a/ACME.csv", "b/ACME.csv"]
 
 
@@ -410,7 +412,7 @@ def test_csv_source_end_to_end(tmp_path):
     csv_dir = tmp_path / "csvs"
     csv_dir.mkdir()
     for series in market:
-        save_series_csv(series, csv_dir / f"{series.stock_id}.csv")
+        write_series_csv(series, csv_dir / f"{series.stock_id}.csv")
     out = tmp_path / "out"
     doc = spec_doc(out, features=["with_sentiment"])
     doc["data"] = {"source": "csv",
@@ -427,7 +429,7 @@ def test_permuted_csv_paths_give_the_same_csti_reports(tmp_path):
     csv_dir.mkdir()
     for series, rows in zip(market, (320, 300, 280, 260, 240, 220, 200)):
         cut = StockSeries(series.stock_id, series.timestamps[:rows], series.features[:rows])
-        save_series_csv(cut, csv_dir / f"{series.stock_id}.csv")
+        write_series_csv(cut, csv_dir / f"{series.stock_id}.csv")
     paths = [f"csvs/{s.stock_id}.csv" for s in market]
     orders = {"given": paths, "reversed": paths[::-1], "rotated": paths[3:] + paths[:3]}
     for name, order in orders.items():
@@ -676,6 +678,20 @@ def test_cli_infinite_training_number_exit_code(tmp_path, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("training", [{"alpha": 5e-324}, {"alpha": 1e308, "learning_rate": 10.0}],
+                         ids=["rounds-to-zero", "overflows"])
+def test_cli_fine_tune_rate_outside_the_floats_exit_code_before_any_cell(tmp_path, training):
+    # alpha * learning_rate of 0.0 used to pass validation, write the normal cell
+    # and train every merge round, then fail on "learning rate ... got 0.0"
+    doc = spec_doc("out")
+    doc["training"].update(training)
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "spec error: training.alpha: alpha * learning_rate, the fine-tune rate" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
+
+
 def test_cli_bad_model_hyper_exit_code_before_any_cell(tmp_path):
     # frets is listed after dlinear, so its entry used to fail only after
     # every dlinear cell had trained and been written
@@ -708,7 +724,7 @@ def test_cli_lookback_longer_than_a_split_exit_code(tmp_path, source):
     else:  # 240 rows: 168 train rows fit, but the test split holds 48 < 101
         market = generate_synthetic_market(2, 240, 0.6, seed=8)
         for series in market:
-            save_series_csv(series, tmp_path / f"{series.stock_id}.csv")
+            write_series_csv(series, tmp_path / f"{series.stock_id}.csv")
         doc["data"] = {"source": "csv", "paths": [f"{s.stock_id}.csv" for s in market]}
         doc["window"] = {"lookback": 100}
         expected = "error: SYN000/test: segment has 48 rows, needs at least L+H=101"
@@ -781,7 +797,7 @@ def test_cli_negative_seed_exit_code(tmp_path, where):
 def test_cli_stocks_outside_the_csv_paths_exit_code(tmp_path, stocks):
     market = generate_synthetic_market(2, 240, 0.6, seed=8)
     for series in market:
-        save_series_csv(series, tmp_path / f"{series.stock_id}.csv")
+        write_series_csv(series, tmp_path / f"{series.stock_id}.csv")
     doc = spec_doc("out")
     doc["data"] = {"source": "csv", "paths": [f"{s.stock_id}.csv" for s in market]}
     write_spec(tmp_path, doc)
@@ -831,7 +847,7 @@ def test_cli_non_utf8_spec_exit_code(tmp_path):
 def test_cli_non_utf8_csv_exit_code(tmp_path):
     market = generate_synthetic_market(2, 240, 0.6, seed=8)
     for series in market:
-        save_series_csv(series, tmp_path / f"{series.stock_id}.csv")
+        write_series_csv(series, tmp_path / f"{series.stock_id}.csv")
     bad = tmp_path / f"{market[1].stock_id}.csv"
     bad.write_bytes(bad.read_bytes().replace(b"\n", b"\xff\n", 1))
     doc = spec_doc("out", features=["with_sentiment"])
@@ -846,7 +862,7 @@ def test_cli_non_utf8_csv_exit_code(tmp_path):
 def test_cli_csv_cell_over_the_field_limit_exit_code(tmp_path):
     market = generate_synthetic_market(2, 240, 0.6, seed=8)
     for series in market:
-        save_series_csv(series, tmp_path / f"{series.stock_id}.csv")
+        write_series_csv(series, tmp_path / f"{series.stock_id}.csv")
     bad = tmp_path / f"{market[0].stock_id}.csv"
     bad.write_bytes(bad.read_bytes() + b"2030-01-01,1," + b"9" * 131_073 + b"\n")
     doc = spec_doc("out")

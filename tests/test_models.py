@@ -29,6 +29,7 @@ from conftest import (
     filter_series,
     filter_spectrum,
     paifilter_reference,
+    predict_one,
     random_batch,
     train_sanity_mse,
 )
@@ -90,15 +91,15 @@ def test_build_validation():
 def test_predict_output_length_and_determinism(kind, rng):
     model = build_model(kind, 8, 3, 2, seed=4)
     window = rng.uniform(0, 1, size=(8, 2))
-    out = model.predict(window)
+    out = predict_one(model, window)
     assert out.shape == (3,)
-    assert np.array_equal(out, model.predict(window))
+    assert np.array_equal(out, predict_one(model, window))
 
 
 def test_predict_shape_errors(rng):
     model = build_model("dlinear", 8, 1, 2)
     with pytest.raises(ShapeMismatchError):
-        model.predict(rng.uniform(size=(7, 2)))
+        model.predict_batch(rng.uniform(size=(1, 7, 2)))
     with pytest.raises(ShapeMismatchError):
         model.loss(rng.uniform(size=(3, 8, 2)), rng.uniform(size=(3, 2)))
 
@@ -117,12 +118,12 @@ def test_predict_batch_rejects_windows_of_the_wrong_shape(kind):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_every_entry_point_rejects_a_non_finite_window(kind, bad, rng):
-    # predict_batch and loss used to return NaN here while predict raised
+    # predict_batch and loss used to return NaN here
     model = build_model(kind, 16, 1, 3)
     inputs, targets = random_batch(rng, 4, 16, 3, 1)
     inputs[1, -1, 0] = bad
-    for call in (lambda: model.predict_batch(inputs), lambda: model.predict(inputs[1]),
-                 lambda: model.loss(inputs, targets), lambda: model.loss_gradient(inputs, targets)):
+    for call in (lambda: model.predict_batch(inputs), lambda: model.loss(inputs, targets),
+                 lambda: model.loss_gradient(inputs, targets)):
         with pytest.raises(NumericInputError, match="non-finite"):
             call()
 
@@ -149,7 +150,7 @@ def test_paifilter_identity_kernel_with_select_last_head(rng):
     model = _set_segment(model, "head_weight", head)
     model = _set_segment(model, "input_mix", [0.0, 1.0])  # select close column
     window = rng.uniform(0, 1, size=(L, 2))
-    assert model.predict(window)[0] == pytest.approx(window[-1, 1], abs=1e-9)
+    assert predict_one(model, window)[0] == pytest.approx(window[-1, 1], abs=1e-9)
 
 
 def test_paifilter_identity_filter_passes_series_through(rng):
@@ -174,7 +175,7 @@ def test_dlinear_anchor_only_returns_last_mixed_value(rng):
     model = _zeroed(build_model("dlinear", 8, 1, 2))
     model = _set_segment(model, "input_mix", [0.0, 1.0])
     window = rng.uniform(0, 1, size=(8, 2))
-    assert model.predict(window)[0] == pytest.approx(window[-1, 1], abs=1e-12)
+    assert predict_one(model, window)[0] == pytest.approx(window[-1, 1], abs=1e-12)
 
 
 def test_dlinear_seasonal_periodicity():
@@ -189,7 +190,7 @@ def test_dlinear_seasonal_periodicity():
     coef[:2] = [0.0, 0.4]  # zero trend slope, free intercept
     model = _set_segment(model, "coef", coef)
     window = np.random.default_rng(8).uniform(0, 1, size=(8, 2))
-    out = model.predict(window)
+    out = predict_one(model, window)
     assert out[period] == pytest.approx(out[0], abs=1e-9)
 
 
@@ -197,7 +198,7 @@ def test_frets_zero_networks_output_head_bias(rng):
     model = _zeroed(build_model("frets", 8, 2, 2))
     model = _set_segment(model, "head_bias", [0.25, -0.5])
     window = rng.uniform(0, 1, size=(8, 2))
-    assert np.allclose(model.predict(window), [0.25, -0.5], atol=1e-12)
+    assert np.allclose(predict_one(model, window), [0.25, -0.5], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ def test_import_export_roundtrip(kind, rng):
     model = build_model(kind, 8, 1, 2, seed=10)
     clone = model.import_params(model.export_params())
     window = rng.uniform(0, 1, size=(8, 2))
-    assert np.array_equal(clone.predict(window), model.predict(window))
+    assert np.array_equal(predict_one(clone, window), predict_one(model, window))
 
 
 def test_consensus_merge_leaves_predictions_unchanged(rng):
@@ -254,7 +255,7 @@ def test_consensus_merge_leaves_predictions_unchanged(rng):
     merged = axpy_merge(np.tile(params.values, (3, 1)), [1.0] * 3)
     clone = model.import_params(params.replace(merged))
     window = rng.uniform(0, 1, size=(8, 2))
-    assert np.allclose(clone.predict(window), model.predict(window), atol=1e-12)
+    assert np.allclose(predict_one(clone, window), predict_one(model, window), atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -283,7 +284,7 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     back = load_checkpoint(path)
     assert back.kind == "frets" and back.hyper == model.hyper
     window = rng.uniform(0, 1, size=(8, 3))
-    assert np.array_equal(back.predict(window), model.predict(window))
+    assert np.array_equal(predict_one(back, window), predict_one(model, window))
 
 
 # lookback 8, horizon 1, 2 features: the layouts written before every tensor

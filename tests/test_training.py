@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csti import data as data_mod
+from csti import models as models_mod
+from csti import numerics as numerics_mod
 from csti import training
 from csti.data import (
     StockSeries,
@@ -22,7 +25,6 @@ from csti.errors import (
     ContractViolation,
     DivergenceError,
     MergeIncompatibilityError,
-    NumericInputError,
     ShapeMismatchError,
 )
 from csti.models import MODEL_KINDS, build_model
@@ -178,15 +180,59 @@ def test_dataset_shape_checked_against_model():
         train_local(model, train[0], 1, 0.01, 0.9, 64, seed=1)
 
 
-def test_the_stack_names_a_non_finite_training_window(small_market):
-    # WindowedDataset rejects them, but the stack reads any object with these
-    # fields; a NaN window used to surface as "batch loss nan exceeded guard"
-    ds = small_market[0][0]
-    inputs = ds.inputs.copy()
-    inputs[5, 3, 1] = np.nan
-    bad = types.SimpleNamespace(stock_id=ds.stock_id, inputs=inputs, targets=ds.targets)
-    with pytest.raises(NumericInputError, match="non-finite"):
-        training._StockStack(build_model("dlinear", 16, 1, 3), [bad], 64, 1)
+def _look_alike(ds):
+    """An object with every field and property of ``ds`` that is not a WindowedDataset."""
+    return types.SimpleNamespace(**vars(ds), n_windows=ds.n_windows, d=ds.d)
+
+
+@pytest.mark.parametrize("entry", ["train_local", "run_csti", "run_normal"])
+def test_every_training_entry_point_takes_only_windowed_datasets(entry, small_market):
+    # the stack trusts what a WindowedDataset checked when it was built, so
+    # an object that merely has its fields must not reach it
+    train = small_market[0]
+    given = [train[0], _look_alike(train[1]), train[2]]
+    calls = {
+        "train_local": lambda: train_local(build_model("dlinear", 16, 1, 3), given[1], 1,
+                                           0.01, 0.9),
+        "run_csti": lambda: run_csti(given, "dlinear",
+                                     CstiConfig(stocks=3, merge_rounds=1, finetune_epochs=1)),
+        "run_normal": lambda: run_normal(given, "dlinear", epochs_total=3),
+    }
+    with pytest.raises(ContractViolation, match="must be a WindowedDataset, got SimpleNamespace"):
+        calls[entry]()
+
+
+def test_run_csti_checks_no_window_and_no_step_setting_again(small_market, monkeypatch):
+    # the datasets checked their windows when built and CstiConfig its numbers;
+    # the stack used to re-check every window once per run and the step
+    # settings once per train call (K and merge_rounds + 1 calls)
+    calls = []
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name, owner, modules in (("windows_finite", data_mod, (data_mod, models_mod)),
+                                 ("check_step_settings", numerics_mod, (numerics_mod, training))):
+        wrapped = counting(name, getattr(owner, name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapped)
+    cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, seed=7)
+    run_csti(small_market[0], "dlinear", cfg)
+    assert calls == []
+    train_local(build_model("dlinear", 16, 1, 3), small_market[0][0], 1, 0.01, 0.9)
+    assert calls == ["check_step_settings"]  # the entry point checks its own settings
+
+
+@pytest.mark.parametrize("prox_weight", [-1.0, math.nan, math.inf, "0.1"])
+def test_train_local_rejects_a_prox_weight_outside_its_range(prox_weight, small_market):
+    # a negative or NaN weight used to drop the proximal term without a word
+    model = build_model("dlinear", 16, 1, 3)
+    with pytest.raises(ContractViolation, match="prox_weight"):
+        train_local(model, small_market[0][0], 1, 0.01, 0.9, anchor=model.export_params(),
+                    prox_weight=prox_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -931,6 +977,15 @@ def test_config_and_run_normal_reject_a_seed_that_is_not_an_integer_of_at_least_
         CstiConfig(stocks=2, seed=seed)
     with pytest.raises(ContractViolation, match="seed"):
         run_normal(small_market[0], "dlinear", epochs_total=3, seed=seed)
+
+
+@pytest.mark.parametrize("settings", [dict(alpha=5e-324), dict(alpha=1e308, learning_rate=10.0)],
+                         ids=["rounds-to-zero", "overflows"])
+def test_config_rejects_a_fine_tune_rate_outside_the_floats(settings):
+    # each factor is in range, but alpha * learning_rate was 0.0 or inf: the run
+    # trained every merge round, then failed on a learning rate the user never set
+    with pytest.raises(ContractViolation, match=r"alpha \* learning_rate, the fine-tune rate"):
+        CstiConfig(stocks=2, **settings)
 
 
 def test_config_accepts_numpy_integer_counts():
