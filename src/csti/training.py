@@ -135,8 +135,7 @@ def _check_finetune_rate(alpha: float, learning_rate: float) -> None:
                                 f"got {alpha!r} * {learning_rate!r} = {alpha * learning_rate!r}")
 
 
-@dataclass
-class TraceRow:
+class TraceRow(NamedTuple):
     phase: str  # "merge" | "finetune" | "normal"
     round_index: int  # merge round or epoch number, 1-based
     stock_id: str  # stock id or "global"
@@ -149,26 +148,50 @@ class TraceRow:
 class TrainingTrace:
     """Loss curves, per-round global parameters and step counters.
 
-    ``add`` trusts its rows: each loss is a mean of batch losses the trainer's guard bounded."""
+    The loss curves are the logs of the ``_StockStack.train`` calls, one
+    ``add`` per call: (phase, first round or epoch, stock ids, log), whose
+    (K, epochs) losses and penalties run in the given stock order. ``rows``
+    walks them; nothing per (stock, epoch) is built while training. The
+    walk gives, per merge round r, each stock's local epochs, all
+    numbered r, then the ``global`` row of ``global_loss_per_round``;
+    per fine-tune or normal log, each stock's epochs, numbered on from
+    its first. ``add`` trusts its logs: each loss is a mean of batch
+    losses the trainer's guard bounded.
+    """
 
-    rows: list = field(default_factory=list)
     global_loss_per_round: list = field(default_factory=list)
     round_globals: list = field(default_factory=list)  # ParamVector per merge round
     lineage_update_steps: list = field(default_factory=list)
+    logs: list = field(default_factory=list)  # (phase, first, stock ids, _StackLog) per call
 
-    def add(self, phase, round_index, stock_id, data_loss, prox_penalty, wall_ms):
-        self.rows.append(TraceRow(phase, round_index, stock_id, data_loss, prox_penalty, wall_ms))
+    def add(self, phase: str, first: int, stock_ids: Sequence[str], log: _StackLog) -> None:
+        self.logs.append((phase, first, stock_ids, log))
+
+    def _walk(self):
+        """The values of each row, in the order of ``rows``."""
+        for phase, first, stock_ids, log in self.logs:
+            step = 0 if phase == "merge" else 1  # a merge round numbers all its epochs r
+            for stock_id, losses, penalties in zip(stock_ids, log.losses.tolist(),
+                                                   log.penalties.tolist()):
+                for e, values in enumerate(zip(losses, penalties, log.epoch_wall_ms)):
+                    yield (phase, first + step * e, stock_id, *values)
+            if phase == "merge":
+                yield phase, first, "global", self.global_loss_per_round[first - 1], 0.0, 0.0
+
+    @property
+    def rows(self) -> list:
+        """One ``TraceRow`` per stock and epoch, and one per merge round, built on each read."""
+        return [TraceRow(*values) for values in self._walk()]
 
 
 def write_trace_csv(trace: TrainingTrace, path) -> None:
+    """One line per row of ``trace.rows``, in its order, read from the trace's logs."""
     with atomic_open(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["phase", "round", "stock_id", "data_loss", "proximal_penalty", "wall_ms"])
-        for row in trace.rows:
-            writer.writerow([
-                row.phase, row.round_index, row.stock_id,
-                f"{row.data_loss:.9g}", f"{row.prox_penalty:.9g}", f"{row.wall_ms:.3f}",
-            ])
+        writer.writerows([phase, round_index, stock_id, f"{loss:.9g}", f"{penalty:.9g}",
+                          f"{wall:.3f}"]
+                         for phase, round_index, stock_id, loss, penalty, wall in trace._walk())
 
 
 class LocalTrainResult(NamedTuple):
@@ -180,7 +203,7 @@ class LocalTrainResult(NamedTuple):
 
 
 class _StackLog(NamedTuple):
-    """What one ``_StockStack.train`` call records, row k for stock k."""
+    """What one ``_StockStack.train`` call records, row i for the i-th stock given."""
 
     losses: np.ndarray  # (K, epochs) mean data-term loss per epoch
     penalties: np.ndarray  # (K, epochs) lambda * ||theta_k - anchor||^2 at each epoch end
@@ -235,7 +258,12 @@ class _StockStack:
     per batch index, the rows with a batch there (a contiguous run, since
     rows ascend in size), their step views and 2 / (N * H) gradient
     scales, their prologue and epilogue, the bound data calls and the dots
-    of the size runs. It checks nothing: it trusts its callers' datasets and settings.
+    of the size runs. The prologue and epilogue are bound once per
+    distinct run of active rows, and shared by the batch indices with
+    that run. The bookkeeping runs once per stack too: each epoch's loss
+    means take one reduction per run of rows with one batch count, and
+    its proximal penalties one stacked product, into a bound (K,)
+    buffer. It checks nothing: it trusts its callers' datasets and settings.
     """
 
     def __init__(self, model: ForecastModel, datasets: Sequence[WindowedDataset],
@@ -266,6 +294,11 @@ class _StockStack:
         def views_of(lo, hi):  # theta, gradient and theta-only views of rows lo..hi-1
             return (model.unpack(self.theta[lo:hi]), model.unpack(self._grad[lo:hi]),
                     {name: buf[lo:hi] for name, buf in row_ws.items()})
+
+        @functools.cache
+        def rows_from(lo):  # (prologue, epilogue) over rows lo..K-1
+            p, g, row_views = views_of(lo, k_rows)
+            return model.bind_rows(p, row_views, g)
 
         read = model.rows_read(datasets[0].inputs[:1]).shape[1:]  # the design of one window
         self._unshuffled, self._shuffled = ((np.empty((bases[-1], *read)),
@@ -299,16 +332,20 @@ class _StockStack:
                         self._unshuffled[0][pos : pos + size] = model.rows_read(x_r)
                         self._unshuffled[1][pos : pos + size] = y_r
                         pos += size
-            p, g, row_views = views_of(active.start, k_rows)
             self.schedule.append((active, self._losses[active, batch], divisors[active, batch],
                                   2.0 / divisors[active, batch, None],
-                                  *model.bind_rows(p, row_views, g), calls, sums,
+                                  *rows_from(active.start), calls, sums,
                                   *(buf[active] for buf in (self.theta, self._velocity,
                                                             self._grad, self._scratch,
                                                             self._finite))))
         self._work, self._gather = np.empty_like(self._slots), np.empty_like(self._slots)
         self._stock_slices = [self._work[lo:hi] for lo, hi in zip(bases, bases[1:])]
-        self._same_batches = list(_runs(range(k_rows), self.batches.__getitem__))
+        # per run of rows with b batches: (b, rows, their batch losses)
+        self._same_batches = [(b, rows, self._losses[rows, :b])
+                              for b, rows in _runs(range(k_rows), self.batches.__getitem__)]
+        # ||theta_k - anchor||^2 of every row, from the differences in the step scratch
+        self._distances = np.zeros(k_rows)
+        self._squared_distances = bind_sum_of_squares(self._scratch, self._distances)
 
     def _diverged(self, rows, message):
         """DivergenceError for the first given stock among the failing ``rows``."""
@@ -338,7 +375,9 @@ class _StockStack:
         epilogue, the r . r dots, loss divide, gradient scale, loss guard,
         proximal term 2 * prox_weight * (theta - anchor), momentum step and
         finiteness check after it run over every row with a batch there,
-        in place.
+        in place. Each epoch's mean losses and penalties are stack-wide
+        operations too; the returned log holds them as (K, epochs) arrays
+        in the order the stocks were given (``row_of``), with the epoch walls.
         A failed check raises DivergenceError naming the stock that fails
         first in (epoch, batch index, given stock) order, at any width. An
         overflow or invalid operation warns nothing: the inf or NaN it
@@ -346,6 +385,8 @@ class _StockStack:
         """
         use_prox = anchor is not None and prox_weight > 0.0
         rngs = [np.random.default_rng(seed) for seed in seeds]
+        # the reductions behind ndarray.max(), .all() and .mean(), without their Python wrappers
+        maximum, every, total = np.maximum.reduce, np.logical_and.reduce, np.add.reduce
         model = self.model
         kernel = type(model).loss_and_gradient
         self._velocity[...] = 0.0
@@ -370,7 +411,7 @@ class _StockStack:
                     sum_of_squares()
                 np.divide(losses, divisors, out=losses)  # squared-error sums to means
                 np.multiply(gr, scales, out=gr)  # 2 / (N * H), per row
-                if not losses.max() <= DIVERGENCE_GUARD:  # NaN fails too
+                if not maximum(losses) <= DIVERGENCE_GUARD:  # NaN fails too
                     raise self._diverged(
                         active.start + np.flatnonzero(~(losses <= DIVERGENCE_GUARD)),
                         lambda k: f"batch loss {self._losses[k, batch]:.3e} exceeded guard")
@@ -379,19 +420,19 @@ class _StockStack:
                     scratch *= 2.0 * prox_weight
                     gr += scratch
                 sgd_step(th, vel, gr, learning_rate, momentum, scratch)
-                if not np.isfinite(th, out=finite).all():
+                if not every(np.isfinite(th, out=finite), axis=None):
                     raise self._diverged(
                         active.start + np.flatnonzero(~finite.all(axis=1)),
                         lambda k: "parameters became non-finite at step "
                                   f"{epoch * self.batches[k] + batch + 1}")
-            for b, rows in self._same_batches:
-                epoch_losses[rows, epoch] = self._losses[rows, :b].mean(axis=1)
+            for b, rows, batch_losses in self._same_batches:
+                epoch_losses[rows, epoch] = total(batch_losses, axis=1) / b  # the mean's bits
             if use_prox:
                 np.subtract(self.theta, anchor, out=self._scratch)
-                for k, delta in enumerate(self._scratch):
-                    penalties[k, epoch] = prox_weight * np.dot(delta, delta)
+                self._squared_distances()  # each row's bits are np.dot(delta, delta)'s
+                np.multiply(self._distances, prox_weight, out=penalties[:, epoch])
             epoch_wall.append((time.perf_counter() - tick) * 1000.0)
-        return _StackLog(epoch_losses, penalties, epoch_wall)
+        return _StackLog(epoch_losses[self.row_of], penalties[self.row_of], epoch_wall)
 
 
 def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
@@ -414,16 +455,23 @@ def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
     epochs = _check_int("epochs", epochs, 1)
     check_step_settings(learning_rate, momentum)
     prox_weight = _check_real("prox_weight", prox_weight)
-    params = model.export_params()
-    if anchor is not None and anchor.layout != params.layout:
+    if anchor is not None and anchor.layout != model.export_params().layout:
         raise MergeIncompatibilityError("anchor layout does not match model")
-    stack = _StockStack(model, [dataset], _check_int("batch_size", batch_size, 1), 1)
+    trained, log, steps = _train_one(model, dataset, epochs, learning_rate, momentum,
+                                     _check_int("batch_size", batch_size, 1), seed,
+                                     None if anchor is None else anchor.values, prox_weight)
+    return LocalTrainResult(trained, log.losses[0].tolist(), log.penalties[0].tolist(), steps,
+                            log.epoch_wall_ms)
+
+
+def _train_one(model, dataset, epochs, learning_rate, momentum, batch_size, seed,
+               anchor=None, prox_weight=0.0):
+    """``train_local``'s work, on checked settings: (model of the final theta, log, steps)."""
+    params = model.export_params()
+    stack = _StockStack(model, [dataset], batch_size, 1)
     stack.theta[0] = params.values
-    log = stack.train([seed], epochs, learning_rate, momentum,
-                      anchor=None if anchor is None else anchor.values, prox_weight=prox_weight)
-    return LocalTrainResult(model.import_params(params.replace(stack.theta[0])),
-                            log.losses[0].tolist(), log.penalties[0].tolist(),
-                            epochs * stack.batches[0], log.epoch_wall_ms)
+    log = stack.train([seed], epochs, learning_rate, momentum, anchor, prox_weight)
+    return model.import_params(params.replace(stack.theta[0])), log, epochs * stack.batches[0]
 
 
 def _check_stock_group(stocks: Sequence[WindowedDataset]):
@@ -470,12 +518,14 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     seeded once, before round 1, from (config seed, merge, stock id), and
     every round continues it; fine-tuning seeds one more per stock. So a
     run derives 2K seeds for training, one for the template model and,
-    without a shared init, K for the stocks' inits. Round means and trace
-    rows come from the (K, epochs) loss and penalty arrays of ``train``; a
-    trace row's ``wall_ms`` is the wall time of the whole-stack epoch the
-    row belongs to. The stack keeps
-    its rows in its own order, so merge weights, trace rows, fine-tuned
-    models and update steps are mapped back to the order of ``stocks``.
+    without a shared init, K for the stocks' inits. The trace holds the
+    log of each ``train`` call, (K, epochs) losses and penalties in the
+    order of ``stocks``: one ``add`` per round and one for fine-tuning,
+    and each round mean is one reduction over that log; its rows are built
+    only when read, and a row's ``wall_ms`` is the wall time of the
+    whole-stack epoch it belongs to. The stack keeps its rows in its own
+    order, so merge weights, fine-tuned models and update steps are
+    mapped back to the order of ``stocks``.
     With no merge rounds, fine-tuning starts from the template's init.
     The stack trusts ``stocks``, ``WindowedDataset``s of one shape, and ``cfg``.
     """
@@ -484,7 +534,7 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     if k_stocks != cfg.stocks:
         raise ContractViolation(f"config says {cfg.stocks} stocks, got {k_stocks}")
     width = k_stocks if jobs is None else _check_int("jobs", jobs, 1)
-    trace = TrainingTrace()
+    trace, stock_ids = TrainingTrace(), [ds.stock_id for ds in stocks]
 
     template = build_model(
         kind, lookback, horizon, d, hyper,
@@ -520,12 +570,9 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         global_params = init.replace(axpy_merge(theta, weights))
         trace.round_globals.append(global_params)
 
-        for ds, losses in zip(stocks, log.losses[given].tolist()):
-            for loss_val, wall in zip(losses, log.epoch_wall_ms):
-                trace.add("merge", round_index, ds.stock_id, loss_val, 0.0, wall)
-        mean_loss = math.fsum(log.losses.mean(axis=1).tolist()) / k_stocks  # correctly rounded: order-free
-        trace.global_loss_per_round.append(mean_loss)
-        trace.add("merge", round_index, "global", mean_loss, 0.0, 0.0)
+        trace.add("merge", round_index, stock_ids, log)
+        means = np.add.reduce(log.losses, axis=1) / cfg.local_epochs_per_round
+        trace.global_loss_per_round.append(math.fsum(means.tolist()) / k_stocks)  # order-free
 
     theta[:] = global_params.values
     try:
@@ -534,11 +581,8 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
                           anchor=global_params.values, prox_weight=cfg.prox_weight)
     except DivergenceError as err:
         raise DivergenceError(f"fine-tune: {err}", stock_id=err.stock_id) from err
+    trace.add("finetune", 1, stock_ids, log)
     finetuned = [template.import_params(global_params.replace(row)) for row in theta[given]]
-    for ds, losses, penalties in zip(stocks, log.losses[given].tolist(),
-                                     log.penalties[given].tolist()):
-        for e, (loss_val, penalty, wall) in enumerate(zip(losses, penalties, log.epoch_wall_ms)):
-            trace.add("finetune", e + 1, ds.stock_id, loss_val, penalty, wall)
 
     trace.lineage_update_steps = [cfg.epochs_budget * stack.batches[r] for r in given]
     return CstiResult(global_params, finetuned, trace)
@@ -559,7 +603,10 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, epochs_total: int,
     at each stock boundary, matching the per-round resets of the merge
     protocol. Snapshot k is the model state after stock k's segment. The
     stocks train in the order given, so unlike ``run_csti`` the result
-    depends on that order: it is part of the input.
+    depends on that order: it is part of the input. The group, step
+    settings and batch size are checked once, here; each segment is a
+    one-stock stack whose log the trace keeps, its epochs numbered on
+    from the last segment's.
     """
     lookback, horizon, d = _check_stock_group(stocks)
     k_stocks = len(stocks)
@@ -567,24 +614,21 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, epochs_total: int,
     seed = _check_int("seed", seed, 0)
 
     model = build_model(kind, lookback, horizon, d, hyper, seed=derive_seed(seed, _TAG_INIT, 0))
-    trace = TrainingTrace()
-    snapshots, epoch_counter, total_steps = [], 0, 0
+    check_step_settings(learning_rate, momentum)
+    batch_size = _check_int("batch_size", batch_size, 1)
+    trace, snapshots, total_steps = TrainingTrace(), [], 0
     for k, ds in enumerate(stocks):
         try:
-            res = train_local(
-                model, ds, epochs_per, learning_rate, momentum, batch_size,
-                seed=derive_seed(seed, _TAG_NORMAL, k, ds.stock_id),
-            )
+            model, log, steps = _train_one(model, ds, epochs_per, learning_rate, momentum,
+                                           batch_size, derive_seed(seed, _TAG_NORMAL, k,
+                                                                   ds.stock_id))
         except DivergenceError as err:
             raise DivergenceError(
                 f"normal segment {k}: {err}", stock_id=ds.stock_id, round_index=k,
             ) from err
-        model = res.model
-        total_steps += res.update_steps
+        trace.add("normal", k * epochs_per + 1, [ds.stock_id], log)
+        total_steps += steps
         snapshots.append(model)
-        for loss_val, wall in zip(res.epoch_losses, res.epoch_wall_ms):
-            epoch_counter += 1
-            trace.add("normal", epoch_counter, ds.stock_id, loss_val, 0.0, wall)
     trace.lineage_update_steps = [total_steps]
     return NormalResult(snapshots, trace)
 
@@ -613,9 +657,9 @@ def evaluate(models: Sequence[ForecastModel], test_sets: Sequence[WindowedDatase
         per_stock[ds.stock_id] = metrics_mod.metric_set(pred, ds.targets)
         pooled.append((ds.stock_id, pred.reshape(-1), ds.targets.reshape(-1)))
         series[ds.stock_id] = {
-            "t": [int(x) for x in ds.absolute_indices],
-            "actual": [float(x) for x in ds.targets[:, 0]],
-            "predicted": [float(x) for x in pred[:, 0]],
+            "t": ds.absolute_indices.tolist(),
+            "actual": ds.targets[:, 0].tolist(),
+            "predicted": pred[:, 0].tolist(),
         }
         if normalizers is not None:
             raw_pred = denormalize_close(pred, normalizers[i])

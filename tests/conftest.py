@@ -35,6 +35,18 @@ def write_series_csv(series, path):
             writer.writerow([day.isoformat()] + [f"{v:.9g}" for v in row])
 
 
+def write_trace_rows_csv(trace, path):
+    """A trace's CSV written one ``TraceRow`` at a time: the reference for ``write_trace_csv``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["phase", "round", "stock_id", "data_loss", "proximal_penalty", "wall_ms"])
+        for row in trace.rows:
+            writer.writerow([
+                row.phase, row.round_index, row.stock_id,
+                f"{row.data_loss:.9g}", f"{row.prox_penalty:.9g}", f"{row.wall_ms:.3f}",
+            ])
+
+
 def predict_one(model, window):
     """The (H,) forecast of one (L, d) window: a one-window ``predict_batch``."""
     return model.predict_batch(np.asarray(window)[None])[0]

@@ -16,7 +16,7 @@ from csti.metrics import (
     write_report_json,
 )
 from csti.numerics import atomic_open
-from csti.training import TraceRow, TrainingTrace, write_trace_csv
+from csti.training import TrainingTrace, _StackLog, write_trace_csv
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -174,13 +174,19 @@ def _write_then_fail(path):
         raise RuntimeError("failed midway")
 
 
+def _write_a_trace_with_a_bad_loss(path):
+    # stock B's loss is not a number, so the writer fails on B's line, after A's
+    trace = TrainingTrace()
+    trace.add("finetune", 1, ["A", "B"],
+              _StackLog(np.array([[0.5], ["x"]], dtype=object), np.zeros((2, 1)), [1.0]))
+    write_trace_csv(trace, path)
+
+
 _FAILING_WRITES = {  # each writes some lines before it raises
     "atomic_open": (_write_then_fail, RuntimeError),
     "write_report_json": (lambda path: write_report_json({"a": [1, 2], "b": object()}, path),
                           TypeError),
-    "write_trace_csv": (lambda path: write_trace_csv(TrainingTrace(rows=[
-        TraceRow("merge", 1, "A", 0.5, 0.0, 1.0), TraceRow("merge", 2, "A", "x", 0.0, 1.0)]),
-        path), ValueError),
+    "write_trace_csv": (_write_a_trace_with_a_bad_loss, ValueError),
     "export_regression_series": (lambda path: export_regression_series(
         "A", [0.1, 0.2], [0.3, 0.4], path, t=["1", "x"]), ValueError),
 }

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import math
@@ -35,6 +36,7 @@ from csti.training import (
     _TAG_INIT,
     _TAG_MERGE,
     CstiConfig,
+    TraceRow,
     derive_seed,
     evaluate,
     run_csti,
@@ -43,7 +45,7 @@ from csti.training import (
     write_trace_csv,
 )
 
-from conftest import windowed_market
+from conftest import windowed_market, write_trace_rows_csv
 
 
 def _params(model):
@@ -427,6 +429,27 @@ def _six_stocks_with_ties():
     # 46, 89, 68, 89, 138 and 46 windows: 2 to 5 batches of 32, unequal last
     # batches, and two pairs of equal size, which the stack orders by stock id
     return _unequal_market(lengths=(90, 150, 120, 150, 220, 90), seed=53)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_the_stack_binds_theta_only_work_once_per_active_row_set(kind, monkeypatch):
+    model = build_model(kind, 16, 1, 3, seed=2)
+    cls, bound = type(model), []
+    bind_rows = cls.bind_rows
+
+    def counting(self, p, ws, g=None):
+        bound.append(len(next(iter(p.values()))))  # the rows it binds
+        return bind_rows(self, p, ws, g)
+
+    monkeypatch.setattr(cls, "bind_rows", counting)
+    train = _six_stocks_with_ties()
+    stack = training._StockStack(model, train, 32, len(train))
+    # 46, 46, 68, 89, 89 and 138 windows in row order: batch indices 0 and 1
+    # span all six rows, index 2 the last four, indices 3 and 4 the last one
+    assert len(stack.schedule) == 5 and bound == [6, 4, 1]
+    bound.clear()
+    alone = training._StockStack(model, [train[4]], 32, 1)  # 138 windows
+    assert len(alone.schedule) == 5 and bound == [1]
 
 
 def _keyed_fingerprint(result, train):
@@ -931,6 +954,28 @@ def test_proximal_penalty_bounded_by_initial_loss(small_market):
             assert row.prox_penalty <= first_loss[row.stock_id]
 
 
+@functools.lru_cache(maxsize=None)
+def _equal_stocks(k_stocks):
+    return windowed_market(k_stocks, 120, 0.7, seed=71)[0]  # 68 windows each
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("k_stocks", [1, 3, 24])
+def test_finetune_penalties_are_the_bits_of_one_dot_per_stock(kind, k_stocks):
+    # the stack takes every row's ||theta_k - anchor||^2 in one stacked
+    # product; each row must keep the bits of its own np.dot
+    train = _equal_stocks(k_stocks)
+    model = build_model(kind, 16, 1, 3, seed=4)
+    stack = training._StockStack(model, train, 32, k_stocks)
+    anchor = model.export_params().values
+    noise = np.random.default_rng(k_stocks)
+    stack.theta[:] = anchor + noise.normal(0.0, 0.1, stack.theta.shape)
+    log = stack.train(list(range(k_stocks)), 1, 0.01, 0.9, anchor=anchor, prox_weight=0.05)
+    expected = np.array([0.05 * np.dot(delta, delta) for delta in stack.theta[stack.row_of] - anchor])
+    assert log.penalties.shape == (k_stocks, 1)
+    assert log.penalties[:, 0].tobytes() == expected.tobytes()
+
+
 def test_mismatched_window_shapes_rejected(small_market):
     train, _, _ = small_market
     other, _, _ = windowed_market(1, 200, 0.5, seed=99, lookback=8)
@@ -1075,6 +1120,19 @@ def test_normal_rejects_a_non_integer_epoch_budget(small_market, epochs_total):
         run_normal(small_market[0], "dlinear", epochs_total=epochs_total, seed=5)
 
 
+def test_run_normal_checks_its_settings_and_stocks_once(monkeypatch):
+    # each segment trains on settings run_normal checked, not through train_local
+    counts = collections.Counter()
+    for name in ("check_step_settings", "_check_stock_group"):
+        def counting(*args, _name=name, _check=getattr(training, name)):
+            counts[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(training, name, counting)
+    result = run_normal(_six_stocks_with_ties(), "dlinear", epochs_total=6, seed=5)
+    assert len(result.snapshots) == 6
+    assert counts == {"check_step_settings": 1, "_check_stock_group": 1}
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -1149,3 +1207,75 @@ def test_trace_csv_export(tmp_path, small_market):
     assert lines[0] == "phase,round,stock_id,data_loss,proximal_penalty,wall_ms"
     assert any(line.startswith("merge,1,global,") for line in lines)
     assert any(line.startswith("finetune,2,SYN00") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# the trace
+# ---------------------------------------------------------------------------
+
+def test_a_run_builds_no_trace_row_until_its_rows_are_read(monkeypatch, small_market):
+    built = []
+
+    def counting(*values):
+        built.append(values)
+        return TraceRow(*values)
+
+    monkeypatch.setattr(training, "TraceRow", counting)
+    train = _unequal_market()
+    cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, local_epochs_per_round=2,
+                     seed=37)
+    result = run_csti(train, "dlinear", cfg)
+    assert built == []
+    assert len(result.trace.rows) == len(built) == 3 * (3 * 2 + 1) + 3 * 2  # R(KE + 1) + KF
+    built.clear()
+    result = run_normal(small_market[0], "dlinear", epochs_total=6, seed=5)
+    assert built == []
+    assert len(result.trace.rows) == len(built) == 6
+
+
+@pytest.mark.parametrize("shared_init", [True, False])
+def test_csti_trace_rows_come_in_the_documented_order(shared_init):
+    # 166, 89 and 124 windows: the stack's row order is not the given one
+    train = _unequal_market(lengths=(260, 150, 200), seed=31)
+    cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, local_epochs_per_round=2,
+                     prox_weight=0.05, seed=43, shared_init=shared_init)
+    result = run_csti(train, "dlinear", cfg)
+    rows, ids = result.trace.rows, [ds.stock_id for ds in train]
+    expected = []
+    for r in (1, 2, 3):  # per round: each stock's local epochs, all numbered r, then global
+        expected += [("merge", r, sid) for sid in ids for _ in range(2)] + [("merge", r, "global")]
+    expected += [("finetune", e, sid) for sid in ids for e in (1, 2)]
+    assert [(row.phase, row.round_index, row.stock_id) for row in rows] == expected
+    for r in range(3):
+        *stock_rows, global_row = rows[7 * r : 7 * r + 7]
+        # an epoch's wall is the whole stack's, so every stock's row of it shares it
+        assert [row.wall_ms for row in stock_rows] == [row.wall_ms for row in stock_rows[:2]] * 3
+        assert {row.prox_penalty for row in rows[7 * r : 7 * r + 7]} == {0.0}
+        means = [(a.data_loss + b.data_loss) / 2 for a, b in zip(stock_rows[::2], stock_rows[1::2])]
+        assert global_row.data_loss == result.trace.global_loss_per_round[r] == math.fsum(means) / 3
+        assert global_row.wall_ms == 0.0
+    finetune = rows[21:]
+    assert all(row.prox_penalty > 0.0 for row in finetune)
+    assert [row.wall_ms for row in finetune] == [row.wall_ms for row in finetune[:2]] * 3
+
+
+def test_normal_trace_rows_come_in_the_documented_order(small_market):
+    train, _, _ = small_market
+    rows = run_normal(train, "dlinear", epochs_total=7, seed=5).trace.rows  # 2 epochs per stock
+    assert [(row.phase, row.round_index, row.stock_id) for row in rows] == [
+        ("normal", 2 * k + e + 1, ds.stock_id) for k, ds in enumerate(train) for e in range(2)]
+    assert {row.prox_penalty for row in rows} == {0.0}
+
+
+@pytest.mark.parametrize("strategy", ["csti", "normal"])
+def test_trace_csv_equals_the_per_row_writer(strategy, tmp_path, small_market):
+    train, _, _ = small_market
+    if strategy == "csti":
+        cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=2, local_epochs_per_round=2,
+                         prox_weight=0.05, seed=23)
+        trace = run_csti(train[::-1], "paifilter", cfg).trace
+    else:
+        trace = run_normal(train, "paifilter", epochs_total=6, seed=23).trace
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    write_trace_rows_csv(trace, tmp_path / "reference.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
