@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,9 +49,8 @@ class StockSeries:
         ts = tuple(self.timestamps)
         if len(ts) != feats.shape[0]:
             raise ContractViolation("timestamps and feature rows disagree")
-        for a, b in zip(ts, ts[1:]):
-            if not a < b:
-                raise ContractViolation(f"timestamps not strictly increasing at {b}")
+        for b in itertools.compress(ts[1:], map(operator.ge, ts, ts[1:])):  # the first only
+            raise ContractViolation(f"timestamps not strictly increasing at {b}")
         if not np.all(np.isfinite(feats)):
             raise NumericInputError(f"{self.stock_id}: non-finite feature values")
         feats = feats.copy()
@@ -194,24 +195,25 @@ def load_csv_detailed(path, with_sentiment: bool = False, min_rows: int = 2,
             raise SchemaError(f"{path}: missing required column {name!r}")
         if names.count(name) > 1:
             raise SchemaError(f"{path}: required column {name!r} is named more than once")
-    cols = {name: names.index(name) for name in wanted}
+    pick = operator.itemgetter(*map(names.index, wanted))  # a row's date, then its values
+    width = len(header)
 
     rejections: list[str] = []
     parsed: list[tuple[datetime.date, list[float]]] = []
     for lineno, row in enumerate(rows, start=2):
-        if len(row) < len(header) or any(row[cols[c]].strip() == "" for c in wanted):
+        if len(row) < width or not all(map(str.strip, cells := pick(row))):
             rejections.append(f"line {lineno}: missing cell")
             continue
-        stamp = row[cols["date"]].strip()
+        stamp = cells[0].strip()
         try:  # YYYY-MM-DD only: fromisoformat takes more forms on Python 3.11+
             if not (len(stamp) == 10 and stamp.isascii() and stamp[4] == stamp[7] == "-"):
                 raise ValueError(stamp)
             day = datetime.date.fromisoformat(stamp)
         except ValueError:
-            rejections.append(f"line {lineno}: unparseable date {row[cols['date']]!r}")
+            rejections.append(f"line {lineno}: unparseable date {cells[0]!r}")
             continue
         try:
-            values = [float(row[cols[c]]) for c in wanted[1:]]
+            values = list(map(float, cells[1:]))
         except ValueError:
             rejections.append(f"line {lineno}: non-numeric cell")
             continue
@@ -380,10 +382,9 @@ def generate_synthetic_market(stocks: int, length: int, shared_strength: float,
     out: list[StockSeries] = []
     for k in range(stocks):
         shocks = rng.normal(0.0, ar_scale, size=length)
-        idio = np.empty(length)
-        idio[0] = shocks[0]
-        for i in range(1, length):
-            idio[i] = ar_coef * idio[i - 1] + shocks[i]
+        # on Python floats: the same IEEE multiply and add per step as on float64 scalars
+        idio = np.array(list(itertools.accumulate(
+            shocks.tolist(), lambda prev, shock: ar_coef * prev + shock)))
         close = 10.0 + shared_strength * common + (1.0 - shared_strength) * idio
 
         open_noise = rng.normal(0.0, 0.02, size=length)

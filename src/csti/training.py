@@ -27,11 +27,14 @@ buffers and bound kernel work live as long as the run, and every step
 writes into them. A design is what the kind's kernel reads of each
 window (``ForecastModel.rows_read``): the last row and a one for dlinear,
 the flattened window and a one for paifilter, the whole window for the
-spectral kinds. Allocating them per step would leave the top of the
-glibc heap free at each step's end, glibc would trim it, and the next
-step would fault the same pages back in. Each round merges the theta
-stack itself. Each value is checked once, where it enters: by
-``WindowedDataset``, ``CstiConfig`` or a public trainer; the stack trusts it.
+spectral kinds. The stack holds each stock's designs and targets once,
+and each batch index gathers its shuffled windows from them into one
+buffer, sized for the widest batch index. Allocating buffers per step
+would leave the top of the glibc heap free at each step's end, glibc
+would trim it, and the next step would fault the same pages back in.
+Each round merges the theta stack itself. Each value is checked once,
+where it enters: by ``WindowedDataset``, ``CstiConfig`` or a public
+trainer; the stack trusts it.
 """
 
 from __future__ import annotations
@@ -241,24 +244,26 @@ class _StockStack:
     pages back in, at a cost that swings with the allocator's state.
 
     The designs (the ``rows_read`` of each window) and targets of all K
-    stocks are held batch-major, each window once: at each batch index,
-    the batches of the rows with one there, in row order. So a run of rows
-    with one batch size is one contiguous (rows, size, ...) view, and no
-    row is padded to a longer stock's size. ``_slots`` maps each window,
-    in stock-major order (row r's windows after those of rows 0..r-1), to
-    its batch-major position. Each epoch copies the slots into ``_work``,
-    shuffles each row's slice of it in place with the row's generator,
-    scatters it through the slots into ``_gather``, and fills the shuffled
-    designs and targets with one take each. A data call spans a run of
-    rows with one batch size. dlinear and paifilter calls hold no buffers
-    beyond ``pred``, so that is all; texfilter and frets calls hold
-    buffers that grow with their rows (``workspace(rows, n)``), so their
-    runs are also cut at every multiple of ``width`` rows. The batch
-    schedule depends only on the stock sizes, so it is built here too:
-    per batch index, the rows with a batch there (a contiguous run, since
-    rows ascend in size), their step views and 2 / (N * H) gradient
-    scales, their prologue and epilogue, the bound data calls and the dots
-    of the size runs. The prologue and epilogue are bound once per
+    stocks are held once, stock-major: row r's windows after those of rows
+    0..r-1, built with one ``rows_read`` per stock. ``_batch_major`` lists
+    them by (batch index, row, window). Each epoch copies an identity index
+    into ``_work``, shuffles each row's slice of it in place with the row's
+    generator, and takes it through ``_batch_major`` into ``_gather``. So
+    each batch index's contiguous slice of ``_gather`` names the shuffled
+    windows of its batches, row after row. At that batch index one take of
+    designs and one of targets fill a buffer pair sized for the widest
+    batch index, whose views its calls read: a run of rows with one batch
+    size is one contiguous (rows, size, ...) view, and no row is padded to
+    a longer stock's size. A data call spans a run of rows with one batch
+    size. dlinear and paifilter calls hold no buffers beyond ``pred``, so
+    that is all; texfilter and frets calls hold buffers that grow with
+    their rows (``workspace(rows, n)``), so their runs are also cut at
+    every multiple of ``width`` rows. The batch schedule depends only on
+    the stock sizes, so it is built here too: per batch index, the rows
+    with a batch there (a contiguous run, since rows ascend in size),
+    their step views and 2 / (N * H) gradient scales, their prologue and
+    epilogue, the gather slice and buffer views, the bound data calls and
+    the dots of the size runs. The prologue and epilogue are bound once per
     distinct run of active rows, and shared by the batch indices with
     that run. The bookkeeping runs once per stack too: each epoch's loss
     means take one reduction per run of rows with one batch count, and
@@ -285,7 +290,6 @@ class _StockStack:
         horizon = model.horizon
         residuals = np.zeros((k_rows, min(batch_size, self.sizes[-1]) * horizon))
         bases = np.cumsum([0, *self.sizes])  # row r's windows start here in stock-major order
-        self._slots = np.empty(bases[-1], dtype=np.intp)  # stock-major -> batch-major position
         # a data call that holds buffers takes the rows of one cut, between multiples of width
         cap = width if any(model._buffers(batch_size)[2:]) else k_rows
         row_ws, workspaces = model.workspace(k_rows), {}  # theta-only; per (rows, batch size)
@@ -301,8 +305,18 @@ class _StockStack:
             return model.bind_rows(p, row_views, g)
 
         read = model.rows_read(datasets[0].inputs[:1]).shape[1:]  # the design of one window
-        self._unshuffled, self._shuffled = ((np.empty((bases[-1], *read)),
-                                             np.empty((bases[-1], horizon))) for _ in range(2))
+        self._designs = np.empty((bases[-1], *read))
+        for r, i in enumerate(self.order):
+            self._designs[bases[r] : bases[r + 1]] = model.rows_read(datasets[i].inputs)
+        self._targets = np.concatenate([datasets[i].targets for i in self.order])
+        # the stock-major index of each batch-major position: by batch index, then row
+        self._batch_major = np.argsort(
+            np.concatenate([np.arange(n) // batch_size for n in self.sizes]), kind="stable")
+        self._identity = np.arange(bases[-1])
+        self._work, self._gather = np.empty_like(self._identity), np.empty_like(self._identity)
+        self._stock_slices = [self._work[lo:hi] for lo, hi in zip(bases, bases[1:])]
+        widest = sum(min(batch_size, n) for n in self.sizes)  # the windows of batch index 0
+        buffers = np.empty((widest, *read)), np.empty((widest, horizon))
         self.schedule, pos = [], 0
         for batch, start in enumerate(range(0, self.sizes[-1], batch_size)):
             def size_at(r):
@@ -310,6 +324,7 @@ class _StockStack:
 
             active = slice(next(r for r, n in enumerate(self.sizes) if start < n), k_rows)
             calls, sums = [], []  # sums: one r . r per run of active rows with one batch size
+            first = pos  # this batch index's windows start here in batch-major order
             for size, rows in _runs(range(active.start, k_rows), size_at):
                 divisors[rows, batch] = size * horizon
                 sums.append(bind_sum_of_squares(residuals[rows, : size * horizon],
@@ -320,26 +335,19 @@ class _StockStack:
                         workspaces[k, size] = model.workspace(k, size)
                         del workspaces[k, size]["pred"]  # the residual rows stand in for it
                     p, g, row_views = views_of(part.start, part.stop)
-                    x, y = (buf[pos : pos + k * size].reshape(k, size, *buf.shape[1:])
-                            for buf in self._shuffled)
+                    x, y = (buf[pos - first :][: k * size].reshape(k, size, *buf.shape[1:])
+                            for buf in buffers)
                     pred = residuals[part, : size * horizon].reshape(k, size, horizon)
                     ws = dict(workspaces[k, size], pred=pred, **row_views)
                     calls.append((p, x, y, g, model.bind_batch(p, x, y, g, ws)))
-                    for r in range(part.start, part.stop):  # one batch at a time: no whole copy
-                        ds = datasets[self.order[r]]
-                        x_r, y_r = (a[start : start + size] for a in (ds.inputs, ds.targets))
-                        self._slots[bases[r] + start :][:size] = np.arange(pos, pos + size)
-                        self._unshuffled[0][pos : pos + size] = model.rows_read(x_r)
-                        self._unshuffled[1][pos : pos + size] = y_r
-                        pos += size
+                    pos += k * size
+            picks = self._gather[first:pos], *(buf[: pos - first] for buf in buffers)
             self.schedule.append((active, self._losses[active, batch], divisors[active, batch],
                                   2.0 / divisors[active, batch, None],
-                                  *rows_from(active.start), calls, sums,
+                                  *rows_from(active.start), picks, calls, sums,
                                   *(buf[active] for buf in (self.theta, self._velocity,
                                                             self._grad, self._scratch,
                                                             self._finite))))
-        self._work, self._gather = np.empty_like(self._slots), np.empty_like(self._slots)
-        self._stock_slices = [self._work[lo:hi] for lo, hi in zip(bases, bases[1:])]
         # per run of rows with b batches: (b, rows, their batch losses)
         self._same_batches = [(b, rows, self._losses[rows, :b])
                               for b, rows in _runs(range(k_rows), self.batches.__getitem__)]
@@ -389,20 +397,22 @@ class _StockStack:
         maximum, every, total = np.maximum.reduce, np.logical_and.reduce, np.add.reduce
         model = self.model
         kernel = type(model).loss_and_gradient
+        designs, targets = self._designs, self._targets
         self._velocity[...] = 0.0
         k_rows = len(self.sizes)
         epoch_losses, penalties = np.zeros((k_rows, epochs)), np.zeros((k_rows, epochs))
         epoch_wall = []
         for epoch in range(epochs):
             tick = time.perf_counter()
-            np.copyto(self._work, self._slots)
+            np.copyto(self._work, self._identity)
             for rng, part in zip(rngs, self._stock_slices):
                 rng.shuffle(part)  # the draws and the order of rng.permutation(len(part))
-            self._gather[self._slots] = self._work
-            for unshuffled, shuffled in zip(self._unshuffled, self._shuffled):
-                unshuffled.take(self._gather, axis=0, out=shuffled, mode="clip")  # "raise" buffers
-            for batch, (active, losses, divisors, scales, prologue, epilogue, calls, sums,
-                        th, vel, gr, scratch, finite) in enumerate(self.schedule):
+            # mode="clip": "raise" would buffer each take that has an out
+            self._work.take(self._batch_major, out=self._gather, mode="clip")
+            for batch, (active, losses, divisors, scales, prologue, epilogue, (index, x, y),
+                        calls, sums, th, vel, gr, scratch, finite) in enumerate(self.schedule):
+                designs.take(index, axis=0, out=x, mode="clip")
+                targets.take(index, axis=0, out=y, mode="clip")
                 prologue()
                 for args in calls:
                     kernel(model, *args)

@@ -1,4 +1,5 @@
 import datetime
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -174,6 +175,51 @@ def test_bad_rows_are_dropped_and_reported(tmp_path):
     assert len(rejections) == 4
     assert any("unparseable date" in r for r in rejections)
     assert any("duplicate date" in r for r in rejections)
+
+
+# rows of each kind of bad row, named as its rejection names it
+_BAD_ROWS = {
+    "missing cell": ["2021-06-01,1", "2021-06-01,,1", "2021-06-01,1, ", " ,1,2", "2021-06-01"],
+    "unparseable date": ["2021/06/01,1,2", "20210601,1,2", " x ,1,2", "2021-06-31,1,2",
+                         "2021-6-01,1,2"],
+    "non-numeric cell": ["2021-06-01,abc,2", "2021-06-01,1,1e", "2021-06-01,1,0x1"],
+    "non-finite value": ["2021-06-01,inf,2", "2021-06-01,1,nan", "2021-06-01,-1e999,2"],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(good=st.integers(2, 15), data=st.data())
+def test_each_bad_row_kind_is_rejected_at_its_line(tmp_path_factory, good, data):
+    # bad rows of every kind, and duplicates of good dates, at random lines:
+    # the line messages come in file order, then one per duplicate, by date
+    days = [datetime.date(2021, 1, 1) + datetime.timedelta(days=k) for k in range(good)]
+    lines = [(f"{day.isoformat()},{k + 1.0!r},{k + 2.5!r}", None) for k, day in enumerate(days)]
+    duplicated = []
+    for kind in data.draw(st.lists(st.sampled_from([*_BAD_ROWS, "duplicate"]), max_size=8)):
+        if kind == "duplicate":
+            duplicated.append(days[data.draw(st.integers(0, good - 1))])
+            row, kind = f"{duplicated[-1].isoformat()},7,8", None
+        else:
+            row = data.draw(st.sampled_from(_BAD_ROWS[kind]))
+        lines.insert(data.draw(st.integers(0, len(lines))), (row, kind))
+    path = tmp_path_factory.getbasetemp() / "bad_rows.csv"
+    path.write_text("".join(f"{row}\n" for row in ["date,open,close", *(r for r, _ in lines)]),
+                    encoding="utf-8")
+    series, rejections = load_csv_detailed(path)
+    expected = [f"line {lineno}: unparseable date {row.split(',')[0]!r}"
+                if kind == "unparseable date" else f"line {lineno}: {kind}"
+                for lineno, (row, kind) in enumerate(lines, start=2) if kind is not None]
+    expected += [f"duplicate date {day.isoformat()} dropped" for day in sorted(duplicated)]
+    assert rejections == expected
+    assert series.timestamps == tuple(days)
+
+
+@pytest.mark.parametrize("stamps,at", [((1, 2, 2, 3), 2), ((1, 3, 2, 4), 2), ((3, 1, 0), 1)])
+def test_timestamps_must_strictly_increase(stamps, at):
+    days = [datetime.date(2021, 1, d) for d in (s + 1 for s in stamps)]
+    with pytest.raises(ContractViolation,
+                       match=f"not strictly increasing at {days[stamps.index(at, 1)]}"):
+        StockSeries("TST", days, np.ones((len(days), 2)))
 
 
 @pytest.mark.parametrize("stamp", ["20240105", "2024-W01-5", "2024-01-05T00:00",
@@ -450,6 +496,19 @@ def test_synthetic_full_sharing_correlated():
     market = generate_synthetic_market(4, 2000, 1.0, seed=33)
     rho = _return_correlations(market)
     assert np.min(rho) > 0.9
+
+
+@pytest.mark.parametrize("seed,sha256", [
+    (0, "14750dbbef5bd10e67ca6b681c75f8d125ed6ada8abfd2d733e761225e162d65"),
+    (7, "868cc61ae43ea800022c976b758d8c3ba5c681515f341aa23297d05146a811c0"),
+])
+def test_synthetic_market_bits_are_pinned(seed, sha256):
+    # the sha256 of every series' features, in order, as the float64 AR(1)
+    # loop wrote them: the recursion on Python floats must keep each bit
+    digest = hashlib.sha256()
+    for series in generate_synthetic_market(4, 200, 0.7, seed):
+        digest.update(series.features.tobytes())
+    assert digest.hexdigest() == sha256
 
 
 def test_synthetic_determinism():

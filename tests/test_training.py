@@ -404,8 +404,34 @@ def test_equal_size_rows_of_one_call_match_train_local(kind, kernel_rows):
 
 def _window_buffers(stack):
     """The distinct arrays that the stack's kernel calls read designs and targets from."""
-    calls = [call for step in stack.schedule for call in step[6]]  # (p, x, y, g, bound)
+    calls = [call for step in stack.schedule for call in step[7]]  # (p, x, y, g, bound)
     return calls[0], {id(view.base): view.base for call in calls for view in call[1:3]}
+
+
+def _window_arrays(stack, read, horizon):
+    """The float arrays reachable from the stack's attributes that hold windows.
+
+    Each is an owning array with more rows than the stack has stocks, of
+    designs of shape ``read`` or of ``horizon`` targets; the stack's other
+    float arrays (theta, gradient, losses, scales, workspaces) have K rows
+    or fewer, or other shapes.
+    """
+    found, seen, todo = {}, set(), list(vars(stack).values())
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            base = item if item.base is None else item.base
+            if (base.dtype == np.float64 and base.shape[0] > len(stack.sizes)
+                    and base.shape[1:] in (read, (horizon,))):
+                found[id(base)] = base
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+    return list(found.values())
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -413,15 +439,20 @@ def _window_buffers(stack):
                                           ((90, 150, 120, 150, 220, 90), 53),
                                           ((90, 120, 120, 150, 260), 53)])
 def test_block_buffers_never_outgrow_the_width_capped_layout(kind, lengths, seed):
-    # the calls read batch-major buffers that hold each window once at every
-    # width: no row is padded to the window count of a longer stock
+    # the stack holds each window's design and target once, stock-major, and
+    # its calls read one buffer pair sized for the widest batch index, at
+    # every width: no row is padded to the window count of a longer stock
     train = _unequal_market(lengths=lengths, seed=seed)
     for jobs in (1, 2, None):
         stack = training._StockStack(build_model(kind, 16, 1, 3, seed=2), train, 32,
                                      jobs or len(train))
         (_, x, y, _, _), buffers = _window_buffers(stack)
         window_bytes = x[0, 0].nbytes + y[0, 0].nbytes
-        assert sum(buf.nbytes for buf in buffers.values()) == sum(stack.sizes) * window_bytes, jobs
+        assert stack._designs.shape[0] == stack._targets.shape[0] == sum(stack.sizes)
+        assert (stack._designs.nbytes + stack._targets.nbytes
+                == sum(stack.sizes) * window_bytes), jobs
+        widest = sum(min(32, n) for n in stack.sizes)  # batch index 0 has every row
+        assert sum(buf.nbytes for buf in buffers.values()) == widest * window_bytes, jobs
 
 
 @functools.lru_cache(maxsize=1)
@@ -652,21 +683,22 @@ def test_shuffling_a_slice_in_place_draws_a_permutation(n, offset, seed):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_the_stack_shuffles_only_the_window_rows_its_kind_reads(kind, small_market):
-    # each epoch copies every stock's design into the shuffled buffer: what
-    # the kernel reads of each window (1 of 16 rows for dlinear) and, for the
-    # affine kinds, a one; window cells no design copies cannot move a bit
+    # the stack holds each stock's design once: what the kernel reads of each
+    # window (1 of 16 rows for dlinear) and, for the affine kinds, a one; each
+    # batch index gathers from it, and window cells no design reads cannot move a bit
     model = build_model(kind, 16, 1, 3, seed=3)
     train = small_market[0]
     stack = training._StockStack(model, train, 64, 2)
     shape = {"dlinear": (1, 3 + 1), "paifilter": (16 * 3 + 1,)}.get(kind, (16, 3))
-    (designs, targets), (shuffled, _) = stack._unshuffled, stack._shuffled
-    assert designs.shape[1:] == shuffled.shape[1:] == shape
-    assert designs.flags.c_contiguous and shuffled.flags.c_contiguous
+    (_, x, _, _, _), _ = _window_buffers(stack)
+    designs, targets = stack._designs, stack._targets
+    assert designs.shape[1:] == x.shape[2:] == shape
+    assert designs.flags.c_contiguous and x.base.flags.c_contiguous
     bases = np.cumsum([0, *stack.sizes])
-    for r, i in enumerate(stack.order):  # row r's windows in the batch-major slots
-        slots = stack._slots[bases[r] : bases[r + 1]]
-        assert designs[slots].tobytes() == model.rows_read(train[i].inputs).tobytes()
-        assert targets[slots].tobytes() == train[i].targets.tobytes()
+    for r, i in enumerate(stack.order):  # row r's windows, stock-major
+        assert (designs[bases[r] : bases[r + 1]].tobytes()
+                == model.rows_read(train[i].inputs).tobytes())
+        assert targets[bases[r] : bases[r + 1]].tobytes() == train[i].targets.tobytes()
     cells = np.arange(2.0, 16 * 3 + 2).reshape(1, 16, 3)  # distinct, and none is the ones column
     unread = ~np.isin(cells[0], model.rows_read(cells))
     assert unread.sum() == {"dlinear": 15 * 3}.get(kind, 0)
@@ -677,6 +709,48 @@ def test_the_stack_shuffles_only_the_window_rows_its_kind_reads(kind, small_mark
     assert runs[0][0].theta.tobytes() == runs[1][0].theta.tobytes()
     assert _same_log(runs[0][1], runs[1][1])
 
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_each_batch_index_gathers_the_windows_its_permutations_put_there(kind, monkeypatch):
+    # over unequal stocks, at every width: the calls of batch index b read, in
+    # row order, the windows that default_rng(seed).permutation(n) of each
+    # epoch puts in batch b; and the stack's window arrays are one design
+    # copy plus a buffer the size of the widest batch index
+    model = build_model(kind, 16, 1, 3, seed=2)
+    cls, seen = type(model), []
+    kernel = cls.loss_and_gradient
+
+    def recording(self, p, inputs, targets, g, call=None):
+        seen.append((inputs.copy(), targets.copy()))
+        return kernel(self, p, inputs, targets, g, call)
+
+    monkeypatch.setattr(cls, "loss_and_gradient", recording)
+    train = _six_stocks_with_ties()  # 46, 46, 68, 89, 89 and 138 windows in row order
+    read = model.rows_read(train[0].inputs[:1]).shape[1:]
+    seeds = [11, 12, 13, 14, 15, 16]  # row r shuffles with seeds[r]
+    for jobs in (1, 2, None):
+        stack = training._StockStack(model, train, 32, jobs or len(train))
+        seen.clear()
+        stack.train(seeds, epochs=2, learning_rate=0.01, momentum=0.9)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        calls = iter(seen)
+        for _ in range(2):
+            orders = [rng.permutation(n) for rng, n in zip(rngs, stack.sizes)]
+            for b, step in enumerate(stack.schedule):
+                got = [next(calls) for _ in step[7]]
+                picked = [(train[i], orders[r][32 * b : 32 * (b + 1)])
+                          for r, i in enumerate(stack.order) if r >= step[0].start]
+                x = np.concatenate([x.reshape(-1, *read) for x, _ in got])
+                y = np.concatenate([y.reshape(-1, 1) for _, y in got])
+                assert x.tobytes() == b"".join(
+                    model.rows_read(ds.inputs[idx]).tobytes() for ds, idx in picked), (jobs, b)
+                assert y.tobytes() == b"".join(ds.targets[idx].tobytes() for ds, idx in picked)
+        assert next(calls, None) is None
+        window_bytes = (math.prod(read) + 1) * 8
+        widest = sum(min(32, n) for n in stack.sizes)
+        assert (sum(a.nbytes for a in _window_arrays(stack, read, 1))
+                == (sum(stack.sizes) + widest) * window_bytes), jobs
 
 def test_two_runs_in_one_process_are_bit_identical():
     train = _unequal_market(lengths=(260, 150, 260, 200), seed=31)
