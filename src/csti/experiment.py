@@ -245,6 +245,13 @@ _FIELDS = (
            "boolean required"),
 )
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentSpec)}
+# the keys each section ("" for the top level) may hold: its _FIELDS paths, the sections,
+# the version ``echo`` writes and model_hyper, whose keys are the kinds; every other key
+# fails as an unknown field
+_PATHS = [row.path.rpartition(".") for row in _FIELDS]
+_KEYS = {name: {key for section, _, key in _PATHS if section == name} for name, _, _ in _PATHS}
+_KEYS[""] |= {name for name, _, _ in _PATHS if name} | {"version", "model_hyper"}
+_KEYS["model_hyper"] = set(MODEL_KINDS)
 _OPTIONAL_SECTIONS = {"window": "object (or null) required",
                       "training": "object (or null) required",
                       "model_hyper": "object mapping kind -> hyperparameters (or null) required"}
@@ -271,6 +278,7 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
 
     Walks ``_FIELDS`` in order. A field that fails its check stays unresolved,
     and a rule that spans fields is checked once every field it reads resolved.
+    A key that no ``_FIELDS`` path names, in any section, is an unknown field.
     """
     errors: list[str] = []
     if not isinstance(raw, dict):
@@ -297,7 +305,10 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
                                     for p in values["csv_paths"] if isinstance(p, str))
         values["stocks"] = len(values["csv_paths"])
 
-    model_hyper = _section(errors, raw, "model_hyper")
+    model_hyper = sections["model_hyper"] = _section(errors, raw, "model_hyper")
+    for name, doc in sections.items():  # doc is None for a bad data section, reported above
+        errors.extend(f"{name}{'.' if name else ''}{key}: unknown field"
+                      for key in doc or () if key not in _KEYS[name])
     if "lookback" in values and "horizon" in values:
         n_features = {3 if f == "with_sentiment" else 2 for f in values.get("feature_sets", ())}
         for kind in (k for k in MODEL_KINDS if k in values.get("model_kinds", ())):
@@ -583,11 +594,11 @@ def main(argv=None) -> int:
                         help="override stock group size")
     parser.add_argument("--jobs", type=int, default=None,
                         help="max stocks in one texfilter or frets kernel call, at least "
-                             "1; by default every stock, which is fastest but holds every "
-                             "stock's kernel buffers at once (a 24-stock texfilter run with "
-                             "20 merge rounds and 20 fine-tune epochs peaks at 1.2 times the "
-                             "RSS it reaches at 2). It does not cap dlinear or paifilter "
-                             "calls, which hold no buffers. Results do not depend on it")
+                             "1; by default every stock, which holds every stock's kernel "
+                             "buffers at once (a 24-stock texfilter run with 20 merge rounds "
+                             "and 20 fine-tune epochs peaks at 1.2 times the RSS it reaches "
+                             "at 2). It does not cap dlinear or paifilter calls, which hold "
+                             "no buffers. Results do not depend on it")
     args = parser.parse_args(argv)
 
     try:

@@ -532,7 +532,8 @@ class PaiFilterModel(_Affine, ForecastModel):
 
     def bind_rows(self, p, ws, g=None):
         k, L, d = len(p["kernel"]), self.lookback, self.n_features
-        doubled, basis_t = numerics.planar_dft_operators(L)
+        f_op, b_op = numerics.planar_dft_operators(L)
+        doubled, basis_t = np.concatenate([b_op, b_op], axis=1), f_op / L  # [B | B], B^T
         c2, w2, v, w = ws["c2"], ws["w2"], ws["v"], ws["w"]
         # (K, 1, 2L) products keep each row's taps bit-identical to K=1
         kernel, taps, circulant = p["kernel"][:, None], c2[..., :L], _circulant(c2)
@@ -712,7 +713,13 @@ class TexFilterModel(ForecastModel):
 # ---------------------------------------------------------------------------
 
 class FretsModel(ForecastModel):
-    """Separate tanh MLPs on the real and imaginary spectrum parts."""
+    """Separate tanh MLPs on the real and imaginary spectrum parts.
+
+    Spectra and their cotangents are planar (n, 2L) rows [re | im], and
+    each MLP reads and writes its half as a view. So each transform is one
+    product with the ``numerics.planar_dft_operators`` pair (F, B): z @ F
+    and x @ B forward, drecon @ B^T and ds @ F^T backward.
+    """
 
     kind = "frets"
 
@@ -744,44 +751,38 @@ class FretsModel(ForecastModel):
 
     def _buffers(self, n):
         L, m = self.lookback, self.hyper["hidden"]
-        forward = {name: (_F, n, L) for name in ("z", "s_re", "s_im", "x_re", "x_im", "recon")}
-        forward.update({name: (_F, n, m) for name in ("pre", "h_re", "h_im")})
-        backward = {name: (_F, n, L) for name in ("drecon", "dx_re", "dx_im", "ds_re", "ds_im")}
-        backward.update(du=(_F, n, m), dtanh=(_F, n, m))
+        forward = {"z": (_F, n, L), "s": (_F, n, 2 * L), "pre": (_F, n, m), "h_re": (_F, n, m),
+                   "h_im": (_F, n, m), "x": (_F, n, 2 * L), "recon": (_F, n, L)}
+        backward = {"drecon": (_F, n, L), "dx": (_F, n, 2 * L), "ds": (_F, n, 2 * L),
+                    "du": (_F, n, m), "dtanh": (_F, n, m)}
         return {}, {}, forward, backward
 
     def _bind(self, p, inputs, ws, g=None):
-        # numerics.dft_batch and numerics.real_idft_batch, into buffers
         L = self.lookback
-        c, e = numerics.dft_matrices(L)
-        c_t, e_t = c.T, e.T
+        f_op, b_op = numerics.planar_dft_operators(L)
         flat, mix, z_flat = _mix(inputs, p, ws["z"])
-        z, s_re, s_im, pre, x_re, x_im, recon, pred = (
-            ws[name] for name in ("z", "s_re", "s_im", "pre", "x_re", "x_im", "recon", "pred"))
-        halves = [(ws["s_" + part], _t(p[part + "_w1"]), p[part + "_b1"][:, None], ws["h_" + part],
-                   _t(p[part + "_w2"]), p[part + "_b2"][:, None], ws["x_" + part])
-                  for part in ("re", "im")]
+        z, s, pre, x, recon, pred = (ws[name] for name in ("z", "s", "pre", "x", "recon", "pred"))
+        parts = ("re", slice(None, L)), ("im", slice(L, None))  # the halves of planar rows
+        halves = [(s[..., cut], _t(p[part + "_w1"]), p[part + "_b1"][:, None], ws["h_" + part],
+                   _t(p[part + "_w2"]), p[part + "_b2"][:, None], x[..., cut])
+                  for part, cut in parts]
         weight_t, bias = _t(p["head_weight"]), p["head_bias"][:, None]
 
         def forward():
             np.matmul(flat, mix, out=z_flat)
-            np.matmul(z, c_t, out=s_re)
-            np.negative(np.matmul(z, e_t, out=s_im), out=s_im)
-            for s, w1_t, b1, h, w2_t, b2, x in halves:
-                np.tanh(np.add(np.matmul(s, w1_t, out=pre), b1, out=pre), out=h)
-                np.add(np.matmul(h, w2_t, out=x), b2, out=x)
-            np.matmul(x_re, c, out=recon)
-            np.subtract(recon, np.matmul(x_im, e, out=x_re), out=recon)  # x_re is dead by then
-            np.divide(recon, L, out=recon)
+            np.matmul(z, f_op, out=s)
+            for s_half, w1_t, b1, h, w2_t, b2, x_half in halves:
+                np.tanh(np.add(np.matmul(s_half, w1_t, out=pre), b1, out=pre), out=h)
+                np.add(np.matmul(h, w2_t, out=x_half), b2, out=x_half)
+            np.matmul(x, b_op, out=recon)
             np.add(np.matmul(recon, weight_t, out=pred), bias, out=pred)
         if g is None:
             return forward, None
-        drecon, dx_re, dx_im, du, dtanh, ds_re, ds_im = (
-            ws[name] for name in ("drecon", "dx_re", "dx_im", "du", "dtanh", "ds_re", "ds_im"))
-        paths = [(ws["dx_" + part], _t(ws["dx_" + part]), ws["h_" + part], p[part + "_w2"],
-                  g[part + "_w2"], g[part + "_b2"], ws["s_" + part], p[part + "_w1"],
-                  g[part + "_w1"], g[part + "_b1"], ws["ds_" + part]) for part in ("re", "im")]
-        pred_t, weight, du_t = _t(pred), p["head_weight"], _t(du)
+        drecon, dx, du, dtanh, ds = (ws[name] for name in ("drecon", "dx", "du", "dtanh", "ds"))
+        paths = [(dx[..., cut], _t(dx[..., cut]), ws["h_" + part], p[part + "_w2"],
+                  g[part + "_w2"], g[part + "_b2"], s[..., cut], p[part + "_w1"],
+                  g[part + "_w1"], g[part + "_b1"], ds[..., cut]) for part, cut in parts]
+        pred_t, weight, du_t, b_t, f_t = _t(pred), p["head_weight"], _t(du), b_op.T, f_op.T
         g_weight, g_bias = g["head_weight"], g["head_bias"]
         dz_row, g_mix = drecon.reshape(len(z), 1, -1), g["input_mix"][:, None]
 
@@ -789,20 +790,17 @@ class FretsModel(ForecastModel):
             np.matmul(pred_t, recon, out=g_weight)
             np.add.reduce(pred, axis=1, out=g_bias)
             np.matmul(pred, weight, out=drecon)
-            np.divide(np.matmul(drecon, c_t, out=dx_re), L, out=dx_re)
-            np.negative(np.matmul(drecon, e_t, out=dx_im), out=dx_im)
-            np.divide(dx_im, L, out=dx_im)
-            for dx, dx_t, h, w2, g_w2, g_b2, s, w1, g_w1, g_b1, ds in paths:
+            np.matmul(drecon, b_t, out=dx)
+            for dx_half, dx_t, h, w2, g_w2, g_b2, s_half, w1, g_w1, g_b1, ds_half in paths:
                 np.matmul(dx_t, h, out=g_w2)
-                np.add.reduce(dx, axis=1, out=g_b2)
-                np.matmul(dx, w2, out=du)
+                np.add.reduce(dx_half, axis=1, out=g_b2)
+                np.matmul(dx_half, w2, out=du)
                 np.subtract(1.0, np.multiply(h, h, out=dtanh), out=dtanh)
                 np.multiply(du, dtanh, out=du)
-                np.matmul(du_t, s, out=g_w1)
+                np.matmul(du_t, s_half, out=g_w1)
                 np.add.reduce(du, axis=1, out=g_b1)
-                np.matmul(du, w1, out=ds)
-            np.matmul(ds_re, c, out=drecon)  # dz; drecon is dead by then
-            np.subtract(drecon, np.matmul(ds_im, e, out=ds_re), out=drecon)
+                np.matmul(du, w1, out=ds_half)
+            np.matmul(ds, f_t, out=drecon)  # dz; drecon is dead by then
             np.matmul(dz_row, flat, out=g_mix)
         return forward, backward
 

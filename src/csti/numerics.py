@@ -3,11 +3,11 @@
 The discrete Fourier transform is an explicit linear operator (cos/sin
 matrices, ``dft_matrices``), so the frequency models backpropagate through
 it with plain transposes; at lookbacks <= 64 the O(n^2) product beats FFT
-bookkeeping. The kinds bind two cached O(n^2) forms: the planar pair
-``planar_dft_operators``, [B | B] (2n, 2n) and B^T with B = [C; -E] / n,
-turns a static filter into its circular-convolution taps and back, and
-``interleaved_dft_operators`` D (n, 2n), R (2n, n) move complex128 spectra
-as (re, im) pairs through one real gemm each way.
+bookkeeping. The kinds run one real gemm each way over a cached O(n^2) pair:
+``planar_dft_operators`` F = [C | -E] (n, 2n) and B = F^T / n (2n, n) over
+planar [re | im] spectra, or ``interleaved_dft_operators`` D (n, 2n), R
+(2n, n) over complex128 spectra kept as (re, im) pairs. The transposes of
+a pair carry gradients back.
 
 Model checkpoints and merge rounds are one container: magic b"CSTI", u32
 version 2, u32 header length, a sorted-key UTF-8 JSON header, u64 value
@@ -154,17 +154,16 @@ def dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def planar_dft_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """[B | B] (2n, 2n) and B^T (n, 2n), with B = [C; -E] / n the real inverse of planar spectra.
+    """F = [C | -E] (n, 2n) and B = F^T / n (2n, n), over planar [re | im] spectra.
 
-    ``[f_re | f_im] @ B`` is Re IDFT(f), so a kernel's circular-convolution
-    taps are ``[k_re | k_im] @ B``; the doubled form writes them twice in one
-    product, and B^T carries their gradient back to the kernel.
+    ``z @ F`` is [Re | Im] DFT(z) and ``[f_re | f_im] @ B`` is Re IDFT(f);
+    B.T and F.T carry their gradients back. C and E are symmetric.
     """
     c, e = dft_matrices(n)
-    b = np.concatenate([c, -e]) / n
-    doubled, b_t = np.concatenate([b, b], axis=1), np.ascontiguousarray(b.T)
-    doubled.flags.writeable = b_t.flags.writeable = False
-    return doubled, b_t
+    f = np.concatenate([c, -e], axis=1)
+    b = np.ascontiguousarray(f.T) / n
+    f.flags.writeable = b.flags.writeable = False
+    return f, b
 
 
 @lru_cache(maxsize=None)

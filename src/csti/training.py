@@ -46,7 +46,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -213,6 +213,25 @@ class _StackLog(NamedTuple):
     epoch_wall_ms: list  # of the whole stack, per epoch
 
 
+class _Step(NamedTuple):
+    """One batch index of ``_StockStack.schedule``; ``train`` unpacks it by position."""
+
+    active: slice  # the rows with a batch here: a contiguous run, up to the last row
+    losses: np.ndarray  # their batch losses at this index
+    divisors: np.ndarray  # N * H of each of their batches
+    scales: np.ndarray  # 2 / (N * H), one per row, as a column
+    prologue: Callable
+    epilogue: Callable
+    picks: tuple  # (gather slice, design buffer, target buffer) of this index's windows
+    calls: list  # (p, x, y, g, bound call) of each data call
+    sums: list  # r . r of each run of rows with one batch size
+    theta: np.ndarray  # this and the four below: the step views of the active rows
+    velocity: np.ndarray
+    grad: np.ndarray
+    scratch: np.ndarray
+    finite: np.ndarray
+
+
 def _runs(rows, key):
     """(key, slice) for each run of consecutive ``rows`` with one value of ``key``."""
     for value, run in groupby(rows, key):
@@ -342,12 +361,12 @@ class _StockStack:
                     calls.append((p, x, y, g, model.bind_batch(p, x, y, g, ws)))
                     pos += k * size
             picks = self._gather[first:pos], *(buf[: pos - first] for buf in buffers)
-            self.schedule.append((active, self._losses[active, batch], divisors[active, batch],
-                                  2.0 / divisors[active, batch, None],
-                                  *rows_from(active.start), picks, calls, sums,
-                                  *(buf[active] for buf in (self.theta, self._velocity,
-                                                            self._grad, self._scratch,
-                                                            self._finite))))
+            self.schedule.append(_Step(active, self._losses[active, batch],
+                                       divisors[active, batch], 2.0 / divisors[active, batch, None],
+                                       *rows_from(active.start), picks, calls, sums,
+                                       *(buf[active] for buf in (self.theta, self._velocity,
+                                                                 self._grad, self._scratch,
+                                                                 self._finite))))
         # per run of rows with b batches: (b, rows, their batch losses)
         self._same_batches = [(b, rows, self._losses[rows, :b])
                               for b, rows in _runs(range(k_rows), self.batches.__getitem__)]

@@ -155,7 +155,8 @@ def filter_operator_basis(n):
 
 def circulant_operator(kernel):
     """The model's (L, L) filter operator G of one [k_re | k_im] kernel: a view of its taps."""
-    doubled, _ = numerics.planar_dft_operators(len(kernel) // 2)
+    _, b_op = numerics.planar_dft_operators(len(kernel) // 2)
+    doubled = np.concatenate([b_op, b_op], axis=1)  # the taps twice, as the model writes them
     return models._circulant(np.asarray(kernel)[None, None] @ doubled)[0]
 
 

@@ -121,6 +121,33 @@ def test_csv_path_that_is_not_a_string_names_the_field(tmp_path):
     assert err.value.errors == ["data.paths: file path string required, got 7"]
 
 
+@pytest.mark.parametrize("source", ["synthetic", "csv"])
+@pytest.mark.parametrize("section,key", [
+    ("", "sed"), ("data", "stock"), ("window", "lookbak"), ("training", "learning_rte")])
+def test_a_misspelled_key_fails_as_an_unknown_field(tmp_path, source, section, key):
+    # a dropped key would leave the run training with the default it meant to replace
+    doc = spec_doc(tmp_path / "out", window={"lookback": 8})
+    if source == "csv":
+        doc["data"] = {"source": "csv", "paths": _empty_csvs(tmp_path, 2)}
+    (doc[section] if section else doc)[key] = 3
+    path = f"{section}.{key}" if section else key
+    with pytest.raises(SpecValidationError) as err:
+        validate_spec(write_spec(tmp_path, doc))
+    assert err.value.errors == [f"{path}: unknown field"]
+    doc["out_dir"] = "out"
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert f"spec error: {path}: unknown field" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_echoed_version_and_model_hyper_are_known_fields(tmp_path):
+    doc = spec_doc(tmp_path / "out", version="0.1.0", model_hyper={"dlinear": None})
+    assert validate_spec(write_spec(tmp_path, doc)).model_hyper == {"dlinear": None}
+
+
 def test_validation_collects_multiple_errors_at_once(tmp_path):
     doc = spec_doc(tmp_path / "out", models=["timesnet"], strategies=["foo"])
     doc["training"]["lambda"] = -2
@@ -746,7 +773,7 @@ def test_a_lookback_that_fits_every_split_validates():
 
 @pytest.mark.parametrize("hyper", [{"frets": {"hidden": 0}}, {"dlinear": {"depth": 2}},
                                    {"dlinear": {"period": -1.0}},
-                                   {"dlinear": {"period": 10**400}}])
+                                   {"dlinear": {"period": 10**400}}, {"dlinaer": {}}])
 def test_a_bad_model_hyper_entry_names_its_kind(tmp_path, hyper):
     doc = spec_doc(tmp_path / "out", models=["dlinear", "frets"], model_hyper=hyper)
     with pytest.raises(SpecValidationError, match=f"model_hyper.{next(iter(hyper))}"):

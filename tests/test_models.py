@@ -171,6 +171,24 @@ def test_filter_operator_equals_the_dft_chain(lookback, rng):
     assert error <= 1e-12 * np.max(np.abs(reference))
 
 
+@pytest.mark.parametrize("lookback", [4, 5, 8, 16])
+def test_frets_planar_transforms_equal_the_dft_chain(lookback, rng):
+    L = lookback
+    model = build_model("frets", L, 2, 2, {"hidden": 6}, seed=4)
+    inputs, targets = random_batch(rng, 9, L, 2, 2)
+    p, grad = model.unpack(model.export_params().values[None]), np.empty((1, model.n_params))
+    ws = model.workspace(1, 9)
+    model.bind(p, model.rows_read(inputs)[None], targets[None], model.unpack(grad), ws)()
+    z, s, x, dx, ds = (ws[name][0] for name in ("z", "s", "x", "dx", "ds"))
+    drecon = ws["pred"][0] @ p["head_weight"][0]  # the unscaled residual, back through the head
+    pairs = [(s, np.concatenate(numerics.dft_batch(z), axis=1)),  # [re | im] rows
+             (ws["recon"][0], numerics.real_idft_batch(x[:, :L], x[:, L:])),
+             (dx, np.concatenate(numerics.real_idft_batch_adjoint(drecon), axis=1)),
+             (ws["drecon"][0], numerics.dft_batch_adjoint(ds[:, :L], ds[:, L:]))]  # dz by then
+    for got, reference in pairs:
+        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 def test_dlinear_anchor_only_returns_last_mixed_value(rng):
     model = _zeroed(build_model("dlinear", 8, 1, 2))
     model = _set_segment(model, "input_mix", [0.0, 1.0])

@@ -538,14 +538,18 @@ def test_texfilter_gradient_matches_finite_differences_at_other_shapes(lookback,
 
 @pytest.mark.parametrize("n", [4, 5, 8, 16])
 def test_interleaved_dft_operators_match_numpy_fft(n, rng):
+    """The interleaved pair, then the planar pair (F, B) over [re | im] rows."""
     d_op, r_op = numerics.interleaved_dft_operators(n)
-    assert d_op.shape == (n, 2 * n) and r_op.shape == (2 * n, n)
-    assert not d_op.flags.writeable and not r_op.flags.writeable
+    f_op, b_op = numerics.planar_dft_operators(n)
+    for forward, inverse in ((d_op, r_op), (f_op, b_op)):
+        assert forward.shape == (n, 2 * n) and inverse.shape == (2 * n, n)
+        assert not forward.flags.writeable and not inverse.flags.writeable
     z = rng.standard_normal((7, n))
-    spectrum = (z @ d_op).view(np.complex128)
-    expected = np.fft.fft(z)
-    assert np.max(np.abs(spectrum - expected)) <= 1e-12 * np.max(np.abs(expected))
     y = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
-    inverse = y.view(np.float64) @ r_op
-    expected = np.fft.ifft(y).real
-    assert np.max(np.abs(inverse - expected)) <= 1e-12 * np.max(np.abs(expected))
+    planar = z @ f_op
+    pairs = [((z @ d_op).view(np.complex128), np.fft.fft(z)),
+             (planar[:, :n] + 1j * planar[:, n:], np.fft.fft(z)),
+             (y.view(np.float64) @ r_op, np.fft.ifft(y).real),
+             (np.concatenate([y.real, y.imag], axis=1) @ b_op, np.fft.ifft(y).real)]
+    for got, expected in pairs:
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

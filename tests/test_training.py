@@ -404,7 +404,7 @@ def test_equal_size_rows_of_one_call_match_train_local(kind, kernel_rows):
 
 def _window_buffers(stack):
     """The distinct arrays that the stack's kernel calls read designs and targets from."""
-    calls = [call for step in stack.schedule for call in step[7]]  # (p, x, y, g, bound)
+    calls = [call for step in stack.schedule for call in step.calls]  # (p, x, y, g, bound)
     return calls[0], {id(view.base): view.base for call in calls for view in call[1:3]}
 
 
@@ -738,9 +738,9 @@ def test_each_batch_index_gathers_the_windows_its_permutations_put_there(kind, m
         for _ in range(2):
             orders = [rng.permutation(n) for rng, n in zip(rngs, stack.sizes)]
             for b, step in enumerate(stack.schedule):
-                got = [next(calls) for _ in step[7]]
+                got = [next(calls) for _ in step.calls]
                 picked = [(train[i], orders[r][32 * b : 32 * (b + 1)])
-                          for r, i in enumerate(stack.order) if r >= step[0].start]
+                          for r, i in enumerate(stack.order) if r >= step.active.start]
                 x = np.concatenate([x.reshape(-1, *read) for x, _ in got])
                 y = np.concatenate([y.reshape(-1, 1) for _, y in got])
                 assert x.tobytes() == b"".join(
