@@ -36,27 +36,24 @@ SPLIT_NAMES = ("train", "val", "test")
 
 @dataclass(frozen=True)
 class StockSeries:
-    """One stock's aligned feature rows: open, close and optional sentiment."""
+    """One stock's feature rows in date order: open, close and optional sentiment.
+
+    Dates only order the rows (and drop duplicates, in ``load_csv_detailed``);
+    no stage reads them, so they are not kept.
+    """
 
     stock_id: str
-    timestamps: tuple[datetime.date, ...]
     features: np.ndarray  # (T, d) float64
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[1] not in (2, 3):
             raise ContractViolation("features must be (T, d) with d in {2, 3}")
-        ts = tuple(self.timestamps)
-        if len(ts) != feats.shape[0]:
-            raise ContractViolation("timestamps and feature rows disagree")
-        for b in itertools.compress(ts[1:], map(operator.ge, ts, ts[1:])):  # the first only
-            raise ContractViolation(f"timestamps not strictly increasing at {b}")
         if not np.all(np.isfinite(feats)):
             raise NumericInputError(f"{self.stock_id}: non-finite feature values")
         feats = feats.copy()
         feats.flags.writeable = False
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "timestamps", ts)
 
     @property
     def T(self) -> int:
@@ -73,7 +70,7 @@ class StockSeries:
     def drop_sentiment(self) -> "StockSeries":
         if not self.has_sentiment:
             return self
-        return StockSeries(self.stock_id, self.timestamps, self.features[:, :2])
+        return StockSeries(self.stock_id, self.features[:, :2])
 
 
 @dataclass(frozen=True)
@@ -162,15 +159,16 @@ class WindowedDataset:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def load_csv_detailed(path, with_sentiment: bool = False, min_rows: int = 2,
-                      stock_id: str | None = None) -> tuple[StockSeries, list[str]]:
+def load_csv_detailed(path, with_sentiment: bool = False,
+                      min_rows: int = 2) -> tuple[StockSeries, list[str]]:
     """Parse a stock CSV, returning the series and a row rejection report.
 
     The file is UTF-8 text, after an optional byte-order mark. Required
     header columns, each named once ignoring case: date (ASCII
     YYYY-MM-DD), open, close (sentiment when flagged); extra columns are
     ignored. Rows with missing, non-numeric or unparseable cells and
-    duplicate dates are dropped and reported.
+    duplicate dates are dropped and reported. The dates sort the rows and
+    find the duplicates; they are not kept. The stock id is the file stem.
     """
     path = str(path)
     wanted = ["date", "open", "close"] + (["sentiment"] if with_sentiment else [])
@@ -234,17 +232,12 @@ def load_csv_detailed(path, with_sentiment: bool = False, min_rows: int = 2,
         raise InsufficientDataError(
             f"{path}: {len(deduped)} usable rows, need at least {min_rows}"
         )
-    sid = stock_id if stock_id is not None else stock_id_from_path(path)
-    series = StockSeries(
-        stock_id=sid,
-        timestamps=tuple(day for day, _ in deduped),
-        features=np.array([vals for _, vals in deduped], dtype=np.float64),
-    )
-    return series, rejections
+    features = np.array([vals for _, vals in deduped], dtype=np.float64)
+    return StockSeries(stock_id_from_path(path), features), rejections
 
 
 def stock_id_from_path(path: str) -> str:
-    """The stock id of a CSV loaded without an explicit one: the file name's stem."""
+    """The stock id of a loaded CSV: the file name's stem."""
     name = path.replace("\\", "/").rsplit("/", 1)[-1]
     return name.rsplit(".", 1)[0]
 
@@ -261,13 +254,8 @@ def fit_normalizer(series: StockSeries, train_fraction: float) -> NormalizationP
     if n_train < 2:
         raise ContractViolation("train segment must have at least 2 rows")
     seg = series.features[:n_train]
-    lo = seg.min(axis=0)
-    hi = seg.max(axis=0)
-    for col in range(series.d):
-        if hi[col] <= lo[col]:
-            raise DegenerateColumnError(
-                f"{series.stock_id}: column {col} constant on train segment"
-            )
+    params = NormalizationParams(series.stock_id, seg.min(axis=0), seg.max(axis=0))
+    lo, hi = params.per_column_min, params.per_column_max
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite span gives inf/inf
         scaled = (series.features - lo) / (hi - lo)
     finite = np.isfinite(scaled)
@@ -276,7 +264,7 @@ def fit_normalizer(series: StockSeries, train_fraction: float) -> NormalizationP
             f"{series.stock_id}: column {int(np.argmin(finite.all(axis=0)))} train span "
             "too small or too large to scale the series"
         )
-    return NormalizationParams(series.stock_id, lo, hi)
+    return params
 
 
 def normalize(series: StockSeries, params: NormalizationParams) -> StockSeries:
@@ -285,9 +273,14 @@ def normalize(series: StockSeries, params: NormalizationParams) -> StockSeries:
         raise WrongNormalizerError(
             f"normalizer for {params.stock_id!r} applied to {series.stock_id!r}"
         )
+    if params.per_column_min.size != series.d:
+        raise WrongNormalizerError(
+            f"{series.stock_id}: normalizer of {params.per_column_min.size} columns "
+            f"applied to a series of {series.d}"
+        )
     span = params.per_column_max - params.per_column_min
     feats = (series.features - params.per_column_min) / span
-    return StockSeries(series.stock_id, series.timestamps, feats)
+    return StockSeries(series.stock_id, feats)
 
 
 def denormalize_close(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
@@ -376,8 +369,6 @@ def generate_synthetic_market(stocks: int, length: int, shared_strength: float,
     )
 
     ar_coef, ar_scale = 0.9, 0.18
-    day0 = datetime.date(2015, 1, 2)
-    timestamps = tuple(day0 + datetime.timedelta(days=int(k)) for k in range(length))
 
     out: list[StockSeries] = []
     for k in range(stocks):
@@ -399,5 +390,5 @@ def generate_synthetic_market(stocks: int, length: int, shared_strength: float,
         sentiment = 1.0 / (1.0 + np.exp(-(returns / ret_scale + sent_noise)))
 
         feats = np.column_stack([opens, close, sentiment])
-        out.append(StockSeries(f"SYN{k:03d}", timestamps, feats))
+        out.append(StockSeries(f"SYN{k:03d}", feats))
     return out

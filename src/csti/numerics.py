@@ -173,9 +173,9 @@ def interleaved_dft_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
     ``(z @ D).view(complex128)`` is DFT(z) and ``y.view(float64) @ R`` is
     Re IDFT(y). Column 2f of D holds C[f], column 2f+1 holds -E[f]; R = D^T/n.
     """
-    c, e = dft_matrices(n)
-    d = np.stack([c, -e], axis=-1).reshape(n, 2 * n)  # C, E are symmetric
-    r = np.ascontiguousarray(d.T) / n
+    f, b = planar_dft_operators(n)
+    d = np.ascontiguousarray(f.reshape(n, 2, n).transpose(0, 2, 1).reshape(n, 2 * n))
+    r = np.ascontiguousarray(b.reshape(2, n, n).transpose(1, 0, 2).reshape(2 * n, n))
     d.flags.writeable = r.flags.writeable = False
     return d, r
 

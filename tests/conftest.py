@@ -1,4 +1,5 @@
 import csv
+import datetime
 from functools import lru_cache
 
 import numpy as np
@@ -26,12 +27,17 @@ def windowed_market(stocks, length, shared_strength, seed, lookback=16, horizon=
 
 
 def write_series_csv(series, path):
-    """Write a series as a CSV the loader accepts: date, open, close (, sentiment)."""
+    """Write a series as a CSV the loader accepts: date, open, close (, sentiment).
+
+    Row k is dated 2015-01-02 + k days.
+    """
     headers = ["date", "open", "close"] + (["sentiment"] if series.has_sentiment else [])
+    day0 = datetime.date(2015, 1, 2)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(headers)
-        for day, row in zip(series.timestamps, series.features):
+        for k, row in enumerate(series.features):
+            day = day0 + datetime.timedelta(days=k)
             writer.writerow([day.isoformat()] + [f"{v:.9g}" for v in row])
 
 

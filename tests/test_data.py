@@ -78,8 +78,7 @@ def test_load_ignores_extra_columns_and_sorts(tmp_path):
         "98,11,2020-01-02,10\n"
     )
     series = load_csv_detailed(write_csv(tmp_path / "a.csv", text))[0]
-    assert series.timestamps[0].isoformat() == "2020-01-02"
-    assert series.features[0, 1] == 11.0
+    assert series.features.tolist() == [[10.0, 11.0], [11.0, 12.0]]  # 2020-01-02 first
 
 
 def test_missing_column_names_it(tmp_path):
@@ -211,15 +210,13 @@ def test_each_bad_row_kind_is_rejected_at_its_line(tmp_path_factory, good, data)
                 for lineno, (row, kind) in enumerate(lines, start=2) if kind is not None]
     expected += [f"duplicate date {day.isoformat()} dropped" for day in sorted(duplicated)]
     assert rejections == expected
-    assert series.timestamps == tuple(days)
-
-
-@pytest.mark.parametrize("stamps,at", [((1, 2, 2, 3), 2), ((1, 3, 2, 4), 2), ((3, 1, 0), 1)])
-def test_timestamps_must_strictly_increase(stamps, at):
-    days = [datetime.date(2021, 1, d) for d in (s + 1 for s in stamps)]
-    with pytest.raises(ContractViolation,
-                       match=f"not strictly increasing at {days[stamps.index(at, 1)]}"):
-        StockSeries("TST", days, np.ones((len(days), 2)))
+    # one row per date, in date order: of rows sharing a date, the first in the file
+    first = {}
+    for row, kind in lines:
+        if kind is None:
+            day, *values = row.split(",")
+            first.setdefault(day, list(map(float, values)))
+    assert series.features.tolist() == [first[day.isoformat()] for day in days]
 
 
 @pytest.mark.parametrize("stamp", ["20240105", "2024-W01-5", "2024-01-05T00:00",
@@ -264,10 +261,7 @@ def test_csv_roundtrip_via_export(tmp_path):
 def _series(close, opens=None):
     close = np.asarray(close, dtype=float)
     opens = np.asarray(opens if opens is not None else close - 0.5, dtype=float)
-    dates = [np.datetime64("2020-01-01") + np.timedelta64(i, "D") for i in range(close.size)]
-    import datetime
-    stamps = tuple(datetime.date(2020, 1, 1) + datetime.timedelta(days=i) for i in range(close.size))
-    return StockSeries("TST", stamps, np.column_stack([opens, close]))
+    return StockSeries("TST", np.column_stack([opens, close]))
 
 
 def test_fit_normalizer_examples():
@@ -287,6 +281,14 @@ def test_fit_normalizer_rejects_constant_train_segment():
     series = _series([5, 5, 5, 1, 9])
     with pytest.raises(DegenerateColumnError):
         fit_normalizer(series, 0.6)
+
+
+@pytest.mark.parametrize("col", [0, 1])
+def test_fit_normalizer_names_the_constant_column(col):
+    columns = [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5)]
+    columns[col] = np.array([5.0, 5.0, 5.0, 1.0, 9.0])
+    with pytest.raises(DegenerateColumnError, match=f"column {col} has max <= min"):
+        fit_normalizer(_series(columns[1], opens=columns[0]), 0.6)
 
 
 @pytest.mark.parametrize("close", [
@@ -317,9 +319,17 @@ def test_normalize_values_and_out_of_range():
 def test_normalize_wrong_stock_rejected():
     a = _series([1.0, 2.0, 3.0, 4.0])
     params = fit_normalizer(a, 0.75)
-    b = StockSeries("OTHER", a.timestamps, a.features)
+    b = StockSeries("OTHER", a.features)
     with pytest.raises(WrongNormalizerError):
         normalize(b, params)
+
+
+def test_normalize_rejects_a_normalizer_of_another_column_count():
+    series = generate_synthetic_market(1, 200, 0.5, seed=4)[0]
+    with pytest.raises(WrongNormalizerError, match="of 3 columns applied to a series of 2"):
+        normalize(series.drop_sentiment(), fit_normalizer(series, 0.7))
+    with pytest.raises(WrongNormalizerError, match="of 2 columns applied to a series of 3"):
+        normalize(series, fit_normalizer(series.drop_sentiment(), 0.7))
 
 
 @settings(max_examples=50, deadline=None)
@@ -383,9 +393,8 @@ def test_window_coverage_and_no_split_crossing():
 @given(total=st.integers(12, 120), lookback=st.integers(1, 8), horizon=st.integers(1, 4),
        d=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
 def test_windows_equal_the_per_window_loop(total, lookback, horizon, d, seed):
-    stamps = tuple(datetime.date(2020, 1, 1) + datetime.timedelta(days=i) for i in range(total))
     features = np.random.default_rng(seed).normal(size=(total, d))
-    series = StockSeries("TST", stamps, features)
+    series = StockSeries("TST", features)
     for split in SPLIT_NAMES:
         start, end = split_bounds(total, (0.7, 0.1, 0.2))[split]
         n = end - start - lookback - horizon + 1
@@ -409,8 +418,7 @@ def test_windows_equal_the_per_window_loop(total, lookback, horizon, d, seed):
 
 def test_windows_hold_no_copy_of_the_series():
     # a (N, L, d) copy would hold each series value L times over
-    stamps = tuple(datetime.date(2000, 1, 1) + datetime.timedelta(days=i) for i in range(2000))
-    series = StockSeries("TST", stamps, np.random.default_rng(5).normal(size=(2000, 3)))
+    series = StockSeries("TST", np.random.default_rng(5).normal(size=(2000, 3)))
     tracemalloc.start()
     try:
         ds = make_windows(series, 16, 1, "train")
@@ -453,14 +461,11 @@ def test_a_dataset_leaves_the_callers_arrays_writeable():
 
 
 def test_split_chronology():
-    market = generate_synthetic_market(1, 200, 0.5, seed=9)
-    series = market[0]
-    bounds = split_bounds(series.T, (0.7, 0.1, 0.2))
-    train_end = bounds["train"][1]
-    val_start, val_end = bounds["val"]
-    test_start = bounds["test"][0]
-    assert series.timestamps[train_end - 1] < series.timestamps[val_start]
-    assert series.timestamps[val_end - 1] < series.timestamps[test_start]
+    # the splits tile the rows in date order: each starts where the one before ends
+    bounds = split_bounds(200, (0.7, 0.1, 0.2))
+    assert bounds["train"][0] == 0 and bounds["test"][1] == 200
+    assert bounds["train"][1] == bounds["val"][0]
+    assert bounds["val"][1] == bounds["test"][0]
 
 
 def test_fractions_must_sum_to_one():
@@ -515,8 +520,8 @@ def test_synthetic_determinism():
     a = generate_synthetic_market(3, 128, 0.6, seed=77)
     b = generate_synthetic_market(3, 128, 0.6, seed=77)
     for sa, sb in zip(a, b):
+        assert sa.stock_id == sb.stock_id
         assert np.array_equal(sa.features, sb.features)
-        assert sa.timestamps == sb.timestamps
 
 
 @pytest.mark.parametrize("length", [10**19, 2**61])  # past numpy's index range, its byte range

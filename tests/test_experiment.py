@@ -455,7 +455,7 @@ def test_permuted_csv_paths_give_the_same_csti_reports(tmp_path):
     csv_dir = tmp_path / "csvs"
     csv_dir.mkdir()
     for series, rows in zip(market, (320, 300, 280, 260, 240, 220, 200)):
-        cut = StockSeries(series.stock_id, series.timestamps[:rows], series.features[:rows])
+        cut = StockSeries(series.stock_id, series.features[:rows])
         write_series_csv(cut, csv_dir / f"{series.stock_id}.csv")
     paths = [f"csvs/{s.stock_id}.csv" for s in market]
     orders = {"given": paths, "reversed": paths[::-1], "rotated": paths[3:] + paths[:3]}

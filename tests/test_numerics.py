@@ -544,6 +544,11 @@ def test_interleaved_dft_operators_match_numpy_fft(n, rng):
     for forward, inverse in ((d_op, r_op), (f_op, b_op)):
         assert forward.shape == (n, 2 * n) and inverse.shape == (2 * n, n)
         assert not forward.flags.writeable and not inverse.flags.writeable
+        assert forward.flags.c_contiguous and inverse.flags.c_contiguous
+    # the interleaved pair holds the planar pair's bits, its halves' columns (rows) interleaved
+    for half in (0, 1):
+        assert np.array_equal(d_op[:, half::2], f_op[:, half * n:(half + 1) * n])
+        assert np.array_equal(r_op[half::2], b_op[half * n:(half + 1) * n])
     z = rng.standard_normal((7, n))
     y = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
     planar = z @ f_op

@@ -309,7 +309,7 @@ def _unequal_market(lengths=(150, 200, 260), seed=29):
     market = generate_synthetic_market(len(lengths), max(lengths), 0.7, seed)
     train = []
     for series, rows in zip(market, lengths):
-        cut = StockSeries(series.stock_id, series.timestamps[:rows], series.features[:rows])
+        cut = StockSeries(series.stock_id, series.features[:rows])
         normed = normalize(cut, fit_normalizer(cut, 0.7))
         train.append(make_windows(normed, 16, 1, "train", (0.7, 0.1, 0.2)))
     return train
