@@ -1,12 +1,13 @@
 """Config-driven experiment runner: strategies x model kinds x feature sets.
 
 The spec file is JSON, and ``_FIELDS`` is its schema: one row per field, with
-its path, ``ExperimentSpec`` attribute, check and message. Defaults live on
-``ExperimentSpec``. One walker checks a document against the table, and
-``ExperimentSpec.echo`` rebuilds the document from it. Every cell of the grid
-trains, evaluates on held-out test windows and writes a report bundle under
-<out>/<model>/<strategy>/<features>/; a summary table collects the macro
-metrics of all cells.
+its path, attribute, check and message. A training setting resolves to the
+attribute and default of ``CstiConfig``, which the spec holds as ``training``,
+every other field to ``ExperimentSpec``'s. One walker checks a document against
+the table, and ``ExperimentSpec.echo`` rebuilds the document from it. Every
+cell of the grid trains, evaluates on held-out test windows and writes a report
+bundle under <out>/<model>/<strategy>/<features>/; a summary table collects the
+macro metrics of all cells.
 """
 
 from __future__ import annotations
@@ -59,13 +60,14 @@ NORMAL_EVAL_MODES = ("final", "snapshot")
 
 @dataclass
 class ExperimentSpec:
-    """Fully resolved experiment description."""
+    """Fully resolved experiment description; ``training`` configures both strategies,
+    its ``stocks`` counts the synthetic stocks or CSV files and its ``seed`` also
+    seeds the synthetic market."""
 
     out_dir: str
     source: str  # "synthetic" | "csv"
-    seed: int = 0
+    training: CstiConfig
     # synthetic source
-    stocks: int = 5
     length: int = 600
     shared_strength: float = 0.7
     # csv source
@@ -78,18 +80,6 @@ class ExperimentSpec:
     lookback: int = 16
     horizon: int = 1
     fractions: tuple = (0.7, 0.1, 0.2)
-    # training
-    merge_rounds: int = 50
-    finetune_epochs: int = 50
-    local_epochs_per_round: int = 1
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    alpha: float = 1.0
-    prox_weight: float = 0.01
-    batch_size: int = 64
-    merge_weights: tuple | None = None
-    shared_init: bool = True
-    epochs_total: int | None = None  # normal budget; defaults to the csti budget
     # execution: the most stocks in one kernel call, None for every stock;
     # the optimizer step always spans every stock, and results do not
     # depend on this value
@@ -98,30 +88,18 @@ class ExperimentSpec:
     denormalized_metrics: bool = False
     model_hyper: dict = field(default_factory=dict)
 
-    def csti_config(self) -> CstiConfig:
-        return CstiConfig(**{f.name: getattr(self, f.name) for f in fields(CstiConfig)})
-
-    def normal_budget(self) -> int:
-        return _normal_budget(vars(self))
-
     def echo(self) -> dict:
         """The spec as a nested document, one entry per echoed row of ``_FIELDS``."""
         doc = {"version": __version__}
         for row in _FIELDS:
             if row.echoed and row.source in (None, self.source):
                 section, _, key = row.path.rpartition(".")
-                value = getattr(self, row.attr)
+                value = getattr(self.training if row.attr in _TRAINING else self, row.attr)
                 (doc.setdefault(section, {}) if section else doc)[key] = (
                     list(value) if isinstance(value, tuple) else value)
         if self.model_hyper:
             doc["model_hyper"] = self.model_hyper
         return doc
-
-
-def _normal_budget(values: dict) -> int:
-    if values["epochs_total"] is not None:
-        return values["epochs_total"]
-    return values["merge_rounds"] * values["local_epochs_per_round"] + values["finetune_epochs"]
 
 
 def _number(value) -> bool:
@@ -159,13 +137,16 @@ def _floats(value):
 
 
 def _unknown(path, noun, supported, out_of_scope=()):
-    """(entries, base_dir) -> a message for each entry outside ``supported``."""
+    """(entries, base_dir) -> a message for each entry outside ``supported``, and one for
+    each entry listed again, which would run its cells again over their own files."""
     listed = ", ".join(supported)
     note = f" (out of scope: {', '.join(out_of_scope)})" if out_of_scope else ""
     return lambda entries, _base_dir: [
         f"{path}: {x!r} is recognized but out of scope; supported kinds: {listed}"
         if x in out_of_scope else f"{path}: unknown {noun} {x!r}; supported: {listed}{note}"
-        for x in entries if x not in supported]
+        for x in entries if x not in supported] + [
+        f"{path}: {noun} {x!r} is listed more than once"
+        for i, x in enumerate(entries) if x in entries[:i] and x not in entries[i + 1:]]
 
 
 def _path_errors(paths, base_dir):
@@ -185,7 +166,7 @@ def _path_errors(paths, base_dir):
 
 class _Field(NamedTuple):
     path: str  # "section.key", or "key" at the top level
-    attr: str  # the ExperimentSpec attribute it resolves to
+    attr: str  # the CstiConfig or else ExperimentSpec attribute it resolves to
     check: Callable  # value -> bool
     message: str  # the error after "<path>: " when the check fails
     convert: Callable = lambda value: value  # a checked value -> the attribute's value
@@ -244,7 +225,10 @@ _FIELDS = (
     _Field("denormalized_metrics", "denormalized_metrics", lambda v: isinstance(v, bool),
            "boolean required"),
 )
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentSpec)}
+_TRAINING = {f.name for f in fields(CstiConfig)}
+_BUDGET_COUNTS = ("merge_rounds", "local_epochs_per_round", "finetune_epochs", "epochs_total")
+_DEFAULTS = {f.name: f.default for f in (*fields(ExperimentSpec), *fields(CstiConfig))}
+_DEFAULTS["stocks"] = 5  # the synthetic market's size
 # the keys each section ("" for the top level) may hold: its _FIELDS paths, the sections,
 # the version ``echo`` writes and model_hyper, whose keys are the kinds; every other key
 # fails as an unknown field
@@ -279,6 +263,7 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
     Walks ``_FIELDS`` in order. A field that fails its check stays unresolved,
     and a rule that spans fields is checked once every field it reads resolved.
     A key that no ``_FIELDS`` path names, in any section, is an unknown field.
+    Once every check passed, the training settings become one ``CstiConfig``.
     """
     errors: list[str] = []
     if not isinstance(raw, dict):
@@ -345,15 +330,18 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
     if stocks is not None and weights is not None and len(weights) != stocks:
         errors.append(f"training.merge_weights: one weight per stock required, "
                       f"got {len(weights)} for {stocks} stocks")
-    if stocks is not None and "normal" in values.get("strategies", ()):
+    if stocks and "normal" in values.get("strategies", ()):
         with suppress(KeyError):  # a count the budget reads failed its own check
-            if (budget := _normal_budget(values)) < stocks:
+            # the budget of these counts, which no other setting enters
+            counts = {name: values[name] for name in _BUDGET_COUNTS}
+            if (budget := CstiConfig(stocks, **counts).normal_budget) < stocks:
                 errors.append(f"training.epochs_total: the normal budget of {budget} epochs "
                               f"is below one epoch per stock; >= {stocks} required")
 
     if errors:
         raise SpecValidationError(errors)
-    return ExperimentSpec(**values, model_hyper=model_hyper)
+    training = CstiConfig(**{name: values.pop(name) for name in _TRAINING})
+    return ExperimentSpec(**values, training=training, model_hyper=model_hyper)
 
 
 def _read_spec(path: Path):
@@ -406,7 +394,7 @@ def load_round_checkpoint(path) -> tuple[int, ParamVector]:
 def _load_market(spec: ExperimentSpec) -> list[StockSeries]:
     if spec.source == "synthetic":
         return generate_synthetic_market(
-            spec.stocks, spec.length, spec.shared_strength, spec.seed
+            spec.training.stocks, spec.length, spec.shared_strength, spec.training.seed
         )
     min_rows = spec.lookback + spec.horizon + 1
     want_sentiment = "with_sentiment" in spec.feature_sets
@@ -440,8 +428,7 @@ def _run_cell(spec, kind, strategy, train_sets, test_sets, normalizers):
     norm = normalizers if spec.denormalized_metrics else None
     hyper = spec.model_hyper.get(kind)
     if strategy == "csti":
-        result = run_csti(train_sets, kind, spec.csti_config(), hyper=hyper,
-                          jobs=spec.jobs)
+        result = run_csti(train_sets, kind, spec.training, hyper=hyper, jobs=spec.jobs)
         for r, (prev, cur) in enumerate(
             zip([None] + result.trace.round_globals[:-1], result.trace.round_globals),
             start=1,
@@ -453,12 +440,7 @@ def _run_cell(spec, kind, strategy, train_sets, test_sets, normalizers):
                   file=sys.stderr)
         report = evaluate(result.finetuned, test_sets, norm)
         return report, result.trace, result
-    result = run_normal(
-        train_sets, kind, spec.normal_budget(),
-        learning_rate=spec.learning_rate, momentum=spec.momentum,
-        batch_size=spec.batch_size, seed=spec.seed,
-        hyper=hyper,
-    )
+    result = run_normal(train_sets, kind, spec.training, hyper=hyper)
     if spec.normal_eval == "snapshot":
         models = result.snapshots
     else:

@@ -852,10 +852,15 @@ def build_model(kind: str, lookback: int, horizon: int, n_features: int,
     cls, shapes, resolved = _resolve(kind, lookback, horizon, n_features, hyper or {})
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), MODEL_KINDS.index(kind))))
     layout, draws = [], []
-    for name, shape, init in cls.segments(*shapes, resolved):
-        layout.append((name, math.prod(shape)))
-        draws.append(init(rng, layout[-1][1]))
-    return cls(*shapes, resolved, ParamVector(np.concatenate(draws), layout))
+    try:
+        for name, shape, init in cls.segments(*shapes, resolved):
+            layout.append((name, math.prod(shape)))
+            draws.append(init(rng, layout[-1][1]))
+        values = np.concatenate(draws)
+    except (ValueError, MemoryError) as err:  # more parameters than numpy can allocate
+        raise ContractViolation(f"{kind}: the parameters of {resolved} are too many to "
+                                f"allocate: {err}") from None
+    return cls(*shapes, resolved, ParamVector(values, layout))
 
 
 def save_checkpoint(model: ForecastModel, path) -> None:

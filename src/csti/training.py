@@ -57,6 +57,7 @@ from .errors import (
     DivergenceError,
     MergeIncompatibilityError,
     ShapeMismatchError,
+    WrongNormalizerError,
 )
 from .models import ForecastModel, bind_sum_of_squares, build_model
 from .numerics import (ParamVector, _check_int, _check_real, atomic_open, axpy_merge,
@@ -87,8 +88,8 @@ def derive_seed(base_seed: int, tag: int, round_index: int, stock_id: str = "") 
 
 @dataclass(frozen=True)
 class CstiConfig:
-    """Protocol hyperparameters, each checked at construction, the fine-tune rate
-    alpha * learning_rate too; defaults follow the benchmark protocol."""
+    """The training settings of both strategies, each checked at construction, the
+    fine-tune rate alpha * learning_rate too; defaults follow the benchmark protocol."""
 
     stocks: int
     merge_rounds: int = 50
@@ -102,6 +103,7 @@ class CstiConfig:
     batch_size: int = 64
     seed: int = 0
     shared_init: bool = True
+    epochs_total: int | None = None  # the normal strategy's budget; None: ``epochs_budget``
 
     def __post_init__(self):
         for name, low in (("stocks", 1), ("merge_rounds", 0), ("finetune_epochs", 0),
@@ -111,6 +113,11 @@ class CstiConfig:
                                    ("alpha", math.inf, False), ("prox_weight", math.inf, True)):
             object.__setattr__(self, name, _check_real(name, getattr(self, name), high, closed))
         _check_finetune_rate(self.alpha, self.learning_rate)
+        if not isinstance(self.shared_init, bool):
+            raise ContractViolation(f"shared_init must be a bool, got {self.shared_init!r}")
+        if self.epochs_total is not None:
+            object.__setattr__(self, "epochs_total",
+                               _check_int("epochs_total", self.epochs_total, 1))
         if self.merge_weights is not None:
             if not isinstance(self.merge_weights, (list, tuple, np.ndarray)):
                 raise ContractViolation("merge_weights must be a sequence of numbers")
@@ -124,8 +131,13 @@ class CstiConfig:
 
     @property
     def epochs_budget(self) -> int:
-        """Per-lineage epochs; the normal strategy gets the same total."""
+        """Per-lineage epochs of csti."""
         return self.merge_rounds * self.local_epochs_per_round + self.finetune_epochs
+
+    @property
+    def normal_budget(self) -> int:
+        """The normal strategy's epochs: ``epochs_total``, by default csti's budget."""
+        return self.epochs_budget if self.epochs_total is None else self.epochs_total
 
     def weights(self) -> tuple:
         return self.merge_weights if self.merge_weights is not None else (1.0,) * self.stocks
@@ -477,7 +489,7 @@ def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
     are checked here, and ``dataset`` must be a ``WindowedDataset`` (which
     checked its windows) of the model's shapes; the stack trusts both.
     """
-    shape = _check_stock_group([dataset])
+    shape = _check_stock_group([dataset], 1)
     if shape != (model.lookback, model.horizon, model.n_features):
         raise ShapeMismatchError(f"{dataset.stock_id}: (lookback, horizon, features) {shape}, "
                                  f"the model's {(model.lookback, model.horizon, model.n_features)}")
@@ -503,8 +515,8 @@ def _train_one(model, dataset, epochs, learning_rate, momentum, batch_size, seed
     return model.import_params(params.replace(stack.theta[0])), log, epochs * stack.batches[0]
 
 
-def _check_stock_group(stocks: Sequence[WindowedDataset]):
-    """The (lookback, horizon, d) of a group of distinct ``WindowedDataset``s of one shape."""
+def _check_stock_group(stocks: Sequence[WindowedDataset], count: int):
+    """The (lookback, horizon, d) of ``count`` distinct ``WindowedDataset``s of one shape."""
     if len(stocks) < 1:
         raise ContractViolation("need at least one stock dataset")
     seen = set()
@@ -520,6 +532,8 @@ def _check_stock_group(stocks: Sequence[WindowedDataset]):
             raise MergeIncompatibilityError(
                 f"{ds.stock_id}: window shape differs from {first.stock_id}"
             )
+    if len(stocks) != count:
+        raise ContractViolation(f"config says {count} stocks, got {len(stocks)}")
     return first.lookback, first.horizon, first.d
 
 
@@ -558,10 +572,8 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     With no merge rounds, fine-tuning starts from the template's init.
     The stack trusts ``stocks``, ``WindowedDataset``s of one shape, and ``cfg``.
     """
-    lookback, horizon, d = _check_stock_group(stocks)
+    lookback, horizon, d = _check_stock_group(stocks, cfg.stocks)
     k_stocks = len(stocks)
-    if k_stocks != cfg.stocks:
-        raise ContractViolation(f"config says {cfg.stocks} stocks, got {k_stocks}")
     width = k_stocks if jobs is None else _check_int("jobs", jobs, 1)
     trace, stock_ids = TrainingTrace(), [ds.stock_id for ds in stocks]
 
@@ -622,35 +634,29 @@ class NormalResult(NamedTuple):
     trace: TrainingTrace
 
 
-def run_normal(stocks: Sequence[WindowedDataset], kind: str, epochs_total: int,
-               learning_rate: float = 0.01, momentum: float = 0.9,
-               batch_size: int = 64, seed: int = 0,
+def run_normal(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
                hyper: dict | None = None) -> NormalResult:
     """Sequential baseline: one model fine-tuned across stocks in turn.
 
-    floor(epochs_total / K) epochs per stock; the momentum buffer resets
-    at each stock boundary, matching the per-round resets of the merge
-    protocol. Snapshot k is the model state after stock k's segment. The
-    stocks train in the order given, so unlike ``run_csti`` the result
-    depends on that order: it is part of the input. The group, step
-    settings and batch size are checked once, here; each segment is a
-    one-stock stack whose log the trace keeps, its epochs numbered on
-    from the last segment's.
+    floor(cfg.normal_budget / K) epochs per stock, at least one; the momentum
+    buffer resets at each stock boundary, matching the per-round resets of
+    the merge protocol. Snapshot k is the model state after stock k's
+    segment. The stocks train in the order given, so unlike ``run_csti`` the
+    result depends on that order: it is part of the input. The step
+    settings, batch size and seed are ``cfg``'s, which checked them; the
+    group is checked once, here. Each segment is a one-stock stack whose
+    log the trace keeps, its epochs numbered on from the last segment's.
     """
-    lookback, horizon, d = _check_stock_group(stocks)
-    k_stocks = len(stocks)
-    epochs_per = _check_int("epochs_total", epochs_total, k_stocks) // k_stocks
-    seed = _check_int("seed", seed, 0)
+    lookback, horizon, d = _check_stock_group(stocks, cfg.stocks)
+    epochs_per = _check_int("epochs_total", cfg.normal_budget, cfg.stocks) // cfg.stocks
 
-    model = build_model(kind, lookback, horizon, d, hyper, seed=derive_seed(seed, _TAG_INIT, 0))
-    check_step_settings(learning_rate, momentum)
-    batch_size = _check_int("batch_size", batch_size, 1)
+    model = build_model(kind, lookback, horizon, d, hyper, seed=derive_seed(cfg.seed, _TAG_INIT, 0))
     trace, snapshots, total_steps = TrainingTrace(), [], 0
     for k, ds in enumerate(stocks):
         try:
-            model, log, steps = _train_one(model, ds, epochs_per, learning_rate, momentum,
-                                           batch_size, derive_seed(seed, _TAG_NORMAL, k,
-                                                                   ds.stock_id))
+            model, log, steps = _train_one(model, ds, epochs_per, cfg.learning_rate, cfg.momentum,
+                                           cfg.batch_size, derive_seed(cfg.seed, _TAG_NORMAL, k,
+                                                                       ds.stock_id))
         except DivergenceError as err:
             raise DivergenceError(
                 f"normal segment {k}: {err}", stock_id=ds.stock_id, round_index=k,
@@ -667,11 +673,11 @@ def evaluate(models: Sequence[ForecastModel], test_sets: Sequence[WindowedDatase
     """Per-stock and aggregate metrics, plus series for regression plots.
 
     Models and test sets are aligned positionally (one per stock, with
-    distinct stock ids). When normalizers are supplied, metrics on the
-    original price scale are reported alongside the normalized ones. The
-    macro average is correctly rounded and the pooled series run in
-    stock-id order, so the report does not depend on the order of the
-    stocks.
+    distinct stock ids). When normalizers are supplied, each of its test
+    set's stock, metrics on the original price scale are reported alongside
+    the normalized ones. The macro average is correctly rounded and the
+    pooled series run in stock-id order, so the report does not depend on
+    the order of the stocks.
     """
     if len(models) != len(test_sets):
         raise ContractViolation("need one model per test set")
@@ -691,6 +697,9 @@ def evaluate(models: Sequence[ForecastModel], test_sets: Sequence[WindowedDatase
             "predicted": pred[:, 0].tolist(),
         }
         if normalizers is not None:
+            if normalizers[i].stock_id != ds.stock_id:
+                raise WrongNormalizerError(f"normalizer for {normalizers[i].stock_id!r} "
+                                           f"paired with the test set of {ds.stock_id!r}")
             raw_pred = denormalize_close(pred, normalizers[i])
             raw_actual = denormalize_close(ds.targets, normalizers[i])
             per_stock_denorm[ds.stock_id] = metrics_mod.metric_set(raw_pred, raw_actual)

@@ -7,15 +7,18 @@ traced run with a KeyError or AttributeError, so this test loads
 ``bench/layers.py`` unchanged and resolves every entry the same way.
 """
 
+import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
-from csti import data, experiment
+from csti import data, experiment, metrics, models, training
 from csti.models import MODEL_KINDS, ForecastModel
 
 from conftest import write_series_csv
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+WORKLOADS = LAYERS.with_name("workloads.py")
 
 
 def _load_layers():
@@ -58,3 +61,22 @@ def test_csv_market_loads_through_the_data_modules_loader(tmp_path, monkeypatch)
                                           "data": {"source": "csv", "paths": paths}})
     market = experiment._load_market(spec)
     assert calls == paths and len(market) == 2
+
+
+def test_every_call_the_workloads_make_into_csti_binds_to_its_signature():
+    # the bench's files do not change with the code they time, so a signature
+    # change (a parameter renamed, moved or dropped) must fail here, not only there
+    modules = {"data": data, "experiment": experiment, "metrics": metrics, "models": models,
+               "training": training}
+    called = set()
+    for node in ast.walk(ast.parse(WORKLOADS.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in modules):
+            name = f"{node.func.value.id}.{node.func.attr}"
+            assert not any(isinstance(arg, ast.Starred) for arg in node.args), name
+            assert all(kw.arg is not None for kw in node.keywords), name
+            function = getattr(modules[node.func.value.id], node.func.attr)
+            inspect.signature(function).bind(*node.args, **{kw.arg: kw for kw in node.keywords})
+            called.add(name)
+    assert called >= {"training.CstiConfig", "training.run_csti", "experiment.validate_spec",
+                      "experiment.run_experiment"}

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from csti.data import StockSeries, generate_synthetic_market, split_bounds
 from csti.errors import ContractViolation, CstiError, DivergenceError, SpecValidationError
 from csti.experiment import (
+    ExperimentSpec,
     load_round_checkpoint,
     main,
     run_experiment,
@@ -23,6 +25,7 @@ from csti.experiment import (
 )
 from csti.models import MODEL_KINDS, build_model, load_checkpoint, save_checkpoint
 from csti.numerics import save_container
+from csti.training import CstiConfig
 
 from conftest import write_series_csv
 
@@ -218,10 +221,29 @@ def test_merge_weights_need_one_entry_per_stock(tmp_path):
     assert err.value.errors == [
         "training.merge_weights: one weight per stock required, got 2 for 3 stocks"]
     doc["data"] = {"source": "csv", "paths": _empty_csvs(tmp_path, 2)}
-    assert validate_spec_dict(doc, base_dir=tmp_path).merge_weights == (1.0, 1.0)
+    assert validate_spec_dict(doc, base_dir=tmp_path).training.merge_weights == (1.0, 1.0)
     doc["training"]["merge_weights"] = [1, 1, 1]
     with pytest.raises(SpecValidationError, match="got 3 for 2 stocks"):
         validate_spec_dict(doc, base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("key,noun,entry", [("models", "kind", "dlinear"),
+                                            ("strategies", "strategy", "csti"),
+                                            ("features", "feature set", "without_sentiment")])
+def test_a_grid_entry_listed_twice_names_the_list_and_the_entry(key, noun, entry):
+    # each repeat used to train its cells again and write over their files
+    with pytest.raises(SpecValidationError) as err:
+        validate_spec_dict(spec_doc("out", **{key: [entry, entry]}))
+    assert err.value.errors == [f"{key}: {noun} {entry!r} is listed more than once"]
+
+
+def test_a_spec_without_a_training_section_takes_the_configs_defaults():
+    doc = spec_doc("out")
+    del doc["training"]
+    spec = validate_spec_dict(doc)
+    assert spec.training == CstiConfig(stocks=3, seed=5)  # data.stocks and the top-level seed
+    # the spec holds the one config, and restates none of its settings
+    assert not {f.name for f in fields(ExperimentSpec)} & {f.name for f in fields(CstiConfig)}
 
 
 @pytest.mark.parametrize("training", [
@@ -238,6 +260,15 @@ def test_a_normal_budget_below_the_stock_count_names_epochs_total(training):
         f"training.epochs_total: the normal budget of {budget} epochs is below one epoch "
         "per stock; >= 3 required"]
     assert validate_spec_dict(spec_doc("out", strategies=["csti"], training=training))
+
+
+def test_a_normal_budget_below_the_stock_count_comes_with_every_other_training_error():
+    # the budget reads four counts, so a bad setting beside them hides no error
+    training = {"epochs_total": 2, "lambda": -1, "merge_weights": [1, 1]}
+    with pytest.raises(SpecValidationError) as err:
+        validate_spec_dict(spec_doc("out", training=training))
+    assert [e.partition(":")[0] for e in err.value.errors] == [
+        "training.lambda", "training.merge_weights", "training.epochs_total"]
 
 
 @pytest.mark.parametrize("key,value", [("merge_rounds", 2.0), ("batch_size", 64.0),
@@ -347,11 +378,12 @@ def test_echo_of_a_valid_spec_validates_to_the_same_echo(csv_dir, data):
     doc = {
         "out_dir": "out", "data": source, "training": training,
         "seed": draw(st.integers(0, 2**40)), "jobs": draw(st.integers(1, 8)),
-        "models": draw(st.lists(st.sampled_from(MODEL_KINDS), min_size=1, max_size=4)),
+        "models": draw(st.lists(st.sampled_from(MODEL_KINDS), min_size=1, max_size=4,
+                                unique=True)),
         "strategies": draw(st.lists(st.sampled_from(["normal", "csti"]), min_size=1,
-                                    max_size=2)),
+                                    max_size=2, unique=True)),
         "features": draw(st.lists(st.sampled_from(["with_sentiment", "without_sentiment"]),
-                                  min_size=1, max_size=2)),
+                                  min_size=1, max_size=2, unique=True)),
         "window": {"lookback": draw(st.integers(4, 32)), "horizon": draw(st.integers(1, 4)),
                    "fractions": draw(_FRACTIONS)},
         "normal_eval": draw(st.sampled_from(["final", "snapshot"])),
@@ -445,7 +477,7 @@ def test_csv_source_end_to_end(tmp_path):
     doc["data"] = {"source": "csv",
                    "paths": [f"csvs/{s.stock_id}.csv" for s in market]}
     spec = validate_spec(write_spec(tmp_path, doc))
-    assert spec.stocks == 2
+    assert spec.training.stocks == 2
     summary = run_experiment(spec)
     assert len(summary) == 2
 
@@ -692,6 +724,30 @@ def test_cli_data_length_too_large_to_generate_exit_code(tmp_path, length, messa
     assert proc.returncode == 1
     assert message in proc.stderr.splitlines()[-1] and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_repeated_grid_entries_exit_code(tmp_path):
+    # dlinear/normal/without_sentiment used to run 4 times, and the run exited 0
+    write_spec(tmp_path, spec_doc("out", models=["dlinear", "dlinear"],
+                                  features=["without_sentiment", "without_sentiment"]))
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "spec error: models: kind 'dlinear' is listed more than once",
+        "spec error: features: feature set 'without_sentiment' is listed more than once"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_model_width_too_large_to_allocate_exit_code(tmp_path):
+    # numpy refuses 10**11 * 32 parameters at once; it used to end in its
+    # _ArrayMemoryError traceback
+    doc = spec_doc("out", models=["texfilter"], model_hyper={"texfilter": {"hidden": 10**11}})
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith(
+        "error: texfilter: the parameters of {'hidden': 100000000000} are too many to allocate")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("field", ["lambda", "learning_rate"])

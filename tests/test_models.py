@@ -83,6 +83,16 @@ def test_build_validation():
         build_model("dlinear", 10**400, 1, 2)
 
 
+# numpy refuses both at once: 10**11 wants terabytes, 10**18 more elements than an index holds
+@pytest.mark.parametrize("hidden", [10**11, 10**18])
+@pytest.mark.parametrize("kind", ["texfilter", "frets"])
+def test_a_width_too_large_to_allocate_names_its_kind(kind, hidden):
+    # it used to escape from the init draw as numpy's MemoryError or ValueError
+    with pytest.raises(ContractViolation, match=rf"^{kind}: the parameters of \{{'hidden': "
+                                                rf"{hidden}\}} are too many to allocate: "):
+        build_model(kind, 16, 1, 3, {"hidden": hidden})
+
+
 # ---------------------------------------------------------------------------
 # prediction contracts
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from csti.errors import (
     DivergenceError,
     MergeIncompatibilityError,
     ShapeMismatchError,
+    WrongNormalizerError,
 )
 from csti.models import MODEL_KINDS, build_model
 from csti.numerics import sgd_step
@@ -198,7 +199,7 @@ def test_every_training_entry_point_takes_only_windowed_datasets(entry, small_ma
                                            0.01, 0.9),
         "run_csti": lambda: run_csti(given, "dlinear",
                                      CstiConfig(stocks=3, merge_rounds=1, finetune_epochs=1)),
-        "run_normal": lambda: run_normal(given, "dlinear", epochs_total=3),
+        "run_normal": lambda: run_normal(given, "dlinear", CstiConfig(stocks=3, epochs_total=3)),
     }
     with pytest.raises(ContractViolation, match="must be a WindowedDataset, got SimpleNamespace"):
         calls[entry]()
@@ -960,7 +961,8 @@ def test_run_csti_runs_every_step_through_the_traced_kernel(small_market, monkey
 def test_run_normal_runs_every_step_through_the_traced_sgd_step(small_market, monkeypatch):
     train, _, _ = small_market
     steps = _count_sgd_steps(monkeypatch)
-    result = run_normal(train, "dlinear", epochs_total=7, batch_size=32, seed=3)
+    result = run_normal(train, "dlinear",
+                        CstiConfig(stocks=3, epochs_total=7, batch_size=32, seed=3))
     epochs_per = 7 // len(train)
     assert len(steps) == sum(epochs_per * -(-ds.n_windows // 32) for ds in train)
     assert len(steps) == result.trace.lineage_update_steps[0] and set(steps) == {1}
@@ -1006,9 +1008,9 @@ def test_budget_parity_on_equal_sized_stocks():
     train, _, _ = windowed_market(5, 300, 0.6, seed=17)
     cfg = CstiConfig(stocks=5, merge_rounds=5, finetune_epochs=5, seed=1)
     csti_result = run_csti(train, "dlinear", cfg)
-    normal_result = run_normal(train, "dlinear", epochs_total=10, seed=1)
+    normal_result = run_normal(train, "dlinear", cfg)
     # every csti lineage took exactly as many optimizer steps as the
-    # normal strategy's single lineage (10 epochs of equal-sized data)
+    # normal strategy's single lineage (10 epochs of equal-sized data), on one config
     assert set(csti_result.trace.lineage_update_steps) == set(
         normal_result.trace.lineage_update_steps
     )
@@ -1089,13 +1091,11 @@ def test_config_rejects_non_integer_counts(field, value):
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
-def test_config_and_run_normal_reject_a_seed_that_is_not_an_integer_of_at_least_zero(
-        small_market, seed):
-    # 1.5 and True used to train as seed 1; -1 failed in numpy's SeedSequence
+def test_config_and_run_normal_reject_a_seed_that_is_not_an_integer_of_at_least_zero(seed):
+    # 1.5 and True used to train as seed 1; -1 failed in numpy's SeedSequence.
+    # run_normal takes its seed from the config, so the config's check covers it
     with pytest.raises(ContractViolation, match="seed"):
         CstiConfig(stocks=2, seed=seed)
-    with pytest.raises(ContractViolation, match="seed"):
-        run_normal(small_market[0], "dlinear", epochs_total=3, seed=seed)
 
 
 @pytest.mark.parametrize("settings", [dict(alpha=5e-324), dict(alpha=1e308, learning_rate=10.0)],
@@ -1141,12 +1141,11 @@ def test_config_rejects_a_merge_weight_that_is_not_real(value):
 @pytest.mark.parametrize("value", NOT_REAL)
 @pytest.mark.parametrize("field", ["learning rate", "momentum"])
 def test_step_settings_reject_a_value_that_is_not_real(small_market, field, value):
+    # run_normal's settings are its config's: test_config_rejects_a_training_number_that_is_not_real
     settings = {"learning_rate": 0.01, "momentum": 0.9, field.replace(" ", "_"): value}
     model = build_model("dlinear", 16, 1, 3, seed=8)
     with pytest.raises(ContractViolation, match=field):
         train_local(model, small_market[0][0], 1, batch_size=64, **settings)
-    with pytest.raises(ContractViolation, match=field):
-        run_normal(small_market[0], "dlinear", 3, **settings)
 
 
 @pytest.mark.parametrize("weights", [(1.0, -1.0), (0.0, 0.0), (-1.0, 3.0), (1e308, 1e308)])
@@ -1158,20 +1157,41 @@ def test_merge_weights_must_be_non_negative_with_positive_sum(weights):
     assert CstiConfig(stocks=2, merge_weights=(0.0, 2.0)).weights() == (0.0, 2.0)
 
 
+@pytest.mark.parametrize("shared_init", ["false", None, 0, 1])
+def test_config_rejects_a_shared_init_that_is_not_a_bool(shared_init):
+    # "false" used to train from the shared init, as True does
+    with pytest.raises(ContractViolation, match="shared_init must be a bool"):
+        CstiConfig(stocks=2, shared_init=shared_init)
+
+
+def test_the_normal_budget_is_epochs_total_or_else_the_csti_budget():
+    cfg = CstiConfig(stocks=2, merge_rounds=3, finetune_epochs=4, local_epochs_per_round=2)
+    assert cfg.epochs_total is None and cfg.normal_budget == cfg.epochs_budget == 10
+    assert dataclasses.replace(cfg, epochs_total=np.int64(7)).normal_budget == 7
+
+
+@pytest.mark.parametrize("entry", ["run_csti", "run_normal"])
+def test_both_strategies_take_as_many_stocks_as_their_config_says(entry, small_market):
+    train = small_market[0]
+    strategy = {"run_csti": run_csti, "run_normal": run_normal}[entry]
+    with pytest.raises(ContractViolation, match="config says 2 stocks, got 3"):
+        strategy(train, "dlinear", CstiConfig(stocks=2, merge_rounds=1, finetune_epochs=1))
+
+
 # ---------------------------------------------------------------------------
 # run_normal
 # ---------------------------------------------------------------------------
 
 def test_normal_single_stock_is_plain_training(small_market):
     train, _, _ = small_market
-    result = run_normal(train[:1], "dlinear", epochs_total=4, seed=5)
+    result = run_normal(train[:1], "dlinear", CstiConfig(stocks=1, epochs_total=4, seed=5))
     assert len(result.snapshots) == 1
     assert len([r for r in result.trace.rows if r.phase == "normal"]) == 4
 
 
 def test_normal_epoch_split_and_snapshots(small_market):
     train, _, _ = small_market
-    result = run_normal(train[:2], "dlinear", epochs_total=10, seed=5)
+    result = run_normal(train[:2], "dlinear", CstiConfig(stocks=2, epochs_total=10, seed=5))
     assert len(result.snapshots) == 2
     per_stock = {}
     for row in result.trace.rows:
@@ -1183,28 +1203,34 @@ def test_normal_epoch_split_and_snapshots(small_market):
 
 def test_normal_requires_enough_epochs(small_market):
     train, _, _ = small_market
-    with pytest.raises(ContractViolation):
-        run_normal(train, "dlinear", epochs_total=2, seed=5)
+    with pytest.raises(ContractViolation, match="epochs_total must be an integer >= 3, got 2"):
+        run_normal(train, "dlinear", CstiConfig(stocks=3, epochs_total=2, seed=5))
+    # without epochs_total the budget is csti's, 0 + 2 epochs here
+    with pytest.raises(ContractViolation, match="epochs_total must be an integer >= 3, got 2"):
+        run_normal(train, "dlinear", CstiConfig(stocks=3, merge_rounds=0, finetune_epochs=2))
 
 
 @pytest.mark.parametrize("epochs_total", [7.5, True])
-def test_normal_rejects_a_non_integer_epoch_budget(small_market, epochs_total):
-    # 7.5 used to reach train_local as 2.0 epochs and fail there under another name
+def test_normal_rejects_a_non_integer_epoch_budget(epochs_total):
+    # 7.5 used to reach train_local as 2.0 epochs and fail there under another name;
+    # run_normal's budget is its config's, which checks it
     with pytest.raises(ContractViolation, match="epochs_total"):
-        run_normal(small_market[0], "dlinear", epochs_total=epochs_total, seed=5)
+        CstiConfig(stocks=3, epochs_total=epochs_total, seed=5)
 
 
 def test_run_normal_checks_its_settings_and_stocks_once(monkeypatch):
-    # each segment trains on settings run_normal checked, not through train_local
+    # the settings are the config's, which checked them; each segment trains on
+    # them without checking again, not through train_local
     counts = collections.Counter()
     for name in ("check_step_settings", "_check_stock_group"):
         def counting(*args, _name=name, _check=getattr(training, name)):
             counts[_name] += 1
             return _check(*args)
         monkeypatch.setattr(training, name, counting)
-    result = run_normal(_six_stocks_with_ties(), "dlinear", epochs_total=6, seed=5)
+    cfg = CstiConfig(stocks=6, epochs_total=6, seed=5)
+    result = run_normal(_six_stocks_with_ties(), "dlinear", cfg)
     assert len(result.snapshots) == 6
-    assert counts == {"check_step_settings": 1, "_check_stock_group": 1}
+    assert counts == {"_check_stock_group": 1}  # and no check_step_settings call
 
 
 # ---------------------------------------------------------------------------
@@ -1261,6 +1287,16 @@ def test_evaluate_rejects_duplicate_stock_ids(small_market):
         evaluate(models, [test[0], twin])
 
 
+def test_evaluate_rejects_a_normalizer_of_another_stock(small_market):
+    # swapped normalizers used to denormalize each stock on the other's scale
+    _, test, normalizers = small_market
+    models = [_OracleModel(ds.targets) for ds in test]
+    swapped = [normalizers[1], normalizers[0], normalizers[2]]
+    with pytest.raises(WrongNormalizerError, match="normalizer for 'SYN001' paired with the "
+                                                   "test set of 'SYN000'"):
+        evaluate(models, test, swapped)
+
+
 def test_evaluate_with_denormalizers(small_market):
     _, test, normalizers = small_market
     models = [_OracleModel(ds.targets + 0.05) for ds in test]
@@ -1302,7 +1338,7 @@ def test_a_run_builds_no_trace_row_until_its_rows_are_read(monkeypatch, small_ma
     assert built == []
     assert len(result.trace.rows) == len(built) == 3 * (3 * 2 + 1) + 3 * 2  # R(KE + 1) + KF
     built.clear()
-    result = run_normal(small_market[0], "dlinear", epochs_total=6, seed=5)
+    result = run_normal(small_market[0], "dlinear", CstiConfig(stocks=3, epochs_total=6, seed=5))
     assert built == []
     assert len(result.trace.rows) == len(built) == 6
 
@@ -1335,7 +1371,8 @@ def test_csti_trace_rows_come_in_the_documented_order(shared_init):
 
 def test_normal_trace_rows_come_in_the_documented_order(small_market):
     train, _, _ = small_market
-    rows = run_normal(train, "dlinear", epochs_total=7, seed=5).trace.rows  # 2 epochs per stock
+    cfg = CstiConfig(stocks=3, epochs_total=7, seed=5)  # 2 epochs per stock
+    rows = run_normal(train, "dlinear", cfg).trace.rows
     assert [(row.phase, row.round_index, row.stock_id) for row in rows] == [
         ("normal", 2 * k + e + 1, ds.stock_id) for k, ds in enumerate(train) for e in range(2)]
     assert {row.prox_penalty for row in rows} == {0.0}
@@ -1349,7 +1386,7 @@ def test_trace_csv_equals_the_per_row_writer(strategy, tmp_path, small_market):
                          prox_weight=0.05, seed=23)
         trace = run_csti(train[::-1], "paifilter", cfg).trace
     else:
-        trace = run_normal(train, "paifilter", epochs_total=6, seed=23).trace
+        trace = run_normal(train, "paifilter", CstiConfig(stocks=3, epochs_total=6, seed=23)).trace
     write_trace_csv(trace, tmp_path / "trace.csv")
     write_trace_rows_csv(trace, tmp_path / "reference.csv")
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
