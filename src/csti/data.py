@@ -27,9 +27,7 @@ from .errors import (
     WrongNormalizerError,
 )
 
-OPEN_COL = 0
-CLOSE_COL = 1
-SENTIMENT_COL = 2
+CLOSE_COL = 1  # the columns are open, close and optional sentiment
 
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -113,11 +111,11 @@ def windows_finite(inputs: np.ndarray) -> bool:
 class WindowedDataset:
     """Stride-1 windows over one chronological split of a stock series.
 
-    Float64 arrays are held as given, read-only: ``inputs`` may be a view.
+    The windows do not name their split, which ``make_windows`` picks. Float64
+    arrays are held as given, read-only: ``inputs`` may be a view.
     """
 
     stock_id: str
-    split: str
     lookback: int
     horizon: int
     inputs: np.ndarray  # (N, L, d)
@@ -330,7 +328,7 @@ def make_windows(series: StockSeries, lookback: int, horizon: int, split: str,
     seg = series.features[start:end]
     # (n, L+H, d) views of the segment; targets are copied, as a take of a view copies it whole
     windows = np.lib.stride_tricks.sliding_window_view(seg, (needed, seg.shape[1]))[:, 0]
-    return WindowedDataset(series.stock_id, split, lookback, horizon, windows[:, :lookback],
+    return WindowedDataset(series.stock_id, lookback, horizon, windows[:, :lookback],
                            np.ascontiguousarray(windows[:, lookback:, CLOSE_COL]),
                            start + lookback + np.arange(len(windows)))
 

@@ -404,16 +404,13 @@ def _load_market(spec: ExperimentSpec) -> list[StockSeries]:
 
 
 def _prepare_feature_set(market, feature_set, spec):
-    """Normalize and window each stock for one feature configuration."""
+    """Normalize and window each stock for one feature configuration.
+
+    ``_load_market`` gave every series a sentiment column if a set wants one."""
     train_sets, test_sets, normalizers = [], [], []
     for series in market:
         if feature_set == "without_sentiment":
             series = series.drop_sentiment()
-        elif not series.has_sentiment:
-            raise SpecValidationError(
-                [f"{series.stock_id}: sentiment column required for feature set "
-                 "'with_sentiment'"]
-            )
         params = fit_normalizer(series, spec.fractions[0])
         normed = normalize(series, params)
         train_sets.append(make_windows(normed, spec.lookback, spec.horizon,
@@ -453,14 +450,14 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """Run the whole grid; returns {cell key: macro metrics}.
 
     Each completed cell's files are on disk before the next cell starts,
-    so partial results survive a failure in a later cell.
+    so partial results survive a failure in a later cell. Each cell makes its
+    own directory, so a run whose first cell fails leaves no ``out_dir``.
     """
     market = _load_market(spec)
     prepared = {}
     for feature_set in spec.feature_sets:
         prepared[feature_set] = _prepare_feature_set(market, feature_set, spec)
-    out_root = Path(spec.out_dir)  # created once the data loads, so a bad input leaves none
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = Path(spec.out_dir)
 
     summary = {}
     for kind in spec.model_kinds:
@@ -479,7 +476,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                     print(f"[cell {cell}] failed: {err}", file=sys.stderr)
                     raise
                 summary[cell] = report.macro
-    _write_summary(spec, summary, out_root / "summary.csv")
+    _write_summary(summary, out_root / "summary.csv")
     return summary
 
 
@@ -503,10 +500,8 @@ def _write_cell(spec, cell, cell_dir, report, trace, result, test_sets):
     write_report_json(document, cell_dir / "report.json")
     write_trace_csv(trace, cell_dir / "trace.csv")
     for stock_id, series in report.series.items():
-        export_regression_series(
-            stock_id, series["predicted"], series["actual"],
-            cell_dir / f"regression-{stock_id}.csv", t=series["t"],
-        )
+        export_regression_series(series["predicted"], series["actual"],
+                                 cell_dir / f"regression-{stock_id}.csv", t=series["t"])
     ckpt_dir = cell_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     if isinstance(result, CstiResult):
@@ -519,7 +514,7 @@ def _write_cell(spec, cell, cell_dir, report, trace, result, test_sets):
             save_checkpoint(model, ckpt_dir / f"snapshot-{k:02d}.ckpt")
 
 
-def _write_summary(spec, summary, path):
+def _write_summary(summary, path):
     with atomic_open(path, encoding="utf-8") as fh:
         fh.write("model,strategy,features,mae,mse,r2\n")
         for cell in sorted(summary):

@@ -103,7 +103,7 @@ def macro_average(sets) -> dict:
             for name in ("mae", "mse", "r2")}
 
 
-def export_regression_series(stock_id: str, pred, actual, path, t=None) -> None:
+def export_regression_series(pred, actual, path, t=None) -> None:
     """CSV with columns t, actual, predicted; deterministic 9-digit floats."""
     p, a = _pair(pred, actual)
     if t is None:

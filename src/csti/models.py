@@ -326,7 +326,7 @@ def _mix(inputs, p, z):
 
 
 def _affine_bound(fan_in: int) -> float:
-    return 1.0 / np.sqrt(fan_in)
+    return 1.0 / math.sqrt(fan_in)  # np.sqrt has no loop for ints of 2**64 and up
 
 
 def _uniform(bound):
@@ -857,7 +857,7 @@ def build_model(kind: str, lookback: int, horizon: int, n_features: int,
             layout.append((name, math.prod(shape)))
             draws.append(init(rng, layout[-1][1]))
         values = np.concatenate(draws)
-    except (ValueError, MemoryError) as err:  # more parameters than numpy can allocate
+    except (ValueError, MemoryError, OverflowError) as err:  # too many for numpy or a float
         raise ContractViolation(f"{kind}: the parameters of {resolved} are too many to "
                                 f"allocate: {err}") from None
     return cls(*shapes, resolved, ParamVector(values, layout))
@@ -889,5 +889,5 @@ def load_checkpoint(path) -> ForecastModel:
             header["hyper"], complete=True,
         )
         return cls(*shapes, hyper, pvec)
-    except (CstiError, TypeError) as err:  # TypeError: an unhashable kind
+    except (CstiError, TypeError, OverflowError) as err:  # an unhashable kind; a huge width
         raise ContractViolation(f"{path}: {err}") from None

@@ -386,15 +386,18 @@ class _StockStack:
         self._distances = np.zeros(k_rows)
         self._squared_distances = bind_sum_of_squares(self._scratch, self._distances)
 
-    def _diverged(self, rows, message):
+    def _diverged(self, rows, message, label, round_index):
         """DivergenceError for the first given stock among the failing ``rows``."""
         k = min(rows, key=self.order.__getitem__)
-        return DivergenceError(f"{self.stock_ids[k]}: {message(k)}", stock_id=self.stock_ids[k])
+        where = f"{label}: " if label else ""
+        return DivergenceError(f"{where}{self.stock_ids[k]}: {message(k)}",
+                               stock_id=self.stock_ids[k], round_index=round_index)
 
     @np.errstate(over="ignore", invalid="ignore")
     def train(self, seeds: Sequence[int | np.random.Generator], epochs: int,
               learning_rate: float, momentum: float,
-              anchor: np.ndarray | None = None, prox_weight: float = 0.0) -> _StackLog:
+              anchor: np.ndarray | None = None, prox_weight: float = 0.0, *,
+              label: str | None = None, round_index: int | None = None) -> _StackLog:
         """Lockstep minibatch SGD-momentum on ``self.theta`` (K, P), in place.
 
         The velocity starts at zero on every call, and every other buffer
@@ -418,7 +421,9 @@ class _StockStack:
         operations too; the returned log holds them as (K, epochs) arrays
         in the order the stocks were given (``row_of``), with the epoch walls.
         A failed check raises DivergenceError naming the stock that fails
-        first in (epoch, batch index, given stock) order, at any width. An
+        first in (epoch, batch index, given stock) order, at any width. Its
+        message is ``"<label>: <stock>: <detail>"``, or ``"<stock>: <detail>"``
+        without a ``label``; ``round_index`` is passed on to it as is. An
         overflow or invalid operation warns nothing: the inf or NaN it
         leaves fails one of these checks. ``train_local`` or ``CstiConfig`` checked the settings.
         """
@@ -455,7 +460,8 @@ class _StockStack:
                 if not maximum(losses) <= DIVERGENCE_GUARD:  # NaN fails too
                     raise self._diverged(
                         active.start + np.flatnonzero(~(losses <= DIVERGENCE_GUARD)),
-                        lambda k: f"batch loss {self._losses[k, batch]:.3e} exceeded guard")
+                        lambda k: f"batch loss {self._losses[k, batch]:.3e} exceeded guard",
+                        label, round_index)
                 if use_prox:
                     np.subtract(th, anchor, out=scratch)
                     scratch *= 2.0 * prox_weight
@@ -465,7 +471,7 @@ class _StockStack:
                     raise self._diverged(
                         active.start + np.flatnonzero(~finite.all(axis=1)),
                         lambda k: "parameters became non-finite at step "
-                                  f"{epoch * self.batches[k] + batch + 1}")
+                                  f"{epoch * self.batches[k] + batch + 1}", label, round_index)
             for b, rows, batch_losses in self._same_batches:
                 epoch_losses[rows, epoch] = total(batch_losses, axis=1) / b  # the mean's bits
             if use_prox:
@@ -506,12 +512,13 @@ def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
 
 
 def _train_one(model, dataset, epochs, learning_rate, momentum, batch_size, seed,
-               anchor=None, prox_weight=0.0):
+               anchor=None, prox_weight=0.0, *, label=None, round_index=None):
     """``train_local``'s work, on checked settings: (model of the final theta, log, steps)."""
     params = model.export_params()
     stack = _StockStack(model, [dataset], batch_size, 1)
     stack.theta[0] = params.values
-    log = stack.train([seed], epochs, learning_rate, momentum, anchor, prox_weight)
+    log = stack.train([seed], epochs, learning_rate, momentum, anchor, prox_weight,
+                      label=label, round_index=round_index)
     return model.import_params(params.replace(stack.theta[0])), log, epochs * stack.batches[0]
 
 
@@ -570,7 +577,10 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     order, so merge weights, fine-tuned models and update steps are
     mapped back to the order of ``stocks``.
     With no merge rounds, fine-tuning starts from the template's init.
-    The stack trusts ``stocks``, ``WindowedDataset``s of one shape, and ``cfg``.
+    A divergence in merge round r raises DivergenceError ``"round r: <stock>:
+    <detail>"`` with round index r; in fine-tuning, ``"fine-tune: <stock>:
+    <detail>"`` with none. The stack trusts ``stocks``, ``WindowedDataset``s of
+    one shape, and ``cfg``.
     """
     lookback, horizon, d = _check_stock_group(stocks, cfg.stocks)
     k_stocks = len(stocks)
@@ -600,14 +610,8 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     for round_index in range(1, cfg.merge_rounds + 1):
         if round_index > 1:
             theta[:] = global_params.values
-        try:
-            log = stack.train(merge_rngs, cfg.local_epochs_per_round,
-                              cfg.learning_rate, cfg.momentum)
-        except DivergenceError as err:
-            raise DivergenceError(
-                f"round {round_index}: {err}",
-                stock_id=err.stock_id, round_index=round_index,
-            ) from err
+        log = stack.train(merge_rngs, cfg.local_epochs_per_round, cfg.learning_rate,
+                          cfg.momentum, label=f"round {round_index}", round_index=round_index)
         global_params = init.replace(axpy_merge(theta, weights))
         trace.round_globals.append(global_params)
 
@@ -616,12 +620,9 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         trace.global_loss_per_round.append(math.fsum(means.tolist()) / k_stocks)  # order-free
 
     theta[:] = global_params.values
-    try:
-        log = stack.train(seeds(_TAG_FINETUNE, 0), cfg.finetune_epochs,
-                          cfg.alpha * cfg.learning_rate, cfg.momentum,
-                          anchor=global_params.values, prox_weight=cfg.prox_weight)
-    except DivergenceError as err:
-        raise DivergenceError(f"fine-tune: {err}", stock_id=err.stock_id) from err
+    log = stack.train(seeds(_TAG_FINETUNE, 0), cfg.finetune_epochs,
+                      cfg.alpha * cfg.learning_rate, cfg.momentum,
+                      anchor=global_params.values, prox_weight=cfg.prox_weight, label="fine-tune")
     trace.add("finetune", 1, stock_ids, log)
     finetuned = [template.import_params(global_params.replace(row)) for row in theta[given]]
 
@@ -645,7 +646,9 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     result depends on that order: it is part of the input. The step
     settings, batch size and seed are ``cfg``'s, which checked them; the
     group is checked once, here. Each segment is a one-stock stack whose
-    log the trace keeps, its epochs numbered on from the last segment's.
+    log the trace keeps, its epochs numbered on from the last segment's. A
+    divergence in segment k raises DivergenceError ``"normal segment k:
+    <stock>: <detail>"`` with round index k.
     """
     lookback, horizon, d = _check_stock_group(stocks, cfg.stocks)
     epochs_per = _check_int("epochs_total", cfg.normal_budget, cfg.stocks) // cfg.stocks
@@ -653,14 +656,10 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     model = build_model(kind, lookback, horizon, d, hyper, seed=derive_seed(cfg.seed, _TAG_INIT, 0))
     trace, snapshots, total_steps = TrainingTrace(), [], 0
     for k, ds in enumerate(stocks):
-        try:
-            model, log, steps = _train_one(model, ds, epochs_per, cfg.learning_rate, cfg.momentum,
-                                           cfg.batch_size, derive_seed(cfg.seed, _TAG_NORMAL, k,
-                                                                       ds.stock_id))
-        except DivergenceError as err:
-            raise DivergenceError(
-                f"normal segment {k}: {err}", stock_id=ds.stock_id, round_index=k,
-            ) from err
+        model, log, steps = _train_one(model, ds, epochs_per, cfg.learning_rate, cfg.momentum,
+                                       cfg.batch_size, derive_seed(cfg.seed, _TAG_NORMAL, k,
+                                                                   ds.stock_id),
+                                       label=f"normal segment {k}", round_index=k)
         trace.add("normal", k * epochs_per + 1, [ds.stock_id], log)
         total_steps += steps
         snapshots.append(model)

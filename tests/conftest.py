@@ -71,7 +71,7 @@ def sinusoid_windows(period, lookback=16, horizon=1, total=240):
     n = total - lookback - horizon + 1
     inputs = np.stack([feats[s : s + lookback] for s in range(n)])
     targets = np.stack([close[s + lookback : s + lookback + horizon] for s in range(n)])
-    return WindowedDataset("SINE", "train", lookback, horizon,
+    return WindowedDataset("SINE", lookback, horizon,
                            inputs, targets, np.arange(n) + lookback)
 
 

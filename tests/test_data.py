@@ -446,7 +446,7 @@ def test_a_non_finite_value_anywhere_in_the_windows_is_rejected(lookback, extra,
     model, n = build_model("dlinear", lookback, 1, 3), len(view)
     for inputs in (view, np.array(view)):
         with pytest.raises(NumericInputError, match="non-finite window values"):
-            WindowedDataset("TST", "train", lookback, 1, inputs, np.zeros((n, 1)), np.arange(n))
+            WindowedDataset("TST", lookback, 1, inputs, np.zeros((n, 1)), np.arange(n))
         with pytest.raises(NumericInputError, match="batch inputs contain non-finite values"):
             model.predict_batch(inputs)
 
@@ -454,7 +454,7 @@ def test_a_non_finite_value_anywhere_in_the_windows_is_rejected(lookback, extra,
 def test_a_dataset_leaves_the_callers_arrays_writeable():
     # the dataset freezes views of what it is given, not the caller's own arrays
     inputs, targets, indices = np.zeros((3, 4, 2)), np.zeros((3, 1)), np.arange(3)
-    ds = WindowedDataset("A", "train", 4, 1, inputs, targets, indices)
+    ds = WindowedDataset("A", 4, 1, inputs, targets, indices)
     inputs[0], targets[0], indices[0] = 1.0, 1.0, 7
     assert not any(a.flags.writeable for a in (ds.inputs, ds.targets, ds.absolute_indices))
     assert ds.inputs[0, 0, 0] == ds.targets[0, 0] == 1.0 and ds.absolute_indices[0] == 7

@@ -748,6 +748,19 @@ def test_cli_model_width_too_large_to_allocate_exit_code(tmp_path):
     assert proc.stderr.splitlines()[-1].startswith(
         "error: texfilter: the parameters of {'hidden': 100000000000} are too many to allocate")
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_model_width_past_numpys_sizes_exit_code(tmp_path):
+    # the init bound's np.sqrt used to end in a raw TypeError traceback
+    doc = spec_doc("out", models=["frets"], model_hyper={"frets": {"hidden": 10**20}})
+    write_spec(tmp_path, doc)
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith(
+        f"error: frets: the parameters of {{'hidden': {10**20}}} are too many to allocate")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field", ["lambda", "learning_rate"])

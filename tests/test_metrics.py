@@ -143,7 +143,7 @@ def test_macro_average_example():
 
 def test_export_regression_series_format(tmp_path):
     path = tmp_path / "reg.csv"
-    export_regression_series("AAA", [0.1, 0.2, 0.3], [0.15, 0.25, 0.35], path)
+    export_regression_series([0.1, 0.2, 0.3], [0.15, 0.25, 0.35], path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,actual,predicted"
     assert len(lines) == 4
@@ -154,14 +154,14 @@ def test_export_regression_series_deterministic(tmp_path):
     rng = np.random.default_rng(3)
     pred, actual = rng.standard_normal(20), rng.standard_normal(20)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_regression_series("AAA", pred, actual, p1, t=np.arange(20) + 100)
-    export_regression_series("AAA", pred, actual, p2, t=np.arange(20) + 100)
+    export_regression_series(pred, actual, p1, t=np.arange(20) + 100)
+    export_regression_series(pred, actual, p2, t=np.arange(20) + 100)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_export_regression_series_empty_rejected(tmp_path):
     with pytest.raises(ContractViolation):
-        export_regression_series("AAA", [], [], tmp_path / "x.csv")
+        export_regression_series([], [], tmp_path / "x.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ _FAILING_WRITES = {  # each writes some lines before it raises
                           TypeError),
     "write_trace_csv": (_write_a_trace_with_a_bad_loss, ValueError),
     "export_regression_series": (lambda path: export_regression_series(
-        "A", [0.1, 0.2], [0.3, 0.4], path, t=["1", "x"]), ValueError),
+        [0.1, 0.2], [0.3, 0.4], path, t=["1", "x"]), ValueError),
 }
 
 

@@ -93,6 +93,27 @@ def test_a_width_too_large_to_allocate_names_its_kind(kind, hidden):
         build_model(kind, 16, 1, 3, {"hidden": hidden})
 
 
+# numpy refuses each at once: past its sizes, or, at 10**400, past the float range
+@pytest.mark.parametrize("kind,hyper", [
+    ("frets", {"hidden": 2**64}), ("frets", {"hidden": 10**20}), ("frets", {"hidden": 10**400}),
+    ("dlinear", {"harmonics": 2**64}), ("dlinear", {"harmonics": 10**400}),
+], ids=["frets-2**64", "frets-10**20", "frets-10**400", "dlinear-2**64", "dlinear-10**400"])
+def test_a_width_past_numpys_sizes_names_its_kind(kind, hyper):
+    # the init bound took np.sqrt of the width, which raised a raw TypeError at 2**64 and up
+    with pytest.raises(ContractViolation, match=rf"^{kind}: the parameters of .* are too many "
+                                                "to allocate: "):
+        build_model(kind, 16, 1, 3, hyper)
+
+
+def test_a_checkpoint_of_a_width_past_the_float_range_fails_naming_the_file(tmp_path):
+    model = build_model("frets", 8, 1, 2, {"hidden": 4}, seed=12)
+    path = tmp_path / "huge.ckpt"
+    numerics.save_container(path, "checkpoint", model.export_params(), kind="frets", lookback=8,
+                            horizon=1, n_features=2, hyper={"hidden": 10**400})
+    with pytest.raises(ContractViolation, match=re.escape(f"{path}: ")):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # prediction contracts
 # ---------------------------------------------------------------------------

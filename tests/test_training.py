@@ -82,7 +82,7 @@ def test_huge_prox_weight_pins_params_to_anchor(small_market):
 def test_small_dataset_gives_one_step_per_epoch(small_market):
     train, _, _ = small_market
     ds = train[0]
-    tiny = WindowedDataset(ds.stock_id, ds.split, ds.lookback, ds.horizon,
+    tiny = WindowedDataset(ds.stock_id, ds.lookback, ds.horizon,
                            ds.inputs[:10], ds.targets[:10], ds.absolute_indices[:10])
     model = build_model("dlinear", 16, 1, 3, seed=3)
     result = train_local(model, tiny, 4, 0.05, 0.9, batch_size=64, seed=1)
@@ -102,7 +102,7 @@ def test_non_finite_parameters_raise_divergence_with_stock_id(small_market):
     ds = train[0]
     # one batch of targets near 500 keeps the loss under the guard, while
     # the step size overflows theta on the first update
-    far = WindowedDataset(ds.stock_id, ds.split, ds.lookback, ds.horizon,
+    far = WindowedDataset(ds.stock_id, ds.lookback, ds.horizon,
                           ds.inputs[:10], ds.targets[:10] + 500.0, ds.absolute_indices[:10])
     model = build_model("dlinear", 16, 1, 3, seed=6)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
@@ -116,7 +116,7 @@ def test_nan_batch_loss_trips_the_guard(small_market):
     ds = small_market[0][0]
     inputs = np.full_like(ds.inputs, 1e300)
     inputs[:, ::2] *= -1.0
-    bad = WindowedDataset(ds.stock_id, ds.split, ds.lookback, ds.horizon,
+    bad = WindowedDataset(ds.stock_id, ds.lookback, ds.horizon,
                           inputs, ds.targets, ds.absolute_indices)
     model = build_model("texfilter", 16, 1, 3, seed=6)
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="loss nan") as err:
@@ -348,7 +348,7 @@ def test_window_views_train_and_score_as_contiguous_copies(kind, small_market):
     # if a kernel ever reads the view itself
     train, test, _ = small_market
     assert not train[0].inputs.flags.c_contiguous
-    copies = [[WindowedDataset(ds.stock_id, ds.split, ds.lookback, ds.horizon,
+    copies = [[WindowedDataset(ds.stock_id, ds.lookback, ds.horizon,
                                np.ascontiguousarray(ds.inputs), ds.targets, ds.absolute_indices)
                for ds in sets] for sets in (train, test)]
     cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=1, seed=13)
@@ -766,7 +766,7 @@ def test_one_diverging_stock_is_named_with_its_round(small_market, jobs):
     train, _, _ = small_market
     bad = train[1]
     # targets far off the data scale push the first batch loss over the guard
-    far = WindowedDataset(bad.stock_id, bad.split, bad.lookback, bad.horizon,
+    far = WindowedDataset(bad.stock_id, bad.lookback, bad.horizon,
                           bad.inputs, bad.targets + 2000.0, bad.absolute_indices)
     cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=1, seed=43)
     with pytest.raises(DivergenceError) as err:
@@ -787,9 +787,9 @@ def test_divergence_naming_does_not_depend_on_width(small_market):
     assert first.n_windows > cfg.batch_size
     targets = first.targets.copy()
     targets[order[-1]] = 1e9
-    huge = WindowedDataset(first.stock_id, first.split, first.lookback, first.horizon,
+    huge = WindowedDataset(first.stock_id, first.lookback, first.horizon,
                            first.inputs, targets, first.absolute_indices)
-    shifted = WindowedDataset(third.stock_id, third.split, third.lookback, third.horizon,
+    shifted = WindowedDataset(third.stock_id, third.lookback, third.horizon,
                               third.inputs, third.targets + 2000.0, third.absolute_indices)
     seen = []
     for jobs in (1, 2, 3):
@@ -813,7 +813,7 @@ def test_every_batch_size_group_reaches_the_loss_guard():
         derive_seed(cfg.seed, _TAG_MERGE, 1, bad.stock_id)).permutation(bad.n_windows)
     targets = bad.targets.copy()
     targets[order[cfg.batch_size:]] = 1e200  # its second, partial batch alone
-    train[2] = WindowedDataset(bad.stock_id, bad.split, bad.lookback, bad.horizon,
+    train[2] = WindowedDataset(bad.stock_id, bad.lookback, bad.horizon,
                                bad.inputs, targets, bad.absolute_indices)
     for jobs in (1, 2, None):
         with pytest.raises(DivergenceError, match="batch loss inf exceeded guard") as err:
@@ -822,8 +822,41 @@ def test_every_batch_size_group_reaches_the_loss_guard():
 
 
 def _shifted(ds, offset):
-    return WindowedDataset(ds.stock_id, ds.split, ds.lookback, ds.horizon,
+    return WindowedDataset(ds.stock_id, ds.lookback, ds.horizon,
                            ds.inputs, ds.targets + offset, ds.absolute_indices)
+
+
+def _diverge_in(phase, train):
+    """Run ``phase`` on ``train`` with one stock pushed over the loss guard."""
+    cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=1, seed=43)
+    if phase == "merge round":
+        run_csti([train[0], _shifted(train[1], 2000.0), train[2]], "dlinear", cfg)
+    elif phase == "fine-tune":  # the merge rounds pass; a step alpha times theirs overshoots
+        run_csti(train, "dlinear", dataclasses.replace(cfg, alpha=1e3))
+    elif phase == "normal segment":
+        run_normal([train[0], train[1], _shifted(train[2], 2000.0)], "dlinear", cfg)
+    else:
+        train_local(build_model("dlinear", 16, 1, 3, seed=3), _shifted(train[1], 2000.0), 1,
+                    0.01, 0.9)
+
+
+# phase: (message prefix, position of the stock named, round index)
+_DIVERGENCE_LABELS = {"merge round": ("round 1: ", 1, 1), "fine-tune": ("fine-tune: ", 0, None),
+                      "normal segment": ("normal segment 2: ", 2, 2), "train_local": ("", 1, None)}
+
+
+@pytest.mark.parametrize("phase", list(_DIVERGENCE_LABELS))
+def test_a_divergence_names_its_phase_stock_and_round(small_market, phase):
+    # the phase labels used to be added by catching the stack's error and
+    # raising a new one from it, which chained the first as its __cause__
+    train, _, _ = small_market
+    label, k, round_index = _DIVERGENCE_LABELS[phase]
+    with pytest.raises(DivergenceError) as err:
+        _diverge_in(phase, train)
+    assert str(err.value).startswith(f"{label}{train[k].stock_id}: batch loss ")
+    assert str(err.value).endswith(" exceeded guard")
+    assert (err.value.stock_id, err.value.round_index) == (train[k].stock_id, round_index)
+    assert err.value.__cause__ is None
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -834,7 +867,7 @@ def test_squared_errors_past_the_float_range_raise_divergence_not_a_warning(smal
     # suite's filterwarnings = error turns into an exception
     train, _, _ = small_market
     bad = train[1]
-    huge = WindowedDataset(bad.stock_id, bad.split, bad.lookback, bad.horizon,
+    huge = WindowedDataset(bad.stock_id, bad.lookback, bad.horizon,
                            bad.inputs, bad.targets * 1e200, bad.absolute_indices)
     cfg = CstiConfig(stocks=3, merge_rounds=2, finetune_epochs=1, seed=43)
     with pytest.raises(DivergenceError, match="batch loss inf exceeded guard") as err:
@@ -997,7 +1030,7 @@ def test_consensus_fixed_point(small_market):
     fixed = []
     for ds in train[:2]:
         targets = init.predict_batch(ds.inputs)  # data gradient is exactly zero
-        fixed.append(WindowedDataset(ds.stock_id, ds.split, ds.lookback, ds.horizon,
+        fixed.append(WindowedDataset(ds.stock_id, ds.lookback, ds.horizon,
                                      ds.inputs, targets, ds.absolute_indices))
     result = run_csti(fixed, "dlinear", cfg)
     for round_global in result.trace.round_globals:
@@ -1056,7 +1089,7 @@ def test_mismatched_window_shapes_rejected(small_market):
     train, _, _ = small_market
     other, _, _ = windowed_market(1, 200, 0.5, seed=99, lookback=8)
     odd = other[0]
-    renamed = WindowedDataset("OTHER", odd.split, odd.lookback, odd.horizon,
+    renamed = WindowedDataset("OTHER", odd.lookback, odd.horizon,
                               odd.inputs, odd.targets, odd.absolute_indices)
     cfg = CstiConfig(stocks=2, merge_rounds=1, finetune_epochs=1)
     with pytest.raises(MergeIncompatibilityError):
@@ -1280,7 +1313,7 @@ def test_evaluate_is_independent_of_stock_order():
 
 def test_evaluate_rejects_duplicate_stock_ids(small_market):
     _, test, _ = small_market
-    twin = WindowedDataset(test[0].stock_id, "test", test[1].lookback, test[1].horizon,
+    twin = WindowedDataset(test[0].stock_id, test[1].lookback, test[1].horizon,
                            test[1].inputs, test[1].targets, test[1].absolute_indices)
     models = [_OracleModel(ds.targets + 0.1) for ds in (test[0], twin)]
     with pytest.raises(ContractViolation, match=repr(test[0].stock_id)):
