@@ -26,6 +26,7 @@ from .errors import (
     SchemaError,
     WrongNormalizerError,
 )
+from .numerics import _check_int, _check_real
 
 CLOSE_COL = 1  # the columns are open, close and optional sentiment
 
@@ -246,8 +247,7 @@ def stock_id_from_path(path: str) -> str:
 
 def fit_normalizer(series: StockSeries, train_fraction: float) -> NormalizationParams:
     """Min/max per column over the first floor(train_fraction * T) rows."""
-    if not (0.0 < train_fraction < 1.0):
-        raise ContractViolation("train_fraction must lie in (0, 1)")
+    _check_real("train_fraction", train_fraction, 1.0, closed=False)  # as given, like split_bounds
     n_train = int(np.floor(train_fraction * series.T))  # the train rows of split_bounds
     if n_train < 2:
         raise ContractViolation("train segment must have at least 2 rows")
@@ -315,8 +315,7 @@ def make_windows(series: StockSeries, lookback: int, horizon: int, split: str,
     """
     if split not in SPLIT_NAMES:
         raise ContractViolation(f"split must be one of {SPLIT_NAMES}")
-    if lookback < 1 or horizon < 1:
-        raise ContractViolation("lookback and horizon must be positive")
+    lookback, horizon = _check_int("lookback", lookback, 1), _check_int("horizon", horizon, 1)
     start, end = split_bounds(series.T, fractions)[split]
     seg_len = end - start
     needed = lookback + horizon
@@ -347,14 +346,12 @@ def generate_synthetic_market(stocks: int, length: int, shared_strength: float,
     step plus small noise; sentiment is a bounded noisy transform of the
     one-step return. Deterministic given the seed.
     """
-    if stocks < 1:
-        raise ContractViolation("stock count must be >= 1")
-    if length < 64:
-        raise ContractViolation("length must be >= 64")
-    if not (0.0 <= shared_strength <= 1.0):
+    stocks, length, seed = (_check_int("stocks", stocks, 1), _check_int("length", length, 64),
+                            _check_int("seed", seed, 0))
+    if not _check_real("shared_strength", shared_strength) <= 1.0:
         raise ContractViolation("shared_strength must lie in [0, 1]")
 
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5EED)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5EED)))
     try:
         t = np.arange(length, dtype=np.float64)
     except (ValueError, MemoryError) as err:  # more rows than numpy can allocate

@@ -3,20 +3,19 @@
 The spec file is JSON, and ``_FIELDS`` is its schema: one row per field, with
 its path, attribute, check and message. A training setting resolves to the
 attribute and default of ``CstiConfig``, which the spec holds as ``training``,
-every other field to ``ExperimentSpec``'s. One walker checks a document against
-the table, and ``ExperimentSpec.echo`` rebuilds the document from it. Every
-cell of the grid trains, evaluates on held-out test windows and writes a report
-bundle under <out>/<model>/<strategy>/<features>/; a summary table collects the
-macro metrics of all cells.
+every other field to ``ExperimentSpec``'s. The training rules are ``training``'s
+(``SETTINGS``, ``_joint_problems``, ``CstiConfig.normal_epochs``). One walker
+checks a document against the table, and ``ExperimentSpec.echo`` rebuilds the
+document from it. Every cell of the grid trains, evaluates on held-out test
+windows and writes a report bundle under <out>/<model>/<strategy>/<features>/;
+a summary table collects the macro metrics of all cells.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -42,16 +41,9 @@ from .errors import (
 from .metrics import export_regression_series, write_report_json
 from .models import MODEL_KINDS, OUT_OF_SCOPE_KINDS, _resolve, save_checkpoint
 from .numerics import ParamVector, atomic_open, load_container, save_container
-from .training import (
-    CstiConfig,
-    CstiResult,
-    NormalResult,
-    _check_finetune_rate,
-    evaluate,
-    run_csti,
-    run_normal,
-    write_trace_csv,
-)
+from .training import (SETTINGS, CstiConfig, CstiResult, NormalResult, _floats, _int,
+                       _joint_problems, _numbers, _optional, _real, evaluate, run_csti,
+                       run_normal, write_trace_csv)
 
 FEATURE_SETS = ("with_sentiment", "without_sentiment")
 STRATEGIES = ("normal", "csti")
@@ -94,7 +86,7 @@ class ExperimentSpec:
         for row in _FIELDS:
             if row.echoed and row.source in (None, self.source):
                 section, _, key = row.path.rpartition(".")
-                value = getattr(self.training if row.attr in _TRAINING else self, row.attr)
+                value = getattr(self.training if row.attr in SETTINGS else self, row.attr)
                 (doc.setdefault(section, {}) if section else doc)[key] = (
                     list(value) if isinstance(value, tuple) else value)
         if self.model_hyper:
@@ -102,38 +94,8 @@ class ExperimentSpec:
         return doc
 
 
-def _number(value) -> bool:
-    """A JSON number, not a boolean, that converts to a finite float."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _int(low):
-    """(check, message) for a JSON integer >= low that is not a boolean, as ``_check_int``."""
-    return lambda value: type(value) is int and value >= low, f"integer >= {low} required"
-
-
-def _real(test, message):
-    """(check, message, convert) for a finite JSON number that passes ``test``."""
-    return lambda value: _number(value) and test(value), message, float
-
-
-def _optional(check):
-    return lambda value: value is None or check(value)
-
-
 def _non_empty_list(value) -> bool:
     return isinstance(value, list) and len(value) > 0
-
-
-def _numbers(value, test) -> bool:
-    return isinstance(value, list) and all(_number(x) and test(x) for x in value)
-
-
-def _floats(value):
-    return None if value is None else tuple(float(x) for x in value)
 
 
 def _unknown(path, noun, supported, out_of_scope=()):
@@ -176,13 +138,12 @@ class _Field(NamedTuple):
     echoed: bool = True
 
 
-_POSITIVE = _real(lambda v: v > 0, "must be finite and > 0")
 _FIELDS = (
     _Field("out_dir", "out_dir", lambda v: isinstance(v, str) and v != "", "required string",
            required=True),
     _Field("data.source", "source", lambda v: v in ("synthetic", "csv"),
            "must be 'synthetic' or 'csv'", required=True),
-    _Field("data.stocks", "stocks", *_int(1), source="synthetic"),
+    _Field("data.stocks", "stocks", *SETTINGS["stocks"], source="synthetic"),
     _Field("data.length", "length", *_int(64), source="synthetic"),
     _Field("data.shared_strength", "shared_strength",
            *_real(lambda v: 0 <= v <= 1, "number in [0, 1] required"), source="synthetic"),
@@ -200,33 +161,18 @@ _FIELDS = (
     _Field("window.fractions", "fractions",
            lambda v: _numbers(v, lambda x: x > 0) and len(v) == 3 and abs(sum(v) - 1.0) <= 1e-9,
            "three positive numbers summing to 1 required", _floats),
-    _Field("training.merge_rounds", "merge_rounds", *_int(0)),
-    _Field("training.finetune_epochs", "finetune_epochs", *_int(0)),
-    _Field("training.local_epochs_per_round", "local_epochs_per_round", *_int(1)),
-    _Field("training.learning_rate", "learning_rate", *_POSITIVE),
-    _Field("training.momentum", "momentum", *_real(lambda v: 0 <= v < 1, "must lie in [0, 1)")),
-    _Field("training.alpha", "alpha", *_POSITIVE),
-    _Field("training.lambda", "prox_weight", *_real(lambda v: v >= 0, "must be finite and >= 0")),
-    _Field("training.batch_size", "batch_size", *_int(1)),
-    _Field("training.epochs_total", "epochs_total", _optional(_int(1)[0]),
-           "integer >= 1 (or omitted) required"),
-    _Field("training.merge_weights", "merge_weights",
-           _optional(lambda v: _numbers(v, lambda w: w >= 0)
-                     and 0 < sum(map(float, v)) < math.inf),
-           "list of finite numbers >= 0 with a positive sum in the float range (or null) required",
-           _floats),
-    _Field("training.shared_init", "shared_init", lambda v: isinstance(v, bool),
-           "boolean required"),
-    _Field("seed", "seed", *_int(0)),
-    _Field("jobs", "jobs", _optional(_int(1)[0]), "integer >= 1 (or null) required",
+    # the training section: every other CstiConfig field, under its own name but prox_weight
+    *(_Field(f"training.{'lambda' if attr == 'prox_weight' else attr}", attr, *rule)
+      for attr, rule in SETTINGS.items() if attr not in ("stocks", "seed")),
+    _Field("seed", "seed", *SETTINGS["seed"]),
+    _Field("jobs", "jobs", *_optional(_int(1), "integer >= 1 (or null) required"),
            echoed=False),
     _Field("normal_eval", "normal_eval", lambda v: v in NORMAL_EVAL_MODES,
            "'final' or 'snapshot' required"),
     _Field("denormalized_metrics", "denormalized_metrics", lambda v: isinstance(v, bool),
            "boolean required"),
 )
-_TRAINING = {f.name for f in fields(CstiConfig)}
-_BUDGET_COUNTS = ("merge_rounds", "local_epochs_per_round", "finetune_epochs", "epochs_total")
+_BUDGET = {"merge_rounds", "local_epochs_per_round", "finetune_epochs", "epochs_total"}
 _DEFAULTS = {f.name: f.default for f in (*fields(ExperimentSpec), *fields(CstiConfig))}
 _DEFAULTS["stocks"] = 5  # the synthetic market's size
 # the keys each section ("" for the top level) may hold: its _FIELDS paths, the sections,
@@ -320,27 +266,17 @@ def validate_spec_dict(raw: dict, base_dir: Path | None = None) -> ExperimentSpe
                                   f"lookback + horizon = {needed}")
                     break
 
-    if values.keys() >= {"alpha", "learning_rate"}:
-        try:  # the check CstiConfig makes, before any cell trains
-            _check_finetune_rate(values["alpha"], values["learning_rate"])
+    errors.extend(f"training.{problem}" for problem in _joint_problems(values))
+    if values.get("stocks") and "normal" in values.get("strategies", ()) and (
+            values.keys() >= _BUDGET):
+        try:  # the normal budget, which reads these counts and no other setting
+            CstiConfig(values["stocks"], **{n: values[n] for n in _BUDGET}).normal_epochs()
         except ContractViolation as err:
-            errors.append(f"training.alpha: {err}")
-
-    stocks, weights = values.get("stocks"), values.get("merge_weights")
-    if stocks is not None and weights is not None and len(weights) != stocks:
-        errors.append(f"training.merge_weights: one weight per stock required, "
-                      f"got {len(weights)} for {stocks} stocks")
-    if stocks and "normal" in values.get("strategies", ()):
-        with suppress(KeyError):  # a count the budget reads failed its own check
-            # the budget of these counts, which no other setting enters
-            counts = {name: values[name] for name in _BUDGET_COUNTS}
-            if (budget := CstiConfig(stocks, **counts).normal_budget) < stocks:
-                errors.append(f"training.epochs_total: the normal budget of {budget} epochs "
-                              f"is below one epoch per stock; >= {stocks} required")
+            errors.append(f"training.{err}")
 
     if errors:
         raise SpecValidationError(errors)
-    training = CstiConfig(**{name: values.pop(name) for name in _TRAINING})
+    training = CstiConfig(**{name: values.pop(name) for name in SETTINGS})
     return ExperimentSpec(**values, training=training, model_hyper=model_hyper)
 
 

@@ -230,11 +230,6 @@ def _check_real(name, value, high=math.inf, closed=True):
     raise ContractViolation(f"{name} must be a real number in {interval}, got {value!r}")
 
 
-def check_step_settings(learning_rate: float, momentum: float) -> None:
-    _check_real("learning rate", learning_rate, closed=False)
-    _check_real("momentum", momentum, 1.0)
-
-
 def sgd_step(theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
              learning_rate: float, momentum: float, scratch: np.ndarray | None = None) -> None:
     """In place: v <- mu*v + g; theta <- theta - eta*v (classical momentum).

@@ -60,8 +60,7 @@ from .errors import (
     WrongNormalizerError,
 )
 from .models import ForecastModel, bind_sum_of_squares, build_model
-from .numerics import (ParamVector, _check_int, _check_real, atomic_open, axpy_merge,
-                       check_step_settings, sgd_step)
+from .numerics import ParamVector, _check_int, atomic_open, axpy_merge, sgd_step
 
 DIVERGENCE_GUARD = 1e6
 
@@ -86,10 +85,96 @@ def derive_seed(base_seed: int, tag: int, round_index: int, stock_id: str = "") 
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _number(value) -> bool:
+    """A number, not a boolean, that converts to a finite float."""
+    try:
+        return type(value) is not bool and isinstance(
+            value, (int, float, np.integer, np.floating)) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _numbers(value, test) -> bool:
+    """A list, tuple or 1-d array of numbers that each pass ``test``."""
+    return ((isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1)
+            and all(_number(x) and test(x) for x in value))
+
+
+def _floats(value):
+    return None if value is None else tuple(float(x) for x in value)
+
+
+# A rule is (check, message, convert): check(value) -> bool, the message a value that fails
+# it gets, and convert(checked value) -> the setting's value.
+
+def _int(low):
+    """The rule of an integer >= low that is not a boolean."""
+    return (lambda value: type(value) is not bool and isinstance(value, (int, np.integer))
+            and value >= low, f"integer >= {low} required", int)
+
+
+def _real(test, message):
+    """The rule of a finite number that passes ``test``."""
+    return lambda value: _number(value) and test(value), message, float
+
+
+def _optional(rule, message):
+    check, _, convert = rule
+    return (lambda value: value is None or check(value), message,
+            lambda value: None if value is None else convert(value))
+
+
+_POSITIVE = _real(lambda v: v > 0, "must be finite and > 0")
+# The one statement of each ``CstiConfig`` field's rule. ``CstiConfig``, ``train_local``
+# and the spec's ``_FIELDS`` rows all check a setting through its entry here.
+SETTINGS = {
+    "stocks": _int(1),
+    "merge_rounds": _int(0),
+    "finetune_epochs": _int(0),
+    "local_epochs_per_round": _int(1),
+    "learning_rate": _POSITIVE,
+    "momentum": _real(lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "alpha": _POSITIVE,
+    "prox_weight": _real(lambda v: v >= 0, "must be finite and >= 0"),
+    "batch_size": _int(1),
+    "epochs_total": _optional(_int(1), "integer >= 1 (or omitted) required"),
+    "merge_weights": (
+        lambda v: v is None or _numbers(v, lambda w: w >= 0) and 0 < sum(map(float, v)) < math.inf,
+        "list of finite numbers >= 0 with a positive sum in the float range (or null) required",
+        _floats),
+    "shared_init": (lambda v: isinstance(v, bool), "boolean required", bool),
+    "seed": _int(0),
+}
+
+
+def _check_setting(name: str, value):
+    """``value`` converted by setting ``name``'s rule, if it passes it; else ContractViolation."""
+    check, message, convert = SETTINGS[name]
+    if not check(value):
+        raise ContractViolation(f"{name}: {message}, got {value!r}")
+    return convert(value)
+
+
+def _joint_problems(settings: dict) -> list[str]:
+    """"<setting>: <problem>" for each rule between the given ``settings`` they break: the
+    fine-tune rate alpha * learning_rate may round to 0.0 or overflow, although each factor
+    is in range, and each stock needs one merge weight. Each names a ``training`` setting."""
+    problems = []
+    alpha, rate = settings.get("alpha"), settings.get("learning_rate")
+    if alpha is not None and rate is not None and not 0.0 < alpha * rate < math.inf:
+        problems.append(f"alpha: alpha * learning_rate, the fine-tune rate, must lie in "
+                        f"(0, inf), got {alpha!r} * {rate!r} = {alpha * rate!r}")
+    stocks, weights = settings.get("stocks"), settings.get("merge_weights")
+    if stocks is not None and weights is not None and len(weights) != stocks:
+        problems.append(f"merge_weights: one weight per stock required, "
+                        f"got {len(weights)} for {stocks} stocks")
+    return problems
+
+
 @dataclass(frozen=True)
 class CstiConfig:
-    """The training settings of both strategies, each checked at construction, the
-    fine-tune rate alpha * learning_rate too; defaults follow the benchmark protocol."""
+    """The training settings of both strategies, each checked at construction by its rule
+    in ``SETTINGS``, then by ``_joint_problems``; defaults follow the benchmark protocol."""
 
     stocks: int
     merge_rounds: int = 50
@@ -106,28 +191,10 @@ class CstiConfig:
     epochs_total: int | None = None  # the normal strategy's budget; None: ``epochs_budget``
 
     def __post_init__(self):
-        for name, low in (("stocks", 1), ("merge_rounds", 0), ("finetune_epochs", 0),
-                          ("local_epochs_per_round", 1), ("batch_size", 1), ("seed", 0)):
-            object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
-        for name, high, closed in (("learning_rate", math.inf, False), ("momentum", 1.0, True),
-                                   ("alpha", math.inf, False), ("prox_weight", math.inf, True)):
-            object.__setattr__(self, name, _check_real(name, getattr(self, name), high, closed))
-        _check_finetune_rate(self.alpha, self.learning_rate)
-        if not isinstance(self.shared_init, bool):
-            raise ContractViolation(f"shared_init must be a bool, got {self.shared_init!r}")
-        if self.epochs_total is not None:
-            object.__setattr__(self, "epochs_total",
-                               _check_int("epochs_total", self.epochs_total, 1))
-        if self.merge_weights is not None:
-            if not isinstance(self.merge_weights, (list, tuple, np.ndarray)):
-                raise ContractViolation("merge_weights must be a sequence of numbers")
-            w = tuple(_check_real(f"merge_weights[{i}]", x)
-                      for i, x in enumerate(self.merge_weights))
-            if len(w) != self.stocks:
-                raise ContractViolation("merge_weights must have one entry per stock")
-            if not 0 < sum(w) < math.inf:
-                raise ContractViolation("merge_weights must have a positive sum in the float range")
-            object.__setattr__(self, "merge_weights", w)
+        for name in SETTINGS:
+            object.__setattr__(self, name, _check_setting(name, getattr(self, name)))
+        if problems := _joint_problems(vars(self)):
+            raise ContractViolation(problems[0])
 
     @property
     def epochs_budget(self) -> int:
@@ -139,15 +206,16 @@ class CstiConfig:
         """The normal strategy's epochs: ``epochs_total``, by default csti's budget."""
         return self.epochs_budget if self.epochs_total is None else self.epochs_total
 
+    def normal_epochs(self) -> int:
+        """The normal strategy's epochs per stock, floor(normal_budget / stocks); a
+        budget below one epoch per stock raises ContractViolation."""
+        if (budget := self.normal_budget) < self.stocks:
+            raise ContractViolation(f"epochs_total: the normal budget of {budget} epochs is "
+                                    f"below one epoch per stock; >= {self.stocks} required")
+        return budget // self.stocks
+
     def weights(self) -> tuple:
         return self.merge_weights if self.merge_weights is not None else (1.0,) * self.stocks
-
-
-def _check_finetune_rate(alpha: float, learning_rate: float) -> None:
-    """Each factor may be in range while alpha * learning_rate rounds to 0.0 or overflows."""
-    if not 0.0 < alpha * learning_rate < math.inf:
-        raise ContractViolation(f"alpha * learning_rate, the fine-tune rate, must lie in (0, inf), "
-                                f"got {alpha!r} * {learning_rate!r} = {alpha * learning_rate!r}")
 
 
 class TraceRow(NamedTuple):
@@ -491,21 +559,24 @@ def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
     The one-row call of the lockstep trainer ``_StockStack.train``:
     ``model`` supplies the starting theta and serves only as the kernel,
     and one model is built from the final theta. ``seed`` may be a
-    ``Generator``, whose state carries over between calls. The settings
-    are checked here, and ``dataset`` must be a ``WindowedDataset`` (which
-    checked its windows) of the model's shapes; the stack trusts both.
+    ``Generator``, whose state carries over between calls. The settings are
+    checked here, a ``CstiConfig`` field's by its rule in ``SETTINGS``, and
+    ``dataset`` must be a ``WindowedDataset`` (which checked its windows) of
+    the model's shapes; the stack trusts both.
     """
     shape = _check_stock_group([dataset], 1)
     if shape != (model.lookback, model.horizon, model.n_features):
         raise ShapeMismatchError(f"{dataset.stock_id}: (lookback, horizon, features) {shape}, "
                                  f"the model's {(model.lookback, model.horizon, model.n_features)}")
     epochs = _check_int("epochs", epochs, 1)
-    check_step_settings(learning_rate, momentum)
-    prox_weight = _check_real("prox_weight", prox_weight)
+    learning_rate, momentum, prox_weight, batch_size = map(
+        _check_setting, ("learning_rate", "momentum", "prox_weight", "batch_size"),
+        (learning_rate, momentum, prox_weight, batch_size))
+    seed = seed if isinstance(seed, np.random.Generator) else _check_setting("seed", seed)
     if anchor is not None and anchor.layout != model.export_params().layout:
         raise MergeIncompatibilityError("anchor layout does not match model")
     trained, log, steps = _train_one(model, dataset, epochs, learning_rate, momentum,
-                                     _check_int("batch_size", batch_size, 1), seed,
+                                     batch_size, seed,
                                      None if anchor is None else anchor.values, prox_weight)
     return LocalTrainResult(trained, log.losses[0].tolist(), log.penalties[0].tolist(), steps,
                             log.epoch_wall_ms)
@@ -639,7 +710,7 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
                hyper: dict | None = None) -> NormalResult:
     """Sequential baseline: one model fine-tuned across stocks in turn.
 
-    floor(cfg.normal_budget / K) epochs per stock, at least one; the momentum
+    ``cfg.normal_epochs()``, floor(cfg.normal_budget / K) >= 1, per stock; the momentum
     buffer resets at each stock boundary, matching the per-round resets of
     the merge protocol. Snapshot k is the model state after stock k's
     segment. The stocks train in the order given, so unlike ``run_csti`` the
@@ -651,7 +722,7 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     <stock>: <detail>"`` with round index k.
     """
     lookback, horizon, d = _check_stock_group(stocks, cfg.stocks)
-    epochs_per = _check_int("epochs_total", cfg.normal_budget, cfg.stocks) // cfg.stocks
+    epochs_per = cfg.normal_epochs()
 
     model = build_model(kind, lookback, horizon, d, hyper, seed=derive_seed(cfg.seed, _TAG_INIT, 0))
     trace, snapshots, total_steps = TrainingTrace(), [], 0

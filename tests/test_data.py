@@ -543,3 +543,29 @@ def test_synthetic_validation_errors():
         generate_synthetic_market(0, 100, 0.5, seed=1)
     with pytest.raises(ContractViolation):
         generate_synthetic_market(2, 32, 0.5, seed=1)
+
+
+_SERIES = StockSeries("TST", np.column_stack([np.arange(200.0), np.arange(200.0) + 1.0]))
+_DATA_CALLS = {
+    "generate_synthetic_market": lambda **given: generate_synthetic_market(
+        **{"stocks": 2, "length": 100, "shared_strength": 0.5, "seed": 1, **given}),
+    "make_windows": lambda **given: make_windows(
+        _SERIES, **{"lookback": 16, "horizon": 1, "split": "train", **given}),
+    "fit_normalizer": lambda **given: fit_normalizer(_SERIES, **{"train_fraction": 0.7, **given}),
+}
+
+
+@pytest.mark.parametrize("entry,name,value", [
+    ("generate_synthetic_market", "seed", 1.5), ("generate_synthetic_market", "seed", True),
+    ("generate_synthetic_market", "seed", -1), ("generate_synthetic_market", "stocks", True),
+    ("generate_synthetic_market", "stocks", 2.5), ("generate_synthetic_market", "stocks", "a"),
+    ("generate_synthetic_market", "length", 100.0),
+    ("generate_synthetic_market", "shared_strength", "a"),
+    ("make_windows", "lookback", True), ("make_windows", "lookback", 16.0),
+    ("fit_normalizer", "train_fraction", "a"),
+])
+def test_a_data_entry_point_rejects_a_value_of_the_wrong_type_as_a_csti_error(entry, name, value):
+    # seed 1.5 or True used to give seed 1's market, stocks=True one stock and
+    # lookback=True 1-row windows; the others escaped as a raw TypeError or ValueError
+    with pytest.raises(CstiError, match=f"^{name} must be"):
+        _DATA_CALLS[entry](**{name: value})

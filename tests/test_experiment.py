@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from csti.data import StockSeries, generate_synthetic_market, split_bounds
 from csti.errors import ContractViolation, CstiError, DivergenceError, SpecValidationError
 from csti.experiment import (
+    _FIELDS,
     ExperimentSpec,
     load_round_checkpoint,
     main,
@@ -25,7 +26,7 @@ from csti.experiment import (
 )
 from csti.models import MODEL_KINDS, build_model, load_checkpoint, save_checkpoint
 from csti.numerics import save_container
-from csti.training import CstiConfig
+from csti.training import SETTINGS, CstiConfig
 
 from conftest import write_series_csv
 
@@ -415,6 +416,53 @@ def test_an_omitted_or_null_section_means_its_defaults(section):
     omitted = spec_doc("out")
     omitted.pop(section, None)
     assert validate_spec_dict(spec_doc("out", **{section: None})) == validate_spec_dict(omitted)
+
+
+_TRAINING_ROWS = [row for row in _FIELDS if row.attr in SETTINGS]
+_EDGES = [-1, 0, 1, 2, 3, 4, -0.0, 0.0, 1.0, 5e-324, 1e-320, 1e308, 10**400, float("inf"),
+          float("nan"), True, False, None]
+
+
+def test_every_training_row_of_the_spec_carries_the_settings_tables_rule():
+    # a rule restated in the spec, even word for word, would no longer be the table's object
+    assert {row.attr for row in _TRAINING_ROWS} == set(SETTINGS) == {
+        f.name for f in fields(CstiConfig)}
+    for row in _TRAINING_ROWS:
+        check, message, convert = SETTINGS[row.attr]
+        assert row.check is check and row.convert is convert, row.path
+        assert row.message == message
+
+
+def _assert_the_spec_rejects_a_training_value_exactly_when_cstiConfig_does(row, value):
+    # csti only, so that the normal budget, which CstiConfig does not check, stays out
+    doc = spec_doc("out", strategies=["csti"])
+    section, _, key = row.path.rpartition(".")
+    (doc[section] if section else doc)[key] = value
+    try:
+        expected = CstiConfig(**{"stocks": 3, "seed": 5, "merge_rounds": 3, "finetune_epochs": 3,
+                                 row.attr: value})
+    except ContractViolation:
+        expected = None
+    try:
+        spec = validate_spec_dict(doc)
+    except SpecValidationError as err:
+        assert expected is None and [e.partition(":")[0] for e in err.errors] == [row.path]
+    else:
+        assert spec.training == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(row=st.sampled_from(_TRAINING_ROWS),
+       value=_JSON_VALUES | st.floats(-1.0, 2.0)
+       | st.lists(st.sampled_from(_EDGES) | st.floats(0.0, 4.0), min_size=2, max_size=4))
+def test_the_spec_rejects_a_training_value_exactly_when_cstiConfig_does(row, value):
+    _assert_the_spec_rejects_a_training_value_exactly_when_cstiConfig_does(row, value)
+
+
+@pytest.mark.parametrize("row", _TRAINING_ROWS, ids=lambda row: row.path)
+def test_the_spec_rejects_an_edge_training_value_exactly_when_cstiConfig_does(row):
+    for value in _EDGES + [[1, 1, 1], [0, 0, 0], [1, 2], [1e308, 1e308, 1]]:
+        _assert_the_spec_rejects_a_training_value_exactly_when_cstiConfig_does(row, value)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from csti import data as data_mod
 from csti import models as models_mod
-from csti import numerics as numerics_mod
 from csti import training
 from csti.data import (
     StockSeries,
@@ -136,8 +135,9 @@ def test_step_settings_validated(small_market):
 @pytest.mark.parametrize("rate", [math.inf, math.nan])
 def test_non_finite_learning_rate_rejected(small_market, rate):
     model = build_model("dlinear", 16, 1, 3, seed=8)
-    with pytest.raises(ContractViolation, match="learning rate"):
+    with pytest.raises(ContractViolation) as err:
         train_local(model, small_market[0][0], 1, rate, 0.9, 64)
+    assert str(err.value) == f"learning_rate: must be finite and > 0, got {rate!r}"
 
 
 @pytest.mark.parametrize("batch_size", [0, -1, 2.5, 64.0, True, "64"])
@@ -217,16 +217,37 @@ def test_run_csti_checks_no_window_and_no_step_setting_again(small_market, monke
             return function(*args, **kwargs)
         return wrapper
 
+    cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, seed=7)
     for name, owner, modules in (("windows_finite", data_mod, (data_mod, models_mod)),
-                                 ("check_step_settings", numerics_mod, (numerics_mod, training))):
+                                 ("_check_setting", training, (training,))):
         wrapped = counting(name, getattr(owner, name))
         for module in modules:
             monkeypatch.setattr(module, name, wrapped)
-    cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, seed=7)
     run_csti(small_market[0], "dlinear", cfg)
     assert calls == []
     train_local(build_model("dlinear", 16, 1, 3), small_market[0][0], 1, 0.01, 0.9)
-    assert calls == ["check_step_settings"]  # the entry point checks its own settings
+    # the entry point checks its own settings: learning rate, momentum, prox_weight,
+    # batch size and seed
+    assert calls == ["_check_setting"] * 5
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+def test_train_local_rejects_a_seed_that_is_not_an_integer_of_at_least_zero(seed, small_market):
+    # -1 used to escape as numpy's raw ValueError, 1.5 and "1" as a raw TypeError,
+    # and True trained as seed 1
+    model = build_model("dlinear", 16, 1, 3, seed=8)
+    with pytest.raises(ContractViolation) as err:
+        train_local(model, small_market[0][0], 1, 0.01, 0.9, seed=seed)
+    assert str(err.value) == f"seed: integer >= 0 required, got {seed!r}"
+
+
+def test_train_local_takes_a_generator_as_its_seed(small_market):
+    # a Generator skips the seed's rule and draws as the seed it was made from
+    model = build_model("dlinear", 16, 1, 3, seed=8)
+    by_seed = train_local(model, small_market[0][0], 1, 0.01, 0.9, seed=3)
+    by_generator = train_local(model, small_market[0][0], 1, 0.01, 0.9,
+                               seed=np.random.default_rng(3))
+    assert _params(by_seed.model).values.tobytes() == _params(by_generator.model).values.tobytes()
 
 
 @pytest.mark.parametrize("prox_weight", [-1.0, math.nan, math.inf, "0.1"])
@@ -1167,23 +1188,30 @@ def test_config_rejects_a_training_number_that_is_not_real(field, value):
 @pytest.mark.parametrize("value", NOT_REAL)
 def test_config_rejects_a_merge_weight_that_is_not_real(value):
     # float(x) used to let "1" and True through
-    with pytest.raises(ContractViolation, match=r"merge_weights\[1\]"):
+    with pytest.raises(ContractViolation) as err:
         CstiConfig(stocks=2, merge_weights=(1.0, value))
+    assert str(err.value) == ("merge_weights: list of finite numbers >= 0 with a positive sum "
+                              f"in the float range (or null) required, got {(1.0, value)!r}")
 
 
 @pytest.mark.parametrize("value", NOT_REAL)
 @pytest.mark.parametrize("field", ["learning rate", "momentum"])
 def test_step_settings_reject_a_value_that_is_not_real(small_market, field, value):
     # run_normal's settings are its config's: test_config_rejects_a_training_number_that_is_not_real
-    settings = {"learning_rate": 0.01, "momentum": 0.9, field.replace(" ", "_"): value}
+    name = field.replace(" ", "_")
+    settings = {"learning_rate": 0.01, "momentum": 0.9, name: value}
     model = build_model("dlinear", 16, 1, 3, seed=8)
-    with pytest.raises(ContractViolation, match=field):
+    with pytest.raises(ContractViolation) as err:
         train_local(model, small_market[0][0], 1, batch_size=64, **settings)
+    rule = {"learning rate": "must be finite and > 0", "momentum": "must lie in [0, 1)"}[field]
+    assert str(err.value) == f"{name}: {rule}, got {value!r}"
 
 
-@pytest.mark.parametrize("weights", [(1.0, -1.0), (0.0, 0.0), (-1.0, 3.0), (1e308, 1e308)])
+@pytest.mark.parametrize("weights", [(1.0, -1.0), (0.0, 0.0), (-1.0, 3.0), (1e308, 1e308),
+                                     pytest.param(np.array(1.0), id="0-d-array")])
 def test_merge_weights_must_be_non_negative_with_positive_sum(weights):
-    # (1, -1) used to merge theta and theta + 1 into a vector of -0.5s
+    # (1, -1) used to merge theta and theta + 1 into a vector of -0.5s; a 0-d array
+    # escaped as a raw TypeError
     with pytest.raises(ContractViolation, match="merge_weights"):
         CstiConfig(stocks=2, merge_weights=weights)
     # a zero weight is allowed while the sum stays positive
@@ -1193,8 +1221,9 @@ def test_merge_weights_must_be_non_negative_with_positive_sum(weights):
 @pytest.mark.parametrize("shared_init", ["false", None, 0, 1])
 def test_config_rejects_a_shared_init_that_is_not_a_bool(shared_init):
     # "false" used to train from the shared init, as True does
-    with pytest.raises(ContractViolation, match="shared_init must be a bool"):
+    with pytest.raises(ContractViolation) as err:
         CstiConfig(stocks=2, shared_init=shared_init)
+    assert str(err.value) == f"shared_init: boolean required, got {shared_init!r}"
 
 
 def test_the_normal_budget_is_epochs_total_or_else_the_csti_budget():
@@ -1236,11 +1265,15 @@ def test_normal_epoch_split_and_snapshots(small_market):
 
 def test_normal_requires_enough_epochs(small_market):
     train, _, _ = small_market
-    with pytest.raises(ContractViolation, match="epochs_total must be an integer >= 3, got 2"):
+    message = ("epochs_total: the normal budget of 2 epochs is below one epoch per stock; "
+               ">= 3 required")
+    with pytest.raises(ContractViolation) as err:
         run_normal(train, "dlinear", CstiConfig(stocks=3, epochs_total=2, seed=5))
+    assert str(err.value) == message
     # without epochs_total the budget is csti's, 0 + 2 epochs here
-    with pytest.raises(ContractViolation, match="epochs_total must be an integer >= 3, got 2"):
+    with pytest.raises(ContractViolation) as err:
         run_normal(train, "dlinear", CstiConfig(stocks=3, merge_rounds=0, finetune_epochs=2))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("epochs_total", [7.5, True])
@@ -1255,15 +1288,15 @@ def test_run_normal_checks_its_settings_and_stocks_once(monkeypatch):
     # the settings are the config's, which checked them; each segment trains on
     # them without checking again, not through train_local
     counts = collections.Counter()
-    for name in ("check_step_settings", "_check_stock_group"):
+    cfg = CstiConfig(stocks=6, epochs_total=6, seed=5)
+    for name in ("_check_setting", "_check_stock_group"):
         def counting(*args, _name=name, _check=getattr(training, name)):
             counts[_name] += 1
             return _check(*args)
         monkeypatch.setattr(training, name, counting)
-    cfg = CstiConfig(stocks=6, epochs_total=6, seed=5)
     result = run_normal(_six_stocks_with_ties(), "dlinear", cfg)
     assert len(result.snapshots) == 6
-    assert counts == {"_check_stock_group": 1}  # and no check_step_settings call
+    assert counts == {"_check_stock_group": 1}  # and no _check_setting call
 
 
 # ---------------------------------------------------------------------------
