@@ -26,11 +26,18 @@ from .errors import (
     SchemaError,
     WrongNormalizerError,
 )
-from .numerics import _check_int, _check_real
+from .numerics import check, integer, real, reals, shown
 
 CLOSE_COL = 1  # the columns are open, close and optional sentiment
 
 SPLIT_NAMES = ("train", "val", "test")
+
+# The rules of the market's and the windows' arguments. The spec's rows hold these very
+# objects (``experiment._FIELDS``), and ``training.SETTINGS`` the stocks and seed rules.
+STOCKS, SEED, LENGTH, HORIZON = integer(1), integer(0), integer(64), integer(1)
+SHARED_STRENGTH = real(lambda v: 0 <= v <= 1, "number in [0, 1] required")
+FRACTIONS = reals(lambda x: x > 0, lambda f: len(f) == 3 and abs(sum(f) - 1.0) <= 1e-9,
+                  "three positive numbers summing to 1 required")
 
 
 @dataclass(frozen=True)
@@ -247,7 +254,8 @@ def stock_id_from_path(path: str) -> str:
 
 def fit_normalizer(series: StockSeries, train_fraction: float) -> NormalizationParams:
     """Min/max per column over the first floor(train_fraction * T) rows."""
-    _check_real("train_fraction", train_fraction, 1.0, closed=False)  # as given, like split_bounds
+    train_fraction = check("train_fraction", real(lambda v: 0 < v < 1, "number in (0, 1) required"),
+                           train_fraction)
     n_train = int(np.floor(train_fraction * series.T))  # the train rows of split_bounds
     if n_train < 2:
         raise ContractViolation("train segment must have at least 2 rows")
@@ -293,10 +301,7 @@ def denormalize_close(values: np.ndarray, params: NormalizationParams) -> np.nda
 
 def split_bounds(total: int, fractions: Sequence[float]) -> dict[str, tuple[int, int]]:
     """Chronological [start, end) row ranges for train/val/test."""
-    if len(fractions) != 3:
-        raise ContractViolation("fractions must be (train, val, test)")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ContractViolation("fractions must sum to 1 within 1e-9")
+    fractions = check("fractions", FRACTIONS, fractions)
     n_train = int(np.floor(fractions[0] * total))
     n_val = int(np.floor(fractions[1] * total))
     return {
@@ -315,7 +320,8 @@ def make_windows(series: StockSeries, lookback: int, horizon: int, split: str,
     """
     if split not in SPLIT_NAMES:
         raise ContractViolation(f"split must be one of {SPLIT_NAMES}")
-    lookback, horizon = _check_int("lookback", lookback, 1), _check_int("horizon", horizon, 1)
+    # a window's lookback; a model needs more (``models.LOOKBACK``)
+    lookback, horizon = check("lookback", integer(1), lookback), check("horizon", HORIZON, horizon)
     start, end = split_bounds(series.T, fractions)[split]
     seg_len = end - start
     needed = lookback + horizon
@@ -346,16 +352,15 @@ def generate_synthetic_market(stocks: int, length: int, shared_strength: float,
     step plus small noise; sentiment is a bounded noisy transform of the
     one-step return. Deterministic given the seed.
     """
-    stocks, length, seed = (_check_int("stocks", stocks, 1), _check_int("length", length, 64),
-                            _check_int("seed", seed, 0))
-    if not _check_real("shared_strength", shared_strength) <= 1.0:
-        raise ContractViolation("shared_strength must lie in [0, 1]")
+    stocks, length = check("stocks", STOCKS, stocks), check("length", LENGTH, length)
+    shared_strength = check("shared_strength", SHARED_STRENGTH, shared_strength)
+    seed = check("seed", SEED, seed)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5EED)))
     try:
         t = np.arange(length, dtype=np.float64)
     except (ValueError, MemoryError) as err:  # more rows than numpy can allocate
-        raise ContractViolation(f"length {length} is too large to generate: {err}") from None
+        raise ContractViolation(f"length {shown(length)} is too large to generate: {err}") from None
     phase1, phase2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
     common = (
         1.5 * (2.0 * t / length - 1.0)

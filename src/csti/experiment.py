@@ -3,8 +3,9 @@
 The spec file is JSON, and ``_FIELDS`` is its schema: one row per field, with
 its path, attribute, check and message. A training setting resolves to the
 attribute and default of ``CstiConfig``, which the spec holds as ``training``,
-every other field to ``ExperimentSpec``'s. The training rules are ``training``'s
-(``SETTINGS``, ``_joint_problems``, ``CstiConfig.normal_epochs``). One walker
+every other field to ``ExperimentSpec``'s. A row's rule is the object its entry point
+checks with: ``training.SETTINGS`` (with ``_joint_problems`` and ``CstiConfig.normal_epochs``)
+and ``JOBS``, ``data``'s market and window rules, ``models.LOOKBACK``. One walker
 checks a document against the table, and ``ExperimentSpec.echo`` rebuilds the
 document from it. Every cell of the grid trains, evaluates on held-out test
 windows and writes a report bundle under <out>/<model>/<strategy>/<features>/;
@@ -39,11 +40,11 @@ from .errors import (
     SpecValidationError,
 )
 from .metrics import export_regression_series, write_report_json
-from .models import MODEL_KINDS, OUT_OF_SCOPE_KINDS, _resolve, save_checkpoint
-from .numerics import ParamVector, atomic_open, load_container, save_container
-from .training import (SETTINGS, CstiConfig, CstiResult, NormalResult, _floats, _int,
-                       _joint_problems, _numbers, _optional, _real, evaluate, run_csti,
-                       run_normal, write_trace_csv)
+from .models import LOOKBACK, MODEL_KINDS, OUT_OF_SCOPE_KINDS, _resolve, save_checkpoint
+from .numerics import (BOOLEAN, ParamVector, atomic_open, check, integer, load_container,
+                       save_container)
+from .training import (JOBS, SETTINGS, CstiConfig, CstiResult, NormalResult, _joint_problems,
+                       evaluate, run_csti, run_normal, write_trace_csv)
 
 FEATURE_SETS = ("with_sentiment", "without_sentiment")
 STRATEGIES = ("normal", "csti")
@@ -144,9 +145,8 @@ _FIELDS = (
     _Field("data.source", "source", lambda v: v in ("synthetic", "csv"),
            "must be 'synthetic' or 'csv'", required=True),
     _Field("data.stocks", "stocks", *SETTINGS["stocks"], source="synthetic"),
-    _Field("data.length", "length", *_int(64), source="synthetic"),
-    _Field("data.shared_strength", "shared_strength",
-           *_real(lambda v: 0 <= v <= 1, "number in [0, 1] required"), source="synthetic"),
+    _Field("data.length", "length", *data.LENGTH, source="synthetic"),
+    _Field("data.shared_strength", "shared_strength", *data.SHARED_STRENGTH, source="synthetic"),
     _Field("data.paths", "csv_paths", _non_empty_list, "non-empty list of CSV files required",
            items=_path_errors, source="csv", required=True),
     _Field("models", "model_kinds", _non_empty_list, "non-empty list of model kinds required",
@@ -156,21 +156,17 @@ _FIELDS = (
            tuple, _unknown("strategies", "strategy", STRATEGIES), required=True),
     _Field("features", "feature_sets", _non_empty_list, "non-empty list required", tuple,
            _unknown("features", "feature set", FEATURE_SETS)),
-    _Field("window.lookback", "lookback", *_int(4)),
-    _Field("window.horizon", "horizon", *_int(1)),
-    _Field("window.fractions", "fractions",
-           lambda v: _numbers(v, lambda x: x > 0) and len(v) == 3 and abs(sum(v) - 1.0) <= 1e-9,
-           "three positive numbers summing to 1 required", _floats),
+    _Field("window.lookback", "lookback", *LOOKBACK),
+    _Field("window.horizon", "horizon", *data.HORIZON),
+    _Field("window.fractions", "fractions", *data.FRACTIONS),
     # the training section: every other CstiConfig field, under its own name but prox_weight
     *(_Field(f"training.{'lambda' if attr == 'prox_weight' else attr}", attr, *rule)
       for attr, rule in SETTINGS.items() if attr not in ("stocks", "seed")),
     _Field("seed", "seed", *SETTINGS["seed"]),
-    _Field("jobs", "jobs", *_optional(_int(1), "integer >= 1 (or null) required"),
-           echoed=False),
+    _Field("jobs", "jobs", *JOBS, echoed=False),
     _Field("normal_eval", "normal_eval", lambda v: v in NORMAL_EVAL_MODES,
            "'final' or 'snapshot' required"),
-    _Field("denormalized_metrics", "denormalized_metrics", lambda v: isinstance(v, bool),
-           "boolean required"),
+    _Field("denormalized_metrics", "denormalized_metrics", *BOOLEAN),
 )
 _BUDGET = {"merge_rounds", "local_epochs_per_round", "finetune_epochs", "epochs_total"}
 _DEFAULTS = {f.name: f.default for f in (*fields(ExperimentSpec), *fields(CstiConfig))}
@@ -292,7 +288,7 @@ def _read_spec(path: Path):
         return {}
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # also an integer past the digit limit
         raise SpecValidationError([f"spec is not valid JSON: {err}"]) from err
 
 
@@ -321,10 +317,10 @@ def load_round_checkpoint(path) -> tuple[int, ParamVector]:
     ``ContractViolation`` naming ``path``.
     """
     header, pvec = load_container(path, "round", ("round",))
-    round_index = header["round"]
-    if type(round_index) is not int or round_index < 0:
-        raise ContractViolation(f"{path}: round index {round_index!r} is not an integer >= 0")
-    return round_index, pvec
+    try:
+        return check("round index", integer(0), header["round"]), pvec
+    except ContractViolation as err:
+        raise ContractViolation(f"{path}: {err}") from None
 
 
 def _load_market(spec: ExperimentSpec) -> list[StockSeries]:

@@ -64,7 +64,7 @@ import math
 import numpy as np
 
 from . import numerics
-from .data import windows_finite
+from .data import HORIZON, SEED, windows_finite
 from .errors import (
     ContractViolation,
     CstiError,
@@ -72,7 +72,10 @@ from .errors import (
     NumericInputError,
     ShapeMismatchError,
 )
-from .numerics import ParamVector, _check_int, _check_real
+from .numerics import BOOLEAN, POSITIVE, ParamVector, check, integer, shown
+
+LOOKBACK = integer(4)  # which the spec's window.lookback row holds too
+_WIDTH = integer(1)  # a hidden width or harmonic count
 
 MODEL_KINDS = ("dlinear", "paifilter", "texfilter", "frets")
 
@@ -118,6 +121,7 @@ class ForecastModel:
     """
 
     kind = "abstract"
+    hyper_rules: dict = {}  # each hyperparameter's ``numerics.Rule``, which ``_resolve`` checks
 
     def __init__(self, lookback: int, horizon: int, n_features: int,
                  hyper: dict, params: ParamVector):
@@ -145,11 +149,6 @@ class ForecastModel:
     @classmethod
     def default_hyper(cls, lookback, horizon, n_features):
         return {}
-
-    @classmethod
-    def check_hyper(cls, hyper):
-        """Validate resolved hyperparameters and coerce their types."""
-        return hyper
 
     def _buffers(self, n):
         """One row's theta-only, then its n-window call's, (forward, backward) buffer specs."""
@@ -349,10 +348,6 @@ def _complex(pairs):
     return pairs.view(_C)[..., 0]
 
 
-def _check_hidden(kind, hyper):
-    return {"hidden": _check_int(f"{kind}: hidden width", hyper["hidden"], 1)}
-
-
 class _Affine:
     """Mixin of a kind whose forecast is affine in the window once theta is fixed.
 
@@ -407,6 +402,7 @@ class DLinearModel(_Affine, ForecastModel):
     """
 
     kind = "dlinear"
+    hyper_rules = {"harmonics": _WIDTH, "period": POSITIVE, "use_anchor": BOOLEAN}
 
     def __init__(self, lookback, horizon, n_features, hyper, params):
         super().__init__(lookback, horizon, n_features, hyper, params)
@@ -425,18 +421,8 @@ class DLinearModel(_Affine, ForecastModel):
 
     @classmethod
     def default_hyper(cls, lookback, horizon, n_features):
-        period = _check_real("dlinear: lookback as the default period", lookback, closed=False)
+        period = check("dlinear: lookback as the default period", POSITIVE, lookback)
         return {"harmonics": 3, "period": period, "use_anchor": True}
-
-    @classmethod
-    def check_hyper(cls, hyper):
-        if not isinstance(hyper["use_anchor"], bool):
-            raise ContractViolation("dlinear: use_anchor must be a boolean")
-        return {
-            "harmonics": _check_int("dlinear: harmonics", hyper["harmonics"], 1),
-            "period": _check_real("dlinear: period", hyper["period"], closed=False),
-            "use_anchor": hyper["use_anchor"],
-        }
 
     @classmethod
     def segments(cls, lookback, horizon, n_features, hyper):
@@ -590,14 +576,11 @@ class TexFilterModel(ForecastModel):
     """
 
     kind = "texfilter"
+    hyper_rules = {"hidden": _WIDTH}
 
     @classmethod
     def default_hyper(cls, lookback, horizon, n_features):
         return {"hidden": lookback}
-
-    @classmethod
-    def check_hyper(cls, hyper):
-        return _check_hidden(cls.kind, hyper)
 
     @classmethod
     def segments(cls, lookback, horizon, n_features, hyper):
@@ -722,14 +705,11 @@ class FretsModel(ForecastModel):
     """
 
     kind = "frets"
+    hyper_rules = {"hidden": _WIDTH}
 
     @classmethod
     def default_hyper(cls, lookback, horizon, n_features):
         return {"hidden": lookback}
-
-    @classmethod
-    def check_hyper(cls, hyper):
-        return _check_hidden(cls.kind, hyper)
 
     @classmethod
     def segments(cls, lookback, horizon, n_features, hyper):
@@ -828,10 +808,8 @@ def _resolve(kind, lookback, horizon, n_features, hyper, complete=False):
         raise ContractViolation(
             f"unknown model kind {kind!r}; supported: {', '.join(MODEL_KINDS)}"
         )
-    shapes = (_check_int("lookback", lookback, 4), _check_int("horizon", horizon, 1),
-              _check_int("feature count", n_features, 2))
-    if shapes[2] > 3:
-        raise ContractViolation("feature count must be 2 or 3")
+    shapes = (check("lookback", LOOKBACK, lookback), check("horizon", HORIZON, horizon),
+              check("feature count", integer(2, 3), n_features))
     cls = _CLASSES[kind]
     resolved = cls.default_hyper(*shapes)
     if not isinstance(hyper, dict):
@@ -843,14 +821,16 @@ def _resolve(kind, lookback, horizon, n_features, hyper, complete=False):
     if complete and missing:
         raise ContractViolation(f"{kind}: missing hyperparameter {missing[0]!r}")
     resolved.update(hyper)
-    return cls, shapes, cls.check_hyper(resolved)
+    return cls, shapes, {name: check(f"{kind}: {name}", rule, resolved[name])
+                         for name, rule in cls.hyper_rules.items()}
 
 
 def build_model(kind: str, lookback: int, horizon: int, n_features: int,
                 hyper: dict | None = None, seed: int = 0) -> ForecastModel:
     """Construct a seeded model; layout depends only on the arguments."""
     cls, shapes, resolved = _resolve(kind, lookback, horizon, n_features, hyper or {})
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), MODEL_KINDS.index(kind))))
+    seed = check("seed", SEED, seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, MODEL_KINDS.index(kind))))
     layout, draws = [], []
     try:
         for name, shape, init in cls.segments(*shapes, resolved):
@@ -858,7 +838,7 @@ def build_model(kind: str, lookback: int, horizon: int, n_features: int,
             draws.append(init(rng, layout[-1][1]))
         values = np.concatenate(draws)
     except (ValueError, MemoryError, OverflowError) as err:  # too many for numpy or a float
-        raise ContractViolation(f"{kind}: the parameters of {resolved} are too many to "
+        raise ContractViolation(f"{kind}: the parameters of {shown(resolved)} are too many to "
                                 f"allocate: {err}") from None
     return cls(*shapes, resolved, ParamVector(values, layout))
 

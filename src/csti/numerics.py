@@ -1,4 +1,10 @@
-"""Mathematical substrate: parameter vectors, their merge and file container, DFT operators, SGD.
+"""Mathematical substrate: argument rules, parameter vectors, their merge and file container,
+DFT operators, SGD.
+
+Every module checks its arguments with one vocabulary of rules (``Rule``: ``integer``,
+``real``, ``reals``, ``optional``, ``BOOLEAN``) through ``check(name, rule, value)``: the
+converted value, or ``ContractViolation`` "<name>: <message>, got <``shown`` value>". Only
+this module tests a value's type against bool or numpy's scalar types.
 
 The discrete Fourier transform is an explicit linear operator (cos/sin
 matrices, ``dft_matrices``), so the frequency models backpropagate through
@@ -30,11 +36,85 @@ import struct
 import zlib
 from contextlib import contextmanager, suppress
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, CstiError, NumericInputError
+
+
+# ---------------------------------------------------------------------------
+# argument rules
+# ---------------------------------------------------------------------------
+
+class Rule(NamedTuple):
+    """What an argument must be: ``check(value)`` -> bool, the ``message`` a value that fails
+    it gets, and ``convert(passing value)`` -> the value its caller keeps."""
+
+    check: Callable
+    message: str
+    convert: Callable
+
+
+def integer(low: int, high: int | None = None) -> Rule:
+    """An integer in [low, high], or >= low without ``high``, that is not a boolean."""
+    return Rule(lambda value: type(value) is not bool and isinstance(value, (int, np.integer))
+                and low <= value and (high is None or value <= high),
+                f"integer >= {low} required" if high is None else
+                f"integer in [{low}, {high}] required", int)
+
+
+def real(test: Callable, message: str) -> Rule:
+    """A number, not a boolean, that converts to a finite float and passes ``test``."""
+    def passes(value):
+        try:
+            return type(value) is not bool and isinstance(value, (
+                int, float, np.integer, np.floating)) and math.isfinite(value) and test(value)
+        except OverflowError:  # an integer beyond the float range
+            return False
+    return Rule(passes, message, float)
+
+
+def reals(test: Callable, whole: Callable, message: str) -> Rule:
+    """A list, tuple or 1-d array, which ``whole`` passes, of ``real`` numbers that each
+    pass ``test``; it converts to a tuple of floats."""
+    entry = real(test, message).check
+    return Rule(lambda value: (isinstance(value, (list, tuple)) or isinstance(
+        value, np.ndarray) and value.ndim == 1) and all(map(entry, value)) and whole(value),
+        message, lambda value: tuple(float(x) for x in value))
+
+
+def optional(rule: Rule, absent: str) -> Rule:
+    """``rule``, or None, which it keeps; its message names None as ``absent``."""
+    return Rule(lambda value: value is None or rule.check(value),
+                f"{rule.message.removesuffix(' required')} (or {absent}) required",
+                lambda value: None if value is None else rule.convert(value))
+
+
+BOOLEAN = Rule(lambda value: isinstance(value, bool), "boolean required", bool)
+POSITIVE = real(lambda value: value > 0, "must be finite and > 0")
+
+
+def check(name: str, rule: Rule, value):
+    """``value`` as ``rule`` converts it, if it passes the rule; else ContractViolation
+    ``"<name>: <rule's message>, got <value>"``."""
+    if not rule.check(value):
+        raise ContractViolation(f"{name}: {rule.message}, got {shown(value)}")
+    return rule.convert(value)
+
+
+def shown(value) -> str:
+    """``repr(value)``, which a message quotes; an integer too long for ``repr``
+    (``sys.get_int_max_str_digits``) shows as "an integer of <n> digits"."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} holding an integer too long to print"
+        digits = int(abs(value).bit_length() * math.log10(2))  # at most the digit count
+        while 10 ** digits <= abs(value):
+            digits += 1
+        return f"an integer of {digits} digits"
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +132,7 @@ class ParamVector:
     """
 
     __slots__ = ("values", "layout")
+    _LENGTH = integer(0)  # of a segment
 
     def __init__(self, values, layout: Sequence[tuple[str, int]]):
         arr = np.asarray(values, dtype=np.float64).reshape(-1).copy()
@@ -59,11 +140,11 @@ class ParamVector:
                 isinstance(seg, (list, tuple)) and len(seg) == 2 and isinstance(seg[0], str)
                 for seg in layout):
             raise ContractViolation("a layout must be a list of (name, length) pairs")
-        layout = tuple((name, _check_int(f"segment {name!r} length", length, 0))
+        layout = tuple((name, check(f"segment {name!r} length", self._LENGTH, length))
                        for name, length in layout)
         total = sum(length for _, length in layout)
         if total != arr.size:
-            raise ContractViolation(f"layout covers {total} values, vector has {arr.size}")
+            raise ContractViolation(f"layout covers {shown(total)} values, vector has {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise NumericInputError("parameter vector contains non-finite values")
         arr.flags.writeable = False
@@ -212,24 +293,6 @@ def real_idft_batch_adjoint(ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # SGD with classical momentum
 # ---------------------------------------------------------------------------
 
-def _check_int(name, value, low):
-    """``value`` as an int >= low; bools and non-integral numbers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ContractViolation(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
-def _check_real(name, value, high=math.inf, closed=True):
-    """``value`` as a float in [0, high), or (0, high); bools, strings, NaN and
-    integers beyond the float range fail."""
-    with suppress(OverflowError):  # float() of an integer beyond the float range
-        if (not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
-                and (0.0 <= value if closed else 0.0 < value) and value < high):
-            return float(value)
-    interval = f"{'[' if closed else '('}0, {high})"
-    raise ContractViolation(f"{name} must be a real number in {interval}, got {value!r}")
-
-
 def sgd_step(theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
              learning_rate: float, momentum: float, scratch: np.ndarray | None = None) -> None:
     """In place: v <- mu*v + g; theta <- theta - eta*v (classical momentum).
@@ -290,27 +353,28 @@ def load_container(path, blob_type: str, fields: Sequence[str] = ()) -> tuple[di
     with open(path, "rb") as fh:
         blob = fh.read()
 
-    def check(ok, problem):
+    def require(ok, problem):
         if not ok:
             raise ContractViolation(f"{path}: {problem}")
 
-    check(len(blob) >= _PREFIX.size + _COUNT.size + _CRC.size, f"{len(blob)} bytes is too short")
+    require(len(blob) >= _PREFIX.size + _COUNT.size + _CRC.size, f"{len(blob)} bytes is too short")
     magic, version, header_bytes = _PREFIX.unpack_from(blob)
-    check(magic == _MAGIC, "not a csti container (format version 1 files are not read)")
-    check(version == _VERSION, f"unsupported container version {version}")
+    require(magic == _MAGIC, "not a csti container (format version 1 files are not read)")
+    require(version == _VERSION, f"unsupported container version {version}")
     count_at = _PREFIX.size + header_bytes
-    check(len(blob) >= count_at + _COUNT.size + _CRC.size, "container truncated in its header")
+    require(len(blob) >= count_at + _COUNT.size + _CRC.size, "container truncated in its header")
     (count,) = _COUNT.unpack_from(blob, count_at)
     end = count_at + _COUNT.size + 8 * count
-    check(len(blob) == end + _CRC.size, f"{len(blob)} bytes, its lengths give {end + _CRC.size}")
-    check(zlib.crc32(memoryview(blob)[:end]) == _CRC.unpack_from(blob, end)[0], "checksum mismatch")
+    require(len(blob) == end + _CRC.size, f"{len(blob)} bytes, its lengths give {end + _CRC.size}")
+    require(zlib.crc32(memoryview(blob)[:end]) == _CRC.unpack_from(blob, end)[0],
+            "checksum mismatch")
     try:
         header = json.loads(blob[_PREFIX.size : count_at].decode("utf-8"))
     except ValueError as err:  # UTF-8 and JSON errors
         raise ContractViolation(f"{path}: container header is not UTF-8 JSON: {err}") from None
-    check(isinstance(header, dict), "container header is not a JSON object")
-    check(header.get("type") == blob_type, f"a {header.get('type')!r} blob, not {blob_type!r}")
-    check(set(header) == {"type", "layout", *fields}, f"header keys are not the {blob_type} keys")
+    require(isinstance(header, dict), "container header is not a JSON object")
+    require(header.get("type") == blob_type, f"a {header.get('type')!r} blob, not {blob_type!r}")
+    require(set(header) == {"type", "layout", *fields}, f"header keys are not the {blob_type} keys")
     values = np.frombuffer(blob, dtype="<f8", count=count, offset=count_at + _COUNT.size)
     try:
         return header, ParamVector(values, header["layout"])

@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import metrics as metrics_mod
-from .data import WindowedDataset, denormalize_close
+from .data import SEED, STOCKS, WindowedDataset, denormalize_close
 from .errors import (
     ContractViolation,
     DivergenceError,
@@ -60,7 +60,8 @@ from .errors import (
     WrongNormalizerError,
 )
 from .models import ForecastModel, bind_sum_of_squares, build_model
-from .numerics import ParamVector, _check_int, atomic_open, axpy_merge, sgd_step
+from .numerics import (BOOLEAN, POSITIVE, ParamVector, atomic_open, axpy_merge, check,
+                       integer, optional, real, reals, sgd_step, shown)
 
 DIVERGENCE_GUARD = 1e6
 
@@ -85,74 +86,26 @@ def derive_seed(base_seed: int, tag: int, round_index: int, stock_id: str = "") 
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _number(value) -> bool:
-    """A number, not a boolean, that converts to a finite float."""
-    try:
-        return type(value) is not bool and isinstance(
-            value, (int, float, np.integer, np.floating)) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _numbers(value, test) -> bool:
-    """A list, tuple or 1-d array of numbers that each pass ``test``."""
-    return ((isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1)
-            and all(_number(x) and test(x) for x in value))
-
-
-def _floats(value):
-    return None if value is None else tuple(float(x) for x in value)
-
-
-# A rule is (check, message, convert): check(value) -> bool, the message a value that fails
-# it gets, and convert(checked value) -> the setting's value.
-
-def _int(low):
-    """The rule of an integer >= low that is not a boolean."""
-    return (lambda value: type(value) is not bool and isinstance(value, (int, np.integer))
-            and value >= low, f"integer >= {low} required", int)
-
-
-def _real(test, message):
-    """The rule of a finite number that passes ``test``."""
-    return lambda value: _number(value) and test(value), message, float
-
-
-def _optional(rule, message):
-    check, _, convert = rule
-    return (lambda value: value is None or check(value), message,
-            lambda value: None if value is None else convert(value))
-
-
-_POSITIVE = _real(lambda v: v > 0, "must be finite and > 0")
 # The one statement of each ``CstiConfig`` field's rule. ``CstiConfig``, ``train_local``
 # and the spec's ``_FIELDS`` rows all check a setting through its entry here.
 SETTINGS = {
-    "stocks": _int(1),
-    "merge_rounds": _int(0),
-    "finetune_epochs": _int(0),
-    "local_epochs_per_round": _int(1),
-    "learning_rate": _POSITIVE,
-    "momentum": _real(lambda v: 0 <= v < 1, "must lie in [0, 1)"),
-    "alpha": _POSITIVE,
-    "prox_weight": _real(lambda v: v >= 0, "must be finite and >= 0"),
-    "batch_size": _int(1),
-    "epochs_total": _optional(_int(1), "integer >= 1 (or omitted) required"),
-    "merge_weights": (
-        lambda v: v is None or _numbers(v, lambda w: w >= 0) and 0 < sum(map(float, v)) < math.inf,
-        "list of finite numbers >= 0 with a positive sum in the float range (or null) required",
-        _floats),
-    "shared_init": (lambda v: isinstance(v, bool), "boolean required", bool),
-    "seed": _int(0),
+    "stocks": STOCKS,  # and the synthetic market's, as is the seed's
+    "merge_rounds": integer(0),
+    "finetune_epochs": integer(0),
+    "local_epochs_per_round": integer(1),
+    "learning_rate": POSITIVE,
+    "momentum": real(lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "alpha": POSITIVE,
+    "prox_weight": real(lambda v: v >= 0, "must be finite and >= 0"),
+    "batch_size": integer(1),
+    "epochs_total": optional(integer(1), "omitted"),
+    "merge_weights": optional(reals(
+        lambda w: w >= 0, lambda weights: 0 < sum(map(float, weights)) < math.inf,
+        "list of finite numbers >= 0 with a positive sum in the float range required"), "null"),
+    "shared_init": BOOLEAN,
+    "seed": SEED,
 }
-
-
-def _check_setting(name: str, value):
-    """``value`` converted by setting ``name``'s rule, if it passes it; else ContractViolation."""
-    check, message, convert = SETTINGS[name]
-    if not check(value):
-        raise ContractViolation(f"{name}: {message}, got {value!r}")
-    return convert(value)
+JOBS = optional(integer(1), "null")  # ``run_csti``'s, and the spec's
 
 
 def _joint_problems(settings: dict) -> list[str]:
@@ -167,7 +120,7 @@ def _joint_problems(settings: dict) -> list[str]:
     stocks, weights = settings.get("stocks"), settings.get("merge_weights")
     if stocks is not None and weights is not None and len(weights) != stocks:
         problems.append(f"merge_weights: one weight per stock required, "
-                        f"got {len(weights)} for {stocks} stocks")
+                        f"got {len(weights)} for {shown(stocks)} stocks")
     return problems
 
 
@@ -192,7 +145,7 @@ class CstiConfig:
 
     def __post_init__(self):
         for name in SETTINGS:
-            object.__setattr__(self, name, _check_setting(name, getattr(self, name)))
+            object.__setattr__(self, name, check(name, SETTINGS[name], getattr(self, name)))
         if problems := _joint_problems(vars(self)):
             raise ContractViolation(problems[0])
 
@@ -210,8 +163,9 @@ class CstiConfig:
         """The normal strategy's epochs per stock, floor(normal_budget / stocks); a
         budget below one epoch per stock raises ContractViolation."""
         if (budget := self.normal_budget) < self.stocks:
-            raise ContractViolation(f"epochs_total: the normal budget of {budget} epochs is "
-                                    f"below one epoch per stock; >= {self.stocks} required")
+            raise ContractViolation(f"epochs_total: the normal budget of {shown(budget)} epochs "
+                                    f"is below one epoch per stock; >= {shown(self.stocks)} "
+                                    "required")
         return budget // self.stocks
 
     def weights(self) -> tuple:
@@ -568,11 +522,11 @@ def train_local(model: ForecastModel, dataset: WindowedDataset, epochs: int,
     if shape != (model.lookback, model.horizon, model.n_features):
         raise ShapeMismatchError(f"{dataset.stock_id}: (lookback, horizon, features) {shape}, "
                                  f"the model's {(model.lookback, model.horizon, model.n_features)}")
-    epochs = _check_int("epochs", epochs, 1)
+    epochs = check("epochs", integer(1), epochs)
+    names = ("learning_rate", "momentum", "prox_weight", "batch_size")
     learning_rate, momentum, prox_weight, batch_size = map(
-        _check_setting, ("learning_rate", "momentum", "prox_weight", "batch_size"),
-        (learning_rate, momentum, prox_weight, batch_size))
-    seed = seed if isinstance(seed, np.random.Generator) else _check_setting("seed", seed)
+        check, names, map(SETTINGS.get, names), (learning_rate, momentum, prox_weight, batch_size))
+    seed = seed if isinstance(seed, np.random.Generator) else check("seed", SEED, seed)
     if anchor is not None and anchor.layout != model.export_params().layout:
         raise MergeIncompatibilityError("anchor layout does not match model")
     trained, log, steps = _train_one(model, dataset, epochs, learning_rate, momentum,
@@ -611,7 +565,7 @@ def _check_stock_group(stocks: Sequence[WindowedDataset], count: int):
                 f"{ds.stock_id}: window shape differs from {first.stock_id}"
             )
     if len(stocks) != count:
-        raise ContractViolation(f"config says {count} stocks, got {len(stocks)}")
+        raise ContractViolation(f"config says {shown(count)} stocks, got {len(stocks)}")
     return first.lookback, first.horizon, first.d
 
 
@@ -655,7 +609,7 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     """
     lookback, horizon, d = _check_stock_group(stocks, cfg.stocks)
     k_stocks = len(stocks)
-    width = k_stocks if jobs is None else _check_int("jobs", jobs, 1)
+    width = k_stocks if jobs is None else check("jobs", JOBS, jobs)
     trace, stock_ids = TrainingTrace(), [ds.stock_id for ds in stocks]
 
     template = build_model(

@@ -1,5 +1,6 @@
 import datetime
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -567,5 +568,21 @@ _DATA_CALLS = {
 def test_a_data_entry_point_rejects_a_value_of_the_wrong_type_as_a_csti_error(entry, name, value):
     # seed 1.5 or True used to give seed 1's market, stocks=True one stock and
     # lookback=True 1-row windows; the others escaped as a raw TypeError or ValueError
-    with pytest.raises(CstiError, match=f"^{name} must be"):
+    with pytest.raises(ContractViolation,
+                       match=f"^{name}: .* required, got {re.escape(repr(value))}$"):
         _DATA_CALLS[entry](**{name: value})
+
+
+@pytest.mark.parametrize("fractions", [(1.5, -0.3, -0.2), (True, 0, 0), ("a", 1, 1), (0.5, 0.5)],
+                         ids=["negative", "bool", "string", "two"])
+def test_fractions_other_than_three_positive_numbers_summing_to_1_are_rejected(fractions):
+    # the spec always demanded this, but split_bounds checked only the count and the sum:
+    # (1.5, -0.3, -0.2) made the train split of a 100-row series every row, its test rows
+    # included, (True, 0, 0) passed and ("a", 1, 1) escaped as a raw TypeError
+    series = StockSeries("TST", np.column_stack([np.arange(100.0), np.arange(100.0) + 1.0]))
+    message = (f"^fractions: three positive numbers summing to 1 required, "
+               f"got {re.escape(repr(fractions))}$")
+    with pytest.raises(ContractViolation, match=message):
+        split_bounds(series.T, fractions)
+    with pytest.raises(ContractViolation, match=message):
+        make_windows(series, 8, 1, "train", fractions)

@@ -12,7 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from csti.data import StockSeries, generate_synthetic_market, split_bounds
+from csti import data as data_mod
+from csti import models as models_mod
+from csti import training as training_mod
+from csti.data import StockSeries, generate_synthetic_market, make_windows, split_bounds
 from csti.errors import ContractViolation, CstiError, DivergenceError, SpecValidationError
 from csti.experiment import (
     _FIELDS,
@@ -433,6 +436,45 @@ def test_every_training_row_of_the_spec_carries_the_settings_tables_rule():
         assert row.message == message
 
 
+_SERIES = StockSeries("TST", np.column_stack([np.arange(100.0), np.arange(100.0) + 1.0]))
+_WINDOWS = make_windows(_SERIES, 8, 1, "train")
+# (spec path, the module an entry point reads the rule from, the rule's name there, the
+# argument's name, a call of the entry point with a value that passes the rule)
+_SHARED_RULES = [
+    ("data.stocks", data_mod, "STOCKS", "stocks",
+     lambda: generate_synthetic_market(2, 100, 0.5, 0)),
+    ("seed", data_mod, "SEED", "seed", lambda: generate_synthetic_market(2, 100, 0.5, 0)),
+    ("data.length", data_mod, "LENGTH", "length",
+     lambda: generate_synthetic_market(2, 100, 0.5, 0)),
+    ("data.shared_strength", data_mod, "SHARED_STRENGTH", "shared_strength",
+     lambda: generate_synthetic_market(2, 100, 0.5, 0)),
+    ("window.fractions", data_mod, "FRACTIONS", "fractions",
+     lambda: make_windows(_SERIES, 8, 1, "train", (0.7, 0.1, 0.2))),
+    ("window.lookback", models_mod, "LOOKBACK", "lookback",
+     lambda: build_model("dlinear", 8, 1, 2)),
+    ("window.horizon", models_mod, "HORIZON", "horizon", lambda: build_model("dlinear", 8, 1, 2)),
+    ("window.horizon", data_mod, "HORIZON", "horizon",
+     lambda: make_windows(_SERIES, 8, 1, "train")),
+    ("jobs", training_mod, "JOBS", "jobs",
+     lambda: training_mod.run_csti([_WINDOWS], "dlinear", CstiConfig(stocks=1), jobs=1)),
+]
+
+
+@pytest.mark.parametrize("path,module,name,argument,call", _SHARED_RULES,
+                         ids=[f"{path}-{module.__name__}" for path, module, *_ in _SHARED_RULES])
+def test_every_row_the_spec_shares_with_an_entry_point_carries_its_rule(
+        monkeypatch, path, module, name, argument, call):
+    # the spec and the entry point hold one rule object, as the training rows hold
+    # SETTINGS': restated in either place, even word for word, it would be another object
+    rule = getattr(module, name)
+    (row,) = [row for row in _FIELDS if row.path == path]
+    assert row.check is rule.check and row.convert is rule.convert and row.message == rule.message
+    # and the entry point checks its argument with that very object
+    monkeypatch.setattr(module, name, rule._replace(check=lambda value: False, message="refused"))
+    with pytest.raises(ContractViolation, match=f"^{argument}: refused, got "):
+        call()
+
+
 def _assert_the_spec_rejects_a_training_value_exactly_when_cstiConfig_does(row, value):
     # csti only, so that the normal budget, which CstiConfig does not check, stays out
     doc = spec_doc("out", strategies=["csti"])
@@ -631,7 +673,8 @@ def test_a_version_1_round_file_raises_a_contract_violation_naming_it(tmp_path):
 def test_a_round_file_with_a_bad_round_index_names_it(tmp_path):
     pvec = build_model("dlinear", 8, 1, 2).export_params()
     save_container(tmp_path / "round.pvec", "round", pvec, round=-1)
-    with pytest.raises(ContractViolation, match="round.pvec: round index -1"):
+    with pytest.raises(ContractViolation,
+                       match="round.pvec: round index: integer >= 0 required, got -1$"):
         load_round_checkpoint(tmp_path / "round.pvec")
 
 
@@ -895,6 +938,21 @@ def test_a_bad_model_hyper_entry_names_its_kind(tmp_path, hyper):
     doc = spec_doc(tmp_path / "out", models=["dlinear", "frets"], model_hyper=hyper)
     with pytest.raises(SpecValidationError, match=f"model_hyper.{next(iter(hyper))}"):
         validate_spec_dict(doc)
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(spec_doc("out")).replace('"seed": 5', '"seed": ' + "9" * 5000),
+    '{"out_dir": "out", "data": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["integer-of-5000-digits", "nested-100000-deep"])
+def test_cli_json_that_json_loads_cannot_hold_exit_code(tmp_path, text):
+    # json.loads raises a ValueError, not a JSONDecodeError, for an integer literal past
+    # the 4,300-digit limit, and a RecursionError for deep nesting; both used to escape
+    # as a traceback
+    (tmp_path / "spec.json").write_text(text, encoding="utf-8")
+    proc = _run_cli(["spec.json"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "spec error: spec is not valid JSON: " in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
 
 
 def test_cli_missing_spec_exit_code(tmp_path):

@@ -63,6 +63,14 @@ def test_layouts_merge_compatible_across_seeds():
         assert not np.array_equal(a.export_params().values, b.export_params().values)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, -1, "1"])
+def test_build_model_rejects_a_seed_that_is_not_an_integer_of_at_least_zero(seed):
+    # int(seed) used to build seed 1's model for 1.5, True and "1", and -1 escaped as
+    # numpy's raw ValueError
+    with pytest.raises(ContractViolation, match=rf"^seed: integer >= 0 required, got {seed!r}$"):
+        build_model("dlinear", 8, 1, 2, seed=seed)
+
+
 def test_build_validation():
     with pytest.raises(ContractViolation):
         build_model("nosuch", 8, 1, 2)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -124,6 +125,63 @@ def test_identity_filter_leaves_signal_unchanged():
     x = rng.standard_normal((3, 8))
     kernel = np.concatenate([np.ones(8), np.zeros(8)])  # [k_re | k_im] of the unit kernel
     assert np.allclose(x @ circulant_operator(kernel), x, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# argument rules
+# ---------------------------------------------------------------------------
+
+# the most digits repr gives an integer (sys.get_int_max_str_digits); 0 is no limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python prints integers of any length")
+@pytest.mark.parametrize("value,text", [
+    (10**5000 - 1, "an integer of 5000 digits"), (10**5000, "an integer of 5001 digits"),
+    (-(10**5000), "an integer of 5001 digits"),
+    ((1.0, 10**5000), "a tuple holding an integer too long to print"),
+    ({"hidden": 10**5000}, "a dict holding an integer too long to print"),
+], ids=["10**5000-1", "10**5000", "-10**5000", "tuple", "dict"])
+def test_shown_gives_the_digit_count_of_an_integer_too_long_for_repr(value, text):
+    assert numerics.shown(value) == text
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python prints integers of any length")
+def test_shown_is_repr_up_to_the_digit_limit():
+    for value in (0, -7, 10 ** (DIGIT_LIMIT - 1), 1.5, "a", (1, None), np.int64(3)):
+        assert numerics.shown(value) == repr(value)
+    assert numerics.shown(10**DIGIT_LIMIT) == f"an integer of {DIGIT_LIMIT + 1} digits"
+
+
+def test_check_returns_the_converted_value_or_names_the_argument_and_its_rule():
+    count = numerics.integer(1)
+    assert numerics.check("n", count, np.int64(3)) == 3
+    assert type(numerics.check("n", count, np.int64(3))) is int
+    for value in (0, True, 2.0, "2", None):
+        with pytest.raises(ContractViolation, match=rf"^n: integer >= 1 required, got {value!r}$"):
+            numerics.check("n", count, value)
+    assert numerics.integer(2, 3).message == "integer in [2, 3] required"
+    assert [numerics.integer(2, 3).check(v) for v in (1, 2, 3, 4, 3.0)] == [0, 1, 1, 0, 0]
+    assert type(numerics.check("x", numerics.POSITIVE, 2)) is float
+    for value in (0, -1.0, math.inf, math.nan, 10**400, False, "1", np.float32(np.inf)):
+        assert not numerics.POSITIVE.check(value)
+
+
+def test_optional_keeps_none_and_names_it_in_the_message():
+    rule = numerics.optional(numerics.integer(1), "null")
+    assert rule.message == "integer >= 1 (or null) required"
+    assert numerics.check("jobs", rule, None) is None
+    assert numerics.check("jobs", rule, np.int32(2)) == 2
+    assert not rule.check(0)
+
+
+def test_reals_checks_every_entry_and_the_whole_list():
+    rule = numerics.reals(lambda x: x > 0, lambda xs: len(xs) == 2, "two positives required")
+    assert numerics.check("w", rule, [1, np.float32(0.5)]) == (1.0, 0.5)
+    assert numerics.check("w", rule, np.array([2.0, 3.0])) == (2.0, 3.0)
+    for value in ([1.0], [1.0, 0.0], [1.0, True], [1.0, "2"], [1.0, math.nan], [1.0, 10**400],
+                  np.ones((1, 2)), np.array(1.0), {1.0: 1, 2.0: 2}, "12", None):
+        assert not rule.check(value), value
 
 
 # ---------------------------------------------------------------------------

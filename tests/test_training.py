@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import functools
 import math
+import sys
 import tracemalloc
 import types
 
@@ -219,16 +220,42 @@ def test_run_csti_checks_no_window_and_no_step_setting_again(small_market, monke
 
     cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, seed=7)
     for name, owner, modules in (("windows_finite", data_mod, (data_mod, models_mod)),
-                                 ("_check_setting", training, (training,))):
+                                 ("check", training, (training,))):
         wrapped = counting(name, getattr(owner, name))
         for module in modules:
             monkeypatch.setattr(module, name, wrapped)
     run_csti(small_market[0], "dlinear", cfg)
     assert calls == []
     train_local(build_model("dlinear", 16, 1, 3), small_market[0][0], 1, 0.01, 0.9)
-    # the entry point checks its own settings: learning rate, momentum, prox_weight,
-    # batch size and seed
-    assert calls == ["_check_setting"] * 5
+    # the entry point checks its own settings: epochs, learning rate, momentum,
+    # prox_weight, batch size and seed
+    assert calls == ["check"] * 6
+
+
+_HUGE = 10**5000  # 5,001 digits, past repr's default limit of 4,300
+_SHORT = "an integer of 5001 digits"
+_HUGE_CALLS = {  # entry: (call on one dataset, the short form its message holds)
+    "CstiConfig": (lambda ds: CstiConfig(stocks=2, learning_rate=_HUGE), _SHORT),
+    "generate_synthetic_market": (lambda ds: generate_synthetic_market(2, _HUGE, 0.5, 0), _SHORT),
+    "build_model": (lambda ds: build_model("dlinear", _HUGE, 1, 2), _SHORT),
+    "run_csti": (lambda ds: run_csti([ds], "dlinear", CstiConfig(
+        stocks=_HUGE, merge_rounds=1, finetune_epochs=1)), _SHORT),
+    "merge_weights": (lambda ds: CstiConfig(stocks=2, merge_weights=(1.0, _HUGE)),
+                      "a tuple holding an integer too long to print"),
+    "hidden": (lambda ds: build_model("frets", 16, 1, 3, {"hidden": _HUGE}),
+               "a dict holding an integer too long to print"),
+}
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("entry", _HUGE_CALLS)
+def test_a_message_quoting_an_integer_too_long_to_print_gives_its_digit_count(entry, small_market):
+    # formatting the value in the message used to raise Python's raw "Exceeds the limit
+    # (4300 digits) for integer string conversion" ValueError instead
+    call, short = _HUGE_CALLS[entry]
+    with pytest.raises(ContractViolation, match=short):
+        call(small_market[0][0])
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
@@ -1289,14 +1316,14 @@ def test_run_normal_checks_its_settings_and_stocks_once(monkeypatch):
     # them without checking again, not through train_local
     counts = collections.Counter()
     cfg = CstiConfig(stocks=6, epochs_total=6, seed=5)
-    for name in ("_check_setting", "_check_stock_group"):
+    for name in ("check", "_check_stock_group"):
         def counting(*args, _name=name, _check=getattr(training, name)):
             counts[_name] += 1
             return _check(*args)
         monkeypatch.setattr(training, name, counting)
     result = run_normal(_six_stocks_with_ties(), "dlinear", cfg)
     assert len(result.snapshots) == 6
-    assert counts == {"_check_stock_group": 1}  # and no _check_setting call
+    assert counts == {"_check_stock_group": 1}  # and no check call
 
 
 # ---------------------------------------------------------------------------

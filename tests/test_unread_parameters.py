@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-KIND_HOOKS = {"segments", "default_hyper", "check_hyper", "_buffers", "_bind", "bind_rows"}
+KIND_HOOKS = {"segments", "default_hyper", "_buffers", "_bind", "bind_rows"}
 
 
 def unread_parameters(tree):
