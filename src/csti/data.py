@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     WrongNormalizerError,
 )
-from .numerics import check, integer, real, reals, shown
+from .numerics import BOOLEAN, check, integer, real, reals, shown
 
 CLOSE_COL = 1  # the columns are open, close and optional sentiment
 
@@ -35,6 +35,7 @@ SPLIT_NAMES = ("train", "val", "test")
 # The rules of the market's and the windows' arguments. The spec's rows hold these very
 # objects (``experiment._FIELDS``), and ``training.SETTINGS`` the stocks and seed rules.
 STOCKS, SEED, LENGTH, HORIZON = integer(1), integer(0), integer(64), integer(1)
+WINDOW_LOOKBACK = integer(1)  # a window's lookback; a model needs more (``models.LOOKBACK``)
 SHARED_STRENGTH = real(lambda v: 0 <= v <= 1, "number in [0, 1] required")
 FRACTIONS = reals(lambda x: x > 0, lambda f: len(f) == 3 and abs(sum(f) - 1.0) <= 1e-9,
                   "three positive numbers summing to 1 required")
@@ -131,6 +132,8 @@ class WindowedDataset:
     absolute_indices: np.ndarray  # (N,) index of each first target row
 
     def __post_init__(self):
+        lookback = check("lookback", WINDOW_LOOKBACK, self.lookback)
+        horizon = check("horizon", HORIZON, self.horizon)
         # views, so that freezing them leaves the caller's own arrays writeable
         inputs = np.asarray(self.inputs, dtype=np.float64).view()
         targets = np.asarray(self.targets, dtype=np.float64).view()
@@ -142,15 +145,15 @@ class WindowedDataset:
             raise InsufficientDataError("windowed dataset is empty")
         if targets.shape[0] != n or idx.shape[0] != n:
             raise ContractViolation("inputs/targets/indices row counts differ")
-        if inputs.shape[1] != self.lookback or targets.shape[1] != self.horizon:
+        if inputs.shape[1] != lookback or targets.shape[1] != horizon:
             raise ContractViolation("window shapes disagree with L/H")
         if not (windows_finite(inputs) and np.all(np.isfinite(targets))):
             raise NumericInputError(f"{self.stock_id}: non-finite window values")
         for arr in (inputs, targets, idx):
             arr.flags.writeable = False
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "absolute_indices", idx)
+        for name, value in (("lookback", lookback), ("horizon", horizon), ("inputs", inputs),
+                            ("targets", targets), ("absolute_indices", idx)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_windows(self) -> int:
@@ -176,8 +179,9 @@ def load_csv_detailed(path, with_sentiment: bool = False,
     duplicate dates are dropped and reported. The dates sort the rows and
     find the duplicates; they are not kept. The stock id is the file stem.
     """
-    path = str(path)
-    wanted = ["date", "open", "close"] + (["sentiment"] if with_sentiment else [])
+    path, min_rows = str(path), check("min_rows", integer(1), min_rows)
+    sentiment = ["sentiment"] if check("with_sentiment", BOOLEAN, with_sentiment) else []
+    wanted = ["date", "open", "close"] + sentiment
     with open(path, "rb") as fh:
         raw = fh.read()
     bom = 3 if raw.startswith(b"\xef\xbb\xbf") else 0  # a UTF-8 byte-order mark, as Excel writes
@@ -234,7 +238,7 @@ def load_csv_detailed(path, with_sentiment: bool = False,
             continue
         deduped.append((day, values))
 
-    if len(deduped) < max(min_rows, 1):
+    if len(deduped) < min_rows:
         raise InsufficientDataError(
             f"{path}: {len(deduped)} usable rows, need at least {min_rows}"
         )
@@ -320,8 +324,8 @@ def make_windows(series: StockSeries, lookback: int, horizon: int, split: str,
     """
     if split not in SPLIT_NAMES:
         raise ContractViolation(f"split must be one of {SPLIT_NAMES}")
-    # a window's lookback; a model needs more (``models.LOOKBACK``)
-    lookback, horizon = check("lookback", integer(1), lookback), check("horizon", HORIZON, horizon)
+    lookback = check("lookback", WINDOW_LOOKBACK, lookback)
+    horizon = check("horizon", HORIZON, horizon)
     start, end = split_bounds(series.T, fractions)[split]
     seg_len = end - start
     needed = lookback + horizon

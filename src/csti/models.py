@@ -50,8 +50,8 @@ with one batch size (``bind_sum_of_squares``), one loss divide and one
 scale of the gradient by 2 / (N * H); ``bind`` composes the same for a
 one-off call. Every product and reduction runs per row, so each row is
 bit-identical to the K=1 call.
-The kernels check nothing: ``predict_batch``, ``loss`` and ``loss_gradient``
-check their windows once, and a trainer trusts what its entry points checked.
+The kernels check nothing: ``predict_batch`` checks its windows once, and a
+trainer trusts what its entry points checked.
 Reuse matters because temporaries freed at the end of every step leave
 the top of the glibc heap free: glibc trims it, and the next step
 faults the same pages back in.
@@ -98,16 +98,6 @@ def _check_inputs(inputs, lookback, n_features):
     if not windows_finite(inputs):
         raise NumericInputError("batch inputs contain non-finite values")
     return inputs
-
-
-def _check_batch(inputs, targets, lookback, horizon, n_features):
-    inputs = _check_inputs(inputs, lookback, n_features)
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != (inputs.shape[0], horizon):
-        raise ShapeMismatchError(
-            f"batch targets must be (N, {horizon}), got {targets.shape}"
-        )
-    return inputs, targets
 
 
 class ForecastModel:
@@ -262,15 +252,6 @@ class ForecastModel:
         inputs = _check_inputs(inputs, self.lookback, self.n_features)
         return self.bind(self._theta_views, self.rows_read(inputs)[None])()[0]
 
-    def loss(self, inputs, targets) -> float:
-        """The batch MSE with the kernel's bits: the tests' finite-difference reference."""
-        inputs, targets = _check_batch(inputs, targets, self.lookback, self.horizon,
-                                       self.n_features)
-        pred = self.bind(self._theta_views, self.rows_read(inputs)[None])()[0]
-        residual, total = (pred - targets).reshape(1, -1), np.empty(1)
-        bind_sum_of_squares(residual, total)()  # the kernel's reduction, so the kernel's bits
-        return float(total[0] / residual.size)
-
     def export_params(self) -> ParamVector:
         """The parameter vector this model holds: the same object, not a copy."""
         return self._params
@@ -291,14 +272,6 @@ class ForecastModel:
         epilogue, loss reduction and gradient scale to its step.
         """
         return (call or self.bind(p, inputs, targets, g))()
-
-    def loss_gradient(self, inputs, targets) -> ParamVector:
-        inputs, targets = _check_batch(inputs, targets, self.lookback, self.horizon,
-                                       self.n_features)
-        grad = np.empty((1, self.n_params))
-        self.loss_and_gradient(self._theta_views, self.rows_read(inputs)[None], targets[None],
-                               self.unpack(grad))
-        return self._params.replace(grad[0])
 
 
 def bind_sum_of_squares(residuals, out):

@@ -172,28 +172,15 @@ class CstiConfig:
         return self.merge_weights if self.merge_weights is not None else (1.0,) * self.stocks
 
 
-class TraceRow(NamedTuple):
-    phase: str  # "merge" | "finetune" | "normal"
-    round_index: int  # merge round or epoch number, 1-based
-    stock_id: str  # stock id or "global"
-    data_loss: float
-    prox_penalty: float
-    wall_ms: float  # wall time of the epoch (of the whole K-stock stack, in run_csti)
-
-
 @dataclass
 class TrainingTrace:
     """Loss curves, per-round global parameters and step counters.
 
     The loss curves are the logs of the ``_StockStack.train`` calls, one
-    ``add`` per call: (phase, first round or epoch, stock ids, log), whose
-    (K, epochs) losses and penalties run in the given stock order. ``rows``
-    walks them; nothing per (stock, epoch) is built while training. The
-    walk gives, per merge round r, each stock's local epochs, all
-    numbered r, then the ``global`` row of ``global_loss_per_round``;
-    per fine-tune or normal log, each stock's epochs, numbered on from
-    its first. ``add`` trusts its logs: each loss is a mean of batch
-    losses the trainer's guard bounded.
+    per call: (phase, first round or epoch, stock ids, log), whose
+    (K, epochs) losses and penalties run in the given stock order; nothing
+    per (stock, epoch) is built while training. Each loss is a mean of
+    batch losses the trainer's guard bounded.
     """
 
     global_loss_per_round: list = field(default_factory=list)
@@ -201,34 +188,31 @@ class TrainingTrace:
     lineage_update_steps: list = field(default_factory=list)
     logs: list = field(default_factory=list)  # (phase, first, stock ids, _StackLog) per call
 
-    def add(self, phase: str, first: int, stock_ids: Sequence[str], log: _StackLog) -> None:
-        self.logs.append((phase, first, stock_ids, log))
 
-    def _walk(self):
-        """The values of each row, in the order of ``rows``."""
-        for phase, first, stock_ids, log in self.logs:
+def write_trace_csv(trace: TrainingTrace, path) -> None:
+    """One line per stock and epoch of the trace's logs, and one per merge round.
+
+    Per merge round r: each stock's local epochs, all numbered r, then the
+    ``global`` line of ``global_loss_per_round``. Per fine-tune or normal
+    log: each stock's epochs, numbered on from its first. An epoch's
+    ``wall_ms`` is the whole stack's, so every stock's line of it shares it.
+    """
+    def lines():
+        for phase, first, stock_ids, log in trace.logs:
             step = 0 if phase == "merge" else 1  # a merge round numbers all its epochs r
             for stock_id, losses, penalties in zip(stock_ids, log.losses.tolist(),
                                                    log.penalties.tolist()):
                 for e, values in enumerate(zip(losses, penalties, log.epoch_wall_ms)):
                     yield (phase, first + step * e, stock_id, *values)
             if phase == "merge":
-                yield phase, first, "global", self.global_loss_per_round[first - 1], 0.0, 0.0
+                yield phase, first, "global", trace.global_loss_per_round[first - 1], 0.0, 0.0
 
-    @property
-    def rows(self) -> list:
-        """One ``TraceRow`` per stock and epoch, and one per merge round, built on each read."""
-        return [TraceRow(*values) for values in self._walk()]
-
-
-def write_trace_csv(trace: TrainingTrace, path) -> None:
-    """One line per row of ``trace.rows``, in its order, read from the trace's logs."""
     with atomic_open(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["phase", "round", "stock_id", "data_loss", "proximal_penalty", "wall_ms"])
         writer.writerows([phase, round_index, stock_id, f"{loss:.9g}", f"{penalty:.9g}",
                           f"{wall:.3f}"]
-                         for phase, round_index, stock_id, loss, penalty, wall in trace._walk())
+                         for phase, round_index, stock_id, loss, penalty, wall in lines())
 
 
 class LocalTrainResult(NamedTuple):
@@ -640,7 +624,7 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
         global_params = init.replace(axpy_merge(theta, weights))
         trace.round_globals.append(global_params)
 
-        trace.add("merge", round_index, stock_ids, log)
+        trace.logs.append(("merge", round_index, stock_ids, log))
         means = np.add.reduce(log.losses, axis=1) / cfg.local_epochs_per_round
         trace.global_loss_per_round.append(math.fsum(means.tolist()) / k_stocks)  # order-free
 
@@ -648,7 +632,7 @@ def run_csti(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
     log = stack.train(seeds(_TAG_FINETUNE, 0), cfg.finetune_epochs,
                       cfg.alpha * cfg.learning_rate, cfg.momentum,
                       anchor=global_params.values, prox_weight=cfg.prox_weight, label="fine-tune")
-    trace.add("finetune", 1, stock_ids, log)
+    trace.logs.append(("finetune", 1, stock_ids, log))
     finetuned = [template.import_params(global_params.replace(row)) for row in theta[given]]
 
     trace.lineage_update_steps = [cfg.epochs_budget * stack.batches[r] for r in given]
@@ -685,7 +669,7 @@ def run_normal(stocks: Sequence[WindowedDataset], kind: str, cfg: CstiConfig,
                                        cfg.batch_size, derive_seed(cfg.seed, _TAG_NORMAL, k,
                                                                    ds.stock_id),
                                        label=f"normal segment {k}", round_index=k)
-        trace.add("normal", k * epochs_per + 1, [ds.stock_id], log)
+        trace.logs.append(("normal", k * epochs_per + 1, [ds.stock_id], log))
         total_steps += steps
         snapshots.append(model)
     trace.lineage_update_steps = [total_steps]

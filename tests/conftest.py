@@ -41,16 +41,37 @@ def write_series_csv(series, path):
             writer.writerow([day.isoformat()] + [f"{v:.9g}" for v in row])
 
 
+def trace_rows(trace):
+    """The rows of a trace's CSV, stated from its logs alone: ``write_trace_csv``'s reference.
+
+    (phase, round, stock id, data loss, proximal penalty, wall ms) per row.
+    A merge log of round r gives each stock's epochs in the given stock
+    order, every one numbered r, then a ``global`` row holding the round's
+    ``global_loss_per_round`` with no penalty and no wall time. A fine-tune
+    or normal log gives each stock's epochs numbered first, first + 1, ...
+    Every stock's row of an epoch holds that epoch's stack wall time.
+    """
+    rows = []
+    for phase, first, stock_ids, log in trace.logs:
+        epochs = log.losses.shape[1]
+        for k, stock_id in enumerate(stock_ids):
+            for e in range(epochs):
+                number = first if phase == "merge" else first + e
+                rows.append((phase, number, stock_id, float(log.losses[k, e]),
+                             float(log.penalties[k, e]), log.epoch_wall_ms[e]))
+        if phase == "merge":
+            rows.append((phase, first, "global", trace.global_loss_per_round[first - 1], 0.0, 0.0))
+    return rows
+
+
 def write_trace_rows_csv(trace, path):
-    """A trace's CSV written one ``TraceRow`` at a time: the reference for ``write_trace_csv``."""
+    """The CSV of ``trace_rows``, one row at a time."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["phase", "round", "stock_id", "data_loss", "proximal_penalty", "wall_ms"])
-        for row in trace.rows:
-            writer.writerow([
-                row.phase, row.round_index, row.stock_id,
-                f"{row.data_loss:.9g}", f"{row.prox_penalty:.9g}", f"{row.wall_ms:.3f}",
-            ])
+        for phase, number, stock_id, loss, penalty, wall in trace_rows(trace):
+            writer.writerow([phase, number, stock_id, f"{loss:.9g}", f"{penalty:.9g}",
+                             f"{wall:.3f}"])
 
 
 def predict_one(model, window):
@@ -99,11 +120,20 @@ def random_batch(rng, n, lookback, d, horizon):
     return inputs, targets
 
 
+def loss_and_gradient(model, inputs, targets):
+    """(batch MSE, gradient ``ParamVector``) at the model's own theta: one K=1 ``bind`` call,
+    so the loss has the bits of a trainer's kernel call."""
+    theta, grad = model.export_params(), np.empty((1, model.n_params))
+    (loss,) = model.bind(model.unpack(theta.values[None]), model.rows_read(inputs)[None],
+                         np.asarray(targets, dtype=np.float64)[None], model.unpack(grad))()
+    return float(loss), theta.replace(grad[0])
+
+
 def gradient(model, inputs, targets):
     """The model's analytic batch-MSE gradient, checked finite segment by segment."""
     if inputs.shape[0] == 0:
         raise ContractViolation("batch must be non-empty")
-    grad = model.loss_gradient(inputs, targets)
+    grad = loss_and_gradient(model, inputs, targets)[1]
     for name, view in model.unpack(grad.values[None]).items():
         assert np.all(np.isfinite(view)), f"non-finite gradient in segment {name!r}"
     return grad
@@ -119,9 +149,9 @@ def finite_diff_gradient(model, inputs, targets, epsilon=1e-5):
     for i in range(theta.size):
         saved = theta[i]
         theta[i] = saved + epsilon
-        hi = model.import_params(base.replace(theta)).loss(inputs, targets)
+        hi = loss_and_gradient(model.import_params(base.replace(theta)), inputs, targets)[0]
         theta[i] = saved - epsilon
-        lo = model.import_params(base.replace(theta)).loss(inputs, targets)
+        lo = loss_and_gradient(model.import_params(base.replace(theta)), inputs, targets)[0]
         theta[i] = saved
         grad[i] = (hi - lo) / (2.0 * epsilon)
     return base.replace(grad)

@@ -236,6 +236,17 @@ def test_too_few_usable_rows(tmp_path):
         load_csv_detailed(path, min_rows=18)  # e.g. L + H + 1 with L=16, H=1
 
 
+@pytest.mark.parametrize("name,value", [("min_rows", "a"), ("min_rows", 2.5), ("min_rows", True),
+                                        ("min_rows", -3), ("with_sentiment", "no")])
+def test_load_csv_detailed_checks_min_rows_and_with_sentiment(tmp_path, name, value):
+    # "a" used to escape as a raw TypeError, 2.5, True and -3 were taken (2.5 asking
+    # for "at least 2.5" rows), and "no" asked for a sentiment column
+    path = write_csv(tmp_path / "a.csv", BASIC_CSV)
+    with pytest.raises(ContractViolation,
+                       match=f"^{name}: .* required, got {re.escape(repr(value))}$"):
+        load_csv_detailed(path, **{name: value})
+
+
 def test_constant_close_loads_but_normalizer_rejects(tmp_path):
     text = "date,open,close\n" + "".join(
         f"2020-01-{d:02d},{10 + d},42\n" for d in range(1, 11)
@@ -459,6 +470,23 @@ def test_a_dataset_leaves_the_callers_arrays_writeable():
     inputs[0], targets[0], indices[0] = 1.0, 1.0, 7
     assert not any(a.flags.writeable for a in (ds.inputs, ds.targets, ds.absolute_indices))
     assert ds.inputs[0, 0, 0] == ds.targets[0, 0] == 1.0 and ds.absolute_indices[0] == 7
+
+
+@pytest.mark.parametrize("name,value", [("lookback", True), ("lookback", 2.0), ("lookback", 0),
+                                        ("horizon", True)])
+def test_a_dataset_checks_its_lookback_and_horizon(name, value):
+    # each used to be taken as given, with arrays of the shapes it names
+    sizes = {"lookback": 2, "horizon": 1, name: value}
+    inputs, targets = np.zeros((2, int(sizes["lookback"]), 2)), np.zeros((2, int(sizes["horizon"])))
+    with pytest.raises(ContractViolation,
+                       match=f"^{name}: integer >= 1 required, got {re.escape(repr(value))}$"):
+        WindowedDataset("x", sizes["lookback"], sizes["horizon"], inputs, targets, [0, 1])
+
+
+def test_a_dataset_keeps_its_lookback_and_horizon_as_ints():
+    ds = WindowedDataset("x", np.int64(2), np.int64(1), np.zeros((2, 2, 2)), np.zeros((2, 1)),
+                         [0, 1])
+    assert (type(ds.lookback), type(ds.horizon)) == (int, int)
 
 
 def test_split_chronology():

@@ -177,8 +177,8 @@ def _write_then_fail(path):
 def _write_a_trace_with_a_bad_loss(path):
     # stock B's loss is not a number, so the writer fails on B's line, after A's
     trace = TrainingTrace()
-    trace.add("finetune", 1, ["A", "B"],
-              _StackLog(np.array([[0.5], ["x"]], dtype=object), np.zeros((2, 1)), [1.0]))
+    trace.logs.append(("finetune", 1, ["A", "B"],
+                       _StackLog(np.array([[0.5], ["x"]], dtype=object), np.zeros((2, 1)), [1.0])))
     write_trace_csv(trace, path)
 
 

@@ -28,6 +28,7 @@ from conftest import (
     dlinear_reference,
     filter_series,
     filter_spectrum,
+    loss_and_gradient,
     paifilter_reference,
     predict_one,
     random_batch,
@@ -139,8 +140,6 @@ def test_predict_shape_errors(rng):
     model = build_model("dlinear", 8, 1, 2)
     with pytest.raises(ShapeMismatchError):
         model.predict_batch(rng.uniform(size=(1, 7, 2)))
-    with pytest.raises(ShapeMismatchError):
-        model.loss(rng.uniform(size=(3, 8, 2)), rng.uniform(size=(3, 2)))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -157,14 +156,12 @@ def test_predict_batch_rejects_windows_of_the_wrong_shape(kind):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_every_entry_point_rejects_a_non_finite_window(kind, bad, rng):
-    # predict_batch and loss used to return NaN here
+    # predict_batch used to return NaN here
     model = build_model(kind, 16, 1, 3)
-    inputs, targets = random_batch(rng, 4, 16, 3, 1)
+    inputs, _ = random_batch(rng, 4, 16, 3, 1)
     inputs[1, -1, 0] = bad
-    for call in (lambda: model.predict_batch(inputs), lambda: model.loss(inputs, targets),
-                 lambda: model.loss_gradient(inputs, targets)):
-        with pytest.raises(NumericInputError, match="non-finite"):
-            call()
+    with pytest.raises(NumericInputError, match="non-finite"):
+        model.predict_batch(inputs)
 
 
 def _set_segment(model, name, values):
@@ -266,32 +263,13 @@ def test_loss_examples(rng):
     model = build_model("dlinear", 8, 1, 2, seed=3)
     inputs, _ = random_batch(rng, 4, 8, 2, 1)
     perfect = model.predict_batch(inputs)
-    assert model.loss(inputs, perfect) == 0.0
+    assert loss_and_gradient(model, inputs, perfect)[0] == 0.0
 
     single = model.predict_batch(inputs[:1])
-    assert model.loss(inputs[:1], single + 0.2) == pytest.approx(0.04)
+    assert loss_and_gradient(model, inputs[:1], single + 0.2)[0] == pytest.approx(0.04)
 
     targets = rng.uniform(size=(4, 1))
-    assert model.loss(inputs, targets) >= 0.0
-
-
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_loss_gives_the_bits_of_the_kernels_batch_mse(kind, rng):
-    # the trainer's guard and epoch means read the kernel's r . r / (N * H);
-    # ``loss`` must report the same number for the same batch
-    model = build_model(kind, 16, 2, 3, seed=4)
-    theta = model.export_params().values[None]
-    for n in (1, 37, 64):
-        inputs, targets = random_batch(rng, n, 16, 3, 2)
-        kernel = model.loss_and_gradient(model.unpack(theta), model.rows_read(inputs)[None],
-                                         targets[None], model.unpack(np.empty_like(theta)))
-        assert np.float64(model.loss(inputs, targets)).tobytes() == kernel.tobytes()
-
-
-def test_loss_empty_batch_rejected():
-    model = build_model("dlinear", 8, 1, 2)
-    with pytest.raises(ContractViolation):
-        model.loss(np.zeros((0, 8, 2)), np.zeros((0, 1)))
+    assert loss_and_gradient(model, inputs, targets)[0] >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +415,7 @@ def test_paifilter_gradient_at_lookback_128_holds_no_quadratic_operator(rng):
     assert max(buf.size for buf in model.workspace(1).values()) < 128 * 128
     tracemalloc.start()
     try:
-        model.loss_gradient(inputs, targets)
+        loss_and_gradient(model, inputs, targets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -487,7 +465,7 @@ def test_a_kind_reads_only_its_declared_window_rows(kind, data):
                                        model.unpack(grad))
         pred = model.bind(model.unpack(theta), design[None])()
         return (design.tobytes(), loss.tobytes(), grad.tobytes(), pred.tobytes(),
-                model.loss_gradient(x, targets).values.tobytes(),
+                loss_and_gradient(model, x, targets)[1].values.tobytes(),
                 model.predict_batch(x).tobytes())
 
     assert outputs(perturbed) == outputs(inputs)
@@ -514,8 +492,8 @@ def test_affine_kinds_agree_with_their_two_stage_reference(kind, lookback, horiz
         gen.uniform(-1.0, 1.0, model.n_params)))
     inputs, targets = random_batch(gen, n, lookback, d, horizon)
     expected = _REFERENCES[kind](model, inputs, targets)
-    got = (model.predict_batch(inputs), model.loss(inputs, targets),
-           model.loss_gradient(inputs, targets).values)
+    loss, grad = loss_and_gradient(model, inputs, targets)
+    got = model.predict_batch(inputs), loss, grad.values
     for a, b in zip(got, expected):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
 

@@ -469,26 +469,35 @@ def test_a_stack_step_equals_one_step_per_row_bit_for_bit(case, learning_rate, m
 # gradient engine vs finite differences
 # ---------------------------------------------------------------------------
 
-class _ZeroParamModel:
-    """Degenerate interface stub: no learnable values at all."""
+class _StubModel:
+    """Interface stub for the gradient helpers: a K=1 ``bind`` call whose loss is
+    ``batch_loss`` and which writes no gradient segment."""
 
-    def __init__(self):
-        self._layout = ()
+    def __init__(self, theta=()):
+        self.theta = np.asarray(theta, dtype=np.float64)
+        self.n_params = self.theta.size
+
+    def export_params(self):
+        return ParamVector(self.theta, [("t", self.n_params)] if self.n_params else ())
+
+    def import_params(self, pvec):
+        return type(self)(pvec.values)
 
     def unpack(self, stack):
         return {}
 
-    def export_params(self):
-        return ParamVector([], ())
+    def rows_read(self, inputs):
+        return np.asarray(inputs, dtype=np.float64)
 
-    def import_params(self, pvec):
-        return self
+    def bind(self, p, inputs, targets, g):
+        return lambda: np.array([self.batch_loss(inputs[0], targets[0])])
 
-    def loss(self, inputs, targets):
-        return float(np.mean((np.asarray(inputs)[:, 0, 0] - targets[:, 0]) ** 2))
 
-    def loss_gradient(self, inputs, targets):
-        return ParamVector([], ())
+class _ZeroParamModel(_StubModel):
+    """Degenerate interface stub: no learnable values at all."""
+
+    def batch_loss(self, inputs, targets):
+        return float(np.mean((inputs[:, 0, 0] - targets[:, 0]) ** 2))
 
 
 def test_zero_parameter_model_has_empty_gradient():
@@ -508,35 +517,20 @@ def test_perfect_fit_batch_has_zero_gradient(rng):
 
 
 def test_finite_diff_on_scalar_quadratic():
-    class Quad:
-        def __init__(self, theta):
-            self.theta = theta
+    class Quad(_StubModel):
+        def batch_loss(self, inputs, targets):
+            return self.theta[0]**2
 
-        def export_params(self):
-            return ParamVector([self.theta], [("t", 1)])
-
-        def import_params(self, pvec):
-            return Quad(pvec.values[0])
-
-        def loss(self, inputs, targets):
-            return self.theta**2
-
-    grad = finite_diff_gradient(Quad(3.0), None, None, epsilon=1e-5)
+    grad = finite_diff_gradient(Quad([3.0]), None, None, epsilon=1e-5)
     assert abs(grad.values[0] - 6.0) < 1e-8
 
 
 def test_finite_diff_constant_loss_is_zero():
-    class Const:
-        def export_params(self):
-            return ParamVector([1.0, 2.0], [("t", 2)])
-
-        def import_params(self, pvec):
-            return self
-
-        def loss(self, inputs, targets):
+    class Const(_StubModel):
+        def batch_loss(self, inputs, targets):
             return 1.25
 
-    grad = finite_diff_gradient(Const(), None, None)
+    grad = finite_diff_gradient(Const([1.0, 2.0]), None, None)
     assert np.array_equal(grad.values, [0.0, 0.0])
 
 

@@ -1,4 +1,5 @@
 import collections
+import csv
 import dataclasses
 import functools
 import math
@@ -37,7 +38,8 @@ from csti.training import (
     _TAG_INIT,
     _TAG_MERGE,
     CstiConfig,
-    TraceRow,
+    TrainingTrace,
+    _StackLog,
     derive_seed,
     evaluate,
     run_csti,
@@ -46,7 +48,7 @@ from csti.training import (
     write_trace_csv,
 )
 
-from conftest import windowed_market, write_trace_rows_csv
+from conftest import loss_and_gradient, windowed_market, write_trace_rows_csv
 
 
 def _params(model):
@@ -159,7 +161,7 @@ def _reference_sgd(model, ds, epochs, learning_rate, momentum, anchor, prox_weig
         for start in range(0, ds.n_windows, 64):
             idx = order[start : start + 64]
             current = model.import_params(params.replace(theta))
-            grad = current.loss_gradient(ds.inputs[idx], ds.targets[idx]).values
+            grad = loss_and_gradient(current, ds.inputs[idx], ds.targets[idx])[1].values
             grad = grad + 2.0 * prox_weight * (theta - anchor)
             sgd_step(theta, velocity, grad, learning_rate, momentum)
     return theta
@@ -369,8 +371,8 @@ def _run_fingerprint(result):
         [g.values.tobytes() for g in result.trace.round_globals],
         [_params(m).values.tobytes() for m in result.finetuned],
         result.trace.global_loss_per_round,
-        [(r.phase, r.round_index, r.stock_id, r.data_loss, r.prox_penalty)
-         for r in result.trace.rows],
+        [(phase, first, ids, log.losses.tobytes(), log.penalties.tobytes())
+         for phase, first, ids, log in result.trace.logs],
         result.trace.lineage_update_steps,
     )
 
@@ -429,10 +431,11 @@ def test_lockstep_rows_match_train_local():
     cfg = CstiConfig(stocks=3, merge_rounds=1, finetune_epochs=0, seed=41)
     result = run_csti(train, "paifilter", cfg, jobs=3)
     init = build_model("paifilter", 16, 1, 3, seed=derive_seed(cfg.seed, _TAG_INIT, 0))
-    for ds, row in zip(train, [r for r in result.trace.rows if r.stock_id != "global"]):
+    _, _, ids, log = result.trace.logs[0]  # round 1
+    for ds, stock_id, losses in zip(train, ids, log.losses.tolist(), strict=True):
         alone = train_local(init, ds, 1, cfg.learning_rate, cfg.momentum, cfg.batch_size,
                             seed=derive_seed(cfg.seed, _TAG_MERGE, 1, ds.stock_id))
-        assert row.stock_id == ds.stock_id and [row.data_loss] == alone.epoch_losses
+        assert stock_id == ds.stock_id and losses == alone.epoch_losses
 
 
 @pytest.mark.parametrize("kind", ["dlinear", "paifilter"])
@@ -445,10 +448,11 @@ def test_equal_size_rows_of_one_call_match_train_local(kind, kernel_rows):
     # 68 and 89 windows, three stocks each: six full batches, then 4 and 25 windows
     assert kernel_rows == [6, 3, 3]
     init = build_model(kind, 16, 1, 3, seed=derive_seed(cfg.seed, _TAG_INIT, 0))
-    for ds, row in zip(train, [r for r in result.trace.rows if r.stock_id != "global"]):
+    _, _, ids, log = result.trace.logs[0]  # round 1
+    for ds, stock_id, losses in zip(train, ids, log.losses.tolist(), strict=True):
         alone = train_local(init, ds, 1, cfg.learning_rate, cfg.momentum, cfg.batch_size,
                             seed=derive_seed(cfg.seed, _TAG_MERGE, 1, ds.stock_id))
-        assert row.stock_id == ds.stock_id and [row.data_loss] == alone.epoch_losses
+        assert stock_id == ds.stock_id and losses == alone.epoch_losses
 
 
 def _window_buffers(stack):
@@ -537,8 +541,9 @@ def _keyed_fingerprint(result, train):
     return (
         [g.values.tobytes() for g in result.trace.round_globals],
         {ds.stock_id: _params(m).values.tobytes() for ds, m in zip(train, result.finetuned)},
-        {(r.phase, r.round_index, r.stock_id): (r.data_loss, r.prox_penalty)
-         for r in result.trace.rows},
+        {(phase, first, stock_id): (losses, penalties)
+         for phase, first, ids, log in result.trace.logs
+         for stock_id, losses, penalties in zip(ids, log.losses.tolist(), log.penalties.tolist())},
         result.trace.global_loss_per_round,
     )
 
@@ -930,9 +935,10 @@ def test_the_loss_guard_sees_batch_means_not_sums(small_market):
     init = build_model("dlinear", 16, 1, 3, seed=derive_seed(cfg.seed, _TAG_INIT, 0))
     first = train[1].inputs[:cfg.batch_size], train[1].targets[:cfg.batch_size]
     assert train[1].n_windows > cfg.batch_size
-    assert init.loss(first[0], first[1] + 200.0) < DIVERGENCE_GUARD
-    assert init.loss(first[0], first[1] + 200.0) * cfg.batch_size > DIVERGENCE_GUARD
-    assert init.loss(first[0], first[1] + 2000.0) > DIVERGENCE_GUARD
+    shifted, far = (loss_and_gradient(init, first[0], first[1] + shift)[0]
+                    for shift in (200.0, 2000.0))
+    assert shifted < DIVERGENCE_GUARD < shifted * cfg.batch_size
+    assert far > DIVERGENCE_GUARD
     for jobs in (1, 3):
         run_csti([train[0], _shifted(train[1], 200.0), train[2]], "dlinear", cfg, jobs=jobs)
     named = []
@@ -1101,14 +1107,10 @@ def test_proximal_penalty_bounded_by_initial_loss(small_market):
     train, _, _ = small_market
     cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=5, seed=19)
     result = run_csti(train, "paifilter", cfg)
-    first_loss = {}
-    for row in result.trace.rows:
-        if row.phase == "finetune" and row.stock_id not in first_loss:
-            first_loss[row.stock_id] = row.data_loss
-    for row in result.trace.rows:
-        if row.phase == "finetune":
-            assert np.isfinite(row.prox_penalty)
-            assert row.prox_penalty <= first_loss[row.stock_id]
+    phase, _, _, log = result.trace.logs[-1]
+    assert phase == "finetune" and log.penalties.shape == (3, 5)
+    assert np.all(np.isfinite(log.penalties))
+    assert np.all(log.penalties <= log.losses[:, :1])  # each stock's first fine-tune loss
 
 
 @functools.lru_cache(maxsize=None)
@@ -1271,20 +1273,18 @@ def test_both_strategies_take_as_many_stocks_as_their_config_says(entry, small_m
 # run_normal
 # ---------------------------------------------------------------------------
 
-def test_normal_single_stock_is_plain_training(small_market):
+def test_normal_single_stock_is_plain_training(small_market, tmp_path):
     train, _, _ = small_market
     result = run_normal(train[:1], "dlinear", CstiConfig(stocks=1, epochs_total=4, seed=5))
     assert len(result.snapshots) == 1
-    assert len([r for r in result.trace.rows if r.phase == "normal"]) == 4
+    assert [line[0] for line in _trace_lines(result.trace, tmp_path)] == ["normal"] * 4
 
 
-def test_normal_epoch_split_and_snapshots(small_market):
+def test_normal_epoch_split_and_snapshots(small_market, tmp_path):
     train, _, _ = small_market
     result = run_normal(train[:2], "dlinear", CstiConfig(stocks=2, epochs_total=10, seed=5))
     assert len(result.snapshots) == 2
-    per_stock = {}
-    for row in result.trace.rows:
-        per_stock[row.stock_id] = per_stock.get(row.stock_id, 0) + 1
+    per_stock = collections.Counter(line[2] for line in _trace_lines(result.trace, tmp_path))
     assert set(per_stock.values()) == {5}
     a, b = (_params(s).values for s in result.snapshots)
     assert not np.array_equal(a, b)
@@ -1416,59 +1416,49 @@ def test_trace_csv_export(tmp_path, small_market):
 # the trace
 # ---------------------------------------------------------------------------
 
-def test_a_run_builds_no_trace_row_until_its_rows_are_read(monkeypatch, small_market):
-    built = []
-
-    def counting(*values):
-        built.append(values)
-        return TraceRow(*values)
-
-    monkeypatch.setattr(training, "TraceRow", counting)
-    train = _unequal_market()
-    cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, local_epochs_per_round=2,
-                     seed=37)
-    result = run_csti(train, "dlinear", cfg)
-    assert built == []
-    assert len(result.trace.rows) == len(built) == 3 * (3 * 2 + 1) + 3 * 2  # R(KE + 1) + KF
-    built.clear()
-    result = run_normal(small_market[0], "dlinear", CstiConfig(stocks=3, epochs_total=6, seed=5))
-    assert built == []
-    assert len(result.trace.rows) == len(built) == 6
+def _trace_lines(trace, tmp_path):
+    """The cells of each line of the trace's CSV below its header."""
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    with open(tmp_path / "trace.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
 
 
 @pytest.mark.parametrize("shared_init", [True, False])
-def test_csti_trace_rows_come_in_the_documented_order(shared_init):
+def test_csti_trace_rows_come_in_the_documented_order(shared_init, tmp_path):
     # 166, 89 and 124 windows: the stack's row order is not the given one
     train = _unequal_market(lengths=(260, 150, 200), seed=31)
     cfg = CstiConfig(stocks=3, merge_rounds=3, finetune_epochs=2, local_epochs_per_round=2,
                      prox_weight=0.05, seed=43, shared_init=shared_init)
-    result = run_csti(train, "dlinear", cfg)
-    rows, ids = result.trace.rows, [ds.stock_id for ds in train]
+    trace = run_csti(train, "dlinear", cfg).trace
+    lines, ids = _trace_lines(trace, tmp_path), [ds.stock_id for ds in train]
     expected = []
     for r in (1, 2, 3):  # per round: each stock's local epochs, all numbered r, then global
         expected += [("merge", r, sid) for sid in ids for _ in range(2)] + [("merge", r, "global")]
     expected += [("finetune", e, sid) for sid in ids for e in (1, 2)]
-    assert [(row.phase, row.round_index, row.stock_id) for row in rows] == expected
-    for r in range(3):
-        *stock_rows, global_row = rows[7 * r : 7 * r + 7]
-        # an epoch's wall is the whole stack's, so every stock's row of it shares it
-        assert [row.wall_ms for row in stock_rows] == [row.wall_ms for row in stock_rows[:2]] * 3
-        assert {row.prox_penalty for row in rows[7 * r : 7 * r + 7]} == {0.0}
-        means = [(a.data_loss + b.data_loss) / 2 for a, b in zip(stock_rows[::2], stock_rows[1::2])]
-        assert global_row.data_loss == result.trace.global_loss_per_round[r] == math.fsum(means) / 3
-        assert global_row.wall_ms == 0.0
-    finetune = rows[21:]
-    assert all(row.prox_penalty > 0.0 for row in finetune)
-    assert [row.wall_ms for row in finetune] == [row.wall_ms for row in finetune[:2]] * 3
+    assert [(phase, int(number), sid) for phase, number, sid, *_ in lines] == expected
+    assert [(phase, first, list(stock_ids)) for phase, first, stock_ids, _ in trace.logs] == [
+        ("merge", 1, ids), ("merge", 2, ids), ("merge", 3, ids), ("finetune", 1, ids)]
+    for r, (*_, log) in enumerate(trace.logs[:3]):
+        *stock_lines, global_line = lines[7 * r : 7 * r + 7]
+        # an epoch's wall is the whole stack's, so every stock's line of it shares it
+        assert [line[5] for line in stock_lines] == [f"{w:.3f}" for w in log.epoch_wall_ms] * 3
+        assert not log.penalties.any()
+        means = [(a + b) / 2 for a, b in log.losses.tolist()]
+        assert trace.global_loss_per_round[r] == math.fsum(means) / 3
+        assert global_line[3:] == [f"{trace.global_loss_per_round[r]:.9g}", "0", "0.000"]
+    *_, finetune = trace.logs[3]
+    assert (finetune.penalties > 0.0).all()
+    assert [line[5] for line in lines[21:]] == [f"{w:.3f}" for w in finetune.epoch_wall_ms] * 3
 
 
-def test_normal_trace_rows_come_in_the_documented_order(small_market):
+def test_normal_trace_rows_come_in_the_documented_order(small_market, tmp_path):
     train, _, _ = small_market
     cfg = CstiConfig(stocks=3, epochs_total=7, seed=5)  # 2 epochs per stock
-    rows = run_normal(train, "dlinear", cfg).trace.rows
-    assert [(row.phase, row.round_index, row.stock_id) for row in rows] == [
+    trace = run_normal(train, "dlinear", cfg).trace
+    lines = _trace_lines(trace, tmp_path)
+    assert [(phase, int(number), sid) for phase, number, sid, *_ in lines] == [
         ("normal", 2 * k + e + 1, ds.stock_id) for k, ds in enumerate(train) for e in range(2)]
-    assert {row.prox_penalty for row in rows} == {0.0}
+    assert not any(log.penalties.any() for *_, log in trace.logs)
 
 
 @pytest.mark.parametrize("strategy", ["csti", "normal"])
@@ -1483,3 +1473,30 @@ def test_trace_csv_equals_the_per_row_writer(strategy, tmp_path, small_market):
     write_trace_csv(trace, tmp_path / "trace.csv")
     write_trace_rows_csv(trace, tmp_path / "reference.csv")
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@st.composite
+def _stack_logs(draw):
+    """One ``trace.logs`` entry of any phase: K 1-4 stocks, 0-3 epochs, any first index."""
+    phase = draw(st.sampled_from(["merge", "finetune", "normal"]))
+    first = draw(st.integers(1, 8) if phase == "merge" else st.integers(1, 10**9))
+    k, epochs = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    grid = st.lists(st.lists(number, min_size=epochs, max_size=epochs), min_size=k, max_size=k)
+    ids = draw(st.lists(st.text("AZ9,\" ", min_size=1, max_size=4), min_size=k, max_size=k))
+    walls = draw(st.lists(st.floats(0.0, 1e6), min_size=epochs, max_size=epochs))
+    log = _StackLog(np.array(draw(grid)).reshape(k, epochs),
+                    np.array(draw(grid)).reshape(k, epochs), walls)
+    return phase, first, ids, log
+
+
+@settings(max_examples=60, deadline=None)
+@given(logs=st.lists(_stack_logs(), max_size=5),
+       global_losses=st.lists(st.floats(0.0, 1e6), min_size=8, max_size=8))
+def test_trace_csv_holds_the_reference_rows_of_any_logs(logs, global_losses, tmp_path_factory):
+    trace = TrainingTrace(global_loss_per_round=global_losses, logs=logs)
+    directory = tmp_path_factory.getbasetemp()
+    write_trace_csv(trace, directory / "drawn_trace.csv")
+    write_trace_rows_csv(trace, directory / "drawn_reference.csv")
+    assert ((directory / "drawn_trace.csv").read_bytes()
+            == (directory / "drawn_reference.csv").read_bytes())
